@@ -17,7 +17,7 @@ from .errors import (CertificateNotFound, ConfigError, GeometryError,
 from .geodesics import (GeodesicArc, JacobiSample, exp_geodesic, exp_point,
                         helpers_fgh, jacobi_field, jacobi_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff,
-                       gauss_legendre_1d, integrate_2d)
+                       gauss_legendre_1d, gauss_nodes, integrate_2d)
 from .stability import (InstabilityCertificate, PhiKDelta, Profile,
                         TestFunction, VerticalVariation, boundary_flux,
                         bracket_integral, certify_instability_h2,
@@ -25,10 +25,11 @@ from .stability import (InstabilityCertificate, PhiKDelta, Profile,
                         jacobi_vertical_quadratic, l_nh_closed, operator_L,
                         q_form, second_variation_direct, separable,
                         vertical_variation_area, z_derivative)
-from .surfaces import (CatenoidChart, Chart, HelicoidChart, SurfaceFrame,
-                       VerticalPlaneChart, area, area_element, catalog_surface,
-                       characteristic_ray, mean_curvatures, paraboloid_chart,
-                       plane_chart, ruled_coordinates, singular_locus,
-                       surface_frame)
+from .surfaces import (CatenoidChart, Chart, ChartJets, HelicoidChart,
+                       SurfaceFrame, SurfaceFrames, VerticalPlaneChart, area,
+                       area_element, catalog_surface, characteristic_ray,
+                       mean_curvatures, paraboloid_chart, plane_chart,
+                       ruled_coordinates, singular_locus, surface_frame,
+                       surface_frames)
 
 __version__ = "0.1.0"

@@ -115,10 +115,13 @@ def _surface_from_args(args: argparse.Namespace):
         return plane_chart(args.a, args.b, args.c)
     if kind == "paraboloid":
         return paraboloid_chart()
-    if kind == "helicoid":
-        return HelicoidChart(args.R)
-    if kind == "catenoid":
-        return CatenoidChart(args.lam)
+    try:
+        if kind == "helicoid":
+            return HelicoidChart(args.R)
+        if kind == "catenoid":
+            return CatenoidChart(args.lam)
+    except ValueError as exc:  # the chart rejects its parameter
+        raise ConfigError(f"--surface {kind}: {exc}") from exc
     raise ConfigError(f"unknown surface {kind!r}")
 
 
@@ -203,6 +206,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.target == "catenoid":
         if args.lam == 0:
             raise ConfigError("certify catenoid requires --lam != 0")
+        if args.kmax < 1:
+            raise ConfigError("certify catenoid requires --kmax >= 1")
         chart = CatenoidChart(args.lam)
         r = math.sqrt(2.0) * abs(args.lam)
         t = args.lam * args.lam

@@ -22,18 +22,22 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import (FrameVector, Point, connection_apply, curvature_R, dot,
                    euclidean_to_frame, frame_to_euclidean, jop)
 
 SERIES_CUTOFF = 1e-4
 
 
-def helpers_fgh(x: float) -> tuple[float, float, float]:
+def helpers_fgh(x):
     """(sin x / x, (1 - cos x)/x, (x - sin x)/x^2), series-stabilized near 0.
 
     Three Maclaurin terms below |x| = 1e-4; the truncation (~1e-28) is far
-    under round-off, so the switch is seamless.
+    under round-off, so the switch is seamless.  ``x`` may be an array.
     """
+    if isinstance(x, np.ndarray):
+        return _helpers_fgh_array(x)
     if abs(x) < SERIES_CUTOFF:
         x2 = x * x
         f = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
@@ -42,6 +46,17 @@ def helpers_fgh(x: float) -> tuple[float, float, float]:
         return f, g, h
     s, c = math.sin(x), math.cos(x)
     return s / x, (1.0 - c) / x, (x - s) / (x * x)
+
+
+def _helpers_fgh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    small = np.abs(x) < SERIES_CUTOFF
+    xs = np.where(small, 1.0, x)  # keeps the closed branch off x = 0
+    s, c = np.sin(xs), np.cos(xs)
+    x2 = x * x
+    f = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, s / xs)
+    g = np.where(small, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0), (1.0 - c) / xs)
+    h = np.where(small, x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0), (xs - s) / (xs * xs))
+    return f, g, h
 
 
 @dataclass(frozen=True)
@@ -85,7 +100,11 @@ def exp_point(p: Point, v: FrameVector, s: float = 1.0) -> Point:
 
 def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
                   s: float = 1.0) -> tuple[float, float, float]:
-    """Geodesic endpoint on raw Euclidean coordinates (hot-loop variant)."""
+    """Geodesic endpoint on raw Euclidean coordinates (hot-loop variant).
+
+    The components of ``p`` and ``v`` may be arrays of one shape, which
+    moves a whole batch of points at once.
+    """
     x0, y0, t0 = p
     A, B, C = v
     lam = C - A * y0 + B * x0

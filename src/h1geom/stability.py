@@ -27,15 +27,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from ._gauss import NODES_WEIGHTS
-from .core import frame_to_euclidean
 from .errors import (CertificateNotFound, NonFiniteValue,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, gauss_legendre_1d,
-                       integrate_2d, kahan_sum)
-from .surfaces import (Chart, RuledChart, integrate_tangent_field,
-                       ruled_coordinates, surface_frame)
+                       gauss_nodes, integrate_cells, kahan_sum)
+from .surfaces import (Chart, RuledChart, SurfaceFrames, area_density,
+                       integrate_tangent_field, ruled_coordinates,
+                       surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
 # 1-D profiles and separable test functions
@@ -151,16 +153,32 @@ class PhiKDelta:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A compactly supported scalar field on a chart domain with partials."""
+    """A compactly supported scalar field on a chart domain with partials.
+
+    ``batch``, when set, evaluates (value, d1, d2) as arrays on the nodes of
+    one ``SurfaceFrames`` batch, given with their coordinate lists; fields
+    built from frame quantities read them off the batch this way.
+    """
 
     value: Callable[[float, float], float]
     d1: Callable[[float, float], float]
     d2: Callable[[float, float], float]
     support: Rect
     sep: Optional[tuple[Profile, Profile]] = None
+    batch: Optional[Callable[[SurfaceFrames, list, list], tuple]] = None
 
     def __call__(self, u1: float, u2: float) -> float:
         return self.value(u1, u2)
+
+
+def batch_values(f: TestFunction, fr: SurfaceFrames, a: list, b: list,
+               derivs: bool = True) -> tuple:
+    """(value, d1, d2) of ``f`` at the nodes of a frame batch, as arrays;
+    plain functions are evaluated node by node (value only unless ``derivs``)."""
+    if f.batch is not None:
+        return f.batch(fr, a, b)
+    fns = (f.value, f.d1, f.d2) if derivs else (f.value,)
+    return tuple(np.array([fn(x, y) for x, y in zip(a, b)], dtype=float) for fn in fns)
 
 
 def separable(p1: Profile, p2: Profile) -> TestFunction:
@@ -197,7 +215,12 @@ def times_nh(chart: Chart, f: TestFunction) -> TestFunction:
             return dv * fr.Nh_norm + fv * fr.dNh[i]
         return d
 
-    return TestFunction(value, make_d(0), make_d(1), f.support, None)
+    def batch(fr: SurfaceFrames, a: list, b: list) -> tuple:
+        fv, fd1, fd2 = batch_values(f, fr, a, b)
+        nh = fr.Nh_norm
+        return fv * nh, fd1 * nh + fv * fr.dNh[0], fd2 * nh + fv * fr.dNh[1]
+
+    return TestFunction(value, make_d(0), make_d(1), f.support, None, batch)
 
 
 def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) -> TestFunction:
@@ -221,9 +244,16 @@ def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) ->
             return dv + fr.dNT[i] * wv + fr.NT * dw
         return d
 
+    def batch(fr: SurfaceFrames, a: list, b: list) -> tuple:
+        vv, vd1, vd2 = batch_values(v, fr, a, b)
+        wv, wd1, wd2 = batch_values(w, fr, a, b)
+        nt = fr.NT
+        return (vv + nt * wv, vd1 + fr.dNT[0] * wv + nt * wd1,
+                vd2 + fr.dNT[1] * wv + nt * wd2)
+
     s1 = (min(v.support[0][0], w.support[0][0]), max(v.support[0][1], w.support[0][1]))
     s2 = (min(v.support[1][0], w.support[1][0]), max(v.support[1][1], w.support[1][1]))
-    return TestFunction(value, make_d(0), make_d(1), (s1, s2))
+    return TestFunction(value, make_d(0), make_d(1), (s1, s2), None, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +329,11 @@ def l_nh_closed(chart: Chart, u: tuple[float, float]) -> float:
     """Closed form of L applied to |N_h| on a minimal surface:
     4 (|N_h|^{-2} <B(Z),S> - 1), read off the pointwise frame alone.
     """
-    fr = surface_frame(chart, u)
+    return l_nh_of_frame(surface_frame(chart, u))
+
+
+def l_nh_of_frame(fr):
+    """``l_nh_closed`` from a ``SurfaceFrame`` or a ``SurfaceFrames`` batch."""
     return 4.0 * (fr.BZS / (fr.Nh_norm * fr.Nh_norm) - 1.0)
 
 
@@ -339,7 +373,8 @@ def _axis_cuts(lo: float, hi: float, fs: Sequence[TestFunction], axis: int) -> l
 
 def _piecewise_2d(fn, rect: Rect, fs: Sequence[TestFunction],
                   quad: QuadratureSpec) -> float:
-    """Tensor quadrature with cells split at support edges and profile kinks."""
+    """Tensor quadrature with cells split at support edges and profile kinks;
+    ``fn`` maps the node arrays of one quadrature cell to its samples."""
     (a1, b1), (a2, b2) = rect
     cuts1 = _axis_cuts(a1, b1, fs, 0)
     cuts2 = _axis_cuts(a2, b2, fs, 1)
@@ -350,7 +385,7 @@ def _piecewise_2d(fn, rect: Rect, fs: Sequence[TestFunction],
             n1 = max(1, round(quad.cells[0] * (piece[0][1] - piece[0][0]) / (b1 - a1)))
             n2 = max(1, round(quad.cells[1] * (piece[1][1] - piece[1][0]) / (b2 - a2)))
             spec = QuadratureSpec(quad.points_per_cell, (n1, n2))
-            total.append(integrate_2d(fn, piece, spec))
+            total.append(integrate_cells(fn, piece, spec))
     return kahan_sum(total)
 
 
@@ -375,12 +410,15 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
     if rect is None:
         return 0.0
 
-    def integrand(a: float, b: float) -> float:
-        fr = surface_frame(chart, (a, b))
+    def integrand(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+        fr = surface_frames(chart, U1, U2)
+        a, b = U1.tolist(), U2.tolist()
+        u, ud1, ud2 = batch_values(uf, fr, a, b)
+        v, vd1, vd2 = (u, ud1, ud2) if vf is uf else batch_values(vf, fr, a, b)
         z1, z2 = fr.z_chart
-        zu = z1 * uf.d1(a, b) + z2 * uf.d2(a, b)
-        zv = z1 * vf.d1(a, b) + z2 * vf.d2(a, b)
-        return (zu * zv - fr.q * uf.value(a, b) * vf.value(a, b)) / fr.Nh_norm * fr.riem_area
+        zu = z1 * ud1 + z2 * ud2
+        zv = z1 * vd1 + z2 * vd2
+        return (zu * zv - fr.q * u * v) / fr.Nh_norm * fr.riem_area
 
     return _piecewise_2d(integrand, rect, (uf, vf), quad)
 
@@ -388,39 +426,38 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
 def _deformed_area(chart: Chart, nodes, s: float) -> float:
     """Area of the deformed patch at variation parameter ``s``.
 
-    ``nodes`` carries, per quadrature node, the weight and the 9-point
-    chart-coordinate stencil with precomputed base points and deformation
-    vectors; the deformed density is the horizontal cross-product norm of
-    finite-difference partials of the composed map.
+    ``nodes`` carries, per quadrature cell, the weights, the steps and the
+    9-point chart-coordinate stencil of every node with precomputed base
+    points and deformation vectors; the deformed density is the horizontal
+    cross-product norm of finite-difference partials of the composed map.
     """
     terms = []
-    for weight, h1, h2, stencil in nodes:
-        moved = {}
-        for key, (pc, uc) in stencil.items():
-            moved[key] = exp_euclidean(pc, uc, s)
+    for weights, h1, h2, base, uvec in nodes:
+        moved = exp_euclidean(base, uvec, s)
 
-        def d_axis(plus, minus, plus2, minus2, h):
-            return tuple((4.0 * (plus2[i] - minus2[i]) / h - (plus[i] - minus[i]) / (2.0 * h)) / 3.0
-                         for i in range(3))
+        def d_axis(first: int, h: np.ndarray) -> tuple:
+            # rows first..first+3 of the stencil: +h, -h, +h/2, -h/2
+            out = []
+            for m in moved:
+                plus, minus, plus2, minus2 = m[first:first + 4]
+                out.append((4.0 * (plus2 - minus2) / h - (plus - minus) / (2.0 * h)) / 3.0)
+            return tuple(out)
 
-        f1 = d_axis(moved["p1"], moved["m1"], moved["p1h"], moved["m1h"], h1)
-        f2 = d_axis(moved["p2"], moved["m2"], moved["p2h"], moved["m2h"], h2)
-        cx, cy, _ct = moved["c"]
-        # frame T-coefficients of the partials at the moved center
-        c1 = f1[2] - cy * f1[0] + cx * f1[1]
-        c2 = f2[2] - cy * f2[0] + cx * f2[1]
-        cra = f1[1] * c2 - c1 * f2[1]
-        crb = c1 * f2[0] - f1[0] * c2
-        dens = math.hypot(cra, crb)
-        if not math.isfinite(dens):
+        dens = area_density(moved[0][0], moved[1][0], d_axis(1, h1), d_axis(5, h2))
+        if not np.isfinite(dens).all():
             raise NonFiniteValue("deformed area density is not finite")
-        terms.append(weight * dens)
+        terms.extend((weights * dens).tolist())
     return kahan_sum(terms)
 
 
 def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
                      quad: QuadratureSpec):
-    """Precompute quadrature nodes and exp stencils for a deformation vN+wT."""
+    """Precompute quadrature cells and exp stencils for a deformation vN+wT.
+
+    One entry per cell: node weights, chart steps h1 and h2, and the base
+    points and deformation vectors of the stencil as (9, nodes) arrays, in
+    the row order centre, +h1, -h1, +h1/2, -h1/2, +h2, -h2, +h2/2, -h2/2.
+    """
     live = [f.support for f in (v, w) if not _is_zero(f)]
     if not live:
         return []
@@ -432,37 +469,24 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
     if lo1 >= hi1 or lo2 >= hi2:
         return []
 
-    gnodes, gweights = NODES_WEIGHTS[quad.points_per_cell]
-    (a1, b1), (a2, b2) = ((lo1, hi1), (lo2, hi2))
-    n1, n2 = quad.cells
-    hc1 = (b1 - a1) / n1
-    hc2 = (b2 - a2) / n2
+    U1, U2, W = gauss_nodes(((lo1, hi1), (lo2, hi2)), quad)
     nodes = []
-    for i1 in range(n1):
-        m1 = a1 + (i1 + 0.5) * hc1
-        for i2 in range(n2):
-            m2 = a2 + (i2 + 0.5) * hc2
-            for x1, w1 in zip(gnodes, gweights):
-                u1 = m1 + 0.5 * hc1 * x1
-                for x2, w2 in zip(gnodes, gweights):
-                    u2 = m2 + 0.5 * hc2 * x2
-                    h1 = 1e-5 * max(1.0, abs(u1))
-                    h2 = 1e-5 * max(1.0, abs(u2))
-                    stencil = {}
-                    for key, (du1, du2) in (
-                            ("c", (0.0, 0.0)),
-                            ("p1", (h1, 0.0)), ("m1", (-h1, 0.0)),
-                            ("p1h", (0.5 * h1, 0.0)), ("m1h", (-0.5 * h1, 0.0)),
-                            ("p2", (0.0, h2)), ("m2", (0.0, -h2)),
-                            ("p2h", (0.0, 0.5 * h2)), ("m2h", (0.0, -0.5 * h2))):
-                        uu = (u1 + du1, u2 + du2)
-                        fr = surface_frame(chart, uu)
-                        ne = frame_to_euclidean(fr.N)
-                        vv = v.value(*uu)
-                        ww = w.value(*uu)
-                        uvec = (vv * ne[0], vv * ne[1], vv * ne[2] + ww)
-                        stencil[key] = (fr.N.base.coords(), uvec)
-                    nodes.append((0.25 * hc1 * hc2 * w1 * w2, h1, h2, stencil))
+    for u1, u2, weights in zip(U1, U2, W):
+        h1 = 1e-5 * np.maximum(1.0, np.abs(u1))
+        h2 = 1e-5 * np.maximum(1.0, np.abs(u2))
+        s1 = np.concatenate((u1, u1 + h1, u1 - h1, u1 + 0.5 * h1, u1 - 0.5 * h1,
+                             u1, u1, u1, u1))
+        s2 = np.concatenate((u2, u2, u2, u2, u2,
+                             u2 + h2, u2 - h2, u2 + 0.5 * h2, u2 - 0.5 * h2))
+        fr = surface_frames(chart, s1, s2)
+        a, b = s1.tolist(), s2.tolist()
+        vv = batch_values(v, fr, a, b, derivs=False)[0]
+        ww = batch_values(w, fr, a, b, derivs=False)[0]
+        ne = fr.N_euclidean()
+        uvec = (vv * ne[0], vv * ne[1], vv * ne[2] + ww)
+        rows = (9, len(u1))
+        nodes.append((weights, h1, h2, tuple(c.reshape(rows) for c in fr.points),
+                      tuple(c.reshape(rows) for c in uvec)))
     return nodes
 
 

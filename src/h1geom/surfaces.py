@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (FrameVector, Point, Vec3, connection_apply, cross, dot,
-                   frame_to_euclidean, jop)
+import numpy as np
+
+from .core import FrameVector, Point, Vec3, frame_to_euclidean
 from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import QuadratureSpec, Rect, integrate_2d
+from .numerics import QuadratureSpec, Rect, integrate_cells
 
 SINGULAR_TOL = 1e-9
 
@@ -42,8 +43,29 @@ class ChartJet:
     f22: Vec3
 
 
+Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class ChartJets:
+    """Euclidean partials of the immersion at N parameter points: each entry
+    is a triple of arrays with the shape of the parameter arrays."""
+
+    p: Arr3
+    f1: Arr3
+    f2: Arr3
+    f11: Arr3
+    f12: Arr3
+    f22: Arr3
+
+
 class Chart:
-    """Base class: a C^2 map from a parameter rectangle into the group."""
+    """Base class: a C^2 map from a parameter rectangle into the group.
+
+    Analytic charts implement ``_jet_parts(u1, u2, m)`` once, with ``m`` the
+    ``math`` module for one point or ``numpy`` for arrays of points; charts
+    that only override ``jet`` get ``jets`` by stacking scalar jets.
+    """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -51,7 +73,31 @@ class Chart:
         return self.jet(u1, u2).p
 
     def jet(self, u1: float, u2: float) -> ChartJet:
+        p, f1, f2, f11, f12, f22 = self._jet_parts(u1, u2, math)
+        return ChartJet(Point(*p), f1, f2, f11, f12, f22)
+
+    def jets(self, U1, U2) -> ChartJets:
+        """Jets at the points (U1[i], U2[i]) as arrays."""
+        U1 = np.asarray(U1, dtype=float)
+        U2 = np.asarray(U2, dtype=float)
+        if type(self)._jet_parts is Chart._jet_parts:
+            return self._stacked_jets(U1, U2)
+        # constant partials come back as scalars: broadcast every entry
+        return ChartJets(*(tuple(np.broadcast_to(np.asarray(c, dtype=float), U1.shape)
+                                 for c in v) for v in self._jet_parts(U1, U2, np)))
+
+    def _jet_parts(self, u1, u2, m):
         raise NotImplementedError
+
+    def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray) -> ChartJets:
+        js = [self.jet(a, b) for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist())]
+
+        def stack(rows) -> Arr3:
+            return tuple(np.array(c, dtype=float).reshape(U1.shape) for c in zip(*rows))
+
+        return ChartJets(stack([j.p.coords() for j in js]), stack([j.f1 for j in js]),
+                         stack([j.f2 for j in js]), stack([j.f11 for j in js]),
+                         stack([j.f12 for j in js]), stack([j.f22 for j in js]))
 
 
 @dataclass(frozen=True)
@@ -86,30 +132,126 @@ class SurfaceFrame:
         return self.Z is not None
 
 
-def _coeff_partials(jet: ChartJet) -> tuple:
-    """Frame coefficients of F_1, F_2 and their chart-coordinate partials.
+@dataclass(frozen=True)
+class SurfaceFrames:
+    """The package of ``SurfaceFrame`` at N chart points, as arrays.
 
-    The T-coefficient of F_j is c_j = f_j^t - y f_j^x + x f_j^y, so its
-    partial picks up products of first partials besides the second partials
-    of the map itself.
+    ``points`` are the base points and ``N`` the frame coefficients of the
+    unit normal; characteristic entries are NaN where ``regular`` is False.
     """
-    p = jet.p
-    x, y = p.x, p.y
 
-    def c_of(v: Vec3) -> float:
-        return v[2] - y * v[0] + x * v[1]
+    points: Arr3
+    N: Arr3
+    Nh_norm: np.ndarray
+    NT: np.ndarray
+    riem_area: np.ndarray
+    BZZ: np.ndarray
+    BZS: np.ndarray
+    BSS: np.ndarray
+    H: np.ndarray
+    HR: np.ndarray
+    q: np.ndarray
+    z_chart: tuple[np.ndarray, np.ndarray]
+    s_chart: tuple[np.ndarray, np.ndarray]
+    dNh: tuple[np.ndarray, np.ndarray]
+    dNT: tuple[np.ndarray, np.ndarray]
+    regular: np.ndarray
 
-    def dc(second: Vec3, fi: Vec3, fj: Vec3) -> float:
-        # d/du_i of c(F_j) with second = d^2F/du_i du_j
+    def N_euclidean(self) -> Arr3:
+        """Euclidean components of N (``frame_to_euclidean``)."""
+        (a, b, c), (x, y, _) = self.N, self.points
+        return (a, b, a * y - b * x + c)
+
+
+# ---------------------------------------------------------------------------
+# The frame math.  Every function here is plain arithmetic, so the same code
+# runs on Python floats (``surface_frame``) and on arrays (``surface_frames``).
+# ---------------------------------------------------------------------------
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _tangent_cross(x, y, f1, f2):
+    """Frame coefficients of F_1, F_2 and of F_1 x F_2 (X x Y = T).
+
+    The T-coefficient of F_j is the contact form c_j = f_j^t - y f_j^x + x f_j^y.
+    """
+    c1 = (f1[0], f1[1], f1[2] - y * f1[0] + x * f1[1])
+    c2 = (f2[0], f2[1], f2[2] - y * f2[0] + x * f2[1])
+    cr = (c1[1] * c2[2] - c1[2] * c2[1],
+          c1[2] * c2[0] - c1[0] * c2[2],
+          c1[0] * c2[1] - c1[1] * c2[0])
+    return c1, c2, cr
+
+
+def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
+    """Characteristic entries at regular points, given the unit normal.
+
+    Returns (nu_h, Z, S) as frame-coefficient triples, then <B(Z),Z>,
+    <B(Z),S>, <B(S),S>, H, H_R, q, Z and S in chart coordinates, and the
+    chart partials of |N_h| and <N,T>.
+    """
+    na, nb, nt = n
+
+    def dc(second, fi, fj):
+        # d/du_i of c(F_j) with second = d^2F/du_i du_j: the T-coefficient
+        # picks up products of first partials besides the second partials
         return second[2] - fi[1] * fj[0] - y * second[0] + fi[0] * fj[1] + x * second[1]
 
-    c1 = (jet.f1[0], jet.f1[1], c_of(jet.f1))
-    c2 = (jet.f2[0], jet.f2[1], c_of(jet.f2))
-    d1c1 = (jet.f11[0], jet.f11[1], dc(jet.f11, jet.f1, jet.f1))
-    d2c1 = (jet.f12[0], jet.f12[1], dc(jet.f12, jet.f2, jet.f1))
-    d1c2 = (jet.f12[0], jet.f12[1], dc(jet.f12, jet.f1, jet.f2))
-    d2c2 = (jet.f22[0], jet.f22[1], dc(jet.f22, jet.f2, jet.f2))
-    return c1, c2, (d1c1, d2c1), (d1c2, d2c2)
+    def second_form(d, e, v):
+        # II_ij = <N, D_{F_i} F_j>: coefficient derivative d plus the
+        # connection table contracted with the direction e = F_i
+        o0 = d[0] - v[1] * e[2] - v[2] * e[1]
+        o1 = d[1] + v[0] * e[2] + v[2] * e[0]
+        o2 = d[2] + v[0] * e[1] - v[1] * e[0]
+        return na * o0 + nb * o1 + nt * o2
+
+    ii11 = second_form((f11[0], f11[1], dc(f11, f1, f1)), c1, c1)
+    ii12 = second_form((f12[0], f12[1], dc(f12, f2, f1)), c2, c1)
+    ii21 = second_form((f12[0], f12[1], dc(f12, f1, f2)), c1, c2)
+    ii22 = second_form((f22[0], f22[1], dc(f22, f2, f2)), c2, c2)
+    ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
+
+    nu = (na / nh, nb / nh, 0.0)
+    z = (-nu[1], nu[0], 0.0)
+    s = (nt * nu[0], nt * nu[1], -nh)
+
+    g11 = _dot3(c1, c1)
+    g12 = _dot3(c1, c2)
+    g22 = _dot3(c2, c2)
+    det = w * w  # Gram determinant
+
+    def tangent_in_chart(v):
+        r1 = _dot3(v, c1)
+        r2 = _dot3(v, c2)
+        return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
+
+    def ii(a, b):
+        return (a[0] * b[0] * ii11 + (a[0] * b[1] + a[1] * b[0]) * ii12
+                + a[1] * b[1] * ii22)
+
+    zc = tangent_in_chart(z)
+    sc = tangent_in_chart(s)
+    bzz = ii(zc, zc)
+    bzs = ii(zc, sc)
+    bss = ii(sc, sc)
+    h = bzz / (2.0 * nh)
+    hr = 0.5 * (bzz + bss)
+    qval = bzz * bzz + (bzs + 1.0) ** 2 - 4.0 * nh * nh
+
+    # chart-coordinate derivatives of |N_h| and <N,T> from the shape
+    # operator: for tangent v, v(|N_h|) = -<N,T>(<B(v),S> + <J(v),nu_h>) and
+    # v(<N,T>) = |N_h| <B(v),S> + <N,J(v)>.
+    dnh = []
+    dnt = []
+    for ev, coeff in ((c1, (1.0, 0.0)), (c2, (0.0, 1.0))):
+        bvs = ii(coeff, sc)
+        jv = (-ev[1], ev[0], 0.0)
+        dnh.append(-nt * bvs - nt * _dot3(jv, nu))
+        dnt.append(nh * bvs + _dot3(n, jv))
+    return (nu, z, s, bzz, bzs, bss, h, hr, qval, zc, sc,
+            (dnh[0], dnh[1]), (dnt[0], dnt[1]))
 
 
 def surface_frame(chart: Chart, u: tuple[float, float],
@@ -124,80 +266,75 @@ def surface_frame(chart: Chart, u: tuple[float, float],
     u1, u2 = u
     jet = chart.jet(u1, u2)
     p = jet.p
-    c1, c2, dcs1, dcs2 = _coeff_partials(jet)
-    e1 = FrameVector(c1[0], c1[1], c1[2], p)
-    e2 = FrameVector(c2[0], c2[1], c2[2], p)
-    cr = cross(e1, e2)
-    w = cr.norm()
+    c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
+    w = math.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
     if not (w > 0.0) or not math.isfinite(w):
         raise NonFiniteValue(f"chart is not an immersion at {u!r}")
-    n = cr.scaled(1.0 / w)
-    nt = n.c
-    nh = math.hypot(n.a, n.b)
+    k = 1.0 / w
+    n = (k * cr[0], k * cr[1], k * cr[2])
+    nh = math.hypot(n[0], n[1])
+    N = FrameVector(n[0], n[1], n[2], p)
 
     if nh <= singular_tol:
         if not singular_ok:
             raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
-        return SurfaceFrame(n, nh, nt, w, None, None, None, None, None, None,
+        return SurfaceFrame(N, nh, n[2], w, None, None, None, None, None, None,
                             None, None, None, None, None, None, None)
 
-    nu = FrameVector(n.a / nh, n.b / nh, 0.0, p)
-    z = jop(nu)
-    s = FrameVector(nt * nu.a, nt * nu.b, -nh, p)
+    nu, z, s, *rest = _shape_terms(p.x, p.y, jet.f1, jet.f2, jet.f11, jet.f12,
+                                   jet.f22, c1, c2, w, n, nh)
+    return SurfaceFrame(N, nh, n[2], w, FrameVector(*nu, p), FrameVector(*z, p),
+                        FrameVector(*s, p), *rest)
 
-    # second fundamental form in the chart basis: II_ij = <N, D_{F_i} F_j>
-    def second_form(dcoeff: Vec3, direction: FrameVector, vcoeffs: Vec3) -> float:
-        out = list(dcoeff)
-        for k in range(3):
-            corr = connection_apply(direction.coeffs(), k)
-            out[0] += vcoeffs[k] * corr[0]
-            out[1] += vcoeffs[k] * corr[1]
-            out[2] += vcoeffs[k] * corr[2]
-        return n.a * out[0] + n.b * out[1] + n.c * out[2]
 
-    ii11 = second_form(dcs1[0], e1, c1)
-    ii12 = second_form(dcs1[1], e2, c1)
-    ii21 = second_form(dcs2[0], e1, c2)
-    ii22 = second_form(dcs2[1], e2, c2)
-    ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
+def _first_bad(mask: np.ndarray, U1: np.ndarray, U2: np.ndarray) -> tuple[int, tuple]:
+    i = int(np.flatnonzero(mask)[0])
+    return i, (float(U1.ravel()[i]), float(U2.ravel()[i]))
 
-    g11 = dot(e1, e1)
-    g12 = dot(e1, e2)
-    g22 = dot(e2, e2)
-    det = w * w  # Gram determinant
 
-    def tangent_in_chart(v: FrameVector) -> tuple[float, float]:
-        r1 = dot(v, e1)
-        r2 = dot(v, e2)
-        return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
+def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False,
+                   singular_tol: float = SINGULAR_TOL) -> SurfaceFrames:
+    """``surface_frame`` at the points (U1[i], U2[i]), as arrays.
 
-    zc = tangent_in_chart(z)
-    sc = tangent_in_chart(s)
+    The same frame math on arrays; errors are those of the scalar view at
+    the first offending point in order: ``NonFiniteValue`` for a non-finite
+    sample or a non-immersion, ``SingularPoint`` for |N_h| <= singular_tol
+    unless ``singular_ok`` is set (the characteristic entries are then NaN).
+    """
+    U1 = np.asarray(U1, dtype=float)
+    U2 = np.asarray(U2, dtype=float)
+    if U1.shape != U2.shape:
+        raise ValueError("parameter arrays must have one shape")
+    bad = ~(np.isfinite(U1) & np.isfinite(U2))
+    if bad.any():
+        raise NonFiniteValue(f"non-finite chart point {_first_bad(bad, U1, U2)[1]!r}")
+    jet = chart.jets(U1, U2)
+    x, y, t = jet.p
+    bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t))
+    if bad.any():
+        raise NonFiniteValue(f"non-finite point at {_first_bad(bad, U1, U2)[1]!r}")
+    c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
+    w = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
+    bad = ~((w > 0.0) & np.isfinite(w))
+    if bad.any():
+        raise NonFiniteValue(f"chart is not an immersion at {_first_bad(bad, U1, U2)[1]!r}")
+    k = 1.0 / w
+    n = (k * cr[0], k * cr[1], k * cr[2])
+    nh = np.hypot(n[0], n[1])
+    singular = nh <= singular_tol
+    if singular.any() and not singular_ok:
+        i, u = _first_bad(singular, U1, U2)
+        raise SingularPoint(f"|N_h| = {nh.ravel()[i]:.3e} at {u!r}")
 
-    def ii(a: tuple[float, float], b: tuple[float, float]) -> float:
-        return (a[0] * b[0] * ii11 + (a[0] * b[1] + a[1] * b[0]) * ii12
-                + a[1] * b[1] * ii22)
-
-    bzz = ii(zc, zc)
-    bzs = ii(zc, sc)
-    bss = ii(sc, sc)
-    h = bzz / (2.0 * nh)
-    hr = 0.5 * (bzz + bss)
-    qval = bzz * bzz + (bzs + 1.0) ** 2 - 4.0 * nh * nh
-
-    # chart-coordinate derivatives of |N_h| and <N,T> from the shape
-    # operator: for tangent v, v(|N_h|) = -<N,T>(<B(v),S> + <J(v),nu_h>) and
-    # v(<N,T>) = |N_h| <B(v),S> + <N,J(v)>.
-    dnh = []
-    dnt = []
-    for ev, coeff in ((e1, (1.0, 0.0)), (e2, (0.0, 1.0))):
-        bvs = ii(coeff, sc)
-        jv = jop(ev)
-        dnh.append(-nt * bvs - nt * dot(jv, nu))
-        dnt.append(nh * bvs + dot(n, jv))
-
-    return SurfaceFrame(n, nh, nt, w, nu, z, s, bzz, bzs, bss, h, hr, qval,
-                        zc, sc, (dnh[0], dnh[1]), (dnt[0], dnt[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
+            x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
+    out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
+    if singular.any():
+        out = [np.where(singular, np.nan, a) for a in out]
+    bzz, bzs, bss, h, hr, qval, z1, z2, s1, s2, dnh1, dnh2, dnt1, dnt2 = out
+    return SurfaceFrames((x, y, t), n, nh, n[2], w, bzz, bzs, bss, h, hr, qval,
+                         (z1, z2), (s1, s2), (dnh1, dnh2), (dnt1, dnt2), ~singular)
 
 
 def mean_curvatures(chart: Chart, u: tuple[float, float]) -> tuple[float, float]:
@@ -214,18 +351,28 @@ def area_element(chart: Chart, u: tuple[float, float]) -> float:
     """
     u1, u2 = u
     jet = chart.jet(u1, u2)
-    p = jet.p
-    c1, c2, _, _ = _coeff_partials(jet)
-    e1 = FrameVector(c1[0], c1[1], c1[2], p)
-    e2 = FrameVector(c2[0], c2[1], c2[2], p)
-    cr = cross(e1, e2)
-    return math.hypot(cr.a, cr.b)
+    _, _, cr = _tangent_cross(jet.p.x, jet.p.y, jet.f1, jet.f2)
+    if not all(math.isfinite(c) for c in cr):
+        raise NonFiniteValue(f"non-finite tangent plane at {u!r}")
+    return math.hypot(cr[0], cr[1])
+
+
+def area_density(x, y, f1, f2) -> np.ndarray:
+    """|N_h| |F_1 x F_2| from base points and Euclidean partials (arrays)."""
+    _, _, cr = _tangent_cross(x, y, f1, f2)
+    return np.hypot(cr[0], cr[1])
+
+
+def area_elements(chart: Chart, U1, U2) -> np.ndarray:
+    """``area_element`` at the points (U1[i], U2[i]), as an array."""
+    jet = chart.jets(U1, U2)
+    return area_density(jet.p[0], jet.p[1], jet.f1, jet.f2)
 
 
 def area(chart: Chart, region: Rect | None, quad: QuadratureSpec) -> float:
     """Sub-Riemannian area of the chart over ``region`` (default: domain)."""
     rect = region if region is not None else chart.domain
-    return integrate_2d(lambda a, b: area_element(chart, (a, b)), rect, quad)
+    return integrate_cells(lambda U1, U2: area_elements(chart, U1, U2), rect, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -353,30 +500,38 @@ class VerticalPlaneChart(Chart):
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
+    def _jet_parts(self, u1, u2, m):
         zero = (0.0, 0.0, 0.0)
-        return ChartJet(Point(0.0, u1, u2), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-                        zero, zero, zero)
+        return (0.0, u1, u2), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), zero, zero, zero
 
 
 class GraphChart(Chart):
-    """A t-graph t = phi(x, y) with analytic partials of phi."""
+    """A t-graph t = phi(x, y) with analytic partials of phi.
+
+    The partials are evaluated on arrays when they accept them (plain
+    arithmetic; a constant result is broadcast), else point by point.
+    """
 
     def __init__(self, phi, phi1, phi2, phi11, phi12, phi22,
                  domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self._phi = (phi, phi1, phi2, phi11, phi12, phi22)
         self.domain = domain
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
+    def _jet_parts(self, u1, u2, m):
         phi, p1, p2, p11, p12, p22 = self._phi
-        return ChartJet(
-            Point(u1, u2, phi(u1, u2)),
-            (1.0, 0.0, p1(u1, u2)),
-            (0.0, 1.0, p2(u1, u2)),
-            (0.0, 0.0, p11(u1, u2)),
-            (0.0, 0.0, p12(u1, u2)),
-            (0.0, 0.0, p22(u1, u2)),
-        )
+        return ((u1, u2, phi(u1, u2)),
+                (1.0, 0.0, p1(u1, u2)),
+                (0.0, 1.0, p2(u1, u2)),
+                (0.0, 0.0, p11(u1, u2)),
+                (0.0, 0.0, p12(u1, u2)),
+                (0.0, 0.0, p22(u1, u2)))
+
+    def jets(self, U1, U2) -> ChartJets:
+        try:
+            return super().jets(U1, U2)
+        except TypeError:  # partials written for floats only
+            return self._stacked_jets(np.asarray(U1, dtype=float),
+                                      np.asarray(U2, dtype=float))
 
 
 def plane_chart(a: float, b: float, c: float,
@@ -414,18 +569,16 @@ class HelicoidChart(Chart):
         """f(s) = 1/R - R s^2: vertical speed of the generating curve."""
         return 1.0 / self.R - self.R * s * s
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
+    def _jet_parts(self, u1, u2, m):
         R = self.R
         s, eps = u1, u2
-        si, co = math.sin(R * eps), math.cos(R * eps)
-        return ChartJet(
-            Point(s * si, s * co, eps / R),
-            (si, co, 0.0),
-            (R * s * co, -R * s * si, 1.0 / R),
-            (0.0, 0.0, 0.0),
-            (R * co, -R * si, 0.0),
-            (-R * R * s * si, -R * R * s * co, 0.0),
-        )
+        si, co = m.sin(R * eps), m.cos(R * eps)
+        return ((s * si, s * co, eps / R),
+                (si, co, 0.0),
+                (R * s * co, -R * s * si, 1.0 / R),
+                (0.0, 0.0, 0.0),
+                (R * co, -R * si, 0.0),
+                (-R * R * s * si, -R * R * s * co, 0.0))
 
 
 class CatenoidChart(Chart):
@@ -451,20 +604,18 @@ class CatenoidChart(Chart):
         lam = self.lam
         return p.t * p.t - lam * lam * (p.x * p.x + p.y * p.y - lam * lam)
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
+    def _jet_parts(self, u1, u2, m):
         lam = self.lam
         th, ph = u1, u2
-        co, si = math.cos(th), math.sin(th)
-        ch, sh = math.cosh(ph), math.sinh(ph)
+        co, si = m.cos(th), m.sin(th)
+        ch, sh = m.cosh(ph), m.sinh(ph)
         r = lam * ch
-        return ChartJet(
-            Point(r * co, r * si, lam * lam * sh),
-            (-r * si, r * co, 0.0),
-            (lam * sh * co, lam * sh * si, lam * lam * ch),
-            (-r * co, -r * si, 0.0),
-            (-lam * sh * si, lam * sh * co, 0.0),
-            (r * co, r * si, lam * lam * sh),
-        )
+        return ((r * co, r * si, lam * lam * sh),
+                (-r * si, r * co, 0.0),
+                (lam * sh * co, lam * sh * si, lam * lam * ch),
+                (-r * co, -r * si, 0.0),
+                (-lam * sh * si, lam * sh * co, 0.0),
+                (r * co, r * si, lam * lam * sh))
 
 
 class TransformedChart(Chart):
@@ -481,20 +632,25 @@ class TransformedChart(Chart):
         self.shift = shift
         self.domain = base.domain
 
-    def _apply(self, v: Vec3, translate: bool) -> Vec3:
+    def _apply(self, v, translate: bool):
         m = self.matrix
         out = tuple(m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in range(3))
         if translate:
             out = (out[0] + self.shift[0], out[1] + self.shift[1], out[2] + self.shift[2])
         return out
 
+    def _transform(self, p, j):
+        return (p, self._apply(j.f1, False), self._apply(j.f2, False),
+                self._apply(j.f11, False), self._apply(j.f12, False),
+                self._apply(j.f22, False))
+
     def jet(self, u1: float, u2: float) -> ChartJet:
         j = self.base.jet(u1, u2)
-        p = self._apply(j.p.coords(), True)
-        return ChartJet(Point(*p),
-                        self._apply(j.f1, False), self._apply(j.f2, False),
-                        self._apply(j.f11, False), self._apply(j.f12, False),
-                        self._apply(j.f22, False))
+        return ChartJet(*self._transform(Point(*self._apply(j.p.coords(), True)), j))
+
+    def jets(self, U1, U2) -> ChartJets:
+        j = self.base.jets(U1, U2)
+        return ChartJets(*self._transform(self._apply(j.p, True), j))
 
 
 def dilated(chart: Chart, lam: float) -> TransformedChart:

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import surfaces
 from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
                    Y_FIELD, covariant_derivative, covariant_field,
@@ -23,21 +25,23 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
 from .geodesics import (GeodesicArc, commutation_residual,
                         covariant_derivative_along, exp_geodesic, helpers_fgh,
                         jacobi_field, jacobi_residual, straight_line_residual)
-from .numerics import QuadratureSpec, gauss_legendre_1d, integrate_2d
+from .numerics import QuadratureSpec, gauss_legendre_1d, integrate_cells
 from .stability import (InstabilityCertificate, Profile, VerticalVariation,
-                        boundary_flux_extrapolated, bracket_integral,
-                        bracket_integral_quadrature, certify_instability_h2,
-                        certify_instability_nosing, cosine_bump,
-                        first_variation_direct, h2_certificate_test_function,
-                        helicoid_closed_forms, index_form_I,
-                        jacobi_vertical_quadratic, l_nh_closed, operator_L,
-                        q_form, ruled_index_value, second_variation_direct,
-                        separable, smooth_bump, tangent_derivative, times_nh,
+                        batch_values, boundary_flux_extrapolated,
+                        bracket_integral, bracket_integral_quadrature,
+                        certify_instability_h2, certify_instability_nosing,
+                        cosine_bump, first_variation_direct,
+                        h2_certificate_test_function, helicoid_closed_forms,
+                        index_form_I, jacobi_vertical_quadratic, l_nh_closed,
+                        l_nh_of_frame, operator_L, q_form, ruled_index_value,
+                        second_variation_direct, separable, smooth_bump,
+                        tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
 from .surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
                        VerticalPlaneChart, area, characteristic_ray, dilated,
                        integrate_tangent_field, paraboloid_chart, rotated,
-                       ruled_coordinates, singular_locus, surface_frame)
+                       ruled_coordinates, singular_locus, surface_frame,
+                       surface_frames)
 
 
 @dataclass(frozen=True)
@@ -466,7 +470,6 @@ def check_jacobi_random() -> CheckResult:
 
 
 def _quad_fit(xs: Iterable[float], ys: Iterable[float]) -> tuple[float, float, float]:
-    import numpy as np
     arr = np.polynomial.polynomial.polyfit(list(xs), list(ys), 2)
     return float(arr[2]), float(arr[1]), float(arr[0])
 
@@ -769,13 +772,13 @@ def check_indexform3() -> CheckResult:
         fnh = times_nh(cat, f)
         lhs = index_form_I(cat, fnh, fnh, quad)
 
-        def rhs_int(a: float, b: float) -> float:
-            fr = surface_frame(cat, (a, b))
-            zf = fr.z_chart[0] * f.d1(a, b) + fr.z_chart[1] * f.d2(a, b)
-            return fr.Nh_norm * (zf * zf - l_nh_closed(cat, (a, b)) * f.value(a, b) ** 2) \
-                * fr.riem_area
+        def rhs_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            fr = surface_frames(cat, a, b)
+            fv, fd1, fd2 = batch_values(f, fr, a.tolist(), b.tolist())
+            zf = fr.z_chart[0] * fd1 + fr.z_chart[1] * fd2
+            return fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
 
-        rhs = integrate_2d(rhs_int, f.support, quad)
+        rhs = integrate_cells(rhs_int, f.support, quad)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return CheckResult("index_form_weighted_identity",
                        "I(f|N_h|, f|N_h|) = int |N_h|(Z(f)^2 - L(|N_h|) f^2)", worst, 1e-3)
@@ -796,20 +799,22 @@ def check_jacobi_coefficients() -> CheckResult:
     cat = CatenoidChart(1.0)
     u0 = (0.9, 0.5)
     a_cl, b_cl, c_cl, _ = jacobi_vertical_quadratic(cat, u0)
+    # the family is evaluated at a few parameters many times over: one RK4
+    # integral of the S-curve per parameter serves both the base curve and
+    # the ruling directions
+    family: dict[float, tuple[Point, FrameVector]] = {}
+
+    def member(e: float) -> tuple[Point, FrameVector]:
+        if e not in family:
+            u = u0 if e == 0.0 else integrate_tangent_field(cat, u0, e, 8, "S")[-1]
+            family[e] = (cat.point(*u), surface_frame(cat, u).Z)
+        return family[e]
 
     def alpha(e: float) -> Point:
-        if e == 0.0:
-            u = u0
-        else:
-            u = integrate_tangent_field(cat, u0, e, 8, "S")[-1]
-        return cat.point(*u)
+        return member(e)[0]
 
     def u_of(e: float) -> FrameVector:
-        if e == 0.0:
-            u = u0
-        else:
-            u = integrate_tangent_field(cat, u0, e, 8, "S")[-1]
-        return surface_frame(cat, u).Z
+        return member(e)[1]
 
     svals = [-1.0 + 0.25 * i for i in range(9)]
     vt = []

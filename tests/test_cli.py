@@ -151,3 +151,25 @@ def test_certify_catenoid(tmp_path):
 def test_unknown_arguments_exit_config():
     assert run(["verify", "--suite", "bogus"]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def _assert_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_export_helicoid_nonpositive_pitch(tmp_path, capsys):
+    _assert_usage_error(["export", "surface-grid", "--surface", "helicoid", "--R", "-1",
+                         "--out", str(tmp_path / "g.csv")], capsys)
+
+
+def test_export_catenoid_zero_lam(tmp_path, capsys):
+    _assert_usage_error(["export", "surface-grid", "--surface", "catenoid", "--lam", "0",
+                         "--out", str(tmp_path / "g.csv")], capsys)
+
+
+def test_certify_catenoid_empty_k_range(tmp_path, capsys):
+    _assert_usage_error(["certify", "catenoid", "--kmax", "0",
+                         "--out", str(tmp_path / "c.txt")], capsys)
