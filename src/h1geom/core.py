@@ -159,9 +159,16 @@ def frame_to_euclidean(v: FrameVector) -> Vec3:
     return (v.a, v.b, v.a * p.y - v.b * p.x + v.c)
 
 
+def jop_coeffs(v: Vec3) -> Vec3:
+    """The 90-degree horizontal rotation on coefficients: (a, b, c) -> (-b, a, 0).
+
+    Plain arithmetic, so it also applies to triples of arrays."""
+    return (-v[1], v[0], 0.0)
+
+
 def jop(v: FrameVector) -> FrameVector:
     """The 90-degree horizontal rotation: (a, b, c) -> (-b, a, 0)."""
-    return FrameVector(-v.b, v.a, 0.0, v.base)
+    return FrameVector(*jop_coeffs(v.coeffs()), v.base)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +180,9 @@ def jop(v: FrameVector) -> FrameVector:
 # For an ambient direction W = (a, b, c) this contracts to the rows below.
 
 def connection_apply(w: Vec3, k: int) -> Vec3:
-    """Frame coefficients of D_W E_k for the k-th frame field (0=X,1=Y,2=T)."""
+    """Frame coefficients of D_W E_k for the k-th frame field (0=X,1=Y,2=T).
+
+    Plain arithmetic, so ``w`` may also be a triple of arrays."""
     a, b, c = w
     if k == 0:
         return (0.0, c, b)

@@ -156,8 +156,10 @@ class TestFunction:
     """A compactly supported scalar field on a chart domain with partials.
 
     ``batch``, when set, evaluates (value, d1, d2) as arrays on the nodes of
-    one ``SurfaceFrames`` batch, given with their coordinate lists; fields
-    built from frame quantities read them off the batch this way.
+    one ``SurfaceFrames`` batch of a chart, given with their coordinate
+    lists; fields built from frame quantities of that chart read them off
+    the batch this way.  ``batch_chart`` is the chart whose batches it
+    reads; ``batch_values`` uses the hook only on frames of that chart.
     """
 
     value: Callable[[float, float], float]
@@ -166,16 +168,18 @@ class TestFunction:
     support: Rect
     sep: Optional[tuple[Profile, Profile]] = None
     batch: Optional[Callable[[SurfaceFrames, list, list], tuple]] = None
+    batch_chart: Optional[Chart] = None
 
     def __call__(self, u1: float, u2: float) -> float:
         return self.value(u1, u2)
 
 
-def batch_values(f: TestFunction, fr: SurfaceFrames, a: list, b: list,
-               derivs: bool = True) -> tuple:
-    """(value, d1, d2) of ``f`` at the nodes of a frame batch, as arrays;
-    plain functions are evaluated node by node (value only unless ``derivs``)."""
-    if f.batch is not None:
+def batch_values(f: TestFunction, chart: Chart, fr: SurfaceFrames, a: list,
+                 b: list, derivs: bool = True) -> tuple:
+    """(value, d1, d2) of ``f`` at the nodes of a frame batch of ``chart``, as
+    arrays.  The batch hook runs when ``f`` was built on ``chart``; otherwise
+    the functions are evaluated node by node (value only unless ``derivs``)."""
+    if f.batch is not None and f.batch_chart is chart:
         return f.batch(fr, a, b)
     fns = (f.value, f.d1, f.d2) if derivs else (f.value,)
     return tuple(np.array([fn(x, y) for x, y in zip(a, b)], dtype=float) for fn in fns)
@@ -216,11 +220,11 @@ def times_nh(chart: Chart, f: TestFunction) -> TestFunction:
         return d
 
     def batch(fr: SurfaceFrames, a: list, b: list) -> tuple:
-        fv, fd1, fd2 = batch_values(f, fr, a, b)
+        fv, fd1, fd2 = batch_values(f, chart, fr, a, b)
         nh = fr.Nh_norm
         return fv * nh, fd1 * nh + fv * fr.dNh[0], fd2 * nh + fv * fr.dNh[1]
 
-    return TestFunction(value, make_d(0), make_d(1), f.support, None, batch)
+    return TestFunction(value, make_d(0), make_d(1), f.support, None, batch, chart)
 
 
 def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) -> TestFunction:
@@ -245,15 +249,15 @@ def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) ->
         return d
 
     def batch(fr: SurfaceFrames, a: list, b: list) -> tuple:
-        vv, vd1, vd2 = batch_values(v, fr, a, b)
-        wv, wd1, wd2 = batch_values(w, fr, a, b)
+        vv, vd1, vd2 = batch_values(v, chart, fr, a, b)
+        wv, wd1, wd2 = batch_values(w, chart, fr, a, b)
         nt = fr.NT
         return (vv + nt * wv, vd1 + fr.dNT[0] * wv + nt * wd1,
                 vd2 + fr.dNT[1] * wv + nt * wd2)
 
     s1 = (min(v.support[0][0], w.support[0][0]), max(v.support[0][1], w.support[0][1]))
     s2 = (min(v.support[1][0], w.support[1][0]), max(v.support[1][1], w.support[1][1]))
-    return TestFunction(value, make_d(0), make_d(1), (s1, s2), None, batch)
+    return TestFunction(value, make_d(0), make_d(1), (s1, s2), None, batch, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +417,8 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
     def integrand(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         fr = surface_frames(chart, U1, U2)
         a, b = U1.tolist(), U2.tolist()
-        u, ud1, ud2 = batch_values(uf, fr, a, b)
-        v, vd1, vd2 = (u, ud1, ud2) if vf is uf else batch_values(vf, fr, a, b)
+        u, ud1, ud2 = batch_values(uf, chart, fr, a, b)
+        v, vd1, vd2 = (u, ud1, ud2) if vf is uf else batch_values(vf, chart, fr, a, b)
         z1, z2 = fr.z_chart
         zu = z1 * ud1 + z2 * ud2
         zv = z1 * vd1 + z2 * vd2
@@ -480,8 +484,8 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
                              u2 + h2, u2 - h2, u2 + 0.5 * h2, u2 - 0.5 * h2))
         fr = surface_frames(chart, s1, s2)
         a, b = s1.tolist(), s2.tolist()
-        vv = batch_values(v, fr, a, b, derivs=False)[0]
-        ww = batch_values(w, fr, a, b, derivs=False)[0]
+        vv = batch_values(v, chart, fr, a, b, derivs=False)[0]
+        ww = batch_values(w, chart, fr, a, b, derivs=False)[0]
         ne = fr.N_euclidean()
         uvec = (vv * ne[0], vv * ne[1], vv * ne[2] + ww)
         rows = (9, len(u1))

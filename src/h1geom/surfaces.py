@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FrameVector, Point, Vec3, frame_to_euclidean
+from .core import (FrameVector, Point, Vec3, connection_apply, frame_to_euclidean,
+                   jop_coeffs)
 from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import QuadratureSpec, Rect, integrate_cells
 
@@ -63,8 +64,9 @@ class Chart:
     """Base class: a C^2 map from a parameter rectangle into the group.
 
     Analytic charts implement ``_jet_parts(u1, u2, m)`` once, with ``m`` the
-    ``math`` module for one point or ``numpy`` for arrays of points; charts
-    that only override ``jet`` get ``jets`` by stacking scalar jets.
+    ``math`` module for one point or ``numpy`` for arrays of points; a
+    scalar entry it returns is a constant of the chart and is broadcast.
+    Charts that only override ``jet`` get ``jets`` by stacking scalar jets.
     """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
@@ -82,7 +84,6 @@ class Chart:
         U2 = np.asarray(U2, dtype=float)
         if type(self)._jet_parts is Chart._jet_parts:
             return self._stacked_jets(U1, U2)
-        # constant partials come back as scalars: broadcast every entry
         return ChartJets(*(tuple(np.broadcast_to(np.asarray(c, dtype=float), U1.shape)
                                  for c in v) for v in self._jet_parts(U1, U2, np)))
 
@@ -200,11 +201,14 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
         return second[2] - fi[1] * fj[0] - y * second[0] + fi[0] * fj[1] + x * second[1]
 
     def second_form(d, e, v):
-        # II_ij = <N, D_{F_i} F_j>: coefficient derivative d plus the
-        # connection table contracted with the direction e = F_i
-        o0 = d[0] - v[1] * e[2] - v[2] * e[1]
-        o1 = d[1] + v[0] * e[2] + v[2] * e[0]
-        o2 = d[2] + v[0] * e[1] - v[1] * e[0]
+        # II_ij = <N, D_{F_i} F_j>: coefficient derivative d plus D_e E_k
+        # weighted by the coefficients v of F_j, with direction e = F_i
+        o0, o1, o2 = d
+        for k in range(3):
+            corr = connection_apply(e, k)
+            o0 = o0 + v[k] * corr[0]
+            o1 = o1 + v[k] * corr[1]
+            o2 = o2 + v[k] * corr[2]
         return na * o0 + nb * o1 + nt * o2
 
     ii11 = second_form((f11[0], f11[1], dc(f11, f1, f1)), c1, c1)
@@ -214,7 +218,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
 
     nu = (na / nh, nb / nh, 0.0)
-    z = (-nu[1], nu[0], 0.0)
+    z = jop_coeffs(nu)
     s = (nt * nu[0], nt * nu[1], -nh)
 
     g11 = _dot3(c1, c1)
@@ -247,7 +251,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     dnt = []
     for ev, coeff in ((c1, (1.0, 0.0)), (c2, (0.0, 1.0))):
         bvs = ii(coeff, sc)
-        jv = (-ev[1], ev[0], 0.0)
+        jv = jop_coeffs(ev)
         dnh.append(-nt * bvs - nt * _dot3(jv, nu))
         dnt.append(nh * bvs + _dot3(n, jv))
     return (nu, z, s, bzz, bzs, bss, h, hr, qval, zc, sc,
@@ -292,13 +296,12 @@ def _first_bad(mask: np.ndarray, U1: np.ndarray, U2: np.ndarray) -> tuple[int, t
     return i, (float(U1.ravel()[i]), float(U2.ravel()[i]))
 
 
-def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False,
-                   singular_tol: float = SINGULAR_TOL) -> SurfaceFrames:
+def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFrames:
     """``surface_frame`` at the points (U1[i], U2[i]), as arrays.
 
     The same frame math on arrays; errors are those of the scalar view at
     the first offending point in order: ``NonFiniteValue`` for a non-finite
-    sample or a non-immersion, ``SingularPoint`` for |N_h| <= singular_tol
+    sample or a non-immersion, ``SingularPoint`` for |N_h| <= SINGULAR_TOL
     unless ``singular_ok`` is set (the characteristic entries are then NaN).
     """
     U1 = np.asarray(U1, dtype=float)
@@ -321,7 +324,7 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False,
     k = 1.0 / w
     n = (k * cr[0], k * cr[1], k * cr[2])
     nh = np.hypot(n[0], n[1])
-    singular = nh <= singular_tol
+    singular = nh <= SINGULAR_TOL
     if singular.any() and not singular_ok:
         i, u = _first_bad(singular, U1, U2)
         raise SingularPoint(f"|N_h| = {nh.ravel()[i]:.3e} at {u!r}")
@@ -508,8 +511,9 @@ class VerticalPlaneChart(Chart):
 class GraphChart(Chart):
     """A t-graph t = phi(x, y) with analytic partials of phi.
 
-    The partials are evaluated on arrays when they accept them (plain
-    arithmetic; a constant result is broadcast), else point by point.
+    The partials are called on floats only, point by point also in
+    ``jets``; a graph that needs fast batches can subclass ``Chart`` and
+    write ``_jet_parts`` for arrays.
     """
 
     def __init__(self, phi, phi1, phi2, phi11, phi12, phi22,
@@ -527,11 +531,9 @@ class GraphChart(Chart):
                 (0.0, 0.0, p22(u1, u2)))
 
     def jets(self, U1, U2) -> ChartJets:
-        try:
-            return super().jets(U1, U2)
-        except TypeError:  # partials written for floats only
-            return self._stacked_jets(np.asarray(U1, dtype=float),
-                                      np.asarray(U2, dtype=float))
+        # the partials are arbitrary float functions (they may branch on
+        # their arguments or reduce over them), so no array call is safe
+        return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
 
 
 def plane_chart(a: float, b: float, c: float,

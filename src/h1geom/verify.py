@@ -774,7 +774,7 @@ def check_indexform3() -> CheckResult:
 
         def rhs_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             fr = surface_frames(cat, a, b)
-            fv, fd1, fd2 = batch_values(f, fr, a.tolist(), b.tolist())
+            fv, fd1, fd2 = batch_values(f, cat, fr, a.tolist(), b.tolist())
             zf = fr.z_chart[0] * fd1 + fr.z_chart[1] * fd2
             return fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
 

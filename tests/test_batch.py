@@ -13,7 +13,7 @@ from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
 from h1geom.surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
-                             area_element, area_elements, catalog_surface,
+                             area, area_element, area_elements, catalog_surface,
                              dilated, ruled_coordinates, rotated,
                              surface_frame, surface_frames, translated)
 
@@ -79,6 +79,43 @@ def test_graph_partials_for_floats_only():
     fb = surface_frames(bowl, U1, U2)
     for i, u in enumerate(zip(U1.tolist(), U2.tolist())):
         _assert_close(fb.H[i], surface_frame(bowl, u).H, "H")
+
+
+def _graph_cases():
+    # t = x|x| + y^2: partials that branch on the sign of x
+    branching = GraphChart(lambda x, y: x * abs(x) + y * y,
+                           lambda x, y: 2.0 * x if x > 0 else -2.0 * x,
+                           lambda x, y: 2 * y,
+                           lambda x, y: 2.0 if x > 0 else -2.0,
+                           lambda x, y: 0.0, lambda x, y: 2.0)
+    # t = |(x, y)|: the value reduces over its arguments with a norm
+    cone = GraphChart(lambda x, y: float(np.linalg.norm([x, y])),
+                      lambda x, y: x / np.linalg.norm([x, y]),
+                      lambda x, y: y / np.linalg.norm([x, y]),
+                      lambda x, y: y * y / np.linalg.norm([x, y]) ** 3,
+                      lambda x, y: -x * y / np.linalg.norm([x, y]) ** 3,
+                      lambda x, y: x * x / np.linalg.norm([x, y]) ** 3)
+    return {"branching": (branching, ((-1.0, 1.0), (-1.0, 1.0))),
+            "cone": (cone, ((0.3, 1.2), (0.2, 1.1)))}
+
+
+@pytest.mark.parametrize("name", list(_graph_cases()))
+def test_graph_partials_that_branch_or_reduce(name):
+    chart, rect = _graph_cases()[name]
+    U1, U2 = _sample(rect, 30, 13)
+    fb = surface_frames(chart, U1, U2, singular_ok=True)
+    dens = area_elements(chart, U1, U2)
+    for i, u in enumerate(zip(U1.tolist(), U2.tolist())):
+        fr = surface_frame(chart, u, singular_ok=True)
+        for f in ("Nh_norm", "NT", "riem_area"):
+            _assert_close(getattr(fb, f)[i], getattr(fr, f), f)
+        if fr.regular:
+            for f in SCALAR_FIELDS[3:]:
+                _assert_close(getattr(fb, f)[i], getattr(fr, f), f)
+        _assert_close(dens[i], area_element(chart, u), "area_element")
+    quad = QuadratureSpec(4, (2, 2))
+    _assert_close(area(chart, rect, quad),
+                  integrate_2d(lambda a, b: area_element(chart, (a, b)), rect, quad), "area")
 
 
 def test_singular_semantics_helicoid():
@@ -184,3 +221,18 @@ def test_index_form_batch_hooks_match_scalar_callables():
         plain = type(u)(u.value, u.d1, u.d2, u.support)
         _assert_close(index_form_I(cat, u, u, quad), index_form_I(cat, plain, plain, quad),
                       "index form")
+
+
+def test_batch_hooks_ignore_frames_of_another_chart():
+    # fields built on one chart, integrated over another: the hooks must not
+    # read the integration chart's frames
+    cat, other = CatenoidChart(1.0), CatenoidChart(1.3)
+    quad = QuadratureSpec(8, (2, 2))
+    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    w = separable(smooth_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
+    for u in (times_nh(other, v), combined_normal_component(other, v, w)):
+        plain = type(u)(u.value, u.d1, u.d2, u.support)
+        _assert_close(index_form_I(cat, u, u, quad), index_form_I(cat, plain, plain, quad),
+                      "index form")
+        assert abs(index_form_I(cat, u, u, quad)
+                   - index_form_I(other, u, u, quad)) > 1e-6
