@@ -20,8 +20,7 @@ from .geodesics import GeodesicArc, exp_geodesic
 from .stability import (certify_instability_h2, certify_instability_nosing,
                         cosine_bump, h2_certificate_test_function, q_form,
                         ruled_index_value, scaled_helicoid_certificate)
-from .surfaces import (CatenoidChart, HelicoidChart, VerticalPlaneChart,
-                       paraboloid_chart, plane_chart, surface_frame)
+from .surfaces import CatenoidChart, catalog_surface, surface_frame
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -37,18 +36,22 @@ def _fmt(x: float) -> str:
 def load_config(path: str, allowed: set[str]) -> dict[str, str]:
     """Flat key=value file; unknown keys are rejected."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key = key.strip()
-            if key not in allowed:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = val.strip()
     return out
 
 
@@ -81,8 +84,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tol = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
-        if tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"tolerances must be positive and finite, got {item!r}")
         overrides[name.strip()] = tol
 
     results = run_suites(suites, overrides)
@@ -107,22 +110,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # export
 # ---------------------------------------------------------------------------
 
-def _surface_from_args(args: argparse.Namespace):
-    kind = args.surface
-    if kind == "vertical_plane":
-        return VerticalPlaneChart()
-    if kind == "plane":
-        return plane_chart(args.a, args.b, args.c)
-    if kind == "paraboloid":
-        return paraboloid_chart()
-    try:
-        if kind == "helicoid":
-            return HelicoidChart(args.R)
-        if kind == "catenoid":
-            return CatenoidChart(args.lam)
-    except ValueError as exc:  # the chart rejects its parameter
-        raise ConfigError(f"--surface {kind}: {exc}") from exc
-    raise ConfigError(f"unknown surface {kind!r}")
+# catalog_surface parameters taken from the command line, per surface
+_SURFACE_PARAMS = {"plane": ("a", "b", "c"), "helicoid": ("R",), "catenoid": ("lam",)}
 
 
 def cmd_export_geodesic(args: argparse.Namespace) -> int:
@@ -140,7 +129,11 @@ def cmd_export_geodesic(args: argparse.Namespace) -> int:
 
 
 def cmd_export_surface(args: argparse.Namespace) -> int:
-    chart = _surface_from_args(args)
+    params = {k: getattr(args, k) for k in _SURFACE_PARAMS.get(args.surface, ())}
+    try:
+        chart = catalog_surface(args.surface, **params)
+    except ValueError as exc:  # the chart rejects its parameter
+        raise ConfigError(f"--surface {args.surface}: {exc}") from exc
     (d1, d2) = chart.domain
     u1min = args.u1min if args.u1min is not None else d1[0]
     u1max = args.u1max if args.u1max is not None else d1[1]
@@ -190,8 +183,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if (cert.Q_value < 0.0 and confirm < 0.0) else EXIT_FAIL
 
     if args.target == "helicoid":
-        if args.R is None or args.R <= 0:
-            raise ConfigError("certify helicoid requires --R > 0")
+        if args.R is None or not 0.0 < args.R < math.inf:
+            raise ConfigError("certify helicoid requires a finite --R > 0")
         base = certify_instability_h2()
         u = h2_certificate_test_function(base.k, base.delta, base.eps0)
         confirm = q_form(2.0, u, base.quad.doubled())

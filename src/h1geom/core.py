@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import NonFiniteValue
+from .numerics import DiffSpec, central_diff
 
 Vec3 = tuple[float, float, float]
 
@@ -191,6 +192,19 @@ def connection_apply(w: Vec3, k: int) -> Vec3:
     return (-b, a, 0.0)
 
 
+def connection_correct(d: Vec3, w: Vec3, v: Vec3) -> Vec3:
+    """``d + sum_k v[k] D_w E_k``: the Levi-Civita derivative along ``w`` of
+    the field with frame coefficients ``v``, given the derivative ``d`` of
+    those coefficients.  Plain arithmetic, so it also applies to arrays."""
+    o0, o1, o2 = d
+    for k in range(3):
+        corr = connection_apply(w, k)
+        o0 = o0 + v[k] * corr[0]
+        o1 = o1 + v[k] * corr[1]
+        o2 = o2 + v[k] * corr[2]
+    return (o0, o1, o2)
+
+
 def _zero3() -> Vec3:
     return (0.0, 0.0, 0.0)
 
@@ -286,18 +300,13 @@ T_FIELD = FrameField.constant(0.0, 0.0, 1.0)
 
 
 def _fd_gradient(fn: Callable[[Point], float], p: Point) -> Vec3:
-    h = 1e-5 * max(1.0, abs(p.x), abs(p.y), abs(p.t))
-    out = []
+    spec = DiffSpec(1e-5 * max(1.0, abs(p.x), abs(p.y), abs(p.t)), 1)
     base = p.coords()
-    for i in range(3):
-        def sample(step: float) -> float:
-            q = list(base)
-            q[i] += step
-            return fn(Point(*q))
-        d1 = (sample(h) - sample(-h)) / (2.0 * h)
-        d2 = (sample(h / 2) - sample(-h / 2)) / h
-        out.append((4.0 * d2 - d1) / 3.0)
-    return tuple(out)
+
+    def along(i: int) -> Callable[[float], float]:
+        return lambda xi: fn(Point(*base[:i], xi, *base[i + 1:]))
+
+    return tuple(central_diff(along(i), base[i], spec) for i in range(3))
 
 
 FieldOrVector = Union[FrameField, FrameVector]
@@ -315,17 +324,9 @@ def covariant_derivative(U: FieldOrVector, V: FrameField, p: Point) -> FrameVect
     """
     u = _direction_at(U, p)
     ue = frame_to_euclidean(u)
-    grads = V.coefficient_gradients(p)
-    vc = V.at(p).coeffs()
-    out = [0.0, 0.0, 0.0]
-    for k in range(3):
-        dk = ue[0] * grads[k][0] + ue[1] * grads[k][1] + ue[2] * grads[k][2]
-        out[k] += dk
-        corr = connection_apply(u.coeffs(), k)
-        out[0] += vc[k] * corr[0]
-        out[1] += vc[k] * corr[1]
-        out[2] += vc[k] * corr[2]
-    return FrameVector(out[0], out[1], out[2], p)
+    d = tuple(ue[0] * g[0] + ue[1] * g[1] + ue[2] * g[2]
+              for g in V.coefficient_gradients(p))
+    return FrameVector(*connection_correct(d, u.coeffs(), V.at(p).coeffs()), p)
 
 
 def covariant_field(U: FrameField, V: FrameField) -> FrameField:

@@ -24,8 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (FrameVector, Point, connection_apply, curvature_R, dot,
+from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
                    euclidean_to_frame, frame_to_euclidean, jop)
+from .numerics import DiffSpec, central_diff
 
 SERIES_CUTOFF = 1e-4
 
@@ -131,26 +132,27 @@ EPS_STEP = 1e-5          # family-parameter stencil, one Richardson level
 JACOBI_S_STEP = 1e-2     # s-stencil for covariant derivatives
 
 
-def _family_point(alpha: Curve, U: FieldAlong, eps: float, s: float) -> Point:
+def _family_arc(alpha: Curve, U: FieldAlong, eps: float) -> GeodesicArc:
+    """Initial data of the family member ``eps``, with U(eps) rebased onto
+    alpha(eps)."""
     a = alpha(eps)
     u = U(eps)
     if u.base.coords() != a.coords():
         u = FrameVector(u.a, u.b, u.c, a)
-    return exp_geodesic(GeodesicArc(a, u), s)[0]
+    return GeodesicArc(a, u)
 
 
-def _vec_richardson(fn: Callable[[float], tuple], x: float, h: float) -> tuple:
-    """First derivative of a tuple-valued function, one Richardson level."""
-    lo = fn(x - h)
-    hi = fn(x + h)
-    lo2 = fn(x - h / 2)
-    hi2 = fn(x + h / 2)
-    out = []
-    for i in range(len(lo)):
-        d1 = (hi[i] - lo[i]) / (2.0 * h)
-        d2 = (hi2[i] - lo2[i]) / h
-        out.append((4.0 * d2 - d1) / 3.0)
-    return tuple(out)
+def _variation_field(alpha: Curve, U: FieldAlong, eps: float) -> FieldAlong:
+    """s -> V(s) = dF/d(eps) of F(eps, s) = exp_{alpha(eps)}(s U(eps)), by a
+    Richardson-extrapolated central difference across the family."""
+    spec = DiffSpec(EPS_STEP, 1)
+
+    def v_at(s_val: float) -> FrameVector:
+        de = central_diff(lambda e: exp_geodesic(_family_arc(alpha, U, e), s_val)[0].coords(),
+                          eps, spec)
+        return euclidean_to_frame(exp_geodesic(_family_arc(alpha, U, eps), s_val)[0], de)
+
+    return v_at
 
 
 def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
@@ -160,46 +162,28 @@ def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
     Differentiates the frame coefficients in the curve parameter and adds
     the connection correction contracted with the curve velocity.
     """
-    dcoeff = _vec_richardson(lambda u: field(u).coeffs(), s, h)
+    dcoeff = central_diff(lambda u: field(u).coeffs(), s, DiffSpec(h, 1))
     w = field(s)
-    vel = velocity(s)
-    out = list(dcoeff)
-    for k in range(3):
-        corr = connection_apply(vel.coeffs(), k)
-        wk = w.coeffs()[k]
-        out[0] += wk * corr[0]
-        out[1] += wk * corr[1]
-        out[2] += wk * corr[2]
-    return FrameVector(out[0], out[1], out[2], w.base)
+    return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
 
 
-def jacobi_field(alpha: Curve, U: FieldAlong, eps: float, s: float,
-                 eps_step: float = EPS_STEP,
-                 s_step: float = JACOBI_S_STEP) -> JacobiSample:
+def jacobi_field(alpha: Curve, U: FieldAlong, eps: float, s: float) -> JacobiSample:
     """Variation field V = dF/d(eps) of F(eps, s) = exp_{alpha(eps)}(s U).
 
     V comes from a Richardson-extrapolated central difference across the
-    family (step ``eps_step``); V' and V'' from covariant s-differentiation
-    of the sampled field.
+    family (step ``EPS_STEP``); V' and V'' from covariant s-differentiation
+    of the sampled field (step ``JACOBI_S_STEP``).
     """
-
-    def v_at(s_val: float) -> FrameVector:
-        base = _family_point(alpha, U, eps, s_val)
-        de = _vec_richardson(
-            lambda e: _family_point(alpha, U, e, s_val).coords(), eps, eps_step)
-        return euclidean_to_frame(base, de)
+    v_at = _variation_field(alpha, U, eps)
+    arc = _family_arc(alpha, U, eps)
 
     def vel_at(s_val: float) -> FrameVector:
-        a = alpha(eps)
-        u = U(eps)
-        if u.base.coords() != a.coords():
-            u = FrameVector(u.a, u.b, u.c, a)
-        return exp_geodesic(GeodesicArc(a, u), s_val)[1]
+        return exp_geodesic(arc, s_val)[1]
 
     def vprime_at(s_val: float) -> FrameVector:
-        return covariant_derivative_along(v_at, vel_at, s_val, s_step)
+        return covariant_derivative_along(v_at, vel_at, s_val)
 
-    vsecond = covariant_derivative_along(vprime_at, vel_at, s, s_step)
+    vsecond = covariant_derivative_along(vprime_at, vel_at, s)
     return JacobiSample(v_at(s), vprime_at(s), vsecond)
 
 
@@ -222,41 +206,17 @@ def straight_line_residual(sample: JacobiSample, gammavel: FrameVector) -> float
     return term.norm()
 
 
-def commutation_residual(alpha: Curve, U: FieldAlong, eps: float, s: float,
-                         eps_step: float = EPS_STEP,
-                         s_step: float = JACOBI_S_STEP) -> float:
+def commutation_residual(alpha: Curve, U: FieldAlong, eps: float, s: float) -> float:
     """Norm of [gamma', V] = D_{gamma'} V - D_V gamma' along the family."""
-
-    def v_at(s_val: float) -> FrameVector:
-        base = _family_point(alpha, U, eps, s_val)
-        de = _vec_richardson(
-            lambda e: _family_point(alpha, U, e, s_val).coords(), eps, eps_step)
-        return euclidean_to_frame(base, de)
-
-    def arc_at(e: float) -> GeodesicArc:
-        a = alpha(e)
-        u = U(e)
-        if u.base.coords() != a.coords():
-            u = FrameVector(u.a, u.b, u.c, a)
-        return GeodesicArc(a, u)
-
-    def vel_at(s_val: float) -> FrameVector:
-        return exp_geodesic(arc_at(eps), s_val)[1]
-
-    d_gamma_v = covariant_derivative_along(v_at, vel_at, s, s_step)
+    v_at = _variation_field(alpha, U, eps)
+    arc = _family_arc(alpha, U, eps)
+    d_gamma_v = covariant_derivative_along(v_at, lambda s_val: exp_geodesic(arc, s_val)[1], s)
 
     # D_V gamma': differentiate the velocity field across the family and
     # contract the connection with V.
-    dcoeff = _vec_richardson(
-        lambda e: exp_geodesic(arc_at(e), s)[1].coeffs(), eps, eps_step)
-    vel = vel_at(s)
-    v = v_at(s)
-    out = list(dcoeff)
-    for k in range(3):
-        corr = connection_apply(v.coeffs(), k)
-        wk = vel.coeffs()[k]
-        out[0] += wk * corr[0]
-        out[1] += wk * corr[1]
-        out[2] += wk * corr[2]
-    d_v_gamma = FrameVector(out[0], out[1], out[2], vel.base)
+    dcoeff = central_diff(lambda e: exp_geodesic(_family_arc(alpha, U, e), s)[1].coeffs(),
+                          eps, DiffSpec(EPS_STEP, 1))
+    vel = exp_geodesic(arc, s)[1]
+    d_v_gamma = FrameVector(*connection_correct(dcoeff, v_at(s).coeffs(), vel.coeffs()),
+                            vel.base)
     return (d_gamma_v - d_v_gamma).norm()

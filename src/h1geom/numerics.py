@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .errors import NonFiniteValue
 
 ALLOWED_POINTS = (4, 8, 16, 32)
 MAX_ADAPTIVE_CELLS = 2**20
+
+Diff = Union[float, np.ndarray, tuple]
 
 
 @dataclass(frozen=True)
@@ -182,28 +184,60 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
     return kahan_sum(terms)
 
 
-def _diff_once(f: Callable[[float], float], x: float, h: float, order: int) -> float:
-    if order == 1:
-        return (_check_finite(f(x + h), "central_diff")
-                - _check_finite(f(x - h), "central_diff")) / (2.0 * h)
-    return (_check_finite(f(x + h), "central_diff")
-            - 2.0 * _check_finite(f(x), "central_diff")
-            + _check_finite(f(x - h), "central_diff")) / (h * h)
+def _sample(f: Callable[[float], Diff], x: float) -> Diff:
+    v = f(x)
+    if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+        raise NonFiniteValue(f"non-finite sample in central_diff: {v!r}")
+    return v
 
 
-def central_diff(f: Callable[[float], float], x: float, spec: DiffSpec,
-                 order: int = 1) -> float:
-    """Central difference of ``f`` at ``x`` (order 1 or 2).
+def central_quotient(plus: Diff, minus: Diff, h, centre: Diff | None = None) -> Diff:
+    """Central difference quotient from the samples at x + h and x - h: the
+    first derivative, or the second when the sample at x is given as ``centre``.
 
-    Richardson extrapolation halves the step per level; the truncation error
-    is O(step^(2 + 2*levels)) for smooth integrands.
+    Samples are floats, arrays (``h`` may then be an array of steps) or
+    tuples of them, differenced component by component.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    levels = spec.richardson_levels
-    table = [_diff_once(f, x, spec.step / 2**i, order) for i in range(levels + 1)]
-    for j in range(1, levels + 1):
-        fac = 4.0**j
+    if isinstance(plus, tuple):
+        cs = centre if centre is not None else (None,) * len(plus)
+        return tuple(central_quotient(p, m, h, c) for p, m, c in zip(plus, minus, cs))
+    if centre is None:
+        return (plus - minus) / (2.0 * h)
+    return (plus - 2.0 * centre + minus) / (h * h)
+
+
+def richardson(diffs: Sequence[Diff], factor: float = 4.0) -> Diff:
+    """Richardson extrapolation of estimates on a shrinking step ladder.
+
+    Level j combines neighbours with weight ``factor**j``; the default 4
+    suits central differences on halved steps, whose error runs in even
+    powers of the step.  Estimates are floats, arrays or tuples of them
+    (combined component by component).
+    """
+    if isinstance(diffs[0], tuple):
+        return tuple(richardson(col, factor) for col in zip(*diffs))
+    table = list(diffs)
+    for j in range(1, len(diffs)):
+        fac = factor**j
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0)
                  for i in range(len(table) - 1)]
     return table[0]
+
+
+def central_diff(f: Callable[[float], Diff], x: float, spec: DiffSpec,
+                 order: int = 1) -> Diff:
+    """Central difference of ``f`` at ``x`` (order 1 or 2).
+
+    ``f`` returns a float or a tuple of floats.  Richardson extrapolation
+    halves the step per level; the truncation error is O(step^(2 + 2*levels))
+    for smooth integrands.  ``f`` is called 2 (levels + 1) times, once more
+    at ``x`` itself for order 2.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    centre = _sample(f, x) if order == 2 else None
+    diffs = []
+    for i in range(spec.richardson_levels + 1):
+        h = spec.step / 2**i
+        diffs.append(central_quotient(_sample(f, x + h), _sample(f, x - h), h, centre))
+    return richardson(diffs)

@@ -23,6 +23,7 @@ cross-check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -33,8 +34,9 @@ from ._gauss import NODES_WEIGHTS
 from .errors import (CertificateNotFound, NonFiniteValue,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
-from .numerics import (DiffSpec, QuadratureSpec, Rect, gauss_legendre_1d,
-                       gauss_nodes, integrate_cells, kahan_sum)
+from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diff,
+                       central_quotient, gauss_legendre_1d, gauss_nodes,
+                       integrate_cells, kahan_sum, richardson)
 from .surfaces import (Chart, RuledChart, SurfaceFrames, area_density,
                        integrate_tangent_field, ruled_coordinates,
                        surface_frame, surface_frames)
@@ -287,24 +289,14 @@ def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], fl
                        which: str = "Z", spec: DiffSpec = Z_DIFF) -> float:
     """Arclength derivative of a chart-coordinate scalar along Z or S.
 
-    Central differences with one Richardson level, sampled on the RK4
-    integral curve of the unit field (on minimal surfaces the Z-curve is an
-    exact straight line, so the samples sit on the ruling itself).
+    Central differences with ``spec.richardson_levels`` Richardson levels,
+    sampled on the RK4 integral curve of the unit field (on minimal surfaces
+    the Z-curve is an exact straight line, so the samples sit on the ruling
+    itself).
     """
-    h = spec.step
-    offs = (h, -h, 0.5 * h, -0.5 * h) if order == 1 else (h, -h, 0.5 * h, -0.5 * h, 0.0)
-    pts = _curve_samples(chart, u, offs, which)
-    vals = {o: fieldfn(pts[o]) for o in pts}
-    for vv in vals.values():
-        if not math.isfinite(vv):
-            raise NonFiniteValue("non-finite field sample in tangent_derivative")
-    if order == 1:
-        d1 = (vals[h] - vals[-h]) / (2.0 * h)
-        d2 = (vals[0.5 * h] - vals[-0.5 * h]) / h
-        return (4.0 * d2 - d1) / 3.0
-    s1 = (vals[h] - 2.0 * vals[0.0] + vals[-h]) / (h * h)
-    s2 = (vals[0.5 * h] - 2.0 * vals[0.0] + vals[-0.5 * h]) / (0.25 * h * h)
-    return (4.0 * s2 - s1) / 3.0
+    steps = [spec.step / 2**i for i in range(spec.richardson_levels + 1)]
+    pts = _curve_samples(chart, u, steps + [-h for h in steps], which)
+    return central_diff(lambda o: fieldfn(pts[o]), 0.0, spec, order)
 
 
 def z_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
@@ -441,11 +433,10 @@ def _deformed_area(chart: Chart, nodes, s: float) -> float:
 
         def d_axis(first: int, h: np.ndarray) -> tuple:
             # rows first..first+3 of the stencil: +h, -h, +h/2, -h/2
-            out = []
-            for m in moved:
-                plus, minus, plus2, minus2 = m[first:first + 4]
-                out.append((4.0 * (plus2 - minus2) / h - (plus - minus) / (2.0 * h)) / 3.0)
-            return tuple(out)
+            def row(r: int) -> tuple:
+                return tuple(m[first + r] for m in moved)
+            return richardson([central_quotient(row(0), row(1), h),
+                               central_quotient(row(2), row(3), 0.5 * h)])
 
         dens = area_density(moved[0][0], moved[1][0], d_axis(1, h1), d_axis(5, h2))
         if not np.isfinite(dens).all():
@@ -499,8 +490,11 @@ def _is_zero(f: TestFunction) -> bool:
     return s1[0] >= s1[1] or s2[0] >= s2[1]
 
 
+VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
+
+
 def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
-                            quad: QuadratureSpec, s_step: float = 1e-3) -> float:
+                            quad: QuadratureSpec) -> float:
     """A''(0) by deforming the surface pointwise along geodesics.
 
     Central second difference with two Richardson levels; for nonsingular
@@ -510,36 +504,18 @@ def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
     nodes = _variation_nodes(chart, v, w, quad)
     if not nodes:
         return 0.0
-
-    def a_of(s: float) -> float:
-        return _deformed_area(chart, nodes, s)
-
-    a0 = a_of(0.0)
-    diffs = []
-    for h in (s_step, s_step / 2, s_step / 4):
-        diffs.append((a_of(h) - 2.0 * a0 + a_of(-h)) / (h * h))
-    for level in (1, 2):
-        fac = 4.0 ** level
-        diffs = [(fac * diffs[i + 1] - diffs[i]) / (fac - 1.0) for i in range(len(diffs) - 1)]
-    return diffs[0]
+    return central_diff(lambda s: _deformed_area(chart, nodes, s), 0.0, VARIATION_DIFF, 2)
 
 
 def first_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
-                           quad: QuadratureSpec, s_step: float = 1e-3
-                           ) -> tuple[float, float]:
+                           quad: QuadratureSpec) -> tuple[float, float]:
     """(A'(0), A(0)) for the same deformation machinery."""
     nodes = _variation_nodes(chart, v, w, quad)
 
     def a_of(s: float) -> float:
         return _deformed_area(chart, nodes, s)
 
-    diffs = []
-    for h in (s_step, s_step / 2, s_step / 4):
-        diffs.append((a_of(h) - a_of(-h)) / (2.0 * h))
-    for level in (1, 2):
-        fac = 4.0 ** level
-        diffs = [(fac * diffs[i + 1] - diffs[i]) / (fac - 1.0) for i in range(len(diffs) - 1)]
-    return diffs[0], a_of(0.0)
+    return central_diff(a_of, 0.0, VARIATION_DIFF), a_of(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -913,12 +889,11 @@ def vertical_variation_area(R: float, vv: VerticalVariation, r: float,
 def vertical_variation_second_difference(R: float, vv: VerticalVariation,
                                          quad: QuadratureSpec, s0: float = 0.25
                                          ) -> tuple[float, float]:
-    """(second, first) central r-differences of A at r = 0."""
-    h = vv.r_stencil
-    a_p = vertical_variation_area(R, vv, h, quad, s0)
-    a_0 = vertical_variation_area(R, vv, 0.0, quad, s0)
-    a_m = vertical_variation_area(R, vv, -h, quad, s0)
-    return (a_p - 2.0 * a_0 + a_m) / (h * h), (a_p - a_m) / (2.0 * h)
+    """(second, first) central r-differences of A at r = 0, step
+    ``vv.r_stencil``, from one set of three samples."""
+    area = functools.cache(lambda r: vertical_variation_area(R, vv, r, quad, s0))
+    spec = DiffSpec(vv.r_stencil, 0)
+    return central_diff(area, 0.0, spec, 2), central_diff(area, 0.0, spec, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -964,4 +939,4 @@ def boundary_flux_extrapolated(R: float, v: TestFunction,
     """Richardson extrapolation of the flux over a decreasing sigma ladder
     (ratio-10 first-order rule on the two smallest values)."""
     vals = [boundary_flux(R, v, s, quad) for s in sigmas]
-    return (10.0 * vals[-1] - vals[-2]) / 9.0
+    return richardson(vals[-2:], factor=10.0)

@@ -18,16 +18,17 @@ singular locus.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import (FrameVector, Point, Vec3, connection_apply, frame_to_euclidean,
+from .core import (FrameVector, Point, Vec3, connection_correct, frame_to_euclidean,
                    jop_coeffs)
 from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import QuadratureSpec, Rect, integrate_cells
+from .numerics import DiffSpec, QuadratureSpec, Rect, central_diff, integrate_cells
 
 SINGULAR_TOL = 1e-9
 
@@ -201,15 +202,9 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
         return second[2] - fi[1] * fj[0] - y * second[0] + fi[0] * fj[1] + x * second[1]
 
     def second_form(d, e, v):
-        # II_ij = <N, D_{F_i} F_j>: coefficient derivative d plus D_e E_k
-        # weighted by the coefficients v of F_j, with direction e = F_i
-        o0, o1, o2 = d
-        for k in range(3):
-            corr = connection_apply(e, k)
-            o0 = o0 + v[k] * corr[0]
-            o1 = o1 + v[k] * corr[1]
-            o2 = o2 + v[k] * corr[2]
-        return na * o0 + nb * o1 + nt * o2
+        # II_ij = <N, D_{F_i} F_j>: coefficient derivative d of F_j = v
+        # corrected along the direction e = F_i
+        return _dot3(n, connection_correct(d, e, v))
 
     ii11 = second_form((f11[0], f11[1], dc(f11, f1, f1)), c1, c1)
     ii12 = second_form((f12[0], f12[1], dc(f12, f2, f1)), c2, c1)
@@ -723,27 +718,12 @@ class RuledChart(Chart):
         return Point(g[0] + u2 * z[0], g[1] + u2 * z[1], g[2] + u2 * z[2])
 
     def jet(self, u1: float, u2: float) -> ChartJet:
-        h = self.EPS_FD_STEP
-        g0, z0 = self.curve_data(u1)
-        gp, zp = self.curve_data(u1 + h)
-        gm, zm = self.curve_data(u1 - h)
-        gp2, zp2 = self.curve_data(u1 + h / 2)
-        gm2, zm2 = self.curve_data(u1 - h / 2)
-
-        def d1(plus, minus, plus2, minus2, i):
-            a = (plus[i] - minus[i]) / (2.0 * h)
-            b = (plus2[i] - minus2[i]) / h
-            return (4.0 * b - a) / 3.0
-
-        def d2(plus, mid, minus, plus2, minus2, i):
-            a = (plus[i] - 2.0 * mid[i] + minus[i]) / (h * h)
-            b = (plus2[i] - 2.0 * mid[i] + minus2[i]) / (0.25 * h * h)
-            return (4.0 * b - a) / 3.0
-
-        dg = tuple(d1(gp, gm, gp2, gm2, i) for i in range(3))
-        dz = tuple(d1(zp, zm, zp2, zm2, i) for i in range(3))
-        ddg = tuple(d2(gp, g0, gm, gp2, gm2, i) for i in range(3))
-        ddz = tuple(d2(zp, z0, zm, zp2, zm2, i) for i in range(3))
+        spec = DiffSpec(self.EPS_FD_STEP, 1)
+        curve = functools.cache(lambda e: sum(self.curve_data(e), ()))  # (Gamma, Z)
+        g0, z0 = curve(u1)[:3], curve(u1)[3:]
+        d1 = central_diff(curve, u1, spec, 1)
+        d2 = central_diff(curve, u1, spec, 2)
+        dg, dz, ddg, ddz = d1[:3], d1[3:], d2[:3], d2[3:]
         s = u2
         return ChartJet(
             Point(g0[0] + s * z0[0], g0[1] + s * z0[1], g0[2] + s * z0[2]),

@@ -8,6 +8,7 @@ asserts them individually.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -25,7 +26,8 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
 from .geodesics import (GeodesicArc, commutation_residual,
                         covariant_derivative_along, exp_geodesic, helpers_fgh,
                         jacobi_field, jacobi_residual, straight_line_residual)
-from .numerics import QuadratureSpec, gauss_legendre_1d, integrate_cells
+from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
+                       integrate_cells)
 from .stability import (InstabilityCertificate, Profile, VerticalVariation,
                         batch_values, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
@@ -233,7 +235,6 @@ def check_torsion_free() -> CheckResult:
 def check_metric_compatibility() -> CheckResult:
     u, v, w = _poly_fields()
     worst = 0.0
-    h = 1e-5
     for p in (Point(0.2, 0.4, -0.3), Point(-0.6, 0.1, 0.9)):
         ue = frame_to_euclidean(u.at(p))
 
@@ -243,9 +244,7 @@ def check_metric_compatibility() -> CheckResult:
         def sample(t: float) -> float:
             return inner(Point(p.x + t * ue[0], p.y + t * ue[1], p.t + t * ue[2]))
 
-        d1 = (sample(h) - sample(-h)) / (2 * h)
-        d2 = (sample(h / 2) - sample(-h / 2)) / h
-        deriv = (4 * d2 - d1) / 3
+        deriv = central_diff(sample, 0.0, DiffSpec(1e-5, 1))
         lhs = deriv - dot(covariant_derivative(u, v, p), w.at(p)) \
             - dot(v.at(p), covariant_derivative(u, w, p))
         worst = max(worst, abs(lhs))
@@ -921,16 +920,14 @@ def check_singular_curve_geometry() -> CheckResult:
         hel = HelicoidChart(R)
         worst = max(worst, abs(helicoid_closed_forms(R, 1.0 / R).W - 1.0))
         # planar curvature of the xy-projection of the singular helix
-        h = 1e-4
+        spec = DiffSpec(1e-4, 0)
         for s0 in (1.0 / R, -1.0 / R):
+            @functools.cache
             def xy(e: float) -> tuple[float, float]:
                 p = hel.point(s0, e)
                 return p.x, p.y
-            x0, y0 = xy(0.0)
-            xp, yp = xy(h)
-            xm, ym = xy(-h)
-            dx, dy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
-            ddx, ddy = (xp - 2 * x0 + xm) / (h * h), (yp - 2 * y0 + ym) / (h * h)
+            dx, dy = central_diff(xy, 0.0, spec, 1)
+            ddx, ddy = central_diff(xy, 0.0, spec, 2)
             worst = max(worst, abs(dx * ddy - dy * ddx + R))
     return CheckResult("singular_helix_geometry",
                        "arclength parameterization; planar curvature -R", worst, 1e-6)

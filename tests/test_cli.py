@@ -173,3 +173,23 @@ def test_export_catenoid_zero_lam(tmp_path, capsys):
 def test_certify_catenoid_empty_k_range(tmp_path, capsys):
     _assert_usage_error(["certify", "catenoid", "--kmax", "0",
                          "--out", str(tmp_path / "c.txt")], capsys)
+
+
+def test_certify_helicoid_nonfinite_pitch(tmp_path, capsys):
+    for r in ("inf", "nan"):
+        _assert_usage_error(["certify", "helicoid", "--R", r,
+                             "--out", str(tmp_path / "c.txt")], capsys)
+        assert not (tmp_path / "c.txt").exists()
+
+
+def test_verify_unreadable_config(tmp_path, capsys):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"tol=\xff\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        _assert_usage_error(["verify", "--suite", "core", "--config", str(path)], capsys)
+
+
+def test_verify_nonfinite_tolerance(capsys):
+    for v in ("nan", "inf"):
+        _assert_usage_error(["verify", "--suite", "core", "--tol",
+                             f"group_associativity={v}"], capsys)

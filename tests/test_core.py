@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1geom.core import (FrameField, FrameVector, ORIGIN, Point, T_FIELD,
-                         X_FIELD, Y_FIELD, covariant_derivative, cross,
+                         X_FIELD, Y_FIELD, connection_correct,
+                         covariant_derivative, cross,
                          curvature_R, dilate, dot, euclidean_to_frame,
                          frame_at, frame_to_euclidean, group_inverse,
                          group_mul, jop, lie_bracket, ricci, rotate_z)
@@ -80,6 +82,32 @@ def test_connection_table():
     assert covariant_derivative(T_FIELD, T_FIELD, p).coeffs() == (0.0, 0.0, 0.0)
     assert covariant_derivative(X_FIELD, T_FIELD, p).coeffs() == (0.0, 1.0, 0.0)
     assert covariant_derivative(Y_FIELD, T_FIELD, p).coeffs() == (-1.0, 0.0, 0.0)
+
+
+def test_connection_correct_table():
+    # D_X Y = -T, D_X T = Y, D_Y X = T, D_Y T = -X, D_T X = Y, D_T Y = -X
+    e = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    table = {(0, 1): (0.0, 0.0, -1.0), (0, 2): (0.0, 1.0, 0.0),
+             (1, 0): (0.0, 0.0, 1.0), (1, 2): (-1.0, 0.0, 0.0),
+             (2, 0): (0.0, 1.0, 0.0), (2, 1): (-1.0, 0.0, 0.0)}
+    for i in range(3):
+        for j in range(3):
+            got = connection_correct((0.0, 0.0, 0.0), e[i], e[j])
+            assert got == table.get((i, j), (0.0, 0.0, 0.0))
+    # the coefficient derivative is added, and bilinearity holds
+    d, w, v = (0.5, -1.0, 2.0), (0.3, -0.7, 1.1), (-0.2, 0.9, 0.4)
+    want = [d[m] + sum(w[i] * v[j] * table.get((i, j), (0.0, 0.0, 0.0))[m]
+                       for i in range(3) for j in range(3)) for m in range(3)]
+    assert max(abs(a - b) for a, b in zip(connection_correct(d, w, v), want)) <= 1e-15
+
+
+def test_connection_correct_on_arrays():
+    rng = np.random.default_rng(3)
+    d, w, v = (tuple(rng.normal(size=(3, 8))) for _ in range(3))
+    arr = connection_correct(d, w, v)
+    for n in range(8):
+        pt = connection_correct(*(tuple(float(c[n]) for c in t) for t in (d, w, v)))
+        assert tuple(float(c[n]) for c in arr) == pt
 
 
 def test_covariant_rejects_nonfinite():

@@ -1,11 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1geom.errors import NonFiniteValue
 from h1geom.numerics import (DiffSpec, QuadratureSpec, central_diff,
-                             gauss_legendre_1d, integrate_2d, kahan_sum)
+                             central_quotient, gauss_legendre_1d, integrate_2d,
+                             kahan_sum, richardson)
 
 
 def test_polynomial_exactness_basic():
@@ -81,6 +84,102 @@ def test_central_diff():
     assert abs(central_diff(math.exp, 0.0, spec, order=1) - 1.0) <= 1e-9
     assert abs(central_diff(math.exp, 0.0, spec, order=2) - 1.0) <= 1e-7
     assert abs(central_diff(lambda x: 3.0 * x + 1.0, 0.2, spec, order=2)) <= 1e-9
+
+
+def test_central_diff_tuple_matches_components():
+    f = lambda x: (math.sin(x), math.exp(-x), x ** 3)
+    for levels in (0, 1, 2):
+        spec = DiffSpec(1e-3, levels)
+        for order in (1, 2):
+            got = central_diff(f, 0.3, spec, order)
+            want = tuple(central_diff(lambda x, i=i: f(x)[i], 0.3, spec, order)
+                         for i in range(3))
+            assert got == want
+
+
+def test_central_diff_evaluation_count():
+    for levels in (0, 1, 2):
+        for order in (1, 2):
+            calls = []
+            central_diff(lambda x: calls.append(x) or math.cos(x), 0.1,
+                         DiffSpec(1e-3, levels), order)
+            assert len(calls) == 2 * (levels + 1) + (order - 1)
+            assert len(set(calls)) == len(calls)
+
+
+def test_central_diff_rejects_nonfinite_samples():
+    with pytest.raises(NonFiniteValue):
+        central_diff(lambda x: (1.0, math.nan), 0.0, DiffSpec(1e-3, 1))
+
+
+# The hand-written stencils central_diff and richardson replaced, verbatim;
+# the shared routines must reproduce them bit for bit.
+
+def _old_two_level(a_of, s_step, order):
+    if order == 2:
+        a0 = a_of(0.0)
+    diffs = []
+    for h in (s_step, s_step / 2, s_step / 4):
+        if order == 2:
+            diffs.append((a_of(h) - 2.0 * a0 + a_of(-h)) / (h * h))
+        else:
+            diffs.append((a_of(h) - a_of(-h)) / (2.0 * h))
+    for level in (1, 2):
+        fac = 4.0 ** level
+        diffs = [(fac * diffs[i + 1] - diffs[i]) / (fac - 1.0) for i in range(len(diffs) - 1)]
+    return diffs[0]
+
+
+def _old_one_level(fn, x, h, order):
+    if order == 1:
+        d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
+        d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
+        return (4.0 * d2 - d1) / 3.0
+    s1 = (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
+    s2 = (fn(x + 0.5 * h) - 2.0 * fn(x) + fn(x - 0.5 * h)) / (0.25 * h * h)
+    return (4.0 * s2 - s1) / 3.0
+
+
+def _old_no_level(fn, h):
+    a_p, a_0, a_m = fn(h), fn(0.0), fn(-h)
+    return (a_p - 2.0 * a_0 + a_m) / (h * h), (a_p - a_m) / (2.0 * h)
+
+
+def _random_function(rng):
+    a, b, c = rng.uniform(-3, 3), rng.uniform(0.1, 4), rng.uniform(-2, 2)
+    return lambda x: a * math.sin(b * x + c) + math.exp(c * x) - x ** 3
+
+
+def test_central_diff_bitwise_matches_inline_stencils():
+    rng = random.Random(11)
+    for _ in range(300):
+        f = _random_function(rng)
+        x = rng.uniform(-2, 2)
+        h = 10.0 ** rng.uniform(-6, -2)
+        g = lambda s: f(x + s)
+        for order in (1, 2):
+            assert (central_diff(g, 0.0, DiffSpec(h, 2), order).hex()
+                    == _old_two_level(g, h, order).hex())
+            assert (central_diff(f, x, DiffSpec(h, 1), order).hex()
+                    == _old_one_level(f, x, h, order).hex())
+        d2, d1 = _old_no_level(g, h)
+        assert central_diff(g, 0.0, DiffSpec(h, 0), 2).hex() == d2.hex()
+        assert central_diff(g, 0.0, DiffSpec(h, 0), 1).hex() == d1.hex()
+
+
+def test_richardson_bitwise_matches_inline_array_stencil():
+    # the per-node stencil of the deformed area: steps are arrays
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        h = 1e-5 * np.maximum(1.0, np.abs(rng.uniform(-3, 3, 64)))
+        plus, minus, plus2, minus2 = (rng.normal(size=64) for _ in range(4))
+        old = (4.0 * (plus2 - minus2) / h - (plus - minus) / (2.0 * h)) / 3.0
+        new = richardson([central_quotient(plus, minus, h),
+                          central_quotient(plus2, minus2, 0.5 * h)])
+        assert [v.hex() for v in new.tolist()] == [v.hex() for v in old.tolist()]
+        vals = rng.normal(size=3).tolist()
+        assert (richardson(vals[-2:], factor=10.0).hex()
+                == ((10.0 * vals[-1] - vals[-2]) / 9.0).hex())
 
 
 def test_kahan_beats_naive_summation():

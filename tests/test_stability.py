@@ -5,7 +5,7 @@ import pytest
 from h1geom.core import Point
 from h1geom.errors import (CertificateNotFound, TubeConditionViolated,
                            TubeTooSmall)
-from h1geom.numerics import QuadratureSpec, gauss_legendre_1d, integrate_2d
+from h1geom.numerics import DiffSpec, QuadratureSpec, gauss_legendre_1d, integrate_2d
 from h1geom.stability import (InstabilityCertificate, PhiKDelta, Profile,
                               VerticalVariation, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
@@ -55,6 +55,15 @@ def test_z_derivative_nt_identity():
         fr = surface_frame(chart, u0)
         znt = z_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1)
         assert abs(znt - fr.Nh_norm * (fr.BZS - 1.0)) <= 1e-5
+
+
+def test_z_derivative_honours_richardson_levels():
+    u0 = (1.0, 0.7)
+    for order in (1, 2):
+        vals = [z_derivative(CAT, nh_field(CAT), u0, order, DiffSpec(1e-4, levels))
+                for levels in (0, 1, 2)]
+        assert vals[0] != vals[1]
+        assert abs(vals[1] - vals[2]) <= 1e-5 * max(1.0, abs(vals[2]))
 
 
 def test_zz_nh_closed_combination():
