@@ -284,6 +284,17 @@ def _curve_samples(chart: Chart, u: tuple[float, float], offsets: Sequence[float
     return out
 
 
+def _tangent_derivatives(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
+                         u: tuple[float, float], orders: Sequence[int], which: str,
+                         spec: DiffSpec) -> list[float]:
+    """``tangent_derivative`` for each of ``orders`` from one set of curve
+    samples, evaluating the field once per sample."""
+    steps = [spec.step / 2**i for i in range(spec.richardson_levels + 1)]
+    pts = _curve_samples(chart, u, steps + [-h for h in steps], which)
+    field = functools.cache(lambda o: fieldfn(pts[o]))
+    return [central_diff(field, 0.0, spec, order) for order in orders]
+
+
 def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
                        u: tuple[float, float], order: int = 1,
                        which: str = "Z", spec: DiffSpec = Z_DIFF) -> float:
@@ -294,9 +305,7 @@ def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], fl
     the Z-curve is an exact straight line, so the samples sit on the ruling
     itself).
     """
-    steps = [spec.step / 2**i for i in range(spec.richardson_levels + 1)]
-    pts = _curve_samples(chart, u, steps + [-h for h in steps], which)
-    return central_diff(lambda o: fieldfn(pts[o]), 0.0, spec, order)
+    return _tangent_derivatives(chart, fieldfn, u, (order,), which, spec)[0]
 
 
 def z_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
@@ -315,8 +324,7 @@ def operator_L(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
     Uses finite-difference Z-derivatives; independent of ``l_nh_closed``.
     """
     fr = surface_frame(chart, u)
-    zv = tangent_derivative(chart, fieldfn, u, 1, "Z", spec)
-    zzv = tangent_derivative(chart, fieldfn, u, 2, "Z", spec)
+    zv, zzv = _tangent_derivatives(chart, fieldfn, u, (1, 2), "Z", spec)
     nh = fr.Nh_norm
     return (zzv + 2.0 / nh * fr.NT * fr.BZS * zv + fr.q * fieldfn(u)) / nh
 
@@ -747,13 +755,20 @@ def scaled_helicoid_certificate(base: InstabilityCertificate,
     parameters scaled by e^{lam}.  Note the pulled-back scalar test function
     is not itself the deformation data on the pitch-R surface, so its own
     quadratic form is a different (and not always negative) quantity.
+    Raises ``NonFiniteValue`` when a scaled field is not finite or a
+    negative base Q underflows, so a certificate is never one of inf or 0.
     """
     lam = math.log(2.0 / R)
     scale = math.exp(lam)
-    return InstabilityCertificate(f"helicoid R={R:g}", scale * base.k,
+    cert = InstabilityCertificate(f"helicoid R={R:g}", scale * base.k,
                                   scale * base.eps0,
                                   math.exp(3.0 * lam) * base.Q_value,
                                   base.quad, delta=scale * base.delta, C=None)
+    if not all(map(math.isfinite, (cert.k, cert.eps0, cert.Q_value, cert.delta))):
+        raise NonFiniteValue(f"scaled certificate at R={R!r} is not finite")
+    if base.Q_value < 0.0 and not cert.Q_value < 0.0:
+        raise NonFiniteValue(f"scaled Q_value underflows to {cert.Q_value!r} at R={R!r}")
+    return cert
 
 
 def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
@@ -766,7 +781,11 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
     L(|N_h|) along each ruling comes from the vertical Jacobi quadratic at
     the base point: the discriminant is translation-invariant along the
     ruling, so L at ruling parameter s is -(b^2-4ac)/(a s^2 + b s + c)^2.
+    The quadratic of each eps node is computed once per ``ruled`` (in its
+    ``ruling_cache``), so ``chart`` must be ``ruled.base``.
     """
+    if chart is not ruled.base:
+        raise ValueError("ruled_index_value needs the base chart of ``ruled``")
     gnodes, gweights = NODES_WEIGHTS[quad.points_per_cell]
 
     lo, hi = phi.support
@@ -781,11 +800,16 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
     int_phi2 = kahan_sum([w * phi.value(e) ** 2 for e, w in eps_nodes])
     int_dphi2 = kahan_sum([w * phi.deriv(e) ** 2 for e, w in eps_nodes])
 
-    coeffs = []
-    for e, w in eps_nodes:
-        uc = ruled.curve_chart_point(e)
-        a, b, c, disc = jacobi_vertical_quadratic(chart, uc)
-        coeffs.append((a, b, c, -disc))
+    # the rulings that contribute: phi(eps)^2 != 0 and L(|N_h|) not identically 0
+    live = []
+    for e, we in eps_nodes:
+        coeffs = ruled.ruling_cache.get(e)
+        if coeffs is None:
+            a, b, c, disc = jacobi_vertical_quadratic(chart, ruled.curve_chart_point(e))
+            coeffs = ruled.ruling_cache[e] = (a, b, c, -disc)
+        pe2 = phi.value(e) ** 2
+        if pe2 != 0.0 and coeffs[3] != 0.0:
+            live.append((we, pe2, *coeffs))
 
     s_lo, s_hi = k * lo, k * hi
     s_cells = max(quad.cells[1], int(math.ceil(k)) * 2)
@@ -794,20 +818,33 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
     for cidx in range(s_cells):
         mid = s_lo + (cidx + 0.5) * hs
         for x, w in zip(gnodes, gweights):
-            s_nodes.append((mid + 0.5 * hs * x, 0.5 * hs * w))
+            s = mid + 0.5 * hs * x
+            s_nodes.append((s, 0.5 * hs * w * phi.value(s / k) ** 2))
 
-    second_terms = []
-    for (e, we), (a, b, c, d) in zip(eps_nodes, coeffs):
-        pe2 = phi.value(e) ** 2
-        if pe2 == 0.0 or d == 0.0:
-            continue
-        acc = []
-        for s, ws in s_nodes:
-            vt = a * s * s + b * s + c
-            acc.append(ws * phi.value(s / k) ** 2 * d / (vt * vt))
-        second_terms.append(we * pe2 * kahan_sum(acc))
-    second = kahan_sum(second_terms)
+    second = kahan_sum(_ruling_sums(live, s_nodes)) if live else 0.0
     return int_dphi2 * int_phi2 / k - 0.75 * second
+
+
+def _ruling_sums(live: list[tuple], s_nodes: list[tuple[float, float]]) -> list[float]:
+    """we * phi(eps)^2 * sum_s ws phi(s/k)^2 L(s) for each live ruling
+    (we, phi(eps)^2, a, b, c, -disc), with L(s) = -disc / (a s^2 + b s + c)^2.
+
+    Streams over the s-nodes with the Kahan sums of all rulings as arrays:
+    per ruling, the same operations in the same order as ``kahan_sum``.
+    """
+    we, pe2, a, b, c, d = (np.array(col) for col in zip(*live))
+    total = np.zeros(len(live))
+    carry = np.zeros(len(live))
+    for s, wp in s_nodes:
+        vt = a * s * s + b * s + c
+        den = vt * vt
+        if not den.all():
+            raise NonFiniteValue(f"vertical Jacobi component vanishes at s = {s!r}")
+        y = wp * d / den - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return (we * pe2 * total).tolist()
 
 
 def certify_instability_nosing(chart: Chart, u0: tuple[float, float],

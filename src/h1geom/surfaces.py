@@ -187,6 +187,38 @@ def _tangent_cross(x, y, f1, f2):
     return c1, c2, cr
 
 
+def _unit_normal(cr, u):
+    """|F_1 x F_2|, the unit normal's frame coefficients and |N_h| at one
+    point; raises ``NonFiniteValue`` where the chart is not an immersion."""
+    w = math.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
+    if not (w > 0.0) or not math.isfinite(w):
+        raise NonFiniteValue(f"chart is not an immersion at {u!r}")
+    k = 1.0 / w
+    n = (k * cr[0], k * cr[1], k * cr[2])
+    return w, n, math.hypot(n[0], n[1])
+
+
+def _directions(c1, c2, w, n, nh):
+    """nu_h, Z and S as frame-coefficient triples, then Z and S in chart
+    coordinates, at regular points."""
+    na, nb, nt = n
+    nu = (na / nh, nb / nh, 0.0)
+    z = jop_coeffs(nu)
+    s = (nt * nu[0], nt * nu[1], -nh)
+
+    g11 = _dot3(c1, c1)
+    g12 = _dot3(c1, c2)
+    g22 = _dot3(c2, c2)
+    det = w * w  # Gram determinant
+
+    def tangent_in_chart(v):
+        r1 = _dot3(v, c1)
+        r2 = _dot3(v, c2)
+        return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
+
+    return nu, z, s, tangent_in_chart(z), tangent_in_chart(s)
+
+
 def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     """Characteristic entries at regular points, given the unit normal.
 
@@ -194,7 +226,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     <B(Z),S>, <B(S),S>, H, H_R, q, Z and S in chart coordinates, and the
     chart partials of |N_h| and <N,T>.
     """
-    na, nb, nt = n
+    nt = n[2]
 
     def dc(second, fi, fj):
         # d/du_i of c(F_j) with second = d^2F/du_i du_j: the T-coefficient
@@ -212,26 +244,12 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     ii22 = second_form((f22[0], f22[1], dc(f22, f2, f2)), c2, c2)
     ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
 
-    nu = (na / nh, nb / nh, 0.0)
-    z = jop_coeffs(nu)
-    s = (nt * nu[0], nt * nu[1], -nh)
-
-    g11 = _dot3(c1, c1)
-    g12 = _dot3(c1, c2)
-    g22 = _dot3(c2, c2)
-    det = w * w  # Gram determinant
-
-    def tangent_in_chart(v):
-        r1 = _dot3(v, c1)
-        r2 = _dot3(v, c2)
-        return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
+    nu, z, s, zc, sc = _directions(c1, c2, w, n, nh)
 
     def ii(a, b):
         return (a[0] * b[0] * ii11 + (a[0] * b[1] + a[1] * b[0]) * ii12
                 + a[1] * b[1] * ii22)
 
-    zc = tangent_in_chart(z)
-    sc = tangent_in_chart(s)
     bzz = ii(zc, zc)
     bzs = ii(zc, sc)
     bss = ii(sc, sc)
@@ -266,12 +284,7 @@ def surface_frame(chart: Chart, u: tuple[float, float],
     jet = chart.jet(u1, u2)
     p = jet.p
     c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
-    w = math.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-    if not (w > 0.0) or not math.isfinite(w):
-        raise NonFiniteValue(f"chart is not an immersion at {u!r}")
-    k = 1.0 / w
-    n = (k * cr[0], k * cr[1], k * cr[2])
-    nh = math.hypot(n[0], n[1])
+    w, n, nh = _unit_normal(cr, u)
     N = FrameVector(n[0], n[1], n[2], p)
 
     if nh <= singular_tol:
@@ -379,8 +392,17 @@ def area(chart: Chart, region: Rect | None, quad: QuadratureSpec) -> float:
 
 def _chart_velocity(chart: Chart, u: tuple[float, float], which: str,
                     singular_tol: float = SINGULAR_TOL) -> tuple[float, float]:
-    fr = surface_frame(chart, u, singular_tol=singular_tol)
-    return fr.z_chart if which == "Z" else fr.s_chart
+    """``surface_frame(chart, u).z_chart`` (or ``.s_chart``) from the first
+    jet alone: the same operations and the same errors, without the shape
+    terms."""
+    jet = chart.jet(*u)
+    p = jet.p
+    c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
+    w, n, nh = _unit_normal(cr, u)
+    if nh <= singular_tol:
+        raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
+    _, _, _, zc, sc = _directions(c1, c2, w, n, nh)
+    return zc if which == "Z" else sc
 
 
 def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
@@ -693,6 +715,8 @@ class RuledChart(Chart):
         bwd = integrate_tangent_field(base, u0, -eps_range, n, "S")
         self._nodes = list(reversed(bwd[1:])) + fwd  # index j+n, j in [-n, n]
         self._cache: dict[float, tuple[float, float]] = {}
+        # per-ruling data keyed by eps, filled by stability.ruled_index_value
+        self.ruling_cache: dict[float, tuple] = {}
 
     def curve_chart_point(self, eps: float) -> tuple[float, float]:
         """Base-chart coordinates of Gamma(eps)."""

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from h1geom.cli import main
 from h1geom.stability import InstabilityCertificate
@@ -193,3 +198,53 @@ def test_verify_nonfinite_tolerance(capsys):
     for v in ("nan", "inf"):
         _assert_usage_error(["verify", "--suite", "core", "--tol",
                              f"group_associativity={v}"], capsys)
+
+
+def _assert_numeric_failure(argv, capsys):
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_certify_helicoid_subnormal_pitch(tmp_path, capsys):
+    # 2/R overflows: every scaled field would be infinite
+    _assert_numeric_failure(["certify", "helicoid", "--R", "1e-320",
+                             "--out", str(tmp_path / "c.txt")], capsys)
+    assert not (tmp_path / "c.txt").exists()
+
+
+def test_certify_helicoid_huge_pitch(tmp_path, capsys):
+    # e^{3 lam} underflows: the scaled Q would be -0 against a negative base
+    _assert_numeric_failure(["certify", "helicoid", "--R", "1e300",
+                             "--out", str(tmp_path / "c.txt")], capsys)
+    assert not (tmp_path / "c.txt").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats())
+@example(5e-324)
+@example(1e-320)
+@example(1e-300)
+@example(1e300)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(-2.0)
+@example(0.0)
+@example(4.0)
+def test_certify_helicoid_fuzz_pitch(tmp_path_factory, R):
+    out = tmp_path_factory.mktemp("fuzz") / "c.txt"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(["certify", "helicoid", f"--R={R!r}", "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        for line in out.read_text().splitlines():
+            key, _, val = line.partition("=")
+            try:
+                num = float(val)
+            except ValueError:
+                continue
+            assert math.isfinite(num), (R, line)
