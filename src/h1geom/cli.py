@@ -73,7 +73,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overrides: dict[str, float] = {}
     items = list(args.tol or [])
     if args.config:
-        cfg = load_config(args.config, {"suite", "tol"})
+        cfg = load_config(args.config, {"tol"})
         if "tol" in cfg:
             items = cfg["tol"].split(",") + items
     for item in items:
@@ -197,13 +197,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if (cert.Q_value < 0.0 and confirm < 0.0) else EXIT_FAIL
 
     if args.target == "catenoid":
-        if args.lam == 0:
-            raise ConfigError("certify catenoid requires --lam != 0")
+        t = args.lam * args.lam
+        if not 0.0 < t < math.inf:  # lam = 0, or lam^2 underflows or overflows
+            raise ConfigError("certify catenoid requires --lam with 0 < lam^2 < inf")
         if args.kmax < 1:
             raise ConfigError("certify catenoid requires --kmax >= 1")
         chart = CatenoidChart(args.lam)
         r = math.sqrt(2.0) * abs(args.lam)
-        t = args.lam * args.lam
         u0 = chart.locate(Point(r, 0.0, t))
         phi = cosine_bump(0.0, 1.0)
         try:

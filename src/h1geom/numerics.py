@@ -17,7 +17,6 @@ from ._gauss import NODES_WEIGHTS
 from .errors import NonFiniteValue
 
 ALLOWED_POINTS = (4, 8, 16, 32)
-MAX_ADAPTIVE_CELLS = 2**20
 
 Diff = Union[float, np.ndarray, tuple]
 
@@ -26,21 +25,17 @@ Diff = Union[float, np.ndarray, tuple]
 class QuadratureSpec:
     """Composite Gauss-Legendre rule: nodes per cell and cell counts per axis.
 
-    1-D integrals use ``cells[0]``; ``adaptive_tol`` (1-D only) doubles the
-    cell count until two successive estimates agree to that tolerance.
+    1-D integrals use ``cells[0]``.
     """
 
     points_per_cell: int = 16
     cells: tuple[int, int] = (8, 8)
-    adaptive_tol: float | None = None
 
     def __post_init__(self):
         if self.points_per_cell not in ALLOWED_POINTS:
             raise ValueError(f"points_per_cell must be one of {ALLOWED_POINTS}")
         if min(self.cells) < 1:
             raise ValueError("cell counts must be >= 1")
-        if self.adaptive_tol is not None and self.adaptive_tol <= 0:
-            raise ValueError("adaptive_tol must be positive")
 
     def doubled(self) -> "QuadratureSpec":
         return replace(self, cells=(2 * self.cells[0], 2 * self.cells[1]))
@@ -78,19 +73,34 @@ def _check_finite(v: float, where: str) -> float:
     return v
 
 
+def gauss_nodes_1d(a: float, b: float, points: int, cells: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on [a, b].
+
+    Returns ``(x, w)`` of shape ``(cells, points)``: row ``c`` holds cell
+    ``c``, with nodes ``a + (c + 0.5) h + 0.5 h x_j`` and weights ``0.5 h w_j``
+    for ``h = (b - a) / cells``.
+    """
+    nodes, weights = NODES_WEIGHTS[points]
+    h = (b - a) / cells
+    x = (a + (np.arange(cells) + 0.5) * h)[:, None] + 0.5 * h * np.array(nodes)
+    w = np.broadcast_to(0.5 * h * np.array(weights), x.shape)
+    return x, w
+
+
+def split_cells(cuts: Sequence[float], cells: int) -> list[tuple[float, float, int]]:
+    """The pieces ``(lo, hi, n)`` between consecutive cuts: each gets its
+    share of ``cells`` by length, and at least one cell."""
+    span = cuts[-1] - cuts[0]
+    return [(lo, hi, max(1, round(cells * (hi - lo) / span)))
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _composite_1d(f: Callable[[float], float], a: float, b: float,
                   n_points: int, n_cells: int) -> float:
-    nodes, weights = NODES_WEIGHTS[n_points]
-    h = (b - a) / n_cells
-    terms = []
-    for c in range(n_cells):
-        lo = a + c * h
-        mid = lo + 0.5 * h
-        half = 0.5 * h
-        for x, w in zip(nodes, weights):
-            t = mid + half * x
-            terms.append(half * w * _check_finite(f(t), "gauss_legendre_1d"))
-    return kahan_sum(terms)
+    x, w = gauss_nodes_1d(a, b, n_points, n_cells)
+    return kahan_sum([wi * _check_finite(f(xi), "gauss_legendre_1d")
+                      for xi, wi in zip(x.ravel().tolist(), w.ravel().tolist())])
 
 
 def gauss_legendre_1d(f: Callable[[float], float], a: float, b: float,
@@ -100,17 +110,7 @@ def gauss_legendre_1d(f: Callable[[float], float], a: float, b: float,
         if a == b:
             return 0.0
         raise ValueError("require a <= b")
-    if spec.adaptive_tol is None:
-        return _composite_1d(f, a, b, spec.points_per_cell, spec.cells[0])
-    cells = spec.cells[0]
-    prev = _composite_1d(f, a, b, spec.points_per_cell, cells)
-    while cells <= MAX_ADAPTIVE_CELLS // 2:
-        cells *= 2
-        cur = _composite_1d(f, a, b, spec.points_per_cell, cells)
-        if abs(cur - prev) < spec.adaptive_tol:
-            return cur
-        prev = cur
-    return prev
+    return _composite_1d(f, a, b, spec.points_per_cell, spec.cells[0])
 
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
@@ -132,18 +132,15 @@ def gauss_nodes(rect: Rect, spec: QuadratureSpec
             empty = np.empty((0, p * p))
             return empty, empty, empty
         raise ValueError("degenerate rectangle")
-    nodes, weights = NODES_WEIGHTS[p]
-    x = np.array(nodes)
     n1, n2 = spec.cells
     h1 = (b1 - a1) / n1
     h2 = (b2 - a2) / n2
-    # the same IEEE operations, in the same order, as the scalar loop
-    x1 = (a1 + (np.arange(n1) + 0.5) * h1)[:, None] + 0.5 * h1 * x  # (n1, p)
-    x2 = (a2 + (np.arange(n2) + 0.5) * h2)[:, None] + 0.5 * h2 * x  # (n2, p)
+    x1 = gauss_nodes_1d(a1, b1, p, n1)[0]  # (n1, p)
+    x2 = gauss_nodes_1d(a2, b2, p, n2)[0]  # (n2, p)
     shape = (n1, n2, p, p)
     U1 = np.broadcast_to(x1[:, None, :, None], shape).reshape(n1 * n2, p * p)
     U2 = np.broadcast_to(x2[None, :, None, :], shape).reshape(n1 * n2, p * p)
-    w = np.array(weights)
+    w = np.array(NODES_WEIGHTS[p][1])
     cell_w = (0.25 * h1 * h2 * w[:, None] * w[None, :]).reshape(p * p)
     W = np.broadcast_to(cell_w, U1.shape)
     return U1, U2, W

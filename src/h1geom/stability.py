@@ -30,13 +30,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._gauss import NODES_WEIGHTS
 from .errors import (CertificateNotFound, NonFiniteValue,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diff,
                        central_quotient, gauss_legendre_1d, gauss_nodes,
-                       integrate_cells, kahan_sum, richardson)
+                       gauss_nodes_1d, integrate_cells, kahan_sum, richardson,
+                       split_cells)
 from .surfaces import (Chart, RuledChart, SurfaceFrames, area_density,
                        integrate_tangent_field, ruled_coordinates,
                        surface_frame, surface_frames)
@@ -288,11 +288,13 @@ def _tangent_derivatives(chart: Chart, fieldfn: Callable[[tuple[float, float]], 
                          u: tuple[float, float], orders: Sequence[int], which: str,
                          spec: DiffSpec) -> list[float]:
     """``tangent_derivative`` for each of ``orders`` from one set of curve
-    samples, evaluating the field once per sample."""
+    samples, evaluating the field once per sample; order 0 is the field
+    value at ``u``."""
     steps = [spec.step / 2**i for i in range(spec.richardson_levels + 1)]
     pts = _curve_samples(chart, u, steps + [-h for h in steps], which)
     field = functools.cache(lambda o: fieldfn(pts[o]))
-    return [central_diff(field, 0.0, spec, order) for order in orders]
+    return [field(0.0) if order == 0 else central_diff(field, 0.0, spec, order)
+            for order in orders]
 
 
 def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
@@ -324,9 +326,9 @@ def operator_L(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
     Uses finite-difference Z-derivatives; independent of ``l_nh_closed``.
     """
     fr = surface_frame(chart, u)
-    zv, zzv = _tangent_derivatives(chart, fieldfn, u, (1, 2), "Z", spec)
+    zv, zzv, v = _tangent_derivatives(chart, fieldfn, u, (1, 2, 0), "Z", spec)
     nh = fr.Nh_norm
-    return (zzv + 2.0 / nh * fr.NT * fr.BZS * zv + fr.q * fieldfn(u)) / nh
+    return (zzv + 2.0 / nh * fr.NT * fr.BZS * zv + fr.q * v) / nh
 
 
 def l_nh_closed(chart: Chart, u: tuple[float, float]) -> float:
@@ -380,16 +382,12 @@ def _piecewise_2d(fn, rect: Rect, fs: Sequence[TestFunction],
     """Tensor quadrature with cells split at support edges and profile kinks;
     ``fn`` maps the node arrays of one quadrature cell to its samples."""
     (a1, b1), (a2, b2) = rect
-    cuts1 = _axis_cuts(a1, b1, fs, 0)
-    cuts2 = _axis_cuts(a2, b2, fs, 1)
+    pieces2 = split_cells(_axis_cuts(a2, b2, fs, 1), quad.cells[1])
     total = []
-    for i in range(len(cuts1) - 1):
-        for j in range(len(cuts2) - 1):
-            piece = ((cuts1[i], cuts1[i + 1]), (cuts2[j], cuts2[j + 1]))
-            n1 = max(1, round(quad.cells[0] * (piece[0][1] - piece[0][0]) / (b1 - a1)))
-            n2 = max(1, round(quad.cells[1] * (piece[1][1] - piece[1][0]) / (b2 - a2)))
+    for lo1, hi1, n1 in split_cells(_axis_cuts(a1, b1, fs, 0), quad.cells[0]):
+        for lo2, hi2, n2 in pieces2:
             spec = QuadratureSpec(quad.points_per_cell, (n1, n2))
-            total.append(integrate_cells(fn, piece, spec))
+            total.append(integrate_cells(fn, ((lo1, hi1), (lo2, hi2)), spec))
     return kahan_sum(total)
 
 
@@ -582,14 +580,8 @@ def bracket_integral_quadrature(k: float, delta: float,
 def _profile_integral(p: Profile, fn: Callable[[float], float],
                       quad: QuadratureSpec) -> float:
     """Integral of fn over the support of p, split at its kinks."""
-    cuts = p.cuts()
-    total = []
-    span = cuts[-1] - cuts[0]
-    for i in range(len(cuts) - 1):
-        cells = max(1, round(quad.cells[0] * (cuts[i + 1] - cuts[i]) / span))
-        total.append(gauss_legendre_1d(fn, cuts[i], cuts[i + 1],
-                                       QuadratureSpec(quad.points_per_cell, (cells, 1))))
-    return kahan_sum(total)
+    return kahan_sum([gauss_legendre_1d(fn, lo, hi, QuadratureSpec(quad.points_per_cell, (n, 1)))
+                      for lo, hi, n in split_cells(p.cuts(), quad.cells[0])])
 
 
 TUBE_MARGIN = 0.05
@@ -632,14 +624,11 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec,
 
     cuts = sorted({*psi.cuts(), *(c for c in (1.0 / R, -1.0 / R)
                                   if psi.support[0] < c < psi.support[1])})
-    span = cuts[-1] - cuts[0]
     ramp_parts = []
     pot_parts = []
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
+    for lo, hi, n in split_cells(cuts, quad.cells[0]):
         mid = 0.5 * (lo + hi)
-        cells = max(1, round(quad.cells[0] * (hi - lo) / span))
-        spec = QuadratureSpec(quad.points_per_cell, (cells, 1))
+        spec = QuadratureSpec(quad.points_per_cell, (n, 1))
         if psi.deriv(mid) != 0.0 or psi.deriv(0.5 * (lo + mid)) != 0.0:
             ramp_parts.append(gauss_legendre_1d(ramp, lo, hi, spec))
         if R != 2.0:
@@ -786,16 +775,10 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
     """
     if chart is not ruled.base:
         raise ValueError("ruled_index_value needs the base chart of ``ruled``")
-    gnodes, gweights = NODES_WEIGHTS[quad.points_per_cell]
-
+    p = quad.points_per_cell
     lo, hi = phi.support
-    ncells = quad.cells[0]
-    h = (hi - lo) / ncells
-    eps_nodes = []
-    for cidx in range(ncells):
-        mid = lo + (cidx + 0.5) * h
-        for x, w in zip(gnodes, gweights):
-            eps_nodes.append((mid + 0.5 * h * x, 0.5 * h * w))
+    ex, ew = gauss_nodes_1d(lo, hi, p, quad.cells[0])
+    eps_nodes = list(zip(ex.ravel().tolist(), ew.ravel().tolist()))
 
     int_phi2 = kahan_sum([w * phi.value(e) ** 2 for e, w in eps_nodes])
     int_dphi2 = kahan_sum([w * phi.deriv(e) ** 2 for e, w in eps_nodes])
@@ -811,15 +794,10 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
         if pe2 != 0.0 and coeffs[3] != 0.0:
             live.append((we, pe2, *coeffs))
 
-    s_lo, s_hi = k * lo, k * hi
     s_cells = max(quad.cells[1], int(math.ceil(k)) * 2)
-    hs = (s_hi - s_lo) / s_cells
-    s_nodes = []
-    for cidx in range(s_cells):
-        mid = s_lo + (cidx + 0.5) * hs
-        for x, w in zip(gnodes, gweights):
-            s = mid + 0.5 * hs * x
-            s_nodes.append((s, 0.5 * hs * w * phi.value(s / k) ** 2))
+    sx, sw = gauss_nodes_1d(k * lo, k * hi, p, s_cells)
+    s_nodes = [(s, ws * phi.value(s / k) ** 2)
+               for s, ws in zip(sx.ravel().tolist(), sw.ravel().tolist())]
 
     second = kahan_sum(_ruling_sums(live, s_nodes)) if live else 0.0
     return int_dphi2 * int_phi2 / k - 0.75 * second

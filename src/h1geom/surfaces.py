@@ -272,11 +272,10 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
 
 
 def surface_frame(chart: Chart, u: tuple[float, float],
-                  singular_ok: bool = False,
-                  singular_tol: float = SINGULAR_TOL) -> SurfaceFrame:
+                  singular_ok: bool = False) -> SurfaceFrame:
     """Full geometric package at chart point ``u``.
 
-    Raises ``SingularPoint`` when |N_h| <= singular_tol unless
+    Raises ``SingularPoint`` when |N_h| <= SINGULAR_TOL unless
     ``singular_ok`` is set, in which case the characteristic entries are
     returned as None.
     """
@@ -287,7 +286,7 @@ def surface_frame(chart: Chart, u: tuple[float, float],
     w, n, nh = _unit_normal(cr, u)
     N = FrameVector(n[0], n[1], n[2], p)
 
-    if nh <= singular_tol:
+    if nh <= SINGULAR_TOL:
         if not singular_ok:
             raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
         return SurfaceFrame(N, nh, n[2], w, None, None, None, None, None, None,
@@ -390,8 +389,8 @@ def area(chart: Chart, region: Rect | None, quad: QuadratureSpec) -> float:
 # Characteristic curves and the singular locus
 # ---------------------------------------------------------------------------
 
-def _chart_velocity(chart: Chart, u: tuple[float, float], which: str,
-                    singular_tol: float = SINGULAR_TOL) -> tuple[float, float]:
+def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
+                    ) -> tuple[float, float]:
     """``surface_frame(chart, u).z_chart`` (or ``.s_chart``) from the first
     jet alone: the same operations and the same errors, without the shape
     terms."""
@@ -399,15 +398,14 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str,
     p = jet.p
     c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
     w, n, nh = _unit_normal(cr, u)
-    if nh <= singular_tol:
+    if nh <= SINGULAR_TOL:
         raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
     _, _, _, zc, sc = _directions(c1, c2, w, n, nh)
     return zc if which == "Z" else sc
 
 
 def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
-                            length: float, steps: int, which: str = "Z",
-                            singular_tol: float = SINGULAR_TOL,
+                            length: float, steps: int, which: str = "Z"
                             ) -> list[tuple[float, float]]:
     """RK4 integral curve of Z or S in chart coordinates (unit ambient speed).
 
@@ -418,10 +416,10 @@ def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
     u = u0
     try:
         for _ in range(steps):
-            k1 = _chart_velocity(chart, u, which, singular_tol)
-            k2 = _chart_velocity(chart, (u[0] + 0.5 * h * k1[0], u[1] + 0.5 * h * k1[1]), which, singular_tol)
-            k3 = _chart_velocity(chart, (u[0] + 0.5 * h * k2[0], u[1] + 0.5 * h * k2[1]), which, singular_tol)
-            k4 = _chart_velocity(chart, (u[0] + h * k3[0], u[1] + h * k3[1]), which, singular_tol)
+            k1 = _chart_velocity(chart, u, which)
+            k2 = _chart_velocity(chart, (u[0] + 0.5 * h * k1[0], u[1] + 0.5 * h * k1[1]), which)
+            k3 = _chart_velocity(chart, (u[0] + 0.5 * h * k2[0], u[1] + 0.5 * h * k2[1]), which)
+            k4 = _chart_velocity(chart, (u[0] + h * k3[0], u[1] + h * k3[1]), which)
             u = (u[0] + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
                  u[1] + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
             us.append(u)

@@ -566,7 +566,7 @@ def check_zbzs() -> CheckResult:
                        worst, 1e-4)
 
 
-def check_helicoid_closed_forms() -> tuple[CheckResult, CheckResult, CheckResult]:
+def check_helicoid_closed_forms() -> CheckResult:
     worst_frame = 0.0
     for R in (1.0, 2.0):
         chart = HelicoidChart(R)
@@ -575,15 +575,18 @@ def check_helicoid_closed_forms() -> tuple[CheckResult, CheckResult, CheckResult
             d = helicoid_closed_forms(R, s)
             worst_frame = max(worst_frame, abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT),
                               abs(fr.BZS - d.BZS), abs(fr.riem_area - d.W))
+    return CheckResult("helicoid_frame_closed_forms",
+                       "|N_h|, <N,T>, <B(Z),S> closed forms", worst_frame, 1e-8)
+
+
+def check_helicoid_q_closed_forms() -> tuple[CheckResult, CheckResult]:
     worst_q2 = max(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"])
     worst_q1 = 0.0
     chart1 = HelicoidChart(1.0)
     for s, e in _GRID["helicoid"]:
         fr = surface_frame(chart1, (s, e))
         worst_q1 = max(worst_q1, abs(fr.q - helicoid_closed_forms(1.0, s).q))
-    return (CheckResult("helicoid_frame_closed_forms",
-                        "|N_h|, <N,T>, <B(Z),S> closed forms", worst_frame, 1e-8),
-            CheckResult("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", worst_q2, 1e-8),
+    return (CheckResult("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", worst_q2, 1e-8),
             CheckResult("q_closed_form_R1", "q = (R^2-4) f^2 / W^4 at R=1", worst_q1, 1e-6))
 
 
@@ -960,7 +963,7 @@ def run_surfaces() -> list[CheckResult]:
     out = [check_frame_relations()]
     out.extend(check_characteristic_derivatives())
     out.append(check_zbzs())
-    out.append(check_helicoid_closed_forms()[0])
+    out.append(check_helicoid_closed_forms())
     out.append(check_minimality())
     out.append(check_vertical_plane())
     out.extend(check_characteristic_rays())
@@ -971,7 +974,7 @@ def run_surfaces() -> list[CheckResult]:
 
 
 def run_stability() -> list[CheckResult]:
-    out = list(check_helicoid_closed_forms()[1:])  # q at R=2 and R=1
+    out = list(check_helicoid_q_closed_forms())
     out += [check_lnh_closed_vs_direct(), check_lnh_sign_catenoid(),
             check_lnh_sign_helicoid(), check_indexform3(), check_discriminant(),
             check_jacobi_coefficients(), check_qform_regular()]

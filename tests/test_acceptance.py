@@ -93,7 +93,8 @@ def test_criterion_05_stability_operator_closed_form():
 
 
 def test_criterion_06_helicoid_closed_forms():
-    frame_res, q2, q1 = V.check_helicoid_closed_forms()
+    frame_res = V.check_helicoid_closed_forms()
+    q2, q1 = V.check_helicoid_q_closed_forms()
     ok = frame_res.residual <= 1e-8 and q2.residual <= 1e-8 and q1.residual <= 1e-6
     report(6, "helicoid frame closed forms; q at R=2 and R=1",
            max(frame_res.residual, q2.residual, q1.residual), 1e-6, ok)

@@ -55,6 +55,12 @@ def test_config_file(tmp_path, capsys):
     bad.write_text("unknown_key=3\n")
     assert run(["verify", "--suite", "core", "--config", str(bad)]) == 2
 
+    # suites are chosen by --suite alone; a config file cannot choose them
+    suite = tmp_path / "suite.cfg"
+    suite.write_text("suite=core\n")
+    capsys.readouterr()
+    _assert_usage_error(["verify", "--config", str(suite)], capsys)
+
 
 def test_export_geodesic_horizontal(tmp_path):
     out = tmp_path / "geo.csv"
@@ -220,6 +226,16 @@ def test_certify_helicoid_huge_pitch(tmp_path, capsys):
     assert not (tmp_path / "c.txt").exists()
 
 
+def _exits_cleanly(argv):
+    """Run ``argv``; assert a documented exit code and no traceback."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+    return code
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats())
 @example(5e-324)
@@ -234,13 +250,7 @@ def test_certify_helicoid_huge_pitch(tmp_path, capsys):
 @example(4.0)
 def test_certify_helicoid_fuzz_pitch(tmp_path_factory, R):
     out = tmp_path_factory.mktemp("fuzz") / "c.txt"
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        code = run(["certify", "helicoid", f"--R={R!r}", "--out", str(out)])
-    err = stderr.getvalue()
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err
-    if code == 0:
+    if _exits_cleanly(["certify", "helicoid", f"--R={R!r}", "--out", str(out)]) == 0:
         for line in out.read_text().splitlines():
             key, _, val = line.partition("=")
             try:
@@ -248,3 +258,38 @@ def test_certify_helicoid_fuzz_pitch(tmp_path_factory, R):
             except ValueError:
                 continue
             assert math.isfinite(num), (R, line)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["helicoid", "catenoid"]), st.floats(), st.floats(),
+       st.integers(min_value=-2, max_value=6))
+@example("helicoid", 1e-300, 1.0, 3)
+@example("catenoid", 2.0, 5e-324, 3)
+@example("catenoid", 2.0, math.nan, 0)
+def test_export_surface_grid_fuzz(tmp_path_factory, surface, R, lam, n1):
+    out = tmp_path_factory.mktemp("fuzz") / "g.csv"
+    _exits_cleanly(["export", "surface-grid", "--surface", surface, f"--R={R!r}",
+                    f"--lam={lam!r}", f"--n1={n1}", "--n2=2", "--out", str(out)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(), st.integers(min_value=-2, max_value=6))
+@example(1e-300, 4)
+@example(5e-324, 4)
+@example(1e300, 4)
+@example(math.nan, 4)
+@example(-math.inf, 4)
+def test_certify_catenoid_fuzz(tmp_path_factory, lam, kmax):
+    out = tmp_path_factory.mktemp("fuzz") / "c.txt"
+    _exits_cleanly(["certify", "catenoid", f"--lam={lam!r}", f"--kmax={kmax}",
+                    "--out", str(out)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats())
+@example(5e-324)
+@example(-0.0)
+@example(math.nan)
+@example(math.inf)
+def test_verify_tolerance_fuzz(tol):
+    _exits_cleanly(["verify", "--suite", "core", "--tol", f"group_associativity={tol!r}"])

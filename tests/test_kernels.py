@@ -156,7 +156,8 @@ def test_ruled_index_value_requires_base_chart():
 
 def test_operator_l_one_sample_set(monkeypatch):
     chart = CatenoidChart(1.0)
-    nh = lambda u: surface_frame(chart, u).Nh_norm
+    field_calls = []
+    nh = lambda u: field_calls.append(u) or surface_frame(chart, u).Nh_norm
     calls = []
     rk4 = stability.integrate_tangent_field
 
@@ -171,5 +172,8 @@ def test_operator_l_one_sample_set(monkeypatch):
         zzv = tangent_derivative(chart, nh, u, 2, "Z")
         want = (zzv + 2.0 / fr.Nh_norm * fr.NT * fr.BZS * zv + fr.q * nh(u)) / fr.Nh_norm
         calls.clear()
+        field_calls.clear()
         assert operator_L(chart, nh, u) == want
         assert len(calls) == 4
+        # four curve samples and the centre, each evaluated once
+        assert len(field_calls) == 5

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1geom.errors import NonFiniteValue
-from h1geom.numerics import (DiffSpec, QuadratureSpec, central_diff,
-                             central_quotient, gauss_legendre_1d, integrate_2d,
-                             kahan_sum, richardson)
+from h1geom._gauss import NODES_WEIGHTS
+from h1geom.numerics import (DiffSpec, QuadratureSpec, _composite_1d, central_diff,
+                             central_quotient, gauss_legendre_1d, gauss_nodes,
+                             gauss_nodes_1d, integrate_2d, kahan_sum, richardson,
+                             split_cells)
 
 
 def test_polynomial_exactness_basic():
@@ -64,10 +66,66 @@ def test_reproducibility_bitwise():
     assert v1 == v2
 
 
-def test_adaptive_refinement():
-    spec = QuadratureSpec(8, (1, 1), adaptive_tol=1e-12)
-    val = gauss_legendre_1d(lambda x: math.exp(-x * x), -4.0, 4.0, spec)
-    assert abs(val - math.sqrt(math.pi) * math.erf(4.0)) <= 1e-10
+def test_gauss_nodes_1d_layout():
+    a, b, p, n = -0.3, 1.7, 8, 5
+    x, w = gauss_nodes_1d(a, b, p, n)
+    assert x.shape == w.shape == (n, p)
+    nodes, weights = NODES_WEIGHTS[p]
+    h = (b - a) / n
+    for c in range(n):
+        assert x[c].tolist() == [a + (c + 0.5) * h + 0.5 * h * xj for xj in nodes]
+        assert w[c].tolist() == [0.5 * h * wj for wj in weights]
+        assert a + c * h < x[c, 0] and x[c, -1] < a + (c + 1) * h
+    assert np.all(np.diff(x.ravel()) > 0)
+    assert abs(w.sum() - (b - a)) <= 1e-14
+
+
+def test_composite_1d_samples_the_shared_nodes():
+    x, w = gauss_nodes_1d(0.2, 2.5, 4, 3)
+    seen = []
+    val = _composite_1d(lambda t: seen.append(t) or math.cos(t), 0.2, 2.5, 4, 3)
+    assert seen == x.ravel().tolist()
+    assert val == kahan_sum([wi * math.cos(t) for t, wi in zip(seen, w.ravel().tolist())])
+
+    # the 2-D rule places its nodes by the same generator on each axis
+    rect, spec = ((0.2, 2.5), (-1.0, 0.5)), QuadratureSpec(4, (3, 2))
+    U1, U2, _ = gauss_nodes(rect, spec)
+    x2 = gauss_nodes_1d(-1.0, 0.5, 4, 2)[0]
+    for c1 in range(3):
+        for c2 in range(2):
+            cell1 = U1[c1 * 2 + c2].reshape(4, 4)
+            cell2 = U2[c1 * 2 + c2].reshape(4, 4)
+            for j in range(4):
+                assert cell1[:, j].tolist() == x[c1].tolist()
+                assert cell2[j, :].tolist() == x2[c2].tolist()
+
+
+def _old_pieces(cuts, cells):
+    # the cell split _piecewise_2d, _profile_integral and q_form each wrote
+    # inline before split_cells, verbatim as _profile_integral had it
+    out = []
+    span = cuts[-1] - cuts[0]
+    for i in range(len(cuts) - 1):
+        n = max(1, round(cells * (cuts[i + 1] - cuts[i]) / span))
+        out.append((cuts[i], cuts[i + 1], n))
+    return out
+
+
+def test_split_cells_matches_inline_split():
+    rng = random.Random(7)
+    cases = [[0.0, 0.5, 1.0], [0.0, 0.25, 0.75, 1.0], [-1.0, -0.999, 0.3, 2.0]]
+    for _ in range(200):
+        lo = rng.uniform(-3.0, 3.0)
+        cases.append(sorted({lo, *(lo + rng.uniform(0.0, 5.0) ** 3
+                                   for _ in range(rng.randint(1, 6)))}))
+    for cuts in cases:
+        for cells in (1, 2, 3, 8, 16, 17, 64):
+            got = split_cells(cuts, cells)
+            assert got == _old_pieces(cuts, cells)
+            assert all(n >= 1 for _, _, n in got)
+    # round half to even, and the one-cell floor
+    assert [n for *_, n in split_cells([0.0, 0.5, 1.0], 1)] == [1, 1]
+    assert [n for *_, n in split_cells([0.0, 1.25, 2.0], 4)] == [2, 2]
 
 
 def test_nonfinite_rejected():
