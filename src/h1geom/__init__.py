@@ -19,11 +19,10 @@ from .geodesics import (GeodesicArc, JacobiSample, exp_geodesic, exp_point,
 from .numerics import (DiffSpec, QuadratureSpec, central_diff,
                        gauss_legendre_1d, gauss_nodes, integrate_2d)
 from .stability import (InstabilityCertificate, PhiKDelta, Profile,
-                        TestFunction, VerticalVariation, boundary_flux,
-                        bracket_integral, certify_instability_h2,
-                        certify_instability_nosing, index_form_I,
-                        jacobi_vertical_quadratic, l_nh_closed, operator_L,
-                        q_form, second_variation_direct, separable,
+                        TestFunction, boundary_flux, bracket_integral,
+                        certify_instability_h2, certify_instability_nosing,
+                        index_form_I, jacobi_vertical_quadratic, l_nh_closed,
+                        operator_L, q_form, second_variation_direct, separable,
                         vertical_variation_area, z_derivative)
 from .surfaces import (CatenoidChart, Chart, ChartJets, HelicoidChart,
                        SurfaceFrame, SurfaceFrames, VerticalPlaneChart, area,

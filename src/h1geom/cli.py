@@ -14,8 +14,7 @@ import sys
 from typing import Sequence
 
 from .core import FrameVector, Point
-from .errors import (CertificateNotFound, ConfigError, GeometryError,
-                     NonFiniteValue)
+from .errors import ConfigError, GeometryError, NonFiniteValue
 from .geodesics import GeodesicArc, exp_geodesic
 from .stability import (certify_instability_h2, certify_instability_nosing,
                         cosine_bump, h2_certificate_test_function, q_form,
@@ -33,8 +32,11 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def load_config(path: str, allowed: set[str]) -> dict[str, str]:
-    """Flat key=value file; unknown keys are rejected."""
+CONFIG_KEYS = ("tol",)
+
+
+def load_config(path: str) -> dict[str, str]:
+    """Flat key=value file; keys other than CONFIG_KEYS are rejected."""
     out: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -49,7 +51,7 @@ def load_config(path: str, allowed: set[str]) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key = key.strip()
-        if key not in allowed:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = val.strip()
     return out
@@ -73,7 +75,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overrides: dict[str, float] = {}
     items = list(args.tol or [])
     if args.config:
-        cfg = load_config(args.config, {"tol"})
+        cfg = load_config(args.config)
         if "tol" in cfg:
             items = cfg["tol"].split(",") + items
     for item in items:
@@ -163,7 +165,12 @@ def cmd_export_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    for name, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"--{name} must be finite, got {val!r}")
     if args.kind == "geodesic":
+        if args.num < 0:
+            raise ConfigError(f"--num must be >= 0, got {args.num}")
         return cmd_export_geodesic(args)
     return cmd_export_surface(args)
 
@@ -206,11 +213,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         r = math.sqrt(2.0) * abs(args.lam)
         u0 = chart.locate(Point(r, 0.0, t))
         phi = cosine_bump(0.0, 1.0)
-        try:
-            cert, ruled = certify_instability_nosing(
-                chart, u0, list(range(1, args.kmax + 1)), phi)
-        except CertificateNotFound:
-            return EXIT_FAIL
+        cert, ruled = certify_instability_nosing(chart, u0, range(1, args.kmax + 1), phi)
         confirm = ruled_index_value(chart, ruled, phi, cert.k, cert.quad.doubled())
         lines = cert.to_text().splitlines()
         lines.append(f"Q_value_doubled={_fmt(confirm)}")

@@ -362,14 +362,18 @@ def _euclidean_jacobian(U: FrameField, p: Point) -> tuple[Vec3, Vec3, Vec3]:
     return (ga, gb, row3)
 
 
-def flow(U: FrameField, p: Point, time: float, steps: int = 32) -> Point:
-    """RK4 flow of the field ``U`` (on Euclidean coordinates)."""
+FLOW_STEPS = 8
+
+
+def flow(U: FrameField, p: Point, time: float) -> Point:
+    """RK4 flow of the field ``U`` (on Euclidean coordinates), FLOW_STEPS
+    steps."""
     def vel(q: Point) -> Vec3:
         return frame_to_euclidean(U.at(q))
 
-    h = time / steps
+    h = time / FLOW_STEPS
     cur = p
-    for _ in range(steps):
+    for _ in range(FLOW_STEPS):
         k1 = vel(cur)
         q2 = Point(cur.x + 0.5 * h * k1[0], cur.y + 0.5 * h * k1[1], cur.t + 0.5 * h * k1[2])
         k2 = vel(q2)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
                    euclidean_to_frame, frame_to_euclidean, jop)
+from .errors import NonFiniteValue
 from .numerics import DiffSpec, central_diff
 
 SERIES_CUTOFF = 1e-4
@@ -82,6 +83,8 @@ def exp_geodesic(arc: GeodesicArc, s: float) -> tuple[Point, FrameVector]:
     A, B, _ = frame_to_euclidean(arc.v0)
     lam = arc.lam
     x2ls = 2.0 * lam * s
+    if not math.isfinite(x2ls):  # math.sin would raise on it
+        raise NonFiniteValue(f"2 lambda s = {x2ls!r} at s = {s!r}")
     f, g, h = helpers_fgh(x2ls)
     x = p.x + s * (A * f + B * g)
     y = p.y + s * (-A * g + B * f)

@@ -285,48 +285,46 @@ def _curve_samples(chart: Chart, u: tuple[float, float], offsets: Sequence[float
 
 
 def _tangent_derivatives(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
-                         u: tuple[float, float], orders: Sequence[int], which: str,
-                         spec: DiffSpec) -> list[float]:
+                         u: tuple[float, float], orders: Sequence[int],
+                         which: str) -> list[float]:
     """``tangent_derivative`` for each of ``orders`` from one set of curve
     samples, evaluating the field once per sample; order 0 is the field
     value at ``u``."""
-    steps = [spec.step / 2**i for i in range(spec.richardson_levels + 1)]
+    steps = [Z_DIFF.step / 2**i for i in range(Z_DIFF.richardson_levels + 1)]
     pts = _curve_samples(chart, u, steps + [-h for h in steps], which)
     field = functools.cache(lambda o: fieldfn(pts[o]))
-    return [field(0.0) if order == 0 else central_diff(field, 0.0, spec, order)
+    return [field(0.0) if order == 0 else central_diff(field, 0.0, Z_DIFF, order)
             for order in orders]
 
 
 def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
                        u: tuple[float, float], order: int = 1,
-                       which: str = "Z", spec: DiffSpec = Z_DIFF) -> float:
+                       which: str = "Z") -> float:
     """Arclength derivative of a chart-coordinate scalar along Z or S.
 
-    Central differences with ``spec.richardson_levels`` Richardson levels,
-    sampled on the RK4 integral curve of the unit field (on minimal surfaces
-    the Z-curve is an exact straight line, so the samples sit on the ruling
-    itself).
+    Central differences with the steps of ``Z_DIFF``, sampled on the RK4
+    integral curve of the unit field (on minimal surfaces the Z-curve is an
+    exact straight line, so the samples sit on the ruling itself).
     """
-    return _tangent_derivatives(chart, fieldfn, u, (order,), which, spec)[0]
+    return _tangent_derivatives(chart, fieldfn, u, (order,), which)[0]
 
 
 def z_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
-                 u: tuple[float, float], order: int = 1,
-                 spec: DiffSpec = Z_DIFF) -> float:
+                 u: tuple[float, float], order: int = 1) -> float:
     """First or second derivative along the characteristic field Z."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    return tangent_derivative(chart, fieldfn, u, order, "Z", spec)
+    return tangent_derivative(chart, fieldfn, u, order, "Z")
 
 
 def operator_L(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
-               u: tuple[float, float], spec: DiffSpec = Z_DIFF) -> float:
+               u: tuple[float, float]) -> float:
     """Direct application of the stability operator to a scalar field.
 
     Uses finite-difference Z-derivatives; independent of ``l_nh_closed``.
     """
     fr = surface_frame(chart, u)
-    zv, zzv, v = _tangent_derivatives(chart, fieldfn, u, (1, 2, 0), "Z", spec)
+    zv, zzv, v = _tangent_derivatives(chart, fieldfn, u, (1, 2, 0), "Z")
     nh = fr.Nh_norm
     return (zzv + 2.0 / nh * fr.NT * fr.BZS * zv + fr.q * v) / nh
 
@@ -584,10 +582,13 @@ def _profile_integral(p: Profile, fn: Callable[[float], float],
                       for lo, hi, n in split_cells(p.cuts(), quad.cells[0])])
 
 
+# half-width of the s-window around each singular helix of the pitch-2
+# helicoid; at pitch R it is the dilated window TUBE_MARGIN * 2/R
 TUBE_MARGIN = 0.05
 
 
-def _check_tube(s_prof: Profile, R: float, margin: float) -> None:
+def _check_tube(s_prof: Profile, R: float) -> None:
+    margin = TUBE_MARGIN * 2.0 / R
     for s0 in (1.0 / R, -1.0 / R):
         for j in range(33):
             s = s0 - margin + 2.0 * margin * j / 32
@@ -596,8 +597,7 @@ def _check_tube(s_prof: Profile, R: float, margin: float) -> None:
                     f"test function varies along rulings near s = {s0}")
 
 
-def q_form(R: float, u: TestFunction, quad: QuadratureSpec,
-           margin: float = TUBE_MARGIN) -> float:
+def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
     """The helicoid stability form
 
     Q(u) = int |N_h|^{-1} (Z(u)^2 - q u^2) dA
@@ -605,12 +605,13 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec,
 
     in the (eps, s) ruled coordinates of the pitch-R helicoid; the angular
     coordinate is arclength on both singular helices s = +-1/R.  ``u`` must
-    be separable with the s-factor constant around the singular helices.
+    be separable with the s-factor constant on the windows of half-width
+    TUBE_MARGIN * 2/R around the singular helices.
     """
     if u.sep is None:
         raise TubeConditionViolated("q_form requires a separable test function")
     phi, psi = u.sep
-    _check_tube(psi, R, margin)
+    _check_tube(psi, R)
     if abs(helicoid_closed_forms(R, 1.0 / R).W - 1.0) > 1e-12:
         raise NonFiniteValue("singular helix is not arclength-parameterized")
 
@@ -697,9 +698,12 @@ def h2_certificate_test_function(k: float, delta: float, eps0: float) -> TestFun
     return separable(cos_arch(eps0), PhiKDelta(k, delta).profile())
 
 
-def certify_instability_h2(k_values: Sequence[float] | None = None,
-                           eps0_values: Sequence[float] | None = None,
-                           quad: QuadratureSpec | None = None) -> InstabilityCertificate:
+H2_K_VALUES = [0.51 + 0.01 * j for j in range(250)]
+H2_EPS0_VALUES = [float(2 ** m) for m in range(16)]
+H2_QUAD = QuadratureSpec(16, (64, 1))
+
+
+def certify_instability_h2() -> InstabilityCertificate:
     """Deterministic certificate search for the pitch-2 helicoid.
 
     Scans k with delta = 2k + 1 for a bracket value C(k, delta) < 8, then
@@ -708,28 +712,22 @@ def certify_instability_h2(k_values: Sequence[float] | None = None,
     lexicographically first passing grid point, with Q evaluated by
     quadrature.
     """
-    if k_values is None:
-        k_values = [0.51 + 0.01 * j for j in range(250)]
-    if eps0_values is None:
-        eps0_values = [float(2 ** m) for m in range(16)]
-    if quad is None:
-        quad = QuadratureSpec(16, (64, 1))
-    for k in k_values:
+    for k in H2_K_VALUES:
         if k < 0.5 + TUBE_MARGIN:
             continue  # plateau must cover the singular helices with margin
         delta = 2.0 * k + 1.0
         c = bracket_integral(k, delta)
         if not c < 8.0:
             continue
-        for eps0 in eps0_values:
+        for eps0 in H2_EPS0_VALUES:
             rayleigh = 2.0 * (math.pi / (2.0 * eps0)) ** 2
             if not rayleigh < 8.0 - c:
                 continue
             u = h2_certificate_test_function(k, delta, eps0)
-            q_val = q_form(2.0, u, quad)
+            q_val = q_form(2.0, u, H2_QUAD)
             if q_val < 0.0:
                 return InstabilityCertificate("helicoid R=2", k, eps0, q_val,
-                                              quad, delta=delta, C=c)
+                                              H2_QUAD, delta=delta, C=c)
     raise CertificateNotFound("no (k, eps0) grid point produced Q < 0")
 
 
@@ -825,89 +823,81 @@ def _ruling_sums(live: list[tuple], s_nodes: list[tuple[float, float]]) -> list[
     return (we * pe2 * total).tolist()
 
 
+NOSING_QUAD = QuadratureSpec(16, (8, 8))
+
+
 def certify_instability_nosing(chart: Chart, u0: tuple[float, float],
-                               k_list: Sequence[int], phi: Profile,
-                               quad: QuadratureSpec | None = None
+                               k_list: Sequence[int], phi: Profile
                                ) -> tuple[InstabilityCertificate, RuledChart]:
     """Instability certificate for a complete minimal surface patch with no
     singular points and <N,T> != 0 somewhere (e.g. the catenoid): scan the
     widening test functions phi(eps) phi(s/k) until the reduced index value
     turns negative.
     """
-    if quad is None:
-        quad = QuadratureSpec(16, (8, 8))
     lo, hi = phi.support
     eps_range = max(abs(lo), abs(hi))
     k_max = max(k_list)
     ruled = ruled_coordinates(chart, u0, eps_range,
                               (-k_max * eps_range, k_max * eps_range))
     for k in k_list:
-        val = ruled_index_value(chart, ruled, phi, float(k), quad)
+        val = ruled_index_value(chart, ruled, phi, float(k), NOSING_QUAD)
         if val < 0.0:
             return (InstabilityCertificate(
                 f"{type(chart).__name__} ruled at {u0!r}", float(k), eps_range,
-                val, quad), ruled)
-    raise CertificateNotFound(f"index value stayed nonnegative for k in {list(k_list)!r}")
+                val, NOSING_QUAD), ruled)
+    raise CertificateNotFound(f"index value stayed nonnegative for k = {k_list[0]!r}.."
+                              f"{k_list[-1]!r} ({len(k_list)} values)")
 
 
 # ---------------------------------------------------------------------------
 # Vertical variations near the singular helices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerticalVariation:
-    """A vertical deformation profile w(eps), constant along rulings.
-
-    ``h_curv`` is the Euclidean geodesic curvature of the xy-projection of
-    the singular curve; for the pitch-R helicoid it is the constant -R.
-    """
-
-    w: Profile
-    r_stencil: float = 1e-3
-    h_curv: Optional[float] = None
+# half-width of the s-window of the deformed tube, and the r-step of its
+# area differences
+TUBE_S0 = 0.3
+R_STENCIL = 1e-3
 
 
-def vertical_variation_area(R: float, vv: VerticalVariation, r: float,
-                            quad: QuadratureSpec, s0: float = 0.25) -> float:
-    """Area of the vertically deformed tube around one singular helix:
+def vertical_variation_area(R: float, w: Profile, r: float,
+                            quad: QuadratureSpec) -> float:
+    """Area of the tube around one singular helix of the pitch-R helicoid,
+    deformed vertically by r w(eps) (constant along rulings):
 
-        A(r) = int int | s(-2 + s h) + r wdot(eps) | ds deps,
+        A(r) = int int | s(-2 - R s) + r wdot(eps) | ds deps,
 
-    over supp(w) x [-s0, s0].  The kink in |.| is split at the exact root
+    over supp(w) x [-TUBE_S0, TUBE_S0]; -R is the curvature of the
+    xy-projection of the helix.  The kink in |.| is split at the exact root
     of the quadratic, so each s-piece integrates exactly; TubeTooSmall is
     raised when the kink leaves the window.
     """
-    h = vv.h_curv if vv.h_curv is not None else -R
+    h, s0 = -R, TUBE_S0
 
     def prim(s: float, rw: float) -> float:
         return h * s ** 3 / 3.0 - s * s + rw * s
 
     def inner(e: float) -> float:
-        rw = r * vv.w.deriv(e)
-        if h == 0.0:
-            s_star = 0.5 * rw
-        else:
-            disc = 1.0 - h * rw
-            if disc <= 0.0:
-                raise TubeTooSmall("deformation too large for the tube")
-            s_star = (1.0 - math.sqrt(disc)) / h
-            far = (1.0 + math.sqrt(disc)) / h
-            if abs(far) <= s0:
-                raise TubeTooSmall("second kink entered the window")
+        rw = r * w.deriv(e)
+        disc = 1.0 - h * rw
+        if disc <= 0.0:
+            raise TubeTooSmall("deformation too large for the tube")
+        s_star = (1.0 - math.sqrt(disc)) / h
+        far = (1.0 + math.sqrt(disc)) / h
+        if abs(far) <= s0:
+            raise TubeTooSmall("second kink entered the window")
         if abs(s_star) >= s0:
             raise TubeTooSmall("kink left the window")
         return abs(prim(s_star, rw) - prim(-s0, rw)) + abs(prim(s0, rw) - prim(s_star, rw))
 
-    return _profile_integral(vv.w, inner, quad)
+    return _profile_integral(w, inner, quad)
 
 
-def vertical_variation_second_difference(R: float, vv: VerticalVariation,
-                                         quad: QuadratureSpec, s0: float = 0.25
+def vertical_variation_second_difference(R: float, w: Profile, quad: QuadratureSpec
                                          ) -> tuple[float, float]:
     """(second, first) central r-differences of A at r = 0, step
-    ``vv.r_stencil``, from one set of three samples."""
-    area = functools.cache(lambda r: vertical_variation_area(R, vv, r, quad, s0))
-    spec = DiffSpec(vv.r_stencil, 0)
+    ``R_STENCIL``, from one set of three samples."""
+    area = functools.cache(lambda r: vertical_variation_area(R, w, r, quad))
+    spec = DiffSpec(R_STENCIL, 0)
     return central_diff(area, 0.0, spec, 2), central_diff(area, 0.0, spec, 1)
 
 
@@ -916,7 +906,7 @@ def vertical_variation_second_difference(R: float, vv: VerticalVariation,
 # ---------------------------------------------------------------------------
 
 def boundary_flux(R: float, v: TestFunction, sigma: float,
-                  quad: QuadratureSpec | None = None) -> float:
+                  quad: QuadratureSpec) -> float:
     """Flux of the second-variation divergence terms through the boundary of
     the tube of radius sigma around the singular helices.
 
@@ -927,8 +917,6 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     """
     if not (0.0 < sigma < 1.0 / (2.0 * R)):
         raise ValueError("sigma must lie in (0, 1/(2R))")
-    if quad is None:
-        quad = QuadratureSpec(16, (32, 1))
     phi_sq_cache: dict[float, float] = {}
 
     def eps_integral(level: float) -> float:
@@ -948,10 +936,10 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     return kahan_sum(total)
 
 
-def boundary_flux_extrapolated(R: float, v: TestFunction,
-                               sigmas: Sequence[float] = (1e-2, 1e-3, 1e-4),
-                               quad: QuadratureSpec | None = None) -> float:
-    """Richardson extrapolation of the flux over a decreasing sigma ladder
-    (ratio-10 first-order rule on the two smallest values)."""
-    vals = [boundary_flux(R, v, s, quad) for s in sigmas]
-    return richardson(vals[-2:], factor=10.0)
+FLUX_SIGMAS = (1e-3, 1e-4)
+
+
+def boundary_flux_extrapolated(R: float, v: TestFunction, quad: QuadratureSpec) -> float:
+    """Richardson extrapolation of the flux from the tube radii
+    ``FLUX_SIGMAS`` (first-order rule, ratio 10)."""
+    return richardson([boundary_flux(R, v, s, quad) for s in FLUX_SIGMAS], factor=10.0)

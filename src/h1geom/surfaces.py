@@ -444,9 +444,12 @@ class SingularLocus:
     points: list[tuple[float, float]]
 
 
-def singular_locus(chart: Chart, grid: tuple[int, int],
-                   tol: float = 1e-6) -> SingularLocus:
-    """Grid cells meeting {|N_h| < tol} plus refined crossings on grid lines.
+LOCUS_TOL = 1e-6
+
+
+def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
+    """Grid cells meeting {|N_h| < LOCUS_TOL} plus refined crossings on grid
+    lines.
 
     The horizontal normal flips direction across a singular curve, so the
     crossing on an edge is located by bisecting the sign of
@@ -468,7 +471,7 @@ def singular_locus(chart: Chart, grid: tuple[int, int],
     for i in range(n1):
         for j in range(n2):
             corners = (vals[i][j], vals[i + 1][j], vals[i][j + 1], vals[i + 1][j + 1])
-            if min(c[2] for c in corners) < tol:
+            if min(c[2] for c in corners) < LOCUS_TOL:
                 cells.append((i, j))
 
     def refine(pa: tuple[float, float], pb: tuple[float, float],
@@ -494,7 +497,7 @@ def singular_locus(chart: Chart, grid: tuple[int, int],
     for i in range(n1 + 1):
         for j in range(n2 + 1):
             va = vals[i][j]
-            if va[2] < tol:
+            if va[2] < LOCUS_TOL:
                 points.append((xs[i], ys[j]))
                 continue
             for di, dj in ((1, 0), (0, 1)):
@@ -576,11 +579,11 @@ class HelicoidChart(Chart):
     |s| < 1/R and T-component -Rs/W; the singular helices sit at s = +-1/R.
     """
 
-    def __init__(self, R: float, domain: Rect | None = None):
+    def __init__(self, R: float):
         if R <= 0:
             raise ValueError("R must be positive")
         self.R = R
-        self.domain = domain if domain is not None else ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
+        self.domain = ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
 
     def ruling_profile(self, s: float) -> float:
         """f(s) = 1/R - R s^2: vertical speed of the generating curve."""
@@ -606,11 +609,11 @@ class CatenoidChart(Chart):
     waist circle, with no square-root branch anywhere.
     """
 
-    def __init__(self, lam: float, domain: Rect = ((0.0, 2.0 * math.pi), (-1.5, 1.5))):
+    def __init__(self, lam: float):
         if lam == 0:
             raise ValueError("lam must be nonzero")
         self.lam = lam
-        self.domain = domain
+        self.domain = ((0.0, 2.0 * math.pi), (-1.5, 1.5))
 
     def locate(self, p: Point) -> tuple[float, float]:
         """Chart coordinates of an ambient point on the surface."""
@@ -699,14 +702,15 @@ class RuledChart(Chart):
     """
 
     EPS_FD_STEP = 1e-4
+    GRID_STEP = 0.005  # largest step of the cached Gamma grid
 
     def __init__(self, base: Chart, u0: tuple[float, float], eps_range: float,
-                 s_range: tuple[float, float], grid_step: float = 0.005):
+                 s_range: tuple[float, float]):
         self.base = base
         self.u0 = u0
         self.eps_range = eps_range
         self.domain = ((-eps_range, eps_range), s_range)
-        n = max(4, math.ceil(eps_range / grid_step))
+        n = max(4, math.ceil(eps_range / self.GRID_STEP))
         self._h0 = eps_range / n
         self._n = n
         fwd = integrate_tangent_field(base, u0, eps_range, n, "S")

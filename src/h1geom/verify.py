@@ -28,8 +28,7 @@ from .geodesics import (GeodesicArc, commutation_residual,
                         jacobi_field, jacobi_residual, straight_line_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
                        integrate_cells)
-from .stability import (InstabilityCertificate, Profile, VerticalVariation,
-                        batch_values, boundary_flux_extrapolated,
+from .stability import (Profile, batch_values, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
                         cosine_bump, first_variation_direct,
@@ -65,10 +64,6 @@ class CheckResult:
 
 def _nmax(*vals: float) -> float:
     return max(abs(v) for v in vals)
-
-
-def _vnorm(v: FrameVector) -> float:
-    return v.norm()
 
 
 _GRID = {
@@ -206,7 +201,7 @@ def check_bracket_flows() -> CheckResult:
              (Y_FIELD, T_FIELD, (0.0, 0.0, 0.0)))
     worst = 0.0
     for U, V, want in pairs:
-        q = flow(V, flow(U, flow(V, flow(U, p, h, 8), h, 8), -h, 8), -h, 8)
+        q = flow(V, flow(U, flow(V, flow(U, p, h), h), -h), -h)
         got = ((q.x - p.x) / (h * h), (q.y - p.y) / (h * h), (q.t - p.t) / (h * h))
         worst = max(worst, _nmax(*(g - w for g, w in zip(got, want))))
     return CheckResult("bracket_flows", "[X,Y]=-2T, [X,T]=[Y,T]=0 (flows)", worst, 1e-6)
@@ -504,13 +499,13 @@ def check_frame_relations() -> CheckResult:
                        "|N_h|^2+<N,T>^2=1; projections of nu_h, T", worst, 1e-10)
 
 
-def _field_along_ray(chart: Chart, u0, getter, which: str = "Z"):
-    """Sampled frame field tau -> getter(surface_frame) along the Z/S curve."""
+def _field_along_ray(chart: Chart, u0, getter):
+    """Sampled frame field tau -> getter(surface_frame) along the Z curve."""
     cache: dict[float, object] = {}
 
     def at(tau: float):
         if tau not in cache:
-            u = integrate_tangent_field(chart, u0, tau, 4, which)[-1] if tau != 0.0 else u0
+            u = integrate_tangent_field(chart, u0, tau, 4, "Z")[-1] if tau != 0.0 else u0
             cache[tau] = surface_frame(chart, u)
         return getter(cache[tau])
 
@@ -678,13 +673,13 @@ def check_ruled_charts() -> tuple[CheckResult, CheckResult, CheckResult]:
 def check_singular_locus() -> CheckResult:
     worst = 0.0
     hel = HelicoidChart(2.0)
-    loc = singular_locus(hel, (10, 6), 1e-6)
+    loc = singular_locus(hel, (10, 6))
     if not loc.points:
         return CheckResult("singular_locus", "no crossings found", math.inf, 1e-8)
     worst = max(worst, max(abs(abs(pt[0]) - 0.5) for pt in loc.points))
-    cat = singular_locus(CatenoidChart(1.0), (8, 8), 1e-6)
+    cat = singular_locus(CatenoidChart(1.0), (8, 8))
     worst = max(worst, float(bool(cat.cells or cat.points)))
-    par = singular_locus(paraboloid_chart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9), 1e-6)
+    par = singular_locus(paraboloid_chart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9))
     if not par.points:
         return CheckResult("singular_locus", "paraboloid crossings missing", math.inf, 1e-8)
     worst = max(worst, max(abs(pt[0]) for pt in par.points))
@@ -715,19 +710,20 @@ def check_area_scaling() -> tuple[CheckResult, CheckResult]:
 # stability suite
 # ---------------------------------------------------------------------------
 
-def _regular_sample_points(n_each: int = 50) -> list[tuple[Chart, tuple[float, float]]]:
+def _regular_sample_points() -> list[tuple[Chart, tuple[float, float]]]:
+    """50 regular points each on the catenoid and the pitch-2 helicoid."""
     cat = CatenoidChart(1.0)
     hel = HelicoidChart(2.0)
-    pts = [(cat, u) for u in _random_regular_points(cat, n_each, 101,
+    pts = [(cat, u) for u in _random_regular_points(cat, 50, 101,
                                                     ((0.0, 2 * math.pi), (-1.4, 1.4)))]
-    pts += [(hel, u) for u in _random_regular_points(hel, n_each, 103,
+    pts += [(hel, u) for u in _random_regular_points(hel, 50, 103,
                                                      ((-1.3, 1.3), (-1.5, 1.5)), min_nh=0.2)]
     return pts
 
 
 def check_lnh_closed_vs_direct() -> CheckResult:
     worst = 0.0
-    for chart, u in _regular_sample_points(50):
+    for chart, u in _regular_sample_points():
         lc = l_nh_closed(chart, u)
         ld = operator_L(chart, lambda uu: surface_frame(chart, uu).Nh_norm, u)
         worst = max(worst, abs(ld - lc) / max(1.0, abs(lc)))
@@ -788,7 +784,7 @@ def check_indexform3() -> CheckResult:
 
 def check_discriminant() -> CheckResult:
     worst = 0.0
-    for chart, u in _regular_sample_points(50):
+    for chart, u in _regular_sample_points():
         _, _, _, disc = jacobi_vertical_quadratic(chart, u)
         fr = surface_frame(chart, u)
         worst = max(worst, abs(disc + fr.Nh_norm ** 2 * l_nh_closed(chart, u)))
@@ -865,33 +861,31 @@ def check_second_variation() -> tuple[CheckResult, CheckResult]:
                         abs(a1) / a0, 1e-6))
 
 
-def check_h2_certificate() -> tuple[CheckResult, InstabilityCertificate]:
+def check_h2_certificate() -> CheckResult:
     cert = certify_instability_h2()
     u = h2_certificate_test_function(cert.k, cert.delta, cert.eps0)
     q2 = q_form(2.0, u, cert.quad.doubled())
     ok = cert.Q_value < 0.0 and q2 < 0.0 and cert.C < 8.0
-    return (CheckResult("h2_instability_certificate",
-                        "Q(u) < 0, stable under resolution doubling",
-                        0.0 if ok else 1.0, 0.5), cert)
+    return CheckResult("h2_instability_certificate",
+                       "Q(u) < 0, stable under resolution doubling", 0.0 if ok else 1.0, 0.5)
 
 
-def check_catenoid_certificate() -> tuple[CheckResult, InstabilityCertificate]:
+def check_catenoid_certificate() -> CheckResult:
     cat = CatenoidChart(1.0)
     phi = cosine_bump(0.0, 1.0)
     cert, ruled = certify_instability_nosing(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)),
                                              list(range(1, 65)), phi)
     val2 = ruled_index_value(cat, ruled, phi, cert.k, cert.quad.doubled())
     ok = cert.Q_value < 0.0 and val2 < 0.0
-    return (CheckResult("catenoid_instability_certificate",
-                        "reduced index < 0, stable under doubling",
-                        0.0 if ok else 1.0, 0.5), cert)
+    return CheckResult("catenoid_instability_certificate",
+                       "reduced index < 0, stable under doubling", 0.0 if ok else 1.0, 0.5)
 
 
 def check_vertical_variation() -> tuple[CheckResult, CheckResult]:
     quad = QuadratureSpec(16, (16, 1))
-    vv = VerticalVariation(cosine_bump(0.0, 1.0))
-    d2, d1 = vertical_variation_second_difference(2.0, vv, quad, s0=0.3)
-    exact = gauss_legendre_1d(lambda e: vv.w.deriv(e) ** 2, -1.0, 1.0, quad)
+    w = cosine_bump(0.0, 1.0)
+    d2, d1 = vertical_variation_second_difference(2.0, w, quad)
+    exact = gauss_legendre_1d(lambda e: w.deriv(e) ** 2, -1.0, 1.0, quad)
     return (CheckResult("vertical_variation_second", "d^2A/dr^2 = int wdot^2",
                         abs(d2 - exact) / exact, 1e-3),
             CheckResult("vertical_variation_first", "dA/dr = 0 at r = 0", abs(d1), 1e-6))
@@ -901,7 +895,7 @@ def check_boundary_flux() -> tuple[CheckResult, CheckResult]:
     phi = cosine_bump(0.0, 1.0)
     v = separable(phi, Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
     quad = QuadratureSpec(16, (32, 1))
-    extrap = boundary_flux_extrapolated(2.0, v, quad=quad)
+    extrap = boundary_flux_extrapolated(2.0, v, quad)
     target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
     rel = abs(extrap - target) / target
 
@@ -980,8 +974,8 @@ def run_stability() -> list[CheckResult]:
             check_jacobi_coefficients(), check_qform_regular()]
     out.extend(check_bracket())
     out.extend(check_second_variation())
-    out.append(check_h2_certificate()[0])
-    out.append(check_catenoid_certificate()[0])
+    out.append(check_h2_certificate())
+    out.append(check_catenoid_certificate())
     out.extend(check_vertical_variation())
     out.extend(check_boundary_flux())
     out.append(check_singular_curve_geometry())

@@ -6,7 +6,7 @@ import time
 
 from h1geom.core import Point
 from h1geom.numerics import QuadratureSpec, gauss_legendre_1d
-from h1geom.stability import (VerticalVariation, boundary_flux_extrapolated,
+from h1geom.stability import (boundary_flux_extrapolated,
                               bracket_integral, bracket_integral_quadrature,
                               certify_instability_h2, certify_instability_nosing,
                               cosine_bump, first_variation_direct,
@@ -155,9 +155,9 @@ def test_criterion_10_catenoid_certificate():
 
 def test_criterion_11_vertical_variation():
     quad = QuadratureSpec(16, (16, 1))
-    vv = VerticalVariation(cosine_bump(0.0, 1.0))
-    d2, d1 = vertical_variation_second_difference(2.0, vv, quad, s0=0.3)
-    exact = gauss_legendre_1d(lambda e: vv.w.deriv(e) ** 2, -1.0, 1.0, quad)
+    w = cosine_bump(0.0, 1.0)
+    d2, d1 = vertical_variation_second_difference(2.0, w, quad)
+    exact = gauss_legendre_1d(lambda e: w.deriv(e) ** 2, -1.0, 1.0, quad)
     rel = abs(d2 - exact) / exact
     ok = rel <= 1e-3 and abs(d1) <= 1e-6
     report(11, "vertical tube: d2A/dr2 = int wdot^2; dA/dr = 0", rel, 1e-3, ok)
@@ -170,6 +170,6 @@ def test_criterion_12_boundary_flux():
     v = separable(phi, ones)
     quad = QuadratureSpec(16, (32, 1))
     target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
-    extrap = boundary_flux_extrapolated(2.0, v, quad=quad)
+    extrap = boundary_flux_extrapolated(2.0, v, quad)
     rel = abs(extrap - target) / target
     report(12, "divergence-term flux -> 4 int v^2 dl", rel, 1e-2, rel <= 1e-2)

@@ -1,0 +1,35 @@
+"""The benchmark tracer wraps library functions by name; a rename in the
+library must fail here, not only in the slow bench self-test."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from h1geom import verify
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracer as mod
+    finally:
+        sys.path.remove(str(BENCH))
+    return mod
+
+
+def test_tracer_installs_and_uninstalls(tracer):
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()  # restores the originals even when install fails
+
+
+def test_tracer_checks_name_verify_checks(tracer):
+    missing = [name for name in tracer.CHECKS
+               if not (name.startswith("check_") and callable(getattr(verify, name, None)))]
+    assert not missing

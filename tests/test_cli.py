@@ -186,6 +186,27 @@ def test_certify_catenoid_empty_k_range(tmp_path, capsys):
                          "--out", str(tmp_path / "c.txt")], capsys)
 
 
+def test_certify_catenoid_not_found(tmp_path, capsys):
+    # no k in 1..4 makes the index value negative at lam = 100
+    out = tmp_path / "c.txt"
+    assert run(["certify", "catenoid", "--lam", "100", "--kmax", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "k = 1..4 (4 values)" in err
+    assert not out.exists()
+
+
+def test_export_bad_inputs_rejected_up_front(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    cases = [["geodesic", "--num", "-1"], ["geodesic", "--smax", "inf"],
+             ["geodesic", "--x0", "inf"], ["geodesic", "--smin", "nan"],
+             ["surface-grid", "--surface", "helicoid", "--R", "inf"],
+             ["surface-grid", "--surface", "plane", "--a", "nan"]]
+    for case in cases:
+        _assert_usage_error(["export", *case, "--out", str(out)], capsys)
+        assert not out.exists(), case
+
+
 def test_certify_helicoid_nonfinite_pitch(tmp_path, capsys):
     for r in ("inf", "nan"):
         _assert_usage_error(["certify", "helicoid", "--R", r,
@@ -293,3 +314,17 @@ def test_certify_catenoid_fuzz(tmp_path_factory, lam, kmax):
 @example(math.inf)
 def test_verify_tolerance_fuzz(tol):
     _exits_cleanly(["verify", "--suite", "core", "--tol", f"group_associativity={tol!r}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(), min_size=8, max_size=8), st.integers(min_value=-3, max_value=20))
+@example([0.0] * 7 + [math.inf], 4)
+@example([math.nan] + [0.0] * 7, 4)
+@example([1e300, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1e300], 2)
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 1e300, -1e300, 1e300], 3)
+@example([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], -1)
+def test_export_geodesic_fuzz(tmp_path_factory, vals, num):
+    out = tmp_path_factory.mktemp("fuzz") / "g.csv"
+    names = ("x0", "y0", "t0", "va", "vb", "vc", "smin", "smax")
+    _exits_cleanly(["export", "geodesic", *(f"--{n}={v!r}" for n, v in zip(names, vals)),
+                    f"--num={num}", "--out", str(out)])

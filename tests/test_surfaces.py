@@ -163,15 +163,15 @@ def test_ray_stops_at_singular():
 
 def test_singular_locus():
     hel = HelicoidChart(2.0)
-    loc = singular_locus(hel, (10, 6), 1e-6)
+    loc = singular_locus(hel, (10, 6))
     assert loc.points
     assert max(abs(abs(p[0]) - 0.5) for p in loc.points) <= 1e-8
     assert loc.cells == sorted(loc.cells)
 
-    cat = singular_locus(CatenoidChart(1.0), (8, 8), 1e-6)
+    cat = singular_locus(CatenoidChart(1.0), (8, 8))
     assert cat.cells == [] and cat.points == []
 
-    par = singular_locus(paraboloid_chart(), (9, 9), 1e-6)
+    par = singular_locus(paraboloid_chart(), (9, 9))
     assert par.points
     assert max(abs(p[0]) for p in par.points) <= 1e-8
 

@@ -6,10 +6,15 @@ import pytest
 from h1geom.verify import SUITES, run_suites
 
 
+@pytest.fixture(scope="session")
+def suite_results():
+    """Each suite run once per test session, by name."""
+    return {name: run_suites([name]) for name in SUITES}
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
-def test_suite_green(suite):
-    results = run_suites([suite])
-    failures = [r.line() for r in results if not r.passed]
+def test_suite_green(suite, suite_results):
+    failures = [r.line() for r in suite_results[suite] if not r.passed]
     assert not failures, "\n".join(failures)
 
 
@@ -20,6 +25,6 @@ def test_override_applied():
     assert not failed.passed
 
 
-def test_check_names_unique():
-    names = [r.name for r in run_suites(SUITES.keys())]
+def test_check_names_unique(suite_results):
+    names = [r.name for results in suite_results.values() for r in results]
     assert len(names) == len(set(names))
