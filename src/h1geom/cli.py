@@ -13,13 +13,15 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .core import FrameVector, Point
 from .errors import ConfigError, GeometryError, NonFiniteValue
-from .geodesics import GeodesicArc, exp_geodesic
+from .geodesics import GeodesicArc, exp_geodesics
 from .stability import (certify_instability_h2, certify_instability_nosing,
                         cosine_bump, h2_certificate_test_function, q_form,
                         ruled_index_value, scaled_helicoid_certificate)
-from .surfaces import CatenoidChart, catalog_surface, surface_frame
+from .surfaces import CatenoidChart, catalog_surface, surface_frames
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -58,12 +60,14 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _write_lines(path: str | None, lines: Sequence[str]) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write each entry of ``lines`` and a newline; an entry may hold several
+    newline-separated rows."""
+    text = (f"{line}\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +119,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # catalog_surface parameters taken from the command line, per surface
 _SURFACE_PARAMS = {"plane": ("a", "b", "c"), "helicoid": ("R",), "catenoid": ("lam",)}
 
+EXPORT_BATCH = 1024  # CSV rows evaluated and formatted per block
+
+
+def _csv_blocks(total: int, columns) -> list[str]:
+    """The CSV body of rows 0..total-1, one string per block of
+    EXPORT_BATCH rows; ``columns(k)`` returns the 1-D value arrays of the
+    rows with indices ``k``.  Every value is printed with 17 significant
+    digits, as ``format(v, ".17g")`` would."""
+    blocks = []
+    for lo in range(0, total, EXPORT_BATCH):
+        cols = columns(np.arange(lo, min(lo + EXPORT_BATCH, total)))
+        row = ",".join(["%.17g"] * len(cols))
+        blocks.append("\n".join([row % r for r in zip(*(c.tolist() for c in cols))]))
+    return blocks
+
+
+def _grid(lo: float, hi: float, n: int, i: np.ndarray) -> np.ndarray:
+    """lo + (hi - lo) * i / n: the values with indices ``i`` of the n + 1
+    equally spaced values from lo to hi.  Overflow gives non-finite values,
+    which the evaluation rejects."""
+    with np.errstate(all="ignore"):
+        return lo + (hi - lo) * i / n
+
 
 def cmd_export_geodesic(args: argparse.Namespace) -> int:
     p0 = Point(args.x0, args.y0, args.t0)
-    v0 = FrameVector(args.va, args.vb, args.vc, p0)
-    arc = GeodesicArc(p0, v0)
-    rows = ["s,x,y,t,lambda,speed"]
+    arc = GeodesicArc(p0, FrameVector(args.va, args.vb, args.vc, p0))
     n = args.num
-    for i in range(n + 1):
-        s = args.smin + (args.smax - args.smin) * i / n if n > 0 else args.smin
-        q, vel = exp_geodesic(arc, s)
-        rows.append(",".join(_fmt(v) for v in (s, q.x, q.y, q.t, vel.c, vel.norm())))
-    _write_lines(args.out, rows)
+
+    def columns(k):
+        s = _grid(args.smin, args.smax, n, k) if n > 0 else np.full(k.shape, args.smin)
+        (x, y, t), (a, b, c) = exp_geodesics(arc, s)
+        with np.errstate(over="ignore"):  # the speed may be inf, as FrameVector.norm
+            speed = np.sqrt(a * a + b * b + c * c)
+        return s, x, y, t, c, speed
+
+    _write_lines(args.out, ["s,x,y,t,lambda,speed", *_csv_blocks(n + 1, columns)])
     return EXIT_OK
 
 
@@ -141,26 +170,21 @@ def cmd_export_surface(args: argparse.Namespace) -> int:
     u1max = args.u1max if args.u1max is not None else d1[1]
     u2min = args.u2min if args.u2min is not None else d2[0]
     u2max = args.u2max if args.u2max is not None else d2[1]
-    rows = ["u1,u2,x,y,t,Nh,NT,BZS,H,q,area_density"]
+    header = "u1,u2,x,y,t,Nh,NT,BZS,H,q,area_density"
     n1, n2 = args.n1, args.n2
-    if n1 < 1 or n2 < 1:  # empty grid: header-only file
-        _write_lines(args.out, rows)
+    if n1 == 0 or n2 == 0:  # empty grid: header-only file
+        _write_lines(args.out, [header])
         return EXIT_OK
-    for i in range(n1 + 1):
-        u1 = u1min + (u1max - u1min) * i / n1
-        for j in range(n2 + 1):
-            u2 = u2min + (u2max - u2min) * j / n2
-            fr = surface_frame(chart, (u1, u2), singular_ok=True)
-            dens = fr.Nh_norm * fr.riem_area
-            if fr.regular:
-                vals = (u1, u2, fr.N.base.x, fr.N.base.y, fr.N.base.t,
-                        fr.Nh_norm, fr.NT, fr.BZS, fr.H, fr.q, dens)
-            else:
-                nan = float("nan")
-                vals = (u1, u2, fr.N.base.x, fr.N.base.y, fr.N.base.t,
-                        fr.Nh_norm, fr.NT, nan, nan, nan, dens)
-            rows.append(",".join(_fmt(v) for v in vals))
-    _write_lines(args.out, rows)
+
+    def columns(k):  # row-major: u2 varies fastest
+        U1 = _grid(u1min, u1max, n1, k // (n2 + 1))
+        U2 = _grid(u2min, u2max, n2, k % (n2 + 1))
+        fr = surface_frames(chart, U1, U2, singular_ok=True)
+        x, y, t = fr.points
+        return (U1, U2, x, y, t, fr.Nh_norm, fr.NT, fr.BZS, fr.H, fr.q,
+                fr.Nh_norm * fr.riem_area)
+
+    _write_lines(args.out, [header, *_csv_blocks((n1 + 1) * (n2 + 1), columns)])
     return EXIT_OK
 
 
@@ -172,6 +196,9 @@ def cmd_export(args: argparse.Namespace) -> int:
         if args.num < 0:
             raise ConfigError(f"--num must be >= 0, got {args.num}")
         return cmd_export_geodesic(args)
+    for name in ("n1", "n2"):
+        if getattr(args, name) < 0:
+            raise ConfigError(f"--{name} must be >= 0, got {getattr(args, name)}")
     return cmd_export_surface(args)
 
 

@@ -31,6 +31,8 @@ from .numerics import DiffSpec, central_diff
 
 SERIES_CUTOFF = 1e-4
 
+Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def helpers_fgh(x):
     """(sin x / x, (1 - cos x)/x, (x - sin x)/x^2), series-stabilized near 0.
@@ -77,25 +79,55 @@ class GeodesicArc:
         return self.v0.c
 
 
-def exp_geodesic(arc: GeodesicArc, s: float) -> tuple[Point, FrameVector]:
-    """Point and velocity of the geodesic at arc-parameter ``s``."""
-    p = arc.p0
-    A, B, _ = frame_to_euclidean(arc.v0)
-    lam = arc.lam
+def _flow(p, A, B, lam, s, m):
+    """Point and frame-coefficient velocity of the closed flow at ``s``.
+
+    ``p`` is the Euclidean start, (A, B) the horizontal and ``lam`` the
+    conserved T-component of the initial velocity.  Plain arithmetic with
+    ``m`` the ``math`` module for one parameter or ``numpy`` for an array of
+    parameters ``s``.
+    """
+    x0, y0, t0 = p
     x2ls = 2.0 * lam * s
-    if not math.isfinite(x2ls):  # math.sin would raise on it
-        raise NonFiniteValue(f"2 lambda s = {x2ls!r} at s = {s!r}")
     f, g, h = helpers_fgh(x2ls)
-    x = p.x + s * (A * f + B * g)
-    y = p.y + s * (-A * g + B * f)
-    t = (p.t + lam * s + (A * A + B * B) * s * s * h
-         + (A * p.x + B * p.y) * s * g + (A * p.y - B * p.x) * s * f)
-    q = Point(x, y, t)
-    co, si = math.cos(x2ls), math.sin(x2ls)
+    x = x0 + s * (A * f + B * g)
+    y = y0 + s * (-A * g + B * f)
+    t = (t0 + lam * s + (A * A + B * B) * s * s * h
+         + (A * x0 + B * y0) * s * g + (A * y0 - B * x0) * s * f)
+    co, si = m.cos(x2ls), m.sin(x2ls)
     vx = A * co + B * si
     vy = -A * si + B * co
-    vt = lam + (A * A + B * B) * s * g + (A * p.x + B * p.y) * si + (A * p.y - B * p.x) * co
-    return q, euclidean_to_frame(q, (vx, vy, vt))
+    vt = lam + (A * A + B * B) * s * g + (A * x0 + B * y0) * si + (A * y0 - B * x0) * co
+    return (x, y, t), (vx, vy, vt - y * vx + x * vy)
+
+
+def exp_geodesic(arc: GeodesicArc, s: float) -> tuple[Point, FrameVector]:
+    """Point and velocity of the geodesic at arc-parameter ``s``."""
+    A, B, _ = frame_to_euclidean(arc.v0)
+    x2ls = 2.0 * arc.lam * s
+    if not math.isfinite(x2ls):  # math.sin would raise on it
+        raise NonFiniteValue(f"2 lambda s = {x2ls!r} at s = {s!r}")
+    q, v = _flow(arc.p0.coords(), A, B, arc.lam, s, math)
+    q = Point(*q)
+    return q, FrameVector(*v, q)
+
+
+def exp_geodesics(arc: GeodesicArc, S) -> tuple[Arr3, Arr3]:
+    """``exp_geodesic`` at the arc-parameters ``S``, as arrays: the points
+    and the frame coefficients of the velocities.
+
+    Raises ``NonFiniteValue`` at the first parameter where the flow is not
+    finite; overflow raises no numpy warning.
+    """
+    S = np.asarray(S, dtype=float)
+    A, B, _ = frame_to_euclidean(arc.v0)
+    with np.errstate(all="ignore"):
+        q, v = _flow(arc.p0.coords(), A, B, arc.lam, S, np)
+    ok = np.logical_and.reduce([np.isfinite(c) for c in (*q, *v)])
+    if not ok.all():
+        s = float(S.ravel()[np.flatnonzero(~ok.ravel())[0]])
+        raise NonFiniteValue(f"geodesic is not finite at s = {s!r}")
+    return q, v
 
 
 def exp_point(p: Point, v: FrameVector, s: float = 1.0) -> Point:

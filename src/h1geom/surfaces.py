@@ -298,18 +298,30 @@ def surface_frame(chart: Chart, u: tuple[float, float],
                         FrameVector(*s, p), *rest)
 
 
-def _first_bad(mask: np.ndarray, U1: np.ndarray, U2: np.ndarray) -> tuple[int, tuple]:
-    i = int(np.flatnonzero(mask)[0])
-    return i, (float(U1.ravel()[i]), float(U2.ravel()[i]))
+def _raise_first(U1: np.ndarray, U2: np.ndarray, checks) -> None:
+    """Raise at the first point, in row-major order, that fails any check.
+
+    ``checks`` are (mask, error) pairs in the order the scalar view runs
+    them at one point; ``error(i, u)`` builds the exception for flat index
+    ``i`` at chart point ``u``.
+    """
+    bad = np.logical_or.reduce([mask.ravel() for mask, _ in checks])
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad)[0])
+    u = (float(U1.ravel()[i]), float(U2.ravel()[i]))
+    raise next(error(i, u) for mask, error in checks if mask.ravel()[i])
 
 
 def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFrames:
     """``surface_frame`` at the points (U1[i], U2[i]), as arrays.
 
     The same frame math on arrays; errors are those of the scalar view at
-    the first offending point in order: ``NonFiniteValue`` for a non-finite
-    sample or a non-immersion, ``SingularPoint`` for |N_h| <= SINGULAR_TOL
-    unless ``singular_ok`` is set (the characteristic entries are then NaN).
+    the first offending point in row-major order: ``NonFiniteValue`` for a
+    non-finite sample or a non-immersion, ``SingularPoint`` for |N_h| <=
+    SINGULAR_TOL unless ``singular_ok`` is set (the characteristic entries
+    are then NaN).  Overflow and invalid operations are left to these checks
+    and raise no numpy warning.
     """
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
@@ -317,26 +329,28 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
         raise ValueError("parameter arrays must have one shape")
     bad = ~(np.isfinite(U1) & np.isfinite(U2))
     if bad.any():
-        raise NonFiniteValue(f"non-finite chart point {_first_bad(bad, U1, U2)[1]!r}")
-    jet = chart.jets(U1, U2)
-    x, y, t = jet.p
-    bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t))
-    if bad.any():
-        raise NonFiniteValue(f"non-finite point at {_first_bad(bad, U1, U2)[1]!r}")
-    c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
-    w = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-    bad = ~((w > 0.0) & np.isfinite(w))
-    if bad.any():
-        raise NonFiniteValue(f"chart is not an immersion at {_first_bad(bad, U1, U2)[1]!r}")
-    k = 1.0 / w
-    n = (k * cr[0], k * cr[1], k * cr[2])
-    nh = np.hypot(n[0], n[1])
-    singular = nh <= SINGULAR_TOL
-    if singular.any() and not singular_ok:
-        i, u = _first_bad(singular, U1, U2)
-        raise SingularPoint(f"|N_h| = {nh.ravel()[i]:.3e} at {u!r}")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+        i = int(np.flatnonzero(bad)[0])
+        if i:  # a point before the first non-finite sample may fail first
+            surface_frames(chart, U1.ravel()[:i], U2.ravel()[:i], singular_ok)
+        u = (float(U1.ravel()[i]), float(U2.ravel()[i]))
+        raise NonFiniteValue(f"non-finite chart point {u!r}")
+    with np.errstate(all="ignore"):
+        jet = chart.jets(U1, U2)
+        x, y, t = jet.p
+        c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
+        w = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
+        k = 1.0 / w
+        n = (k * cr[0], k * cr[1], k * cr[2])
+        nh = np.hypot(n[0], n[1])
+        singular = nh <= SINGULAR_TOL
+        checks = [(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)),
+                   lambda i, u: NonFiniteValue(f"non-finite point at {u!r}")),
+                  (~((w > 0.0) & np.isfinite(w)),
+                   lambda i, u: NonFiniteValue(f"chart is not an immersion at {u!r}"))]
+        if not singular_ok:
+            checks.append((singular, lambda i, u: SingularPoint(
+                f"|N_h| = {nh.ravel()[i]:.3e} at {u!r}")))
+        _raise_first(U1, U2, checks)
         _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
             x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
     out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
@@ -554,21 +568,41 @@ class GraphChart(Chart):
         return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
 
 
+class PlaneChart(Chart):
+    """The plane t = a x + b y + c, charted by (x, y)."""
+
+    def __init__(self, a: float, b: float, c: float,
+                 domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
+        self.a, self.b, self.c = a, b, c
+        self.domain = domain
+
+    def _jet_parts(self, u1, u2, m):
+        a, b = self.a, self.b
+        zero = (0.0, 0.0, 0.0)
+        return (u1, u2, a * u1 + b * u2 + self.c), (1.0, 0.0, a), (0.0, 1.0, b), zero, zero, zero
+
+
+class ParaboloidChart(Chart):
+    """The hyperbolic paraboloid t = x y, charted by (x, y)."""
+
+    def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
+        self.domain = domain
+
+    def _jet_parts(self, u1, u2, m):
+        zero = (0.0, 0.0, 0.0)
+        return ((u1, u2, u1 * u2), (1.0, 0.0, u2), (0.0, 1.0, u1),
+                zero, (0.0, 0.0, 1.0), zero)
+
+
 def plane_chart(a: float, b: float, c: float,
-                domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))) -> GraphChart:
+                domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))) -> PlaneChart:
     """The plane t = a x + b y + c."""
-    return GraphChart(lambda x, y: a * x + b * y + c,
-                      lambda x, y: a, lambda x, y: b,
-                      lambda x, y: 0.0, lambda x, y: 0.0, lambda x, y: 0.0,
-                      domain)
+    return PlaneChart(a, b, c, domain)
 
 
-def paraboloid_chart(domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))) -> GraphChart:
+def paraboloid_chart(domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))) -> ParaboloidChart:
     """The hyperbolic paraboloid t = x y."""
-    return GraphChart(lambda x, y: x * y,
-                      lambda x, y: y, lambda x, y: x,
-                      lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 0.0,
-                      domain)
+    return ParaboloidChart(domain)
 
 
 class HelicoidChart(Chart):

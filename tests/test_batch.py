@@ -2,13 +2,15 @@
 rule it runs on."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from h1geom.core import Point
+from h1geom.core import FrameVector, Point
 from h1geom.errors import NonFiniteValue, SingularPoint
-from h1geom.geodesics import exp_euclidean
+from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
 from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
@@ -148,6 +150,59 @@ def test_nonfinite_and_nonimmersion_rejected():
         surface_frame(Fold(), (0.1, 0.2))
     with pytest.raises(NonFiniteValue, match=r"not an immersion at \(0\.1, 0\.2\)"):
         surface_frames(Fold(), np.array([0.1]), np.array([0.2]))
+
+
+def _scalar_first_error(chart, U1, U2):
+    for u in zip(U1.tolist(), U2.tolist()):
+        try:
+            surface_frame(chart, u, singular_ok=True)
+        except NonFiniteValue as exc:
+            return type(exc), u
+    return None
+
+
+def test_surface_frames_fail_at_first_point_in_row_major_order():
+    # on this grid cosh(1000) overflows, but (0, 332.3...) already is no
+    # immersion; a non-finite sample after that point must not win either
+    chart = CatenoidChart(1.0)
+    u1 = np.linspace(0.0, 2.0 * math.pi, 4)
+    u2 = -1.5 + (1000.0 + 1.5) * np.arange(4) / 3
+    U1, U2 = np.repeat(u1, 4), np.tile(u2, 4)
+    for V1, V2 in ((U1, U2), (np.append(U1[:3], 0.5), np.append(U2[:3], math.nan))):
+        kind, u = _scalar_first_error(chart, V1, V2)
+        assert u == (0.0, 332.3333333333333)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(kind, match=re.escape(f"not an immersion at {u!r}")):
+                surface_frames(chart, V1, V2, singular_ok=True)
+
+
+def test_surface_frames_overflow_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            surface_frames(HelicoidChart(1e-300), np.array([-2e300]), np.array([-3e300]))
+
+
+def test_exp_geodesics_match_scalar():
+    p0 = Point(0.3, -0.2, 0.5)
+    arc = GeodesicArc(p0, FrameVector(0.4, -1.1, 0.8, p0))
+    S = np.concatenate((np.linspace(-3.0, 7.0, 101), [1e-6, -3e-5]))  # series branch too
+    (x, y, t), v = exp_geodesics(arc, S)
+    for i, s in enumerate(S.tolist()):
+        q, vel = exp_geodesic(arc, s)
+        for got, want in zip((x[i], y[i], t[i], *(c[i] for c in v)),
+                             (*q.coords(), *vel.coeffs())):
+            _assert_close(got, want, "exp_geodesics")
+
+
+def test_exp_geodesics_nonfinite_raises_no_warning():
+    p0 = Point(0.0, 0.0, 0.0)
+    arc = GeodesicArc(p0, FrameVector(0.0, 0.0, 1e307, p0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"at s = 100\.0"):  # 2 lambda s overflows
+            exp_geodesics(arc, np.array([0.0, 1.0, 100.0, 200.0]))
 
 
 def test_batch_split_invariance():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -75,19 +76,21 @@ def test_export_geodesic_horizontal(tmp_path):
 
 
 def test_export_roundtrip_17_digits(tmp_path):
-    out = tmp_path / "geo.csv"
-    assert run(["export", "geodesic", "--va", "0.3", "--vb", "-0.2", "--vc", "0.7",
-                "--x0", "0.1", "--smin", "-1", "--smax", "1", "--num", "7",
-                "--out", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
     from h1geom.core import FrameVector, Point
     from h1geom.geodesics import GeodesicArc, exp_geodesic
     p0 = Point(0.1, 0.0, 0.0)
     arc = GeodesicArc(p0, FrameVector(0.3, -0.2, 0.7, p0))
-    for row in rows:
-        vals = [float(v) for v in row.split(",")]
-        q, vel = exp_geodesic(arc, vals[0])
-        assert vals[1] == q.x and vals[2] == q.y and vals[3] == q.t
+    out = tmp_path / "geo.csv"
+    for num in (7, 3000):  # 3001 rows cross export blocks
+        assert run(["export", "geodesic", "--va", "0.3", "--vb", "-0.2", "--vc", "0.7",
+                    "--x0", "0.1", "--smin", "-1", "--smax", "1", "--num", str(num),
+                    "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == num + 1
+        for row in rows:
+            vals = [float(v) for v in row.split(",")]
+            q, vel = exp_geodesic(arc, vals[0])
+            assert vals[1:] == [q.x, q.y, q.t, vel.c, vel.norm()]
 
 
 def test_export_surface_grid_singular_rows(tmp_path):
@@ -207,6 +210,39 @@ def test_export_bad_inputs_rejected_up_front(tmp_path, capsys):
         assert not out.exists(), case
 
 
+def test_export_negative_grid_counts(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    for n1, n2 in (("-1", "5"), ("5", "-1"), ("-3", "-3")):
+        _assert_usage_error(["export", "surface-grid", "--surface", "catenoid",
+                             "--n1", n1, "--n2", n2, "--out", str(out)], capsys)
+        assert not out.exists(), (n1, n2)
+    assert run(["export", "surface-grid", "--surface", "catenoid", "--n1", "0", "--n2", "5",
+                "--out", str(out)]) == 0
+    assert out.read_text() == "u1,u2,x,y,t,Nh,NT,BZS,H,q,area_density\n"
+
+
+def test_export_grid_overflow_fails_at_first_point(tmp_path, capsys):
+    # the scalar loop fails at (0, 332.3...) although cosh(1000) overflows
+    # first in a whole-grid scan
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["export", "surface-grid", "--surface", "catenoid", "--lam", "1",
+                    "--u2max", "1000", "--n1", "3", "--n2", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: chart is not an immersion at (0.0, 332.3333333333333)\n"
+    assert not out.exists()
+
+
+def test_export_grid_range_overflow(tmp_path):
+    # (u2max - u2min) overflows: the grid values are not finite
+    out = tmp_path / "g.csv"
+    assert _exits_cleanly(["export", "surface-grid", "--surface", "helicoid", "--R", "700",
+                           "--u2min", "1e308", "--n1", "5", "--n2", "3",
+                           "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_certify_helicoid_nonfinite_pitch(tmp_path, capsys):
     for r in ("inf", "nan"):
         _assert_usage_error(["certify", "helicoid", "--R", r,
@@ -248,12 +284,20 @@ def test_certify_helicoid_huge_pitch(tmp_path, capsys):
 
 
 def _exits_cleanly(argv):
-    """Run ``argv``; assert a documented exit code and no traceback."""
+    """Run ``argv``; assert a documented exit code, no traceback, no Python
+    warning, and at most one stderr line (exactly one for exits 2 and 3)."""
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run(argv)
+    err = stderr.getvalue()
     assert code in (0, 1, 2, 3), (argv, code)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in err
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
+    if code in (2, 3):
+        assert err.count("\n") == 1, (argv, err)
     return code
 
 
@@ -285,6 +329,7 @@ def test_certify_helicoid_fuzz_pitch(tmp_path_factory, R):
 @given(st.sampled_from(["helicoid", "catenoid"]), st.floats(), st.floats(),
        st.integers(min_value=-2, max_value=6))
 @example("helicoid", 1e-300, 1.0, 3)
+@example("catenoid", 2.0, 1e200, 3)
 @example("catenoid", 2.0, 5e-324, 3)
 @example("catenoid", 2.0, math.nan, 0)
 def test_export_surface_grid_fuzz(tmp_path_factory, surface, R, lam, n1):
