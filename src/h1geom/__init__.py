@@ -18,7 +18,7 @@ from .geodesics import (GeodesicArc, JacobiSample, exp_geodesic, exp_geodesics, 
                         helpers_fgh, jacobi_field, jacobi_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff,
                        gauss_legendre_1d, gauss_nodes, integrate_2d)
-from .stability import (InstabilityCertificate, PhiKDelta, Profile,
+from .stability import (InstabilityCertificate, Profile,
                         TestFunction, boundary_flux, bracket_integral,
                         certify_instability_h2, certify_instability_nosing,
                         index_form_I, jacobi_vertical_quadratic, l_nh_closed,

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CertificateNotFound, NonFiniteValue,
+from .errors import (CertificateNotFound, ConfigError, NonFiniteValue,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diff,
@@ -134,23 +134,6 @@ def plateau_ramp(k: float, delta: float) -> Profile:
         return -math.copysign(1.0 / delta, s)
 
     return Profile(val, der, (-k - delta, k + delta), (-k, k))
-
-
-@dataclass(frozen=True)
-class PhiKDelta:
-    """Plateau-ramp cutoff with the plateau past the pitch-2 singular radius."""
-
-    k: float
-    delta: float
-
-    def __post_init__(self):
-        if not self.k > 0.5:
-            raise ValueError("k must exceed 1/2")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
-
-    def profile(self) -> Profile:
-        return plateau_ramp(self.k, self.delta)
 
 
 @dataclass(frozen=True)
@@ -655,6 +638,8 @@ class InstabilityCertificate:
     """An explicit test function plus quadrature evidence that the relevant
     quadratic form is negative.  ``delta`` and ``C`` are set for helicoid
     certificates; ruled-coordinate certificates carry the scanned k only.
+    ``Q_value_doubled`` is the same form at doubled resolution, set by the
+    searches that computed it.
     """
 
     surface: str
@@ -664,6 +649,7 @@ class InstabilityCertificate:
     quad: QuadratureSpec
     delta: Optional[float] = None
     C: Optional[float] = None
+    Q_value_doubled: Optional[float] = None
 
     def to_text(self) -> str:
         lines = [f"surface={self.surface}",
@@ -674,28 +660,53 @@ class InstabilityCertificate:
                  f"Q_value={self.Q_value:.17g}",
                  f"quad_points_per_cell={self.quad.points_per_cell}",
                  f"quad_cells={self.quad.cells[0]},{self.quad.cells[1]}"]
+        if self.Q_value_doubled is not None:
+            lines.append(f"Q_value_doubled={self.Q_value_doubled:.17g}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "InstabilityCertificate":
-        kv = {}
-        for line in text.strip().splitlines():
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-        cells = tuple(int(c) for c in kv["quad_cells"].split(","))
+        """Parse ``to_text`` output; other keys are ignored.  Raises
+        ``ConfigError`` naming the key when a key is missing or its value is
+        malformed."""
+        kv = {key.strip(): val.strip() for key, _, val in
+              (line.partition("=") for line in text.strip().splitlines())}
+
+        def field(key, conv, required=True):
+            if required and key not in kv:
+                raise ConfigError(f"certificate has no {key!r} line")
+            val = kv.get(key, "")
+            try:
+                return conv(val)
+            except ValueError as exc:
+                raise ConfigError(f"certificate: bad value {val!r} for {key!r}: {exc}") from None
+
+        def cells(val):
+            n1, n2 = val.split(",")
+            return QuadratureSpec(cells=(int(n1), int(n2))).cells
+
+        def optional(val):
+            return float(val) if val else None
+
         return cls(
-            surface=kv["surface"],
-            k=float(kv["k"]),
-            eps0=float(kv["eps0"]),
-            Q_value=float(kv["Q_value"]),
-            quad=QuadratureSpec(int(kv["quad_points_per_cell"]), cells),
-            delta=float(kv["delta"]) if kv.get("delta") else None,
-            C=float(kv["C"]) if kv.get("C") else None,
+            surface=field("surface", str),
+            k=field("k", float),
+            eps0=field("eps0", float),
+            Q_value=field("Q_value", float),
+            quad=field("quad_points_per_cell",
+                       lambda v: QuadratureSpec(int(v), field("quad_cells", cells))),
+            delta=field("delta", optional, required=False),
+            C=field("C", optional, required=False),
+            Q_value_doubled=field("Q_value_doubled", optional, required=False),
         )
 
 
 def h2_certificate_test_function(k: float, delta: float, eps0: float) -> TestFunction:
-    return separable(cos_arch(eps0), PhiKDelta(k, delta).profile())
+    """cos_arch(eps0) across the rulings times plateau_ramp(k, delta) along
+    them, with the plateau past the pitch-2 singular radius 1/2."""
+    if not k > 0.5:
+        raise ValueError("k must exceed 1/2")
+    return separable(cos_arch(eps0), plateau_ramp(k, delta))
 
 
 H2_K_VALUES = [0.51 + 0.01 * j for j in range(250)]
@@ -710,7 +721,7 @@ def certify_instability_h2() -> InstabilityCertificate:
     the smallest power-of-two envelope halfwidth eps0 whose Rayleigh
     quotient 2 (pi/(2 eps0))^2 falls under 8 - C; the certificate is the
     lexicographically first passing grid point, with Q evaluated by
-    quadrature.
+    quadrature at ``H2_QUAD`` and again at its doubling.
     """
     for k in H2_K_VALUES:
         if k < 0.5 + TUBE_MARGIN:
@@ -726,8 +737,9 @@ def certify_instability_h2() -> InstabilityCertificate:
             u = h2_certificate_test_function(k, delta, eps0)
             q_val = q_form(2.0, u, H2_QUAD)
             if q_val < 0.0:
-                return InstabilityCertificate("helicoid R=2", k, eps0, q_val,
-                                              H2_QUAD, delta=delta, C=c)
+                return InstabilityCertificate(
+                    "helicoid R=2", k, eps0, q_val, H2_QUAD, delta=delta, C=c,
+                    Q_value_doubled=q_form(2.0, u, H2_QUAD.doubled()))
     raise CertificateNotFound("no (k, eps0) grid point produced Q < 0")
 
 
@@ -739,7 +751,8 @@ def scaled_helicoid_certificate(base: InstabilityCertificate,
     pitch-R one, maps variations to variations, and scales every area (hence
     the second derivative) by exactly e^{3 lam}; the certificate therefore
     reports e^{3 lam} times the base Q value, with the ruled-coordinate
-    parameters scaled by e^{lam}.  Note the pulled-back scalar test function
+    parameters scaled by e^{lam}, and no doubled value of its own (the
+    base's stands for it).  Note the pulled-back scalar test function
     is not itself the deformation data on the pitch-R surface, so its own
     quadratic form is a different (and not always negative) quantity.
     Raises ``NonFiniteValue`` when a scaled field is not finite or a
@@ -758,7 +771,7 @@ def scaled_helicoid_certificate(base: InstabilityCertificate,
     return cert
 
 
-def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
+def ruled_index_value(ruled: RuledChart, phi: Profile, k: float,
                       quad: QuadratureSpec) -> float:
     """The reduced index value of the test function phi(eps) phi(s/k) in
     ruled coordinates:
@@ -766,13 +779,11 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
         int (du/ds)^2 deps ds - (3/4) int L(|N_h|) u^2 deps ds.
 
     L(|N_h|) along each ruling comes from the vertical Jacobi quadratic at
-    the base point: the discriminant is translation-invariant along the
-    ruling, so L at ruling parameter s is -(b^2-4ac)/(a s^2 + b s + c)^2.
-    The quadratic of each eps node is computed once per ``ruled`` (in its
-    ``ruling_cache``), so ``chart`` must be ``ruled.base``.
+    the base point on ``ruled.base``: the discriminant is
+    translation-invariant along the ruling, so L at ruling parameter s is
+    -(b^2-4ac)/(a s^2 + b s + c)^2.  The quadratic of each eps node is
+    computed once per ``ruled`` (in its ``ruling_cache``).
     """
-    if chart is not ruled.base:
-        raise ValueError("ruled_index_value needs the base chart of ``ruled``")
     p = quad.points_per_cell
     lo, hi = phi.support
     ex, ew = gauss_nodes_1d(lo, hi, p, quad.cells[0])
@@ -786,7 +797,7 @@ def ruled_index_value(chart: Chart, ruled: RuledChart, phi: Profile, k: float,
     for e, we in eps_nodes:
         coeffs = ruled.ruling_cache.get(e)
         if coeffs is None:
-            a, b, c, disc = jacobi_vertical_quadratic(chart, ruled.curve_chart_point(e))
+            a, b, c, disc = jacobi_vertical_quadratic(ruled.base, ruled.curve_chart_point(e))
             coeffs = ruled.ruling_cache[e] = (a, b, c, -disc)
         pe2 = phi.value(e) ** 2
         if pe2 != 0.0 and coeffs[3] != 0.0:
@@ -824,27 +835,28 @@ def _ruling_sums(live: list[tuple], s_nodes: list[tuple[float, float]]) -> list[
 
 
 NOSING_QUAD = QuadratureSpec(16, (8, 8))
+NOSING_PHI = cosine_bump(0.0, 1.0)
 
 
 def certify_instability_nosing(chart: Chart, u0: tuple[float, float],
-                               k_list: Sequence[int], phi: Profile
-                               ) -> tuple[InstabilityCertificate, RuledChart]:
+                               k_list: Sequence[int]) -> InstabilityCertificate:
     """Instability certificate for a complete minimal surface patch with no
     singular points and <N,T> != 0 somewhere (e.g. the catenoid): scan the
-    widening test functions phi(eps) phi(s/k) until the reduced index value
-    turns negative.
+    widening test functions phi(eps) phi(s/k), phi = ``NOSING_PHI``, at
+    ``NOSING_QUAD`` until the reduced index value turns negative, then
+    evaluate it at that k again at doubled resolution.
     """
-    lo, hi = phi.support
-    eps_range = max(abs(lo), abs(hi))
+    eps_range = NOSING_PHI.support[1]  # the bump is centred at 0
     k_max = max(k_list)
     ruled = ruled_coordinates(chart, u0, eps_range,
                               (-k_max * eps_range, k_max * eps_range))
-    for k in k_list:
-        val = ruled_index_value(chart, ruled, phi, float(k), NOSING_QUAD)
+    for k in map(float, k_list):
+        val = ruled_index_value(ruled, NOSING_PHI, k, NOSING_QUAD)
         if val < 0.0:
-            return (InstabilityCertificate(
-                f"{type(chart).__name__} ruled at {u0!r}", float(k), eps_range,
-                val, NOSING_QUAD), ruled)
+            return InstabilityCertificate(
+                f"{type(chart).__name__} ruled at {u0!r}", k, eps_range, val,
+                NOSING_QUAD, Q_value_doubled=ruled_index_value(
+                    ruled, NOSING_PHI, k, NOSING_QUAD.doubled()))
     raise CertificateNotFound(f"index value stayed nonnegative for k = {k_list[0]!r}.."
                               f"{k_list[-1]!r} ({len(k_list)} values)")
 

@@ -76,7 +76,10 @@ class Chart:
         return self.jet(u1, u2).p
 
     def jet(self, u1: float, u2: float) -> ChartJet:
-        p, f1, f2, f11, f12, f22 = self._jet_parts(u1, u2, math)
+        try:
+            p, f1, f2, f11, f12, f22 = self._jet_parts(u1, u2, math)
+        except OverflowError:  # as surface_frames reports the inf numpy returns
+            raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
         return ChartJet(Point(*p), f1, f2, f11, f12, f22)
 
     def jets(self, U1, U2) -> ChartJets:
@@ -94,8 +97,9 @@ class Chart:
     def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray) -> ChartJets:
         js = [self.jet(a, b) for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist())]
 
-        def stack(rows) -> Arr3:
-            return tuple(np.array(c, dtype=float).reshape(U1.shape) for c in zip(*rows))
+        def stack(rows) -> Arr3:  # rows of (x, y, z); also for no rows
+            cols = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+            return tuple(c.reshape(U1.shape) for c in cols)
 
         return ChartJets(stack([j.p.coords() for j in js]), stack([j.f1 for j in js]),
                          stack([j.f2 for j in js]), stack([j.f11 for j in js]),
@@ -618,10 +622,6 @@ class HelicoidChart(Chart):
             raise ValueError("R must be positive")
         self.R = R
         self.domain = ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
-
-    def ruling_profile(self, s: float) -> float:
-        """f(s) = 1/R - R s^2: vertical speed of the generating curve."""
-        return 1.0 / self.R - self.R * s * s
 
     def _jet_parts(self, u1, u2, m):
         R = self.R

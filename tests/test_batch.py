@@ -16,8 +16,8 @@ from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
 from h1geom.surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
                              area, area_element, area_elements, catalog_surface,
-                             dilated, ruled_coordinates, rotated,
-                             surface_frame, surface_frames, translated)
+                             _chart_velocity, dilated, ruled_coordinates,
+                             rotated, surface_frame, surface_frames, translated)
 
 SCALAR_FIELDS = ("Nh_norm", "NT", "riem_area", "BZZ", "BZS", "BSS", "H", "HR", "q")
 PAIR_FIELDS = ("z_chart", "s_chart", "dNh", "dNT")
@@ -182,6 +182,35 @@ def test_surface_frames_overflow_raises_no_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue):
             surface_frames(HelicoidChart(1e-300), np.array([-2e300]), np.array([-3e300]))
+
+
+def test_scalar_and_batched_frames_raise_the_same_overflow_error():
+    chart, u = CatenoidChart(1.0), (0.0, 1000.0)  # cosh(1000) overflows
+    outcomes = []
+    for call in (lambda: surface_frame(chart, u),
+                 lambda: _chart_velocity(chart, u, "Z"),
+                 lambda: surface_frames(chart, np.array([u[0]]), np.array([u[1]]))):
+        with pytest.raises(NonFiniteValue) as info:
+            call()
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes == [(NonFiniteValue, "non-finite point at (0.0, 1000.0)")] * 3
+
+
+def _graph_chart():
+    return GraphChart(lambda x, y: x * y, lambda x, y: y, lambda x, y: x,
+                      lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 0.0)
+
+
+@pytest.mark.parametrize("name", ["graph", "ruled", "dilated_graph"])
+def test_stacked_jets_of_an_empty_batch(name):
+    cat = CatenoidChart(1.0)
+    chart = {"graph": _graph_chart(),
+             "ruled": ruled_coordinates(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)),
+                                        0.5, (-1.0, 1.0)),
+             "dilated_graph": dilated(_graph_chart(), 0.3)}[name]
+    for shape in ((0,), (0, 3)):
+        fr = surface_frames(chart, np.zeros(shape), np.zeros(shape))
+        assert all(a.shape == shape for a in (*fr.points, fr.Nh_norm, fr.q, *fr.z_chart))
 
 
 def test_exp_geodesics_match_scalar():

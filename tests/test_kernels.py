@@ -126,11 +126,11 @@ def test_ruled_index_value_equals_scalar_loop(lam):
     for q in (quad, quad.doubled()):
         for k in range(1, 9):
             want = _scalar_ruled_index_value(chart, ruled, phi, float(k), q)
-            assert ruled_index_value(chart, ruled, phi, float(k), q) == want, (q, k)
+            assert ruled_index_value(ruled, phi, float(k), q) == want, (q, k)
 
 
 def test_ruling_coefficients_once_per_node(monkeypatch):
-    chart, ruled = _catenoid_ruled(1.0)
+    _, ruled = _catenoid_ruled(1.0)
     phi = cosine_bump(0.0, 1.0)
     quad = QuadratureSpec(16, (8, 8))
     calls = []
@@ -141,17 +141,10 @@ def test_ruling_coefficients_once_per_node(monkeypatch):
 
     monkeypatch.setattr(stability, "jacobi_vertical_quadratic", counted)
     for k in range(1, 6):
-        ruled_index_value(chart, ruled, phi, float(k), quad)
+        ruled_index_value(ruled, phi, float(k), quad)
     assert len(calls) == 8 * 16
-    ruled_index_value(chart, ruled, phi, 3.0, quad.doubled())
+    ruled_index_value(ruled, phi, 3.0, quad.doubled())
     assert len(calls) == 8 * 16 + 16 * 16
-
-
-def test_ruled_index_value_requires_base_chart():
-    chart, ruled = _catenoid_ruled(1.0)
-    with pytest.raises(ValueError):
-        ruled_index_value(CatenoidChart(1.0), ruled, cosine_bump(0.0, 1.0), 2.0,
-                          QuadratureSpec(16, (8, 8)))
 
 
 def test_operator_l_one_sample_set(monkeypatch):

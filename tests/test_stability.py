@@ -3,11 +3,11 @@ import math
 import pytest
 
 from h1geom.core import Point
-from h1geom.errors import (CertificateNotFound, TubeConditionViolated,
-                           TubeTooSmall)
+from h1geom.errors import (CertificateNotFound, ConfigError,
+                           TubeConditionViolated, TubeTooSmall)
 from h1geom.numerics import QuadratureSpec, gauss_legendre_1d, integrate_2d
-from h1geom.stability import (TUBE_MARGIN, InstabilityCertificate, PhiKDelta,
-                              Profile, boundary_flux,
+from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
+                              InstabilityCertificate, Profile, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
                               bracket_integral_quadrature,
                               certify_instability_h2,
@@ -211,7 +211,7 @@ def test_bracket_integral():
 
 
 def test_phi_k_delta():
-    prof = PhiKDelta(0.6, 2.2).profile()
+    prof = h2_certificate_test_function(0.6, 2.2, 1.0).sep[1]
     assert prof.value(0.0) == 1.0
     assert prof.value(0.55) == 1.0
     assert prof.value(-0.55) == 1.0
@@ -221,9 +221,9 @@ def test_phi_k_delta():
     assert prof.deriv(1.0) == -1.0 / 2.2
     assert prof.deriv(-1.0) == 1.0 / 2.2
     with pytest.raises(ValueError):
-        PhiKDelta(0.5, 1.0)
+        h2_certificate_test_function(0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
-        PhiKDelta(0.8, 0.0)
+        h2_certificate_test_function(0.8, 0.0, 1.0)
 
 
 def test_q_form_certificate_decomposition():
@@ -280,8 +280,10 @@ def test_h2_certificate():
     assert cert.Q_value < 0.0
     assert cert.C is not None and cert.C < 8.0
     assert cert.delta == 2.0 * cert.k + 1.0
+    # the search confirms its grid point at doubled resolution itself
     u = h2_certificate_test_function(cert.k, cert.delta, cert.eps0)
-    assert q_form(2.0, u, cert.quad.doubled()) < 0.0
+    assert cert.Q_value_doubled == q_form(2.0, u, H2_QUAD.doubled())
+    assert cert.Q_value_doubled < 0.0
 
 
 def test_certificate_serialization_roundtrip():
@@ -289,6 +291,7 @@ def test_certificate_serialization_roundtrip():
     text = cert.to_text()
     back = InstabilityCertificate.from_text(text)
     assert back == cert
+    assert text.splitlines()[-1] == f"Q_value_doubled={cert.Q_value_doubled:.17g}"
     assert "surface=helicoid R=2" in text
 
 
@@ -300,6 +303,9 @@ def test_scaled_certificates():
         assert cert.Q_value == math.exp(3.0 * lam) * base.Q_value
         assert cert.Q_value < 0.0
         assert abs(cert.k - math.exp(lam) * base.k) <= 1e-15
+        # the base's doubled value stands for it; the text has no such line
+        assert cert.Q_value_doubled is None
+        assert "Q_value_doubled" not in cert.to_text()
     # for R > 2 the pulled-back scalar happens to be its own negative
     # witness as well (the potential term has the helpful sign there)
     cert4 = scaled_helicoid_certificate(base, 4.0)
@@ -308,22 +314,50 @@ def test_scaled_certificates():
 
 
 def test_catenoid_certificate():
-    phi = cosine_bump(0.0, 1.0)
     u0 = CAT.locate(Point(math.sqrt(2.0), 0.0, 1.0))
-    cert, ruled = certify_instability_nosing(CAT, u0, list(range(1, 65)), phi)
+    cert = certify_instability_nosing(CAT, u0, list(range(1, 65)))
     assert cert.Q_value < 0.0
     assert 1 <= cert.k <= 64
-    doubled = ruled_index_value(CAT, ruled, phi, cert.k, cert.quad.doubled())
+    doubled = cert.Q_value_doubled
     assert doubled < 0.0
     # the index value at k just below the threshold is larger than at k
-    prev = ruled_index_value(CAT, ruled, phi, cert.k - 1, cert.quad) if cert.k > 1 else 1.0
+    ruled = ruled_coordinates(CAT, u0, 1.0, (-64.0, 64.0))
+    prev = ruled_index_value(ruled, NOSING_PHI, cert.k - 1, cert.quad) if cert.k > 1 else 1.0
     assert prev > cert.Q_value
 
 
 def test_vertical_plane_has_no_certificate():
     vp = VerticalPlaneChart(domain=((-6, 6), (-6, 6)))
     with pytest.raises(CertificateNotFound):
-        certify_instability_nosing(vp, (0.0, 0.0), [1, 2, 4, 8], cosine_bump(0.0, 1.0))
+        certify_instability_nosing(vp, (0.0, 0.0), [1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("lam", [1.0, -2.5])
+def test_nosing_search_confirms_at_doubled_resolution(lam):
+    chart = CatenoidChart(lam)
+    u0 = chart.locate(Point(math.sqrt(2.0) * abs(lam), 0.0, lam * lam))
+    cert = certify_instability_nosing(chart, u0, range(1, 65))
+    ruled = ruled_coordinates(chart, u0, 1.0, (-64.0, 64.0))  # as the search builds it
+    assert cert.Q_value_doubled == ruled_index_value(ruled, NOSING_PHI, cert.k,
+                                                     NOSING_QUAD.doubled())
+    assert cert.Q_value_doubled < 0.0
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda t: t.replace("quad_cells=64,1\n", ""), "quad_cells"),
+    (lambda t: t.replace("k=0.55000000000000004", "k=abc"), "k"),
+    (lambda t: t.replace("quad_points_per_cell=16", "quad_points_per_cell=5"),
+     "quad_points_per_cell"),
+    (lambda t: t.replace("quad_cells=64,1", "quad_cells=64"), "quad_cells"),
+    (lambda t: t.replace("quad_cells=64,1", "quad_cells=0,1"), "quad_cells"),
+])
+def test_certificate_parse_errors_name_the_key(edit, key):
+    text = certify_instability_h2().to_text()
+    bad = edit(text)
+    assert bad != text
+    with pytest.raises(ConfigError, match=repr(key)) as info:
+        InstabilityCertificate.from_text(bad)
+    assert "\n" not in str(info.value)
 
 
 def test_ruled_index_l_translation_identity():
