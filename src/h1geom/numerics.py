@@ -96,11 +96,34 @@ def split_cells(cuts: Sequence[float], cells: int) -> list[tuple[float, float, i
             for lo, hi in zip(cuts, cuts[1:])]
 
 
+def _raise_first_nonfinite(v: np.ndarray, where: str) -> None:
+    """Raise ``_check_finite``'s error at the first non-finite sample of ``v``."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise NonFiniteValue(f"non-finite sample in {where}: {float(v[bad][0])!r}")
+
+
+def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                       n_points: int, n_cells: int) -> float:
+    """The composite rule of ``gauss_legendre_1d`` for an array integrand.
+
+    ``f`` maps the nodes of ``gauss_nodes_1d`` in row-major order, as one
+    1-D array, to the samples; the terms ``w * v`` are summed in that order
+    by ``kahan_sum``, and the first non-finite sample raises
+    ``NonFiniteValue``.
+    """
+    x, w = gauss_nodes_1d(a, b, n_points, n_cells)
+    v = np.asarray(f(x.ravel()), dtype=float)
+    _raise_first_nonfinite(v, "gauss_legendre_1d")
+    return kahan_sum((w.ravel() * v).tolist())
+
+
 def _composite_1d(f: Callable[[float], float], a: float, b: float,
                   n_points: int, n_cells: int) -> float:
-    x, w = gauss_nodes_1d(a, b, n_points, n_cells)
-    return kahan_sum([wi * _check_finite(f(xi), "gauss_legendre_1d")
-                      for xi, wi in zip(x.ravel().tolist(), w.ravel().tolist())])
+    """``integrate_array_1d`` for a scalar ``f``, called node by node."""
+    return integrate_array_1d(
+        lambda x: [_check_finite(f(xi), "gauss_legendre_1d") for xi in x.tolist()],
+        a, b, n_points, n_cells)
 
 
 def gauss_legendre_1d(f: Callable[[float], float], a: float, b: float,
@@ -174,9 +197,7 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
     terms = []
     for u1, u2, w in zip(U1, U2, W):
         v = f(u1, u2)
-        if not np.isfinite(v).all():
-            bad = v[~np.isfinite(v)][0]
-            raise NonFiniteValue(f"non-finite sample in integrate_2d: {float(bad)!r}")
+        _raise_first_nonfinite(v, "integrate_2d")
         terms.extend((w * v).tolist())
     return kahan_sum(terms)
 

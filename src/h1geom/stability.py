@@ -35,8 +35,8 @@ from .errors import (CertificateNotFound, ConfigError, NonFiniteValue,
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diff,
                        central_quotient, gauss_legendre_1d, gauss_nodes,
-                       gauss_nodes_1d, integrate_cells, kahan_sum, richardson,
-                       split_cells)
+                       gauss_nodes_1d, integrate_array_1d, integrate_cells,
+                       kahan_sum, richardson, split_cells)
 from .surfaces import (Chart, RuledChart, SurfaceFrames, area_density,
                        integrate_tangent_field, ruled_coordinates,
                        surface_frame, surface_frames)
@@ -51,7 +51,10 @@ class Profile:
     """A compactly supported scalar profile with its derivative.
 
     ``breakpoints`` lists interior kinks; quadrature cells never straddle
-    them (or the support endpoints).
+    them (or the support endpoints).  ``values`` and ``derivs`` evaluate on
+    an array of nodes: in one numpy pass when the function is written once
+    for floats and arrays (``_formula``, as the catalog profiles are),
+    otherwise node by node.
     """
 
     value: Callable[[float], float]
@@ -62,23 +65,61 @@ class Profile:
     def __call__(self, x: float) -> float:
         return self.value(x)
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return _at_nodes(self.value, X)
+
+    def derivs(self, X: np.ndarray) -> np.ndarray:
+        return _at_nodes(self.deriv, X)
+
     def cuts(self) -> list[float]:
         lo, hi = self.support
         inner = [b for b in self.breakpoints if lo < b < hi]
         return sorted({lo, hi, *inner})
 
 
+def _formula(fn: Callable) -> Callable:
+    """Mark a profile function ``fn(x, m=math)`` written once for a float
+    and, with ``m`` the ``numpy`` module, for an array of nodes."""
+    fn.on_arrays = True
+    return fn
+
+
+def _at_nodes(fn: Callable[[float], float], X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if getattr(fn, "on_arrays", False):
+        with np.errstate(invalid="ignore"):
+            return fn(X, np)
+    return np.array([fn(x) for x in X.ravel().tolist()], dtype=float).reshape(X.shape)
+
+
+def _where(m, cond, then, other=0.0):
+    """``then`` where ``cond`` holds and ``other`` elsewhere, on a float
+    (``m`` is ``math``) or elementwise on arrays (``m`` is ``numpy``).
+
+    Both branches are computed, so a formula scales a trig argument by its
+    ``inside`` flag (exactly 1 inside): outside the support an infinite
+    point then reaches the trig function as nan or 0, never as inf.
+    """
+    if m is math:
+        return then if cond else other
+    return np.where(cond, then, other)
+
+
 def cosine_bump(center: float, halfwidth: float) -> Profile:
     """cos^2 arch: C^1, value 1 at the center."""
     w = halfwidth
 
-    def val(x: float) -> float:
+    @_formula
+    def val(x, m=math):
         y = (x - center) / w
-        return math.cos(0.5 * math.pi * y) ** 2 if abs(y) < 1.0 else 0.0
+        inside = abs(y) < 1.0
+        return _where(m, inside, m.cos(0.5 * m.pi * y * inside) ** 2)
 
-    def der(x: float) -> float:
+    @_formula
+    def der(x, m=math):
         y = (x - center) / w
-        return -0.5 * math.pi / w * math.sin(math.pi * y) if abs(y) < 1.0 else 0.0
+        inside = abs(y) < 1.0
+        return _where(m, inside, -0.5 * m.pi / w * m.sin(m.pi * y * inside))
 
     return Profile(val, der, (center - w, center + w))
 
@@ -105,11 +146,15 @@ def smooth_bump(center: float, halfwidth: float) -> Profile:
 
 def cos_arch(eps0: float) -> Profile:
     """cos(pi x / (2 eps0)) on [-eps0, eps0]: the certificate envelope."""
-    def val(x: float) -> float:
-        return math.cos(0.5 * math.pi * x / eps0) if abs(x) < eps0 else 0.0
+    @_formula
+    def val(x, m=math):
+        inside = abs(x) < eps0
+        return _where(m, inside, m.cos(0.5 * m.pi * x / eps0 * inside))
 
-    def der(x: float) -> float:
-        return -0.5 * math.pi / eps0 * math.sin(0.5 * math.pi * x / eps0) if abs(x) < eps0 else 0.0
+    @_formula
+    def der(x, m=math):
+        inside = abs(x) < eps0
+        return _where(m, inside, -0.5 * m.pi / eps0 * m.sin(0.5 * m.pi * x / eps0 * inside))
 
     return Profile(val, der, (-eps0, eps0))
 
@@ -119,19 +164,15 @@ def plateau_ramp(k: float, delta: float) -> Profile:
     if not (k > 0.0 and delta > 0.0):
         raise ValueError("k and delta must be positive")
 
-    def val(s: float) -> float:
+    @_formula
+    def val(s, m=math):
         a = abs(s)
-        if a <= k:
-            return 1.0
-        if a >= k + delta:
-            return 0.0
-        return (k + delta - a) / delta
+        return _where(m, a <= k, 1.0, _where(m, a >= k + delta, 0.0, (k + delta - a) / delta))
 
-    def der(s: float) -> float:
+    @_formula
+    def der(s, m=math):
         a = abs(s)
-        if a <= k or a >= k + delta:
-            return 0.0
-        return -math.copysign(1.0 / delta, s)
+        return _where(m, (a <= k) | (a >= k + delta), 0.0, -m.copysign(1.0 / delta, s))
 
     return Profile(val, der, (-k - delta, k + delta), (-k, k))
 
@@ -480,6 +521,14 @@ def _is_zero(f: TestFunction) -> bool:
 VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
 
 
+def _area_of(chart: Chart, v: TestFunction, w: TestFunction,
+             quad: QuadratureSpec) -> Callable[[float], float]:
+    """A(s) of the deformation vN + wT, from one build of its variation
+    nodes; each s is computed once."""
+    nodes = _variation_nodes(chart, v, w, quad)
+    return functools.cache(lambda s: _deformed_area(chart, nodes, s))
+
+
 def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
                             quad: QuadratureSpec) -> float:
     """A''(0) by deforming the surface pointwise along geodesics.
@@ -488,21 +537,24 @@ def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
     compactly supported variations of a minimal surface this must reproduce
     the index form I(u, u) with u = v + <N,T> w.
     """
-    nodes = _variation_nodes(chart, v, w, quad)
-    if not nodes:
-        return 0.0
-    return central_diff(lambda s: _deformed_area(chart, nodes, s), 0.0, VARIATION_DIFF, 2)
+    return central_diff(_area_of(chart, v, w, quad), 0.0, VARIATION_DIFF, 2)
 
 
 def first_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
                            quad: QuadratureSpec) -> tuple[float, float]:
     """(A'(0), A(0)) for the same deformation machinery."""
-    nodes = _variation_nodes(chart, v, w, quad)
+    area = _area_of(chart, v, w, quad)
+    return central_diff(area, 0.0, VARIATION_DIFF), area(0.0)
 
-    def a_of(s: float) -> float:
-        return _deformed_area(chart, nodes, s)
 
-    return central_diff(a_of, 0.0, VARIATION_DIFF), a_of(0.0)
+def _direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
+                       quad: QuadratureSpec) -> tuple[float, float, float]:
+    """(A''(0), A'(0), A(0)) as ``second_variation_direct`` and
+    ``first_variation_direct`` give them, from one build of the variation
+    nodes; the two differences share their area samples."""
+    area = _area_of(chart, v, w, quad)
+    return (central_diff(area, 0.0, VARIATION_DIFF, 2),
+            central_diff(area, 0.0, VARIATION_DIFF), area(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +571,17 @@ class HelicoidPointData:
     q: float
 
 
+def _helicoid_f_w(R: float, s, m):
+    """f = 1/R - R s^2 and W = hypot(f, R s) of the pitch-R helicoid, at a
+    float s (``m`` is ``math``) or an array of s (``m`` is ``numpy``)."""
+    f = 1.0 / R - R * s * s
+    return f, m.hypot(f, R * s)
+
+
 def helicoid_closed_forms(R: float, s: float) -> HelicoidPointData:
     """Closed forms of the frame quantities of the pitch-R helicoid at
     ruling parameter s (independent of the angle coordinate)."""
-    f = 1.0 / R - R * s * s
-    w = math.hypot(f, R * s)
+    f, w = _helicoid_f_w(R, s, math)
     nh = abs(f) / w
     nt = -R * s / w
     bzs = 1.0 - (1.0 + R * R * s * s) / (w * w)
@@ -558,10 +616,11 @@ def bracket_integral_quadrature(k: float, delta: float,
     return val / (delta * delta)
 
 
-def _profile_integral(p: Profile, fn: Callable[[float], float],
+def _profile_integral(p: Profile, fn: Callable[[np.ndarray], np.ndarray],
                       quad: QuadratureSpec) -> float:
-    """Integral of fn over the support of p, split at its kinks."""
-    return kahan_sum([gauss_legendre_1d(fn, lo, hi, QuadratureSpec(quad.points_per_cell, (n, 1)))
+    """Integral of the array integrand fn over the support of p, split at
+    its kinks: one array pass per piece."""
+    return kahan_sum([integrate_array_1d(fn, lo, hi, quad.points_per_cell, n)
                       for lo, hi, n in split_cells(p.cuts(), quad.cells[0])])
 
 
@@ -598,28 +657,29 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
     if abs(helicoid_closed_forms(R, 1.0 / R).W - 1.0) > 1e-12:
         raise NonFiniteValue("singular helix is not arclength-parameterized")
 
-    int_phi2 = _profile_integral(phi, lambda e: phi.value(e) ** 2, quad)
-    int_dphi2 = _profile_integral(phi, lambda e: phi.deriv(e) ** 2, quad)
+    int_phi2 = _profile_integral(phi, lambda e: phi.values(e) ** 2, quad)
+    int_dphi2 = _profile_integral(phi, lambda e: phi.derivs(e) ** 2, quad)
 
     # ramp term: |N_h|^{-1} Z(u)^2 dA = (W^2/|f|) (du/ds)^2 deps ds
-    def ramp(s: float) -> float:
-        d = helicoid_closed_forms(R, s)
-        return d.W * d.W / abs(d.f) * psi.deriv(s) ** 2
+    def ramp(s: np.ndarray) -> np.ndarray:
+        f, w = _helicoid_f_w(R, s, np)
+        return w * w / abs(f) * psi.derivs(s) ** 2
+
+    def pot(s: np.ndarray) -> np.ndarray:
+        f, w = _helicoid_f_w(R, s, np)
+        return abs(f) / (w * w) * psi.values(s) ** 2
 
     cuts = sorted({*psi.cuts(), *(c for c in (1.0 / R, -1.0 / R)
                                   if psi.support[0] < c < psi.support[1])})
     ramp_parts = []
     pot_parts = []
+    p = quad.points_per_cell
     for lo, hi, n in split_cells(cuts, quad.cells[0]):
         mid = 0.5 * (lo + hi)
-        spec = QuadratureSpec(quad.points_per_cell, (n, 1))
         if psi.deriv(mid) != 0.0 or psi.deriv(0.5 * (lo + mid)) != 0.0:
-            ramp_parts.append(gauss_legendre_1d(ramp, lo, hi, spec))
+            ramp_parts.append(integrate_array_1d(ramp, lo, hi, p, n))
         if R != 2.0:
-            def pot(s: float) -> float:
-                d = helicoid_closed_forms(R, s)
-                return abs(d.f) / (d.W * d.W) * psi.value(s) ** 2
-            pot_parts.append(gauss_legendre_1d(pot, lo, hi, spec))
+            pot_parts.append(integrate_array_1d(pot, lo, hi, p, n))
 
     t1 = int_phi2 * kahan_sum(ramp_parts)
     t2 = -(R * R - 4.0) * int_phi2 * kahan_sum(pot_parts) if R != 2.0 else 0.0
@@ -668,7 +728,7 @@ class InstabilityCertificate:
     def from_text(cls, text: str) -> "InstabilityCertificate":
         """Parse ``to_text`` output; other keys are ignored.  Raises
         ``ConfigError`` naming the key when a key is missing or its value is
-        malformed."""
+        malformed or not finite."""
         kv = {key.strip(): val.strip() for key, _, val in
               (line.partition("=") for line in text.strip().splitlines())}
 
@@ -685,14 +745,20 @@ class InstabilityCertificate:
             n1, n2 = val.split(",")
             return QuadratureSpec(cells=(int(n1), int(n2))).cells
 
+        def number(val):
+            x = float(val)
+            if not math.isfinite(x):
+                raise ValueError("not a finite number")
+            return x
+
         def optional(val):
-            return float(val) if val else None
+            return number(val) if val else None
 
         return cls(
             surface=field("surface", str),
-            k=field("k", float),
-            eps0=field("eps0", float),
-            Q_value=field("Q_value", float),
+            k=field("k", number),
+            eps0=field("eps0", number),
+            Q_value=field("Q_value", number),
             quad=field("quad_points_per_cell",
                        lambda v: QuadratureSpec(int(v), field("quad_cells", cells))),
             delta=field("delta", optional, required=False),
@@ -901,7 +967,7 @@ def vertical_variation_area(R: float, w: Profile, r: float,
             raise TubeTooSmall("kink left the window")
         return abs(prim(s_star, rw) - prim(-s0, rw)) + abs(prim(s0, rw) - prim(s_star, rw))
 
-    return _profile_integral(w, inner, quad)
+    return _profile_integral(w, lambda es: [inner(e) for e in es.tolist()], quad)
 
 
 def vertical_variation_second_difference(R: float, w: Profile, quad: QuadratureSpec

@@ -275,6 +275,13 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
             (dnh[0], dnh[1]), (dnt[0], dnt[1]))
 
 
+def _finite_chart_point(u: tuple[float, float]) -> tuple[float, float]:
+    """``u``, or the ``NonFiniteValue`` that ``surface_frames`` raises there."""
+    if not (math.isfinite(u[0]) and math.isfinite(u[1])):
+        raise NonFiniteValue(f"non-finite chart point {(float(u[0]), float(u[1]))!r}")
+    return u
+
+
 def surface_frame(chart: Chart, u: tuple[float, float],
                   singular_ok: bool = False) -> SurfaceFrame:
     """Full geometric package at chart point ``u``.
@@ -283,7 +290,7 @@ def surface_frame(chart: Chart, u: tuple[float, float],
     ``singular_ok`` is set, in which case the characteristic entries are
     returned as None.
     """
-    u1, u2 = u
+    u1, u2 = _finite_chart_point(u)
     jet = chart.jet(u1, u2)
     p = jet.p
     c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
@@ -412,7 +419,7 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
     """``surface_frame(chart, u).z_chart`` (or ``.s_chart``) from the first
     jet alone: the same operations and the same errors, without the shape
     terms."""
-    jet = chart.jet(*u)
+    jet = chart.jet(*_finite_chart_point(u))
     p = jet.p
     c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
     w, n, nh = _unit_normal(cr, u)

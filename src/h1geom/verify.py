@@ -28,14 +28,14 @@ from .geodesics import (GeodesicArc, commutation_residual,
                         jacobi_field, jacobi_residual, straight_line_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
                        integrate_cells)
-from .stability import (Profile, batch_values, boundary_flux_extrapolated,
-                        bracket_integral, bracket_integral_quadrature,
-                        certify_instability_h2, certify_instability_nosing,
-                        cosine_bump, first_variation_direct,
+from .stability import (Profile, _direct_variations, batch_values,
+                        boundary_flux_extrapolated, bracket_integral,
+                        bracket_integral_quadrature, certify_instability_h2,
+                        certify_instability_nosing, cosine_bump,
                         helicoid_closed_forms, index_form_I,
                         jacobi_vertical_quadratic, l_nh_closed, l_nh_of_frame,
-                        operator_L, q_form, second_variation_direct,
-                        separable, smooth_bump, tangent_derivative, times_nh,
+                        operator_L, q_form, separable, smooth_bump,
+                        tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
 from .surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
                        VerticalPlaneChart, area, characteristic_ray, dilated,
@@ -851,9 +851,8 @@ def check_second_variation() -> tuple[CheckResult, CheckResult]:
     w = zero_function()
     quad = QuadratureSpec(16, (4, 4))
     iform = index_form_I(cat, v, v, quad)
-    a2 = second_variation_direct(cat, v, w, quad)
+    a2, a1, a0 = _direct_variations(cat, v, w, quad)
     rel = abs(a2 - iform) / max(1e-30, abs(iform))
-    a1, a0 = first_variation_direct(cat, v, w, quad)
     return (CheckResult("second_variation_consistency",
                         "direct A''(0) matches the index form", rel, 1e-2),
             CheckResult("area_stationarity", "A'(0) = 0 under compact variations",

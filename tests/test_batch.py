@@ -196,6 +196,19 @@ def test_scalar_and_batched_frames_raise_the_same_overflow_error():
     assert outcomes == [(NonFiniteValue, "non-finite point at (0.0, 1000.0)")] * 3
 
 
+@pytest.mark.parametrize("chart, u", [(CatenoidChart(1.0), (math.inf, 0.0)),
+                                      (HelicoidChart(2.0), (0.1, math.nan))])
+def test_scalar_and_batched_frames_reject_a_non_finite_chart_point(chart, u):
+    outcomes = []
+    for call in (lambda: surface_frame(chart, u),
+                 lambda: _chart_velocity(chart, u, "S"),
+                 lambda: surface_frames(chart, np.array([u[0]]), np.array([u[1]]))):
+        with pytest.raises(NonFiniteValue) as info:
+            call()
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes == [(NonFiniteValue, f"non-finite chart point {u!r}")] * 3
+
+
 def _graph_chart():
     return GraphChart(lambda x, y: x * y, lambda x, y: y, lambda x, y: x,
                       lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 0.0)

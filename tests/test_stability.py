@@ -360,6 +360,20 @@ def test_certificate_parse_errors_name_the_key(edit, key):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", "nan"), ("eps0", "inf"), ("Q_value", "-inf"), ("Q_value_doubled", "nan"),
+    ("delta", "inf"), ("C", "-nan"),
+])
+def test_certificate_parse_rejects_non_finite_numbers(key, value):
+    text = certify_instability_h2().to_text()
+    bad = "".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
+                  for line in text.splitlines(keepends=True))
+    assert bad.count(f"{key}={value}\n") == 1
+    with pytest.raises(ConfigError, match=repr(key)) as info:
+        InstabilityCertificate.from_text(bad)
+    assert "\n" not in str(info.value)
+
+
 def test_ruled_index_l_translation_identity():
     # L(|N_h|) from the base-point quadratic agrees with the closed form
     # evaluated at the translated point of the ruling
