@@ -177,113 +177,123 @@ def plateau_ramp(k: float, delta: float) -> Profile:
     return Profile(val, der, (-k - delta, k + delta), (-k, k))
 
 
+Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
+EMPTY_SUPPORT: Rect = ((0.0, 0.0), (0.0, 0.0))
+
+
 @dataclass(frozen=True)
 class TestFunction:
-    """A compactly supported scalar field on a chart domain with partials.
+    """A compactly supported scalar field on a chart domain with its partials.
 
-    ``batch``, when set, evaluates (value, d1, d2) as arrays on the nodes of
-    one ``SurfaceFrames`` batch of a chart, given with their coordinate
-    lists; fields built from frame quantities of that chart read them off
-    the batch this way.  ``batch_chart`` is the chart whose batches it
-    reads; ``batch_values`` uses the hook only on frames of that chart.
+    ``jet(U1, U2, frames=None)`` gives (value, d1, d2) as arrays at the chart
+    points (U1, U2).  ``frames`` is the ``(chart, SurfaceFrames)`` of those
+    points when the caller has it: a field built from frame quantities of
+    that chart reads them off it, and on any other chart computes its own.
+    ``kinks`` lists per axis the interior lines where a partial may jump;
+    quadrature cells never straddle them or the support edges.  ``sep``
+    holds the two profiles of a separable function.  ``value``, ``d1`` and
+    ``d2`` are scalar views of ``jet``.
     """
 
-    value: Callable[[float, float], float]
-    d1: Callable[[float, float], float]
-    d2: Callable[[float, float], float]
+    jet: Callable[..., Jet]
     support: Rect
+    kinks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
     sep: Optional[tuple[Profile, Profile]] = None
-    batch: Optional[Callable[[SurfaceFrames, list, list], tuple]] = None
-    batch_chart: Optional[Chart] = None
 
-    def __call__(self, u1: float, u2: float) -> float:
-        return self.value(u1, u2)
+    def _at(self, i: int, u1: float, u2: float) -> float:
+        return float(self.jet(np.array([u1], dtype=float), np.array([u2], dtype=float))[i][0])
+
+    value = __call__ = functools.partialmethod(_at, 0)
+    d1 = functools.partialmethod(_at, 1)
+    d2 = functools.partialmethod(_at, 2)
 
 
-def batch_values(f: TestFunction, chart: Chart, fr: SurfaceFrames, a: list,
-                 b: list, derivs: bool = True) -> tuple:
-    """(value, d1, d2) of ``f`` at the nodes of a frame batch of ``chart``, as
-    arrays.  The batch hook runs when ``f`` was built on ``chart``; otherwise
-    the functions are evaluated node by node (value only unless ``derivs``)."""
-    if f.batch is not None and f.batch_chart is chart:
-        return f.batch(fr, a, b)
-    fns = (f.value, f.d1, f.d2) if derivs else (f.value,)
-    return tuple(np.array([fn(x, y) for x, y in zip(a, b)], dtype=float) for fn in fns)
+def _is_zero(f: TestFunction) -> bool:
+    (s1, s2) = f.support
+    return s1[0] >= s1[1] or s2[0] >= s2[1]
+
+
+def _support_union(fs: Sequence[TestFunction]) -> Rect:
+    """The smallest rectangle holding the nonempty supports of ``fs``."""
+    live = [f.support for f in fs if not _is_zero(f)]
+    if not live:
+        return EMPTY_SUPPORT
+    return tuple((min(s[i][0] for s in live), max(s[i][1] for s in live)) for i in (0, 1))
 
 
 def separable(p1: Profile, p2: Profile) -> TestFunction:
-    return TestFunction(
-        value=lambda a, b: p1.value(a) * p2.value(b),
-        d1=lambda a, b: p1.deriv(a) * p2.value(b),
-        d2=lambda a, b: p1.value(a) * p2.deriv(b),
-        support=(p1.support, p2.support),
-        sep=(p1, p2),
-    )
+    def jet(U1, U2, frames=None) -> Jet:
+        v1, v2 = p1.values(U1), p2.values(U2)
+        return v1 * v2, p1.derivs(U1) * v2, v1 * p2.derivs(U2)
+
+    return TestFunction(jet, (p1.support, p2.support), (p1.breakpoints, p2.breakpoints),
+                        (p1, p2))
 
 
 def zero_function() -> TestFunction:
-    z2 = lambda a, b: 0.0
-    return TestFunction(z2, z2, z2, ((0.0, 0.0), (0.0, 0.0)))
+    def jet(U1, U2, frames=None) -> Jet:
+        z = np.zeros(np.shape(U1))
+        return z, z, z
+
+    return TestFunction(jet, EMPTY_SUPPORT)
+
+
+def _frame_jet(chart: Chart, U1: np.ndarray, U2: np.ndarray, frames, factor: Jet,
+               formula: Callable, rest: Sequence) -> Jet:
+    """``formula(fr, at)``: a jet built from the frames ``fr`` of ``chart`` and
+    factor jets indexed by ``at``.
+
+    On the given frames of ``chart``, ``at`` selects every point.  Otherwise
+    the frames are computed on ``chart`` only where the frame ``factor`` or a
+    partial of it is nonzero, and the jet is ``rest`` elsewhere: no frame is
+    read there, so a singular point raises nothing.
+    """
+    if frames is not None and frames[0] is chart:
+        return formula(frames[1], ...)
+    live = (factor[0] != 0.0) | (factor[1] != 0.0) | (factor[2] != 0.0)
+    out = [np.broadcast_to(r, live.shape).copy() for r in rest]
+    if live.any():
+        for o, v in zip(out, formula(surface_frames(chart, U1[live], U2[live]), live)):
+            o[live] = v
+    return tuple(out)
 
 
 def times_nh(chart: Chart, f: TestFunction) -> TestFunction:
     """The test function f * |N_h| with exact chart partials."""
 
-    def value(a: float, b: float) -> float:
-        fv = f.value(a, b)
-        if fv == 0.0:
-            return 0.0
-        return fv * surface_frame(chart, (a, b)).Nh_norm
+    def jet(U1, U2, frames=None) -> Jet:
+        fj = f.jet(U1, U2, frames)
 
-    def make_d(i: int):
-        def d(a: float, b: float) -> float:
-            fv = f.value(a, b)
-            dv = (f.d1 if i == 0 else f.d2)(a, b)
-            if fv == 0.0 and dv == 0.0:
-                return 0.0
-            fr = surface_frame(chart, (a, b))
-            return dv * fr.Nh_norm + fv * fr.dNh[i]
-        return d
+        def formula(fr, at):
+            v, v1, v2 = (c[at] for c in fj)
+            nh = fr.Nh_norm
+            return v * nh, v1 * nh + v * fr.dNh[0], v2 * nh + v * fr.dNh[1]
 
-    def batch(fr: SurfaceFrames, a: list, b: list) -> tuple:
-        fv, fd1, fd2 = batch_values(f, chart, fr, a, b)
-        nh = fr.Nh_norm
-        return fv * nh, fd1 * nh + fv * fr.dNh[0], fd2 * nh + fv * fr.dNh[1]
+        return _frame_jet(chart, U1, U2, frames, fj, formula, (0.0, 0.0, 0.0))
 
-    return TestFunction(value, make_d(0), make_d(1), f.support, None, batch, chart)
+    return TestFunction(jet, f.support, f.kinks)
 
 
 def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) -> TestFunction:
     """u = v + <N,T> w: the normal component of the deformation v N + w T."""
 
-    def value(a: float, b: float) -> float:
-        wv = w.value(a, b)
-        vv = v.value(a, b)
-        if wv == 0.0:
-            return vv
-        return vv + surface_frame(chart, (a, b)).NT * wv
+    def jet(U1, U2, frames=None) -> Jet:
+        vj = v.jet(U1, U2, frames)
+        wj = w.jet(U1, U2, frames)
 
-    def make_d(i: int):
-        def d(a: float, b: float) -> float:
-            dv = (v.d1 if i == 0 else v.d2)(a, b)
-            wv = w.value(a, b)
-            dw = (w.d1 if i == 0 else w.d2)(a, b)
-            if wv == 0.0 and dw == 0.0:
-                return dv
-            fr = surface_frame(chart, (a, b))
-            return dv + fr.dNT[i] * wv + fr.NT * dw
-        return d
+        def formula(fr, at):
+            (v0, v1, v2), (w0, w1, w2) = ([c[at] for c in j] for j in (vj, wj))
+            nt = fr.NT
+            return (v0 + nt * w0, v1 + fr.dNT[0] * w0 + nt * w1,
+                    v2 + fr.dNT[1] * w0 + nt * w2)
 
-    def batch(fr: SurfaceFrames, a: list, b: list) -> tuple:
-        vv, vd1, vd2 = batch_values(v, chart, fr, a, b)
-        wv, wd1, wd2 = batch_values(w, chart, fr, a, b)
-        nt = fr.NT
-        return (vv + nt * wv, vd1 + fr.dNT[0] * wv + nt * wd1,
-                vd2 + fr.dNT[1] * wv + nt * wd2)
+        return _frame_jet(chart, U1, U2, frames, wj, formula, vj)
 
-    s1 = (min(v.support[0][0], w.support[0][0]), max(v.support[0][1], w.support[0][1]))
-    s2 = (min(v.support[1][0], w.support[1][0]), max(v.support[1][1], w.support[1][1]))
-    return TestFunction(value, make_d(0), make_d(1), (s1, s2), None, batch, chart)
+    # the sum may kink on the support edges of v and w as well as on theirs
+    live = [f for f in (v, w) if not _is_zero(f)]
+    kinks = tuple(tuple(sorted({c for f in live for c in (*f.support[i], *f.kinks[i])}))
+                  for i in (0, 1))
+    return TestFunction(jet, _support_union((v, w)), kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +397,7 @@ def jacobi_vertical_quadratic(chart: Chart, u0: tuple[float, float]
 def _axis_cuts(lo: float, hi: float, fs: Sequence[TestFunction], axis: int) -> list[float]:
     cuts = {lo, hi}
     for f in fs:
-        (s1, s2) = f.support
-        sup = s1 if axis == 0 else s2
-        for c in (sup[0], sup[1]):
-            if lo < c < hi:
-                cuts.add(c)
-        if f.sep is not None:
-            for b in f.sep[axis].breakpoints:
-                if lo < b < hi:
-                    cuts.add(b)
+        cuts.update(c for c in (*f.support[axis], *f.kinks[axis]) if lo < c < hi)
     return sorted(cuts)
 
 
@@ -413,12 +415,9 @@ def _piecewise_2d(fn, rect: Rect, fs: Sequence[TestFunction],
     return kahan_sum(total)
 
 
-def _support_intersection(chart: Chart, fs: Sequence[TestFunction]) -> Rect | None:
-    (d1, d2) = chart.domain
-    lo1 = max(d1[0], *(f.support[0][0] for f in fs))
-    hi1 = min(d1[1], *(f.support[0][1] for f in fs))
-    lo2 = max(d2[0], *(f.support[1][0] for f in fs))
-    hi2 = min(d2[1], *(f.support[1][1] for f in fs))
+def _intersection(rects: Sequence[Rect]) -> Rect | None:
+    (lo1, hi1), (lo2, hi2) = ((max(r[i][0] for r in rects), min(r[i][1] for r in rects))
+                              for i in (0, 1))
     if lo1 >= hi1 or lo2 >= hi2:
         return None
     return ((lo1, hi1), (lo2, hi2))
@@ -430,15 +429,14 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
     I(u, v) = int |N_h|^{-1} { Z(u) Z(v) - q u v } dA
     over the (regular) intersection of the supports.
     """
-    rect = _support_intersection(chart, (uf, vf))
+    rect = _intersection((chart.domain, uf.support, vf.support))
     if rect is None:
         return 0.0
 
     def integrand(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         fr = surface_frames(chart, U1, U2)
-        a, b = U1.tolist(), U2.tolist()
-        u, ud1, ud2 = batch_values(uf, chart, fr, a, b)
-        v, vd1, vd2 = (u, ud1, ud2) if vf is uf else batch_values(vf, chart, fr, a, b)
+        u, ud1, ud2 = uf.jet(U1, U2, (chart, fr))
+        v, vd1, vd2 = (u, ud1, ud2) if vf is uf else vf.jet(U1, U2, (chart, fr))
         z1, z2 = fr.z_chart
         zu = z1 * ud1 + z2 * ud2
         zv = z1 * vd1 + z2 * vd2
@@ -481,18 +479,11 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
     points and deformation vectors of the stencil as (9, nodes) arrays, in
     the row order centre, +h1, -h1, +h1/2, -h1/2, +h2, -h2, +h2/2, -h2/2.
     """
-    live = [f.support for f in (v, w) if not _is_zero(f)]
-    if not live:
-        return []
-    (d1, d2) = chart.domain
-    lo1 = max(d1[0], min(s[0][0] for s in live))
-    hi1 = min(d1[1], max(s[0][1] for s in live))
-    lo2 = max(d2[0], min(s[1][0] for s in live))
-    hi2 = min(d2[1], max(s[1][1] for s in live))
-    if lo1 >= hi1 or lo2 >= hi2:
+    rect = _intersection((chart.domain, _support_union((v, w))))
+    if rect is None:
         return []
 
-    U1, U2, W = gauss_nodes(((lo1, hi1), (lo2, hi2)), quad)
+    U1, U2, W = gauss_nodes(rect, quad)
     nodes = []
     for u1, u2, weights in zip(U1, U2, W):
         h1 = 1e-5 * np.maximum(1.0, np.abs(u1))
@@ -502,20 +493,14 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
         s2 = np.concatenate((u2, u2, u2, u2, u2,
                              u2 + h2, u2 - h2, u2 + 0.5 * h2, u2 - 0.5 * h2))
         fr = surface_frames(chart, s1, s2)
-        a, b = s1.tolist(), s2.tolist()
-        vv = batch_values(v, chart, fr, a, b, derivs=False)[0]
-        ww = batch_values(w, chart, fr, a, b, derivs=False)[0]
+        vv = v.jet(s1, s2, (chart, fr))[0]
+        ww = w.jet(s1, s2, (chart, fr))[0]
         ne = fr.N_euclidean()
         uvec = (vv * ne[0], vv * ne[1], vv * ne[2] + ww)
         rows = (9, len(u1))
         nodes.append((weights, h1, h2, tuple(c.reshape(rows) for c in fr.points),
                       tuple(c.reshape(rows) for c in uvec)))
     return nodes
-
-
-def _is_zero(f: TestFunction) -> bool:
-    (s1, s2) = f.support
-    return s1[0] >= s1[1] or s2[0] >= s2[1]
 
 
 VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
@@ -1000,8 +985,9 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     def eps_integral(level: float) -> float:
         if level not in phi_sq_cache:
             (lo, hi) = v.support[0]
-            phi_sq_cache[level] = gauss_legendre_1d(
-                lambda e: v.value(e, level) ** 2, lo, hi, quad)
+            phi_sq_cache[level] = integrate_array_1d(
+                lambda e: v.jet(e, np.full_like(e, level))[0] ** 2, lo, hi,
+                quad.points_per_cell, quad.cells[0])
         return phi_sq_cache[level]
 
     total = []

@@ -28,11 +28,10 @@ from .geodesics import (GeodesicArc, commutation_residual,
                         jacobi_field, jacobi_residual, straight_line_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
                        integrate_cells)
-from .stability import (Profile, _direct_variations, batch_values,
-                        boundary_flux_extrapolated, bracket_integral,
-                        bracket_integral_quadrature, certify_instability_h2,
-                        certify_instability_nosing, cosine_bump,
-                        helicoid_closed_forms, index_form_I,
+from .stability import (Profile, _direct_variations, boundary_flux_extrapolated,
+                        bracket_integral, bracket_integral_quadrature,
+                        certify_instability_h2, certify_instability_nosing,
+                        cosine_bump, helicoid_closed_forms, index_form_I,
                         jacobi_vertical_quadratic, l_nh_closed, l_nh_of_frame,
                         operator_L, q_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
@@ -771,7 +770,7 @@ def check_indexform3() -> CheckResult:
 
         def rhs_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             fr = surface_frames(cat, a, b)
-            fv, fd1, fd2 = batch_values(f, cat, fr, a.tolist(), b.tolist())
+            fv, fd1, fd2 = f.jet(a, b)
             zf = fr.z_chart[0] * fd1 + fr.z_chart[1] * fd2
             return fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from h1geom import stability
 from h1geom.core import FrameVector, Point
 from h1geom.errors import NonFiniteValue, SingularPoint
 from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
@@ -304,26 +305,104 @@ def test_integrate_2d_pinned_bitwise():
         assert integrate_2d(f, rect, spec).hex() == pinned
 
 
+def test_separable_jet_matches_scalar_profiles():
+    # the products of the scalar profile calls that ``separable`` made
+    p1, p2 = cosine_bump(1.5, 0.7), smooth_bump(0.3, 0.5)
+    f = separable(p1, p2)
+    U1, U2 = _sample(((0.7, 2.3), (-0.3, 0.9)), 200, 3)
+    want = ([p1.value(a) * p2.value(b) for a, b in zip(U1, U2)],
+            [p1.deriv(a) * p2.value(b) for a, b in zip(U1, U2)],
+            [p1.value(a) * p2.deriv(b) for a, b in zip(U1, U2)])
+    for got, view, ref in zip(f.jet(U1, U2), (f.value, f.d1, f.d2), want):
+        assert got.shape == U1.shape
+        for g, a, b, r in zip(got.tolist(), U1, U2, ref):
+            _assert_close(g, r, "separable jet")
+            _assert_close(view(a, b), r, "scalar view")
+
+
+def _scalar_times_nh(chart, f):
+    """The scalar (value, d1, d2) of f |N_h| that ``times_nh`` had, verbatim."""
+
+    def value(a, b):
+        fv = f.value(a, b)
+        if fv == 0.0:
+            return 0.0
+        return fv * surface_frame(chart, (a, b)).Nh_norm
+
+    def make_d(i):
+        def d(a, b):
+            fv = f.value(a, b)
+            dv = (f.d1 if i == 0 else f.d2)(a, b)
+            if fv == 0.0 and dv == 0.0:
+                return 0.0
+            fr = surface_frame(chart, (a, b))
+            return dv * fr.Nh_norm + fv * fr.dNh[i]
+        return d
+
+    return value, make_d(0), make_d(1)
+
+
+def _scalar_combined(chart, v, w):
+    """The scalar (value, d1, d2) of v + <N,T> w that
+    ``combined_normal_component`` had, verbatim."""
+
+    def value(a, b):
+        wv = w.value(a, b)
+        vv = v.value(a, b)
+        if wv == 0.0:
+            return vv
+        return vv + surface_frame(chart, (a, b)).NT * wv
+
+    def make_d(i):
+        def d(a, b):
+            dv = (v.d1 if i == 0 else v.d2)(a, b)
+            wv = w.value(a, b)
+            dw = (w.d1 if i == 0 else w.d2)(a, b)
+            if wv == 0.0 and dw == 0.0:
+                return dv
+            fr = surface_frame(chart, (a, b))
+            return dv + fr.dNT[i] * wv + fr.NT * dw
+        return d
+
+    return value, make_d(0), make_d(1)
+
+
+def _pointwise(fns, like):
+    """A test function with the support and kinks of ``like`` that calls the
+    scalar ``fns`` = (value, d1, d2) node by node."""
+
+    def jet(U1, U2, frames=None):
+        pts = list(zip(np.ravel(U1).tolist(), np.ravel(U2).tolist()))
+        return tuple(np.array([fn(a, b) for a, b in pts], dtype=float).reshape(np.shape(U1))
+                     for fn in fns)
+
+    return stability.TestFunction(jet, like.support, like.kinks)
+
+
+def _composed_pairs(chart):
+    """(array field, scalar reference) for ``times_nh`` and
+    ``combined_normal_component`` built on ``chart``."""
+    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    w = separable(smooth_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
+    u, uc = times_nh(chart, v), combined_normal_component(chart, v, w)
+    return [(u, _pointwise(_scalar_times_nh(chart, v), u)),
+            (uc, _pointwise(_scalar_combined(chart, v, w), uc))]
+
+
 def test_index_form_batch_hooks_match_scalar_callables():
     cat = CatenoidChart(1.0)
     quad = QuadratureSpec(8, (2, 2))
-    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
-    w = separable(smooth_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
-    for u in (times_nh(cat, v), combined_normal_component(cat, v, w)):
-        plain = type(u)(u.value, u.d1, u.d2, u.support)
+    for u, plain in _composed_pairs(cat):
         _assert_close(index_form_I(cat, u, u, quad), index_form_I(cat, plain, plain, quad),
                       "index form")
 
 
 def test_batch_hooks_ignore_frames_of_another_chart():
-    # fields built on one chart, integrated over another: the hooks must not
-    # read the integration chart's frames
+    # fields built on one chart, integrated over another: they must not read
+    # the integration chart's frames
     cat, other = CatenoidChart(1.0), CatenoidChart(1.3)
     quad = QuadratureSpec(8, (2, 2))
-    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
-    w = separable(smooth_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
-    for u in (times_nh(other, v), combined_normal_component(other, v, w)):
-        plain = type(u)(u.value, u.d1, u.d2, u.support)
+    for u, plain in _composed_pairs(other):
         _assert_close(index_form_I(cat, u, u, quad), index_form_I(cat, plain, plain, quad),
                       "index form")
         assert abs(index_form_I(cat, u, u, quad)

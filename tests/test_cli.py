@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from h1geom.cli import main
+from h1geom.errors import ConfigError
 from h1geom.stability import InstabilityCertificate
 
 
@@ -379,3 +380,62 @@ def test_export_geodesic_fuzz(tmp_path_factory, vals, num):
     names = ("x0", "y0", "t0", "va", "vb", "vc", "smin", "smax")
     _exits_cleanly(["export", "geodesic", *(f"--{n}={v!r}" for n, v in zip(names, vals)),
                     f"--num={num}", "--out", str(out)])
+
+
+def _parse_or_config_error(text):
+    """The certificate in ``text``, or None when it raises ``ConfigError``;
+    any other exception fails the test."""
+    try:
+        return InstabilityCertificate.from_text(text)
+    except ConfigError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("")
+@example("=")
+@example("quad_points_per_cell=16\nquad_cells=8,8,8")
+@example("quad_points_per_cell=" + "1" * 5000)
+def test_certificate_parse_fuzz_random_text(text):
+    _parse_or_config_error(text)
+
+
+@pytest.fixture(scope="module")
+def catenoid_certificate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cert") / "c.txt"
+    assert run(["certify", "catenoid", "--out", str(out)]) == 0
+    return out.read_text()
+
+
+_VALUES = st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
+                    st.tuples(st.integers(), st.integers()).map(lambda t: f"{t[0]},{t[1]}"),
+                    st.sampled_from(["", ",", "1e999", "-nan", "16", "8,8,8", "0x10"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0),
+                          st.sampled_from(["drop", "value", "key", "repeat"]), _VALUES),
+                max_size=4))
+@example([])
+def test_certificate_parse_fuzz_key_edits(catenoid_certificate, edits):
+    # key-by-key edits of a real certificate file: drop a line, replace its
+    # value or its key, or repeat its key with a new value further down
+    lines = catenoid_certificate.splitlines()
+    for i, how, new in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        key, _, val = lines[i].partition("=")
+        if how == "drop":
+            del lines[i]
+        elif how == "value":
+            lines[i] = f"{key}={new}"
+        elif how == "key":
+            lines[i] = f"{new}={val}"
+        else:
+            lines.append(f"{key}={new}")
+    text = "".join(line + "\n" for line in lines)
+    cert = _parse_or_config_error(text)
+    if not edits:
+        assert cert.to_text() == text

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
+from h1geom import stability
 from h1geom.core import Point
-from h1geom.errors import (CertificateNotFound, ConfigError,
+from h1geom.errors import (CertificateNotFound, ConfigError, SingularPoint,
                            TubeConditionViolated, TubeTooSmall)
 from h1geom.numerics import QuadratureSpec, gauss_legendre_1d, integrate_2d
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
@@ -24,7 +26,7 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
                               vertical_variation_second_difference,
                               z_derivative, zero_function)
 from h1geom.surfaces import (CatenoidChart, HelicoidChart, VerticalPlaneChart,
-                             ruled_coordinates, surface_frame)
+                             ruled_coordinates, surface_frame, surface_frames)
 
 CAT = CatenoidChart(1.0)
 HEL2 = HelicoidChart(2.0)
@@ -178,6 +180,72 @@ def test_first_variation_stationary_helicoid_patch():
     a1, a0 = first_variation_direct(HEL2, v, zero_function(), quad)
     assert a0 > 0.0
     assert abs(a1) <= 1e-6 * a0
+
+
+def test_composed_test_functions_keep_the_kinks_of_their_factors():
+    # the plateau_ramp kinks at s = +-0.2 cut the cells of the composed
+    # fields too, so the coarse rule is already converged
+    f = separable(cosine_bump(1.5, 0.7), plateau_ramp(0.2, 0.3))
+    for u in (times_nh(CAT, f), combined_normal_component(CAT, f, f)):
+        assert {-0.2, 0.2} <= set(u.kinks[1])
+        coarse = index_form_I(CAT, u, u, QUAD44)
+        fine = index_form_I(CAT, u, u, QuadratureSpec(16, (16, 16)))
+        assert abs(coarse - fine) <= 1e-12 * abs(fine)
+
+
+def test_combined_normal_component_with_zero_w_is_v():
+    # the empty support of the zero function does not stretch the union
+    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    u = combined_normal_component(CAT, v, zero_function())
+    assert u.support == v.support
+    want = index_form_I(CAT, v, v, QUAD44)
+    assert abs(index_form_I(CAT, u, u, QUAD44) - want) <= 1e-14 * abs(want)
+
+
+def _frames_read(monkeypatch):
+    """Record the number of points of every frame batch ``stability`` computes."""
+    sizes = []
+    real = stability.surface_frames
+
+    def spy(chart, U1, U2, *args, **kw):
+        sizes.append(np.size(U1))
+        return real(chart, U1, U2, *args, **kw)
+
+    monkeypatch.setattr(stability, "surface_frames", spy)
+    return sizes
+
+
+def test_frame_factors_read_no_frame_where_they_vanish(monkeypatch):
+    # f vanishes with its partials on the singular helix s = 1/2 of HEL2;
+    # g does not
+    f = separable(cosine_bump(0.25, 0.15), cosine_bump(0.0, 0.5))
+    g = separable(cosine_bump(0.5, 0.2), cosine_bump(0.0, 0.5))
+    other = HelicoidChart(1.0)  # regular at s = 1/2
+    S, E = np.array([0.5, 0.5, 0.3]), np.array([0.0, 0.3, 0.1])
+    other_frames = (other, surface_frames(other, S, E))
+    fr = surface_frame(HEL2, (0.3, 0.1))
+    # each field, the field it equals at the two singular points, and its
+    # value at the regular one
+    cases = [(times_nh(HEL2, f), zero_function(), f.value(0.3, 0.1) * fr.Nh_norm),
+             (combined_normal_component(HEL2, g, f), g,
+              g.value(0.3, 0.1) + fr.NT * f.value(0.3, 0.1))]
+    sizes = _frames_read(monkeypatch)
+    for u, base, regular in cases:
+        for view, want in zip((u.value, u.d1, u.d2), (base.value, base.d1, base.d2)):
+            assert [view(0.5, e) for e in E[:2]] == [want(0.5, e) for e in E[:2]]
+        for frames in (None, other_frames):
+            sizes.clear()
+            jet = u.jet(S, E, frames)
+            assert sizes == [1]  # the frame at the regular point only
+            assert [c[:2].tolist() for c in jet] == [c[:2].tolist() for c in base.jet(S, E)]
+            assert jet[0][2] == pytest.approx(regular, rel=1e-13)
+    # where the frame factor does not vanish, the singular frame is read
+    for u in (times_nh(HEL2, g), combined_normal_component(HEL2, f, g)):
+        with pytest.raises(SingularPoint):
+            u.value(0.5, 0.0)
+        for frames in (None, other_frames):
+            with pytest.raises(SingularPoint):
+                u.jet(S, E, frames)
 
 
 def test_combined_normal_component_znt():
