@@ -24,8 +24,8 @@ from .stability import (InstabilityCertificate, Profile,
                         index_form_I, jacobi_vertical_quadratic, l_nh_closed,
                         operator_L, q_form, second_variation_direct, separable,
                         vertical_variation_area, z_derivative)
-from .surfaces import (CatenoidChart, Chart, ChartJets, HelicoidChart,
-                       SurfaceFrame, SurfaceFrames, VerticalPlaneChart, area,
+from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets,
+                       HelicoidChart, SurfaceFrame, SurfaceFrames, VerticalPlaneChart, area,
                        area_element, catalog_surface, characteristic_ray,
                        mean_curvatures, paraboloid_chart, plane_chart,
                        ruled_coordinates, singular_locus, surface_frame,

@@ -20,7 +20,7 @@ from .errors import ConfigError, GeometryError, NonFiniteValue
 from .geodesics import GeodesicArc, exp_geodesics
 from .stability import (certify_instability_h2, certify_instability_nosing,
                         scaled_helicoid_certificate)
-from .surfaces import CatenoidChart, catalog_surface, surface_frames
+from .surfaces import catalog_surface, surface_frames
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -225,14 +225,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_OK if (cert.Q_value < 0.0 and base.Q_value_doubled < 0.0) else EXIT_FAIL
 
     if args.target == "catenoid":
-        t = args.lam * args.lam
-        if not 0.0 < t < math.inf:  # lam = 0, or lam^2 underflows or overflows
+        if not 0.0 < args.lam * args.lam < math.inf:  # lam = 0, or lam^2 under- or overflows
             raise ConfigError("certify catenoid requires --lam with 0 < lam^2 < inf")
-        if args.kmax < 1:
-            raise ConfigError("certify catenoid requires --kmax >= 1")
-        chart = CatenoidChart(args.lam)
-        u0 = chart.locate(Point(math.sqrt(2.0) * abs(args.lam), 0.0, t))
-        cert = certify_instability_nosing(chart, u0, range(1, args.kmax + 1))
+        cert = certify_instability_nosing(args.lam)
         _write_lines(args.out, cert.to_text().splitlines())
         return EXIT_OK if (cert.Q_value < 0.0 and cert.Q_value_doubled < 0.0) else EXIT_FAIL
 
@@ -294,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("target", choices=["h2", "helicoid", "catenoid"])
     p_cert.add_argument("--R", type=float)
     p_cert.add_argument("--lam", type=float, default=1.0)
-    p_cert.add_argument("--kmax", type=int, default=64)
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certify)
     return ap

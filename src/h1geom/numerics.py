@@ -190,15 +190,21 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
 
     ``f`` maps the node arrays of one cell to the sample array; the batch
     is fixed by the rule and the terms are summed in ``integrate_2d`` order.
+    Overflow and invalid operations raise no numpy warning: the first
+    non-finite sample, or the first weighted term that overflows, raises
+    ``NonFiniteValue``.
     """
     U1, U2, W = gauss_nodes(rect, spec)
     if not U1.size:
         return 0.0
     terms = []
     for u1, u2, w in zip(U1, U2, W):
-        v = f(u1, u2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = f(u1, u2)
+            wv = w * v
         _raise_first_nonfinite(v, "integrate_2d")
-        terms.extend((w * v).tolist())
+        _raise_first_nonfinite(wv, "integrate_2d weighted terms")
+        terms.extend(wv.tolist())
     return kahan_sum(terms)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,11 +35,10 @@ from .errors import (CertificateNotFound, ConfigError, NonFiniteValue,
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diff,
                        central_quotient, gauss_legendre_1d, gauss_nodes,
-                       gauss_nodes_1d, integrate_array_1d, integrate_cells,
-                       kahan_sum, richardson, split_cells)
-from .surfaces import (Chart, RuledChart, SurfaceFrames, area_density,
-                       integrate_tangent_field, ruled_coordinates,
-                       surface_frame, surface_frames)
+                       integrate_array_1d, integrate_cells, kahan_sum,
+                       richardson, split_cells)
+from .surfaces import (CatenoidRulingChart, Chart, area_density,
+                       integrate_tangent_field, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
 # 1-D profiles and separable test functions
@@ -128,18 +127,22 @@ def smooth_bump(center: float, halfwidth: float) -> Profile:
     """The standard C-infinity mollifier bump, normalized to 1 at the center."""
     w = halfwidth
 
-    def val(x: float) -> float:
+    def parts(x, m):
         y = (x - center) / w
-        if abs(y) >= 1.0:
-            return 0.0
-        return math.exp(1.0 - 1.0 / (1.0 - y * y))
-
-    def der(x: float) -> float:
-        y = (x - center) / w
-        if abs(y) >= 1.0:
-            return 0.0
+        inside = abs(y) < 1.0
+        y = y * inside  # 0 outside, where 1/(1 - y^2) would blow up
         d = 1.0 - y * y
-        return val(x) * (-2.0 * y / (d * d)) / w
+        return inside, y, d, m.exp(1.0 - 1.0 / d)
+
+    @_formula
+    def val(x, m=math):
+        inside, _, _, e = parts(x, m)
+        return _where(m, inside, e)
+
+    @_formula
+    def der(x, m=math):
+        inside, y, d, e = parts(x, m)
+        return _where(m, inside, e * (-2.0 * y / (d * d)) / w)
 
     return Profile(val, der, (center - w, center + w))
 
@@ -681,8 +684,10 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
 @dataclass(frozen=True)
 class InstabilityCertificate:
     """An explicit test function plus quadrature evidence that the relevant
-    quadratic form is negative.  ``delta`` and ``C`` are set for helicoid
-    certificates; ruled-coordinate certificates carry the scanned k only.
+    quadratic form is negative.  ``surface`` names the surface with its
+    parameter (``helicoid R=...``, ``catenoid lam=...``).  ``k`` and ``eps0``
+    are the half-widths of the test function along and across the rulings;
+    ``delta`` and ``C`` are set for helicoid certificates only.
     ``Q_value_doubled`` is the same form at doubled resolution, set by the
     searches that computed it.
     """
@@ -822,94 +827,46 @@ def scaled_helicoid_certificate(base: InstabilityCertificate,
     return cert
 
 
-def ruled_index_value(ruled: RuledChart, phi: Profile, k: float,
-                      quad: QuadratureSpec) -> float:
-    """The reduced index value of the test function phi(eps) phi(s/k) in
-    ruled coordinates:
-
-        int (du/ds)^2 deps ds - (3/4) int L(|N_h|) u^2 deps ds.
-
-    L(|N_h|) along each ruling comes from the vertical Jacobi quadratic at
-    the base point on ``ruled.base``: the discriminant is
-    translation-invariant along the ruling, so L at ruling parameter s is
-    -(b^2-4ac)/(a s^2 + b s + c)^2.  The quadratic of each eps node is
-    computed once per ``ruled`` (in its ``ruling_cache``).
-    """
-    p = quad.points_per_cell
-    lo, hi = phi.support
-    ex, ew = gauss_nodes_1d(lo, hi, p, quad.cells[0])
-    eps_nodes = list(zip(ex.ravel().tolist(), ew.ravel().tolist()))
-
-    int_phi2 = kahan_sum([w * phi.value(e) ** 2 for e, w in eps_nodes])
-    int_dphi2 = kahan_sum([w * phi.deriv(e) ** 2 for e, w in eps_nodes])
-
-    # the rulings that contribute: phi(eps)^2 != 0 and L(|N_h|) not identically 0
-    live = []
-    for e, we in eps_nodes:
-        coeffs = ruled.ruling_cache.get(e)
-        if coeffs is None:
-            a, b, c, disc = jacobi_vertical_quadratic(ruled.base, ruled.curve_chart_point(e))
-            coeffs = ruled.ruling_cache[e] = (a, b, c, -disc)
-        pe2 = phi.value(e) ** 2
-        if pe2 != 0.0 and coeffs[3] != 0.0:
-            live.append((we, pe2, *coeffs))
-
-    s_cells = max(quad.cells[1], int(math.ceil(k)) * 2)
-    sx, sw = gauss_nodes_1d(k * lo, k * hi, p, s_cells)
-    s_nodes = [(s, ws * phi.value(s / k) ** 2)
-               for s, ws in zip(sx.ravel().tolist(), sw.ravel().tolist())]
-
-    second = kahan_sum(_ruling_sums(live, s_nodes)) if live else 0.0
-    return int_dphi2 * int_phi2 / k - 0.75 * second
-
-
-def _ruling_sums(live: list[tuple], s_nodes: list[tuple[float, float]]) -> list[float]:
-    """we * phi(eps)^2 * sum_s ws phi(s/k)^2 L(s) for each live ruling
-    (we, phi(eps)^2, a, b, c, -disc), with L(s) = -disc / (a s^2 + b s + c)^2.
-
-    Streams over the s-nodes with the Kahan sums of all rulings as arrays:
-    per ruling, the same operations in the same order as ``kahan_sum``.
-    """
-    we, pe2, a, b, c, d = (np.array(col) for col in zip(*live))
-    total = np.zeros(len(live))
-    carry = np.zeros(len(live))
-    for s, wp in s_nodes:
-        vt = a * s * s + b * s + c
-        den = vt * vt
-        if not den.all():
-            raise NonFiniteValue(f"vertical Jacobi component vanishes at s = {s!r}")
-        y = wp * d / den - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return (we * pe2 * total).tolist()
-
-
-NOSING_QUAD = QuadratureSpec(16, (8, 8))
+NOSING_QUAD = QuadratureSpec(16, (1, 8))
 NOSING_PHI = cosine_bump(0.0, 1.0)
 
 
-def certify_instability_nosing(chart: Chart, u0: tuple[float, float],
-                               k_list: Sequence[int]) -> InstabilityCertificate:
-    """Instability certificate for a complete minimal surface patch with no
-    singular points and <N,T> != 0 somewhere (e.g. the catenoid): scan the
-    widening test functions phi(eps) phi(s/k), phi = ``NOSING_PHI``, at
-    ``NOSING_QUAD`` until the reduced index value turns negative, then
-    evaluate it at that k again at doubled resolution.
+def ruled_index_value(lam: float, quad: QuadratureSpec) -> float:
+    """I(u, u) on ``CatenoidRulingChart(lam)`` for u = |N_h| phi(a) psi(s),
+    with phi = ``NOSING_PHI`` across the rulings and psi = cosine_bump(0,
+    2|lam|) along them.
+
+    psi breaks at +-lam^2 4^j (j >= 0) inside its support, so the cells
+    resolve the layer of width about lam^2 next to the waist, across which
+    |N_h| falls from 1 when |lam| is small.  One a-cell is enough: rotations
+    about the t-axis are shifts in a, so the integrand depends on a only
+    through phi.
     """
-    eps_range = NOSING_PHI.support[1]  # the bump is centred at 0
-    k_max = max(k_list)
-    ruled = ruled_coordinates(chart, u0, eps_range,
-                              (-k_max * eps_range, k_max * eps_range))
-    for k in map(float, k_list):
-        val = ruled_index_value(ruled, NOSING_PHI, k, NOSING_QUAD)
-        if val < 0.0:
-            return InstabilityCertificate(
-                f"{type(chart).__name__} ruled at {u0!r}", k, eps_range, val,
-                NOSING_QUAD, Q_value_doubled=ruled_index_value(
-                    ruled, NOSING_PHI, k, NOSING_QUAD.doubled()))
-    raise CertificateNotFound(f"index value stayed nonnegative for k = {k_list[0]!r}.."
-                              f"{k_list[-1]!r} ({len(k_list)} values)")
+    chart = CatenoidRulingChart(lam)
+    width = 2.0 * abs(lam)
+    cuts = []
+    c = lam * lam
+    while c < width:
+        cuts += (-c, c)
+        c *= 4.0
+    psi = replace(cosine_bump(0.0, width), breakpoints=tuple(sorted(cuts)))
+    u = times_nh(chart, separable(NOSING_PHI, psi))
+    return index_form_I(chart, u, u, quad)
+
+
+def certify_instability_nosing(lam: float) -> InstabilityCertificate:
+    """Instability certificate for the catenoid of waist radius |lam|, a
+    complete surface with no singular points and <N,T> != 0 off the waist:
+    ``ruled_index_value`` at ``NOSING_QUAD``, negative, and again at its
+    doubling.  ``k`` is psi's half-width 2|lam| and ``eps0`` phi's, 1.
+    """
+    val = ruled_index_value(lam, NOSING_QUAD)
+    if not val < 0.0:
+        raise CertificateNotFound(f"I(u, u) = {val!r} is not negative on the catenoid "
+                                  f"lam={lam!r}")
+    return InstabilityCertificate(
+        f"catenoid lam={lam:.17g}", 2.0 * abs(lam), NOSING_PHI.support[1], val, NOSING_QUAD,
+        Q_value_doubled=ruled_index_value(lam, NOSING_QUAD.doubled()))
 
 
 # ---------------------------------------------------------------------------

@@ -679,6 +679,35 @@ class CatenoidChart(Chart):
                 (r * co, r * si, lam * lam * sh))
 
 
+class CatenoidRulingChart(Chart):
+    """The catenoid t^2 = lam^2 (x^2 + y^2 - lam^2) charted by its rulings:
+
+        F(a, s) = (lam cos a - s sin a, lam sin a + s cos a, -lam s),
+
+    the horizontal lines tangent to the waist circle, so Z = +-d/ds and
+    F_ss = 0.  One injective chart of the complete surface for either sign
+    of lam: a in [-pi, pi), s in R.  Rotations about the t-axis are shifts
+    in a, so every frame quantity depends on s alone.
+    """
+
+    def __init__(self, lam: float):
+        if not 0.0 < lam * lam < math.inf:
+            raise ValueError("lam^2 must be positive and finite")
+        self.lam = lam
+        self.domain = ((-math.pi, math.pi), (-math.inf, math.inf))
+
+    def _jet_parts(self, u1, u2, m):
+        lam = self.lam
+        a, s = u1, u2
+        co, si = m.cos(a), m.sin(a)
+        return ((lam * co - s * si, lam * si + s * co, -lam * s),
+                (-lam * si - s * co, lam * co - s * si, 0.0),
+                (-si, co, -lam),
+                (-lam * co + s * si, -lam * si - s * co, 0.0),
+                (-co, -si, 0.0),
+                (0.0, 0.0, 0.0))
+
+
 class TransformedChart(Chart):
     """A chart composed with an affine ambient map q -> M q + shift.
 
@@ -758,8 +787,6 @@ class RuledChart(Chart):
         bwd = integrate_tangent_field(base, u0, -eps_range, n, "S")
         self._nodes = list(reversed(bwd[1:])) + fwd  # index j+n, j in [-n, n]
         self._cache: dict[float, tuple[float, float]] = {}
-        # per-ruling data keyed by eps, filled by stability.ruled_index_value
-        self.ruling_cache: dict[float, tuple] = {}
 
     def curve_chart_point(self, eps: float) -> tuple[float, float]:
         """Base-chart coordinates of Gamma(eps)."""

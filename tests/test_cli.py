@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from h1geom import stability
 from h1geom.cli import main
 from h1geom.errors import ConfigError
 from h1geom.stability import InstabilityCertificate
@@ -162,11 +163,21 @@ def test_certify_helicoid_bad_params():
 
 def test_certify_catenoid(tmp_path):
     out = tmp_path / "cat.txt"
-    assert run(["certify", "catenoid", "--lam", "1", "--kmax", "64",
-                "--out", str(out)]) == 0
+    assert run(["certify", "catenoid", "--lam", "1", "--out", str(out)]) == 0
     kv = dict(l.split("=", 1) for l in out.read_text().splitlines())
+    assert kv["surface"] == "catenoid lam=1"
     assert float(kv["Q_value"]) < 0.0
     assert float(kv["Q_value_doubled"]) < 0.0
+
+
+def test_certify_catenoid_large_lam(tmp_path):
+    # no --kmax: the test function's width is 2|lam| at every scale
+    out = tmp_path / "cat.txt"
+    assert run(["certify", "catenoid", "--lam=100", "--out", str(out)]) == 0
+    cert = InstabilityCertificate.from_text(out.read_text())
+    assert cert.surface == "catenoid lam=100" and cert.k == 200.0
+    for q in (cert.Q_value, cert.Q_value_doubled):
+        assert abs(q / 100.0 + 1.6716703329) <= 1e-9
 
 
 def test_unknown_arguments_exit_config():
@@ -191,18 +202,21 @@ def test_export_catenoid_zero_lam(tmp_path, capsys):
                          "--out", str(tmp_path / "g.csv")], capsys)
 
 
-def test_certify_catenoid_empty_k_range(tmp_path, capsys):
-    _assert_usage_error(["certify", "catenoid", "--kmax", "0",
-                         "--out", str(tmp_path / "c.txt")], capsys)
-
-
-def test_certify_catenoid_not_found(tmp_path, capsys):
-    # no k in 1..4 makes the index value negative at lam = 100
+def test_certify_catenoid_has_no_kmax(tmp_path, capsys):
     out = tmp_path / "c.txt"
-    assert run(["certify", "catenoid", "--lam", "100", "--kmax", "4", "--out", str(out)]) == 1
+    assert run(["certify", "catenoid", "--kmax", "4", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --kmax 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_catenoid_not_found(tmp_path, capsys, monkeypatch):
+    # a nonnegative index value is a failure with one line and no file
+    monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: 0.5)
+    out = tmp_path / "c.txt"
+    assert run(["certify", "catenoid", "--lam", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "k = 1..4 (4 values)" in err
+    assert "lam=2.0" in err
     assert not out.exists()
 
 
@@ -346,16 +360,30 @@ def test_export_surface_grid_fuzz(tmp_path_factory, surface, R, lam, n1):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(), st.integers(min_value=-2, max_value=6))
-@example(1e-300, 4)
-@example(5e-324, 4)
-@example(1e300, 4)
-@example(math.nan, 4)
-@example(-math.inf, 4)
-def test_certify_catenoid_fuzz(tmp_path_factory, lam, kmax):
+@given(st.floats())
+@example(1e-300)
+@example(5e-324)
+@example(1e300)
+@example(math.nan)
+@example(-math.inf)
+@example(1e-150)
+@example(-1e150)
+@example(6.3441001225164e+57)  # a weighted quadrature term overflows
+def test_certify_catenoid_fuzz(tmp_path_factory, lam):
     out = tmp_path_factory.mktemp("fuzz") / "c.txt"
-    _exits_cleanly(["certify", "catenoid", f"--lam={lam!r}", f"--kmax={kmax}",
-                    "--out", str(out)])
+    _exits_cleanly(["certify", "catenoid", f"--lam={lam!r}", "--out", str(out)])
+
+
+@pytest.mark.parametrize("lam", [1e-150, -1e150])
+def test_certify_catenoid_extreme_lam_fails_in_one_line(tmp_path, capsys, lam):
+    # lam^2 is a float, but the surface leaves the frame kernel's range:
+    # |N_h| falls under the singular gate, or |F_a x F_s| overflows
+    out = tmp_path / "c.txt"
+    code = run(["certify", "catenoid", f"--lam={lam!r}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (1, 3)
+    assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
+    assert not out.exists()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from h1geom.errors import NonFiniteValue
 from h1geom._gauss import NODES_WEIGHTS
 from h1geom.numerics import (DiffSpec, QuadratureSpec, _composite_1d, central_diff,
                              central_quotient, gauss_legendre_1d, gauss_nodes,
-                             gauss_nodes_1d, integrate_2d, kahan_sum, richardson,
-                             split_cells)
+                             gauss_nodes_1d, integrate_2d, integrate_cells, kahan_sum,
+                             richardson, split_cells)
 
 
 def test_polynomial_exactness_basic():
@@ -135,6 +136,20 @@ def test_nonfinite_rejected():
     with pytest.raises(NonFiniteValue):
         integrate_2d(lambda a, b: math.inf if a + b > 1.0 else 0.0,
                      ((0, 1), (0, 1)), spec)
+
+
+def test_integrate_cells_overflow_raises_without_warning():
+    # a finite sample times a finite weight may overflow; an overflowing or
+    # invalid integrand is caught by the same check, with no numpy warning
+    spec = QuadratureSpec(4, (1, 1))
+    rect = ((0.0, 1e300), (0.0, 1.0))
+    cases = [(lambda a, b: np.full_like(a, 1e300), "weighted terms"),
+             (lambda a, b: a * 1e300 - a * 1e300, "integrate_2d: nan")]
+    for f, msg in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=msg):
+                integrate_cells(f, rect, spec)
 
 
 def test_central_diff():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from h1geom import stability
+from h1geom import cli, stability, surfaces
 from h1geom.core import Point
 from h1geom.errors import (CertificateNotFound, ConfigError, SingularPoint,
                            TubeConditionViolated, TubeTooSmall)
-from h1geom.numerics import QuadratureSpec, gauss_legendre_1d, integrate_2d
+from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, integrate_2d,
+                             integrate_array_1d, kahan_sum, split_cells)
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
                               InstabilityCertificate, Profile, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
@@ -25,8 +26,9 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
                               vertical_variation_area,
                               vertical_variation_second_difference,
                               z_derivative, zero_function)
-from h1geom.surfaces import (CatenoidChart, HelicoidChart, VerticalPlaneChart,
-                             ruled_coordinates, surface_frame, surface_frames)
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, HelicoidChart,
+                             VerticalPlaneChart, ruled_coordinates, surface_frame,
+                             surface_frames)
 
 CAT = CatenoidChart(1.0)
 HEL2 = HelicoidChart(2.0)
@@ -382,33 +384,94 @@ def test_scaled_certificates():
 
 
 def test_catenoid_certificate():
-    u0 = CAT.locate(Point(math.sqrt(2.0), 0.0, 1.0))
-    cert = certify_instability_nosing(CAT, u0, list(range(1, 65)))
-    assert cert.Q_value < 0.0
-    assert 1 <= cert.k <= 64
-    doubled = cert.Q_value_doubled
-    assert doubled < 0.0
-    # the index value at k just below the threshold is larger than at k
-    ruled = ruled_coordinates(CAT, u0, 1.0, (-64.0, 64.0))
-    prev = ruled_index_value(ruled, NOSING_PHI, cert.k - 1, cert.quad) if cert.k > 1 else 1.0
-    assert prev > cert.Q_value
+    cert = certify_instability_nosing(1.0)
+    assert cert.surface == "catenoid lam=1"
+    assert (cert.k, cert.eps0, cert.quad) == (2.0, 1.0, NOSING_QUAD)
+    assert cert.Q_value == ruled_index_value(1.0, NOSING_QUAD) < 0.0
+    assert cert.Q_value_doubled < 0.0
 
 
 def test_vertical_plane_has_no_certificate():
-    vp = VerticalPlaneChart(domain=((-6, 6), (-6, 6)))
-    with pytest.raises(CertificateNotFound):
-        certify_instability_nosing(vp, (0.0, 0.0), [1, 2, 4, 8])
+    # the same recipe |N_h| phi psi on the plane x = 0, whose rulings are the
+    # y-lines (u1): there q = 0 and |N_h| = 1, so I = int phi^2 int psi'^2 =
+    # (3/4) pi^2/(4 w) > 0 for every half-width w of psi
+    for w in (1.0, 2.0, 4.0, 8.0):
+        vp = VerticalPlaneChart(domain=((-w, w), (-1.0, 1.0)))
+        u = times_nh(vp, separable(cosine_bump(0.0, w), NOSING_PHI))
+        val = index_form_I(vp, u, u, QuadratureSpec(16, (8, 1)))
+        assert val > 0.0
+        assert abs(val - 3.0 * math.pi ** 2 / (16.0 * w)) <= 1e-12 * val
 
 
 @pytest.mark.parametrize("lam", [1.0, -2.5])
 def test_nosing_search_confirms_at_doubled_resolution(lam):
-    chart = CatenoidChart(lam)
-    u0 = chart.locate(Point(math.sqrt(2.0) * abs(lam), 0.0, lam * lam))
-    cert = certify_instability_nosing(chart, u0, range(1, 65))
-    ruled = ruled_coordinates(chart, u0, 1.0, (-64.0, 64.0))  # as the search builds it
-    assert cert.Q_value_doubled == ruled_index_value(ruled, NOSING_PHI, cert.k,
-                                                     NOSING_QUAD.doubled())
+    cert = certify_instability_nosing(lam)
+    assert cert.Q_value_doubled == ruled_index_value(lam, NOSING_QUAD.doubled())
     assert cert.Q_value_doubled < 0.0
+
+
+def test_catenoid_certificate_scale_law():
+    # Q scales like |lam|: Q/|lam| agrees at 1x and 2x, and across scales
+    ref = ruled_index_value(1.0, NOSING_QUAD)
+    for j in range(-3, 4):
+        lam = (-1.0) ** j * 10.0 ** j
+        cert = certify_instability_nosing(lam)
+        q1, q2 = cert.Q_value / abs(lam), cert.Q_value_doubled / abs(lam)
+        assert abs(q1 - q2) <= 1e-6 * abs(q2), lam
+        assert abs(q1 - ref) <= 1e-6 * abs(ref), lam
+        assert cert.surface == f"catenoid lam={lam:.17g}"
+        parsed = InstabilityCertificate.from_text(cert.to_text())
+        assert parsed == cert
+        assert float(parsed.surface.partition("lam=")[2]) == lam
+
+
+@pytest.mark.parametrize("lam", [1.0, -2.5, 0.01])
+def test_one_a_cell_is_enough(lam):
+    # rotations about the t-axis are shifts in a: the integrand depends on a
+    # only through phi, so more a-cells change nothing
+    one = ruled_index_value(lam, NOSING_QUAD)
+    assert abs(one - ruled_index_value(lam, QuadratureSpec(16, (8, 8)))) <= 1e-10 * abs(one)
+
+
+@pytest.mark.parametrize("lam, cuts", [(1.0, (-2.0, -1.0, 1.0, 2.0)), (-2.5, (-5.0, 5.0))])
+def test_ruled_index_value_separates(lam, cuts):
+    # every frame quantity depends on s alone and Z = +-d/ds, so
+    # I(u, u) = int phi^2 da * int |N_h|^{-1} ((|N_h| psi)'^2 - q |N_h|^2 psi^2) |F_a x F_s| ds
+    chart = CatenoidRulingChart(lam)
+    psi = cosine_bump(0.0, 2.0 * abs(lam))
+
+    def along(s):
+        fr = surface_frames(chart, np.zeros_like(s), s)
+        nh, dnh = fr.Nh_norm, fr.dNh[1]
+        du = dnh * psi.values(s) + nh * psi.derivs(s)
+        return (du * du - fr.q * (nh * psi.values(s)) ** 2) / nh * fr.riem_area
+
+    quad = QuadratureSpec(16, (1, 16))
+    j = kahan_sum([integrate_array_1d(along, lo, hi, 16, n)
+                   for lo, hi, n in split_cells(list(cuts), 16)])
+    phi2 = integrate_array_1d(lambda a: NOSING_PHI.values(a) ** 2, -1.0, 1.0, 16, 1)
+    want = ruled_index_value(lam, quad)
+    assert abs(phi2 * j - want) <= 1e-12 * abs(want)
+
+
+def test_nosing_certificate_needs_a_negative_value(monkeypatch):
+    monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: 0.0)
+    with pytest.raises(CertificateNotFound, match="lam=1.5"):
+        certify_instability_nosing(1.5)
+
+
+def test_catenoid_certify_integrates_no_tangent_field(monkeypatch, tmp_path):
+    calls = []
+    rk4 = surfaces.integrate_tangent_field
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rk4(*args, **kwargs)
+
+    for mod in (surfaces, stability):
+        monkeypatch.setattr(mod, "integrate_tangent_field", counted)
+    assert cli.main(["certify", "catenoid", "--lam=-1.7", "--out", str(tmp_path / "c.txt")]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("edit, key", [

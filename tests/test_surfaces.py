@@ -5,7 +5,7 @@ import pytest
 from h1geom.core import Point, dot
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
-from h1geom.surfaces import (CatenoidChart, ChartJet, Chart, GraphChart,
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, ChartJet, Chart, GraphChart,
                              HelicoidChart, VerticalPlaneChart, area,
                              area_element, catalog_surface, characteristic_ray,
                              dilated, mean_curvatures, paraboloid_chart,
@@ -68,6 +68,26 @@ def test_catenoid_chart():
         fr = surface_frame(chart, (th, ph))
         assert abs(fr.H) <= 1e-12
         assert fr.Nh_norm > 0.1
+
+
+@pytest.mark.parametrize("lam", [1.0, -2.5, 0.5])
+def test_catenoid_ruling_chart_is_the_catenoid(lam):
+    rc, cat = CatenoidRulingChart(lam), CatenoidChart(lam)
+    for a, s in ((0.0, 0.0), (0.4, 0.3 * lam), (-2.0, -1.7 * lam), (3.0, 2.5 * lam),
+                 (-0.9, 0.01 * lam)):
+        p = rc.point(a, s)
+        assert abs(cat.implicit_residual(p)) <= 1e-13 * lam ** 4
+        fr, want = surface_frame(rc, (a, s)), surface_frame(cat, cat.locate(p))
+        for got, ref in ((fr.Nh_norm, want.Nh_norm), (fr.H, want.H), (fr.q, want.q)):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (a, s)
+        # the rulings are the s-lines: Z = +-d/ds
+        assert abs(fr.z_chart[0]) <= 1e-12 and abs(abs(fr.z_chart[1]) - 1.0) <= 1e-12
+
+
+def test_catenoid_ruling_chart_rejects_lam():
+    for lam in (0.0, 1e-200, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CatenoidRulingChart(lam)
 
 
 def test_paraboloid_frame():
