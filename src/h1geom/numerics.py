@@ -184,26 +184,42 @@ def integrate_2d(f: Callable[[float, float], float], rect: Rect,
     return kahan_sum(terms)
 
 
+# Nodes per integrand call of ``integrate_cells``: 16 cells at 16 points.
+CELL_BLOCK_NODES = 4096
+
+
 def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rect,
                     spec: QuadratureSpec) -> float:
-    """``integrate_2d`` for an integrand evaluated one quadrature cell at a time.
+    """``integrate_2d`` for an elementwise array integrand, evaluated on
+    blocks of whole quadrature cells.
 
-    ``f`` maps the node arrays of one cell to the sample array; the batch
-    is fixed by the rule and the terms are summed in ``integrate_2d`` order.
-    Overflow and invalid operations raise no numpy warning: the first
-    non-finite sample, or the first weighted term that overflows, raises
-    ``NonFiniteValue``.
+    ``f`` maps 1-D node arrays to the sample array.  Each call gets the
+    nodes of consecutive cells in the row-major order of ``gauss_nodes``,
+    as many cells as fit in ``CELL_BLOCK_NODES`` (at least one), so the
+    rule and that constant fix the blocks.  The terms are summed in
+    ``integrate_2d`` order, so the result does not depend on the block
+    size.  Overflow and invalid operations raise no numpy warning.  The
+    first cell holding a non-finite sample or an overflowing weighted term
+    raises ``NonFiniteValue``: at its first non-finite sample, else at its
+    first non-finite weighted term, as a cell-by-cell loop would.
     """
     U1, U2, W = gauss_nodes(rect, spec)
     if not U1.size:
         return 0.0
+    per_cell = U1.shape[1]
+    step = max(1, CELL_BLOCK_NODES // per_cell)
     terms = []
-    for u1, u2, w in zip(U1, U2, W):
+    for first in range(0, len(U1), step):
+        block = slice(first, first + step)
         with np.errstate(over="ignore", invalid="ignore"):
-            v = f(u1, u2)
-            wv = w * v
-        _raise_first_nonfinite(v, "integrate_2d")
-        _raise_first_nonfinite(wv, "integrate_2d weighted terms")
+            v = f(U1[block].ravel(), U2[block].ravel())
+            wv = W[block].ravel() * v
+        bad = ~np.isfinite(wv)  # a non-finite sample is a non-finite term
+        if bad.any():
+            start = int(np.argmax(bad)) // per_cell * per_cell
+            cell = slice(start, start + per_cell)
+            _raise_first_nonfinite(v[cell], "integrate_2d")
+            _raise_first_nonfinite(wv[cell], "integrate_2d weighted terms")
         terms.extend(wv.tolist())
     return kahan_sum(terms)
 

@@ -407,7 +407,7 @@ def _axis_cuts(lo: float, hi: float, fs: Sequence[TestFunction], axis: int) -> l
 def _piecewise_2d(fn, rect: Rect, fs: Sequence[TestFunction],
                   quad: QuadratureSpec) -> float:
     """Tensor quadrature with cells split at support edges and profile kinks;
-    ``fn`` maps the node arrays of one quadrature cell to its samples."""
+    ``fn`` maps the node arrays of a block of quadrature cells to its samples."""
     (a1, b1), (a2, b2) = rect
     pieces2 = split_cells(_axis_cuts(a2, b2, fs, 1), quad.cells[1])
     total = []
@@ -765,6 +765,21 @@ def h2_certificate_test_function(k: float, delta: float, eps0: float) -> TestFun
     return separable(cos_arch(eps0), plateau_ramp(k, delta))
 
 
+# Relative gap allowed between a certificate's Q at its rule and at the
+# rule's doubling.
+DOUBLING_RTOL = 1e-6
+
+
+def _confirmed(q: float, q_doubled: float, surface: str) -> float:
+    """``q_doubled``, the form at doubled resolution, when it agrees with
+    ``q`` to ``DOUBLING_RTOL`` relative; else there is no certificate."""
+    if not abs(q - q_doubled) <= DOUBLING_RTOL * abs(q_doubled):
+        raise CertificateNotFound(
+            f"Q = {q!r} at 1x and {q_doubled!r} at 2x differ by more than "
+            f"{DOUBLING_RTOL:g} relative on the {surface}")
+    return q_doubled
+
+
 H2_K_VALUES = [0.51 + 0.01 * j for j in range(250)]
 H2_EPS0_VALUES = [float(2 ** m) for m in range(16)]
 H2_QUAD = QuadratureSpec(16, (64, 1))
@@ -777,7 +792,8 @@ def certify_instability_h2() -> InstabilityCertificate:
     the smallest power-of-two envelope halfwidth eps0 whose Rayleigh
     quotient 2 (pi/(2 eps0))^2 falls under 8 - C; the certificate is the
     lexicographically first passing grid point, with Q evaluated by
-    quadrature at ``H2_QUAD`` and again at its doubling.
+    quadrature at ``H2_QUAD`` and again at its doubling; the two must agree
+    to ``DOUBLING_RTOL``.
     """
     for k in H2_K_VALUES:
         if k < 0.5 + TUBE_MARGIN:
@@ -793,9 +809,11 @@ def certify_instability_h2() -> InstabilityCertificate:
             u = h2_certificate_test_function(k, delta, eps0)
             q_val = q_form(2.0, u, H2_QUAD)
             if q_val < 0.0:
+                q_doubled = _confirmed(q_val, q_form(2.0, u, H2_QUAD.doubled()),
+                                       "helicoid R=2")
                 return InstabilityCertificate(
                     "helicoid R=2", k, eps0, q_val, H2_QUAD, delta=delta, C=c,
-                    Q_value_doubled=q_form(2.0, u, H2_QUAD.doubled()))
+                    Q_value_doubled=q_doubled)
     raise CertificateNotFound("no (k, eps0) grid point produced Q < 0")
 
 
@@ -858,15 +876,18 @@ def certify_instability_nosing(lam: float) -> InstabilityCertificate:
     """Instability certificate for the catenoid of waist radius |lam|, a
     complete surface with no singular points and <N,T> != 0 off the waist:
     ``ruled_index_value`` at ``NOSING_QUAD``, negative, and again at its
-    doubling.  ``k`` is psi's half-width 2|lam| and ``eps0`` phi's, 1.
+    doubling, in agreement to ``DOUBLING_RTOL``.  ``k`` is psi's half-width
+    2|lam| and ``eps0`` phi's, 1.
     """
     val = ruled_index_value(lam, NOSING_QUAD)
     if not val < 0.0:
         raise CertificateNotFound(f"I(u, u) = {val!r} is not negative on the catenoid "
                                   f"lam={lam!r}")
+    q_doubled = _confirmed(val, ruled_index_value(lam, NOSING_QUAD.doubled()),
+                           f"catenoid lam={lam!r}")
     return InstabilityCertificate(
         f"catenoid lam={lam:.17g}", 2.0 * abs(lam), NOSING_PHI.support[1], val, NOSING_QUAD,
-        Q_value_doubled=ruled_index_value(lam, NOSING_QUAD.doubled()))
+        Q_value_doubled=q_doubled)
 
 
 # ---------------------------------------------------------------------------

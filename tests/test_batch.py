@@ -8,16 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from h1geom import stability
+from h1geom import numerics, stability
 from h1geom.core import FrameVector, Point
 from h1geom.errors import NonFiniteValue, SingularPoint
 from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
 from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
-from h1geom.surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
-                             area, area_element, area_elements, catalog_surface,
-                             _chart_velocity, dilated, ruled_coordinates,
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
+                             HelicoidChart, area, area_element, area_elements,
+                             catalog_surface, _chart_velocity, dilated, ruled_coordinates,
                              rotated, surface_frame, surface_frames, translated)
 
 SCALAR_FIELDS = ("Nh_norm", "NT", "riem_area", "BZZ", "BZS", "BSS", "H", "HR", "q")
@@ -407,3 +407,42 @@ def test_batch_hooks_ignore_frames_of_another_chart():
                       "index form")
         assert abs(index_form_I(cat, u, u, quad)
                    - index_form_I(other, u, u, quad)) > 1e-6
+
+
+def _block_size_cases():
+    """Named zero-argument integrals that run through ``integrate_cells``."""
+    quad = QuadratureSpec(16, (8, 16))
+    bowl, bowl_rect = _graph_cases()["floats_only"]
+    hel = HelicoidChart(2.0)
+    cases = {}
+    for lam in (0.3, -2.5):
+        ruled = CatenoidRulingChart(lam)
+        u = times_nh(ruled, separable(cosine_bump(0.0, 1.0), cosine_bump(0.2, 1.5 * abs(lam))))
+        cases[f"index_form_I ruling lam={lam}"] = (
+            lambda ruled=ruled, u=u: index_form_I(ruled, u, u, quad))
+    hu = separable(cosine_bump(0.0, 0.4), cosine_bump(0.1, 1.3))
+    cases["index_form_I helicoid"] = lambda: index_form_I(hel, hu, hu, quad)
+    gu = separable(cosine_bump(0.65, 0.3), smooth_bump(0.0, 0.9))
+    cases["index_form_I graph"] = lambda: index_form_I(bowl, gu, gu, QuadratureSpec(8, (4, 4)))
+    cases["area catenoid"] = lambda: area(CatenoidChart(1.0), ((0.0, 6.2), (-1.4, 1.4)), quad)
+    cases["area graph"] = lambda: area(bowl, bowl_rect, QuadratureSpec(32, (5, 3)))
+    for lam in (1.0, -1.0):
+        def nosing(lam=lam):
+            cert = stability.certify_instability_nosing(lam)
+            return cert.Q_value, cert.Q_value_doubled
+        cases[f"nosing lam={lam}"] = nosing
+    return cases
+
+
+def test_integrate_cells_block_size_is_invisible(monkeypatch):
+    # one cell per call at any points_per_cell (a cell-by-cell loop), the
+    # default block, and one block per rectangle give the same bits
+    def hexes(result):
+        return tuple(float(v).hex() for v in np.atleast_1d(result))
+
+    runs = []
+    for block in (1, numerics.CELL_BLOCK_NODES, 1 << 30):
+        monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", block)
+        runs.append({name: hexes(fn()) for name, fn in _block_size_cases().items()})
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0]) == 8

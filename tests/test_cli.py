@@ -386,6 +386,17 @@ def test_certify_catenoid_extreme_lam_fails_in_one_line(tmp_path, capsys, lam):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["1e-9", "-1e-9", "1e-4", "1e5", "1e30"])
+def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, lam):
+    # Q < 0 at 1x and 2x, but the two differ by more than 1e-6 relative
+    out = tmp_path / "c.txt"
+    assert run(["certify", "catenoid", f"--lam={lam}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at 2x differ by more than 1e-06 relative" in err
+    assert not out.exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats())
 @example(5e-324)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h1geom import numerics
 from h1geom.errors import NonFiniteValue
 from h1geom._gauss import NODES_WEIGHTS
 from h1geom.numerics import (DiffSpec, QuadratureSpec, _composite_1d, central_diff,
@@ -150,6 +151,88 @@ def test_integrate_cells_overflow_raises_without_warning():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue, match=msg):
                 integrate_cells(f, rect, spec)
+
+
+@pytest.mark.parametrize("points, cells", [(16, (5, 7)), (32, (3, 3)), (4, (20, 20)),
+                                            (8, (1, 1))])
+def test_integrate_cells_block_contract(points, cells):
+    # whole cells per call, at most CELL_BLOCK_NODES nodes, in gauss_nodes order
+    spec = QuadratureSpec(points, cells)
+    rect = ((-0.5, 1.0), (0.25, 2.0))
+    seen = []
+
+    def f(a, b):
+        seen.append((a.copy(), b.copy()))
+        return np.cos(a) * b
+    got = integrate_cells(f, rect, spec)
+    per_cell = points * points
+    n_cells = cells[0] * cells[1]
+    per_block = numerics.CELL_BLOCK_NODES // per_cell
+    assert len(seen) == -(-n_cells // per_block)
+    for a, b in seen:
+        assert a.ndim == b.ndim == 1 and len(a) == len(b)
+        assert len(a) % per_cell == 0 and 0 < len(a) <= numerics.CELL_BLOCK_NODES
+    U1, U2, _ = gauss_nodes(rect, spec)
+    assert np.array_equal(np.concatenate([a for a, _ in seen]), U1.ravel())
+    assert np.array_equal(np.concatenate([b for _, b in seen]), U2.ravel())
+    assert got == integrate_2d(lambda a, b: math.cos(a) * b, rect, spec)
+
+
+def _cell_by_cell(f, rect, spec):
+    # integrate_cells as a loop over single cells, checking each cell's
+    # samples before its weighted terms
+    U1, U2, W = gauss_nodes(rect, spec)
+    terms = []
+    for u1, u2, w in zip(U1, U2, W):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = f(u1, u2)
+            wv = w * v
+        for arr, where in ((v, "integrate_2d"), (wv, "integrate_2d weighted terms")):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise NonFiniteValue(f"non-finite sample in {where}: {float(arr[bad][0])!r}")
+        terms.extend(wv.tolist())
+    return kahan_sum(terms)
+
+
+def _planted(bad):
+    # cell c of QuadratureSpec(4, (1, 8)) on _TALL holds the nodes with
+    # floor(u2) = c; ``bad`` maps (cell, node) to the sample planted there
+    def f(a, b):
+        v = np.ones_like(a)
+        for (cell, node), value in bad.items():
+            where = np.flatnonzero(np.floor(b) == cell)
+            if where.size:
+                v[where[node]] = value
+        return v
+    return f
+
+
+# weights near 1e299: a sample of 1e300 overflows as a weighted term
+_TALL = ((0.0, 1e300), (0.0, 8.0))
+_SPEC_TALL = QuadratureSpec(4, (1, 8))
+
+
+@pytest.mark.parametrize("block", [16, 64, 4096])
+def test_integrate_cells_error_order(monkeypatch, block):
+    # the first bad cell in row-major order decides, as in a cell-by-cell
+    # loop: its first non-finite sample, else its first overflowing term
+    monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", block)
+    cases = [({(1, 0): 1e300, (3, 5): math.nan}, "weighted terms: inf"),
+             ({(5, 2): math.nan}, "integrate_2d: nan"),
+             ({(5, 2): -math.inf, (6, 0): math.nan}, "integrate_2d: -inf"),
+             ({(2, 1): 1e300, (2, 9): math.nan}, "integrate_2d: nan"),
+             ({(4, 7): -1e300, (7, 0): math.nan}, "weighted terms: -inf")]
+    for bad, msg in cases:
+        f = _planted(bad)
+        with pytest.raises(NonFiniteValue) as want:
+            _cell_by_cell(f, _TALL, _SPEC_TALL)
+        assert msg in str(want.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as got:
+                integrate_cells(f, _TALL, _SPEC_TALL)
+        assert str(got.value) == str(want.value), bad
 
 
 def test_central_diff():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,26 @@ def test_nosing_certificate_needs_a_negative_value(monkeypatch):
     monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: 0.0)
     with pytest.raises(CertificateNotFound, match="lam=1.5"):
         certify_instability_nosing(1.5)
+
+
+@pytest.mark.parametrize("lam", [1e-9, -1e-9, 1e-4, 1e5, 1e30])
+def test_nosing_certificate_needs_agreement_under_doubling(lam):
+    # Q negative at both resolutions, but 1x and 2x differ by more than
+    # DOUBLING_RTOL: the value is round-off of the frame kernel, not evidence
+    with pytest.raises(CertificateNotFound, match=re.escape(
+            f"differ by more than 1e-06 relative on the catenoid lam={lam!r}")):
+        certify_instability_nosing(lam)
+
+
+def test_h2_certificate_needs_agreement_under_doubling(monkeypatch):
+    # a doubled value just outside DOUBLING_RTOL of a negative Q fails the search
+    monkeypatch.setattr(stability, "q_form", lambda R, u, quad: -1.0 if quad == H2_QUAD
+                        else -1.0 - 2.0 * stability.DOUBLING_RTOL)
+    with pytest.raises(CertificateNotFound, match="helicoid R=2"):
+        certify_instability_h2()
+    monkeypatch.setattr(stability, "q_form", lambda R, u, quad: -1.0 if quad == H2_QUAD
+                        else -1.0 - 0.5 * stability.DOUBLING_RTOL)
+    assert certify_instability_h2().Q_value_doubled == -1.0 - 0.5 * stability.DOUBLING_RTOL
 
 
 def test_catenoid_certify_integrates_no_tangent_field(monkeypatch, tmp_path):
