@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import NonFiniteValue
-from .numerics import DiffSpec, central_diff
+from .numerics import DiffSpec, central_diff, rk4
 
 Vec3 = tuple[float, float, float]
 
@@ -146,18 +146,28 @@ def frame_at(p: Point) -> tuple[Vec3, Vec3, Vec3]:
     return ((1.0, 0.0, p.y), (0.0, 1.0, -p.x), (0.0, 0.0, 1.0))
 
 
-def euclidean_to_frame(p: Point, v: Sequence[float]) -> FrameVector:
-    """Frame coefficients of the Euclidean tangent vector ``v`` at ``p``.
-
-    The T-coefficient is the contact form: c = v_t - y v_x + x v_y.
-    """
+def frame_coeffs(x, y, v):
+    """Frame coefficients of the Euclidean vector ``v`` at a point (x, y, .):
+    the T-coefficient is the contact form v_t - y v_x + x v_y.  Plain
+    arithmetic, so it also applies to triples of arrays."""
     vx, vy, vt = v
-    return FrameVector(vx, vy, vt - p.y * vx + p.x * vy, p)
+    return (vx, vy, vt - y * vx + x * vy)
+
+
+def euclidean_coeffs(x, y, c):
+    """Euclidean components of the frame coefficients ``c`` at a point
+    (x, y, .): the inverse of ``frame_coeffs``, also on arrays."""
+    a, b, t = c
+    return (a, b, a * y - b * x + t)
+
+
+def euclidean_to_frame(p: Point, v: Sequence[float]) -> FrameVector:
+    """Frame coefficients of the Euclidean tangent vector ``v`` at ``p``."""
+    return FrameVector(*frame_coeffs(p.x, p.y, v), p)
 
 
 def frame_to_euclidean(v: FrameVector) -> Vec3:
-    p = v.base
-    return (v.a, v.b, v.a * p.y - v.b * p.x + v.c)
+    return euclidean_coeffs(v.base.x, v.base.y, (v.a, v.b, v.c))
 
 
 def jop_coeffs(v: Vec3) -> Vec3:
@@ -368,22 +378,5 @@ FLOW_STEPS = 8
 def flow(U: FrameField, p: Point, time: float) -> Point:
     """RK4 flow of the field ``U`` (on Euclidean coordinates), FLOW_STEPS
     steps."""
-    def vel(q: Point) -> Vec3:
-        return frame_to_euclidean(U.at(q))
-
-    h = time / FLOW_STEPS
-    cur = p
-    for _ in range(FLOW_STEPS):
-        k1 = vel(cur)
-        q2 = Point(cur.x + 0.5 * h * k1[0], cur.y + 0.5 * h * k1[1], cur.t + 0.5 * h * k1[2])
-        k2 = vel(q2)
-        q3 = Point(cur.x + 0.5 * h * k2[0], cur.y + 0.5 * h * k2[1], cur.t + 0.5 * h * k2[2])
-        k3 = vel(q3)
-        q4 = Point(cur.x + h * k3[0], cur.y + h * k3[1], cur.t + h * k3[2])
-        k4 = vel(q4)
-        cur = Point(
-            cur.x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            cur.y + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            cur.t + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        )
-    return cur
+    us = rk4(lambda q: frame_to_euclidean(U.at(Point(*q))), p.coords(), time, FLOW_STEPS)
+    return Point(*us[-1])

@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
-                   euclidean_to_frame, frame_to_euclidean, jop)
+                   euclidean_to_frame, frame_coeffs, frame_to_euclidean, jop)
 from .errors import NonFiniteValue
-from .numerics import DiffSpec, central_diff
+from .numerics import DiffSpec, _where, central_diff
 
 SERIES_CUTOFF = 1e-4
 
@@ -40,27 +40,15 @@ def helpers_fgh(x):
     Three Maclaurin terms below |x| = 1e-4; the truncation (~1e-28) is far
     under round-off, so the switch is seamless.  ``x`` may be an array.
     """
-    if isinstance(x, np.ndarray):
-        return _helpers_fgh_array(x)
-    if abs(x) < SERIES_CUTOFF:
-        x2 = x * x
-        f = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-        g = x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0)
-        h = x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0)
-        return f, g, h
-    s, c = math.sin(x), math.cos(x)
-    return s / x, (1.0 - c) / x, (x - s) / (x * x)
-
-
-def _helpers_fgh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    small = np.abs(x) < SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)  # keeps the closed branch off x = 0
-    s, c = np.sin(xs), np.cos(xs)
+    m = np if isinstance(x, np.ndarray) else math
+    small = abs(x) < SERIES_CUTOFF
+    xs = _where(m, small, 1.0, x)  # keeps the closed branch off x = 0
+    s, c = m.sin(xs), m.cos(xs)
     x2 = x * x
-    f = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, s / xs)
-    g = np.where(small, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0), (1.0 - c) / xs)
-    h = np.where(small, x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0), (xs - s) / (xs * xs))
-    return f, g, h
+    return (_where(m, small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, s / xs),
+            _where(m, small, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0), (1.0 - c) / xs),
+            _where(m, small, x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0),
+                   (xs - s) / (xs * xs)))
 
 
 @dataclass(frozen=True)
@@ -79,26 +67,34 @@ class GeodesicArc:
         return self.v0.c
 
 
-def _flow(p, A, B, lam, s, m):
-    """Point and frame-coefficient velocity of the closed flow at ``s``.
+def _flow_point(p, A, B, lam, s):
+    """Point of the closed flow at ``s``, and g(2 lam s).
 
     ``p`` is the Euclidean start, (A, B) the horizontal and ``lam`` the
-    conserved T-component of the initial velocity.  Plain arithmetic with
-    ``m`` the ``math`` module for one parameter or ``numpy`` for an array of
-    parameters ``s``.
+    conserved T-component of the initial velocity.  Plain arithmetic on
+    floats, or on arrays of one shape.
     """
     x0, y0, t0 = p
+    f, g, h = helpers_fgh(2.0 * lam * s)
+    return (x0 + s * (A * f + B * g),
+            y0 + s * (-A * g + B * f),
+            t0 + lam * s + (A * A + B * B) * s * s * h
+            + (A * x0 + B * y0) * s * g + (A * y0 - B * x0) * s * f), g
+
+
+def _flow(p, A, B, lam, s, m):
+    """Point and frame-coefficient velocity of the closed flow at ``s``: the
+    point of ``_flow_point``, with ``m`` the ``math`` module for one
+    parameter or ``numpy`` for an array of parameters ``s``.
+    """
+    x0, y0, _ = p
+    q, g = _flow_point(p, A, B, lam, s)
     x2ls = 2.0 * lam * s
-    f, g, h = helpers_fgh(x2ls)
-    x = x0 + s * (A * f + B * g)
-    y = y0 + s * (-A * g + B * f)
-    t = (t0 + lam * s + (A * A + B * B) * s * s * h
-         + (A * x0 + B * y0) * s * g + (A * y0 - B * x0) * s * f)
     co, si = m.cos(x2ls), m.sin(x2ls)
     vx = A * co + B * si
     vy = -A * si + B * co
     vt = lam + (A * A + B * B) * s * g + (A * x0 + B * y0) * si + (A * y0 - B * x0) * co
-    return (x, y, t), (vx, vy, vt - y * vx + x * vy)
+    return q, frame_coeffs(q[0], q[1], (vx, vy, vt))
 
 
 def exp_geodesic(arc: GeodesicArc, s: float) -> tuple[Point, FrameVector]:
@@ -141,14 +137,7 @@ def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
     The components of ``p`` and ``v`` may be arrays of one shape, which
     moves a whole batch of points at once.
     """
-    x0, y0, t0 = p
-    A, B, C = v
-    lam = C - A * y0 + B * x0
-    f, g, h = helpers_fgh(2.0 * lam * s)
-    return (x0 + s * (A * f + B * g),
-            y0 + s * (-A * g + B * f),
-            t0 + lam * s + (A * A + B * B) * s * s * h
-            + (A * x0 + B * y0) * s * g + (A * y0 - B * x0) * s * f)
+    return _flow_point(p, v[0], v[1], frame_coeffs(p[0], p[1], v)[2], s)[0]
 
 
 @dataclass(frozen=True)

@@ -173,15 +173,12 @@ def integrate_2d(f: Callable[[float, float], float], rect: Rect,
                  spec: QuadratureSpec) -> float:
     """Tensor-product composite rule over ``rect = ((a1,b1),(a2,b2))``.
 
-    Samples run in row-major cell/node order with compensated summation.
-    """
-    U1, U2, W = gauss_nodes(rect, spec)
-    if not U1.size:
-        return 0.0
-    terms = []
-    for u1, u2, w in zip(U1.ravel().tolist(), U2.ravel().tolist(), W.ravel().tolist()):
-        terms.append(w * _check_finite(f(u1, u2), "integrate_2d"))
-    return kahan_sum(terms)
+    ``integrate_cells`` for a scalar ``f``, called node by node in row-major
+    cell/node order."""
+    return integrate_cells(
+        lambda U1, U2: np.array([_check_finite(f(a, b), "integrate_2d")
+                                 for a, b in zip(U1.tolist(), U2.tolist())], dtype=float),
+        rect, spec)
 
 
 # Nodes per integrand call of ``integrate_cells``: 16 cells at 16 points.
@@ -190,18 +187,18 @@ CELL_BLOCK_NODES = 4096
 
 def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rect,
                     spec: QuadratureSpec) -> float:
-    """``integrate_2d`` for an elementwise array integrand, evaluated on
-    blocks of whole quadrature cells.
+    """The tensor-product composite rule over ``rect`` for an elementwise
+    array integrand, evaluated on blocks of whole quadrature cells.
 
     ``f`` maps 1-D node arrays to the sample array.  Each call gets the
     nodes of consecutive cells in the row-major order of ``gauss_nodes``,
     as many cells as fit in ``CELL_BLOCK_NODES`` (at least one), so the
-    rule and that constant fix the blocks.  The terms are summed in
-    ``integrate_2d`` order, so the result does not depend on the block
-    size.  Overflow and invalid operations raise no numpy warning.  The
-    first cell holding a non-finite sample or an overflowing weighted term
-    raises ``NonFiniteValue``: at its first non-finite sample, else at its
-    first non-finite weighted term, as a cell-by-cell loop would.
+    rule and that constant fix the blocks.  The terms are summed in that
+    order, so the result does not depend on the block size.  Overflow and
+    invalid operations raise no numpy warning.  The first cell holding a
+    non-finite sample or an overflowing weighted term raises
+    ``NonFiniteValue``: at its first non-finite sample, else at its first
+    non-finite weighted term, as a cell-by-cell loop would.
     """
     U1, U2, W = gauss_nodes(rect, spec)
     if not U1.size:
@@ -222,6 +219,38 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
             _raise_first_nonfinite(wv[cell], "integrate_2d weighted terms")
         terms.extend(wv.tolist())
     return kahan_sum(terms)
+
+
+def rk4(vel: Callable[[tuple], tuple], u0: tuple, length: float, steps: int) -> list[tuple]:
+    """Classical Runge-Kutta integral of ``u' = vel(u)`` over ``length`` in
+    ``steps`` equal steps: the states ``u0, u1, ..., u_steps``, as tuples;
+    ``vel`` maps a state tuple to a velocity tuple of the same length."""
+    h = length / steps
+    us = [u0]
+    u = u0
+    for _ in range(steps):
+        k1 = vel(u)
+        k2 = vel(tuple([a + 0.5 * h * k for a, k in zip(u, k1)]))
+        k3 = vel(tuple([a + 0.5 * h * k for a, k in zip(u, k2)]))
+        k4 = vel(tuple([a + h * k for a, k in zip(u, k3)]))
+        u = tuple([a + h / 6.0 * (b + 2 * c + 2 * d + e)
+                   for a, b, c, d, e in zip(u, k1, k2, k3, k4)])
+        us.append(u)
+    return us
+
+
+def _where(m, cond, then, other=0.0):
+    """``then`` where ``cond`` holds and ``other`` elsewhere, on a float
+    (``m`` is ``math``) or elementwise on arrays (``m`` is ``numpy``).
+
+    Both branches are computed, so each must stay defined where it is not
+    taken: the profiles scale a trig argument by their ``inside`` flag
+    (exactly 1 inside), so an infinite point outside the support reaches
+    the trig function as nan or 0, never as inf.
+    """
+    if m is math:
+        return then if cond else other
+    return np.where(cond, then, other)
 
 
 def _sample(f: Callable[[float], Diff], x: float) -> Diff:

@@ -30,14 +30,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CertificateNotFound, ConfigError, NonFiniteValue,
+from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
-from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diff,
+from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diff,
                        central_quotient, gauss_legendre_1d, gauss_nodes,
                        integrate_array_1d, integrate_cells, kahan_sum,
                        richardson, split_cells)
-from .surfaces import (CatenoidRulingChart, Chart, area_density,
+from .surfaces import (SINGULAR_TOL, CatenoidRulingChart, Chart, area_density,
                        integrate_tangent_field, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
@@ -89,19 +89,6 @@ def _at_nodes(fn: Callable[[float], float], X: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             return fn(X, np)
     return np.array([fn(x) for x in X.ravel().tolist()], dtype=float).reshape(X.shape)
-
-
-def _where(m, cond, then, other=0.0):
-    """``then`` where ``cond`` holds and ``other`` elsewhere, on a float
-    (``m`` is ``math``) or elementwise on arrays (``m`` is ``numpy``).
-
-    Both branches are computed, so a formula scales a trig argument by its
-    ``inside`` flag (exactly 1 inside): outside the support an infinite
-    point then reaches the trig function as nan or 0, never as inf.
-    """
-    if m is math:
-        return then if cond else other
-    return np.where(cond, then, other)
 
 
 def cosine_bump(center: float, halfwidth: float) -> Profile:
@@ -877,14 +864,23 @@ def certify_instability_nosing(lam: float) -> InstabilityCertificate:
     complete surface with no singular points and <N,T> != 0 off the waist:
     ``ruled_index_value`` at ``NOSING_QUAD``, negative, and again at its
     doubling, in agreement to ``DOUBLING_RTOL``.  ``k`` is psi's half-width
-    2|lam| and ``eps0`` phi's, 1.
+    2|lam| and ``eps0`` phi's, 1.  Below |lam| ~ SINGULAR_TOL / 2, where
+    min |N_h| ~ 2|lam| meets that absolute gate, there is no certificate.
     """
-    val = ruled_index_value(lam, NOSING_QUAD)
+    def value(quad: QuadratureSpec) -> float:
+        try:
+            return ruled_index_value(lam, quad)
+        except SingularPoint as exc:
+            raise CertificateNotFound(
+                f"no certificate on the catenoid lam={lam!r}: its min |N_h|, about 2|lam|, "
+                f"falls under the frame kernel's gate SINGULAR_TOL = {SINGULAR_TOL:g}"
+            ) from exc
+
+    val = value(NOSING_QUAD)
     if not val < 0.0:
         raise CertificateNotFound(f"I(u, u) = {val!r} is not negative on the catenoid "
                                   f"lam={lam!r}")
-    q_doubled = _confirmed(val, ruled_index_value(lam, NOSING_QUAD.doubled()),
-                           f"catenoid lam={lam!r}")
+    q_doubled = _confirmed(val, value(NOSING_QUAD.doubled()), f"catenoid lam={lam!r}")
     return InstabilityCertificate(
         f"catenoid lam={lam:.17g}", 2.0 * abs(lam), NOSING_PHI.support[1], val, NOSING_QUAD,
         Q_value_doubled=q_doubled)
@@ -958,15 +954,11 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     """
     if not (0.0 < sigma < 1.0 / (2.0 * R)):
         raise ValueError("sigma must lie in (0, 1/(2R))")
-    phi_sq_cache: dict[float, float] = {}
+    (lo, hi) = v.support[0]
 
     def eps_integral(level: float) -> float:
-        if level not in phi_sq_cache:
-            (lo, hi) = v.support[0]
-            phi_sq_cache[level] = integrate_array_1d(
-                lambda e: v.jet(e, np.full_like(e, level))[0] ** 2, lo, hi,
-                quad.points_per_cell, quad.cells[0])
-        return phi_sq_cache[level]
+        return integrate_array_1d(lambda e: v.jet(e, np.full_like(e, level))[0] ** 2,
+                                  lo, hi, quad.points_per_cell, quad.cells[0])
 
     total = []
     for s_curve, sgn in ((1.0 / R, -1.0), (-1.0 / R, 1.0)):

@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (FrameVector, Point, Vec3, connection_correct, frame_to_euclidean,
-                   jop_coeffs)
+from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs,
+                   frame_coeffs, frame_to_euclidean, jop_coeffs)
 from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import DiffSpec, QuadratureSpec, Rect, central_diff, integrate_cells
+from .numerics import DiffSpec, QuadratureSpec, Rect, central_diff, integrate_cells, rk4
 
 SINGULAR_TOL = 1e-9
 
@@ -165,8 +165,7 @@ class SurfaceFrames:
 
     def N_euclidean(self) -> Arr3:
         """Euclidean components of N (``frame_to_euclidean``)."""
-        (a, b, c), (x, y, _) = self.N, self.points
-        return (a, b, a * y - b * x + c)
+        return euclidean_coeffs(self.points[0], self.points[1], self.N)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +178,25 @@ def _dot3(u, v):
 
 
 def _tangent_cross(x, y, f1, f2):
-    """Frame coefficients of F_1, F_2 and of F_1 x F_2 (X x Y = T).
-
-    The T-coefficient of F_j is the contact form c_j = f_j^t - y f_j^x + x f_j^y.
-    """
-    c1 = (f1[0], f1[1], f1[2] - y * f1[0] + x * f1[1])
-    c2 = (f2[0], f2[1], f2[2] - y * f2[0] + x * f2[1])
+    """Frame coefficients of F_1, F_2 and of F_1 x F_2 (X x Y = T)."""
+    c1 = frame_coeffs(x, y, f1)
+    c2 = frame_coeffs(x, y, f2)
     cr = (c1[1] * c2[2] - c1[2] * c2[1],
           c1[2] * c2[0] - c1[0] * c2[2],
           c1[0] * c2[1] - c1[1] * c2[0])
     return c1, c2, cr
 
 
-def _unit_normal(cr, u):
-    """|F_1 x F_2|, the unit normal's frame coefficients and |N_h| at one
-    point; raises ``NonFiniteValue`` where the chart is not an immersion."""
-    w = math.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-    if not (w > 0.0) or not math.isfinite(w):
+def _unit_normal(cr, u, m=math):
+    """|F_1 x F_2|, the unit normal's frame coefficients and |N_h|.  At one
+    point (``m`` is ``math``) raises ``NonFiniteValue`` where the chart is
+    not an immersion at ``u``; on arrays the caller checks |F_1 x F_2|."""
+    w = m.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
+    if m is math and (not (w > 0.0) or not math.isfinite(w)):
         raise NonFiniteValue(f"chart is not an immersion at {u!r}")
     k = 1.0 / w
     n = (k * cr[0], k * cr[1], k * cr[2])
-    return w, n, math.hypot(n[0], n[1])
+    return w, n, m.hypot(n[0], n[1])
 
 
 def _directions(c1, c2, w, n, nh):
@@ -282,6 +279,17 @@ def _finite_chart_point(u: tuple[float, float]) -> tuple[float, float]:
     return u
 
 
+def _frame_head(chart: Chart, u: tuple[float, float], singular_ok: bool):
+    """The jet at ``u``, the frame coefficients of F_1 and F_2, and
+    ``_unit_normal``; raises as ``surface_frame`` does, in its order."""
+    jet = chart.jet(*_finite_chart_point(u))
+    c1, c2, cr = _tangent_cross(jet.p.x, jet.p.y, jet.f1, jet.f2)
+    w, n, nh = _unit_normal(cr, u)
+    if nh <= SINGULAR_TOL and not singular_ok:
+        raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
+    return jet, c1, c2, w, n, nh
+
+
 def surface_frame(chart: Chart, u: tuple[float, float],
                   singular_ok: bool = False) -> SurfaceFrame:
     """Full geometric package at chart point ``u``.
@@ -290,16 +298,11 @@ def surface_frame(chart: Chart, u: tuple[float, float],
     ``singular_ok`` is set, in which case the characteristic entries are
     returned as None.
     """
-    u1, u2 = _finite_chart_point(u)
-    jet = chart.jet(u1, u2)
+    jet, c1, c2, w, n, nh = _frame_head(chart, u, singular_ok)
     p = jet.p
-    c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
-    w, n, nh = _unit_normal(cr, u)
     N = FrameVector(n[0], n[1], n[2], p)
 
     if nh <= SINGULAR_TOL:
-        if not singular_ok:
-            raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
         return SurfaceFrame(N, nh, n[2], w, None, None, None, None, None, None,
                             None, None, None, None, None, None, None)
 
@@ -349,10 +352,7 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
         jet = chart.jets(U1, U2)
         x, y, t = jet.p
         c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
-        w = np.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
-        k = 1.0 / w
-        n = (k * cr[0], k * cr[1], k * cr[2])
-        nh = np.hypot(n[0], n[1])
+        w, n, nh = _unit_normal(cr, None, np)
         singular = nh <= SINGULAR_TOL
         checks = [(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)),
                    lambda i, u: NonFiniteValue(f"non-finite point at {u!r}")),
@@ -419,12 +419,7 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
     """``surface_frame(chart, u).z_chart`` (or ``.s_chart``) from the first
     jet alone: the same operations and the same errors, without the shape
     terms."""
-    jet = chart.jet(*_finite_chart_point(u))
-    p = jet.p
-    c1, c2, cr = _tangent_cross(p.x, p.y, jet.f1, jet.f2)
-    w, n, nh = _unit_normal(cr, u)
-    if nh <= SINGULAR_TOL:
-        raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
+    _, c1, c2, w, n, nh = _frame_head(chart, u, False)
     _, _, _, zc, sc = _directions(c1, c2, w, n, nh)
     return zc if which == "Z" else sc
 
@@ -436,21 +431,10 @@ def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
 
     Raises ``StoppedAtSingular`` if the curve meets the singular locus.
     """
-    h = length / steps
-    us = [u0]
-    u = u0
     try:
-        for _ in range(steps):
-            k1 = _chart_velocity(chart, u, which)
-            k2 = _chart_velocity(chart, (u[0] + 0.5 * h * k1[0], u[1] + 0.5 * h * k1[1]), which)
-            k3 = _chart_velocity(chart, (u[0] + 0.5 * h * k2[0], u[1] + 0.5 * h * k2[1]), which)
-            k4 = _chart_velocity(chart, (u[0] + h * k3[0], u[1] + h * k3[1]), which)
-            u = (u[0] + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                 u[1] + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-            us.append(u)
+        return rk4(lambda u: _chart_velocity(chart, u, which), u0, length, steps)
     except SingularPoint as exc:
         raise StoppedAtSingular(str(exc)) from exc
-    return us
 
 
 def characteristic_ray(chart: Chart, u0: tuple[float, float], length: float,

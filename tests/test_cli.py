@@ -40,6 +40,21 @@ def test_verify_bad_tolerance_config_error():
     assert run(["verify", "--suite", "core", "--tol", "x=-1"]) == 2
 
 
+def test_verify_unknown_tolerance_name_rejected(tmp_path, capsys):
+    # a name that matches no check of the suites run is a usage error: exit
+    # 2, one line, and no report, from --tol and from a config file alike
+    out = tmp_path / "r.txt"
+    _assert_usage_error(["verify", "--suite", "core", "--tol", "no_such_check=1",
+                         "--out", str(out)], capsys)
+    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=group_associativity=1e-3,no_such_check=1\n")
+    assert run(["verify", "--suite", "core", "--config", str(cfg)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert "no_such_check" in cap.err and "group_associativity" not in cap.err
+
+
 def test_verify_reports_deterministic(tmp_path):
     p1 = tmp_path / "r1.txt"
     p2 = tmp_path / "r2.txt"
@@ -217,6 +232,17 @@ def test_certify_catenoid_not_found(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "lam=2.0" in err
+    assert not out.exists()
+
+
+def test_certify_catenoid_below_singular_tol(tmp_path, capsys):
+    # min |N_h| ~ 2|lam| falls under the absolute SINGULAR_TOL: no certificate,
+    # and the one error line names lam and the gate, not a singular point
+    out = tmp_path / "c.txt"
+    assert run(["certify", "catenoid", "--lam=4e-10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lam=4e-10" in err and "SINGULAR_TOL = 1e-09" in err
     assert not out.exists()
 
 

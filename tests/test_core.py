@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from h1geom.core import (FrameField, FrameVector, ORIGIN, Point, T_FIELD,
                          X_FIELD, Y_FIELD, connection_correct,
                          covariant_derivative, cross,
-                         curvature_R, dilate, dot, euclidean_to_frame,
-                         frame_at, frame_to_euclidean, group_inverse,
+                         curvature_R, dilate, dot, euclidean_coeffs,
+                         euclidean_to_frame, frame_at, frame_coeffs,
+                         frame_to_euclidean, group_inverse,
                          group_mul, jop, lie_bracket, ricci, rotate_z)
 from h1geom.errors import NonFiniteValue
 
@@ -54,6 +55,20 @@ def test_frame_and_conversion():
     v = (0.3, -0.8, 1.9)
     back = frame_to_euclidean(euclidean_to_frame(p, v))
     assert max(abs(a - b) for a, b in zip(v, back)) <= 1e-15
+
+
+def test_contact_form_on_arrays_is_the_scalar_one():
+    # frame_coeffs and euclidean_coeffs are the one contact-form formula of
+    # euclidean_to_frame and frame_to_euclidean, elementwise on arrays
+    rng = np.random.default_rng(5)
+    x, y, vx, vy, vt = rng.uniform(-3.0, 3.0, (5, 7))
+    arr = frame_coeffs(x, y, (vx, vy, vt))
+    back = euclidean_coeffs(x, y, arr)
+    for i in range(7):
+        p = Point(float(x[i]), float(y[i]), 0.0)
+        fv = euclidean_to_frame(p, (float(vx[i]), float(vy[i]), float(vt[i])))
+        assert tuple(float(c[i]) for c in arr) == fv.coeffs()
+        assert tuple(float(c[i]) for c in back) == frame_to_euclidean(fv)
 
 
 def test_jop_table():

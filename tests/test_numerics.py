@@ -139,6 +139,15 @@ def test_nonfinite_rejected():
                      ((0, 1), (0, 1)), spec)
 
 
+def test_integrate_2d_weighted_term_overflow_raises():
+    # a finite scalar sample whose weighted term overflows is rejected, as
+    # by integrate_cells, instead of summing to inf
+    spec = QuadratureSpec(4, (1, 1))
+    with pytest.raises(NonFiniteValue,
+                       match="non-finite sample in integrate_2d weighted terms"):
+        integrate_2d(lambda a, b: 1e300, ((0.0, 1e300), (0.0, 1.0)), spec)
+
+
 def test_integrate_cells_overflow_raises_without_warning():
     # a finite sample times a finite weight may overflow; an overflowing or
     # invalid integrand is caught by the same check, with no numpy warning
