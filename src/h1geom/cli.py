@@ -3,12 +3,14 @@ certificate search.
 
 Exit codes: 0 success, 1 verification/certificate failure, 2 usage or
 configuration error, 3 numerical failure.  Reports are deterministic byte
-for byte for identical configuration.
+for byte for identical configuration.  ``main`` builds its parser once per
+process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -295,10 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused, since
+    parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

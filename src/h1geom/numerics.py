@@ -1,8 +1,8 @@
 """Deterministic quadrature and finite-difference kernels.
 
-Every routine here is a pure function with a fixed evaluation and summation
-order, so results are bit-identical across runs regardless of how callers
-parallelize the surrounding work.
+Every routine here is a pure function with a fixed evaluation order, and
+every sum is exactly rounded, so results are bit-identical across runs
+regardless of how callers parallelize or block the surrounding work.
 """
 
 from __future__ import annotations
@@ -56,15 +56,19 @@ class DiffSpec:
 
 
 def kahan_sum(values: Sequence[float]) -> float:
-    """Compensated sum in the given (fixed) order."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+    """The exactly rounded sum of ``values`` (``math.fsum``): the float
+    nearest the exact sum, whatever the order of the terms.
+
+    The name predates the exact sum; every quadrature sum of the library
+    goes through this one function.  Where ``math.fsum`` raises (infinite
+    terms of both signs, or a partial sum past the float range), this
+    returns the plain left-to-right sum instead, an inf or nan for the
+    callers' non-finite checks rather than an exception.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values, 0.0)
 
 
 def _check_finite(v: float, where: str) -> float:

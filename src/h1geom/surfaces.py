@@ -379,17 +379,8 @@ def mean_curvatures(chart: Chart, u: tuple[float, float]) -> tuple[float, float]
 
 
 def area_element(chart: Chart, u: tuple[float, float]) -> float:
-    """Sub-Riemannian area density against du1 du2: |N_h| |F_1 x F_2|.
-
-    Equals the horizontal norm of F_1 x F_2, hence is continuous (value 0)
-    across singular points.
-    """
-    u1, u2 = u
-    jet = chart.jet(u1, u2)
-    _, _, cr = _tangent_cross(jet.p.x, jet.p.y, jet.f1, jet.f2)
-    if not all(math.isfinite(c) for c in cr):
-        raise NonFiniteValue(f"non-finite tangent plane at {u!r}")
-    return math.hypot(cr[0], cr[1])
+    """``area_elements`` at the one chart point ``u``."""
+    return float(area_elements(chart, np.array([u[0]]), np.array([u[1]]))[0])
 
 
 def area_density(x, y, f1, f2) -> np.ndarray:
@@ -399,9 +390,25 @@ def area_density(x, y, f1, f2) -> np.ndarray:
 
 
 def area_elements(chart: Chart, U1, U2) -> np.ndarray:
-    """``area_element`` at the points (U1[i], U2[i]), as an array."""
-    jet = chart.jets(U1, U2)
-    return area_density(jet.p[0], jet.p[1], jet.f1, jet.f2)
+    """Sub-Riemannian area density against du1 du2, |N_h| |F_1 x F_2|, at
+    the points (U1[i], U2[i]), as an array.
+
+    Equals the horizontal norm of F_1 x F_2, hence is continuous (value 0)
+    across singular points.  Raises ``NonFiniteValue`` at the first point,
+    in row-major order, where the chart point, the surface point or the
+    density is not finite.
+    """
+    U1 = np.asarray(U1, dtype=float)
+    U2 = np.asarray(U2, dtype=float)
+    with np.errstate(all="ignore"):
+        jet = chart.jets(U1, U2)
+        x, y, t = jet.p
+        dens = area_density(x, y, jet.f1, jet.f2)
+        finite = (np.isfinite(U1) & np.isfinite(U2) & np.isfinite(x) & np.isfinite(y)
+                  & np.isfinite(t) & np.isfinite(dens))
+    _raise_first(U1, U2, [(~finite, lambda i, u: NonFiniteValue(
+        f"non-finite tangent plane at {u!r}"))])
+    return dens
 
 
 def area(chart: Chart, region: Rect | None, quad: QuadratureSpec) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from h1geom import stability
+from h1geom import cli, stability
 from h1geom.cli import main
 from h1geom.errors import ConfigError
 from h1geom.stability import InstabilityCertificate
@@ -198,6 +198,42 @@ def test_certify_catenoid_large_lam(tmp_path):
 def test_unknown_arguments_exit_config():
     assert run(["verify", "--suite", "bogus"]) == 2
     assert run(["frobnicate"]) == 2
+
+
+def test_parser_reuse_keeps_no_options(tmp_path):
+    # an override on one call does not leak into the next call's report
+    first, plain, fresh = (tmp_path / f"r{i}.txt" for i in range(3))
+    cli._parser.cache_clear()
+    assert run(["verify", "--suite", "core", "--tol", "group_associativity=1",
+                "--out", str(first)]) == 0
+    assert "# tolerance override: group_associativity=1\n" in first.read_text()
+    assert run(["verify", "--suite", "core", "--out", str(plain)]) == 0
+    cli._parser.cache_clear()
+    assert run(["verify", "--suite", "core", "--out", str(fresh)]) == 0
+    assert "# tolerance override" not in plain.read_text()
+    assert plain.read_bytes() == fresh.read_bytes()
+
+
+def test_parser_reuse_after_usage_error(tmp_path, capsys):
+    assert run(["verify", "--suite", "bogus"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "invalid choice: 'bogus'" in cap.err
+    out = tmp_path / "c.txt"
+    assert run(["certify", "helicoid", "--R", "3", "--out", str(out)]) == 0
+    assert "Q_value=" in out.read_text()
+    assert capsys.readouterr().err == ""
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    for argv in (["certify", "h2"], ["frobnicate"], ["certify", "helicoid", "--R", "2"],
+                 ["verify", "--suite", "core", "--tol", "nonsense"]):
+        run([*argv, "--out", str(tmp_path / "o.txt")])
+    assert len(built) == 1
+    assert real() is not real()  # build_parser still returns a fresh parser
 
 
 def _assert_usage_error(argv, capsys):

@@ -353,6 +353,43 @@ def test_kahan_beats_naive_summation():
     assert kahan_sum(vals) == 1.0 + 1e-15
 
 
+def _compensated_loop(values):
+    # the fixed-order Kahan loop kahan_sum ran before it became exact
+    total = carry = 0.0
+    for v in values:
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+@pytest.mark.parametrize("vals, loop", [([1.0, 1e100, 1.0, -1e100], 0.0),
+                                        ([1e16, 1.0, -1e16, 1.0], 1.0)])
+def test_kahan_sum_is_exactly_rounded(vals, loop):
+    # a compensated loop loses the small terms that an exact sum keeps
+    assert _compensated_loop(vals) == loop
+    assert kahan_sum(vals) == 2.0
+
+
+def test_kahan_sum_ignores_term_order():
+    rng = random.Random(14)
+    vals = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(2000)]
+    shuffled = list(vals)
+    rng.shuffle(shuffled)
+    exact = kahan_sum(vals)
+    assert kahan_sum(vals[::-1]) == exact
+    assert kahan_sum(shuffled) == exact
+
+
+def test_kahan_sum_without_a_float_sum_does_not_raise():
+    # math.fsum raises on these; the callers' non-finite checks want a value
+    assert math.isnan(kahan_sum([math.inf, -math.inf]))
+    assert kahan_sum([1e308, 1e308, 1.0]) == math.inf
+    assert kahan_sum([math.inf, 1.0]) == math.inf
+    assert math.isnan(kahan_sum([math.nan, 1.0]))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(5, (4, 4))

@@ -7,8 +7,8 @@ from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, ChartJet, Chart, GraphChart,
                              HelicoidChart, VerticalPlaneChart, area,
-                             area_element, catalog_surface, characteristic_ray,
-                             dilated, mean_curvatures, paraboloid_chart,
+                             area_element, area_elements, catalog_surface,
+                             characteristic_ray, dilated, mean_curvatures, paraboloid_chart,
                              plane_chart, rotated, ruled_coordinates,
                              singular_locus, surface_frame, translated)
 
@@ -135,6 +135,19 @@ def test_area_examples():
     closed = 0.4 / 2.0 - 2.0 * 0.4 ** 3 / 3.0
     assert abs(patch_area - closed) <= 1e-12
     assert area_element(hel, (0.5, 0.0)) <= 1e-15  # continuous zero at the helix
+
+
+@pytest.mark.parametrize("chart, u", [(CatenoidChart(1.0), (math.inf, 0.1)),
+                                      (paraboloid_chart(), (1e200, 1e200)),
+                                      (VerticalPlaneChart(), (0.1, math.nan))])
+def test_area_element_nonfinite_message(chart, u):
+    # one message for a non-finite chart point, surface point or density,
+    # at the first such point of an array
+    with pytest.raises(NonFiniteValue, match=r"^non-finite tangent plane at \(") as exc:
+        area_element(chart, u)
+    with pytest.raises(NonFiniteValue) as batch:
+        area_elements(chart, [0.3, u[0], 0.2], [0.4, u[1], 0.1])
+    assert str(batch.value) == str(exc.value)
 
 
 def test_area_dilation_and_rotation():
