@@ -14,8 +14,8 @@ from .core import (FrameField, FrameVector, ORIGIN, Point, covariant_derivative,
 from .errors import (CertificateNotFound, ConfigError, GeometryError,
                      NonFiniteValue, SingularPoint, StoppedAtSingular,
                      TubeConditionViolated, TubeTooSmall)
-from .geodesics import (GeodesicArc, JacobiSample, exp_geodesic, exp_geodesics, exp_point,
-                        helpers_fgh, jacobi_field, jacobi_residual)
+from .geodesics import (GeodesicArc, JacobiFields, JacobiSample, exp_geodesic, exp_geodesics,
+                        exp_point, helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff,
                        gauss_legendre_1d, gauss_nodes, integrate_2d)
 from .stability import (InstabilityCertificate, Profile,

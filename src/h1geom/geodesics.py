@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
-                   euclidean_to_frame, frame_coeffs, frame_to_euclidean, jop)
+                   frame_coeffs, frame_to_euclidean, jop)
 from .errors import NonFiniteValue
-from .numerics import DiffSpec, _where, central_diff
+from .numerics import DiffSpec, _where, central_diff, central_quotient, richardson
 
 SERIES_CUTOFF = 1e-4
 
@@ -166,19 +166,6 @@ def _family_arc(alpha: Curve, U: FieldAlong, eps: float) -> GeodesicArc:
     return GeodesicArc(a, u)
 
 
-def _variation_field(alpha: Curve, U: FieldAlong, eps: float) -> FieldAlong:
-    """s -> V(s) = dF/d(eps) of F(eps, s) = exp_{alpha(eps)}(s U(eps)), by a
-    Richardson-extrapolated central difference across the family."""
-    spec = DiffSpec(EPS_STEP, 1)
-
-    def v_at(s_val: float) -> FrameVector:
-        de = central_diff(lambda e: exp_geodesic(_family_arc(alpha, U, e), s_val)[0].coords(),
-                          eps, spec)
-        return euclidean_to_frame(exp_geodesic(_family_arc(alpha, U, eps), s_val)[0], de)
-
-    return v_at
-
-
 def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
                                s: float, h: float = JACOBI_S_STEP) -> FrameVector:
     """Covariant derivative of a field sampled along a curve.
@@ -191,24 +178,106 @@ def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
     return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
 
 
-def jacobi_field(alpha: Curve, U: FieldAlong, eps: float, s: float) -> JacobiSample:
-    """Variation field V = dF/d(eps) of F(eps, s) = exp_{alpha(eps)}(s U).
+def _nodes(x, h):
+    """``central_diff``'s one-level stencil around ``x``: x, x + h, x - h,
+    x + h/2, x - h/2, on a new last axis, with its float arithmetic."""
+    h2 = h / 2
+    return np.stack([x, x + h, x - h, x + h2, x - h2], axis=-1)
+
+
+def _d1(f, h):
+    """``central_diff``'s one-level first derivative from samples ``f`` on
+    ``_nodes(x, h)`` along the last axis."""
+    return richardson([central_quotient(f[..., 1], f[..., 2], h),
+                       central_quotient(f[..., 3], f[..., 4], h / 2)])
+
+
+def _raise_nonfinite(values: np.ndarray, eps, s) -> None:
+    """Raise ``NonFiniteValue`` at the first node, in row-major order, where
+    a component of ``values`` (stacked on axis 0) is not finite; ``eps`` and
+    ``s`` are the node parameters, broadcast to the node grid."""
+    ok = np.isfinite(values).all(axis=0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        e, si = (float(np.broadcast_to(a, ok.shape).flat[i]) for a in (eps, s))
+        raise NonFiniteValue(f"Jacobi field is not finite at eps = {e!r}, s = {si!r}")
+
+
+@dataclass(frozen=True)
+class JacobiFields:
+    """Jacobi fields of a geodesic family at the parameters ``s``: arrays of
+    shape (3, len(s)), column i at ``s[i]``.
+
+    ``points`` are the Euclidean coordinates of gamma(s) on the member
+    ``eps``; ``V``, ``Vprime``, ``Vsecond`` and ``DV_velocity`` (D_V gamma')
+    are frame coefficients there.
+    """
+
+    s: np.ndarray
+    points: np.ndarray
+    V: np.ndarray
+    Vprime: np.ndarray
+    Vsecond: np.ndarray
+    DV_velocity: np.ndarray
+
+    def _vectors(self, i: int, *fields: np.ndarray) -> list[FrameVector]:
+        q = Point(*self.points[:, i].tolist())
+        return [FrameVector(*f[:, i].tolist(), q) for f in fields]
+
+    def sample(self, i: int) -> JacobiSample:
+        return JacobiSample(*self._vectors(i, self.V, self.Vprime, self.Vsecond))
+
+    def commutation_residual(self, i: int) -> float:
+        """Norm of [gamma', V] = D_{gamma'} V - D_V gamma' at ``s[i]``."""
+        d_gamma_v, d_v_gamma = self._vectors(i, self.Vprime, self.DV_velocity)
+        return (d_gamma_v - d_v_gamma).norm()
+
+
+def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
+    """Variation field V = dF/d(eps) of F(eps, s) = exp_{alpha(eps)}(s U)
+    at every s in ``S``, with its covariant s-derivatives, in one array pass.
 
     V comes from a Richardson-extrapolated central difference across the
     family (step ``EPS_STEP``); V' and V'' from covariant s-differentiation
-    of the sampled field (step ``JACOBI_S_STEP``).
+    of the sampled field (step ``JACOBI_S_STEP``), nested as in
+    ``covariant_derivative_along``.  The flow runs once, on the five family
+    members at the ``central_diff`` nodes around ``eps`` and the 5 x 5 nested
+    s-nodes around each s, with the arithmetic of ``central_diff``, so no
+    result depends on the length or order of ``S``.  A non-finite ``S``, and
+    the first non-finite node of the stencil, raise ``NonFiniteValue``;
+    overflow raises no numpy warning.
     """
-    v_at = _variation_field(alpha, U, eps)
-    arc = _family_arc(alpha, U, eps)
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 1:
+        raise ValueError("S must be one-dimensional")
+    _raise_nonfinite(S[None], eps, S)
+    eps_nodes = _nodes(np.float64(eps), EPS_STEP).tolist()
+    arcs = [_family_arc(alpha, U, e) for e in eps_nodes]
+    p0 = np.array([a.p0.coords() for a in arcs]).T     # (3, 5 members)
+    A, B, lam = np.array([a.v0.coeffs() for a in arcs]).T
+    outer = _nodes(S, JACOBI_S_STEP)                    # (n, 5)
+    inner = _nodes(outer, JACOBI_S_STEP)                # (n, 5, 5)
+    with np.errstate(all="ignore"):
+        q, v = _flow(p0, A, B, lam, inner[..., None], np)
+        q, v = np.stack(q), np.stack(v)                 # (3, n, 5, 5, 5 members)
+        _raise_nonfinite(np.concatenate([q, v]), np.array(eps_nodes), inner[..., None])
+        V = np.stack(frame_coeffs(q[0, ..., 0], q[1, ..., 0], _d1(q, EPS_STEP)))
+        _raise_nonfinite(V, eps, inner)
+        vel = v[:, :, :, 0, 0]                          # member eps at the outer nodes
+        Vp = np.stack(connection_correct(_d1(V, JACOBI_S_STEP), vel, V[..., 0]))
+        _raise_nonfinite(Vp, eps, outer)
+        Vs, vel_s = V[:, :, 0, 0], vel[..., 0]
+        Vpp = np.stack(connection_correct(_d1(Vp, JACOBI_S_STEP), vel_s, Vp[..., 0]))
+        # D_V gamma': differentiate the velocity across the family and
+        # contract the connection with V.
+        dv_vel = np.stack(connection_correct(_d1(v[:, :, 0, 0], EPS_STEP), Vs, vel_s))
+        _raise_nonfinite(np.concatenate([Vpp, dv_vel]), eps, S)
+    return JacobiFields(S, q[:, :, 0, 0, 0], Vs, Vp[..., 0], Vpp, dv_vel)
 
-    def vel_at(s_val: float) -> FrameVector:
-        return exp_geodesic(arc, s_val)[1]
 
-    def vprime_at(s_val: float) -> FrameVector:
-        return covariant_derivative_along(v_at, vel_at, s_val)
-
-    vsecond = covariant_derivative_along(vprime_at, vel_at, s)
-    return JacobiSample(v_at(s), vprime_at(s), vsecond)
+def jacobi_field(alpha: Curve, U: FieldAlong, eps: float, s: float) -> JacobiSample:
+    """``jacobi_fields`` at the one parameter ``s``."""
+    return jacobi_fields(alpha, U, eps, [s]).sample(0)
 
 
 def jacobi_residual(sample: JacobiSample, gammavel: FrameVector) -> float:
@@ -232,15 +301,4 @@ def straight_line_residual(sample: JacobiSample, gammavel: FrameVector) -> float
 
 def commutation_residual(alpha: Curve, U: FieldAlong, eps: float, s: float) -> float:
     """Norm of [gamma', V] = D_{gamma'} V - D_V gamma' along the family."""
-    v_at = _variation_field(alpha, U, eps)
-    arc = _family_arc(alpha, U, eps)
-    d_gamma_v = covariant_derivative_along(v_at, lambda s_val: exp_geodesic(arc, s_val)[1], s)
-
-    # D_V gamma': differentiate the velocity field across the family and
-    # contract the connection with V.
-    dcoeff = central_diff(lambda e: exp_geodesic(_family_arc(alpha, U, e), s)[1].coeffs(),
-                          eps, DiffSpec(EPS_STEP, 1))
-    vel = exp_geodesic(arc, s)[1]
-    d_v_gamma = FrameVector(*connection_correct(dcoeff, v_at(s).coeffs(), vel.coeffs()),
-                            vel.base)
-    return (d_gamma_v - d_v_gamma).norm()
+    return jacobi_fields(alpha, U, eps, [s]).commutation_residual(0)

@@ -23,9 +23,9 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
                    frame_at, frame_to_euclidean, group_inverse, group_mul,
                    jop, left_translation_jacobian, lie_bracket, ricci,
                    rotate_z)
-from .geodesics import (GeodesicArc, commutation_residual,
-                        covariant_derivative_along, exp_geodesic, helpers_fgh,
-                        jacobi_field, jacobi_residual, straight_line_residual)
+from .geodesics import (GeodesicArc, covariant_derivative_along, exp_geodesic,
+                        helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual,
+                        straight_line_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
                        integrate_cells)
 from .stability import (Profile, _direct_variations, boundary_flux_extrapolated,
@@ -406,8 +406,9 @@ def check_jacobi_trivial() -> CheckResult:
     alpha = lambda e: Point(0.0, e, 0.0)
     u_of = lambda e: FrameVector(0.0, 1.0, 0.0, alpha(e))
     worst = 0.0
-    for s in (-1.0, 0.4, 2.0):
-        sample = jacobi_field(alpha, u_of, 0.1, s)
+    fields = jacobi_fields(alpha, u_of, 0.1, [-1.0, 0.4, 2.0])
+    for i in range(len(fields.s)):
+        sample = fields.sample(i)
         # documented stencil accuracy: 1e-6 on V, 1e-4 on V''
         worst = max(worst, (sample.V - FrameVector(0, 1, 0, sample.V.base)).norm() * 1e2)
         worst = max(worst, sample.Vsecond.norm())
@@ -419,22 +420,20 @@ def check_jacobi_helicoid() -> tuple[CheckResult, CheckResult, CheckResult]:
     worst_eq = 0.0
     worst_comm = 0.0
     for eps, s in ((0.0, 0.3), (0.5, -0.8), (-0.4, 1.5)):
-        sample = jacobi_field(alpha, u_of, eps, s)
+        fields = jacobi_fields(alpha, u_of, eps, [s])
+        sample = fields.sample(0)
         a = alpha(eps)
         u = u_of(eps)
         _, vel = exp_geodesic(GeodesicArc(a, u), s)
         worst_eq = max(worst_eq, straight_line_residual(sample, vel))
         worst_eq = max(worst_eq, jacobi_residual(sample, vel))
-        worst_comm = max(worst_comm, commutation_residual(alpha, u_of, eps, s))
+        worst_comm = max(worst_comm, fields.commutation_residual(0))
 
     # vertical component of V must be an exact quadratic in s
     svals = [-1.0 + 0.25 * i for i in range(9)]
     worst_fit = 0.0
     for eps in (0.0, 0.7):
-        vt = []
-        for s in svals:
-            sample = jacobi_field(alpha, u_of, eps, s)
-            vt.append(dot(sample.V, FrameVector(0, 0, 1, sample.V.base)))
+        vt = jacobi_fields(alpha, u_of, eps, svals).V[2].tolist()
         coef = _quad_fit(svals, vt)
         worst_fit = max(worst_fit, max(abs(coef[0] * s * s + coef[1] * s + coef[2] - v)
                                        for s, v in zip(svals, vt)))
@@ -795,9 +794,8 @@ def check_jacobi_coefficients() -> CheckResult:
     cat = CatenoidChart(1.0)
     u0 = (0.9, 0.5)
     a_cl, b_cl, c_cl, _ = jacobi_vertical_quadratic(cat, u0)
-    # the family is evaluated at a few parameters many times over: one RK4
-    # integral of the S-curve per parameter serves both the base curve and
-    # the ruling directions
+    # one RK4 integral of the S-curve per family parameter serves both the
+    # base curve and the ruling direction
     family: dict[float, tuple[Point, FrameVector]] = {}
 
     def member(e: float) -> tuple[Point, FrameVector]:
@@ -813,10 +811,7 @@ def check_jacobi_coefficients() -> CheckResult:
         return member(e)[1]
 
     svals = [-1.0 + 0.25 * i for i in range(9)]
-    vt = []
-    for s in svals:
-        sample = jacobi_field(alpha, u_of, 0.0, s)
-        vt.append(dot(sample.V, FrameVector(0, 0, 1, sample.V.base)))
+    vt = jacobi_fields(alpha, u_of, 0.0, svals).V[2].tolist()
     a_f, b_f, c_f = _quad_fit(svals, vt)
     worst = _nmax(a_f - a_cl, b_f - b_cl, c_f - c_cl)
     return CheckResult("jacobi_vertical_coefficients",

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import mpmath as mp
 import pytest
 
 from h1geom.core import FrameVector, ORIGIN, Point, dot, euclidean_to_frame
-from h1geom.geodesics import (GeodesicArc, commutation_residual, exp_euclidean,
+from h1geom.errors import NonFiniteValue
+from h1geom.geodesics import (EPS_STEP, GeodesicArc, commutation_residual,
+                              covariant_derivative_along, exp_euclidean,
                               exp_geodesic, exp_point, helpers_fgh,
-                              jacobi_field, jacobi_residual,
+                              jacobi_field, jacobi_fields, jacobi_residual,
                               straight_line_residual)
+from h1geom.numerics import DiffSpec, central_diff
 
 
 def test_fgh_special_values():
@@ -113,13 +117,19 @@ def test_jacobi_helicoid_rulings():
         assert abs(dot(sample.V, tvec) - (0.5 - 2.0 * s * s)) <= 1e-9
 
 
-def test_jacobi_general_family():
+def _general_family(scale=1.0):
     def alpha(e):
         return Point(math.sin(e), e, 0.3 * e * e)
 
     def u_of(e):
-        return FrameVector(0.8 + 0.1 * e, -0.5 * e, 0.9 + 0.2 * math.cos(e), alpha(e))
+        return FrameVector(scale * (0.8 + 0.1 * e), scale * (-0.5 * e),
+                           scale * (0.9 + 0.2 * math.cos(e)), alpha(e))
 
+    return alpha, u_of
+
+
+def test_jacobi_general_family():
+    alpha, u_of = _general_family()
     sample = jacobi_field(alpha, u_of, 0.3, -1.0)
     _, vel = exp_geodesic(GeodesicArc(alpha(0.3), u_of(0.3)), -1.0)
     assert jacobi_residual(sample, vel) <= 1e-4
@@ -129,3 +139,162 @@ def test_exp_point_shortcut():
     p = Point(1.0, 2.0, 3.0)
     v = FrameVector(0.5, 0.0, 0.0, p)
     assert exp_point(p, v, 2.0).x == 2.0
+
+
+def _hex_columns(fields, i):
+    return [[float(x).hex() for x in a[:, i]]
+            for a in (fields.V, fields.Vprime, fields.Vsecond)]
+
+
+def _hex_sample(sample):
+    return [[x.hex() for x in v.coeffs()] for v in (sample.V, sample.Vprime, sample.Vsecond)]
+
+
+NINE_S = [-1.0 + 0.25 * i for i in range(9)]
+
+
+@pytest.mark.parametrize("family", [_helicoid_family, _general_family])
+@pytest.mark.parametrize("S", [[0.3], [-0.8, 0.4, 1.5], NINE_S, NINE_S[::-1]])
+def test_jacobi_fields_columns_are_single_points(family, S):
+    # the batch size and order cannot change a bit of any column
+    alpha, u_of = family()
+    for eps in (0.0, 0.5):
+        fields = jacobi_fields(alpha, u_of, eps, S)
+        for i, s in enumerate(S):
+            assert _hex_columns(fields, i) == _hex_sample(jacobi_field(alpha, u_of, eps, s))
+            assert (fields.commutation_residual(i).hex()
+                    == commutation_residual(alpha, u_of, eps, s).hex())
+
+
+def _nested_reference(alpha, u_of, eps, s):
+    """V, V', V'' by nested scalar ``central_diff`` calls on ``exp_geodesic``:
+    the loop form that ``jacobi_fields`` writes out as one array pass."""
+    def arc(e):
+        return GeodesicArc(alpha(e), u_of(e))
+
+    def v_at(x):
+        de = central_diff(lambda e: exp_geodesic(arc(e), x)[0].coords(), eps,
+                          DiffSpec(EPS_STEP, 1))
+        return euclidean_to_frame(exp_geodesic(arc(eps), x)[0], de)
+
+    def vel_at(x):
+        return exp_geodesic(arc(eps), x)[1]
+
+    def vprime_at(x):
+        return covariant_derivative_along(v_at, vel_at, x)
+
+    return v_at(s), vprime_at(s), covariant_derivative_along(vprime_at, vel_at, s)
+
+
+def test_jacobi_fields_match_nested_reference():
+    # bit for bit on the helicoid family, whose flow never reaches sin or cos
+    alpha, u_of = _helicoid_family()
+    S = [-1.3, -0.2, 0.0, 0.7, 2.5]
+    for eps in (-0.3, 0.0, 0.9):
+        fields = jacobi_fields(alpha, u_of, eps, S)
+        for i, s in enumerate(S):
+            want = [[x.hex() for x in v.coeffs()]
+                    for v in _nested_reference(alpha, u_of, eps, s)]
+            assert _hex_columns(fields, i) == want
+
+
+# V, V', V'' and the commutation residual of the R = 2 helicoid family at
+# the (eps, s) pairs of verify's jacobi_equation_rulings check, as computed
+# by the scalar nested-central_diff implementation.  The family has lam = 0,
+# so the flow never reaches sin or cos, and the values are exact pins.
+HELICOID_PINS = [
+    (0.0, 0.3,
+     [["0x1.3333333333333p-1", "0x0.0p+0", "0x1.47ae147ae147bp-2"],
+      ["0x1.ae147ae147aa6p+0", "0x0.0p+0", "-0x1.33333333332fbp-1"],
+      ["0x1.ccccccccccbaap+0", "0x0.0p+0", "-0x1.47ae147ae60c8p-2"]],
+     "0x1.019eb020ee283p-46"),
+    (0.5, -0.8,
+     [["-0x1.ba9d9b2b9b4dfp-1", "0x1.58aaa0c07e703p+0", "-0x1.8f5c28f5c4179p-1"],
+      ["0x1.8085b86e822cap+0", "-0x1.2b6dd541257e0p+1", "0x1.9999999d0c46ap+0"],
+      ["-0x1.4bf638275a782p+1", "0x1.027ff8820dd31p+2", "0x1.8f5c22de148eap-1"]],
+     "0x1.f2040e9643495p-30"),
+    (-0.4, 1.5,
+     [["0x1.0b890e6d4a1ebp+1", "0x1.1376f920f9b38p+1", "-0x1.fffffffff19ccp+1"],
+      ["0x1.0b890e6b8c335p+2", "0x1.1376f926e9d85p+2", "-0x1.8000000914364p+1"],
+      ["0x1.914d931df2c00p+2", "0x1.9d3275b7ff5d4p+2", "0x1.000002aea8c54p+2"]],
+     "0x1.ecc1caa1218ecp-28"),
+]
+
+
+@pytest.mark.parametrize("eps, s, fields, comm", HELICOID_PINS)
+def test_jacobi_helicoid_pins(eps, s, fields, comm):
+    alpha, u_of = _helicoid_family()
+    assert _hex_sample(jacobi_field(alpha, u_of, eps, s)) == fields
+    assert commutation_residual(alpha, u_of, eps, s).hex() == comm
+
+
+# V, V', V'' of the general family at the (eps, s) pairs of verify's
+# jacobi_equation_general check, as computed by the scalar implementation.
+# The flow reaches sin and cos here, and numpy's need not match math's to
+# the bit.  Every difference quotient amplifies round-off: moving numpy's sin
+# and cos by one ulp in the flow moves V, V' and V'' by up to 2.7e-11,
+# 9.7e-9 and 1.9e-6 relative, so each is held about ten times wider.
+GENERAL_REFERENCE = [
+    (0.0, 0.5,
+     [[0.9163267257768687, 0.7726163327818427, 0.9621229916414642],
+      [-0.5641611620031308, 1.0411728087147296, 0.933674316659085],
+      [1.2723235749370785, -0.6729961532890487, -0.8559275106581694]]),
+    (0.3, -1.0,
+     [[0.5152760135250049, 1.127604075192486, 0.06804255263278916],
+      [-0.8398329713327772, 0.948807220788837, -0.852357965768495],
+      [1.182692665313946, -0.44409793329943037, 0.6949381903401097]]),
+    (-0.2, 1.2,
+     [[0.5384665428889712, 0.8059558947541103, 1.3993217537019138],
+      [-0.6038728441287219, 0.15404250694085853, -0.2167045010511861],
+      [-1.975804579854248, -1.2013863983858868, -1.652057301475638]]),
+]
+
+
+@pytest.mark.parametrize("eps, s, want", GENERAL_REFERENCE)
+def test_jacobi_general_reference(eps, s, want):
+    sample = jacobi_field(*_general_family(), eps, s)
+    got = [v.coeffs() for v in (sample.V, sample.Vprime, sample.Vsecond)]
+    for g, w, rel in zip(got, want, (3e-10, 1e-7, 2e-5)):
+        for a, b in zip(g, w):
+            assert abs(a - b) <= rel * abs(b)
+
+
+def _never_called(e):
+    raise AssertionError("the family was evaluated")
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_jacobi_fields_rejects_nonfinite_s_at_entry(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue) as err:
+            jacobi_fields(_never_called, _never_called, 0.3, [0.5, s])
+    assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
+
+
+@pytest.mark.parametrize("family", [_helicoid_family, _general_family])
+@pytest.mark.parametrize("scale, s, first", [(1.0, 1e300, 1e300), (1e200, 0.5, 0.25),
+                                             (1e150, 1e10, 1e10), (1.0, math.inf, math.inf),
+                                             (1.0, math.nan, math.nan)])
+def test_jacobi_fields_nonfinite_families(family, scale, s, first):
+    # one line naming the first non-finite node of [0.25, s] in row-major
+    # order, and no numpy warning
+    if family is _helicoid_family:
+        alpha, u0 = family()
+        u_of = lambda e: u0(e).scaled(scale)
+    else:
+        alpha, u_of = family(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue) as err:
+            jacobi_field(alpha, u_of, 0.3, s)
+        assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
+        with pytest.raises(NonFiniteValue) as err:
+            jacobi_fields(alpha, u_of, 0.3, [0.25, s])
+        assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {first!r}"
+
+
+def test_jacobi_fields_wants_one_axis():
+    alpha, u_of = _helicoid_family()
+    with pytest.raises(ValueError):
+        jacobi_fields(alpha, u_of, 0.0, [[0.1, 0.2]])
