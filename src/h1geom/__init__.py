@@ -16,18 +16,18 @@ from .errors import (CertificateNotFound, ConfigError, GeometryError,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import (GeodesicArc, JacobiFields, JacobiSample, exp_geodesic, exp_geodesics,
                         exp_point, helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
-from .numerics import (DiffSpec, QuadratureSpec, central_diff,
+from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_2d)
 from .stability import (InstabilityCertificate, Profile,
                         TestFunction, boundary_flux, bracket_integral,
                         certify_instability_h2, certify_instability_nosing,
-                        index_form_I, jacobi_vertical_quadratic, l_nh_closed,
-                        operator_L, q_form, second_variation_direct, separable,
+                        direct_variations, index_form_I, jacobi_vertical_quadratic,
+                        l_nh_closed, operator_L, q_form, second_variation_direct, separable,
                         vertical_variation_area, z_derivative)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets,
                        HelicoidChart, SurfaceFrame, SurfaceFrames, VerticalPlaneChart, area,
                        area_element, catalog_surface, characteristic_ray,
-                       mean_curvatures, paraboloid_chart, plane_chart,
+                       curve_samples, mean_curvatures, paraboloid_chart, plane_chart,
                        ruled_coordinates, singular_locus, surface_frame,
                        surface_frames)
 

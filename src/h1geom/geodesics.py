@@ -27,7 +27,7 @@ import numpy as np
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
                    frame_coeffs, frame_to_euclidean, jop)
 from .errors import NonFiniteValue
-from .numerics import DiffSpec, _where, central_diff, central_quotient, richardson
+from .numerics import DiffSpec, _where, central_diff, stencil_d1, stencil_nodes
 
 SERIES_CUTOFF = 1e-4
 
@@ -178,20 +178,6 @@ def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
     return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
 
 
-def _nodes(x, h):
-    """``central_diff``'s one-level stencil around ``x``: x, x + h, x - h,
-    x + h/2, x - h/2, on a new last axis, with its float arithmetic."""
-    h2 = h / 2
-    return np.stack([x, x + h, x - h, x + h2, x - h2], axis=-1)
-
-
-def _d1(f, h):
-    """``central_diff``'s one-level first derivative from samples ``f`` on
-    ``_nodes(x, h)`` along the last axis."""
-    return richardson([central_quotient(f[..., 1], f[..., 2], h),
-                       central_quotient(f[..., 3], f[..., 4], h / 2)])
-
-
 def _raise_nonfinite(values: np.ndarray, eps, s) -> None:
     """Raise ``NonFiniteValue`` at the first node, in row-major order, where
     a component of ``values`` (stacked on axis 0) is not finite; ``eps`` and
@@ -251,26 +237,26 @@ def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
     if S.ndim != 1:
         raise ValueError("S must be one-dimensional")
     _raise_nonfinite(S[None], eps, S)
-    eps_nodes = _nodes(np.float64(eps), EPS_STEP).tolist()
+    eps_nodes = stencil_nodes(np.float64(eps), EPS_STEP).tolist()
     arcs = [_family_arc(alpha, U, e) for e in eps_nodes]
     p0 = np.array([a.p0.coords() for a in arcs]).T     # (3, 5 members)
     A, B, lam = np.array([a.v0.coeffs() for a in arcs]).T
-    outer = _nodes(S, JACOBI_S_STEP)                    # (n, 5)
-    inner = _nodes(outer, JACOBI_S_STEP)                # (n, 5, 5)
+    outer = stencil_nodes(S, JACOBI_S_STEP)             # (n, 5)
+    inner = stencil_nodes(outer, JACOBI_S_STEP)         # (n, 5, 5)
     with np.errstate(all="ignore"):
         q, v = _flow(p0, A, B, lam, inner[..., None], np)
         q, v = np.stack(q), np.stack(v)                 # (3, n, 5, 5, 5 members)
         _raise_nonfinite(np.concatenate([q, v]), np.array(eps_nodes), inner[..., None])
-        V = np.stack(frame_coeffs(q[0, ..., 0], q[1, ..., 0], _d1(q, EPS_STEP)))
+        V = np.stack(frame_coeffs(q[0, ..., 0], q[1, ..., 0], stencil_d1(q, EPS_STEP)))
         _raise_nonfinite(V, eps, inner)
         vel = v[:, :, :, 0, 0]                          # member eps at the outer nodes
-        Vp = np.stack(connection_correct(_d1(V, JACOBI_S_STEP), vel, V[..., 0]))
+        Vp = np.stack(connection_correct(stencil_d1(V, JACOBI_S_STEP), vel, V[..., 0]))
         _raise_nonfinite(Vp, eps, outer)
         Vs, vel_s = V[:, :, 0, 0], vel[..., 0]
-        Vpp = np.stack(connection_correct(_d1(Vp, JACOBI_S_STEP), vel_s, Vp[..., 0]))
+        Vpp = np.stack(connection_correct(stencil_d1(Vp, JACOBI_S_STEP), vel_s, Vp[..., 0]))
         # D_V gamma': differentiate the velocity across the family and
         # contract the connection with V.
-        dv_vel = np.stack(connection_correct(_d1(v[:, :, 0, 0], EPS_STEP), Vs, vel_s))
+        dv_vel = np.stack(connection_correct(stencil_d1(v[:, :, 0, 0], EPS_STEP), Vs, vel_s))
         _raise_nonfinite(np.concatenate([Vpp, dv_vel]), eps, S)
     return JacobiFields(S, q[:, :, 0, 0, 0], Vs, Vp[..., 0], Vpp, dv_vel)
 

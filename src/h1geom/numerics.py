@@ -7,6 +7,7 @@ regardless of how callers parallelize or block the surrounding work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
@@ -314,3 +315,28 @@ def central_diff(f: Callable[[float], Diff], x: float, spec: DiffSpec,
         h = spec.step / 2**i
         diffs.append(central_quotient(_sample(f, x + h), _sample(f, x - h), h, centre))
     return richardson(diffs)
+
+
+def central_diffs(f: Callable[[float], Diff], x: float, spec: DiffSpec,
+                  orders: Sequence[int]) -> list[Diff]:
+    """``central_diff`` of ``f`` at ``x`` for each of ``orders`` in turn
+    (order 0 is the sample ``f(x)``), from one memoized sample set: ``f`` is
+    called once per stencil node, whatever the orders."""
+    f = functools.cache(f)
+    return [_sample(f, x) if order == 0 else central_diff(f, x, spec, order)
+            for order in orders]
+
+
+def stencil_nodes(x, h):
+    """``central_diff``'s one-level stencil around ``x``: x, x + h, x - h,
+    x + h/2, x - h/2, on a new last axis, with its float arithmetic; ``x``
+    and ``h`` are floats or arrays of one shape."""
+    h2 = h / 2
+    return np.stack([x, x + h, x - h, x + h2, x - h2], axis=-1)
+
+
+def stencil_d1(f, h):
+    """``central_diff``'s one-level first derivative from samples ``f`` on
+    ``stencil_nodes(x, h)`` along the last axis (the centre is not used)."""
+    return richardson([central_quotient(f[..., 1], f[..., 2], h),
+                       central_quotient(f[..., 3], f[..., 4], h / 2)])

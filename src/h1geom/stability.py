@@ -33,12 +33,12 @@ import numpy as np
 from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
-from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diff,
-                       central_quotient, gauss_legendre_1d, gauss_nodes,
-                       integrate_array_1d, integrate_cells, kahan_sum,
-                       richardson, split_cells)
+from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
+                       gauss_legendre_1d, gauss_nodes, integrate_array_1d,
+                       integrate_cells, kahan_sum, richardson, split_cells,
+                       stencil_d1, stencil_nodes)
 from .surfaces import (SINGULAR_TOL, CatenoidRulingChart, Chart, area_density,
-                       integrate_tangent_field, surface_frame, surface_frames)
+                       curve_samples, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
 # 1-D profiles and separable test functions
@@ -293,32 +293,16 @@ def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) ->
 Z_DIFF = DiffSpec(step=1e-4, richardson_levels=1)
 
 
-def _curve_samples(chart: Chart, u: tuple[float, float], offsets: Sequence[float],
-                   which: str) -> dict[float, tuple[float, float]]:
-    """Chart points at the given arclength offsets along the Z or S curve."""
-    out = {0.0: u}
-    for sign in (1.0, -1.0):
-        legs = sorted({abs(o) for o in offsets if math.copysign(1.0, o) == sign and o != 0.0})
-        cur = u
-        pos = 0.0
-        for a in legs:
-            cur = integrate_tangent_field(chart, cur, sign * a - pos, 2, which)[-1]
-            pos = sign * a
-            out[pos] = cur
-    return out
-
-
 def _tangent_derivatives(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
                          u: tuple[float, float], orders: Sequence[int],
                          which: str) -> list[float]:
     """``tangent_derivative`` for each of ``orders`` from one set of curve
     samples, evaluating the field once per sample; order 0 is the field
     value at ``u``."""
-    steps = [Z_DIFF.step / 2**i for i in range(Z_DIFF.richardson_levels + 1)]
-    pts = _curve_samples(chart, u, steps + [-h for h in steps], which)
-    field = functools.cache(lambda o: fieldfn(pts[o]))
-    return [field(0.0) if order == 0 else central_diff(field, 0.0, Z_DIFF, order)
-            for order in orders]
+    n = 2 ** (Z_DIFF.richardson_levels + 1)  # offsets k step / n hold every node
+    pts = curve_samples(chart, u, Z_DIFF.step, n, which)
+    return central_diffs(lambda o: fieldfn(pts[n + round(o * n / Z_DIFF.step)]),
+                         0.0, Z_DIFF, orders)
 
 
 def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
@@ -445,16 +429,9 @@ def _deformed_area(chart: Chart, nodes, s: float) -> float:
     """
     terms = []
     for weights, h1, h2, base, uvec in nodes:
-        moved = exp_euclidean(base, uvec, s)
-
-        def d_axis(first: int, h: np.ndarray) -> tuple:
-            # rows first..first+3 of the stencil: +h, -h, +h/2, -h/2
-            def row(r: int) -> tuple:
-                return tuple(m[first + r] for m in moved)
-            return richardson([central_quotient(row(0), row(1), h),
-                               central_quotient(row(2), row(3), 0.5 * h)])
-
-        dens = area_density(moved[0][0], moved[1][0], d_axis(1, h1), d_axis(5, h2))
+        moved = np.moveaxis(np.stack(exp_euclidean(base, uvec, s)), 1, -1)  # (3, nodes, 9)
+        dens = area_density(moved[0, :, 0], moved[1, :, 0], stencil_d1(moved[..., :5], h1),
+                            stencil_d1(moved[..., [0, 5, 6, 7, 8]], h2))
         if not np.isfinite(dens).all():
             raise NonFiniteValue("deformed area density is not finite")
         terms.extend((weights * dens).tolist())
@@ -478,10 +455,9 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
     for u1, u2, weights in zip(U1, U2, W):
         h1 = 1e-5 * np.maximum(1.0, np.abs(u1))
         h2 = 1e-5 * np.maximum(1.0, np.abs(u2))
-        s1 = np.concatenate((u1, u1 + h1, u1 - h1, u1 + 0.5 * h1, u1 - 0.5 * h1,
-                             u1, u1, u1, u1))
-        s2 = np.concatenate((u2, u2, u2, u2, u2,
-                             u2 + h2, u2 - h2, u2 + 0.5 * h2, u2 - 0.5 * h2))
+        axis1, axis2 = stencil_nodes(u1, h1).T, stencil_nodes(u2, h2).T  # (5, nodes)
+        s1 = np.concatenate((axis1, np.broadcast_to(u1, (4, len(u1))))).ravel()
+        s2 = np.concatenate((np.broadcast_to(u2, (5, len(u2))), axis2[1:])).ravel()
         fr = surface_frames(chart, s1, s2)
         vv = v.jet(s1, s2, (chart, fr))[0]
         ww = w.jet(s1, s2, (chart, fr))[0]
@@ -496,40 +472,31 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
 VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
 
 
-def _area_of(chart: Chart, v: TestFunction, w: TestFunction,
-             quad: QuadratureSpec) -> Callable[[float], float]:
-    """A(s) of the deformation vN + wT, from one build of its variation
-    nodes; each s is computed once."""
+def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
+                      quad: QuadratureSpec) -> tuple[float, float, float]:
+    """(A''(0), A'(0), A(0)) of the area A(s) of the surface deformed
+    pointwise along geodesics by vN + wT.
+
+    Central differences with two Richardson levels, from one build of the
+    variation nodes and seven area samples; for nonsingular compactly
+    supported variations of a minimal surface A''(0) must reproduce the
+    index form I(u, u) with u = v + <N,T> w.
+    """
     nodes = _variation_nodes(chart, v, w, quad)
-    return functools.cache(lambda s: _deformed_area(chart, nodes, s))
+    return tuple(central_diffs(lambda s: _deformed_area(chart, nodes, s), 0.0,
+                               VARIATION_DIFF, (2, 1, 0)))
 
 
 def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
                             quad: QuadratureSpec) -> float:
-    """A''(0) by deforming the surface pointwise along geodesics.
-
-    Central second difference with two Richardson levels; for nonsingular
-    compactly supported variations of a minimal surface this must reproduce
-    the index form I(u, u) with u = v + <N,T> w.
-    """
-    return central_diff(_area_of(chart, v, w, quad), 0.0, VARIATION_DIFF, 2)
+    """A''(0) of ``direct_variations``."""
+    return direct_variations(chart, v, w, quad)[0]
 
 
 def first_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
                            quad: QuadratureSpec) -> tuple[float, float]:
-    """(A'(0), A(0)) for the same deformation machinery."""
-    area = _area_of(chart, v, w, quad)
-    return central_diff(area, 0.0, VARIATION_DIFF), area(0.0)
-
-
-def _direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
-                       quad: QuadratureSpec) -> tuple[float, float, float]:
-    """(A''(0), A'(0), A(0)) as ``second_variation_direct`` and
-    ``first_variation_direct`` give them, from one build of the variation
-    nodes; the two differences share their area samples."""
-    area = _area_of(chart, v, w, quad)
-    return (central_diff(area, 0.0, VARIATION_DIFF, 2),
-            central_diff(area, 0.0, VARIATION_DIFF), area(0.0))
+    """(A'(0), A(0)) of ``direct_variations``."""
+    return direct_variations(chart, v, w, quad)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -933,9 +900,8 @@ def vertical_variation_second_difference(R: float, w: Profile, quad: QuadratureS
                                          ) -> tuple[float, float]:
     """(second, first) central r-differences of A at r = 0, step
     ``R_STENCIL``, from one set of three samples."""
-    area = functools.cache(lambda r: vertical_variation_area(R, w, r, quad))
-    spec = DiffSpec(R_STENCIL, 0)
-    return central_diff(area, 0.0, spec, 2), central_diff(area, 0.0, spec, 1)
+    return tuple(central_diffs(lambda r: vertical_variation_area(R, w, r, quad), 0.0,
+                               DiffSpec(R_STENCIL, 0), (2, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ singular locus.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +27,7 @@ import numpy as np
 from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs,
                    frame_coeffs, frame_to_euclidean, jop_coeffs)
 from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import DiffSpec, QuadratureSpec, Rect, central_diff, integrate_cells, rk4
+from .numerics import DiffSpec, QuadratureSpec, Rect, central_diffs, integrate_cells, rk4
 
 SINGULAR_TOL = 1e-9
 
@@ -436,12 +435,24 @@ def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
                             ) -> list[tuple[float, float]]:
     """RK4 integral curve of Z or S in chart coordinates (unit ambient speed).
 
-    Raises ``StoppedAtSingular`` if the curve meets the singular locus.
+    Raises ``ValueError`` unless ``which`` is "Z" or "S", and
+    ``StoppedAtSingular`` if the curve meets the singular locus.
     """
+    if which not in ("Z", "S"):
+        raise ValueError(f"which must be 'Z' or 'S', not {which!r}")
     try:
         return rk4(lambda u: _chart_velocity(chart, u, which), u0, length, steps)
     except SingularPoint as exc:
         raise StoppedAtSingular(str(exc)) from exc
+
+
+def curve_samples(chart: Chart, u: tuple[float, float], length: float, steps: int,
+                  which: str) -> list[tuple[float, float]]:
+    """The Z or S curve through ``u`` at the offsets k * length / steps, k =
+    -steps ... steps: one ``integrate_tangent_field`` pass per side, the
+    forward side first (its error wins if both sides meet the locus)."""
+    fwd = integrate_tangent_field(chart, u, length, steps, which)
+    return integrate_tangent_field(chart, u, -length, steps, which)[:0:-1] + fwd
 
 
 def characteristic_ray(chart: Chart, u0: tuple[float, float], length: float,
@@ -774,9 +785,7 @@ class RuledChart(Chart):
         n = max(4, math.ceil(eps_range / self.GRID_STEP))
         self._h0 = eps_range / n
         self._n = n
-        fwd = integrate_tangent_field(base, u0, eps_range, n, "S")
-        bwd = integrate_tangent_field(base, u0, -eps_range, n, "S")
-        self._nodes = list(reversed(bwd[1:])) + fwd  # index j+n, j in [-n, n]
+        self._nodes = curve_samples(base, u0, eps_range, n, "S")  # index j+n, j in [-n, n]
         self._cache: dict[float, tuple[float, float]] = {}
 
     def curve_chart_point(self, eps: float) -> tuple[float, float]:
@@ -803,12 +812,9 @@ class RuledChart(Chart):
         return Point(g[0] + u2 * z[0], g[1] + u2 * z[1], g[2] + u2 * z[2])
 
     def jet(self, u1: float, u2: float) -> ChartJet:
-        spec = DiffSpec(self.EPS_FD_STEP, 1)
-        curve = functools.cache(lambda e: sum(self.curve_data(e), ()))  # (Gamma, Z)
-        g0, z0 = curve(u1)[:3], curve(u1)[3:]
-        d1 = central_diff(curve, u1, spec, 1)
-        d2 = central_diff(curve, u1, spec, 2)
-        dg, dz, ddg, ddz = d1[:3], d1[3:], d2[:3], d2[3:]
+        c0, d1, d2 = central_diffs(lambda e: sum(self.curve_data(e), ()),  # (Gamma, Z)
+                                   u1, DiffSpec(self.EPS_FD_STEP, 1), (0, 1, 2))
+        g0, z0, dg, dz, ddg, ddz = c0[:3], c0[3:], d1[:3], d1[3:], d2[:3], d2[3:]
         s = u2
         return ChartJet(
             Point(g0[0] + s * z0[0], g0[1] + s * z0[1], g0[2] + s * z0[2]),

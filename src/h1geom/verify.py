@@ -8,7 +8,6 @@ asserts them individually.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -23,22 +22,22 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
                    frame_at, frame_to_euclidean, group_inverse, group_mul,
                    jop, left_translation_jacobian, lie_bracket, ricci,
                    rotate_z)
-from .geodesics import (GeodesicArc, covariant_derivative_along, exp_geodesic,
+from .geodesics import (EPS_STEP, GeodesicArc, covariant_derivative_along, exp_geodesic,
                         helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual,
                         straight_line_residual)
-from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
-                       integrate_cells)
-from .stability import (Profile, _direct_variations, boundary_flux_extrapolated,
+from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
+                       gauss_legendre_1d, integrate_cells)
+from .stability import (Profile, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
-                        cosine_bump, helicoid_closed_forms, index_form_I,
-                        jacobi_vertical_quadratic, l_nh_closed, l_nh_of_frame,
+                        cosine_bump, direct_variations, helicoid_closed_forms,
+                        index_form_I, jacobi_vertical_quadratic, l_nh_closed, l_nh_of_frame,
                         operator_L, q_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
 from .surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
-                       VerticalPlaneChart, area, characteristic_ray, dilated,
-                       integrate_tangent_field, paraboloid_chart, rotated,
+                       VerticalPlaneChart, area, characteristic_ray, curve_samples,
+                       dilated, paraboloid_chart, rotated,
                        ruled_coordinates, singular_locus, surface_frame,
                        surface_frames)
 
@@ -496,17 +495,11 @@ def check_frame_relations() -> CheckResult:
                        "|N_h|^2+<N,T>^2=1; projections of nu_h, T", worst, 1e-10)
 
 
-def _field_along_ray(chart: Chart, u0, getter):
-    """Sampled frame field tau -> getter(surface_frame) along the Z curve."""
-    cache: dict[float, object] = {}
-
-    def at(tau: float):
-        if tau not in cache:
-            u = integrate_tangent_field(chart, u0, tau, 4, "Z")[-1] if tau != 0.0 else u0
-            cache[tau] = surface_frame(chart, u)
-        return getter(cache[tau])
-
-    return at
+def _frames_along_ray(chart: Chart, u0, h: float):
+    """tau -> surface_frame on the Z curve through ``u0``, at the nodes
+    tau = k h / 2 (k = -2 ... 2) of a one-level stencil of step ``h``."""
+    frames = [surface_frame(chart, u) for u in curve_samples(chart, u0, h, 2, "Z")]
+    return lambda tau: frames[2 + round(2 * tau / h)]
 
 
 def check_characteristic_derivatives() -> tuple[CheckResult, CheckResult]:
@@ -518,13 +511,12 @@ def check_characteristic_derivatives() -> tuple[CheckResult, CheckResult]:
              (bowl, (0.8, 0.3))]
     worst_zz = 0.0
     for chart, u0 in cases:
-        fr0 = surface_frame(chart, u0)
-        z_field = _field_along_ray(chart, u0, lambda fr: fr.Z)
-        nu_field = _field_along_ray(chart, u0, lambda fr: fr.nu_h)
-        vel = _field_along_ray(chart, u0, lambda fr: fr.Z)
-        dzz = covariant_derivative_along(z_field, vel, 0.0, 1e-3)
+        frame = _frames_along_ray(chart, u0, 1e-3)
+        fr0 = frame(0.0)
+        z_field = lambda tau: frame(tau).Z
+        dzz = covariant_derivative_along(z_field, z_field, 0.0, 1e-3)
         worst_zz = max(worst_zz, (dzz - fr0.nu_h.scaled(2.0 * fr0.H)).norm())
-        dznu = covariant_derivative_along(nu_field, vel, 0.0, 1e-3)
+        dznu = covariant_derivative_along(lambda tau: frame(tau).nu_h, z_field, 0.0, 1e-3)
         tvec = FrameVector(0, 0, 1, fr0.N.base)
         want = tvec - fr0.Z.scaled(2.0 * fr0.H)
         worst_zz = max(worst_zz, (dznu - want).norm())
@@ -794,24 +786,12 @@ def check_jacobi_coefficients() -> CheckResult:
     cat = CatenoidChart(1.0)
     u0 = (0.9, 0.5)
     a_cl, b_cl, c_cl, _ = jacobi_vertical_quadratic(cat, u0)
-    # one RK4 integral of the S-curve per family parameter serves both the
-    # base curve and the ruling direction
-    family: dict[float, tuple[Point, FrameVector]] = {}
-
-    def member(e: float) -> tuple[Point, FrameVector]:
-        if e not in family:
-            u = u0 if e == 0.0 else integrate_tangent_field(cat, u0, e, 8, "S")[-1]
-            family[e] = (cat.point(*u), surface_frame(cat, u).Z)
-        return family[e]
-
-    def alpha(e: float) -> Point:
-        return member(e)[0]
-
-    def u_of(e: float) -> FrameVector:
-        return member(e)[1]
-
+    # Z on the S-curve at the family's nodes eps = k EPS_STEP / 2, k = -2 ... 2,
+    # gives both the base curve (its base points) and the ruling directions
+    zs = [surface_frame(cat, u).Z for u in curve_samples(cat, u0, EPS_STEP, 2, "S")]
+    ruling = lambda e: zs[2 + round(2 * e / EPS_STEP)]
     svals = [-1.0 + 0.25 * i for i in range(9)]
-    vt = jacobi_fields(alpha, u_of, 0.0, svals).V[2].tolist()
+    vt = jacobi_fields(lambda e: ruling(e).base, ruling, 0.0, svals).V[2].tolist()
     a_f, b_f, c_f = _quad_fit(svals, vt)
     worst = _nmax(a_f - a_cl, b_f - b_cl, c_f - c_cl)
     return CheckResult("jacobi_vertical_coefficients",
@@ -845,7 +825,7 @@ def check_second_variation() -> tuple[CheckResult, CheckResult]:
     w = zero_function()
     quad = QuadratureSpec(16, (4, 4))
     iform = index_form_I(cat, v, v, quad)
-    a2, a1, a0 = _direct_variations(cat, v, w, quad)
+    a2, a1, a0 = direct_variations(cat, v, w, quad)
     rel = abs(a2 - iform) / max(1e-30, abs(iform))
     return (CheckResult("second_variation_consistency",
                         "direct A''(0) matches the index form", rel, 1e-2),
@@ -905,12 +885,10 @@ def check_singular_curve_geometry() -> CheckResult:
         # planar curvature of the xy-projection of the singular helix
         spec = DiffSpec(1e-4, 0)
         for s0 in (1.0 / R, -1.0 / R):
-            @functools.cache
             def xy(e: float) -> tuple[float, float]:
                 p = hel.point(s0, e)
                 return p.x, p.y
-            dx, dy = central_diff(xy, 0.0, spec, 1)
-            ddx, ddy = central_diff(xy, 0.0, spec, 2)
+            (dx, dy), (ddx, ddy) = central_diffs(xy, 0.0, spec, (1, 2))
             worst = max(worst, abs(dx * ddy - dy * ddx + R))
     return CheckResult("singular_helix_geometry",
                        "arclength parameterization; planar curvature -R", worst, 1e-6)

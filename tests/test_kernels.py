@@ -7,13 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from h1geom import stability
+from h1geom import surfaces
 from h1geom.core import FrameField, Point, flow
 from h1geom.geodesics import exp_euclidean, helpers_fgh
-from h1geom.errors import NonFiniteValue, SingularPoint
-from h1geom.stability import operator_L, tangent_derivative
+from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
+from h1geom.numerics import QuadratureSpec
+from h1geom.stability import (cosine_bump, direct_variations, operator_L, separable,
+                              tangent_derivative, vertical_variation_second_difference,
+                              zero_function)
 from h1geom.surfaces import (CatenoidChart, Chart, HelicoidChart, _chart_velocity,
-                             catalog_surface, dilated, integrate_tangent_field, rotated,
+                             catalog_surface, curve_samples, dilated,
+                             integrate_tangent_field, rotated, ruled_coordinates,
                              surface_frame, translated)
 
 
@@ -71,13 +75,13 @@ def test_operator_l_one_sample_set(monkeypatch):
     field_calls = []
     nh = lambda u: field_calls.append(u) or surface_frame(chart, u).Nh_norm
     calls = []
-    rk4 = stability.integrate_tangent_field
+    rk4 = surfaces.integrate_tangent_field
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return rk4(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "integrate_tangent_field", counted)
+    monkeypatch.setattr(surfaces, "integrate_tangent_field", counted)
     for u in ((0.8, 0.9), (2.0, -0.4), (4.5, 1.2)):
         fr = surface_frame(chart, u)
         zv = tangent_derivative(chart, nh, u, 1, "Z")
@@ -86,7 +90,8 @@ def test_operator_l_one_sample_set(monkeypatch):
         calls.clear()
         field_calls.clear()
         assert operator_L(chart, nh, u) == want
-        assert len(calls) == 4
+        # one 4-step RK4 pass per side of u
+        assert len(calls) == 2
         # four curve samples and the centre, each evaluated once
         assert len(field_calls) == 5
 
@@ -149,3 +154,91 @@ def test_integrate_tangent_field_pinned_bitwise():
     assert _hex(us[-1]) == ("0x1.8e8c784c9bac1p-2", "-0x1.6c4ce9acd033ep-3")
     us = integrate_tangent_field(HelicoidChart(2.0), (0.1, 0.1), 0.2, 4, "Z")
     assert _hex(us[-1]) == ("0x1.3333333333334p-2", "0x1.999999999999ap-4")
+
+
+# ---------------------------------------------------------------------------
+# The one curve walk (curve_samples) and the differences taken on it, pinned
+# to the values of the per-offset RK4 legs and paired central_diff calls they
+# replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["z", "X", ""])
+def test_unknown_tangent_field_is_rejected(which):
+    cat = CatenoidChart(1.0)
+    nh = lambda u: surface_frame(cat, u).Nh_norm
+    for call in (lambda: integrate_tangent_field(cat, (0.4, 0.3), 0.5, 5, which),
+                 lambda: curve_samples(cat, (0.4, 0.3), 0.5, 5, which),
+                 lambda: tangent_derivative(cat, nh, (0.4, 0.3), 1, which)):
+        with pytest.raises(ValueError, match=repr(which)):
+            call()
+
+
+@pytest.mark.parametrize("chart, u, length, steps, which", [
+    (CatenoidChart(1.0), (0.4, 0.3), 0.5, 5, "S"),
+    (CatenoidChart(1.0), (1.2, 0.5), 1e-4, 4, "Z"),
+    (HelicoidChart(2.0), (0.1, 0.1), 0.2, 4, "Z"),
+])
+def test_curve_samples_are_the_two_passes(chart, u, length, steps, which):
+    us = curve_samples(chart, u, length, steps, which)
+    fwd = integrate_tangent_field(chart, u, length, steps, which)
+    bwd = integrate_tangent_field(chart, u, -length, steps, which)
+    assert len(us) == 2 * steps + 1
+    for k in range(steps + 1):
+        assert _hex(us[steps + k]) == _hex(fwd[k])
+        assert _hex(us[steps - k]) == _hex(bwd[k])
+
+
+def test_curve_samples_raise_the_forward_stop():
+    # the Z-line from s = 0 meets the helices s = +-1/2 on both sides
+    hel = HelicoidChart(2.0)
+    for length in (1.5, -1.5):
+        with pytest.raises(StoppedAtSingular):
+            integrate_tangent_field(hel, (0.0, 0.1), length, 30, "Z")
+    with pytest.raises(StoppedAtSingular, match=r"at \(0\.5, 0\.1\)"):
+        curve_samples(hel, (0.0, 0.1), 1.5, 30, "Z")
+
+
+_TANGENT_PINNED = {  # Z order 1, Z order 2, S order 1, S order 2; then L(|N_h|)
+    (0.8, 0.9): (("-0x1.2aae0ea633c00p-8", "0x1.51d80592c0400p-3",
+                  "-0x1.042cddcf19800p-9", "0x1.f29d516e14aabp-6"), "0x1.e58ea3d3bc512p-1"),
+    (2.0, -0.4): (("-0x1.6fd6e078d1ef5p-3", "0x1.c5bfa80473400p-3",
+                   "-0x1.28eec6bf1cd2bp-3", "0x1.fdcab7aa74d55p-3"), "0x1.76d822e7cf68cp+1"),
+    (4.5, 1.2): (("-0x1.503c5d5c168abp-5", "0x1.0ae70a1b60000p-6",
+                  "-0x1.74a2a4dd48400p-7", "-0x1.8b7204d040000p-10"), "0x1.7d148de34c68bp-2"),
+}
+
+
+@pytest.mark.parametrize("u", list(_TANGENT_PINNED))
+def test_tangent_derivatives_pinned_bitwise(u):
+    cat = CatenoidChart(1.0)
+    nh = lambda p: surface_frame(cat, p).Nh_norm
+    got = tuple(_hex(tangent_derivative(cat, nh, u, order, which))
+                for which in ("Z", "S") for order in (1, 2))
+    assert (got, _hex(operator_L(cat, nh, u))) == _TANGENT_PINNED[u]
+
+
+def test_direct_variations_pinned_bitwise():
+    # the data of verify's second_variation check
+    cat = CatenoidChart(1.0)
+    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    got = direct_variations(cat, v, zero_function(), QuadratureSpec(16, (4, 4)))
+    assert _hex(got) == ("0x1.cb124aae02c84p+1", "-0x1.407ab55555555p-31",
+                         "0x1.db1d61ad08142p+0")
+
+
+def test_vertical_variation_second_difference_pinned_bitwise():
+    got = vertical_variation_second_difference(2.0, cosine_bump(0, 1), QuadratureSpec(16, (16, 1)))
+    assert _hex(got) == ("0x1.3bd3d62f30190p+1", "0x0.0p+0")
+
+
+def test_ruled_chart_jet_pinned_bitwise():
+    cat = CatenoidChart(1.0)
+    jet = ruled_coordinates(cat, (0.9, 0.5), 0.5, (-1.0, 1.0)).jet(0.2, 0.3)
+    assert _hex(jet.p.coords()) == ("0x1.9a5cd7e767b8bp-2", "0x1.d64099208e7a7p-1",
+                                    "0x1.0870dc3564fd4p-4")
+    assert _hex((jet.f1, jet.f2, jet.f11, jet.f12, jet.f22)) == (
+        ("-0x1.2e374e9600780p-6", "-0x1.a1ea52092ff2cp-5", "-0x1.ae35c1c6eef23p-1"),
+        ("-0x1.e17df9fd0941ep-1", "0x1.5c31120487b54p-2", "-0x1.0000000000000p+0"),
+        ("0x1.7931bc6059600p-3", "0x1.496eed2f70500p-1", "-0x1.2fdc067bb472bp-1"),
+        ("0x1.2491c4fdf95bbp-2", "0x1.94935ab8f1b65p-1", "-0x1.3880000000000p-41"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"))

@@ -197,6 +197,6 @@ def test_second_variation_check_builds_the_variation_nodes_once(monkeypatch):
     cat = CatenoidChart(1.0)
     v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
     quad = QuadratureSpec(8, (2, 2))
-    got = stability._direct_variations(cat, v, zero_function(), quad)
+    got = stability.direct_variations(cat, v, zero_function(), quad)
     assert got == (second_variation_direct(cat, v, zero_function(), quad),
                    *first_variation_direct(cat, v, zero_function(), quad))

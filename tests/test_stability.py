@@ -489,8 +489,7 @@ def test_catenoid_certify_integrates_no_tangent_field(monkeypatch, tmp_path):
         calls.append(args)
         return rk4(*args, **kwargs)
 
-    for mod in (surfaces, stability):
-        monkeypatch.setattr(mod, "integrate_tangent_field", counted)
+    monkeypatch.setattr(surfaces, "integrate_tangent_field", counted)
     assert cli.main(["certify", "catenoid", "--lam=-1.7", "--out", str(tmp_path / "c.txt")]) == 0
     assert calls == []
 
