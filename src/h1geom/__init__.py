@@ -15,7 +15,7 @@ from .errors import (CertificateNotFound, ConfigError, GeometryError,
                      NonFiniteValue, SingularPoint, StoppedAtSingular,
                      TubeConditionViolated, TubeTooSmall)
 from .geodesics import (GeodesicArc, JacobiFields, JacobiSample, exp_geodesic, exp_geodesics,
-                        exp_point, helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
+                        helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_2d)
 from .stability import (InstabilityCertificate, Profile,
@@ -23,12 +23,11 @@ from .stability import (InstabilityCertificate, Profile,
                         certify_instability_h2, certify_instability_nosing,
                         direct_variations, index_form_I, jacobi_vertical_quadratic,
                         l_nh_closed, operator_L, q_form, second_variation_direct, separable,
-                        vertical_variation_area, z_derivative)
-from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets,
-                       HelicoidChart, SurfaceFrame, SurfaceFrames, VerticalPlaneChart, area,
-                       area_element, catalog_surface, characteristic_ray,
-                       curve_samples, mean_curvatures, paraboloid_chart, plane_chart,
-                       ruled_coordinates, singular_locus, surface_frame,
-                       surface_frames)
+                        tangent_derivative, vertical_variation_area)
+from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets, HelicoidChart,
+                       ParaboloidChart, PlaneChart, SurfaceFrame, SurfaceFrames,
+                       VerticalPlaneChart, area, area_element, catalog_surface,
+                       characteristic_ray, curve_samples, ruled_coordinates, singular_locus,
+                       surface_frame, surface_frames)
 
 __version__ = "0.1.0"

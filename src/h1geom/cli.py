@@ -4,7 +4,8 @@ certificate search.
 Exit codes: 0 success, 1 verification/certificate failure, 2 usage or
 configuration error, 3 numerical failure.  Reports are deterministic byte
 for byte for identical configuration.  ``main`` builds its parser once per
-process, on its first call.
+process, on its first call, and runs the pitch-2 certificate search at most
+once per process.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .core import FrameVector, Point
 from .errors import ConfigError, GeometryError, NonFiniteValue
 from .geodesics import GeodesicArc, exp_geodesics
-from .stability import (certify_instability_h2, certify_instability_nosing,
-                        scaled_helicoid_certificate)
+from .stability import (InstabilityCertificate, certify_instability_h2,
+                        certify_instability_nosing, scaled_helicoid_certificate)
 from .surfaces import catalog_surface, surface_frames
 from .verify import SUITES, run_suites
 
@@ -213,13 +214,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     """Search a certificate; the searches raise unless Q < 0 and Q at the
     doubled rule agrees, so a certificate that is written passes."""
     if args.target == "h2":
-        _write_lines(args.out, certify_instability_h2().to_text().splitlines())
+        _write_lines(args.out, _h2_certificate().to_text().splitlines())
         return EXIT_OK
 
     if args.target == "helicoid":
         if args.R is None or not 0.0 < args.R < math.inf:
             raise ConfigError("certify helicoid requires a finite --R > 0")
-        base = certify_instability_h2()
+        base = _h2_certificate()
         cert = scaled_helicoid_certificate(base, args.R)
         lines = cert.to_text().splitlines()
         lines.append(f"base_Q_value={_fmt(base.Q_value)}")
@@ -302,6 +303,14 @@ def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses: built on the first call, then reused, since
     parsing leaves no state in it."""
     return build_parser()
+
+
+@functools.cache
+def _h2_certificate() -> InstabilityCertificate:
+    """The pitch-2 certificate that ``certify h2`` prints and ``certify
+    helicoid`` scales: searched on the first call, then reused, since the
+    search takes no input."""
+    return certify_instability_h2()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -27,7 +27,8 @@ import numpy as np
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
                    frame_coeffs, frame_to_euclidean, jop)
 from .errors import NonFiniteValue
-from .numerics import DiffSpec, _where, central_diff, stencil_d1, stencil_nodes
+from .numerics import (DiffSpec, _where, central_diff, raise_first_failure, stencil_d1,
+                       stencil_nodes)
 
 SERIES_CUTOFF = 1e-4
 
@@ -120,14 +121,9 @@ def exp_geodesics(arc: GeodesicArc, S) -> tuple[Arr3, Arr3]:
     with np.errstate(all="ignore"):
         q, v = _flow(arc.p0.coords(), A, B, arc.lam, S, np)
     ok = np.logical_and.reduce([np.isfinite(c) for c in (*q, *v)])
-    if not ok.all():
-        s = float(S.ravel()[np.flatnonzero(~ok.ravel())[0]])
-        raise NonFiniteValue(f"geodesic is not finite at s = {s!r}")
+    raise_first_failure((~ok, lambda i: NonFiniteValue(
+        f"geodesic is not finite at s = {float(S.ravel()[i])!r}")))
     return q, v
-
-
-def exp_point(p: Point, v: FrameVector, s: float = 1.0) -> Point:
-    return exp_geodesic(GeodesicArc(p, v), s)[0]
 
 
 def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
@@ -178,15 +174,14 @@ def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
     return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
 
 
-def _raise_nonfinite(values: np.ndarray, eps, s) -> None:
-    """Raise ``NonFiniteValue`` at the first node, in row-major order, where
-    a component of ``values`` (stacked on axis 0) is not finite; ``eps`` and
-    ``s`` are the node parameters, broadcast to the node grid."""
-    ok = np.isfinite(values).all(axis=0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        e, si = (float(np.broadcast_to(a, ok.shape).flat[i]) for a in (eps, s))
-        raise NonFiniteValue(f"Jacobi field is not finite at eps = {e!r}, s = {si!r}")
+def _nonfinite_nodes(values: np.ndarray, eps, s):
+    """The check of one stencil stage of ``jacobi_fields``: a node fails
+    where a component of ``values`` (stacked on axis 0) is not finite;
+    ``eps`` and ``s`` are the node parameters, broadcast to the node grid."""
+    bad = ~np.isfinite(values).all(axis=0)
+    eps_at, s_at = (np.broadcast_to(a, bad.shape).ravel() for a in (eps, s))
+    return bad, lambda i: NonFiniteValue(
+        f"Jacobi field is not finite at eps = {float(eps_at[i])!r}, s = {float(s_at[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,7 @@ def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
     S = np.asarray(S, dtype=float)
     if S.ndim != 1:
         raise ValueError("S must be one-dimensional")
-    _raise_nonfinite(S[None], eps, S)
+    raise_first_failure(_nonfinite_nodes(S[None], eps, S))
     eps_nodes = stencil_nodes(np.float64(eps), EPS_STEP).tolist()
     arcs = [_family_arc(alpha, U, e) for e in eps_nodes]
     p0 = np.array([a.p0.coords() for a in arcs]).T     # (3, 5 members)
@@ -246,18 +241,19 @@ def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
     with np.errstate(all="ignore"):
         q, v = _flow(p0, A, B, lam, inner[..., None], np)
         q, v = np.stack(q), np.stack(v)                 # (3, n, 5, 5, 5 members)
-        _raise_nonfinite(np.concatenate([q, v]), np.array(eps_nodes), inner[..., None])
+        raise_first_failure(_nonfinite_nodes(np.concatenate([q, v]), np.array(eps_nodes),
+                                             inner[..., None]))
         V = np.stack(frame_coeffs(q[0, ..., 0], q[1, ..., 0], stencil_d1(q, EPS_STEP)))
-        _raise_nonfinite(V, eps, inner)
+        raise_first_failure(_nonfinite_nodes(V, eps, inner))
         vel = v[:, :, :, 0, 0]                          # member eps at the outer nodes
         Vp = np.stack(connection_correct(stencil_d1(V, JACOBI_S_STEP), vel, V[..., 0]))
-        _raise_nonfinite(Vp, eps, outer)
+        raise_first_failure(_nonfinite_nodes(Vp, eps, outer))
         Vs, vel_s = V[:, :, 0, 0], vel[..., 0]
         Vpp = np.stack(connection_correct(stencil_d1(Vp, JACOBI_S_STEP), vel_s, Vp[..., 0]))
         # D_V gamma': differentiate the velocity across the family and
         # contract the connection with V.
         dv_vel = np.stack(connection_correct(stencil_d1(v[:, :, 0, 0], EPS_STEP), Vs, vel_s))
-        _raise_nonfinite(np.concatenate([Vpp, dv_vel]), eps, S)
+        raise_first_failure(_nonfinite_nodes(np.concatenate([Vpp, dv_vel]), eps, S))
     return JacobiFields(S, q[:, :, 0, 0, 0], Vs, Vp[..., 0], Vpp, dv_vel)
 
 

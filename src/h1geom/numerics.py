@@ -101,11 +101,28 @@ def split_cells(cuts: Sequence[float], cells: int) -> list[tuple[float, float, i
             for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _raise_first_nonfinite(v: np.ndarray, where: str) -> None:
-    """Raise ``_check_finite``'s error at the first non-finite sample of ``v``."""
-    bad = ~np.isfinite(v)
+def raise_first_failure(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
+    """The error rule of every batched kernel: raise what its scalar view
+    raises, at the first failing element in row-major order.
+
+    Each check is a pair ``(mask, error)``: ``mask`` is True where an element
+    fails, and ``error(i)`` builds the exception at flat index ``i``.  The
+    masks have one shape and come in the order the scalar view runs its
+    checks at one element; at the first element that fails any of them, the
+    first check it fails raises.  So the error does not depend on how a
+    batch is split.
+    """
+    masks = [np.ravel(mask) for mask, _ in checks]
+    bad = np.logical_or.reduce(masks)
     if bad.any():
-        raise NonFiniteValue(f"non-finite sample in {where}: {float(v[bad][0])!r}")
+        i = int(np.argmax(bad))
+        raise next(error(i) for mask, (_, error) in zip(masks, checks) if mask[i])
+
+
+def _nonfinite_samples(v: np.ndarray, where: str) -> tuple:
+    """The check of ``_check_finite`` on every sample of ``v``."""
+    return ~np.isfinite(v), lambda i: NonFiniteValue(
+        f"non-finite sample in {where}: {float(np.ravel(v)[i])!r}")
 
 
 def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -119,7 +136,7 @@ def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     """
     x, w = gauss_nodes_1d(a, b, n_points, n_cells)
     v = np.asarray(f(x.ravel()), dtype=float)
-    _raise_first_nonfinite(v, "gauss_legendre_1d")
+    raise_first_failure(_nonfinite_samples(v, "gauss_legendre_1d"))
     return kahan_sum((w.ravel() * v).tolist())
 
 
@@ -216,12 +233,13 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
         with np.errstate(over="ignore", invalid="ignore"):
             v = f(U1[block].ravel(), U2[block].ravel())
             wv = W[block].ravel() * v
-        bad = ~np.isfinite(wv)  # a non-finite sample is a non-finite term
-        if bad.any():
-            start = int(np.argmax(bad)) // per_cell * per_cell
-            cell = slice(start, start + per_cell)
-            _raise_first_nonfinite(v[cell], "integrate_2d")
-            _raise_first_nonfinite(wv[cell], "integrate_2d weighted terms")
+        # a term is checked only in cells with finite samples, so a cell
+        # reports its first non-finite sample before any overflowing term
+        bad_v, sample_error = _nonfinite_samples(np.reshape(v, (-1, per_cell)), "integrate_2d")
+        bad_wv, term_error = _nonfinite_samples(wv.reshape(-1, per_cell),
+                                                "integrate_2d weighted terms")
+        raise_first_failure((bad_v, sample_error),
+                            (bad_wv & ~bad_v.any(axis=1, keepdims=True), term_error))
         terms.extend(wv.tolist())
     return kahan_sum(terms)
 

@@ -27,7 +27,8 @@ import numpy as np
 from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs,
                    frame_coeffs, frame_to_euclidean, jop_coeffs)
 from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import DiffSpec, QuadratureSpec, Rect, central_diffs, integrate_cells, rk4
+from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diffs, integrate_cells,
+                       raise_first_failure, rk4)
 
 SINGULAR_TOL = 1e-9
 
@@ -66,7 +67,9 @@ class Chart:
     Analytic charts implement ``_jet_parts(u1, u2, m)`` once, with ``m`` the
     ``math`` module for one point or ``numpy`` for arrays of points; a
     scalar entry it returns is a constant of the chart and is broadcast.
-    Charts that only override ``jet`` get ``jets`` by stacking scalar jets.
+    Charts that only override ``jet`` get ``jets`` by stacking scalar jets,
+    in row-major order up to the first non-finite chart point, where the
+    scalar view stops; the jets from there on are NaN.
     """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
@@ -94,15 +97,16 @@ class Chart:
         raise NotImplementedError
 
     def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray) -> ChartJets:
-        js = [self.jet(a, b) for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist())]
-
-        def stack(rows) -> Arr3:  # rows of (x, y, z); also for no rows
-            cols = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
-            return tuple(c.reshape(U1.shape) for c in cols)
-
-        return ChartJets(stack([j.p.coords() for j in js]), stack([j.f1 for j in js]),
-                         stack([j.f2 for j in js]), stack([j.f11 for j in js]),
-                         stack([j.f12 for j in js]), stack([j.f22 for j in js]))
+        rows = []
+        for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                break  # the scalar view stops here, before evaluating the chart
+            j = self.jet(a, b)
+            rows.append((j.p.coords(), j.f1, j.f2, j.f11, j.f12, j.f22))
+        rows += [((math.nan,) * 3,) * 6] * (U1.size - len(rows))
+        rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
+        return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
+                           for k in range(6)))
 
 
 @dataclass(frozen=True)
@@ -311,56 +315,43 @@ def surface_frame(chart: Chart, u: tuple[float, float],
                         FrameVector(*s, p), *rest)
 
 
-def _raise_first(U1: np.ndarray, U2: np.ndarray, checks) -> None:
-    """Raise at the first point, in row-major order, that fails any check.
-
-    ``checks`` are (mask, error) pairs in the order the scalar view runs
-    them at one point; ``error(i, u)`` builds the exception for flat index
-    ``i`` at chart point ``u``.
-    """
-    bad = np.logical_or.reduce([mask.ravel() for mask, _ in checks])
-    if not bad.any():
-        return
-    i = int(np.flatnonzero(bad)[0])
-    u = (float(U1.ravel()[i]), float(U2.ravel()[i]))
-    raise next(error(i, u) for mask, error in checks if mask.ravel()[i])
+def _chart_point_at(U1: np.ndarray, U2: np.ndarray):
+    """The chart point at flat index ``i`` of (U1, U2), as a function of ``i``."""
+    return lambda i: (float(U1.ravel()[i]), float(U2.ravel()[i]))
 
 
 def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFrames:
     """``surface_frame`` at the points (U1[i], U2[i]), as arrays.
 
     The same frame math on arrays; errors are those of the scalar view at
-    the first offending point in row-major order: ``NonFiniteValue`` for a
-    non-finite sample or a non-immersion, ``SingularPoint`` for |N_h| <=
-    SINGULAR_TOL unless ``singular_ok`` is set (the characteristic entries
-    are then NaN).  Overflow and invalid operations are left to these checks
-    and raise no numpy warning.
+    the first offending point in row-major order (``raise_first_failure``):
+    ``NonFiniteValue`` for a non-finite chart point or surface point or a
+    non-immersion, ``SingularPoint`` for |N_h| <= SINGULAR_TOL unless
+    ``singular_ok`` is set (the characteristic entries are then NaN).
+    Overflow and invalid operations are left to these checks and raise no
+    numpy warning.
     """
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if U1.shape != U2.shape:
         raise ValueError("parameter arrays must have one shape")
-    bad = ~(np.isfinite(U1) & np.isfinite(U2))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        if i:  # a point before the first non-finite sample may fail first
-            surface_frames(chart, U1.ravel()[:i], U2.ravel()[:i], singular_ok)
-        u = (float(U1.ravel()[i]), float(U2.ravel()[i]))
-        raise NonFiniteValue(f"non-finite chart point {u!r}")
+    u = _chart_point_at(U1, U2)
     with np.errstate(all="ignore"):
         jet = chart.jets(U1, U2)
         x, y, t = jet.p
         c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
         w, n, nh = _unit_normal(cr, None, np)
         singular = nh <= SINGULAR_TOL
-        checks = [(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)),
-                   lambda i, u: NonFiniteValue(f"non-finite point at {u!r}")),
+        checks = [(~(np.isfinite(U1) & np.isfinite(U2)),
+                   lambda i: NonFiniteValue(f"non-finite chart point {u(i)!r}")),
+                  (~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)),
+                   lambda i: NonFiniteValue(f"non-finite point at {u(i)!r}")),
                   (~((w > 0.0) & np.isfinite(w)),
-                   lambda i, u: NonFiniteValue(f"chart is not an immersion at {u!r}"))]
+                   lambda i: NonFiniteValue(f"chart is not an immersion at {u(i)!r}"))]
         if not singular_ok:
-            checks.append((singular, lambda i, u: SingularPoint(
-                f"|N_h| = {nh.ravel()[i]:.3e} at {u!r}")))
-        _raise_first(U1, U2, checks)
+            checks.append((singular, lambda i: SingularPoint(
+                f"|N_h| = {nh.ravel()[i]:.3e} at {u(i)!r}")))
+        raise_first_failure(*checks)
         _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
             x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
     out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
@@ -369,12 +360,6 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
     bzz, bzs, bss, h, hr, qval, z1, z2, s1, s2, dnh1, dnh2, dnt1, dnt2 = out
     return SurfaceFrames((x, y, t), n, nh, n[2], w, bzz, bzs, bss, h, hr, qval,
                          (z1, z2), (s1, s2), (dnh1, dnh2), (dnt1, dnt2), ~singular)
-
-
-def mean_curvatures(chart: Chart, u: tuple[float, float]) -> tuple[float, float]:
-    """(H, H_R): sub-Riemannian and Riemannian mean curvature at ``u``."""
-    fr = surface_frame(chart, u)
-    return fr.H, fr.HR
 
 
 def area_element(chart: Chart, u: tuple[float, float]) -> float:
@@ -405,8 +390,9 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
         dens = area_density(x, y, jet.f1, jet.f2)
         finite = (np.isfinite(U1) & np.isfinite(U2) & np.isfinite(x) & np.isfinite(y)
                   & np.isfinite(t) & np.isfinite(dens))
-    _raise_first(U1, U2, [(~finite, lambda i, u: NonFiniteValue(
-        f"non-finite tangent plane at {u!r}"))])
+    u = _chart_point_at(U1, U2)
+    raise_first_failure((~finite, lambda i: NonFiniteValue(
+        f"non-finite tangent plane at {u(i)!r}")))
     return dens
 
 
@@ -605,17 +591,6 @@ class ParaboloidChart(Chart):
         zero = (0.0, 0.0, 0.0)
         return ((u1, u2, u1 * u2), (1.0, 0.0, u2), (0.0, 1.0, u1),
                 zero, (0.0, 0.0, 1.0), zero)
-
-
-def plane_chart(a: float, b: float, c: float,
-                domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))) -> PlaneChart:
-    """The plane t = a x + b y + c."""
-    return PlaneChart(a, b, c, domain)
-
-
-def paraboloid_chart(domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))) -> ParaboloidChart:
-    """The hyperbolic paraboloid t = x y."""
-    return ParaboloidChart(domain)
 
 
 class HelicoidChart(Chart):
@@ -837,9 +812,9 @@ def catalog_surface(kind: str, **params) -> Chart:
     if kind == "vertical_plane":
         return VerticalPlaneChart(**params)
     if kind == "plane":
-        return plane_chart(**params)
+        return PlaneChart(**params)
     if kind == "paraboloid":
-        return paraboloid_chart(**params)
+        return ParaboloidChart(**params)
     if kind == "helicoid":
         return HelicoidChart(**params)
     if kind == "catenoid":

@@ -35,10 +35,9 @@ from .stability import (Profile, boundary_flux_extrapolated,
                         operator_L, q_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
-from .surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart,
+from .surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart, ParaboloidChart,
                        VerticalPlaneChart, area, characteristic_ray, curve_samples,
-                       dilated, paraboloid_chart, rotated,
-                       ruled_coordinates, singular_locus, surface_frame,
+                       dilated, rotated, ruled_coordinates, singular_locus, surface_frame,
                        surface_frames)
 
 
@@ -472,8 +471,8 @@ def _catalog() -> dict[str, Chart]:
     return {
         "catenoid": CatenoidChart(1.0),
         "helicoid": HelicoidChart(2.0),
-        "paraboloid": paraboloid_chart(domain=((0.2, 1.5), (-1.0, 1.3))),
-        "plane": surfaces.plane_chart(0.4, -0.7, 0.3),
+        "paraboloid": ParaboloidChart(domain=((0.2, 1.5), (-1.0, 1.3))),
+        "plane": surfaces.PlaneChart(0.4, -0.7, 0.3),
     }
 
 
@@ -577,7 +576,7 @@ def check_helicoid_q_closed_forms() -> tuple[CheckResult, CheckResult]:
 def check_minimality() -> CheckResult:
     worst = 0.0
     charts = {
-        "paraboloid": paraboloid_chart(domain=((0.2, 1.5), (-1.0, 1.3))),
+        "paraboloid": ParaboloidChart(domain=((0.2, 1.5), (-1.0, 1.3))),
         "catenoid": CatenoidChart(1.0),
         "helicoid1": HelicoidChart(1.0),
         "helicoid2": HelicoidChart(2.0),
@@ -668,7 +667,7 @@ def check_singular_locus() -> CheckResult:
     worst = max(worst, max(abs(abs(pt[0]) - 0.5) for pt in loc.points))
     cat = singular_locus(CatenoidChart(1.0), (8, 8))
     worst = max(worst, float(bool(cat.cells or cat.points)))
-    par = singular_locus(paraboloid_chart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9))
+    par = singular_locus(ParaboloidChart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9))
     if not par.points:
         return CheckResult("singular_locus", "paraboloid crossings missing", math.inf, 1e-8)
     worst = max(worst, max(abs(pt[0]) for pt in par.points))

@@ -10,7 +10,7 @@ import pytest
 
 from h1geom import numerics, stability
 from h1geom.core import FrameVector, Point
-from h1geom.errors import NonFiniteValue, SingularPoint
+from h1geom.errors import GeometryError, NonFiniteValue, SingularPoint
 from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
 from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
@@ -153,6 +153,38 @@ def test_nonfinite_and_nonimmersion_rejected():
         surface_frames(Fold(), np.array([0.1]), np.array([0.2]))
 
 
+def _error_of(call):
+    """(type, message) of the error ``call()`` raises, or None."""
+    try:
+        call()
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _planted_frame_cases():
+    """(chart, a good chart point, bad chart points of every kind the
+    scalar view checks)."""
+    return [(CatenoidChart(1.0), (1.0, 0.2),  # non-finite, overflow, no immersion
+             [(math.nan, 0.1), (0.0, 1000.0), (0.0, 332.3333333333333)]),
+            (HelicoidChart(2.0), (0.1, 0.3),  # non-finite, singular
+             [(0.2, math.inf), (0.5, 0.4)])]
+
+
+def _planted(good, bads):
+    """Batches of shape (5,) and (3, 4) of ``good`` with each of ``bads``
+    first, in the middle or last, and the next bad one at the end after it."""
+    for shape in ((5,), (3, 4)):
+        n = math.prod(shape)
+        for where in (0, n // 2, n - 1):
+            for j, bad in enumerate(bads):
+                U1, U2 = np.full(n, good[0]), np.full(n, good[1])
+                U1[where], U2[where] = bad
+                if where < n - 1:
+                    U1[-1], U2[-1] = bads[(j + 1) % len(bads)]
+                yield U1.reshape(shape), U2.reshape(shape)
+
+
 def _scalar_first_error(chart, U1, U2):
     for u in zip(U1.tolist(), U2.tolist()):
         try:
@@ -176,6 +208,18 @@ def test_surface_frames_fail_at_first_point_in_row_major_order():
             warnings.simplefilter("error")
             with pytest.raises(kind, match=re.escape(f"not an immersion at {u!r}")):
                 surface_frames(chart, V1, V2, singular_ok=True)
+    # one bad point first, in the middle or last, on 1-D and 2-D batches, and
+    # a bad point of another kind after it: the scalar loop's first error
+    for chart, good, bads in _planted_frame_cases():
+        for U1, U2 in _planted(good, bads):
+            for singular_ok in (False, True):
+                want = _error_of(lambda: [surface_frame(chart, u, singular_ok)
+                                          for u in zip(U1.ravel().tolist(),
+                                                       U2.ravel().tolist())])
+                assert want is not None or singular_ok
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert _error_of(lambda: surface_frames(chart, U1, U2, singular_ok)) == want
 
 
 def test_surface_frames_overflow_raises_no_warning():
@@ -246,6 +290,13 @@ def test_exp_geodesics_nonfinite_raises_no_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match=r"at s = 100\.0"):  # 2 lambda s overflows
             exp_geodesics(arc, np.array([0.0, 1.0, 100.0, 200.0]))
+        # first, in the middle or last, on 1-D and 2-D batches: the error of
+        # a batch of one at the first bad parameter
+        for S, _ in _planted((1.0, 1.0), [(100.0, 100.0), (-200.0, -200.0)]):
+            first = next(s for s in S.ravel().tolist() if abs(s) >= 100.0)
+            want = _error_of(lambda: exp_geodesics(arc, [first]))
+            assert want == (NonFiniteValue, f"geodesic is not finite at s = {first!r}")
+            assert _error_of(lambda: exp_geodesics(arc, S)) == want
 
 
 def test_batch_split_invariance():

@@ -236,6 +236,21 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert real() is not real()  # build_parser still returns a fresh parser
 
 
+def test_pitch2_search_runs_once_per_process(tmp_path, monkeypatch):
+    searches = []
+    real = stability.certify_instability_h2
+    monkeypatch.setattr(cli, "certify_instability_h2", lambda: searches.append(1) or real())
+    cli._h2_certificate.cache_clear()
+    outs = [tmp_path / name for name in ("h2.txt", "helicoid.txt")]
+    assert run(["certify", "h2", "--out", str(outs[0])]) == 0
+    assert run(["certify", "helicoid", "--R", "3", "--out", str(outs[1])]) == 0
+    assert len(searches) == 1
+    # the reused certificate is the one a fresh search finds
+    assert outs[0].read_text() == real().to_text()
+    assert f"base_Q_value={cli._fmt(real().Q_value)}\n" in outs[1].read_text()
+    cli._h2_certificate.cache_clear()
+
+
 def _assert_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err

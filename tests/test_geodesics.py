@@ -8,7 +8,7 @@ from h1geom.core import FrameVector, ORIGIN, Point, dot, euclidean_to_frame
 from h1geom.errors import NonFiniteValue
 from h1geom.geodesics import (EPS_STEP, GeodesicArc, commutation_residual,
                               covariant_derivative_along, exp_euclidean,
-                              exp_geodesic, exp_point, helpers_fgh,
+                              exp_geodesic, helpers_fgh,
                               jacobi_field, jacobi_fields, jacobi_residual,
                               straight_line_residual)
 from h1geom.numerics import DiffSpec, central_diff
@@ -138,7 +138,7 @@ def test_jacobi_general_family():
 def test_exp_point_shortcut():
     p = Point(1.0, 2.0, 3.0)
     v = FrameVector(0.5, 0.0, 0.0, p)
-    assert exp_point(p, v, 2.0).x == 2.0
+    assert exp_geodesic(GeodesicArc(p, v), 2.0)[0].x == 2.0
 
 
 def _hex_columns(fields, i):
@@ -292,6 +292,14 @@ def test_jacobi_fields_nonfinite_families(family, scale, s, first):
         with pytest.raises(NonFiniteValue) as err:
             jacobi_fields(alpha, u_of, 0.3, [0.25, s])
         assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {first!r}"
+        if scale == 1.0:
+            # s the one bad parameter, first, in the middle or last (a
+            # larger scale makes every parameter bad, and the checks run
+            # stage by stage over the whole batch)
+            for S in ([s, 0.25, 0.5], [0.25, s, 0.5], [0.25, 0.5, s]):
+                with pytest.raises(NonFiniteValue) as err:
+                    jacobi_fields(alpha, u_of, 0.3, S)
+                assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
 
 
 def test_jacobi_fields_wants_one_axis():

@@ -231,7 +231,12 @@ def test_integrate_cells_error_order(monkeypatch, block):
              ({(5, 2): math.nan}, "integrate_2d: nan"),
              ({(5, 2): -math.inf, (6, 0): math.nan}, "integrate_2d: -inf"),
              ({(2, 1): 1e300, (2, 9): math.nan}, "integrate_2d: nan"),
-             ({(4, 7): -1e300, (7, 0): math.nan}, "weighted terms: -inf")]
+             ({(4, 7): -1e300, (7, 0): math.nan}, "weighted terms: -inf"),
+             # the first node of the first cell, and the last of the last
+             ({(0, 0): math.nan, (7, 15): math.inf}, "integrate_2d: nan"),
+             ({(0, 0): 1e300, (0, 15): -math.inf}, "integrate_2d: -inf"),
+             ({(7, 15): math.inf}, "integrate_2d: inf"),
+             ({(7, 15): -1e300}, "weighted terms: -inf")]
     for bad, msg in cases:
         f = _planted(bad)
         with pytest.raises(NonFiniteValue) as want:

@@ -25,8 +25,8 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
                               ruled_index_value, scaled_helicoid_certificate,
                               second_variation_direct, separable, smooth_bump, times_nh,
                               vertical_variation_area,
-                              vertical_variation_second_difference,
-                              z_derivative, zero_function)
+                              tangent_derivative, vertical_variation_second_difference,
+                              zero_function)
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, HelicoidChart,
                              VerticalPlaneChart, ruled_coordinates, surface_frame,
                              surface_frames)
@@ -45,20 +45,20 @@ def nh_field(chart):
 # ---------------------------------------------------------------------------
 
 def test_z_derivative_constant():
-    assert abs(z_derivative(CAT, lambda u: 3.7, (1.0, 0.5), 1)) <= 1e-12
-    assert abs(z_derivative(CAT, lambda u: 3.7, (1.0, 0.5), 2)) <= 1e-8
+    assert abs(tangent_derivative(CAT, lambda u: 3.7, (1.0, 0.5), 1, "Z")) <= 1e-12
+    assert abs(tangent_derivative(CAT, lambda u: 3.7, (1.0, 0.5), 2, "Z")) <= 1e-8
 
 
 def test_z_derivative_stops_at_singular():
     from h1geom.errors import SingularPoint, StoppedAtSingular
     with pytest.raises((SingularPoint, StoppedAtSingular)):
-        z_derivative(HEL2, nh_field(HEL2), (0.5, 0.0), 1)
+        tangent_derivative(HEL2, nh_field(HEL2), (0.5, 0.0), 1, "Z")
 
 
 def test_z_derivative_nt_identity():
     for chart, u0 in ((HEL2, (0.2, 0.4)), (CAT, (1.3, -0.6))):
         fr = surface_frame(chart, u0)
-        znt = z_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1)
+        znt = tangent_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1, "Z")
         assert abs(znt - fr.Nh_norm * (fr.BZS - 1.0)) <= 1e-5
 
 
@@ -69,7 +69,7 @@ def test_zz_nh_closed_combination():
         nh, bzs = fr.Nh_norm, fr.BZS
         want = (-5.0 * nh + 4.0 * nh ** 3 + 2.0 * bzs / nh
                 + 2.0 * bzs * bzs / nh - 3.0 * nh * bzs * bzs)
-        got = z_derivative(CAT, nh_field(CAT), u0, 2)
+        got = tangent_derivative(CAT, nh_field(CAT), u0, 2, "Z")
         assert abs(got - want) <= 1e-4
 
 
@@ -344,6 +344,18 @@ def test_q_form_tube_condition_enforced():
     with pytest.raises(TubeConditionViolated):
         q_form(2.0, combined_normal_component(HEL2, u, zero_function()),
                QuadratureSpec(16, (16, 1)))
+
+
+def test_q_form_tube_condition_is_exact():
+    # an s-bump of width 8e-4 inside the window [0.45, 0.55] around s = 1/2,
+    # between any two of 33 equally spaced samples of it
+    u = separable(cos_arch(4), cosine_bump(0.4995, 0.0004))
+    with pytest.raises(TubeConditionViolated, match="varies along rulings near s = 0.5"):
+        q_form(2.0, u, H2_QUAD)
+    ramp = plateau_ramp(0.6, 1.0)
+    assert ramp.flat_on(-0.6, 0.6) and ramp.flat_on(1.6, 9.0) and ramp.flat_on(-9.0, -1.6)
+    assert not ramp.flat_on(0.5, 0.7) and not ramp.flat_on(-1.7, -1.5)
+    assert cosine_bump(0.0, 1.0).flat_on(1.0, 2.0) and not cosine_bump(0.0, 1.0).flat_on(0.9, 2.0)
 
 
 def test_h2_certificate():

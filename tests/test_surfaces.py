@@ -1,15 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from h1geom.core import Point, dot
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, ChartJet, Chart, GraphChart,
-                             HelicoidChart, VerticalPlaneChart, area,
-                             area_element, area_elements, catalog_surface,
-                             characteristic_ray, dilated, mean_curvatures, paraboloid_chart,
-                             plane_chart, rotated, ruled_coordinates,
+                             HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart,
+                             area, area_element, area_elements, catalog_surface,
+                             characteristic_ray, dilated, rotated, ruled_coordinates,
                              singular_locus, surface_frame, translated)
 
 QUAD = QuadratureSpec(16, (8, 8))
@@ -91,7 +91,7 @@ def test_catenoid_ruling_chart_rejects_lam():
 
 
 def test_paraboloid_frame():
-    chart = paraboloid_chart()
+    chart = ParaboloidChart()
     # singular along the whole line x = 0 (the tangent plane is horizontal
     # there); the origin is one such point
     with pytest.raises(SingularPoint):
@@ -105,14 +105,14 @@ def test_paraboloid_frame():
 
 
 def test_plane_chart_minimal():
-    chart = plane_chart(0.7, -0.3, 0.5)
+    chart = PlaneChart(0.7, -0.3, 0.5)
     fr = surface_frame(chart, (0.4, 0.9))
     assert abs(fr.H) <= 1e-12
 
 
 def test_mean_curvature_error_on_singular():
     with pytest.raises(SingularPoint):
-        mean_curvatures(HelicoidChart(2.0), (0.5, 0.1))
+        surface_frame(HelicoidChart(2.0), (0.5, 0.1)).H
 
 
 def test_graph_bowl_not_minimal():
@@ -137,9 +137,17 @@ def test_area_examples():
     assert area_element(hel, (0.5, 0.0)) <= 1e-15  # continuous zero at the helix
 
 
+def _sine_graph():
+    # math.sin raises on inf: the chart must not be evaluated there
+    return GraphChart(lambda x, y: math.sin(x) * y, lambda x, y: math.cos(x) * y,
+                      lambda x, y: math.sin(x), lambda x, y: -math.sin(x) * y,
+                      lambda x, y: math.cos(x), lambda x, y: 0.0)
+
+
 @pytest.mark.parametrize("chart, u", [(CatenoidChart(1.0), (math.inf, 0.1)),
-                                      (paraboloid_chart(), (1e200, 1e200)),
-                                      (VerticalPlaneChart(), (0.1, math.nan))])
+                                      (ParaboloidChart(), (1e200, 1e200)),
+                                      (VerticalPlaneChart(), (0.1, math.nan)),
+                                      (_sine_graph(), (math.inf, 0.2))])
 def test_area_element_nonfinite_message(chart, u):
     # one message for a non-finite chart point, surface point or density,
     # at the first such point of an array
@@ -148,6 +156,17 @@ def test_area_element_nonfinite_message(chart, u):
     with pytest.raises(NonFiniteValue) as batch:
         area_elements(chart, [0.3, u[0], 0.2], [0.4, u[1], 0.1])
     assert str(batch.value) == str(exc.value)
+    # the point first, in the middle or last, on 1-D and 2-D batches, with a
+    # non-finite chart point after it
+    for shape in ((5,), (3, 4)):
+        n = math.prod(shape)
+        for where in (0, n // 2, n - 1):
+            U1, U2 = np.full(n, 0.3), np.full(n, 0.4)
+            U1[-1] = math.nan
+            U1[where], U2[where] = u
+            with pytest.raises(NonFiniteValue) as batch:
+                area_elements(chart, U1.reshape(shape), U2.reshape(shape))
+            assert str(batch.value) == str(exc.value)
 
 
 def test_area_dilation_and_rotation():
@@ -204,7 +223,7 @@ def test_singular_locus():
     cat = singular_locus(CatenoidChart(1.0), (8, 8))
     assert cat.cells == [] and cat.points == []
 
-    par = singular_locus(paraboloid_chart(), (9, 9))
+    par = singular_locus(ParaboloidChart(), (9, 9))
     assert par.points
     assert max(abs(p[0]) for p in par.points) <= 1e-8
 
@@ -254,7 +273,7 @@ def test_degenerate_chart_rejected():
 def test_frame_relations_invariants():
     for chart, u in ((CatenoidChart(1.0), (1.1, 0.6)),
                      (HelicoidChart(1.0), (0.4, -0.7)),
-                     (paraboloid_chart(), (0.8, 0.5))):
+                     (ParaboloidChart(), (0.8, 0.5))):
         fr = surface_frame(chart, u)
         assert abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0) <= 1e-12
         assert abs(fr.N.norm() - 1.0) <= 1e-12
