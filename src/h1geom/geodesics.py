@@ -174,14 +174,20 @@ def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
     return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
 
 
-def _nonfinite_nodes(values: np.ndarray, eps, s):
-    """The check of one stencil stage of ``jacobi_fields``: a node fails
-    where a component of ``values`` (stacked on axis 0) is not finite;
-    ``eps`` and ``s`` are the node parameters, broadcast to the node grid."""
-    bad = ~np.isfinite(values).all(axis=0)
-    eps_at, s_at = (np.broadcast_to(a, bad.shape).ravel() for a in (eps, s))
+def _nonfinite_nodes(stages, n: int):
+    """The check of ``jacobi_fields``: row i holds the nodes of every stage
+    ``(values, eps, s)`` of the parameter s[i], in order.  A node fails where
+    a component of ``values`` (stacked on axis 0) is not finite; ``eps`` and
+    ``s`` are its parameters, broadcast to the node grid (n parameters first)."""
+    parts = []
+    for values, eps, s in stages:
+        bad = ~np.isfinite(values).all(axis=0)
+        parts.append([np.broadcast_to(a, bad.shape).reshape(n, math.prod(bad.shape[1:]))
+                      for a in (bad, eps, s)])
+    bad, eps_at, s_at = (np.concatenate(a, axis=1) for a in zip(*parts))
     return bad, lambda i: NonFiniteValue(
-        f"Jacobi field is not finite at eps = {float(eps_at[i])!r}, s = {float(s_at[i])!r}")
+        f"Jacobi field is not finite at eps = {float(eps_at.flat[i])!r}, "
+        f"s = {float(s_at.flat[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -225,13 +231,14 @@ def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
     members at the ``central_diff`` nodes around ``eps`` and the 5 x 5 nested
     s-nodes around each s, with the arithmetic of ``central_diff``, so no
     result depends on the length or order of ``S``.  A non-finite ``S``, and
-    the first non-finite node of the stencil, raise ``NonFiniteValue``;
-    overflow raises no numpy warning.
+    then the first non-finite stencil node of the first parameter that has
+    one, raise ``NonFiniteValue``, so the error of a batch is that of its
+    first failing parameter alone; overflow raises no numpy warning.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 1:
         raise ValueError("S must be one-dimensional")
-    raise_first_failure(_nonfinite_nodes(S[None], eps, S))
+    raise_first_failure(_nonfinite_nodes([(S[None], eps, S)], len(S)))
     eps_nodes = stencil_nodes(np.float64(eps), EPS_STEP).tolist()
     arcs = [_family_arc(alpha, U, e) for e in eps_nodes]
     p0 = np.array([a.p0.coords() for a in arcs]).T     # (3, 5 members)
@@ -241,19 +248,17 @@ def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
     with np.errstate(all="ignore"):
         q, v = _flow(p0, A, B, lam, inner[..., None], np)
         q, v = np.stack(q), np.stack(v)                 # (3, n, 5, 5, 5 members)
-        raise_first_failure(_nonfinite_nodes(np.concatenate([q, v]), np.array(eps_nodes),
-                                             inner[..., None]))
         V = np.stack(frame_coeffs(q[0, ..., 0], q[1, ..., 0], stencil_d1(q, EPS_STEP)))
-        raise_first_failure(_nonfinite_nodes(V, eps, inner))
         vel = v[:, :, :, 0, 0]                          # member eps at the outer nodes
         Vp = np.stack(connection_correct(stencil_d1(V, JACOBI_S_STEP), vel, V[..., 0]))
-        raise_first_failure(_nonfinite_nodes(Vp, eps, outer))
         Vs, vel_s = V[:, :, 0, 0], vel[..., 0]
         Vpp = np.stack(connection_correct(stencil_d1(Vp, JACOBI_S_STEP), vel_s, Vp[..., 0]))
         # D_V gamma': differentiate the velocity across the family and
         # contract the connection with V.
         dv_vel = np.stack(connection_correct(stencil_d1(v[:, :, 0, 0], EPS_STEP), Vs, vel_s))
-        raise_first_failure(_nonfinite_nodes(np.concatenate([Vpp, dv_vel]), eps, S))
+    raise_first_failure(_nonfinite_nodes(
+        [(np.concatenate([q, v]), np.array(eps_nodes), inner[..., None]), (V, eps, inner),
+         (Vp, eps, outer), (np.concatenate([Vpp, dv_vel]), eps, S)], len(S)))
     return JacobiFields(S, q[:, :, 0, 0, 0], Vs, Vp[..., 0], Vpp, dv_vel)
 
 

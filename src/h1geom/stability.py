@@ -796,7 +796,7 @@ def scaled_helicoid_certificate(base: InstabilityCertificate,
     return cert
 
 
-NOSING_QUAD = QuadratureSpec(16, (1, 8))
+NOSING_QUAD = QuadratureSpec(16, (8, 1))
 NOSING_PHI = cosine_bump(0.0, 1.0)
 
 
@@ -819,7 +819,7 @@ def ruled_index_value(lam: float, quad: QuadratureSpec) -> float:
         cuts += (-c, c)
         c *= 4.0
     psi = replace(cosine_bump(0.0, width), breakpoints=tuple(sorted(cuts)))
-    u = times_nh(chart, separable(NOSING_PHI, psi))
+    u = times_nh(chart, separable(psi, NOSING_PHI))
     return index_form_I(chart, u, u, quad)
 
 

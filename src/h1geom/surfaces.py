@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs,
                    frame_coeffs, frame_to_euclidean, jop_coeffs)
-from .errors import NonFiniteValue, SingularPoint, StoppedAtSingular
+from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diffs, integrate_cells,
                        raise_first_failure, rk4)
 
@@ -51,7 +51,12 @@ Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
 @dataclass(frozen=True)
 class ChartJets:
     """Euclidean partials of the immersion at N parameter points: each entry
-    is a triple of arrays with the shape of the parameter arrays."""
+    is a triple of arrays with the shape of the parameter arrays.
+
+    ``failure`` is the flat index and the ``GeometryError`` of the first
+    stacked scalar jet that raised one (the jets from there on are NaN), or
+    None.
+    """
 
     p: Arr3
     f1: Arr3
@@ -59,6 +64,14 @@ class ChartJets:
     f11: Arr3
     f12: Arr3
     f22: Arr3
+    failure: Optional[tuple[int, GeometryError]] = None
+
+    def failed(self) -> tuple[np.ndarray, Callable[[int], Exception]]:
+        """``failure`` as a ``raise_first_failure`` check."""
+        mask = np.zeros(np.shape(self.p[0]), dtype=bool)
+        if self.failure is not None:
+            mask.flat[self.failure[0]] = True
+        return mask, lambda i: self.failure[1]
 
 
 class Chart:
@@ -69,7 +82,8 @@ class Chart:
     scalar entry it returns is a constant of the chart and is broadcast.
     Charts that only override ``jet`` get ``jets`` by stacking scalar jets,
     in row-major order up to the first non-finite chart point, where the
-    scalar view stops; the jets from there on are NaN.
+    scalar view stops, or up to the first jet that raises, which
+    ``ChartJets.failure`` keeps; the jets from there on are NaN.
     """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
@@ -90,23 +104,31 @@ class Chart:
         U2 = np.asarray(U2, dtype=float)
         if type(self)._jet_parts is Chart._jet_parts:
             return self._stacked_jets(U1, U2)
-        return ChartJets(*(tuple(np.broadcast_to(np.asarray(c, dtype=float), U1.shape)
-                                 for c in v) for v in self._jet_parts(U1, U2, np)))
+
+        def full(c):  # a constant of the chart is broadcast; an array is used as it is
+            c = np.asarray(c, dtype=float)
+            return c if c.shape == U1.shape else np.broadcast_to(c, U1.shape)
+
+        return ChartJets(*(tuple(full(c) for c in v) for v in self._jet_parts(U1, U2, np)))
 
     def _jet_parts(self, u1, u2, m):
         raise NotImplementedError
 
     def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray) -> ChartJets:
-        rows = []
+        rows, failure = [], None
         for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
             if not (math.isfinite(a) and math.isfinite(b)):
                 break  # the scalar view stops here, before evaluating the chart
-            j = self.jet(a, b)
+            try:
+                j = self.jet(a, b)
+            except GeometryError as exc:  # raised by the caller unless an earlier point fails
+                failure = (len(rows), exc)
+                break
             rows.append((j.p.coords(), j.f1, j.f2, j.f11, j.f12, j.f22))
         rows += [((math.nan,) * 3,) * 6] * (U1.size - len(rows))
         rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
         return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
-                           for k in range(6)))
+                           for k in range(6)), failure)
 
 
 @dataclass(frozen=True)
@@ -344,6 +366,7 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
         singular = nh <= SINGULAR_TOL
         checks = [(~(np.isfinite(U1) & np.isfinite(U2)),
                    lambda i: NonFiniteValue(f"non-finite chart point {u(i)!r}")),
+                  jet.failed(),
                   (~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)),
                    lambda i: NonFiniteValue(f"non-finite point at {u(i)!r}")),
                   (~((w > 0.0) & np.isfinite(w)),
@@ -380,7 +403,7 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
     Equals the horizontal norm of F_1 x F_2, hence is continuous (value 0)
     across singular points.  Raises ``NonFiniteValue`` at the first point,
     in row-major order, where the chart point, the surface point or the
-    density is not finite.
+    density is not finite, or a stacked scalar jet's own error there.
     """
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
@@ -391,7 +414,8 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
         finite = (np.isfinite(U1) & np.isfinite(U2) & np.isfinite(x) & np.isfinite(y)
                   & np.isfinite(t) & np.isfinite(dens))
     u = _chart_point_at(U1, U2)
-    raise_first_failure((~finite, lambda i: NonFiniteValue(
+    # a stacked jet fails only at a finite chart point, where its error comes first
+    raise_first_failure(jet.failed(), (~finite, lambda i: NonFiniteValue(
         f"non-finite tangent plane at {u(i)!r}")))
     return dens
 
@@ -528,15 +552,37 @@ def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
 # Catalog charts
 # ---------------------------------------------------------------------------
 
-class VerticalPlaneChart(Chart):
-    """The plane x = 0 charted by (y, t)."""
+class SeedRuledChart(Chart):
+    """A surface ruled by horizontal lines, charted by (s, a):
+
+        F = Gamma(a) + s D(a),  D = (cos th, sin th, Gamma_y cos th - Gamma_x sin th).
+
+    A subclass writes only its seed ``_seed(a, m)``: Gamma, Gamma', Gamma''
+    and e = (cos th, sin th), e', e''.  The jet is exact: F_s = D,
+    F_a = Gamma' + s D', F_ss = 0, F_sa = D' and F_aa = Gamma'' + s D''.
+    """
+
+    def _jet_parts(self, s, a, m):
+        (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = \
+            self._seed(a, m)
+        dt = gy * co - gx * si
+        # product rule, one cross term per pair: pairs that cancel (the
+        # catenoid's D' and D'' T-components) then cancel in floats too
+        dt1 = (gy1 * co - gx1 * si) + (gy * co1 - gx * si1)
+        dt2 = (gy2 * co - gx2 * si) + 2.0 * (gy1 * co1 - gx1 * si1) + (gy * co2 - gx * si2)
+        return ((gx + s * co, gy + s * si, gt + s * dt), (co, si, dt),
+                (gx1 + s * co1, gy1 + s * si1, gt1 + s * dt1), (0.0, 0.0, 0.0), (co1, si1, dt1),
+                (gx2 + s * co2, gy2 + s * si2, gt2 + s * dt2))
+
+
+class VerticalPlaneChart(SeedRuledChart):
+    """The plane x = 0 charted by (y, t): Gamma = (0, 0, a), e = (0, 1)."""
 
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
 
-    def _jet_parts(self, u1, u2, m):
-        zero = (0.0, 0.0, 0.0)
-        return (0.0, u1, u2), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), zero, zero, zero
+    def _seed(self, a, m):
+        return (0.0, 0.0, a), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0)
 
 
 class GraphChart(Chart):
@@ -581,42 +627,34 @@ class PlaneChart(Chart):
         return (u1, u2, a * u1 + b * u2 + self.c), (1.0, 0.0, a), (0.0, 1.0, b), zero, zero, zero
 
 
-class ParaboloidChart(Chart):
-    """The hyperbolic paraboloid t = x y, charted by (x, y)."""
+class ParaboloidChart(SeedRuledChart):
+    """The hyperbolic paraboloid t = x y, charted by (x, y): Gamma = (0, a, 0), e = (1, 0)."""
 
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
 
-    def _jet_parts(self, u1, u2, m):
-        zero = (0.0, 0.0, 0.0)
-        return ((u1, u2, u1 * u2), (1.0, 0.0, u2), (0.0, 1.0, u1),
-                zero, (0.0, 0.0, 1.0), zero)
+    def _seed(self, a, m):
+        return (0.0, a, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)
 
 
-class HelicoidChart(Chart):
-    """The left-handed minimal helicoid of pitch parameter R > 0.
-
-    Chart coordinates are (s, eps), in that order, so that the normal
-    N = normalize(F_s x F_eps) has horizontal part along +(cos, -sin) for
-    |s| < 1/R and T-component -Rs/W; the singular helices sit at s = +-1/R.
+class HelicoidChart(SeedRuledChart):
+    """The left-handed minimal helicoid of pitch parameter R > 0, seeded by
+    Gamma = (0, 0, eps/R) and e = (sin R eps, cos R eps).  In the chart
+    coordinates (s, eps) the normal N = normalize(F_s x F_eps) has horizontal
+    part along +(cos, -sin) for |s| < 1/R and T-component -Rs/W; the singular
+    helices sit at s = +-1/R.
     """
 
     def __init__(self, R: float):
-        if R <= 0:
-            raise ValueError("R must be positive")
+        if not (0.0 < R < math.inf and math.pi / R < math.inf):
+            raise ValueError("R must be positive and finite, and pi/R finite")
         self.R = R
         self.domain = ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
 
-    def _jet_parts(self, u1, u2, m):
-        R = self.R
-        s, eps = u1, u2
-        si, co = m.sin(R * eps), m.cos(R * eps)
-        return ((s * si, s * co, eps / R),
-                (si, co, 0.0),
-                (R * s * co, -R * s * si, 1.0 / R),
-                (0.0, 0.0, 0.0),
-                (R * co, -R * si, 0.0),
-                (-R * R * s * si, -R * R * s * co, 0.0))
+    def _seed(self, a, m):
+        R, si, co = self.R, m.sin(self.R * a), m.cos(self.R * a)
+        return ((0.0, 0.0, a / R), (0.0, 0.0, 1.0 / R), (0.0, 0.0, 0.0),
+                (si, co), (R * co, -R * si), (-R * R * si, -R * R * co))
 
 
 class CatenoidChart(Chart):
@@ -656,33 +694,23 @@ class CatenoidChart(Chart):
                 (r * co, r * si, lam * lam * sh))
 
 
-class CatenoidRulingChart(Chart):
-    """The catenoid t^2 = lam^2 (x^2 + y^2 - lam^2) charted by its rulings:
-
-        F(a, s) = (lam cos a - s sin a, lam sin a + s cos a, -lam s),
-
-    the horizontal lines tangent to the waist circle, so Z = +-d/ds and
-    F_ss = 0.  One injective chart of the complete surface for either sign
-    of lam: a in [-pi, pi), s in R.  Rotations about the t-axis are shifts
-    in a, so every frame quantity depends on s alone.
-    """
+class CatenoidRulingChart(SeedRuledChart):
+    """The catenoid t^2 = lam^2 (x^2 + y^2 - lam^2) charted by its rulings, the
+    lines tangent to the waist circle: Gamma = lam (cos a, sin a, 0) and
+    e = (-sin a, cos a), so Z = +-d/ds.  One injective chart for either sign
+    of lam: s in R, a in [-pi, pi).  Rotations about the t-axis are shifts in
+    a, so every frame quantity depends on s alone."""
 
     def __init__(self, lam: float):
         if not 0.0 < lam * lam < math.inf:
             raise ValueError("lam^2 must be positive and finite")
         self.lam = lam
-        self.domain = ((-math.pi, math.pi), (-math.inf, math.inf))
+        self.domain = ((-math.inf, math.inf), (-math.pi, math.pi))
 
-    def _jet_parts(self, u1, u2, m):
-        lam = self.lam
-        a, s = u1, u2
-        co, si = m.cos(a), m.sin(a)
-        return ((lam * co - s * si, lam * si + s * co, -lam * s),
-                (-lam * si - s * co, lam * co - s * si, 0.0),
-                (-si, co, -lam),
-                (-lam * co + s * si, -lam * si - s * co, 0.0),
-                (-co, -si, 0.0),
-                (0.0, 0.0, 0.0))
+    def _seed(self, a, m):
+        lam, co, si = self.lam, m.cos(a), m.sin(a)
+        return ((lam * co, lam * si, 0.0), (-lam * si, lam * co, 0.0), (-lam * co, -lam * si, 0.0),
+                (-si, co), (-co, -si), (si, -co))
 
 
 class TransformedChart(Chart):
@@ -717,7 +745,7 @@ class TransformedChart(Chart):
 
     def jets(self, U1, U2) -> ChartJets:
         j = self.base.jets(U1, U2)
-        return ChartJets(*self._transform(self._apply(j.p, True), j))
+        return ChartJets(*self._transform(self._apply(j.p, True), j), j.failure)
 
 
 def dilated(chart: Chart, lam: float) -> TransformedChart:

@@ -10,7 +10,7 @@ import pytest
 
 from h1geom import numerics, stability
 from h1geom.core import FrameVector, Point
-from h1geom.errors import GeometryError, NonFiniteValue, SingularPoint
+from h1geom.errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
 from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
@@ -168,7 +168,50 @@ def _planted_frame_cases():
     return [(CatenoidChart(1.0), (1.0, 0.2),  # non-finite, overflow, no immersion
              [(math.nan, 0.1), (0.0, 1000.0), (0.0, 332.3333333333333)]),
             (HelicoidChart(2.0), (0.1, 0.3),  # non-finite, singular
-             [(0.2, math.inf), (0.5, 0.4)])]
+             [(0.2, math.inf), (0.5, 0.4)]),
+            (_overflowing_graph(), (0.3, 0.5),  # non-finite, singular, the jet's overflow
+             [(math.nan, 0.1), (0.0, 0.5), (0.3, 1000.0)])]
+
+
+def _overflowing_graph():
+    # t = xy + 0 exp(y): stacked jets, and math.exp overflows at y = 1000
+    return GraphChart(lambda x, y: x * y + 0.0 * math.exp(y), lambda x, y: y,
+                      lambda x, y: x + 0.0 * math.exp(y), lambda x, y: 0.0,
+                      lambda x, y: 1.0, lambda x, y: 0.0)
+
+
+def test_stacked_jet_errors_wait_for_earlier_points():
+    # the second point's jet overflows, but the first one is already singular
+    # (surface_frames) or not finite (area_elements)
+    chart = _overflowing_graph()
+    with pytest.raises(SingularPoint):
+        surface_frame(chart, (0.0, 0.5))
+    with pytest.raises(SingularPoint, match=re.escape("at (0.0, 0.5)")):
+        surface_frames(chart, [0.0, 0.3], [0.5, 1000.0])
+    with pytest.raises(NonFiniteValue, match=re.escape("non-finite point at (0.3, 1000.0)")):
+        surface_frames(chart, [0.3, 0.0], [1000.0, 0.5])
+    with pytest.raises(NonFiniteValue, match=re.escape("non-finite tangent plane at (nan, 0.5)")):
+        area_elements(chart, [math.nan, 0.3], [0.5, 1000.0])
+    for call in (lambda: area_element(chart, (0.3, 1000.0)),
+                 lambda: area_elements(chart, [0.2, 0.3, math.nan], [0.5, 1000.0, 0.5])):
+        with pytest.raises(NonFiniteValue, match=re.escape("non-finite point at (0.3, 1000.0)")):
+            call()
+    # through an affine map the stacked error keeps its place
+    with pytest.raises(SingularPoint):
+        surface_frames(dilated(chart, 0.3), [0.0, 0.3], [0.5, 1000.0])
+
+    class Stops(Chart):  # stacked jets that raise an error of their own
+        def jet(self, u1, u2):
+            if u2 > 100.0:
+                raise StoppedAtSingular(f"no jet at {(u1, u2)!r}")
+            return chart.jet(u1, u2)
+
+    for call in (lambda: surface_frames(Stops(), [0.3, 0.0], [1000.0, 0.5]),
+                 lambda: area_elements(Stops(), [0.3, math.nan], [1000.0, 0.5])):
+        with pytest.raises(StoppedAtSingular, match=re.escape("no jet at (0.3, 1000.0)")):
+            call()
+    with pytest.raises(SingularPoint):
+        surface_frames(Stops(), [0.0, 0.3], [0.5, 1000.0])
 
 
 def _planted(good, bads):
@@ -468,7 +511,7 @@ def _block_size_cases():
     cases = {}
     for lam in (0.3, -2.5):
         ruled = CatenoidRulingChart(lam)
-        u = times_nh(ruled, separable(cosine_bump(0.0, 1.0), cosine_bump(0.2, 1.5 * abs(lam))))
+        u = times_nh(ruled, separable(cosine_bump(0.2, 1.5 * abs(lam)), cosine_bump(0.0, 1.0)))
         cases[f"index_form_I ruling lam={lam}"] = (
             lambda ruled=ruled, u=u: index_form_I(ruled, u, u, quad))
     hu = separable(cosine_bump(0.0, 0.4), cosine_bump(0.1, 1.3))

@@ -274,11 +274,11 @@ def test_jacobi_fields_rejects_nonfinite_s_at_entry(s):
 
 @pytest.mark.parametrize("family", [_helicoid_family, _general_family])
 @pytest.mark.parametrize("scale, s, first", [(1.0, 1e300, 1e300), (1e200, 0.5, 0.25),
-                                             (1e150, 1e10, 1e10), (1.0, math.inf, math.inf),
+                                             (1e150, 1e10, 0.25), (1.0, math.inf, math.inf),
                                              (1.0, math.nan, math.nan)])
 def test_jacobi_fields_nonfinite_families(family, scale, s, first):
-    # one line naming the first non-finite node of [0.25, s] in row-major
-    # order, and no numpy warning
+    # one line naming the first failing parameter of [0.25, s], as a call at
+    # that parameter alone names it, and no numpy warning
     if family is _helicoid_family:
         alpha, u0 = family()
         u_of = lambda e: u0(e).scaled(scale)
@@ -292,10 +292,12 @@ def test_jacobi_fields_nonfinite_families(family, scale, s, first):
         with pytest.raises(NonFiniteValue) as err:
             jacobi_fields(alpha, u_of, 0.3, [0.25, s])
         assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {first!r}"
+        with pytest.raises(NonFiniteValue) as err:
+            jacobi_fields(alpha, u_of, 0.3, [s, 0.25])
+        assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
         if scale == 1.0:
             # s the one bad parameter, first, in the middle or last (a
-            # larger scale makes every parameter bad, and the checks run
-            # stage by stage over the whole batch)
+            # larger scale makes every parameter bad)
             for S in ([s, 0.25, 0.5], [0.25, s, 0.5], [0.25, 0.5, s]):
                 with pytest.raises(NonFiniteValue) as err:
                     jacobi_fields(alpha, u_of, 0.3, S)

@@ -449,17 +449,17 @@ def test_one_a_cell_is_enough(lam):
 @pytest.mark.parametrize("lam, cuts", [(1.0, (-2.0, -1.0, 1.0, 2.0)), (-2.5, (-5.0, 5.0))])
 def test_ruled_index_value_separates(lam, cuts):
     # every frame quantity depends on s alone and Z = +-d/ds, so
-    # I(u, u) = int phi^2 da * int |N_h|^{-1} ((|N_h| psi)'^2 - q |N_h|^2 psi^2) |F_a x F_s| ds
+    # I(u, u) = int phi^2 da * int |N_h|^{-1} ((|N_h| psi)'^2 - q |N_h|^2 psi^2) |F_s x F_a| ds
     chart = CatenoidRulingChart(lam)
     psi = cosine_bump(0.0, 2.0 * abs(lam))
 
     def along(s):
-        fr = surface_frames(chart, np.zeros_like(s), s)
-        nh, dnh = fr.Nh_norm, fr.dNh[1]
+        fr = surface_frames(chart, s, np.zeros_like(s))
+        nh, dnh = fr.Nh_norm, fr.dNh[0]
         du = dnh * psi.values(s) + nh * psi.derivs(s)
         return (du * du - fr.q * (nh * psi.values(s)) ** 2) / nh * fr.riem_area
 
-    quad = QuadratureSpec(16, (1, 16))
+    quad = QuadratureSpec(16, (16, 1))
     j = kahan_sum([integrate_array_1d(along, lo, hi, 16, n)
                    for lo, hi, n in split_cells(list(cuts), 16)])
     phi2 = integrate_array_1d(lambda a: NOSING_PHI.values(a) ** 2, -1.0, 1.0, 16, 1)

@@ -73,15 +73,15 @@ def test_catenoid_chart():
 @pytest.mark.parametrize("lam", [1.0, -2.5, 0.5])
 def test_catenoid_ruling_chart_is_the_catenoid(lam):
     rc, cat = CatenoidRulingChart(lam), CatenoidChart(lam)
-    for a, s in ((0.0, 0.0), (0.4, 0.3 * lam), (-2.0, -1.7 * lam), (3.0, 2.5 * lam),
-                 (-0.9, 0.01 * lam)):
-        p = rc.point(a, s)
+    for s, a in ((0.0, 0.0), (0.3 * lam, 0.4), (-1.7 * lam, -2.0), (2.5 * lam, 3.0),
+                 (0.01 * lam, -0.9)):
+        p = rc.point(s, a)
         assert abs(cat.implicit_residual(p)) <= 1e-13 * lam ** 4
-        fr, want = surface_frame(rc, (a, s)), surface_frame(cat, cat.locate(p))
+        fr, want = surface_frame(rc, (s, a)), surface_frame(cat, cat.locate(p))
         for got, ref in ((fr.Nh_norm, want.Nh_norm), (fr.H, want.H), (fr.q, want.q)):
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (a, s)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (s, a)
         # the rulings are the s-lines: Z = +-d/ds
-        assert abs(fr.z_chart[0]) <= 1e-12 and abs(abs(fr.z_chart[1]) - 1.0) <= 1e-12
+        assert abs(fr.z_chart[1]) <= 1e-12 and abs(abs(fr.z_chart[0]) - 1.0) <= 1e-12
 
 
 def test_catenoid_ruling_chart_rejects_lam():
