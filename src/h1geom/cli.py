@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -242,9 +243,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a negative number in exponent
+    notation, "-1e-3", as a value, as it reads "-0.001"; its subparsers are
+    of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="h1geom",
-                                 description="Heisenberg-group surface geometry toolkit")
+    ap = _Parser(prog="h1geom", description="Heisenberg-group surface geometry toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run identity suites")

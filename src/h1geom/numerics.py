@@ -115,8 +115,39 @@ def raise_first_failure(*checks: tuple[np.ndarray, Callable[[int], Exception]]) 
     masks = [np.ravel(mask) for mask, _ in checks]
     bad = np.logical_or.reduce(masks)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise next(error(i) for mask, (_, error) in zip(masks, checks) if mask[i])
+        raise _error_at(int(np.argmax(bad)), masks, checks)
+
+
+def _error_at(i: int, masks: list[np.ndarray], checks) -> Exception:
+    """The error of the first of ``checks`` that element ``i`` fails."""
+    return next(error(i) for mask, (_, error) in zip(masks, checks) if mask[i])
+
+
+class FirstFailures:
+    """``raise_first_failure`` for a batch that is stepped on past its
+    failures, as an RK4 walk or a bisection is: each element keeps the error
+    of its first failing step, and ``raise_first`` raises the one of the
+    first failing element in row-major order.  So every element fails as
+    its own one-element run does, and the error does not depend on how a
+    batch is split.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.failed = np.zeros(shape, dtype=bool)
+        self._errors: dict[int, Exception] = {}
+
+    def record(self, *checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
+        """Keep the error of ``raise_first_failure(*checks)`` at every element
+        that fails one of ``checks`` for the first time."""
+        masks = [np.ravel(mask) & ~self.failed.ravel() for mask, _ in checks]
+        new = np.logical_or.reduce(masks)
+        for i in np.flatnonzero(new).tolist():
+            self._errors[i] = _error_at(i, masks, checks)
+        self.failed |= new.reshape(self.failed.shape)
+
+    def raise_first(self, convert: Callable[[Exception], Exception] = lambda exc: exc) -> None:
+        """Raise ``convert`` of the kept error of the first failed element."""
+        raise_first_failure((self.failed, lambda i: convert(self._errors[i])))
 
 
 def _nonfinite_samples(v: np.ndarray, where: str) -> tuple:
@@ -247,7 +278,11 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
 def rk4(vel: Callable[[tuple], tuple], u0: tuple, length: float, steps: int) -> list[tuple]:
     """Classical Runge-Kutta integral of ``u' = vel(u)`` over ``length`` in
     ``steps`` equal steps: the states ``u0, u1, ..., u_steps``, as tuples;
-    ``vel`` maps a state tuple to a velocity tuple of the same length."""
+    ``vel`` maps a state tuple to a velocity tuple of the same length.
+
+    The entries of a state may be arrays, which step elementwise with the
+    float arithmetic of one entry; ``length`` may then be an array that
+    broadcasts against them, one length per element."""
     h = length / steps
     us = [u0]
     u = u0
@@ -277,8 +312,12 @@ def _where(m, cond, then, other=0.0):
 
 
 def _sample(f: Callable[[float], Diff], x: float) -> Diff:
+    """``f(x)``; a non-finite sample raises ``NonFiniteValue``, on an array
+    at its first non-finite element."""
     v = f(x)
-    if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+    if isinstance(v, np.ndarray):
+        raise_first_failure(_nonfinite_samples(v, "central_diff"))
+    elif not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
         raise NonFiniteValue(f"non-finite sample in central_diff: {v!r}")
     return v
 
@@ -320,7 +359,8 @@ def central_diff(f: Callable[[float], Diff], x: float, spec: DiffSpec,
                  order: int = 1) -> Diff:
     """Central difference of ``f`` at ``x`` (order 1 or 2).
 
-    ``f`` returns a float or a tuple of floats.  Richardson extrapolation
+    ``f`` returns a float, a tuple of floats or an array (differenced
+    elementwise, one derivative per element).  Richardson extrapolation
     halves the step per level; the truncation error is O(step^(2 + 2*levels))
     for smooth integrands.  ``f`` is called 2 (levels + 1) times, once more
     at ``x`` itself for order 2.

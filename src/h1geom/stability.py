@@ -38,7 +38,7 @@ from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
                        integrate_cells, kahan_sum, richardson, split_cells,
                        stencil_d1, stencil_nodes)
 from .surfaces import (SINGULAR_TOL, CatenoidRulingChart, Chart, area_density,
-                       curve_samples, surface_frame, surface_frames)
+                       curve_samples, is_batch, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
 # 1-D profiles and separable test functions
@@ -302,16 +302,21 @@ def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) ->
 Z_DIFF = DiffSpec(step=1e-4, richardson_levels=1)
 
 
-def _tangent_derivatives(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
-                         u: tuple[float, float], orders: Sequence[int],
-                         which: str) -> list[float]:
+def _tangent_derivatives(chart: Chart, fieldfn: Callable, u, orders: Sequence[int],
+                         which: str) -> list:
     """``tangent_derivative`` for each of ``orders`` from one set of curve
     samples, evaluating the field once per sample; order 0 is the field
-    value at ``u``."""
+    value at ``u``.  At a pair of arrays ``u`` (``surfaces.is_batch``),
+    ``fieldfn`` maps a pair of arrays to an array, and the derivatives are
+    arrays: every point's curve is one ``curve_samples`` state."""
     n = 2 ** (Z_DIFF.richardson_levels + 1)  # offsets k step / n hold every node
     pts = curve_samples(chart, u, Z_DIFF.step, n, which)
-    return central_diffs(lambda o: fieldfn(pts[n + round(o * n / Z_DIFF.step)]),
-                         0.0, Z_DIFF, orders)
+    if is_batch(u):  # the field at every sample of every curve in one call
+        vals = fieldfn(tuple(np.stack(c, axis=-1) for c in zip(*pts)))
+        sample = lambda k: vals[..., k]
+    else:
+        sample = lambda k: fieldfn(pts[k])
+    return central_diffs(lambda o: sample(n + round(o * n / Z_DIFF.step)), 0.0, Z_DIFF, orders)
 
 
 def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
@@ -326,13 +331,14 @@ def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], fl
     return _tangent_derivatives(chart, fieldfn, u, (order,), which)[0]
 
 
-def operator_L(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
-               u: tuple[float, float]) -> float:
+def operator_L(chart: Chart, fieldfn: Callable, u):
     """Direct application of the stability operator to a scalar field.
 
     Uses finite-difference Z-derivatives; independent of ``l_nh_closed``.
+    At a pair of arrays ``u`` every point is one array pass, and
+    ``fieldfn`` maps a pair of arrays to an array (``_tangent_derivatives``).
     """
-    fr = surface_frame(chart, u)
+    fr = surface_frames(chart, *u) if is_batch(u) else surface_frame(chart, u)
     zv, zzv, v = _tangent_derivatives(chart, fieldfn, u, (1, 2, 0), "Z")
     nh = fr.Nh_norm
     return (zzv + 2.0 / nh * fr.NT * fr.BZS * zv + fr.q * v) / nh
@@ -357,7 +363,12 @@ def jacobi_vertical_quadratic(chart: Chart, u0: tuple[float, float]
 
     The discriminant equals -|N_h|^2 L(|N_h|) at the base point.
     """
-    fr = surface_frame(chart, u0)
+    return jacobi_quadratic_of_frame(surface_frame(chart, u0))
+
+
+def jacobi_quadratic_of_frame(fr):
+    """``jacobi_vertical_quadratic`` from a ``SurfaceFrame`` or a
+    ``SurfaceFrames`` batch."""
     nh, nt = fr.Nh_norm, fr.NT
     a = -(fr.BZS + nt * nt - nh * nh) / nh
     b = -2.0 * nt

@@ -27,8 +27,8 @@ import numpy as np
 from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs,
                    frame_coeffs, frame_to_euclidean, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import (DiffSpec, QuadratureSpec, Rect, central_diffs, integrate_cells,
-                       raise_first_failure, rk4)
+from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
+                       integrate_cells, raise_first_failure, rk4)
 
 SINGULAR_TOL = 1e-9
 
@@ -342,16 +342,16 @@ def _chart_point_at(U1: np.ndarray, U2: np.ndarray):
     return lambda i: (float(U1.ravel()[i]), float(U2.ravel()[i]))
 
 
-def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFrames:
-    """``surface_frame`` at the points (U1[i], U2[i]), as arrays.
+def _frame_heads(chart: Chart, U1, U2, singular_ok: bool,
+                 failures: Optional[FirstFailures] = None):
+    """``_frame_head`` at the points (U1[i], U2[i]), as arrays.
 
-    The same frame math on arrays; errors are those of the scalar view at
-    the first offending point in row-major order (``raise_first_failure``):
-    ``NonFiniteValue`` for a non-finite chart point or surface point or a
-    non-immersion, ``SingularPoint`` for |N_h| <= SINGULAR_TOL unless
-    ``singular_ok`` is set (the characteristic entries are then NaN).
-    Overflow and invalid operations are left to these checks and raise no
-    numpy warning.
+    The errors are those of the scalar view at the first offending point in
+    row-major order (``raise_first_failure``), or each point's own, kept in
+    ``failures`` when it is given: ``NonFiniteValue`` for a non-finite
+    chart point or surface point or a non-immersion, ``SingularPoint`` for
+    |N_h| <= SINGULAR_TOL unless ``singular_ok`` is set.  Overflow and
+    invalid operations are left to these checks and raise no numpy warning.
     """
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
@@ -363,7 +363,6 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
         x, y, t = jet.p
         c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
         w, n, nh = _unit_normal(cr, None, np)
-        singular = nh <= SINGULAR_TOL
         checks = [(~(np.isfinite(U1) & np.isfinite(U2)),
                    lambda i: NonFiniteValue(f"non-finite chart point {u(i)!r}")),
                   jet.failed(),
@@ -372,9 +371,23 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
                   (~((w > 0.0) & np.isfinite(w)),
                    lambda i: NonFiniteValue(f"chart is not an immersion at {u(i)!r}"))]
         if not singular_ok:
-            checks.append((singular, lambda i: SingularPoint(
+            checks.append((nh <= SINGULAR_TOL, lambda i: SingularPoint(
                 f"|N_h| = {nh.ravel()[i]:.3e} at {u(i)!r}")))
-        raise_first_failure(*checks)
+    (raise_first_failure if failures is None else failures.record)(*checks)
+    return jet, c1, c2, w, n, nh
+
+
+def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFrames:
+    """``surface_frame`` at the points (U1[i], U2[i]), as arrays.
+
+    The same frame math on arrays, with the errors of ``_frame_heads``;
+    with ``singular_ok`` set the characteristic entries are NaN at
+    singular points.
+    """
+    jet, c1, c2, w, n, nh = _frame_heads(chart, U1, U2, singular_ok)
+    x, y, t = jet.p
+    singular = nh <= SINGULAR_TOL
+    with np.errstate(all="ignore"):
         _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
             x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
     out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
@@ -440,6 +453,30 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
     return zc if which == "Z" else sc
 
 
+def _chart_velocities(chart: Chart, U1, U2, which: str, failures: FirstFailures):
+    """``_chart_velocity`` at the points (U1[i], U2[i]), as arrays; each
+    point's error is kept in ``failures``."""
+    _, c1, c2, w, n, nh = _frame_heads(chart, U1, U2, False, failures)
+    with np.errstate(all="ignore"):
+        _, _, _, zc, sc = _directions(c1, c2, w, n, nh)
+    return zc if which == "Z" else sc
+
+
+def _check_which(which: str) -> None:
+    if which not in ("Z", "S"):
+        raise ValueError(f"which must be 'Z' or 'S', not {which!r}")
+
+
+def _stopped(exc: Exception) -> Exception:
+    """A curve walk's error when a velocity raises ``exc``: at the singular
+    locus, ``StoppedAtSingular`` caused by it."""
+    if not isinstance(exc, SingularPoint):
+        return exc
+    stop = StoppedAtSingular(str(exc))
+    stop.__cause__ = exc
+    return stop
+
+
 def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
                             length: float, steps: int, which: str = "Z"
                             ) -> list[tuple[float, float]]:
@@ -448,21 +485,57 @@ def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
     Raises ``ValueError`` unless ``which`` is "Z" or "S", and
     ``StoppedAtSingular`` if the curve meets the singular locus.
     """
-    if which not in ("Z", "S"):
-        raise ValueError(f"which must be 'Z' or 'S', not {which!r}")
+    _check_which(which)
     try:
         return rk4(lambda u: _chart_velocity(chart, u, which), u0, length, steps)
     except SingularPoint as exc:
-        raise StoppedAtSingular(str(exc)) from exc
+        raise _stopped(exc)
 
 
-def curve_samples(chart: Chart, u: tuple[float, float], length: float, steps: int,
-                  which: str) -> list[tuple[float, float]]:
+def integrate_tangent_fields(chart: Chart, U1, U2, length, steps: int,
+                             which: str = "Z") -> list[tuple[np.ndarray, np.ndarray]]:
+    """``integrate_tangent_field`` from every point (U1[i], U2[i]) as one RK4
+    state: the states as (U1, U2) array pairs.  ``length`` is a float or an
+    array of the points' own lengths that broadcasts to U1's shape.
+
+    Each point's walk runs on past its own failure, so the first failing
+    point in row-major order raises what its one-point walk raises
+    (``FirstFailures``), whatever the batch.
+    """
+    _check_which(which)
+    U1 = np.asarray(U1, dtype=float)
+    failures = FirstFailures(U1.shape)
+    with np.errstate(all="ignore"):  # a failed point steps on as inf or NaN
+        us = rk4(lambda u: _chart_velocities(chart, *u, which, failures),
+                 (U1, np.asarray(U2, dtype=float)), length, steps)
+    failures.raise_first(_stopped)
+    return us
+
+
+def is_batch(u) -> bool:
+    """Whether ``u`` is a pair of arrays of chart points, not one point."""
+    return isinstance(u[0], np.ndarray)
+
+
+def curve_samples(chart: Chart, u, length: float, steps: int, which: str) -> list:
     """The Z or S curve through ``u`` at the offsets k * length / steps, k =
-    -steps ... steps: one ``integrate_tangent_field`` pass per side, the
-    forward side first (its error wins if both sides meet the locus)."""
-    fwd = integrate_tangent_field(chart, u, length, steps, which)
-    return integrate_tangent_field(chart, u, -length, steps, which)[:0:-1] + fwd
+    -steps ... steps, as a list of points.
+
+    At one point, one ``integrate_tangent_field`` pass per side, the
+    forward side first (its error wins if both sides meet the locus).  At
+    a pair of arrays (``is_batch``), every point's curve in one
+    ``integrate_tangent_fields`` state that walks both sides (+-length on a
+    last axis, forward first), with the same arithmetic and errors; the
+    list then holds pairs of arrays.  One-point callers keep the scalar
+    walk, which costs a small fraction of a one-point array stage.
+    """
+    if not is_batch(u):
+        fwd = integrate_tangent_field(chart, u, length, steps, which)
+        return integrate_tangent_field(chart, u, -length, steps, which)[:0:-1] + fwd
+    U1, U2 = (np.stack((a, a), axis=-1) for a in (np.asarray(c, dtype=float) for c in u))
+    us = integrate_tangent_fields(chart, U1, U2, np.array([length, -length]), steps, which)
+    return ([(a[..., 1], b[..., 1]) for a, b in us[:0:-1]]
+            + [(a[..., 0], b[..., 0]) for a, b in us])
 
 
 def characteristic_ray(chart: Chart, u0: tuple[float, float], length: float,
@@ -491,61 +564,69 @@ def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
     The horizontal normal flips direction across a singular curve, so the
     crossing on an edge is located by bisecting the sign of
     <N_h(.), N_h(edge start)>; |N_h| itself touches zero without changing
-    sign and cannot be bisected directly.
+    sign and cannot be bisected directly.  The grid is framed in one
+    ``_frame_heads`` call, and every crossing edge is bisected at once.
     """
     (a1, b1), (a2, b2) = chart.domain
     n1, n2 = grid
     xs = [a1 + (b1 - a1) * i / n1 for i in range(n1 + 1)]
     ys = [a2 + (b2 - a2) * j / n2 for j in range(n2 + 1)]
+    G1, G2 = np.meshgrid(xs, ys, indexing="ij")
+    _, _, _, _, (na, nb, _), nh = _frame_heads(chart, G1, G2, True)
+    low = nh < LOCUS_TOL
+    corner = low[:-1, :-1] | low[1:, :-1] | low[:-1, 1:] | low[1:, 1:]
+    cells = [(i, j) for i, j in np.argwhere(corner).tolist()]
 
-    def nh_vec(u1: float, u2: float) -> tuple[float, float, float]:
-        fr = surface_frame(chart, (u1, u2), singular_ok=True)
-        return (fr.N.a, fr.N.b, fr.Nh_norm)
-
-    vals = [[nh_vec(x, y) for y in ys] for x in xs]
-
-    cells = []
-    for i in range(n1):
-        for j in range(n2):
-            corners = (vals[i][j], vals[i + 1][j], vals[i][j + 1], vals[i + 1][j + 1])
-            if min(c[2] for c in corners) < LOCUS_TOL:
-                cells.append((i, j))
-
-    def refine(pa: tuple[float, float], pb: tuple[float, float],
-               ref: tuple[float, float]) -> tuple[float, float]:
-        # bisection on the signed alignment with the horizontal normal at pa
-        def signed(u: tuple[float, float]) -> float:
-            fr = surface_frame(chart, u, singular_ok=True)
-            return fr.N.a * ref[0] + fr.N.b * ref[1]
-        lo, hi = pa, pb
-        flo = signed(lo)
-        for _ in range(80):
-            mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-            fm = signed(mid)
-            if flo * fm > 0.0:
-                lo, flo = mid, fm
-            else:
-                hi = mid
-            if abs(hi[0] - lo[0]) + abs(hi[1] - lo[1]) < 1e-14:
-                break
-        return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-
-    points = []
+    # the points in grid order: a node on the locus, else the crossings on
+    # the edges to its right and upper neighbours, in that order
+    points, edges = [], []
+    low, na, nb = low.tolist(), na.tolist(), nb.tolist()
     for i in range(n1 + 1):
         for j in range(n2 + 1):
-            va = vals[i][j]
-            if va[2] < LOCUS_TOL:
+            if low[i][j]:
                 points.append((xs[i], ys[j]))
                 continue
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 > n1 or j2 > n2:
-                    continue
-                vb = vals[i2][j2]
-                if va[0] * vb[0] + va[1] * vb[1] < 0.0:
-                    points.append(refine((xs[i], ys[j]), (xs[i2], ys[j2]),
-                                         (va[0], va[1])))
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if (i2 <= n1 and j2 <= n2
+                        and na[i][j] * na[i2][j2] + nb[i][j] * nb[i2][j2] < 0.0):
+                    points.append(len(edges))
+                    edges.append((xs[i], ys[j], xs[i2], ys[j2], na[i][j], nb[i][j]))
+    if edges:
+        crossings = _bisect_crossings(chart, *np.array(edges).T)
+        points = [crossings[p] if isinstance(p, int) else p for p in points]
     return SingularLocus(sorted(cells), points)
+
+
+def _bisect_crossings(chart: Chart, lo1, lo2, hi1, hi2, ref1, ref2
+                      ) -> list[tuple[float, float]]:
+    """The crossing on each edge from (lo1, lo2) to (hi1, hi2): bisection of
+    the signed alignment of N_h with (ref1, ref2), the horizontal normal at
+    the edge start, over every edge at once.  Each edge stops on its own,
+    after 80 halvings or once its bracket is shorter than 1e-14; a finished
+    edge is evaluated at its bracket start, which has framed before, so it
+    neither moves nor fails.  Each edge's error is its own
+    (``FirstFailures``)."""
+    failures = FirstFailures(lo1.shape)
+
+    def signed(u1, u2):
+        _, _, _, _, n, _ = _frame_heads(chart, u1, u2, True, failures)
+        return n[0] * ref1 + n[1] * ref2
+
+    live = np.ones(lo1.shape, dtype=bool)
+    flo = signed(lo1, lo2)
+    for _ in range(80):
+        mid1 = np.where(live, 0.5 * (lo1 + hi1), lo1)
+        mid2 = np.where(live, 0.5 * (lo2 + hi2), lo2)
+        fm = signed(mid1, mid2)
+        up = live & (flo * fm > 0.0)
+        down = live & ~up
+        lo1, lo2, flo = np.where(up, mid1, lo1), np.where(up, mid2, lo2), np.where(up, fm, flo)
+        hi1, hi2 = np.where(down, mid1, hi1), np.where(down, mid2, hi2)
+        live &= ~(np.abs(hi1 - lo1) + np.abs(hi2 - lo2) < 1e-14)
+        if not live.any():
+            break
+    failures.raise_first()
+    return list(zip((0.5 * (lo1 + hi1)).tolist(), (0.5 * (lo2 + hi2)).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .stability import (Profile, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
                         cosine_bump, direct_variations, helicoid_closed_forms,
-                        index_form_I, jacobi_vertical_quadratic, l_nh_closed, l_nh_of_frame,
+                        index_form_I, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
+                        l_nh_closed, l_nh_of_frame,
                         operator_L, q_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
@@ -75,13 +76,16 @@ _GRID = {
 def _random_regular_points(chart: Chart, n: int, seed: int,
                            ranges: tuple[tuple[float, float], tuple[float, float]],
                            min_nh: float = 0.05) -> list[tuple[float, float]]:
+    """The first ``n`` uniform draws with |N_h| > min_nh.  Candidates are
+    framed in blocks of as many as are still wanted, so no draw is framed
+    that a one-by-one loop would not frame."""
     rng = random.Random(seed)
     pts = []
     while len(pts) < n:
-        u = (rng.uniform(*ranges[0]), rng.uniform(*ranges[1]))
-        fr = surface_frame(chart, u, singular_ok=True)
-        if fr.Nh_norm > min_nh:
-            pts.append(u)
+        block = [(rng.uniform(*ranges[0]), rng.uniform(*ranges[1]))
+                 for _ in range(n - len(pts))]
+        nh = surface_frames(chart, *np.array(block).T, singular_ok=True).Nh_norm
+        pts += [u for u, keep in zip(block, (nh > min_nh).tolist()) if keep]
     return pts
 
 
@@ -698,31 +702,36 @@ def check_area_scaling() -> tuple[CheckResult, CheckResult]:
 # stability suite
 # ---------------------------------------------------------------------------
 
-def _regular_sample_points() -> list[tuple[Chart, tuple[float, float]]]:
-    """50 regular points each on the catenoid and the pitch-2 helicoid."""
+def _as_arrays(pts: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    U1, U2 = np.array(pts).T
+    return U1, U2
+
+
+def _regular_sample_points() -> list[tuple[Chart, tuple[np.ndarray, np.ndarray]]]:
+    """50 regular points each on the catenoid and the pitch-2 helicoid, as
+    (chart, (U1, U2))."""
     cat = CatenoidChart(1.0)
     hel = HelicoidChart(2.0)
-    pts = [(cat, u) for u in _random_regular_points(cat, 50, 101,
-                                                    ((0.0, 2 * math.pi), (-1.4, 1.4)))]
-    pts += [(hel, u) for u in _random_regular_points(hel, 50, 103,
-                                                     ((-1.3, 1.3), (-1.5, 1.5)), min_nh=0.2)]
-    return pts
+    return [(cat, _as_arrays(_random_regular_points(cat, 50, 101,
+                                                    ((0.0, 2 * math.pi), (-1.4, 1.4))))),
+            (hel, _as_arrays(_random_regular_points(hel, 50, 103,
+                                                    ((-1.3, 1.3), (-1.5, 1.5)), min_nh=0.2)))]
 
 
 def check_lnh_closed_vs_direct() -> CheckResult:
     worst = 0.0
     for chart, u in _regular_sample_points():
-        lc = l_nh_closed(chart, u)
-        ld = operator_L(chart, lambda uu: surface_frame(chart, uu).Nh_norm, u)
-        worst = max(worst, abs(ld - lc) / max(1.0, abs(lc)))
+        lc = l_nh_of_frame(surface_frames(chart, *u))
+        ld = operator_L(chart, lambda uu: surface_frames(chart, *uu).Nh_norm, u)
+        worst = max(worst, float(np.max(np.abs(ld - lc) / np.maximum(1.0, np.abs(lc)))))
     return CheckResult("lnh_closed_vs_direct",
                        "L(|N_h|) = 4(<B(Z),S>/|N_h|^2 - 1)", worst, 1e-4)
 
 
 def check_lnh_sign_catenoid() -> CheckResult:
     cat = CatenoidChart(1.0)
-    low = min(l_nh_closed(cat, u) for u in
-              _random_regular_points(cat, 100, 107, ((0.0, 2 * math.pi), (-1.4, 1.4))))
+    u = _as_arrays(_random_regular_points(cat, 100, 107, ((0.0, 2 * math.pi), (-1.4, 1.4))))
+    low = float(np.min(l_nh_of_frame(surface_frames(cat, *u))))
     return CheckResult("lnh_nonnegative_catenoid",
                        "L(|N_h|) >= 0 (empty singular set)", max(0.0, -low), 1e-8)
 
@@ -731,14 +740,14 @@ def check_lnh_sign_helicoid() -> CheckResult:
     # q = 0 at pitch 2 forces L(|N_h|) = -4 (1 -+ |N_h|)^2 / |N_h|^2 <= 0:
     # the helicoid is outside the scope of the nonnegativity statement.
     hel = HelicoidChart(2.0)
-    worst = 0.0
-    for u in _random_regular_points(hel, 100, 109, ((-1.3, 1.3), (-1.5, 1.5)), min_nh=0.2):
-        fr = surface_frame(hel, u)
-        val = l_nh_closed(hel, u)
-        nh = fr.Nh_norm
-        sign = 1.0 if abs(u[0]) < 0.5 else -1.0
-        want = -4.0 * (1.0 + sign * nh) ** 2 / (nh * nh)
-        worst = max(worst, abs(val - want), max(0.0, val))
+    U1, U2 = _as_arrays(_random_regular_points(hel, 100, 109, ((-1.3, 1.3), (-1.5, 1.5)),
+                                               min_nh=0.2))
+    fr = surface_frames(hel, U1, U2)
+    val = l_nh_of_frame(fr)
+    nh = fr.Nh_norm
+    sign = np.where(np.abs(U1) < 0.5, 1.0, -1.0)
+    want = -4.0 * (1.0 + sign * nh) ** 2 / (nh * nh)
+    worst = float(np.max(np.maximum(np.abs(val - want), np.maximum(0.0, val))))
     return CheckResult("lnh_nonpositive_helicoid2",
                        "L(|N_h|) = -4(1 -+ |N_h|)^2/|N_h|^2 <= 0", worst, 1e-8)
 
@@ -773,9 +782,9 @@ def check_indexform3() -> CheckResult:
 def check_discriminant() -> CheckResult:
     worst = 0.0
     for chart, u in _regular_sample_points():
-        _, _, _, disc = jacobi_vertical_quadratic(chart, u)
-        fr = surface_frame(chart, u)
-        worst = max(worst, abs(disc + fr.Nh_norm ** 2 * l_nh_closed(chart, u)))
+        fr = surface_frames(chart, *u)
+        disc = jacobi_quadratic_of_frame(fr)[3]
+        worst = max(worst, float(np.max(np.abs(disc + fr.Nh_norm ** 2 * l_nh_of_frame(fr)))))
     return CheckResult("discriminant_identity",
                        "b^2 - 4ac = -|N_h|^2 L(|N_h|)", worst, 1e-8)
 

@@ -200,6 +200,23 @@ def test_unknown_arguments_exit_config():
     assert run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("command, option, value", [
+    (["certify", "catenoid"], "--lam", "-1e-3"),
+    (["export", "geodesic", "--num", "3"], "--y0", "-2.9066624484652692e-05"),
+    (["export", "geodesic", "--num", "3"], "--y0", "-.5E+1"),
+])
+def test_negative_exponent_values_parse_as_in_the_equals_form(tmp_path, command, option, value):
+    # "-1e-3" as its own argv item is a value, as in "--lam=-1e-3"
+    spaced, joined = tmp_path / "spaced.txt", tmp_path / "joined.txt"
+    assert run(command + [option, value, "--out", str(spaced)]) == 0
+    assert run(command + [f"{option}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_negative_word_is_still_a_flag():
+    assert run(["certify", "catenoid", "--lam", "-x"]) == 2
+
+
 def test_parser_reuse_keeps_no_options(tmp_path):
     # an override on one call does not leak into the next call's report
     first, plain, fresh = (tmp_path / f"r{i}.txt" for i in range(3))

@@ -1,0 +1,294 @@
+"""The batched characteristic walk and the pointwise stability checks built
+on it, against their one-point views."""
+
+import math
+import random
+import re
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from h1geom import surfaces, verify
+from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
+from h1geom.numerics import DiffSpec, FirstFailures, central_diffs
+from h1geom.stability import (Z_DIFF, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
+                              l_nh_closed, l_nh_of_frame, operator_L, tangent_derivative)
+from h1geom.surfaces import (LOCUS_TOL, CatenoidChart, GraphChart, HelicoidChart,
+                             ParaboloidChart, SingularLocus, curve_samples, singular_locus,
+                             surface_frame, surface_frames)
+
+CAT = CatenoidChart(1.0)
+HEL = HelicoidChart(2.0)
+CAT_RANGES = ((0.0, 2 * math.pi), (-1.4, 1.4))
+HEL_RANGES = ((-1.3, 1.3), (-1.5, 1.5))
+
+# (chart, n, seed, ranges, min_nh) of every draw of verify's stability
+# suite, then of tests/test_acceptance.py
+DRAWS = [(CAT, 50, 101, CAT_RANGES, 0.05), (HEL, 50, 103, HEL_RANGES, 0.2),
+         (CAT, 100, 107, CAT_RANGES, 0.05), (HEL, 100, 109, HEL_RANGES, 0.2),
+         (CAT, 100, 201, CAT_RANGES, 0.05), (HEL, 100, 202, HEL_RANGES, 0.2)]
+
+
+def _hex(v):
+    return float(v).hex()
+
+
+def _point_sets(draws=DRAWS[:4]):
+    return [(chart, verify._as_arrays(verify._random_regular_points(chart, n, seed, ranges,
+                                                                    min_nh)))
+            for chart, n, seed, ranges, min_nh in draws]
+
+
+def _points(U1, U2):
+    return list(zip(U1.tolist(), U2.tolist()))
+
+
+def _nh_field(chart):
+    return lambda uu: surface_frames(chart, *uu).Nh_norm
+
+
+def _scalar_regular_points(chart, n, seed, ranges, min_nh):
+    """The one-by-one loop that ``verify._random_regular_points`` replaced."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < n:
+        u = (rng.uniform(*ranges[0]), rng.uniform(*ranges[1]))
+        if surface_frame(chart, u, singular_ok=True).Nh_norm > min_nh:
+            pts.append(u)
+    return pts
+
+
+@pytest.mark.parametrize("draw", DRAWS, ids=[f"seed{d[2]}" for d in DRAWS])
+def test_random_regular_points_are_the_scalar_loop(draw):
+    assert verify._random_regular_points(*draw) == _scalar_regular_points(*draw)
+
+
+@pytest.mark.parametrize("which", "ZS")
+def test_batched_curve_samples_are_the_one_point_walks(which):
+    for chart, (U1, U2) in _point_sets():
+        batch = curve_samples(chart, (U1, U2), Z_DIFF.step, 4, which)
+        assert len(batch) == 9 and batch[0][0].shape == U1.shape
+        for i, u in enumerate(_points(U1, U2)):
+            one = curve_samples(chart, u, Z_DIFF.step, 4, which)
+            assert [(_hex(a), _hex(b)) for a, b in one] == \
+                [(_hex(a[i]), _hex(b[i])) for a, b in batch]
+
+
+def _one_point(U1, U2, i):
+    return U1[i:i + 1], U2[i:i + 1]
+
+
+@pytest.mark.parametrize("which", "ZS")
+def test_batched_operators_are_the_one_point_calls(which):
+    """Bit for bit against one-point batches; against the scalar views to
+    round-off, since numpy's cosh and hypot may differ from math's in the
+    last bit and the second difference quotient scales that by 1e8."""
+    for chart, (U1, U2) in _point_sets(DRAWS[:2]):
+        field = _nh_field(chart)
+        deriv = tangent_derivative(chart, field, (U1, U2), 2, which)
+        lop = operator_L(chart, field, (U1, U2))
+        fr = surface_frames(chart, U1, U2)
+        lnh = l_nh_of_frame(fr)
+        jq = jacobi_quadratic_of_frame(fr)
+        for i, u in enumerate(_points(U1, U2)):
+            one = _one_point(U1, U2, i)
+            assert _hex(tangent_derivative(chart, field, one, 2, which)[0]) == _hex(deriv[i])
+            assert _hex(operator_L(chart, field, one)[0]) == _hex(lop[i])
+            fr1 = surface_frames(chart, *one)
+            assert _hex(l_nh_of_frame(fr1)[0]) == _hex(lnh[i])
+            assert [_hex(c[0]) for c in jacobi_quadratic_of_frame(fr1)] == \
+                [_hex(c[i]) for c in jq]
+
+            scalar_l = operator_L(chart, lambda p: surface_frame(chart, p).Nh_norm, u)
+            assert abs(lop[i] - scalar_l) <= 1e-6 * max(1.0, abs(scalar_l))
+            want = l_nh_closed(chart, u)
+            assert abs(lnh[i] - want) <= 1e-13 * max(1.0, abs(want))
+            for got, want in zip(jq, jacobi_vertical_quadratic(chart, u)):
+                assert abs(got[i] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _stop_message(chart, u, length, steps):
+    with pytest.raises(StoppedAtSingular) as info:
+        curve_samples(chart, u, length, steps, "Z")
+    return str(info.value)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_batch_raises_the_stop_of_its_failing_point(pos):
+    # rulings from s = 3 and s = -2.5 stay clear of the helices s = +-1/2
+    # over length 1.5; the one from s = 0 meets both
+    pts = [(3.0, 0.2), (-2.5, 0.4)]
+    pts.insert(pos, (0.0, 0.1))
+    want = _stop_message(HEL, (0.0, 0.1), 1.5, 30)
+    with pytest.raises(StoppedAtSingular, match=f"^{re.escape(want)}$") as info:
+        curve_samples(HEL, verify._as_arrays(pts), 1.5, 30, "Z")
+    assert isinstance(info.value.__cause__, SingularPoint)
+
+
+def test_batch_stop_is_the_first_failing_point_not_the_first_failure():
+    # (0.45, 0.1) stops after about 0.05, (0, 0.1) after about 0.5; the
+    # error is the first point's in row-major order, whichever stops first
+    for pts in ([(0.0, 0.1), (0.45, 0.1)], [(0.45, 0.1), (0.0, 0.1)]):
+        want = _stop_message(HEL, pts[0], 1.5, 30)
+        with pytest.raises(StoppedAtSingular, match=f"^{re.escape(want)}$"):
+            curve_samples(HEL, verify._as_arrays(pts), 1.5, 30, "Z")
+
+
+def test_first_failures_keep_each_elements_first_error():
+    log = FirstFailures((2, 2))
+    log.raise_first()  # nothing failed
+    log.record((np.array([[True, False], [False, False]]), lambda i: ValueError(f"one {i}")))
+    log.record((np.array([[True, True], [False, False]]), lambda i: ValueError(f"two {i}")),
+               (np.array([[True, True], [True, False]]), lambda i: KeyError(f"three {i}")))
+    assert log.failed.tolist() == [[True, True], [True, False]]
+    with pytest.raises(ValueError, match="^one 0$"):
+        log.raise_first()
+    log = FirstFailures((3,))
+    log.record((np.array([False, True, True]), lambda i: ValueError(f"one {i}")))
+    log.record((np.array([True, True, True]), lambda i: ValueError(f"two {i}")))
+    with pytest.raises(RuntimeError, match="^two 0$"):
+        log.raise_first(lambda exc: RuntimeError(str(exc)))
+
+
+def test_batched_walk_checks_which():
+    with pytest.raises(ValueError, match="which must be"):
+        surfaces.integrate_tangent_fields(HEL, np.zeros(2), np.zeros(2), 0.1, 2, "N")
+
+
+def test_central_diffs_on_array_samples():
+    spec = DiffSpec(1e-3, 1)
+    xs = [0.3, -1.2, 2.5]
+    got = central_diffs(lambda o: np.sin(np.array(xs) + o), 0.0, spec, (1, 2, 0))
+    for i, x in enumerate(xs):
+        want = central_diffs(lambda o: math.sin(x + o), 0.0, spec, (1, 2, 0))
+        assert [_hex(g[i]) for g in got] == [_hex(w) for w in want]
+
+
+def test_central_diffs_nonfinite_array_sample_raises_without_warning():
+    def f(o):
+        return np.array([1.0, math.inf if o > 0 else 1.0, math.nan])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"^non-finite sample in central_diff: inf$"):
+            central_diffs(f, 0.0, DiffSpec(1e-3, 1), (1, 2, 0))
+        with pytest.raises(NonFiniteValue, match=r"^non-finite sample in central_diff: nan$"):
+            central_diffs(lambda o: np.array([o, math.nan]), 0.0, DiffSpec(1e-3, 0), (0,))
+
+
+def _scalar_singular_locus(chart, grid):
+    """The point-by-point ``singular_locus`` that the batched one replaced."""
+    (a1, b1), (a2, b2) = chart.domain
+    n1, n2 = grid
+    xs = [a1 + (b1 - a1) * i / n1 for i in range(n1 + 1)]
+    ys = [a2 + (b2 - a2) * j / n2 for j in range(n2 + 1)]
+
+    def nh_vec(u1, u2):
+        fr = surface_frame(chart, (u1, u2), singular_ok=True)
+        return (fr.N.a, fr.N.b, fr.Nh_norm)
+
+    vals = [[nh_vec(x, y) for y in ys] for x in xs]
+    cells = []
+    for i in range(n1):
+        for j in range(n2):
+            corners = (vals[i][j], vals[i + 1][j], vals[i][j + 1], vals[i + 1][j + 1])
+            if min(c[2] for c in corners) < LOCUS_TOL:
+                cells.append((i, j))
+
+    def refine(pa, pb, ref):
+        def signed(u):
+            fr = surface_frame(chart, u, singular_ok=True)
+            return fr.N.a * ref[0] + fr.N.b * ref[1]
+        lo, hi = pa, pb
+        flo = signed(lo)
+        for _ in range(80):
+            mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+            fm = signed(mid)
+            if flo * fm > 0.0:
+                lo, flo = mid, fm
+            else:
+                hi = mid
+            if abs(hi[0] - lo[0]) + abs(hi[1] - lo[1]) < 1e-14:
+                break
+        return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+
+    points = []
+    for i in range(n1 + 1):
+        for j in range(n2 + 1):
+            va = vals[i][j]
+            if va[2] < LOCUS_TOL:
+                points.append((xs[i], ys[j]))
+                continue
+            for di, dj in ((1, 0), (0, 1)):
+                i2, j2 = i + di, j + dj
+                if i2 > n1 or j2 > n2:
+                    continue
+                vb = vals[i2][j2]
+                if va[0] * vb[0] + va[1] * vb[1] < 0.0:
+                    points.append(refine((xs[i], ys[j]), (xs[i2], ys[j2]), (va[0], va[1])))
+    return SingularLocus(sorted(cells), points)
+
+
+def _locus_cases():
+    # t = xy + y^3/5 as a user graph (stacked scalar jets): N_h is along
+    # (phi_x - y, phi_y + x) = (0, 2x + 3y^2/5), singular on x = -3y^2/10;
+    # its grid edges differ in length by 20/3, so they stop at different
+    # halvings
+    graph = GraphChart(lambda x, y: x * y + 0.2 * y ** 3, lambda x, y: y,
+                       lambda x, y: x + 0.6 * y * y, lambda x, y: 0.0, lambda x, y: 1.0,
+                       lambda x, y: 1.2 * y, domain=((-1.0, 1.0), (-0.9, 1.1)))
+    return {"helicoid": (HEL, (10, 6)), "catenoid": (CAT, (8, 8)),
+            "paraboloid": (ParaboloidChart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9)),
+            "graph": (graph, (3, 20))}
+
+
+@pytest.mark.parametrize("name", list(_locus_cases()))
+def test_singular_locus_is_the_scalar_search(name):
+    chart, grid = _locus_cases()[name]
+    got = singular_locus(chart, grid)
+    want = _scalar_singular_locus(chart, grid)
+    assert got.cells == want.cells
+    assert [(_hex(a), _hex(b)) for a, b in got.points] == \
+        [(_hex(a), _hex(b)) for a, b in want.points]
+    assert bool(got.points) == (name != "catenoid")
+
+
+# Scalar frames and scalar RK4 velocity stages of one run of the surfaces
+# and stability suites.  The one-point callers (RuledChart's curve grid,
+# characteristic_ray, _frames_along_ray and the few-point checks) keep the
+# scalar walk; everything else runs on arrays.
+SCALAR_BUDGET = {"surface_frame": 401, "_chart_velocity": 4836}
+
+
+def test_scalar_frame_budget(monkeypatch):
+    counts = dict.fromkeys(SCALAR_BUDGET, 0)
+    for name in SCALAR_BUDGET:
+        orig = getattr(surfaces, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in sorted(sys.modules.items()):
+            if mod_name.startswith("h1geom") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    verify.run_suites(["surfaces", "stability"])
+    assert counts == SCALAR_BUDGET
+
+
+# float.hex of the residuals of the five batched checks, as the point-by-point
+# implementation computed them
+RESIDUALS = {
+    "check_lnh_closed_vs_direct": "0x1.1437992588deep-22",
+    "check_discriminant": "0x1.0000000000000p-49",
+    "check_lnh_sign_catenoid": "0x0.0p+0",
+    "check_lnh_sign_helicoid": "0x1.0000000000000p-44",
+    "check_singular_locus": "0x1.c71c71c71c720p-49",
+}
+
+
+@pytest.mark.parametrize("check", list(RESIDUALS))
+def test_batched_check_residuals_pinned_bitwise(check):
+    assert _hex(getattr(verify, check)().residual) == RESIDUALS[check]
