@@ -64,13 +64,17 @@ def load_config(path: str) -> dict[str, str]:
 
 def _write_lines(path: str | None, lines: Sequence[str]) -> None:
     """Write each entry of ``lines`` and a newline; an entry may hold several
-    newline-separated rows."""
+    newline-separated rows.  A file that cannot be written raises
+    ``ConfigError`` naming ``path``."""
     text = (f"{line}\n" for line in lines)
     if path is None:
         sys.stdout.writelines(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

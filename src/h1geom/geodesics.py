@@ -285,7 +285,3 @@ def straight_line_residual(sample: JacobiSample, gammavel: FrameVector) -> float
             + tvec.scaled(speed2 * dot(sample.V, tvec)))
     return term.norm()
 
-
-def commutation_residual(alpha: Curve, U: FieldAlong, eps: float, s: float) -> float:
-    """Norm of [gamma', V] = D_{gamma'} V - D_V gamma' along the family."""
-    return jacobi_fields(alpha, U, eps, [s]).commutation_residual(0)

@@ -78,19 +78,16 @@ def _check_finite(v: float, where: str) -> float:
     return v
 
 
-def gauss_nodes_1d(a: float, b: float, points: int, cells: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [a, b].
+def gauss_nodes_1d(a: float, b: float, points: int, cells: int,
+                   cuts: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on [a, b], cut at ``cuts``.
 
-    Returns ``(x, w)`` of shape ``(cells, points)``: row ``c`` holds cell
-    ``c``, with nodes ``a + (c + 0.5) h + 0.5 h x_j`` and weights ``0.5 h w_j``
-    for ``h = (b - a) / cells``.
+    Returns ``(x, w)``, one row of ``points`` per cell of ``_cells_1d`` in
+    order (``cells`` rows when uncut): a cell of width h has the weights
+    ``0.5 h w_j``.
     """
-    nodes, weights = NODES_WEIGHTS[points]
-    h = (b - a) / cells
-    x = (a + (np.arange(cells) + 0.5) * h)[:, None] + 0.5 * h * np.array(nodes)
-    w = np.broadcast_to(0.5 * h * np.array(weights), x.shape)
-    return x, w
+    x, h = _cells_1d(a, b, points, cells, cuts)
+    return x, 0.5 * h[:, None] * np.array(NODES_WEIGHTS[points][1])
 
 
 def split_cells(cuts: Sequence[float], cells: int) -> list[tuple[float, float, int]]:
@@ -99,6 +96,24 @@ def split_cells(cuts: Sequence[float], cells: int) -> list[tuple[float, float, i
     span = cuts[-1] - cuts[0]
     return [(lo, hi, max(1, round(cells * (hi - lo) / span)))
             for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _cells_1d(a: float, b: float, points: int, cells: int, cuts: Sequence[float]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (one row per cell) and widths of the cells of the composite rule
+    on [a, b]: the cuts strictly inside (a, b) split it into pieces of
+    ``split_cells`` equal cells, and cell ``c`` of the piece (lo, hi, n) has
+    the width ``h = (hi - lo) / n`` and the nodes ``lo + (c + 0.5) h + 0.5 h
+    x_j``.  A cut on or outside an end, or given twice, changes nothing."""
+    inner = sorted({c for c in cuts if a < c < b})
+    pieces = split_cells([a, *inner, b], cells) if inner else [(a, b, cells)]
+    nodes = np.array(NODES_WEIGHTS[points][0])
+    x, h = [], []
+    for lo, hi, n in pieces:
+        step = (hi - lo) / n
+        x.append((lo + (np.arange(n) + 0.5) * step)[:, None] + 0.5 * step * nodes)
+        h.append(np.full(n, step))
+    return np.concatenate(x), np.concatenate(h)
 
 
 def raise_first_failure(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
@@ -157,15 +172,16 @@ def _nonfinite_samples(v: np.ndarray, where: str) -> tuple:
 
 
 def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       n_points: int, n_cells: int) -> float:
-    """The composite rule of ``gauss_legendre_1d`` for an array integrand.
+                       n_points: int, n_cells: int, cuts: Sequence[float] = ()) -> float:
+    """The composite rule of ``gauss_legendre_1d``, cut at ``cuts``, for an
+    array integrand.
 
     ``f`` maps the nodes of ``gauss_nodes_1d`` in row-major order, as one
-    1-D array, to the samples; the terms ``w * v`` are summed in that order
-    by ``kahan_sum``, and the first non-finite sample raises
-    ``NonFiniteValue``.
+    1-D array, to the samples; the terms ``w * v`` of every cell of every
+    piece are summed at once by ``kahan_sum``, and the first non-finite
+    sample raises ``NonFiniteValue``.
     """
-    x, w = gauss_nodes_1d(a, b, n_points, n_cells)
+    x, w = gauss_nodes_1d(a, b, n_points, n_cells, cuts)
     v = np.asarray(f(x.ravel()), dtype=float)
     raise_first_failure(_nonfinite_samples(v, "gauss_legendre_1d"))
     return kahan_sum((w.ravel() * v).tolist())
@@ -190,15 +206,18 @@ def gauss_legendre_1d(f: Callable[[float], float], a: float, b: float,
 
 
 Rect = tuple[tuple[float, float], tuple[float, float]]
+Cuts = tuple[Sequence[float], Sequence[float]]  # the cut points of each axis
 
 
-def gauss_nodes(rect: Rect, spec: QuadratureSpec
+def gauss_nodes(rect: Rect, spec: QuadratureSpec, cuts: Cuts = ((), ())
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes and weights of the tensor-product composite rule over ``rect``.
+    """Nodes and weights of the tensor-product composite rule over ``rect``,
+    each axis cut at its entry of ``cuts`` as ``gauss_nodes_1d`` cuts it.
 
     Returns ``(U1, U2, W)`` of shape ``(cells, points**2)``: row ``c1 * n2 +
     c2`` holds the nodes of cell ``(c1, c2)`` in row-major node order, so
-    ``ravel()`` gives the summation order of ``integrate_2d``.  A rectangle
+    ``ravel()`` gives the summation order of ``integrate_2d``.  The cell of
+    widths h1 and h2 has the weights ``0.25 h1 h2 w_i w_j``.  A rectangle
     of zero width has no nodes.
     """
     (a1, b1), (a2, b2) = rect
@@ -208,17 +227,15 @@ def gauss_nodes(rect: Rect, spec: QuadratureSpec
             empty = np.empty((0, p * p))
             return empty, empty, empty
         raise ValueError("degenerate rectangle")
-    n1, n2 = spec.cells
-    h1 = (b1 - a1) / n1
-    h2 = (b2 - a2) / n2
-    x1 = gauss_nodes_1d(a1, b1, p, n1)[0]  # (n1, p)
-    x2 = gauss_nodes_1d(a2, b2, p, n2)[0]  # (n2, p)
+    x1, h1 = _cells_1d(a1, b1, p, spec.cells[0], cuts[0])  # (n1, p), (n1,)
+    x2, h2 = _cells_1d(a2, b2, p, spec.cells[1], cuts[1])
+    n1, n2 = len(h1), len(h2)
     shape = (n1, n2, p, p)
     U1 = np.broadcast_to(x1[:, None, :, None], shape).reshape(n1 * n2, p * p)
     U2 = np.broadcast_to(x2[None, :, None, :], shape).reshape(n1 * n2, p * p)
     w = np.array(NODES_WEIGHTS[p][1])
-    cell_w = (0.25 * h1 * h2 * w[:, None] * w[None, :]).reshape(p * p)
-    W = np.broadcast_to(cell_w, U1.shape)
+    cell_h = 0.25 * h1[:, None] * h2[None, :]  # (n1, n2)
+    W = (cell_h[:, :, None, None] * w[:, None] * w[None, :]).reshape(U1.shape)
     return U1, U2, W
 
 
@@ -239,9 +256,10 @@ CELL_BLOCK_NODES = 4096
 
 
 def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rect,
-                    spec: QuadratureSpec) -> float:
-    """The tensor-product composite rule over ``rect`` for an elementwise
-    array integrand, evaluated on blocks of whole quadrature cells.
+                    spec: QuadratureSpec, cuts: Cuts = ((), ())) -> float:
+    """The tensor-product composite rule of ``gauss_nodes`` over ``rect``, cut
+    at ``cuts``, for an elementwise array integrand, evaluated on blocks of
+    whole quadrature cells.
 
     ``f`` maps 1-D node arrays to the sample array.  Each call gets the
     nodes of consecutive cells in the row-major order of ``gauss_nodes``,
@@ -253,7 +271,7 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rec
     ``NonFiniteValue``: at its first non-finite sample, else at its first
     non-finite weighted term, as a cell-by-cell loop would.
     """
-    U1, U2, W = gauss_nodes(rect, spec)
+    U1, U2, W = gauss_nodes(rect, spec, cuts)
     if not U1.size:
         return 0.0
     per_cell = U1.shape[1]

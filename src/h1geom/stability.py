@@ -35,8 +35,8 @@ from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularP
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_array_1d,
-                       integrate_cells, kahan_sum, richardson, split_cells,
-                       stencil_d1, stencil_nodes)
+                       integrate_cells, kahan_sum, richardson, stencil_d1,
+                       stencil_nodes)
 from .surfaces import (SINGULAR_TOL, CatenoidRulingChart, Chart, area_density,
                        curve_samples, is_batch, surface_frame, surface_frames)
 
@@ -64,6 +64,12 @@ class Profile:
     breakpoints: tuple[float, ...] = ()
     flats: tuple[tuple[float, float], ...] = ()
 
+    def __post_init__(self):
+        # the quadrature runs from support[0] to support[1]: reversed, every
+        # integral over the support would change sign
+        if not self.support[0] <= self.support[1]:
+            raise ValueError(f"profile support {self.support} is not an interval")
+
     def __call__(self, x: float) -> float:
         return self.value(x)
 
@@ -78,11 +84,6 @@ class Profile:
 
     def derivs(self, X: np.ndarray) -> np.ndarray:
         return _at_nodes(self.deriv, X)
-
-    def cuts(self) -> list[float]:
-        lo, hi = self.support
-        inner = [b for b in self.breakpoints if lo < b < hi]
-        return sorted({lo, hi, *inner})
 
 
 def _formula(fn: Callable) -> Callable:
@@ -380,25 +381,10 @@ def jacobi_quadratic_of_frame(fr):
 # Index form and direct second variation
 # ---------------------------------------------------------------------------
 
-def _axis_cuts(lo: float, hi: float, fs: Sequence[TestFunction], axis: int) -> list[float]:
-    cuts = {lo, hi}
-    for f in fs:
-        cuts.update(c for c in (*f.support[axis], *f.kinks[axis]) if lo < c < hi)
-    return sorted(cuts)
-
-
-def _piecewise_2d(fn, rect: Rect, fs: Sequence[TestFunction],
-                  quad: QuadratureSpec) -> float:
-    """Tensor quadrature with cells split at support edges and profile kinks;
-    ``fn`` maps the node arrays of a block of quadrature cells to its samples."""
-    (a1, b1), (a2, b2) = rect
-    pieces2 = split_cells(_axis_cuts(a2, b2, fs, 1), quad.cells[1])
-    total = []
-    for lo1, hi1, n1 in split_cells(_axis_cuts(a1, b1, fs, 0), quad.cells[0]):
-        for lo2, hi2, n2 in pieces2:
-            spec = QuadratureSpec(quad.points_per_cell, (n1, n2))
-            total.append(integrate_cells(fn, ((lo1, hi1), (lo2, hi2)), spec))
-    return kahan_sum(total)
+def _axis_cuts(fs: Sequence[TestFunction], axis: int) -> list[float]:
+    """The support edges and kinks of ``fs`` along ``axis``: quadrature cells
+    never straddle them."""
+    return [c for f in fs for c in (*f.support[axis], *f.kinks[axis])]
 
 
 def _intersection(rects: Sequence[Rect]) -> Rect | None:
@@ -413,7 +399,8 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
                  quad: QuadratureSpec) -> float:
     """The second-variation bilinear form
     I(u, v) = int |N_h|^{-1} { Z(u) Z(v) - q u v } dA
-    over the (regular) intersection of the supports.
+    over the (regular) intersection of the supports, in one pass of
+    ``integrate_cells`` cut at ``_axis_cuts``.
     """
     rect = _intersection((chart.domain, uf.support, vf.support))
     if rect is None:
@@ -428,7 +415,8 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
         zv = z1 * vd1 + z2 * vd2
         return (zu * zv - fr.q * u * v) / fr.Nh_norm * fr.riem_area
 
-    return _piecewise_2d(integrand, rect, (uf, vf), quad)
+    return integrate_cells(integrand, rect, quad,
+                           (_axis_cuts((uf, vf), 0), _axis_cuts((uf, vf), 1)))
 
 
 def _deformed_area(chart: Chart, nodes, s: float) -> float:
@@ -571,11 +559,12 @@ def bracket_integral_quadrature(k: float, delta: float,
 
 
 def _profile_integral(p: Profile, fn: Callable[[np.ndarray], np.ndarray],
-                      quad: QuadratureSpec) -> float:
-    """Integral of the array integrand fn over the support of p, split at
-    its kinks: one array pass per piece."""
-    return kahan_sum([integrate_array_1d(fn, lo, hi, quad.points_per_cell, n)
-                      for lo, hi, n in split_cells(p.cuts(), quad.cells[0])])
+                      quad: QuadratureSpec, cuts: Sequence[float] = ()) -> float:
+    """Integral of the array integrand fn over the support of p, cut at its
+    kinks and at ``cuts``, in one array pass."""
+    lo, hi = p.support
+    return integrate_array_1d(fn, lo, hi, quad.points_per_cell, quad.cells[0],
+                              (*p.breakpoints, *cuts))
 
 
 # half-width of the s-window around each singular helix of the pitch-2
@@ -620,19 +609,11 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
         f, w = _helicoid_f_w(R, s, np)
         return abs(f) / (w * w) * psi.values(s) ** 2
 
-    cuts = sorted({*psi.cuts(), *(c for c in (1.0 / R, -1.0 / R)
-                                  if psi.support[0] < c < psi.support[1])})
-    ramp_parts = []
-    pot_parts = []
-    p = quad.points_per_cell
-    for lo, hi, n in split_cells(cuts, quad.cells[0]):
-        if not psi.flat_on(lo, hi):  # else the ramp term vanishes there
-            ramp_parts.append(integrate_array_1d(ramp, lo, hi, p, n))
-        if R != 2.0:
-            pot_parts.append(integrate_array_1d(pot, lo, hi, p, n))
-
-    t1 = int_phi2 * kahan_sum(ramp_parts)
-    t2 = -(R * R - 4.0) * int_phi2 * kahan_sum(pot_parts) if R != 2.0 else 0.0
+    # cells never straddle a singular helix; the ramp term is 0 where psi is flat
+    helices = (1.0 / R, -1.0 / R)
+    t1 = int_phi2 * _profile_integral(psi, ramp, quad, helices)
+    t2 = (-(R * R - 4.0) * int_phi2 * _profile_integral(psi, pot, quad, helices)
+          if R != 2.0 else 0.0)
     trace2 = psi.value(1.0 / R) ** 2 + psi.value(-1.0 / R) ** 2
     t3 = -4.0 * trace2 * int_phi2
     t4 = trace2 * int_dphi2

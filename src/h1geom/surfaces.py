@@ -747,8 +747,8 @@ class CatenoidChart(Chart):
     """
 
     def __init__(self, lam: float):
-        if lam == 0:
-            raise ValueError("lam must be nonzero")
+        if not 0.0 < lam * lam < math.inf:
+            raise ValueError("lam^2 must be positive and finite")
         self.lam = lam
         self.domain = ((0.0, 2.0 * math.pi), (-1.5, 1.5))
 

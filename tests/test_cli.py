@@ -273,6 +273,7 @@ def _assert_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_export_helicoid_nonpositive_pitch(tmp_path, capsys):
@@ -319,10 +320,22 @@ def test_export_bad_inputs_rejected_up_front(tmp_path, capsys):
     cases = [["geodesic", "--num", "-1"], ["geodesic", "--smax", "inf"],
              ["geodesic", "--x0", "inf"], ["geodesic", "--smin", "nan"],
              ["surface-grid", "--surface", "helicoid", "--R", "inf"],
-             ["surface-grid", "--surface", "plane", "--a", "nan"]]
+             ["surface-grid", "--surface", "plane", "--a", "nan"],
+             ["surface-grid", "--surface", "catenoid", "--lam", "1e200"],
+             ["surface-grid", "--surface", "catenoid", "--lam", "1e-170"]]
     for case in cases:
         _assert_usage_error(["export", *case, "--out", str(out)], capsys)
         assert not out.exists(), case
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "core"],
+                                  ["export", "geodesic", "--num", "3"],
+                                  ["certify", "h2"]])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # a missing directory, or a directory as the path: one line naming it
+    for path in (tmp_path / "missing" / "o.txt", tmp_path):
+        assert str(path) in _assert_usage_error([*argv, "--out", str(path)], capsys)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_export_negative_grid_counts(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from h1geom.core import FrameVector, ORIGIN, Point, dot, euclidean_to_frame
 from h1geom.errors import NonFiniteValue
-from h1geom.geodesics import (EPS_STEP, GeodesicArc, commutation_residual,
+from h1geom.geodesics import (EPS_STEP, GeodesicArc,
                               covariant_derivative_along, exp_euclidean,
                               exp_geodesic, helpers_fgh,
                               jacobi_field, jacobi_fields, jacobi_residual,
@@ -111,7 +111,7 @@ def test_jacobi_helicoid_rulings():
         _, vel = exp_geodesic(GeodesicArc(alpha(eps), u_of(eps)), s)
         assert straight_line_residual(sample, vel) <= 1e-5
         assert jacobi_residual(sample, vel) <= 1e-5
-        assert commutation_residual(alpha, u_of, eps, s) <= 1e-5
+        assert jacobi_fields(alpha, u_of, eps, [s]).commutation_residual(0) <= 1e-5
         # vertical component is 1/R - R s^2 for this family
         tvec = FrameVector(0, 0, 1, sample.V.base)
         assert abs(dot(sample.V, tvec) - (0.5 - 2.0 * s * s)) <= 1e-9
@@ -163,7 +163,7 @@ def test_jacobi_fields_columns_are_single_points(family, S):
         for i, s in enumerate(S):
             assert _hex_columns(fields, i) == _hex_sample(jacobi_field(alpha, u_of, eps, s))
             assert (fields.commutation_residual(i).hex()
-                    == commutation_residual(alpha, u_of, eps, s).hex())
+                    == jacobi_fields(alpha, u_of, eps, [s]).commutation_residual(0).hex())
 
 
 def _nested_reference(alpha, u_of, eps, s):
@@ -225,7 +225,7 @@ HELICOID_PINS = [
 def test_jacobi_helicoid_pins(eps, s, fields, comm):
     alpha, u_of = _helicoid_family()
     assert _hex_sample(jacobi_field(alpha, u_of, eps, s)) == fields
-    assert commutation_residual(alpha, u_of, eps, s).hex() == comm
+    assert jacobi_fields(alpha, u_of, eps, [s]).commutation_residual(0).hex() == comm
 
 
 # V, V', V'' of the general family at the (eps, s) pairs of verify's

@@ -11,8 +11,8 @@ from h1geom.errors import NonFiniteValue
 from h1geom._gauss import NODES_WEIGHTS
 from h1geom.numerics import (DiffSpec, QuadratureSpec, _composite_1d, central_diff,
                              central_quotient, gauss_legendre_1d, gauss_nodes,
-                             gauss_nodes_1d, integrate_2d, integrate_cells, kahan_sum,
-                             richardson, split_cells)
+                             gauss_nodes_1d, integrate_2d, integrate_array_1d,
+                             integrate_cells, kahan_sum, richardson, split_cells)
 
 
 def test_polynomial_exactness_basic():
@@ -103,8 +103,9 @@ def test_composite_1d_samples_the_shared_nodes():
 
 
 def _old_pieces(cuts, cells):
-    # the cell split _piecewise_2d, _profile_integral and q_form each wrote
-    # inline before split_cells, verbatim as _profile_integral had it
+    # the cell split that the index form, the profile integrals and q_form
+    # each wrote inline before split_cells, verbatim as the profile integral
+    # had it; the composite rules of numerics now cut with split_cells
     out = []
     span = cuts[-1] - cuts[0]
     for i in range(len(cuts) - 1):
@@ -128,6 +129,102 @@ def test_split_cells_matches_inline_split():
     # round half to even, and the one-cell floor
     assert [n for *_, n in split_cells([0.0, 0.5, 1.0], 1)] == [1, 1]
     assert [n for *_, n in split_cells([0.0, 1.25, 2.0], 4)] == [2, 2]
+
+
+# (interval, interior cuts in any order, cells): pieces of unequal length,
+# a narrow piece that gets its one-cell floor, and a cut list with repeats
+_CUT_CASES = [((-1.0, 2.0), (0.5,), 8),
+              ((0.0, 1.0), (0.7, 0.1, 0.25), 5),
+              ((-3.0, 3.0), (1e-3, -1e-3, 2.5), 16),
+              ((0.2, 0.9), (0.3, 0.3, 0.8), 1)]
+
+
+def _pieces(a, b, cuts, cells):
+    return split_cells(sorted({a, b, *cuts}), cells)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(x).tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("points", [4, 16])
+@pytest.mark.parametrize("ab, cuts, cells", _CUT_CASES)
+def test_gauss_nodes_1d_cut_is_its_pieces_in_order(ab, cuts, cells, points):
+    x, w = gauss_nodes_1d(*ab, points, cells, cuts)
+    pieces = [gauss_nodes_1d(lo, hi, points, n) for lo, hi, n in _pieces(*ab, cuts, cells)]
+    assert _bits(x, w) == _bits(np.concatenate([px for px, _ in pieces]),
+                                np.concatenate([pw for _, pw in pieces]))
+
+
+def _piece_rows(rect, spec, cuts):
+    # rows of the cut 2-D rule, built from the uncut rule of each piece pair
+    # and put in the row-major cell order of the whole rule
+    p = spec.points_per_cell
+    axes = [_pieces(*rect[i], cuts[i], spec.cells[i]) for i in (0, 1)]
+    cells = [[(j, k) for j, (_, _, n) in enumerate(ax) for k in range(n)] for ax in axes]
+    rules = {(j1, j2): gauss_nodes(((lo1, hi1), (lo2, hi2)), QuadratureSpec(p, (n1, n2)))
+             for j1, (lo1, hi1, n1) in enumerate(axes[0])
+             for j2, (lo2, hi2, n2) in enumerate(axes[1])}
+    rows = [[rules[j1, j2][i][k1 * axes[1][j2][2] + k2]
+             for (j1, k1) in cells[0] for (j2, k2) in cells[1]] for i in range(3)]
+    return [np.array(r) for r in rows]
+
+
+@pytest.mark.parametrize("i1, i2", [(0, 1), (1, 2), (3, 0), (2, 2)])
+def test_gauss_nodes_cut_is_its_pieces_in_order(i1, i2):
+    (ab1, cuts1, n1), (ab2, cuts2, n2) = _CUT_CASES[i1], _CUT_CASES[i2]
+    rect, spec, cuts = (ab1, ab2), QuadratureSpec(4, (n1, n2)), (cuts1, cuts2)
+    assert _bits(*gauss_nodes(rect, spec, cuts)) == _bits(*_piece_rows(rect, spec, cuts))
+
+
+def test_cuts_on_or_outside_the_ends_change_nothing():
+    a, b = -0.75, 1.5
+    for cuts in ((a,), (b, a), (-2.0, 3.0, b), (a, a, b, b, 7.0), (math.inf, -math.inf)):
+        assert _bits(*gauss_nodes_1d(a, b, 8, 6, cuts)) == _bits(*gauss_nodes_1d(a, b, 8, 6))
+        rect, spec = ((a, b), (0.0, 2.0)), QuadratureSpec(4, (3, 5))
+        assert (_bits(*gauss_nodes(rect, spec, (cuts, (0.0, 0.0, 2.0))))
+                == _bits(*gauss_nodes(rect, spec)))
+    # a cut given twice counts once
+    assert (_bits(*gauss_nodes_1d(a, b, 8, 6, (0.25, 0.25, -0.5)))
+            == _bits(*gauss_nodes_1d(a, b, 8, 6, (-0.5, 0.25))))
+
+
+def _wiggle(a, b=0.0):
+    return np.exp(-a) * np.cos(3.0 * a + b) + np.abs(a - 0.3) * b
+
+
+@pytest.mark.parametrize("ab, cuts, cells", _CUT_CASES)
+def test_cut_integrals_are_one_exact_sum_of_the_piece_terms(ab, cuts, cells):
+    terms = []
+    for lo, hi, n in _pieces(*ab, cuts, cells):
+        x, w = gauss_nodes_1d(lo, hi, 16, n)
+        terms.extend((w.ravel() * _wiggle(x.ravel())).tolist())
+    assert integrate_array_1d(_wiggle, *ab, 16, cells, cuts) == math.fsum(terms)
+
+    rect, cuts2 = (ab, (-1.0, 1.0)), (cuts, (0.3, -0.2))
+    spec = QuadratureSpec(8, (cells, 4))
+    terms = []
+    for lo1, hi1, m1 in _pieces(*ab, cuts, cells):
+        for lo2, hi2, m2 in _pieces(-1.0, 1.0, cuts2[1], 4):
+            U1, U2, W = gauss_nodes(((lo1, hi1), (lo2, hi2)), QuadratureSpec(8, (m1, m2)))
+            terms.extend((W.ravel() * _wiggle(U1.ravel(), U2.ravel())).tolist())
+    assert integrate_cells(_wiggle, rect, spec, cuts2) == math.fsum(terms)
+
+
+def test_cut_rule_raises_at_its_first_cell_in_row_major_order():
+    # cells of 0.5 x 0.5, two per piece on each axis: cell (1, 0) of piece
+    # (0, 0) comes before cell (0, 2) of piece (0, 1) piece by piece, after
+    # it in the row-major order of the one rule, which decides
+    rect, spec, cuts = ((0.0, 2.0), (0.0, 2.0)), QuadratureSpec(4, (4, 4)), ((1.0,), (1.0,))
+
+    def f(a, b):
+        return np.where((0.5 < a) & (a < 1.0) & (b < 0.5), math.nan,
+                        np.where((a < 0.5) & (1.0 < b) & (b < 1.5), -math.inf, 1.0))
+
+    for call in (lambda: integrate_cells(f, rect, spec, cuts),
+                 lambda: _cell_by_cell(f, rect, spec, cuts)):
+        with pytest.raises(NonFiniteValue, match="integrate_2d: -inf"):
+            call()
 
 
 def test_nonfinite_rejected():
@@ -187,10 +284,10 @@ def test_integrate_cells_block_contract(points, cells):
     assert got == integrate_2d(lambda a, b: math.cos(a) * b, rect, spec)
 
 
-def _cell_by_cell(f, rect, spec):
+def _cell_by_cell(f, rect, spec, cuts=((), ())):
     # integrate_cells as a loop over single cells, checking each cell's
     # samples before its weighted terms
-    U1, U2, W = gauss_nodes(rect, spec)
+    U1, U2, W = gauss_nodes(rect, spec, cuts)
     terms = []
     for u1, u2, w in zip(U1, U2, W):
         with np.errstate(over="ignore", invalid="ignore"):

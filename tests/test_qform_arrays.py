@@ -26,10 +26,18 @@ from h1geom.surfaces import CatenoidChart
 REL = 1e-13
 
 
+def _profile_cuts(p):
+    """The support ends and interior kinks of ``p``, sorted: the scalar loop's
+    ``Profile.cuts``, verbatim."""
+    lo, hi = p.support
+    inner = [b for b in p.breakpoints if lo < b < hi]
+    return sorted({lo, hi, *inner})
+
+
 def _scalar_profile_integral(p, fn, quad):
     """The scalar ``_profile_integral`` that ``q_form`` used, verbatim."""
     return kahan_sum([gauss_legendre_1d(fn, lo, hi, QuadratureSpec(quad.points_per_cell, (n, 1)))
-                      for lo, hi, n in split_cells(p.cuts(), quad.cells[0])])
+                      for lo, hi, n in split_cells(_profile_cuts(p), quad.cells[0])])
 
 
 def _scalar_q_form(R, u, quad):
@@ -49,7 +57,7 @@ def _scalar_q_form(R, u, quad):
         d = helicoid_closed_forms(R, s)
         return d.W * d.W / abs(d.f) * psi.deriv(s) ** 2
 
-    cuts = sorted({*psi.cuts(), *(c for c in (1.0 / R, -1.0 / R)
+    cuts = sorted({*_profile_cuts(psi), *(c for c in (1.0 / R, -1.0 / R)
                                   if psi.support[0] < c < psi.support[1])})
     ramp_parts = []
     pot_parts = []

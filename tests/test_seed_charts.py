@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from h1geom.surfaces import (CatenoidRulingChart, Chart, HelicoidChart, ParaboloidChart,
-                             SeedRuledChart, VerticalPlaneChart, surface_frames)
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, HelicoidChart,
+                             ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
+                             surface_frames)
 
 N_POINTS = 1000
 
@@ -126,6 +127,15 @@ def test_helicoid_chart_rejects_pitch(R):
     # pi/R must be finite: the domain is (-2/R, 2/R) x (-pi/R, pi/R)
     with pytest.raises(ValueError):
         HelicoidChart(R)
+
+
+@pytest.mark.parametrize("lam", [0.0, math.nan, math.inf, -math.inf, 1e200, -1e200,
+                                 1e-170, -1e-170])
+def test_catenoid_charts_reject_lam(lam):
+    # lam^2 must be a positive finite float, on either chart of the catenoid
+    for chart in (CatenoidChart, CatenoidRulingChart):
+        with pytest.raises(ValueError):
+            chart(lam)
 
 
 def test_helicoid_chart_accepts_tiny_and_huge_pitch():

@@ -297,6 +297,17 @@ def test_phi_k_delta():
         h2_certificate_test_function(0.8, 0.0, 1.0)
 
 
+def test_profiles_reject_a_reversed_support():
+    # a profile integral runs from support[0] to support[1], so a reversed
+    # support would flip the sign of every term of q_form
+    for build in (lambda: cosine_bump(0.0, -1.0), lambda: smooth_bump(0.3, -0.5),
+                  lambda: cos_arch(-2.0), lambda: cosine_bump(0.0, math.nan),
+                  lambda: Profile(math.cos, math.sin, (1.0, -1.0))):
+        with pytest.raises(ValueError, match="not an interval"):
+            build()
+    assert cos_arch(0.0).support == (-0.0, 0.0)
+
+
 def test_q_form_certificate_decomposition():
     # Q(u) = C(k, delta) int phi^2 - 8 int phi^2 + 2 int phi'^2 at pitch 2
     k, delta, eps0 = 0.6, 2.2, 10.0
@@ -465,6 +476,22 @@ def test_ruled_index_value_separates(lam, cuts):
     phi2 = integrate_array_1d(lambda a: NOSING_PHI.values(a) ** 2, -1.0, 1.0, 16, 1)
     want = ruled_index_value(lam, quad)
     assert abs(phi2 * j - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.25, 1.0, -1.5, 4.0])
+def test_nosing_certificate_makes_one_cut_pass_per_resolution(monkeypatch, lam):
+    # psi's breakpoints cut the one rule: one integrate_cells call at 1x and
+    # one at 2x, however many pieces the waist layer makes
+    calls = []
+    integrate = stability.integrate_cells
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(stability, "integrate_cells", counted)
+    certify_instability_nosing(lam)
+    assert len(calls) == 2
 
 
 def test_nosing_certificate_needs_a_negative_value(monkeypatch):
