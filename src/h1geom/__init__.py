@@ -13,7 +13,7 @@ from .core import (FrameField, FrameVector, ORIGIN, Point, covariant_derivative,
                    jop, ricci, rotate_z)
 from .errors import (CertificateNotFound, ConfigError, GeometryError,
                      NonFiniteValue, SingularPoint, StoppedAtSingular,
-                     TubeConditionViolated, TubeTooSmall)
+                     SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
 from .geodesics import (GeodesicArc, JacobiFields, JacobiSample, exp_geodesic, exp_geodesics,
                         helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
@@ -22,8 +22,8 @@ from .stability import (InstabilityCertificate, Profile,
                         TestFunction, boundary_flux, bracket_integral,
                         certify_instability_h2, certify_instability_nosing,
                         direct_variations, index_form_I, jacobi_vertical_quadratic,
-                        l_nh_closed, operator_L, q_form, second_variation_direct, separable,
-                        tangent_derivative, vertical_variation_area)
+                        l_nh_closed, operator_L, q_form, ruling_form, second_variation_direct,
+                        separable, tangent_derivative, vertical_variation_area)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets, HelicoidChart,
                        ParaboloidChart, PlaneChart, SurfaceFrame, SurfaceFrames,
                        VerticalPlaneChart, area, area_element, catalog_surface,

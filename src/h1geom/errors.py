@@ -31,3 +31,7 @@ class TubeConditionViolated(GeometryError):
 
 class ConfigError(GeometryError):
     """Malformed run configuration (unknown key, bad value)."""
+
+
+class SupportOutsideDomain(ConfigError, ValueError):
+    """An integral was asked over a support that is not inside the chart domain."""

@@ -25,19 +25,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
-                     TubeConditionViolated, TubeTooSmall)
+                     SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_array_1d,
                        integrate_cells, kahan_sum, richardson, stencil_d1,
                        stencil_nodes)
-from .surfaces import (SINGULAR_TOL, CatenoidRulingChart, Chart, area_density,
+from .surfaces import (CatenoidRulingChart, Chart, SeedRuledChart, area_density,
                        curve_samples, is_batch, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
@@ -395,16 +395,27 @@ def _intersection(rects: Sequence[Rect]) -> Rect | None:
     return ((lo1, hi1), (lo2, hi2))
 
 
+def _require_inside(chart: Chart, rect: Rect) -> None:
+    """Refuse to integrate over ``rect`` unless it lies inside the chart
+    domain: clipped to the domain, the integral would drop whatever the
+    integrand carries outside it."""
+    if not all(d[0] <= r[0] and r[1] <= d[1] for r, d in zip(rect, chart.domain)):
+        raise SupportOutsideDomain(
+            f"support {rect} is not inside the domain {chart.domain} of {type(chart).__name__}")
+
+
 def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
                  quad: QuadratureSpec) -> float:
     """The second-variation bilinear form
     I(u, v) = int |N_h|^{-1} { Z(u) Z(v) - q u v } dA
     over the (regular) intersection of the supports, in one pass of
-    ``integrate_cells`` cut at ``_axis_cuts``.
+    ``integrate_cells`` cut at ``_axis_cuts``.  Raises
+    ``SupportOutsideDomain`` when that intersection leaves the chart domain.
     """
-    rect = _intersection((chart.domain, uf.support, vf.support))
+    rect = _intersection((uf.support, vf.support))
     if rect is None:
         return 0.0
+    _require_inside(chart, rect)
 
     def integrand(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         fr = surface_frames(chart, U1, U2)
@@ -417,6 +428,51 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
 
     return integrate_cells(integrand, rect, quad,
                            (_axis_cuts((uf, vf), 0), _axis_cuts((uf, vf), 1)))
+
+
+def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
+                quad: QuadratureSpec) -> float:
+    """I(u, u) for u = |N_h| psi(s) phi(a) on a seed chart whose ruling
+    coefficients (th', b, c0) are the same on every ruling.
+
+    With C = th' s^2 + 2 b s + c0, integrating by parts against L(|N_h|)
+    leaves no a-derivative and no frame quantity:
+
+        I(u, u) = int phi^2 da * int ( |C| psi'^2 + 4 (b^2 - th' c0) psi^2 / |C| ) ds,
+
+    two ``integrate_array_1d`` passes, with ``quad.cells[0]`` cells along s
+    and ``quad.cells[1]`` along a.  Raises ``SingularPoint`` when psi's
+    closed support holds a root of C, ``SupportOutsideDomain`` when psi x
+    phi leaves the chart domain, and ``ValueError`` on a chart that
+    declares no ruling coefficients.
+    """
+    coeffs = getattr(chart, "ruling_coefficients", None)
+    if coeffs is None:
+        raise ValueError(f"{type(chart).__name__} declares no ruling coefficients")
+    _require_inside(chart, (psi.support, phi.support))
+    tp, b, c0 = coeffs
+    C = lambda s: (tp * s + 2.0 * b) * s + c0
+    # C is monotone on each side of its vertex, so on [lo, hi] its values run
+    # between those at lo, at hi and at the vertex when the vertex is inside
+    lo, hi = psi.support
+    ends = [lo, hi] + ([-b / tp] if tp != 0.0 and lo < -b / tp < hi else [])
+    vals = [C(s) for s in ends]
+    if min(vals) <= 0.0 <= max(vals):
+        raise SingularPoint(f"C(s) = {tp!r} s^2 + {2.0 * b!r} s + {c0!r} has a root in psi's "
+                            f"support [{lo!r}, {hi!r}] on {type(chart).__name__}")
+    pot = 4.0 * (b * b - tp * c0)
+
+    def along(s: np.ndarray) -> np.ndarray:
+        c = np.abs(C(s))
+        d = psi.derivs(s)
+        # grouped so that no product leaves the scale of the result
+        return c * d * d + pot / c * psi.values(s) ** 2
+
+    a_lo, a_hi = phi.support
+    across = integrate_array_1d(lambda a: phi.values(a) ** 2, a_lo, a_hi,
+                                quad.points_per_cell, quad.cells[1], phi.breakpoints)
+    return across * integrate_array_1d(along, lo, hi, quad.points_per_cell, quad.cells[0],
+                                       psi.breakpoints)
 
 
 def _deformed_area(chart: Chart, nodes, s: float) -> float:
@@ -446,9 +502,10 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
     points and deformation vectors of the stencil as (9, nodes) arrays, in
     the row order centre, +h1, -h1, +h1/2, -h1/2, +h2, -h2, +h2/2, -h2/2.
     """
-    rect = _intersection((chart.domain, _support_union((v, w))))
-    if rect is None:
+    if _is_zero(v) and _is_zero(w):
         return []
+    rect = _support_union((v, w))
+    _require_inside(chart, rect)
 
     U1, U2, W = gauss_nodes(rect, quad)
     nodes = []
@@ -480,7 +537,8 @@ def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
     Central differences with two Richardson levels, from one build of the
     variation nodes and seven area samples; for nonsingular compactly
     supported variations of a minimal surface A''(0) must reproduce the
-    index form I(u, u) with u = v + <N,T> w.
+    index form I(u, u) with u = v + <N,T> w.  Raises ``SupportOutsideDomain``
+    when the deformation's support leaves the chart domain.
     """
     nodes = _variation_nodes(chart, v, w, quad)
     return tuple(central_diffs(lambda s: _deformed_area(chart, nodes, s), 0.0,
@@ -793,26 +851,17 @@ NOSING_PHI = cosine_bump(0.0, 1.0)
 
 
 def ruled_index_value(lam: float, quad: QuadratureSpec) -> float:
-    """I(u, u) on ``CatenoidRulingChart(lam)`` for u = |N_h| phi(a) psi(s),
-    with phi = ``NOSING_PHI`` across the rulings and psi = cosine_bump(0,
-    2|lam|) along them.
+    """I(u, u) on ``CatenoidRulingChart(lam)`` for u = |N_h| psi(s) phi(a),
+    with psi = cosine_bump(0, 2|lam|) along the rulings and phi =
+    ``NOSING_PHI`` across them: the ``ruling_form`` with C = s^2 + lam^2,
 
-    psi breaks at +-lam^2 4^j (j >= 0) inside its support, so the cells
-    resolve the layer of width about lam^2 next to the waist, across which
-    |N_h| falls from 1 when |lam| is small.  One a-cell is enough: rotations
-    about the t-axis are shifts in a, so the integrand depends on a only
-    through phi.
+        int phi^2 da * ( int (s^2 + lam^2) psi'^2 ds - 4 lam^2 int psi^2 / (s^2 + lam^2) ds ),
+
+    which has no real root, no cancellation and no layer at the waist; it
+    is |lam| times a number that does not depend on lam.
     """
-    chart = CatenoidRulingChart(lam)
-    width = 2.0 * abs(lam)
-    cuts = []
-    c = lam * lam
-    while c < width:
-        cuts += (-c, c)
-        c *= 4.0
-    psi = replace(cosine_bump(0.0, width), breakpoints=tuple(sorted(cuts)))
-    u = times_nh(chart, separable(psi, NOSING_PHI))
-    return index_form_I(chart, u, u, quad)
+    return ruling_form(CatenoidRulingChart(lam), cosine_bump(0.0, 2.0 * abs(lam)),
+                       NOSING_PHI, quad)
 
 
 def certify_instability_nosing(lam: float) -> InstabilityCertificate:
@@ -820,23 +869,15 @@ def certify_instability_nosing(lam: float) -> InstabilityCertificate:
     complete surface with no singular points and <N,T> != 0 off the waist:
     ``ruled_index_value`` at ``NOSING_QUAD``, negative, and again at its
     doubling, in agreement to ``DOUBLING_RTOL``.  ``k`` is psi's half-width
-    2|lam| and ``eps0`` phi's, 1.  Below |lam| ~ SINGULAR_TOL / 2, where
-    min |N_h| ~ 2|lam| meets that absolute gate, there is no certificate.
+    2|lam| and ``eps0`` phi's, 1.  Every lam with 0 < lam^2 < inf has one;
+    ``CatenoidRulingChart`` raises ``ValueError`` for any other lam.
     """
-    def value(quad: QuadratureSpec) -> float:
-        try:
-            return ruled_index_value(lam, quad)
-        except SingularPoint as exc:
-            raise CertificateNotFound(
-                f"no certificate on the catenoid lam={lam!r}: its min |N_h|, about 2|lam|, "
-                f"falls under the frame kernel's gate SINGULAR_TOL = {SINGULAR_TOL:g}"
-            ) from exc
-
-    val = value(NOSING_QUAD)
+    val = ruled_index_value(lam, NOSING_QUAD)
     if not val < 0.0:
         raise CertificateNotFound(f"I(u, u) = {val!r} is not negative on the catenoid "
                                   f"lam={lam!r}")
-    q_doubled = _confirmed(val, value(NOSING_QUAD.doubled()), f"catenoid lam={lam!r}")
+    q_doubled = _confirmed(val, ruled_index_value(lam, NOSING_QUAD.doubled()),
+                           f"catenoid lam={lam!r}")
     return InstabilityCertificate(
         f"catenoid lam={lam:.17g}", 2.0 * abs(lam), NOSING_PHI.support[1], val, NOSING_QUAD,
         Q_value_doubled=q_doubled)

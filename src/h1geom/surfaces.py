@@ -641,7 +641,18 @@ class SeedRuledChart(Chart):
     A subclass writes only its seed ``_seed(a, m)``: Gamma, Gamma', Gamma''
     and e = (cos th, sin th), e', e''.  The jet is exact: F_s = D,
     F_a = Gamma' + s D', F_ss = 0, F_sa = D' and F_aa = Gamma'' + s D''.
+
+    ``ruling_coefficients`` are the seed's (th', b, c0) in closed form,
+    where they are the same on every ruling; else None:
+
+        th' = e x e',  b = Gamma'_y e_x - Gamma'_x e_y,
+        c0 = Gamma'_t - Gamma_y Gamma'_x + Gamma_x Gamma'_y.
+
+    The singular points of the ruling at a are the roots of
+    C(s) = th' s^2 + 2 b s + c0.
     """
+
+    ruling_coefficients: Optional[tuple[float, float, float]] = None
 
     def _jet_parts(self, s, a, m):
         (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = \
@@ -658,6 +669,8 @@ class SeedRuledChart(Chart):
 
 class VerticalPlaneChart(SeedRuledChart):
     """The plane x = 0 charted by (y, t): Gamma = (0, 0, a), e = (0, 1)."""
+
+    ruling_coefficients = (0.0, 0.0, 1.0)
 
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
@@ -711,6 +724,8 @@ class PlaneChart(Chart):
 class ParaboloidChart(SeedRuledChart):
     """The hyperbolic paraboloid t = x y, charted by (x, y): Gamma = (0, a, 0), e = (1, 0)."""
 
+    ruling_coefficients = (0.0, 1.0, 0.0)
+
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
 
@@ -731,6 +746,7 @@ class HelicoidChart(SeedRuledChart):
             raise ValueError("R must be positive and finite, and pi/R finite")
         self.R = R
         self.domain = ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
+        self.ruling_coefficients = (-R, 0.0, 1.0 / R)
 
     def _seed(self, a, m):
         R, si, co = self.R, m.sin(self.R * a), m.cos(self.R * a)
@@ -787,6 +803,7 @@ class CatenoidRulingChart(SeedRuledChart):
             raise ValueError("lam^2 must be positive and finite")
         self.lam = lam
         self.domain = ((-math.inf, math.inf), (-math.pi, math.pi))
+        self.ruling_coefficients = (1.0, 0.0, lam * lam)
 
     def _seed(self, a, m):
         lam, co, si = self.lam, m.cos(a), m.sin(a)

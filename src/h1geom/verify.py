@@ -33,11 +33,11 @@ from .stability import (Profile, boundary_flux_extrapolated,
                         cosine_bump, direct_variations, helicoid_closed_forms,
                         index_form_I, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
                         l_nh_closed, l_nh_of_frame,
-                        operator_L, q_form, separable, smooth_bump,
+                        operator_L, q_form, ruling_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
-from .surfaces import (CatenoidChart, Chart, GraphChart, HelicoidChart, ParaboloidChart,
-                       VerticalPlaneChart, area, characteristic_ray, curve_samples,
+from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart, HelicoidChart,
+                       ParaboloidChart, VerticalPlaneChart, area, characteristic_ray, curve_samples,
                        dilated, rotated, ruled_coordinates, singular_locus, surface_frame,
                        surface_frames)
 
@@ -855,6 +855,29 @@ def check_catenoid_certificate() -> CheckResult:
                        "I(u, u) < 0, stable under doubling", 0.0 if ok else 1.0, 0.5)
 
 
+def check_ruling_form() -> CheckResult:
+    """The closed ruling form against the frame-kernel index form of
+    u = |N_h| psi(s) phi(a), on supports inside each chart's domain and
+    clear of the roots of C.  On these seed charts every frame quantity
+    depends on s alone, so one a-cell integrates phi^2 on both sides."""
+    quad = QuadratureSpec(16, (2, 1))
+    cases = [
+        (VerticalPlaneChart(), cosine_bump(0.1, 0.8), cosine_bump(-0.2, 0.7)),
+        (ParaboloidChart(), cosine_bump(0.5, 0.4), cosine_bump(0.2, 0.6)),  # x > 0 on t = xy
+        (HelicoidChart(2.0), cosine_bump(0.0, 0.4), cosine_bump(0.1, 1.2)),  # between the helices
+        (HelicoidChart(2.0), cosine_bump(0.75, 0.2), cosine_bump(-0.3, 1.0)),  # outside s = 1/2
+        (HelicoidChart(0.7), cosine_bump(0.3, 0.9), cosine_bump(0.5, 2.0)),
+        (CatenoidRulingChart(-2.5), cosine_bump(1.0, 2.0), cosine_bump(0.3, 1.5)),
+    ]
+    worst = 0.0
+    for chart, psi, phi in cases:
+        u = times_nh(chart, separable(psi, phi))
+        ref = index_form_I(chart, u, u, quad)
+        worst = max(worst, abs(ruling_form(chart, psi, phi, quad) - ref) / abs(ref))
+    return CheckResult("ruling_form_vs_index_form",
+                       "closed ruling form = I(|N_h|f, |N_h|f)", worst, 1e-13)
+
+
 def check_vertical_variation() -> tuple[CheckResult, CheckResult]:
     quad = QuadratureSpec(16, (16, 1))
     w = cosine_bump(0.0, 1.0)
@@ -948,6 +971,7 @@ def run_stability() -> list[CheckResult]:
     out.extend(check_second_variation())
     out.append(check_h2_certificate())
     out.append(check_catenoid_certificate())
+    out.append(check_ruling_form())
     out.extend(check_vertical_variation())
     out.extend(check_boundary_flux())
     out.append(check_singular_curve_geometry())

@@ -305,13 +305,17 @@ def test_certify_catenoid_not_found(tmp_path, capsys, monkeypatch):
 
 
 def test_certify_catenoid_below_singular_tol(tmp_path, capsys):
-    # min |N_h| ~ 2|lam| falls under the absolute SINGULAR_TOL: no certificate,
-    # and the one error line names lam and the gate, not a singular point
+    # the ruling form reads no frame, so no SINGULAR_TOL gate: a waist radius
+    # whose min |N_h| ~ 2|lam| falls under it certifies; a lam whose square
+    # underflows is a usage error
     out = tmp_path / "c.txt"
-    assert run(["certify", "catenoid", "--lam=4e-10", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "lam=4e-10" in err and "SINGULAR_TOL = 1e-09" in err
+    assert run(["certify", "catenoid", "--lam=4e-10", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "surface=catenoid lam=4.0000000000000001e-10" in text
+    cert = InstabilityCertificate.from_text(text)
+    assert cert.Q_value < 0.0 and cert.Q_value_doubled < 0.0
+    out.unlink()
+    _assert_usage_error(["certify", "catenoid", "--lam=1e-170", "--out", str(out)], capsys)
     assert not out.exists()
 
 
@@ -482,25 +486,38 @@ def test_certify_catenoid_fuzz(tmp_path_factory, lam):
 
 
 @pytest.mark.parametrize("lam", [1e-150, -1e150])
-def test_certify_catenoid_extreme_lam_fails_in_one_line(tmp_path, capsys, lam):
-    # lam^2 is a float, but the surface leaves the frame kernel's range:
-    # |N_h| falls under the singular gate, or |F_a x F_s| overflows
+def test_certify_catenoid_extreme_lam_certifies(tmp_path, capsys, lam):
+    # lam^2 is a float, so the ruling form is too: Q / |lam| is the value
+    # at lam = 1, at both resolutions
     out = tmp_path / "c.txt"
-    code = run(["certify", "catenoid", f"--lam={lam!r}", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code in (1, 3)
-    assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
-    assert not out.exists()
+    assert run(["certify", "catenoid", f"--lam={lam!r}", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cert = InstabilityCertificate.from_text(out.read_text())
+    ref = stability.ruled_index_value(1.0, stability.NOSING_QUAD)
+    for q in (cert.Q_value, cert.Q_value_doubled):
+        assert abs(q / abs(lam) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("lam", ["1e-9", "-1e-9", "1e-4", "1e5", "1e30"])
-def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, lam):
+def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, monkeypatch, lam):
     # Q < 0 at 1x and 2x, but the two differ by more than 1e-6 relative
+    monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: -1.0
+                        if quad == stability.NOSING_QUAD else -1.0 - 2e-6)
     out = tmp_path / "c.txt"
     assert run(["certify", "catenoid", f"--lam={lam}", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "at 2x differ by more than 1e-06 relative" in err
+    assert not out.exists()
+
+
+def test_certify_catenoid_support_outside_the_chart_is_a_usage_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a test function wider than the chart's a-range (-pi, pi) is refused, not clipped
+    monkeypatch.setattr(stability, "NOSING_PHI", stability.cosine_bump(0.0, 4.0))
+    out = tmp_path / "c.txt"
+    err = _assert_usage_error(["certify", "catenoid", "--lam=2", "--out", str(out)], capsys)
+    assert "(-4.0, 4.0)" in err and "is not inside the domain" in err
     assert not out.exists()
 
 

@@ -142,3 +142,19 @@ def test_helicoid_chart_accepts_tiny_and_huge_pitch():
     for R in (1e-300, 1e300):
         chart = HelicoidChart(R)
         assert all(math.isfinite(v) for side in chart.domain for v in side)
+
+
+@pytest.mark.parametrize("name", list(_cases()))
+def test_ruling_coefficients_match_the_seed(name):
+    # (th', b, c0) = (e x e', Gamma'_y e_x - Gamma'_x e_y,
+    # Gamma'_t - Gamma_y Gamma'_x + Gamma_x Gamma'_y), the same on every ruling
+    chart = _cases()[name][0]
+    a = np.random.default_rng(7).uniform(*chart.domain[1], 200)
+    (gx, gy, _), (gx1, gy1, gt1), _, (co, si), (co1, si1), _ = chart._seed(a, np)
+    from_seed = (co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1)
+    for got, want in zip(chart.ruling_coefficients, from_seed):
+        assert _close(got, want, 1e-14).all(), name
+
+
+def test_the_base_seed_chart_declares_no_ruling_coefficients():
+    assert SeedRuledChart.ruling_coefficients is None

@@ -7,7 +7,7 @@ import pytest
 from h1geom import cli, stability, surfaces
 from h1geom.core import Point
 from h1geom.errors import (CertificateNotFound, ConfigError, SingularPoint,
-                           TubeConditionViolated, TubeTooSmall)
+                           SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
 from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, integrate_2d,
                              integrate_array_1d, kahan_sum, split_cells)
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
@@ -17,19 +17,19 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
                               certify_instability_h2,
                               certify_instability_nosing,
                               combined_normal_component, cos_arch, cosine_bump,
-                              first_variation_direct,
+                              direct_variations, first_variation_direct,
                               h2_certificate_test_function,
                               helicoid_closed_forms, index_form_I,
                               jacobi_vertical_quadratic, l_nh_closed,
                               operator_L, plateau_ramp, q_form,
-                              ruled_index_value, scaled_helicoid_certificate,
+                              ruled_index_value, ruling_form, scaled_helicoid_certificate,
                               second_variation_direct, separable, smooth_bump, times_nh,
                               vertical_variation_area,
                               tangent_derivative, vertical_variation_second_difference,
                               zero_function)
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, HelicoidChart,
-                             VerticalPlaneChart, ruled_coordinates, surface_frame,
-                             surface_frames)
+                             ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
+                             ruled_coordinates, surface_frame, surface_frames)
 
 CAT = CatenoidChart(1.0)
 HEL2 = HelicoidChart(2.0)
@@ -121,6 +121,38 @@ def test_index_form_zero_and_symmetry():
     w = separable(cosine_bump(1.7, 0.6), cosine_bump(0.1, 0.4))
     assert abs(index_form_I(CAT, v, w, QUAD44)
                - index_form_I(CAT, w, v, QUAD44)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["past_s_1", "pitch2_certificate"])
+def test_integrals_refuse_a_support_outside_the_domain(case):
+    # clipped to the domain ((-1, 1), (-pi/2, pi/2)), the integral would drop
+    # part of u's support: s in [0.55, 1.05], or the pitch-2 certificate's
+    # ((-4, 4), (-2.65, 2.65))
+    if case == "past_s_1":
+        u = separable(cosine_bump(0.8, 0.25), cosine_bump(0.0, 1.0))
+    else:
+        cert = certify_instability_h2()
+        u = h2_certificate_test_function(cert.k, cert.delta, cert.eps0)
+    quad = QuadratureSpec(16, (2, 2))
+    calls = [lambda: index_form_I(HEL2, u, u, quad),
+             lambda: direct_variations(HEL2, u, zero_function(), quad),
+             lambda: direct_variations(HEL2, zero_function(), u, quad)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert isinstance(info.value, SupportOutsideDomain)
+        msg = str(info.value)
+        assert "\n" not in msg
+        assert str(u.support) in msg and str(HEL2.domain) in msg
+
+
+def test_integrals_accept_a_support_on_the_domain_edge():
+    # closed containment: a support that is the whole domain is inside it
+    vp = VerticalPlaneChart(domain=((-1.0, 1.0), (-0.5, 0.5)))
+    u = separable(cosine_bump(0.0, 1.0), cosine_bump(0.0, 0.5))
+    assert index_form_I(vp, u, u, QUAD44) > 0.0
+    assert index_form_I(vp, zero_function(), u, QUAD44) == 0.0
+    assert direct_variations(vp, zero_function(), zero_function(), QUAD44) == (0.0, 0.0, 0.0)
 
 
 def test_index_form_vertical_plane_nonnegative():
@@ -435,14 +467,15 @@ def test_nosing_search_confirms_at_doubled_resolution(lam):
 
 
 def test_catenoid_certificate_scale_law():
-    # Q scales like |lam|: Q/|lam| agrees at 1x and 2x, and across scales
+    # Q scales like |lam|: Q/|lam| agrees at 1x and 2x, and across 300
+    # decades of scale, to round-off
     ref = ruled_index_value(1.0, NOSING_QUAD)
-    for j in range(-3, 4):
+    for j in range(-150, 151):
         lam = (-1.0) ** j * 10.0 ** j
         cert = certify_instability_nosing(lam)
         q1, q2 = cert.Q_value / abs(lam), cert.Q_value_doubled / abs(lam)
-        assert abs(q1 - q2) <= 1e-6 * abs(q2), lam
-        assert abs(q1 - ref) <= 1e-6 * abs(ref), lam
+        assert abs(q1 - q2) <= 1e-13 * abs(q2), lam
+        assert abs(q1 - ref) <= 1e-13 * abs(ref), lam
         assert cert.surface == f"catenoid lam={lam:.17g}"
         parsed = InstabilityCertificate.from_text(cert.to_text())
         assert parsed == cert
@@ -478,20 +511,68 @@ def test_ruled_index_value_separates(lam, cuts):
     assert abs(phi2 * j - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("chart, psi", [
+    (ParaboloidChart(), cosine_bump(0.0, 0.5)),  # across x = 0 on t = xy
+    (ParaboloidChart(), cosine_bump(-0.25, 0.25)),  # the closed support ends on x = 0
+    (HEL2, cosine_bump(0.5, 0.1)),  # across s = 1/R
+    (HEL2, cosine_bump(-0.6, 0.3)),  # across s = -1/R
+    (HelicoidChart(0.7), cosine_bump(0.0, 2.0)),  # across both helices s = +-1/0.7
+])
+def test_ruling_form_refuses_a_root_of_C(chart, psi):
+    with pytest.raises(SingularPoint) as info:
+        ruling_form(chart, psi, cosine_bump(0.0, 0.5), QUAD44)
+    assert "has a root in psi's support" in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("chart, psi", [
+    (VerticalPlaneChart(), cosine_bump(0.0, 1.0)),
+    (ParaboloidChart(), cosine_bump(0.5, 0.45)),
+    (ParaboloidChart(), cosine_bump(-0.5, 0.45)),
+    (HEL2, cosine_bump(0.0, 0.45)),
+    (HEL2, cosine_bump(0.75, 0.2)),
+])
+def test_ruling_form_is_nonnegative_where_b2_exceeds_thp_c0(chart, psi):
+    # b^2 - th' c0 >= 0 on these rulings: both terms of the form are >= 0
+    tp, b, c0 = chart.ruling_coefficients
+    assert b * b - tp * c0 >= 0.0
+    assert ruling_form(chart, psi, cosine_bump(0.0, 0.5), QUAD44) > 0.0
+
+
+def test_ruling_form_needs_ruling_coefficients():
+    class Unlabelled(SeedRuledChart):
+        domain = ((-1.0, 1.0), (-1.0, 1.0))
+
+        def _seed(self, a, m):
+            return VerticalPlaneChart._seed(self, a, m)
+
+    with pytest.raises(ValueError, match="Unlabelled declares no ruling coefficients"):
+        ruling_form(Unlabelled(), cosine_bump(0.0, 0.5), cosine_bump(0.0, 0.5), QUAD44)
+    with pytest.raises(SupportOutsideDomain):
+        ruling_form(VerticalPlaneChart(), cosine_bump(0.0, 1.5), cosine_bump(0.0, 0.5), QUAD44)
+
+
 @pytest.mark.parametrize("lam", [1e-3, 0.25, 1.0, -1.5, 4.0])
 def test_nosing_certificate_makes_one_cut_pass_per_resolution(monkeypatch, lam):
-    # psi's breakpoints cut the one rule: one integrate_cells call at 1x and
-    # one at 2x, however many pieces the waist layer makes
+    # the ruling form: one uncut 1-D pass along s and one across a at each
+    # resolution, and no frame kernel or 2-D rule anywhere
     calls = []
-    integrate = stability.integrate_cells
 
-    def counted(*args):
-        calls.append(args)
-        return integrate(*args)
+    def spy(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(stability, "integrate_cells", counted)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (stability, surfaces):
+        spy(module, "surface_frames")
+    spy(stability, "integrate_cells")
+    spy(stability, "integrate_array_1d")
     certify_instability_nosing(lam)
-    assert len(calls) == 2
+    assert calls == ["integrate_array_1d"] * 4
 
 
 def test_nosing_certificate_needs_a_negative_value(monkeypatch):
@@ -501,12 +582,22 @@ def test_nosing_certificate_needs_a_negative_value(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [1e-9, -1e-9, 1e-4, 1e5, 1e30])
-def test_nosing_certificate_needs_agreement_under_doubling(lam):
+def test_nosing_certificate_needs_agreement_under_doubling(monkeypatch, lam):
     # Q negative at both resolutions, but 1x and 2x differ by more than
-    # DOUBLING_RTOL: the value is round-off of the frame kernel, not evidence
+    # DOUBLING_RTOL: no certificate; just inside it, a certificate
+    q = -abs(lam)
+
+    def doubled_by(gap):
+        monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: q
+                            if quad == NOSING_QUAD else q * (1.0 + gap))
+
+    doubled_by(2.0 * stability.DOUBLING_RTOL)
     with pytest.raises(CertificateNotFound, match=re.escape(
             f"differ by more than 1e-06 relative on the catenoid lam={lam!r}")):
         certify_instability_nosing(lam)
+    doubled_by(0.5 * stability.DOUBLING_RTOL)
+    cert = certify_instability_nosing(lam)
+    assert (cert.Q_value, cert.Q_value_doubled) == (q, q * (1.0 + 0.5 * stability.DOUBLING_RTOL))
 
 
 def test_h2_certificate_needs_agreement_under_doubling(monkeypatch):
