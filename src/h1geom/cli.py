@@ -131,16 +131,26 @@ _SURFACE_PARAMS = {"plane": ("a", "b", "c"), "helicoid": ("R",), "catenoid": ("l
 EXPORT_BATCH = 1024  # CSV rows evaluated and formatted per block
 
 
+def _column_strings(col: np.ndarray) -> list[str]:
+    """``format(v, ".17g")`` of every value of ``col``, each distinct value
+    formatted once.  Values are keyed on their bits, not compared as floats,
+    so -0.0 stays apart from 0.0; every NaN prints "nan" whatever its bits."""
+    keys, inv = np.unique(np.asarray(col, dtype=np.float64).view(np.uint64),
+                          return_inverse=True)
+    text = ("%.17g," * len(keys) % tuple(keys.view(np.float64).tolist())).split(",")
+    return list(map(text.__getitem__, inv.tolist()))
+
+
 def _csv_blocks(total: int, columns) -> list[str]:
     """The CSV body of rows 0..total-1, one string per block of
     EXPORT_BATCH rows; ``columns(k)`` returns the 1-D value arrays of the
     rows with indices ``k``.  Every value is printed with 17 significant
-    digits, as ``format(v, ".17g")`` would."""
+    digits, as ``format(v, ".17g")`` would; within a block, each column
+    formats each of its distinct values once (``_column_strings``)."""
     blocks = []
     for lo in range(0, total, EXPORT_BATCH):
         cols = columns(np.arange(lo, min(lo + EXPORT_BATCH, total)))
-        row = ",".join(["%.17g"] * len(cols))
-        blocks.append("\n".join([row % r for r in zip(*(c.tolist() for c in cols))]))
+        blocks.append("\n".join(map(",".join, zip(*map(_column_strings, cols)))))
     return blocks
 
 
@@ -215,9 +225,19 @@ def cmd_export(args: argparse.Namespace) -> int:
 # certify
 # ---------------------------------------------------------------------------
 
+# the options each certify target reads, beside --out
+_CERTIFY_PARAMS = {"h2": (), "helicoid": ("R",), "catenoid": ("lam",)}
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     """Search a certificate; the searches raise unless Q < 0 and Q at the
-    doubled rule agrees, so a certificate that is written passes."""
+    doubled rule agrees, so a certificate that is written passes.  An
+    option that the target does not read is a usage error."""
+    foreign = [f"--{k}" for k in ("R", "lam")
+               if getattr(args, k) is not None and k not in _CERTIFY_PARAMS[args.target]]
+    if foreign:
+        raise ConfigError(f"certify {args.target} takes no {' or '.join(foreign)}")
+
     if args.target == "h2":
         _write_lines(args.out, _h2_certificate().to_text().splitlines())
         return EXIT_OK
@@ -234,13 +254,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         _write_lines(args.out, lines)
         return EXIT_OK
 
-    if args.target == "catenoid":
-        if not 0.0 < args.lam * args.lam < math.inf:  # lam = 0, or lam^2 under- or overflows
-            raise ConfigError("certify catenoid requires --lam with 0 < lam^2 < inf")
-        _write_lines(args.out, certify_instability_nosing(args.lam).to_text().splitlines())
-        return EXIT_OK
-
-    raise ConfigError(f"unknown certify target {args.target!r}")
+    lam = 1.0 if args.lam is None else args.lam
+    if not 0.0 < lam * lam < math.inf:  # lam = 0, or lam^2 under- or overflows
+        raise ConfigError("certify catenoid requires --lam with 0 < lam^2 < inf")
+    _write_lines(args.out, certify_instability_nosing(lam).to_text().splitlines())
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="search instability certificates")
     p_cert.add_argument("target", choices=["h2", "helicoid", "catenoid"])
     p_cert.add_argument("--R", type=float)
-    p_cert.add_argument("--lam", type=float, default=1.0)
+    p_cert.add_argument("--lam", type=float, help="catenoid waist radius (default 1)")
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certify)
     return ap

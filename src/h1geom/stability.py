@@ -834,10 +834,12 @@ def scaled_helicoid_certificate(base: InstabilityCertificate,
     negative base Q underflows, so a certificate is never one of inf or 0.
     """
     lam = math.log(2.0 / R)
-    scale = math.exp(lam)
+    try:
+        scale, volume = math.exp(lam), math.exp(3.0 * lam)
+    except OverflowError:  # e^{3 lam} for R below about 1.8e-102: not finite
+        scale = volume = math.inf
     cert = InstabilityCertificate(f"helicoid R={R:g}", scale * base.k,
-                                  scale * base.eps0,
-                                  math.exp(3.0 * lam) * base.Q_value,
+                                  scale * base.eps0, volume * base.Q_value,
                                   base.quad, delta=scale * base.delta, C=None)
     if not all(map(math.isfinite, (cert.k, cert.eps0, cert.Q_value, cert.delta))):
         raise NonFiniteValue(f"scaled certificate at R={R!r} is not finite")

@@ -415,6 +415,33 @@ def test_certify_helicoid_huge_pitch(tmp_path, capsys):
     assert not (tmp_path / "c.txt").exists()
 
 
+@pytest.mark.parametrize("R", ["1e-300", "1e-200"])
+def test_certify_helicoid_tiny_pitch_names_R(tmp_path, capsys, R):
+    # e^{3 lam} overflows, with 2/R still finite: the same line as 2/R = inf
+    out = tmp_path / "c.txt"
+    assert run(["certify", "helicoid", "--R", R, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"numerical failure: scaled certificate at "
+                                       f"R={float(R)!r} is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [(["catenoid", "--R", "2"], "--R"),
+                                          (["h2", "--R", "3"], "--R"),
+                                          (["helicoid", "--lam", "5"], "--lam")])
+def test_certify_rejects_an_option_its_target_does_not_read(tmp_path, capsys, argv, option):
+    out = tmp_path / "c.txt"
+    err = _assert_usage_error(["certify", *argv, "--out", str(out)], capsys)
+    assert err == f"config error: certify {argv[0]} takes no {option}\n"
+    assert not out.exists()
+
+
+def test_certify_catenoid_reads_lam_1_by_default(tmp_path):
+    plain, one = tmp_path / "plain.txt", tmp_path / "one.txt"
+    assert run(["certify", "catenoid", "--out", str(plain)]) == 0
+    assert run(["certify", "catenoid", "--lam", "1", "--out", str(one)]) == 0
+    assert plain.read_bytes() == one.read_bytes()
+
+
 def _exits_cleanly(argv):
     """Run ``argv``; assert a documented exit code, no traceback, no Python
     warning, and at most one stderr line (exactly one for exits 2 and 3)."""

@@ -3,6 +3,7 @@ block size, and every field agrees with the scalar frame."""
 
 import math
 
+import numpy as np
 import pytest
 
 from h1geom import cli
@@ -76,3 +77,31 @@ def test_export_paraboloid_bytes_of_scalar_frame(tmp_path):
     rows = [",".join(format(v, ".17g") for v in row)
             for row in _scalar_grid_rows("paraboloid", 40)]
     assert got == "\n".join(["u1,u2,x,y,t,Nh,NT,BZS,H,q,area_density", *rows]) + "\n"
+
+
+def _edge_columns(n):
+    """Six columns of ``n`` rows: zeros of both signs, NaNs of several bit
+    patterns, infinities and the least subnormal, values at the fixed/exponent
+    switch of %g, a constant, and a column with no repeats."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    pools = [[0.0, -0.0, 1.0, -1.0],
+             [*nans, 2.5, -2.5],
+             [math.inf, -math.inf, 5e-324, -5e-324, 0.1],
+             [1e16, 9.999999999999999e16, 1e17, 1e-4, 1e-5, -1e16, 1.0000000000000002e-4]]
+    rng = np.random.default_rng(7)
+    cols = [np.asarray(p)[rng.integers(len(p), size=n)] for p in pools]
+    return [*cols, np.full(n, 1.0 / 3.0), np.arange(n) / 7.0 - 1.5]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 10**6])
+def test_csv_blocks_print_every_value_as_format_17g(monkeypatch, batch):
+    cols = _edge_columns(200)
+    want = "\n".join(",".join(format(v, ".17g") for v in row)
+                     for row in zip(*(c.tolist() for c in cols)))
+    fields = set(want.replace("\n", ",").split(","))
+    assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "10000000000000000",
+            "99999999999999984", "1e+17", "0.0001", "1.0000000000000001e-05"} <= fields
+    monkeypatch.setattr(cli, "EXPORT_BATCH", batch)
+    got = "\n".join(cli._csv_blocks(200, lambda k: [c[k] for c in cols]))
+    assert got == want
