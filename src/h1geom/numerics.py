@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
@@ -35,8 +36,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_cell not in ALLOWED_POINTS:
             raise ValueError(f"points_per_cell must be one of {ALLOWED_POINTS}")
-        if min(self.cells) < 1:
-            raise ValueError("cell counts must be >= 1")
+        if not all(map(_is_count, self.cells)):
+            raise ValueError(f"cell counts must be integers >= 1, not {self.cells!r}")
 
     def doubled(self) -> "QuadratureSpec":
         return replace(self, cells=(2 * self.cells[0], 2 * self.cells[1]))
@@ -50,10 +51,18 @@ class DiffSpec:
     richardson_levels: int = 1
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, not {self.step!r}")
         if self.richardson_levels not in (0, 1, 2):
             raise ValueError("richardson_levels must be 0, 1 or 2")
+
+
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer >= 1 (``operator.index``; a bool is not)."""
+    try:
+        return not isinstance(n, bool) and operator.index(n) >= 1
+    except TypeError:
+        return False
 
 
 def kahan_sum(values: Sequence[float]) -> float:
@@ -72,20 +81,17 @@ def kahan_sum(values: Sequence[float]) -> float:
         return sum(values, 0.0)
 
 
-def _check_finite(v: float, where: str) -> float:
-    if not math.isfinite(v):
-        raise NonFiniteValue(f"non-finite sample in {where}: {v!r}")
-    return v
-
-
 def gauss_nodes_1d(a: float, b: float, points: int, cells: int,
                    cuts: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on [a, b], cut at ``cuts``.
 
     Returns ``(x, w)``, one row of ``points`` per cell of ``_cells_1d`` in
     order (``cells`` rows when uncut): a cell of width h has the weights
-    ``0.5 h w_j``.
+    ``0.5 h w_j``.  Raises ``ValueError`` unless a <= b: on a reversed
+    interval every weight would change sign.
     """
+    if not a <= b:
+        raise ValueError(f"require a <= b, not [{a!r}, {b!r}]")
     x, h = _cells_1d(a, b, points, cells, cuts)
     return x, 0.5 * h[:, None] * np.array(NODES_WEIGHTS[points][1])
 
@@ -166,7 +172,7 @@ class FirstFailures:
 
 
 def _nonfinite_samples(v: np.ndarray, where: str) -> tuple:
-    """The check of ``_check_finite`` on every sample of ``v``."""
+    """The check that every sample of ``v`` is finite, for ``raise_first_failure``."""
     return ~np.isfinite(v), lambda i: NonFiniteValue(
         f"non-finite sample in {where}: {float(np.ravel(v)[i])!r}")
 
@@ -179,8 +185,11 @@ def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     ``f`` maps the nodes of ``gauss_nodes_1d`` in row-major order, as one
     1-D array, to the samples; the terms ``w * v`` of every cell of every
     piece are summed at once by ``kahan_sum``, and the first non-finite
-    sample raises ``NonFiniteValue``.
+    sample raises ``NonFiniteValue``.  An empty interval (a == b) gives 0.0
+    without calling ``f``; a reversed one raises ``ValueError``.
     """
+    if a == b:
+        return 0.0
     x, w = gauss_nodes_1d(a, b, n_points, n_cells, cuts)
     v = np.asarray(f(x.ravel()), dtype=float)
     raise_first_failure(_nonfinite_samples(v, "gauss_legendre_1d"))
@@ -189,19 +198,15 @@ def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
 def _composite_1d(f: Callable[[float], float], a: float, b: float,
                   n_points: int, n_cells: int) -> float:
-    """``integrate_array_1d`` for a scalar ``f``, called node by node."""
-    return integrate_array_1d(
-        lambda x: [_check_finite(f(xi), "gauss_legendre_1d") for xi in x.tolist()],
-        a, b, n_points, n_cells)
+    """``integrate_array_1d`` for a scalar ``f``, called at every node before
+    the samples are checked."""
+    return integrate_array_1d(lambda x: [f(xi) for xi in x.tolist()], a, b, n_points, n_cells)
 
 
 def gauss_legendre_1d(f: Callable[[float], float], a: float, b: float,
                       spec: QuadratureSpec) -> float:
-    """Composite Gauss-Legendre integral of ``f`` over [a, b]."""
-    if not (a < b):
-        if a == b:
-            return 0.0
-        raise ValueError("require a <= b")
+    """Composite Gauss-Legendre integral of ``f`` over [a, b]; 0.0 when
+    a == b, and ``ValueError`` when a > b."""
     return _composite_1d(f, a, b, spec.points_per_cell, spec.cells[0])
 
 
@@ -244,10 +249,9 @@ def integrate_2d(f: Callable[[float, float], float], rect: Rect,
     """Tensor-product composite rule over ``rect = ((a1,b1),(a2,b2))``.
 
     ``integrate_cells`` for a scalar ``f``, called node by node in row-major
-    cell/node order."""
+    cell/node order, at every node of a block before its samples are checked."""
     return integrate_cells(
-        lambda U1, U2: np.array([_check_finite(f(a, b), "integrate_2d")
-                                 for a, b in zip(U1.tolist(), U2.tolist())], dtype=float),
+        lambda U1, U2: np.array([f(a, b) for a, b in zip(U1.tolist(), U2.tolist())], dtype=float),
         rect, spec)
 
 

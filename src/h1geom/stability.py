@@ -35,8 +35,8 @@ from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularP
 from .geodesics import exp_euclidean
 from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_array_1d,
-                       integrate_cells, kahan_sum, richardson, stencil_d1,
-                       stencil_nodes)
+                       integrate_cells, kahan_sum, raise_first_failure, richardson,
+                       stencil_d1, stencil_nodes)
 from .surfaces import (CatenoidRulingChart, Chart, SeedRuledChart, area_density,
                        curve_samples, is_batch, surface_frame, surface_frames)
 
@@ -221,6 +221,12 @@ def _support_union(fs: Sequence[TestFunction]) -> Rect:
     return tuple((min(s[i][0] for s in live), max(s[i][1] for s in live)) for i in (0, 1))
 
 
+def _axis_cuts(fs: Sequence[TestFunction], axis: int) -> list[float]:
+    """The support edges and kinks of the nonzero functions of ``fs`` along
+    ``axis``: quadrature cells never straddle them."""
+    return [c for f in fs if not _is_zero(f) for c in (*f.support[axis], *f.kinks[axis])]
+
+
 def separable(p1: Profile, p2: Profile) -> TestFunction:
     def jet(U1, U2, frames=None) -> Jet:
         v1, v2 = p1.values(U1), p2.values(U2)
@@ -290,9 +296,7 @@ def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) ->
         return _frame_jet(chart, U1, U2, frames, wj, formula, vj)
 
     # the sum may kink on the support edges of v and w as well as on theirs
-    live = [f for f in (v, w) if not _is_zero(f)]
-    kinks = tuple(tuple(sorted({c for f in live for c in (*f.support[i], *f.kinks[i])}))
-                  for i in (0, 1))
+    kinks = tuple(tuple(sorted(set(_axis_cuts((v, w), i)))) for i in (0, 1))
     return TestFunction(jet, _support_union((v, w)), kinks)
 
 
@@ -380,12 +384,6 @@ def jacobi_quadratic_of_frame(fr):
 # ---------------------------------------------------------------------------
 # Index form and direct second variation
 # ---------------------------------------------------------------------------
-
-def _axis_cuts(fs: Sequence[TestFunction], axis: int) -> list[float]:
-    """The support edges and kinks of ``fs`` along ``axis``: quadrature cells
-    never straddle them."""
-    return [c for f in fs for c in (*f.support[axis], *f.kinks[axis])]
-
 
 def _intersection(rects: Sequence[Rect]) -> Rect | None:
     (lo1, hi1), (lo2, hi2) = ((max(r[i][0] for r in rects), min(r[i][1] for r in rects))
@@ -475,41 +473,36 @@ def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
                                        psi.breakpoints)
 
 
-def _deformed_area(chart: Chart, nodes, s: float) -> float:
-    """Area of the deformed patch at variation parameter ``s``.
+VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
 
-    ``nodes`` carries, per quadrature cell, the weights, the steps and the
-    9-point chart-coordinate stencil of every node with precomputed base
-    points and deformation vectors; the deformed density is the horizontal
-    cross-product norm of finite-difference partials of the composed map.
+
+def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
+                      quad: QuadratureSpec) -> tuple[float, float, float]:
+    """(A''(0), A'(0), A(0)) of the area A(s) of the surface deformed
+    pointwise along geodesics by vN + wT.
+
+    Central differences with two Richardson levels from the seven areas at
+    s = 0, +-h, +-h/2, +-h/4, one exact sum each; for nonsingular compactly
+    supported variations of a minimal surface A''(0) must reproduce the
+    index form I(u, u) with u = v + <N,T> w.  The cells of ``gauss_nodes``
+    are cut at the support edges and kinks of v and w (``_axis_cuts``).
+    Each cell frames a 9-point chart stencil of its nodes (centre, +-h1,
+    +-h1/2, +-h2, +-h2/2) once, as one batch, and moves it along geodesics
+    for every s; the deformed density is the horizontal cross-product norm
+    of its finite-difference partials.  Raises ``SupportOutsideDomain``
+    when the deformation's support leaves the chart domain, and
+    ``NonFiniteValue``, naming s, in the first cell with a non-finite
+    deformed density.
     """
-    terms = []
-    for weights, h1, h2, base, uvec in nodes:
-        moved = np.moveaxis(np.stack(exp_euclidean(base, uvec, s)), 1, -1)  # (3, nodes, 9)
-        dens = area_density(moved[0, :, 0], moved[1, :, 0], stencil_d1(moved[..., :5], h1),
-                            stencil_d1(moved[..., [0, 5, 6, 7, 8]], h2))
-        if not np.isfinite(dens).all():
-            raise NonFiniteValue("deformed area density is not finite")
-        terms.extend((weights * dens).tolist())
-    return kahan_sum(terms)
-
-
-def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
-                     quad: QuadratureSpec):
-    """Precompute quadrature cells and exp stencils for a deformation vN+wT.
-
-    One entry per cell: node weights, chart steps h1 and h2, and the base
-    points and deformation vectors of the stencil as (9, nodes) arrays, in
-    the row order centre, +h1, -h1, +h1/2, -h1/2, +h2, -h2, +h2/2, -h2/2.
-    """
-    if _is_zero(v) and _is_zero(w):
-        return []
     rect = _support_union((v, w))
-    _require_inside(chart, rect)
-
-    U1, U2, W = gauss_nodes(rect, quad)
-    nodes = []
-    for u1, u2, weights in zip(U1, U2, W):
+    if rect != EMPTY_SUPPORT:
+        _require_inside(chart, rect)
+    U1, U2, W = gauss_nodes(rect, quad, (_axis_cuts((v, w), 0), _axis_cuts((v, w), 1)))
+    # the parameters central_diff samples around 0, in its order
+    steps = [VARIATION_DIFF.step / 2**i for i in range(VARIATION_DIFF.richardson_levels + 1)]
+    params = [0.0, *(x for h in steps for x in (h, -h))]
+    terms = np.empty((len(params),) + W.shape)
+    for cell, (u1, u2, weights) in enumerate(zip(U1, U2, W)):
         h1 = 1e-5 * np.maximum(1.0, np.abs(u1))
         h2 = 1e-5 * np.maximum(1.0, np.abs(u2))
         axis1, axis2 = stencil_nodes(u1, h1).T, stencil_nodes(u2, h2).T  # (5, nodes)
@@ -519,30 +512,22 @@ def _variation_nodes(chart: Chart, v: TestFunction, w: TestFunction,
         vv = v.jet(s1, s2, (chart, fr))[0]
         ww = w.jet(s1, s2, (chart, fr))[0]
         ne = fr.N_euclidean()
-        uvec = (vv * ne[0], vv * ne[1], vv * ne[2] + ww)
         rows = (9, len(u1))
-        nodes.append((weights, h1, h2, tuple(c.reshape(rows) for c in fr.points),
-                      tuple(c.reshape(rows) for c in uvec)))
-    return nodes
-
-
-VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
-
-
-def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
-                      quad: QuadratureSpec) -> tuple[float, float, float]:
-    """(A''(0), A'(0), A(0)) of the area A(s) of the surface deformed
-    pointwise along geodesics by vN + wT.
-
-    Central differences with two Richardson levels, from one build of the
-    variation nodes and seven area samples; for nonsingular compactly
-    supported variations of a minimal surface A''(0) must reproduce the
-    index form I(u, u) with u = v + <N,T> w.  Raises ``SupportOutsideDomain``
-    when the deformation's support leaves the chart domain.
-    """
-    nodes = _variation_nodes(chart, v, w, quad)
-    return tuple(central_diffs(lambda s: _deformed_area(chart, nodes, s), 0.0,
-                               VARIATION_DIFF, (2, 1, 0)))
+        base = tuple(c.reshape(rows) for c in fr.points)
+        uvec = tuple(c.reshape(rows) for c in (vv * ne[0], vv * ne[1], vv * ne[2] + ww))
+        dens = np.empty((len(params), len(u1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, s in enumerate(params):
+                moved = np.moveaxis(np.stack(exp_euclidean(base, uvec, s)), 1, -1)  # (3, nodes, 9)
+                dens[k] = area_density(moved[0, :, 0], moved[1, :, 0],
+                                       stencil_d1(moved[..., :5], h1),
+                                       stencil_d1(moved[..., [0, 5, 6, 7, 8]], h2))
+        raise_first_failure((~np.isfinite(dens), lambda i: NonFiniteValue(
+            f"non-finite deformed area density at s = {params[i // len(u1)]!r}: "
+            f"{float(dens.flat[i])!r}")))
+        terms[:, cell] = weights * dens
+    areas = {s: kahan_sum(row.ravel().tolist()) for s, row in zip(params, terms)}
+    return tuple(central_diffs(areas.__getitem__, 0.0, VARIATION_DIFF, (2, 1, 0)))
 
 
 def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
@@ -904,28 +889,28 @@ def vertical_variation_area(R: float, w: Profile, r: float,
 
     over supp(w) x [-TUBE_S0, TUBE_S0]; -R is the curvature of the
     xy-projection of the helix.  The kink in |.| is split at the exact root
-    of the quadratic, so each s-piece integrates exactly; TubeTooSmall is
-    raised when the kink leaves the window.
+    of the quadratic, so each s-piece integrates exactly.  TubeTooSmall is
+    raised at the first eps node where the deformation has no real kink, a
+    second kink enters the window, or the kink leaves it, in that order.
     """
     h, s0 = -R, TUBE_S0
 
-    def prim(s: float, rw: float) -> float:
+    def prim(s, rw):
         return h * s ** 3 / 3.0 - s * s + rw * s
 
-    def inner(e: float) -> float:
-        rw = r * w.deriv(e)
+    def inner(es: np.ndarray) -> np.ndarray:
+        rw = r * w.derivs(es)
         disc = 1.0 - h * rw
-        if disc <= 0.0:
-            raise TubeTooSmall("deformation too large for the tube")
-        s_star = (1.0 - math.sqrt(disc)) / h
-        far = (1.0 + math.sqrt(disc)) / h
-        if abs(far) <= s0:
-            raise TubeTooSmall("second kink entered the window")
-        if abs(s_star) >= s0:
-            raise TubeTooSmall("kink left the window")
+        root = np.sqrt(np.maximum(disc, 0.0))  # where disc <= 0 the first check raises
+        s_star = (1.0 - root) / h
+        far = (1.0 + root) / h
+        raise_first_failure(
+            (disc <= 0.0, lambda i: TubeTooSmall("deformation too large for the tube")),
+            (abs(far) <= s0, lambda i: TubeTooSmall("second kink entered the window")),
+            (abs(s_star) >= s0, lambda i: TubeTooSmall("kink left the window")))
         return abs(prim(s_star, rw) - prim(-s0, rw)) + abs(prim(s0, rw) - prim(s_star, rw))
 
-    return _profile_integral(w, lambda es: [inner(e) for e in es.tolist()], quad)
+    return _profile_integral(w, inner, quad)
 
 
 def vertical_variation_second_difference(R: float, w: Profile, quad: QuadratureSpec
@@ -948,7 +933,7 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     The integrand is (xi + mu) <Z, eta> with xi = <N,T>(1 - <B(Z),S>) v^2
     and mu the vertical-deformation counterpart with w = v/<N,T>; eta is
     the outward conormal.  As sigma -> 0 the total tends to
-    4 int_{singular} v^2 dl.
+    4 int_{singular} v^2 dl.  The eps-integral is cut at v's kinks.
     """
     if not (0.0 < sigma < 1.0 / (2.0 * R)):
         raise ValueError("sigma must lie in (0, 1/(2R))")
@@ -956,7 +941,7 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
 
     def eps_integral(level: float) -> float:
         return integrate_array_1d(lambda e: v.jet(e, np.full_like(e, level))[0] ** 2,
-                                  lo, hi, quad.points_per_cell, quad.cells[0])
+                                  lo, hi, quad.points_per_cell, quad.cells[0], v.kinks[0])
 
     total = []
     for s_curve, sgn in ((1.0 / R, -1.0), (-1.0 / R, 1.0)):

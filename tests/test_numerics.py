@@ -522,3 +522,38 @@ def test_spec_validation():
         QuadratureSpec(8, (0, 4))
     with pytest.raises(ValueError):
         DiffSpec(step=-1.0)
+
+
+@pytest.mark.parametrize("cells", [(2.5, 1), (2.0, 1), (True, 1), (4, False), ("4", 4),
+                                   (None, 4), (4, -1)])
+def test_quadrature_spec_requires_integer_cell_counts(cells):
+    # (2.5, 1) failed inside numpy, or was rounded silently by a cut rule
+    with pytest.raises(ValueError, match="cell counts must be integers >= 1"):
+        QuadratureSpec(16, cells)
+
+
+def test_quadrature_spec_accepts_integer_types():
+    spec = QuadratureSpec(16, (np.int64(3), 2))
+    assert spec.cells == (3, 2) and spec.doubled().cells == (6, 4)
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1e-3, -math.inf])
+def test_diff_spec_requires_a_positive_finite_step(step):
+    # inf ended in a math domain error of the sampled function, nan in a
+    # late NonFiniteValue
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        DiffSpec(step=step)
+
+
+def test_reversed_interval_raises_and_an_empty_one_is_zero():
+    # integrated from 1 to 0, the rule returned -1 for f = 1
+    one = lambda x: np.ones_like(x)
+    for call in (lambda: gauss_nodes_1d(1.0, 0.0, 16, 2),
+                 lambda: integrate_array_1d(one, 1.0, 0.0, 16, 2),
+                 lambda: integrate_array_1d(one, 0.0, math.nan, 16, 2),
+                 lambda: gauss_legendre_1d(lambda x: 1.0, 1.0, 0.0, QuadratureSpec(16, (2, 1)))):
+        with pytest.raises(ValueError, match=r"require a <= b"):
+            call()
+    assert integrate_array_1d(one, 0.5, 0.5, 16, 2) == 0.0
+    assert gauss_legendre_1d(lambda x: 1.0, 0.5, 0.5, QuadratureSpec(16, (2, 1))) == 0.0
+    assert integrate_array_1d(one, 0.0, 1.0, 16, 2) == 1.0

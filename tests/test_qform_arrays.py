@@ -196,16 +196,19 @@ def test_integrate_array_1d_raises_at_the_first_nan():
 
 
 def test_second_variation_check_builds_the_variation_nodes_once(monkeypatch):
-    calls = []
-    build = stability._variation_nodes
+    # direct_variations frames the 9-point stencil of each quadrature cell
+    # once, as one batch, and moves it for all seven variation parameters
+    batches = []
+    frames = stability.surface_frames
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(chart, U1, U2):
+        batches.append(len(U1))
+        return frames(chart, U1, U2)
 
-    monkeypatch.setattr(stability, "_variation_nodes", counted)
+    monkeypatch.setattr(stability, "surface_frames", counted)
     verify.check_second_variation()
-    assert len(calls) == 1
+    # the index form's one block of 16 cells, then one batch per cell at (16, (4, 4))
+    assert batches == [16 * 16 * 16] + [9 * 16 * 16] * 16
 
     cat = CatenoidChart(1.0)
     v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))

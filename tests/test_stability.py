@@ -1,16 +1,17 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from h1geom import cli, stability, surfaces
 from h1geom.core import Point
-from h1geom.errors import (CertificateNotFound, ConfigError, SingularPoint,
+from h1geom.errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                            SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
-from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, integrate_2d,
+from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, gauss_nodes_1d, integrate_2d,
                              integrate_array_1d, kahan_sum, split_cells)
-from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN,
+from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUBE_S0,
                               InstabilityCertificate, Profile, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
                               bracket_integral_quadrature,
@@ -186,6 +187,28 @@ def test_second_variation_direct_matches_index_form():
     iform = index_form_I(CAT, v, v, QUAD44)
     a2 = second_variation_direct(CAT, v, w, QUAD44)
     assert abs(a2 - iform) <= 1e-2 * abs(iform)
+
+
+def test_second_variation_direct_cut_at_kinks():
+    # the plateau's corners at u2 = +-0.3 are cell edges, as in the index
+    # form; cells straddling them left |A'' - I|/|I| at 1.1e-2 here
+    v = separable(cosine_bump(1.5, 0.7), plateau_ramp(0.3, 0.35))
+    iform = index_form_I(CAT, v, v, QUAD44)
+    a2 = second_variation_direct(CAT, v, zero_function(), QUAD44)
+    assert abs(a2 - iform) <= 1e-5 * abs(iform)
+
+
+def test_direct_variations_raise_at_a_nonfinite_density():
+    # the geodesics of a deformation of size 1e200 leave the float range, at
+    # s = 0 already; that raises, naming s, with no numpy warning
+    base = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    huge = stability.TestFunction(
+        lambda U1, U2, frames=None: tuple(1e200 * c for c in base.jet(U1, U2, frames)),
+        base.support)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"deformed area density at s = 0\.0: nan"):
+            direct_variations(CAT, huge, zero_function(), QuadratureSpec(4, (1, 1)))
 
 
 def test_second_variation_with_vertical_component():
@@ -697,6 +720,63 @@ def test_vertical_variation_tube_too_small():
         vertical_variation_area(2.0, cosine_bump(0.0, 1.0), 0.6, QuadratureSpec(16, (8, 1)))
 
 
+def _node_loop_area(R, w, r, quad):
+    """vertical_variation_area as a loop over the eps nodes, one node at a
+    time (its inner function verbatim from before the array pass)."""
+    h, s0 = -R, TUBE_S0
+
+    def prim(s: float, rw: float) -> float:
+        return h * s ** 3 / 3.0 - s * s + rw * s
+
+    def inner(e: float) -> float:
+        rw = r * w.deriv(e)
+        disc = 1.0 - h * rw
+        if disc <= 0.0:
+            raise TubeTooSmall("deformation too large for the tube")
+        s_star = (1.0 - math.sqrt(disc)) / h
+        far = (1.0 + math.sqrt(disc)) / h
+        if abs(far) <= s0:
+            raise TubeTooSmall("second kink entered the window")
+        if abs(s_star) >= s0:
+            raise TubeTooSmall("kink left the window")
+        return abs(prim(s_star, rw) - prim(-s0, rw)) + abs(prim(s0, rw) - prim(s_star, rw))
+
+    return integrate_array_1d(lambda es: [inner(e) for e in es.tolist()], *w.support,
+                              quad.points_per_cell, quad.cells[0], w.breakpoints)
+
+
+def _steps(left, right):
+    """A profile on (-1, 1) whose derivative is ``left`` for eps < 0 and
+    ``right`` after."""
+    return Profile(lambda e: 0.0, lambda e: left if e < 0.0 else right, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("R, w", [
+    # at R = 4, r wdot <= -1/4 has no kink, (-1/4, -0.24] puts the second
+    # kink in the window and >= 0.96 moves the kink out of it
+    (4.0, _steps(-0.245, -1.0)),   # second kink first, no kink later
+    (4.0, _steps(1.5, -0.245)),    # kink left first, second kink later
+    (4.0, _steps(-1.0, 1.5)),      # no kink (and so a second one) first
+    (4.0, _steps(0.0, -0.245)),    # the first failure in the middle
+    (2.0, cosine_bump(0.0, 1.0)),  # r max|wdot| = 0.94 at R = 2
+])
+def test_vertical_variation_tube_errors_at_the_first_failing_node(R, w):
+    quad = QuadratureSpec(16, (4, 1))
+    with pytest.raises(TubeTooSmall) as want:
+        _node_loop_area(R, w, 1.0, quad)
+    with pytest.raises(TubeTooSmall) as got:
+        vertical_variation_area(R, w, 1.0, quad)
+    assert str(got.value) == str(want.value)
+
+
+def test_vertical_variation_area_matches_the_node_loop():
+    quad = QuadratureSpec(16, (16, 1))
+    for R, w, r in ((2.0, cosine_bump(0.0, 1.0), 0.1), (0.7, smooth_bump(0.2, 0.6), -0.05),
+                    (4.0, plateau_ramp(0.3, 0.4), 0.05)):
+        want = _node_loop_area(R, w, r, quad)
+        assert abs(vertical_variation_area(R, w, r, quad) - want) <= 1e-15 * want
+
+
 def test_boundary_flux():
     phi = cosine_bump(0.0, 1.0)
     ones = Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0))
@@ -714,6 +794,25 @@ def test_boundary_flux():
     assert boundary_flux(2.0, zero_v, 1e-3, quad) == 0.0
     with pytest.raises(ValueError):
         boundary_flux(2.0, v, 0.3, quad)
+
+
+def test_boundary_flux_cut_at_kinks():
+    # the flux is a fixed multiple of int v(eps)^2 deps, which for the ramp is
+    # 2 (k + delta/3); cells straddling the corners at +-k missed it by 2.9e-6
+    ones = Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0))
+    flat = separable(Profile(lambda e: 1.0, lambda e: 0.0, (-0.7, 0.7)), ones)
+    ramp = separable(plateau_ramp(0.3, 0.4), ones)
+    quad = QuadratureSpec(16, (32, 1))
+    ratio = boundary_flux(2.0, ramp, 1e-2, quad) / boundary_flux(2.0, flat, 1e-2, quad)
+    assert abs(1.4 * ratio - 2.0 * (0.3 + 0.4 / 3.0)) <= 1e-14
+
+
+def test_boundary_flux_refuses_a_reversed_support():
+    # integrated from 1 to -1, every term would change sign
+    v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
+    reversed_v = stability.TestFunction(v.jet, ((1.0, -1.0), v.support[1]))
+    with pytest.raises(ValueError, match="require a <= b"):
+        boundary_flux(2.0, reversed_v, 1e-3, QuadratureSpec(16, (32, 1)))
 
 
 def test_bzs_monotone_to_minus_one():
