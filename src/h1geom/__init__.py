@@ -18,7 +18,7 @@ from .geodesics import (GeodesicArc, JacobiFields, JacobiSample, exp_geodesic, e
                         helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_2d)
-from .stability import (InstabilityCertificate, Profile,
+from .stability import (InstabilityCertificate, Profile, RulingFrame,
                         TestFunction, boundary_flux, bracket_integral,
                         certify_instability_h2, certify_instability_nosing,
                         direct_variations, index_form_I, jacobi_vertical_quadratic,

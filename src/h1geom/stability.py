@@ -37,7 +37,7 @@ from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_array_1d,
                        integrate_cells, kahan_sum, raise_first_failure, richardson,
                        stencil_d1, stencil_nodes)
-from .surfaces import (CatenoidRulingChart, Chart, SeedRuledChart, area_density,
+from .surfaces import (CatenoidRulingChart, Chart, HelicoidChart, SeedRuledChart, area_density,
                        curve_samples, is_batch, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,10 @@ class TestFunction:
     kinks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
     sep: Optional[tuple[Profile, Profile]] = None
 
+    def __post_init__(self):  # reversed or nan, a support would read as the zero function's
+        if len(self.support) != 2 or not all(len(i) == 2 and i[0] <= i[1] for i in self.support):
+            raise ValueError(f"test function support {self.support} is not two intervals")
+
     def _at(self, i: int, u1: float, u2: float) -> float:
         return float(self.jet(np.array([u1], dtype=float), np.array([u2], dtype=float))[i][0])
 
@@ -209,8 +213,7 @@ class TestFunction:
 
 
 def _is_zero(f: TestFunction) -> bool:
-    (s1, s2) = f.support
-    return s1[0] >= s1[1] or s2[0] >= s2[1]
+    return any(lo == hi for lo, hi in f.support)  # a support is two intervals
 
 
 def _support_union(fs: Sequence[TestFunction]) -> Rect:
@@ -444,24 +447,20 @@ def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
     phi leaves the chart domain, and ``ValueError`` on a chart that
     declares no ruling coefficients.
     """
-    coeffs = getattr(chart, "ruling_coefficients", None)
-    if coeffs is None:
-        raise ValueError(f"{type(chart).__name__} declares no ruling coefficients")
+    tp, b, c0 = _ruling_coefficients(chart)
     _require_inside(chart, (psi.support, phi.support))
-    tp, b, c0 = coeffs
-    C = lambda s: (tp * s + 2.0 * b) * s + c0
     # C is monotone on each side of its vertex, so on [lo, hi] its values run
     # between those at lo, at hi and at the vertex when the vertex is inside
     lo, hi = psi.support
     ends = [lo, hi] + ([-b / tp] if tp != 0.0 and lo < -b / tp < hi else [])
-    vals = [C(s) for s in ends]
+    vals = [RulingFrame(chart, s).C for s in ends]
     if min(vals) <= 0.0 <= max(vals):
         raise SingularPoint(f"C(s) = {tp!r} s^2 + {2.0 * b!r} s + {c0!r} has a root in psi's "
                             f"support [{lo!r}, {hi!r}] on {type(chart).__name__}")
     pot = 4.0 * (b * b - tp * c0)
 
     def along(s: np.ndarray) -> np.ndarray:
-        c = np.abs(C(s))
+        c = np.abs(RulingFrame(chart, s).C)
         d = psi.derivs(s)
         # grouped so that no product leaves the scale of the result
         return c * d * d + pot / c * psi.values(s) ** 2
@@ -469,8 +468,36 @@ def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
     a_lo, a_hi = phi.support
     across = integrate_array_1d(lambda a: phi.values(a) ** 2, a_lo, a_hi,
                                 quad.points_per_cell, quad.cells[1], phi.breakpoints)
-    return across * integrate_array_1d(along, lo, hi, quad.points_per_cell, quad.cells[0],
-                                       psi.breakpoints)
+    return across * _profile_integral(psi, along, quad)
+
+
+def _ruling_coefficients(chart: SeedRuledChart) -> tuple[float, float, float]:
+    if getattr(chart, "ruling_coefficients", None) is None:
+        raise ValueError(f"{type(chart).__name__} declares no ruling coefficients")
+    return chart.ruling_coefficients
+
+
+class RulingFrame:
+    """The frame at ruling parameter s (a float or an array) of a seed chart
+    with ruling coefficients (th', b, c0), each entry computed when read: with
+    C = th' s^2 + 2 b s + c0, L = b + th' s, Delta = th' c0 - b^2 and the area
+    density W = hypot(C, L), |N_h| = |C|/W, <N,T> = L/W, <B(Z),S> = 1 - (L^2 -
+    Delta)/W^2 and q = weight C^2/W^4 with weight = th'^2 + 4 Delta."""
+
+    def __init__(self, chart: SeedRuledChart, s):
+        self.tp, self.b, self.c0 = _ruling_coefficients(chart)
+        self.s = s
+
+    C = functools.cached_property(lambda d: (d.tp * d.s + 2.0 * d.b) * d.s + d.c0)
+    L = functools.cached_property(lambda d: d.b + d.tp * d.s)
+    W = functools.cached_property(
+        lambda d: (np.hypot if isinstance(d.s, np.ndarray) else math.hypot)(d.C, d.L))
+    delta = property(lambda d: d.tp * d.c0 - d.b * d.b)
+    weight = property(lambda d: d.tp * d.tp + 4.0 * d.delta)
+    Nh = property(lambda d: abs(d.C) / d.W)
+    NT = property(lambda d: d.L / d.W)
+    BZS = property(lambda d: 1.0 - (d.L * d.L - d.delta) / (d.W * d.W))
+    q = property(lambda d: d.weight * d.C * d.C / d.W ** 4)
 
 
 VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
@@ -546,32 +573,9 @@ def first_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,
 # Helicoid closed forms and the singular quadratic form Q
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HelicoidPointData:
-    f: float
-    W: float
-    Nh: float
-    NT: float
-    BZS: float
-    q: float
-
-
-def _helicoid_f_w(R: float, s, m):
-    """f = 1/R - R s^2 and W = hypot(f, R s) of the pitch-R helicoid, at a
-    float s (``m`` is ``math``) or an array of s (``m`` is ``numpy``)."""
-    f = 1.0 / R - R * s * s
-    return f, m.hypot(f, R * s)
-
-
-def helicoid_closed_forms(R: float, s: float) -> HelicoidPointData:
-    """Closed forms of the frame quantities of the pitch-R helicoid at
-    ruling parameter s (independent of the angle coordinate)."""
-    f, w = _helicoid_f_w(R, s, math)
-    nh = abs(f) / w
-    nt = -R * s / w
-    bzs = 1.0 - (1.0 + R * R * s * s) / (w * w)
-    q = (R * R - 4.0) * f * f / w ** 4
-    return HelicoidPointData(f, w, nh, nt, bzs, q)
+def helicoid_closed_forms(R: float, s: float) -> RulingFrame:
+    """``RulingFrame`` of ``HelicoidChart(R)``."""
+    return RulingFrame(HelicoidChart(R), s)
 
 
 def bracket_integral(k: float, delta: float) -> float:
@@ -632,31 +636,35 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
     coordinate is arclength on both singular helices s = +-1/R.  ``u`` must
     be separable with the s-factor flat (``Profile.flat_on``) on the windows
     of half-width TUBE_MARGIN * 2/R around the singular helices.
+    ``ValueError`` on an R that ``HelicoidChart`` refuses.
     """
+    chart = HelicoidChart(R)
     if u.sep is None:
         raise TubeConditionViolated("q_form requires a separable test function")
     phi, psi = u.sep
     _check_tube(psi, R)
-    if abs(helicoid_closed_forms(R, 1.0 / R).W - 1.0) > 1e-12:
+    helix = RulingFrame(chart, 1.0 / R)
+    if abs(helix.W - 1.0) > 1e-12:
         raise NonFiniteValue("singular helix is not arclength-parameterized")
 
     int_phi2 = _profile_integral(phi, lambda e: phi.values(e) ** 2, quad)
     int_dphi2 = _profile_integral(phi, lambda e: phi.derivs(e) ** 2, quad)
 
-    # ramp term: |N_h|^{-1} Z(u)^2 dA = (W^2/|f|) (du/ds)^2 deps ds
+    # ramp term: |N_h|^{-1} Z(u)^2 dA = (W^2/|C|) (du/ds)^2 deps ds
     def ramp(s: np.ndarray) -> np.ndarray:
-        f, w = _helicoid_f_w(R, s, np)
-        return w * w / abs(f) * psi.derivs(s) ** 2
+        d = RulingFrame(chart, s)
+        return d.W * d.W / abs(d.C) * psi.derivs(s) ** 2
 
     def pot(s: np.ndarray) -> np.ndarray:
-        f, w = _helicoid_f_w(R, s, np)
-        return abs(f) / (w * w) * psi.values(s) ** 2
+        d = RulingFrame(chart, s)
+        return abs(d.C) / (d.W * d.W) * psi.values(s) ** 2
 
-    # cells never straddle a singular helix; the ramp term is 0 where psi is flat
+    # cells never straddle a singular helix; the ramp term is 0 where psi is
+    # flat, and the potential term where q's weight R^2 - 4 is (at R = 2)
     helices = (1.0 / R, -1.0 / R)
     t1 = int_phi2 * _profile_integral(psi, ramp, quad, helices)
-    t2 = (-(R * R - 4.0) * int_phi2 * _profile_integral(psi, pot, quad, helices)
-          if R != 2.0 else 0.0)
+    t2 = (-helix.weight * int_phi2 * _profile_integral(psi, pot, quad, helices)
+          if helix.weight != 0.0 else 0.0)
     trace2 = psi.value(1.0 / R) ** 2 + psi.value(-1.0 / R) ** 2
     t3 = -4.0 * trace2 * int_phi2
     t4 = trace2 * int_dphi2
@@ -840,12 +848,9 @@ NOSING_PHI = cosine_bump(0.0, 1.0)
 def ruled_index_value(lam: float, quad: QuadratureSpec) -> float:
     """I(u, u) on ``CatenoidRulingChart(lam)`` for u = |N_h| psi(s) phi(a),
     with psi = cosine_bump(0, 2|lam|) along the rulings and phi =
-    ``NOSING_PHI`` across them: the ``ruling_form`` with C = s^2 + lam^2,
-
-        int phi^2 da * ( int (s^2 + lam^2) psi'^2 ds - 4 lam^2 int psi^2 / (s^2 + lam^2) ds ),
-
-    which has no real root, no cancellation and no layer at the waist; it
-    is |lam| times a number that does not depend on lam.
+    ``NOSING_PHI`` across them: the ``ruling_form`` with C = s^2 + lam^2 and
+    4 (b^2 - th' c0) = -4 lam^2, which has no real root, no cancellation and
+    no layer at the waist; it is |lam| times a number that does not depend on lam.
     """
     return ruling_form(CatenoidRulingChart(lam), cosine_bump(0.0, 2.0 * abs(lam)),
                        NOSING_PHI, quad)
@@ -892,8 +897,9 @@ def vertical_variation_area(R: float, w: Profile, r: float,
     of the quadratic, so each s-piece integrates exactly.  TubeTooSmall is
     raised at the first eps node where the deformation has no real kink, a
     second kink enters the window, or the kink leaves it, in that order.
+    ``ValueError`` on an R that ``HelicoidChart`` refuses.
     """
-    h, s0 = -R, TUBE_S0
+    h, s0 = -HelicoidChart(R).R, TUBE_S0  # the chart refuses an R that no helicoid has
 
     def prim(s, rw):
         return h * s ** 3 / 3.0 - s * s + rw * s
@@ -934,7 +940,9 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     and mu the vertical-deformation counterpart with w = v/<N,T>; eta is
     the outward conormal.  As sigma -> 0 the total tends to
     4 int_{singular} v^2 dl.  The eps-integral is cut at v's kinks.
+    ``ValueError`` on an R that ``HelicoidChart`` refuses.
     """
+    chart = HelicoidChart(R)
     if not (0.0 < sigma < 1.0 / (2.0 * R)):
         raise ValueError("sigma must lie in (0, 1/(2R))")
     (lo, hi) = v.support[0]
@@ -946,7 +954,7 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
     total = []
     for s_curve, sgn in ((1.0 / R, -1.0), (-1.0 / R, 1.0)):
         for level in (s_curve - sigma, s_curve + sigma):
-            d = helicoid_closed_forms(R, level)
+            d = RulingFrame(chart, level)
             xi = d.NT * (1.0 - d.BZS)
             mu = d.Nh * d.Nh * (1.0 - 3.0 * d.BZS) / d.NT
             total.append(sgn * (xi + mu) * d.W * eps_integral(level))

@@ -8,6 +8,7 @@ asserts them individually.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -27,10 +28,10 @@ from .geodesics import (EPS_STEP, GeodesicArc, covariant_derivative_along, exp_g
                         straight_line_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
                        gauss_legendre_1d, integrate_cells)
-from .stability import (Profile, boundary_flux_extrapolated,
+from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
-                        cosine_bump, direct_variations, helicoid_closed_forms,
+                        cosine_bump, direct_variations,
                         index_form_I, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
                         l_nh_closed, l_nh_of_frame,
                         operator_L, q_form, ruling_form, separable, smooth_bump,
@@ -394,16 +395,6 @@ def check_semigroup() -> CheckResult:
     return CheckResult("geodesic_semigroup", "flow restarted at gamma(s1) matches", worst, 1e-9)
 
 
-def _helicoid_ruling_family(R: float):
-    def alpha(e: float) -> Point:
-        return Point(0.0, 0.0, e / R)
-
-    def u_of(e: float) -> FrameVector:
-        return euclidean_to_frame(alpha(e), (math.sin(R * e), math.cos(R * e), 0.0))
-
-    return alpha, u_of
-
-
 def check_jacobi_trivial() -> CheckResult:
     alpha = lambda e: Point(0.0, e, 0.0)
     u_of = lambda e: FrameVector(0.0, 1.0, 0.0, alpha(e))
@@ -418,7 +409,9 @@ def check_jacobi_trivial() -> CheckResult:
 
 
 def check_jacobi_helicoid() -> tuple[CheckResult, CheckResult, CheckResult]:
-    alpha, u_of = _helicoid_ruling_family(2.0)
+    # the rulings of the pitch-2 helicoid's seed: the point at s = 0 and F_s
+    jet = functools.partial(HelicoidChart(2.0).jet, 0.0)
+    alpha, u_of = (lambda e: jet(e).p), (lambda e: euclidean_to_frame(jet(e).p, jet(e).f1))
     worst_eq = 0.0
     worst_comm = 0.0
     for eps, s in ((0.0, 0.3), (0.5, -0.8), (-0.4, 1.5)):
@@ -559,7 +552,7 @@ def check_helicoid_closed_forms() -> CheckResult:
         chart = HelicoidChart(R)
         for s, e in _GRID["helicoid"]:
             fr = surface_frame(chart, (s, e))
-            d = helicoid_closed_forms(R, s)
+            d = RulingFrame(chart, s)
             worst_frame = max(worst_frame, abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT),
                               abs(fr.BZS - d.BZS), abs(fr.riem_area - d.W))
     return CheckResult("helicoid_frame_closed_forms",
@@ -568,11 +561,9 @@ def check_helicoid_closed_forms() -> CheckResult:
 
 def check_helicoid_q_closed_forms() -> tuple[CheckResult, CheckResult]:
     worst_q2 = max(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"])
-    worst_q1 = 0.0
-    chart1 = HelicoidChart(1.0)
-    for s, e in _GRID["helicoid"]:
-        fr = surface_frame(chart1, (s, e))
-        worst_q1 = max(worst_q1, abs(fr.q - helicoid_closed_forms(1.0, s).q))
+    hel1 = HelicoidChart(1.0)
+    worst_q1 = max(abs(surface_frame(hel1, u).q - RulingFrame(hel1, u[0]).q)
+                   for u in _GRID["helicoid"])
     return (CheckResult("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", worst_q2, 1e-8),
             CheckResult("q_closed_form_R1", "q = (R^2-4) f^2 / W^4 at R=1", worst_q1, 1e-6))
 
@@ -897,8 +888,8 @@ def check_boundary_flux() -> tuple[CheckResult, CheckResult]:
     rel = abs(extrap - target) / target
 
     worst_mono = 1.0
-    vals_out = [helicoid_closed_forms(2.0, 0.5 + s).BZS for s in (1e-2, 1e-3, 1e-4)]
-    vals_in = [helicoid_closed_forms(2.0, 0.5 - s).BZS for s in (1e-2, 1e-3, 1e-4)]
+    vals_out = [RulingFrame(HelicoidChart(2.0), 0.5 + s).BZS for s in (1e-2, 1e-3, 1e-4)]
+    vals_in = [RulingFrame(HelicoidChart(2.0), 0.5 - s).BZS for s in (1e-2, 1e-3, 1e-4)]
     if (vals_out[0] > vals_out[1] > vals_out[2] > -1.0
             and vals_in[0] < vals_in[1] < vals_in[2] < -1.0):
         worst_mono = 0.0
@@ -912,7 +903,7 @@ def check_singular_curve_geometry() -> CheckResult:
     worst = 0.0
     for R in (1.0, 2.0):
         hel = HelicoidChart(R)
-        worst = max(worst, abs(helicoid_closed_forms(R, 1.0 / R).W - 1.0))
+        worst = max(worst, abs(RulingFrame(hel, 1.0 / R).W - 1.0))
         # planar curvature of the xy-projection of the singular helix
         spec = DiffSpec(1e-4, 0)
         for s0 in (1.0 / R, -1.0 / R):

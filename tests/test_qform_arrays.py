@@ -18,7 +18,7 @@ from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, gauss_nodes_1d,
 from h1geom.stability import (H2_QUAD, TUBE_MARGIN, Profile, _check_tube,
                               cos_arch, cosine_bump, first_variation_direct,
                               h2_certificate_test_function,
-                              helicoid_closed_forms, plateau_ramp, q_form,
+                              plateau_ramp, q_form,
                               second_variation_direct, separable, smooth_bump,
                               zero_function)
 from h1geom.surfaces import CatenoidChart
@@ -40,13 +40,23 @@ def _scalar_profile_integral(p, fn, quad):
                       for lo, hi, n in split_cells(_profile_cuts(p), quad.cells[0])])
 
 
+def _helicoid_f_w(R: float, s, m):
+    """f = 1/R - R s^2 and W = hypot(f, R s) of the pitch-R helicoid, at a
+    float s (``m`` is ``math``) or an array of s (``m`` is ``numpy``): the
+    hand-written helicoid frame that ``q_form`` read, verbatim, so this
+    reference does not read the ruling closed form it checks."""
+    f = 1.0 / R - R * s * s
+    return f, m.hypot(f, R * s)
+
+
 def _scalar_q_form(R, u, quad):
-    """The scalar ``q_form`` the array path replaces, verbatim."""
+    """The scalar ``q_form`` the array path replaces, verbatim, with its
+    frame from ``_helicoid_f_w``."""
     if u.sep is None:
         raise TubeConditionViolated("q_form requires a separable test function")
     phi, psi = u.sep
     _check_tube(psi, R)
-    if abs(helicoid_closed_forms(R, 1.0 / R).W - 1.0) > 1e-12:
+    if abs(_helicoid_f_w(R, 1.0 / R, math)[1] - 1.0) > 1e-12:
         raise NonFiniteValue("singular helix is not arclength-parameterized")
 
     int_phi2 = _scalar_profile_integral(phi, lambda e: phi.value(e) ** 2, quad)
@@ -54,8 +64,8 @@ def _scalar_q_form(R, u, quad):
 
     # ramp term: |N_h|^{-1} Z(u)^2 dA = (W^2/|f|) (du/ds)^2 deps ds
     def ramp(s: float) -> float:
-        d = helicoid_closed_forms(R, s)
-        return d.W * d.W / abs(d.f) * psi.deriv(s) ** 2
+        f, w = _helicoid_f_w(R, s, math)
+        return w * w / abs(f) * psi.deriv(s) ** 2
 
     cuts = sorted({*_profile_cuts(psi), *(c for c in (1.0 / R, -1.0 / R)
                                   if psi.support[0] < c < psi.support[1])})
@@ -68,8 +78,8 @@ def _scalar_q_form(R, u, quad):
             ramp_parts.append(gauss_legendre_1d(ramp, lo, hi, spec))
         if R != 2.0:
             def pot(s: float) -> float:
-                d = helicoid_closed_forms(R, s)
-                return abs(d.f) / (d.W * d.W) * psi.value(s) ** 2
+                f, w = _helicoid_f_w(R, s, math)
+                return abs(f) / (w * w) * psi.value(s) ** 2
             pot_parts.append(gauss_legendre_1d(pot, lo, hi, spec))
 
     t1 = int_phi2 * kahan_sum(ramp_parts)

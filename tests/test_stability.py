@@ -12,7 +12,7 @@ from h1geom.errors import (CertificateNotFound, ConfigError, NonFiniteValue, Sin
 from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, gauss_nodes_1d, integrate_2d,
                              integrate_array_1d, kahan_sum, split_cells)
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUBE_S0,
-                              InstabilityCertificate, Profile, boundary_flux,
+                              InstabilityCertificate, Profile, RulingFrame, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
                               bracket_integral_quadrature,
                               certify_instability_h2,
@@ -23,7 +23,8 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUB
                               helicoid_closed_forms, index_form_I,
                               jacobi_vertical_quadratic, l_nh_closed,
                               operator_L, plateau_ramp, q_form,
-                              ruled_index_value, ruling_form, scaled_helicoid_certificate,
+                              ruled_index_value, ruling_form,
+                              scaled_helicoid_certificate,
                               second_variation_direct, separable, smooth_bump, times_nh,
                               vertical_variation_area,
                               tangent_derivative, vertical_variation_second_difference,
@@ -435,6 +436,14 @@ def test_h2_certificate():
     assert cert.Q_value_doubled < 0.0
 
 
+
+def test_h2_certificate_is_pinned_bitwise():
+    # Q at the rule and at its doubling, to the last bit: a change to the
+    # closed frame the q_form integrands read shows here first
+    cert = certify_instability_h2()
+    assert cert.Q_value.hex() == "-0x1.542ddb89414c8p-2"
+    assert cert.Q_value_doubled.hex() == "-0x1.542ddb8941488p-2"
+
 def test_certificate_serialization_roundtrip():
     cert = certify_instability_h2()
     text = cert.to_text()
@@ -574,6 +583,79 @@ def test_ruling_form_needs_ruling_coefficients():
     with pytest.raises(SupportOutsideDomain):
         ruling_form(VerticalPlaneChart(), cosine_bump(0.0, 1.5), cosine_bump(0.0, 0.5), QUAD44)
 
+
+
+@pytest.mark.parametrize("chart, S", [
+    (VerticalPlaneChart(), np.linspace(-0.9, 0.9, 7)),
+    (ParaboloidChart(), np.array([-0.9, -0.5, -0.1, 0.2, 0.6, 0.95])),  # clear of x = 0
+    (HEL2, np.array([-0.9, -0.7, -0.3, 0.0, 0.2, 0.45, 0.55, 0.9])),  # clear of s = +-1/2
+    (HelicoidChart(0.7), np.array([-2.5, -1.0, 0.3, 1.2, 1.6, 2.8])),
+    (CatenoidRulingChart(1.0), np.array([-5.0, -1.3, -0.2, 0.0, 0.4, 1.0, 3.7])),
+    (CatenoidRulingChart(-2.5), 2.5 * np.array([-5.0, -1.3, -0.2, 0.0, 0.4, 1.0, 3.7])),
+    (CatenoidRulingChart(1e3), 1e3 * np.array([-5.0, -1.3, -0.2, 0.0, 0.4, 1.0, 3.7])),
+], ids=["vertical_plane", "t=xy", "helicoid2", "helicoid0.7", "catenoid1", "catenoid-2.5",
+        "catenoid1e3"])
+def test_ruling_frame_matches_the_frame_kernel(chart, S):
+    # the frame from the three ruling coefficients alone, against the frame
+    # kernel on every ruling of a 5-ruling grid, relative with a floor of 1
+    lo, hi = chart.domain[1]
+    SS, AA = (g.ravel() for g in np.meshgrid(S, np.linspace(max(lo, -3.0), min(hi, 3.0), 5)))
+    fr = surface_frames(chart, SS, AA)
+    d = RulingFrame(chart, SS)
+    for got, want in ((d.Nh, fr.Nh_norm), (d.NT, fr.NT), (d.W, fr.riem_area),
+                      (d.BZS, fr.BZS), (d.q, fr.q)):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    # the scalar view is the array's, point by point
+    for i in (0, len(S) // 2, len(S) - 1):
+        one = RulingFrame(chart, float(S[i]))
+        assert abs(one.q - d.q[i]) <= 1e-15 * max(1.0, abs(one.q))
+        assert one.C == d.C[i] and one.L == d.L[i]
+
+
+def test_ruling_frame_has_no_potential_at_pitch_2():
+    # th'^2 + 4 (th' c0 - b^2) = R^2 - 4: exactly 0.0 at R = 2, so q_form
+    # skips its potential term there with no pitch test
+    assert RulingFrame(HEL2, 0.3).weight == 0.0
+    assert RulingFrame(HEL2, np.array([0.1, 0.3, 0.9])).q.tolist() == [0.0, 0.0, 0.0]
+    assert RulingFrame(HelicoidChart(1.0), 0.3).weight == -3.0
+    with pytest.raises(ValueError, match="declares no ruling coefficients"):
+        RulingFrame(CAT, 0.3)
+
+
+@pytest.mark.parametrize("R", [-2.0, 0.0, math.inf, math.nan, 1e-320])
+def test_helicoid_functions_refuse_a_pitch_no_helicoid_has(R):
+    # each refuses, with HelicoidChart's one ValueError, every R that
+    # HelicoidChart refuses, before any numpy warning
+    quad = QuadratureSpec(16, (16, 1))
+    u = separable(cosine_bump(0.0, 1.0), cosine_bump(0.0, 0.3))
+    v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
+    w = cosine_bump(0.0, 1.0)
+    calls = [lambda: q_form(R, u, quad), lambda: helicoid_closed_forms(R, 0.3),
+             lambda: boundary_flux(R, v, 1e-3, quad),
+             lambda: boundary_flux_extrapolated(R, v, quad),
+             lambda: vertical_variation_area(R, w, 0.0, quad),
+             lambda: vertical_variation_second_difference(R, w, quad)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=r"R must be positive and finite, and pi/R finite"):
+                call()
+
+
+@pytest.mark.parametrize("support", [
+    ((2.2, 0.8), (-0.2, 0.8)), ((0.8, 2.2), (0.8, -0.2)), ((math.nan, 2.2), (-0.2, 0.8)),
+    ((0.8, 2.2), (-0.2, math.nan)), ((0.8, 2.2),), ((0.8, 2.2), (-0.2, 0.8), (0.0, 1.0)),
+    ((0.8,), (-0.2, 0.8)),
+])
+def test_test_functions_refuse_a_support_that_is_not_two_intervals(support):
+    # reversed, the u1-support (2.2, 0.8) read as the zero function: I(v, v)
+    # was 0.0 where the forward support gives 3.5865, and A'' 0.0
+    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    with pytest.raises(ValueError, match="is not two intervals"):
+        stability.TestFunction(v.jet, support)
+    assert stability.TestFunction(v.jet, stability.EMPTY_SUPPORT).support == \
+        stability.EMPTY_SUPPORT
+    assert abs(index_form_I(CAT, v, v, QUAD44) - 3.5865) <= 1e-4
 
 @pytest.mark.parametrize("lam", [1e-3, 0.25, 1.0, -1.5, 4.0])
 def test_nosing_certificate_makes_one_cut_pass_per_resolution(monkeypatch, lam):
@@ -808,10 +890,11 @@ def test_boundary_flux_cut_at_kinks():
 
 
 def test_boundary_flux_refuses_a_reversed_support():
-    # integrated from 1 to -1, every term would change sign
+    # integrated from 1 to -1, every term would change sign; the test
+    # function itself refuses the reversed support
     v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
-    reversed_v = stability.TestFunction(v.jet, ((1.0, -1.0), v.support[1]))
-    with pytest.raises(ValueError, match="require a <= b"):
+    with pytest.raises(ValueError, match="is not two intervals"):
+        reversed_v = stability.TestFunction(v.jet, ((1.0, -1.0), v.support[1]))
         boundary_flux(2.0, reversed_v, 1e-3, QuadratureSpec(16, (32, 1)))
 
 
