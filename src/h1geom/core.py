@@ -18,6 +18,7 @@ values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -29,11 +30,11 @@ Vec3 = tuple[float, float, float]
 
 
 def _finite3(v: Sequence[float], what: str) -> None:
-    if not all(math.isfinite(c) for c in v):
+    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
         raise NonFiniteValue(f"non-finite {what}: {tuple(v)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point of the group in Euclidean coordinates."""
 
@@ -51,7 +52,7 @@ class Point:
 ORIGIN = Point(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameVector:
     """A tangent vector at ``base`` with frame coefficients (a, b, c)."""
 
@@ -340,10 +341,15 @@ def covariant_derivative(U: FieldOrVector, V: FrameField, p: Point) -> FrameVect
 
 
 def covariant_field(U: FrameField, V: FrameField) -> FrameField:
-    """The field p -> D_U V(p), with finite-difference coefficient gradients."""
-    def coeff(k: int):
-        return lambda p: covariant_derivative(U, V, p).coeffs()[k]
-    return FrameField(coeff(0), coeff(1), coeff(2))
+    """The field p -> D_U V(p), with finite-difference coefficient gradients.
+
+    Its three coefficients share one evaluation of D_U V per point, which the
+    field keeps for its lifetime: differencing the field at a point costs one
+    ``covariant_derivative`` per stencil node, however often it is asked.
+    Points key it by value, so 0.0 and -0.0 share an entry.
+    """
+    at = functools.cache(lambda p: covariant_derivative(U, V, p).coeffs())
+    return FrameField(*(lambda p, k=k: at(p)[k] for k in range(3)))
 
 
 def lie_bracket(U: FrameField, V: FrameField, p: Point) -> FrameVector:

@@ -420,9 +420,9 @@ def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
 
     def integrand(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         fr = surface_frames(chart, U1, U2)
+        z1, z2 = fr.z_chart  # the shape terms first, while no jet of u or v is held
         u, ud1, ud2 = uf.jet(U1, U2, (chart, fr))
         v, vd1, vd2 = (u, ud1, ud2) if vf is uf else vf.jet(U1, U2, (chart, fr))
-        z1, z2 = fr.z_chart
         zu = z1 * ud1 + z2 * ud2
         zv = z1 * vd1 + z2 * vd2
         return (zu * zv - fr.q * u * v) / fr.Nh_norm * fr.riem_area
@@ -486,6 +486,7 @@ class RulingFrame:
 
     def __init__(self, chart: SeedRuledChart, s):
         self.tp, self.b, self.c0 = _ruling_coefficients(chart)
+        self.chart = chart
         self.s = s
 
     C = functools.cached_property(lambda d: (d.tp * d.s + 2.0 * d.b) * d.s + d.c0)
@@ -497,7 +498,20 @@ class RulingFrame:
     Nh = property(lambda d: abs(d.C) / d.W)
     NT = property(lambda d: d.L / d.W)
     BZS = property(lambda d: 1.0 - (d.L * d.L - d.delta) / (d.W * d.W))
-    q = property(lambda d: d.weight * d.C * d.C / d.W ** 4)
+
+    @property
+    def q(d):
+        """q, or ``NonFiniteValue`` naming the chart and the first s where q
+        or W^4 overflows, as it does far out on charts far from scale 1."""
+        with np.errstate(all="ignore"):
+            try:
+                w4 = d.W ** 4
+            except OverflowError:  # a float raises; numpy returns inf
+                w4 = math.inf
+            q = d.weight * d.C * d.C / w4
+        raise_first_failure((~(np.isfinite(w4) & np.isfinite(q)), lambda i: NonFiniteValue(
+            f"q overflows at s = {float(np.ravel(d.s)[i])!r} on {d.chart!r}")))
+        return q
 
 
 VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
@@ -660,11 +674,16 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
         return abs(d.C) / (d.W * d.W) * psi.values(s) ** 2
 
     # cells never straddle a singular helix; the ramp term is 0 where psi is
-    # flat, and the potential term where q's weight R^2 - 4 is (at R = 2)
+    # flat, and the potential term where q's weight R^2 - 4 is (at R = 2).
+    # At pitches far from 1, W^2 overflows and a sample is not finite.
     helices = (1.0 / R, -1.0 / R)
-    t1 = int_phi2 * _profile_integral(psi, ramp, quad, helices)
-    t2 = (-helix.weight * int_phi2 * _profile_integral(psi, pot, quad, helices)
-          if helix.weight != 0.0 else 0.0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t1 = int_phi2 * _profile_integral(psi, ramp, quad, helices)
+            t2 = (-helix.weight * int_phi2 * _profile_integral(psi, pot, quad, helices)
+                  if helix.weight != 0.0 else 0.0)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"helicoid form at R={R!r} is not finite: {exc}") from None
     trace2 = psi.value(1.0 / R) ** 2 + psi.value(-1.0 / R) ** 2
     t3 = -4.0 * trace2 * int_phi2
     t4 = trace2 * int_dphi2
@@ -958,6 +977,8 @@ def boundary_flux(R: float, v: TestFunction, sigma: float,
             xi = d.NT * (1.0 - d.BZS)
             mu = d.Nh * d.Nh * (1.0 - 3.0 * d.BZS) / d.NT
             total.append(sgn * (xi + mu) * d.W * eps_integral(level))
+    if not all(map(math.isfinite, total)):  # at pitches far from 1, W^2 overflows
+        raise NonFiniteValue(f"boundary flux at R={R!r} is not finite: {total!r}")
     return kahan_sum(total)
 
 

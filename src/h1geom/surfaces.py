@@ -18,6 +18,7 @@ singular locus.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,7 +34,7 @@ from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_di
 SINGULAR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChartJet:
     """Euclidean partials of the immersion at one parameter point."""
 
@@ -163,30 +164,52 @@ class SurfaceFrame:
         return self.Z is not None
 
 
-@dataclass(frozen=True)
 class SurfaceFrames:
     """The package of ``SurfaceFrame`` at N chart points, as arrays.
 
     ``points`` are the base points and ``N`` the frame coefficients of the
-    unit normal; characteristic entries are NaN where ``regular`` is False.
+    unit normal; with ``Nh_norm``, ``NT``, ``riem_area`` and ``regular`` they
+    are read off the frame head.  The characteristic entries (``BZZ``,
+    ``BZS``, ``BSS``, ``H``, ``HR``, ``q``, ``z_chart``, ``s_chart``, ``dNh``
+    and ``dNT``) are computed together when one of them is first read, and
+    are NaN where ``regular`` is False.
     """
 
-    points: Arr3
-    N: Arr3
-    Nh_norm: np.ndarray
-    NT: np.ndarray
-    riem_area: np.ndarray
-    BZZ: np.ndarray
-    BZS: np.ndarray
-    BSS: np.ndarray
-    H: np.ndarray
-    HR: np.ndarray
-    q: np.ndarray
-    z_chart: tuple[np.ndarray, np.ndarray]
-    s_chart: tuple[np.ndarray, np.ndarray]
-    dNh: tuple[np.ndarray, np.ndarray]
-    dNT: tuple[np.ndarray, np.ndarray]
-    regular: np.ndarray
+    def __init__(self, jet: ChartJets, c1: Arr3, c2: Arr3, w: np.ndarray, n: Arr3,
+                 nh: np.ndarray):
+        self.points = jet.p
+        self.N = n
+        self.Nh_norm = nh
+        self.NT = n[2]
+        self.riem_area = w
+        self.regular = ~(nh <= SINGULAR_TOL)
+        self._head = (jet, c1, c2)
+
+    @functools.cached_property
+    def _shape(self) -> tuple:
+        jet, c1, c2 = self._head
+        x, y, _ = jet.p
+        with np.errstate(all="ignore"):
+            _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
+                x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2,
+                self.riem_area, self.N, self.Nh_norm)
+        out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
+        singular = ~self.regular
+        if singular.any():
+            out = [np.where(singular, np.nan, a) for a in out]
+        return (*out[:6], tuple(out[6:8]), tuple(out[8:10]), tuple(out[10:12]),
+                tuple(out[12:14]))
+
+    BZZ = property(lambda fr: fr._shape[0])
+    BZS = property(lambda fr: fr._shape[1])
+    BSS = property(lambda fr: fr._shape[2])
+    H = property(lambda fr: fr._shape[3])
+    HR = property(lambda fr: fr._shape[4])
+    q = property(lambda fr: fr._shape[5])
+    z_chart = property(lambda fr: fr._shape[6])
+    s_chart = property(lambda fr: fr._shape[7])
+    dNh = property(lambda fr: fr._shape[8])
+    dNT = property(lambda fr: fr._shape[9])
 
     def N_euclidean(self) -> Arr3:
         """Euclidean components of N (``frame_to_euclidean``)."""
@@ -382,20 +405,10 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
 
     The same frame math on arrays, with the errors of ``_frame_heads``;
     with ``singular_ok`` set the characteristic entries are NaN at
-    singular points.
+    singular points.  Those entries are computed on first read
+    (``SurfaceFrames``), so they raise nothing.
     """
-    jet, c1, c2, w, n, nh = _frame_heads(chart, U1, U2, singular_ok)
-    x, y, t = jet.p
-    singular = nh <= SINGULAR_TOL
-    with np.errstate(all="ignore"):
-        _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
-            x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
-    out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
-    if singular.any():
-        out = [np.where(singular, np.nan, a) for a in out]
-    bzz, bzs, bss, h, hr, qval, z1, z2, s1, s2, dnh1, dnh2, dnt1, dnt2 = out
-    return SurfaceFrames((x, y, t), n, nh, n[2], w, bzz, bzs, bss, h, hr, qval,
-                         (z1, z2), (s1, s2), (dnh1, dnh2), (dnt1, dnt2), ~singular)
+    return SurfaceFrames(*_frame_heads(chart, U1, U2, singular_ok))
 
 
 def area_element(chart: Chart, u: tuple[float, float]) -> float:
@@ -748,6 +761,9 @@ class HelicoidChart(SeedRuledChart):
         self.domain = ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
         self.ruling_coefficients = (-R, 0.0, 1.0 / R)
 
+    def __repr__(self) -> str:
+        return f"HelicoidChart(R={self.R!r})"
+
     def _seed(self, a, m):
         R, si, co = self.R, m.sin(self.R * a), m.cos(self.R * a)
         return ((0.0, 0.0, a / R), (0.0, 0.0, 1.0 / R), (0.0, 0.0, 0.0),
@@ -804,6 +820,9 @@ class CatenoidRulingChart(SeedRuledChart):
         self.lam = lam
         self.domain = ((-math.inf, math.inf), (-math.pi, math.pi))
         self.ruling_coefficients = (1.0, 0.0, lam * lam)
+
+    def __repr__(self) -> str:
+        return f"CatenoidRulingChart(lam={self.lam!r})"
 
     def _seed(self, a, m):
         lam, co, si = self.lam, m.cos(a), m.sin(a)
@@ -872,6 +891,11 @@ class RuledChart(Chart):
     chart coordinates, cached on a fixed grid); rulings are ambient straight
     lines.  The s-partials are exact, the eps-partials use Richardson
     central differences, so jets carry ~1e-6 accuracy.
+
+    The grid is walked as far as asked: each side of ``u0`` grows by one
+    RK4 step of +-h0 when a point beyond it is first read, with the bits of
+    ``curve_samples(base, u0, eps_range, n, "S")``, so an error of the walk
+    (``StoppedAtSingular``) is raised by the first read that reaches it.
     """
 
     EPS_FD_STEP = 1e-4
@@ -886,8 +910,16 @@ class RuledChart(Chart):
         n = max(4, math.ceil(eps_range / self.GRID_STEP))
         self._h0 = eps_range / n
         self._n = n
-        self._nodes = curve_samples(base, u0, eps_range, n, "S")  # index j+n, j in [-n, n]
+        self._walks = {1.0: [u0], -1.0: [u0]}  # Gamma(+-k h0), k = 0, 1, ... walked so far
         self._cache: dict[float, tuple[float, float]] = {}
+
+    def _node(self, j: int) -> tuple[float, float]:
+        """Gamma(j h0), walking the side of j on to it one step at a time."""
+        side = 1.0 if j >= 0 else -1.0
+        walk = self._walks[side]
+        while len(walk) <= abs(j):
+            walk.append(integrate_tangent_field(self.base, walk[-1], side * self._h0, 1, "S")[-1])
+        return walk[abs(j)]
 
     def curve_chart_point(self, eps: float) -> tuple[float, float]:
         """Base-chart coordinates of Gamma(eps)."""
@@ -896,7 +928,7 @@ class RuledChart(Chart):
         j = round(eps / self._h0)
         j = max(-self._n, min(self._n, j))
         rem = eps - j * self._h0
-        u = self._nodes[j + self._n]
+        u = self._node(j)
         if rem != 0.0:
             u = integrate_tangent_field(self.base, u, rem, 1, "S")[-1]
         self._cache[eps] = u

@@ -251,6 +251,8 @@ def check_curvature_from_connection() -> CheckResult:
     fields = (X_FIELD, Y_FIELD, T_FIELD)
     worst = 0.0
     p = Point(0.5, -0.8, 0.2)
+    # D_{E_i} E_k once per (i, k): each field differences itself at p once
+    dfield = [[covariant_field(u, w) for w in fields] for u in fields]
     for i in range(3):
         for j in range(3):
             if i == j:
@@ -258,10 +260,8 @@ def check_curvature_from_connection() -> CheckResult:
             br = lie_bracket(fields[i], fields[j], p)
             br_field = FrameField.constant(*br.coeffs())
             for k in range(3):
-                duw = covariant_field(fields[i], fields[k])
-                dvw = covariant_field(fields[j], fields[k])
-                got = (covariant_derivative(fields[j], duw, p)
-                       - covariant_derivative(fields[i], dvw, p)
+                got = (covariant_derivative(fields[j], dfield[i][k], p)
+                       - covariant_derivative(fields[i], dfield[j][k], p)
                        + covariant_derivative(br_field, fields[k], p))
                 es = _frame_vectors(p)
                 want = curvature_R(es[i], es[j], es[k])
@@ -760,8 +760,9 @@ def check_indexform3() -> CheckResult:
 
         def rhs_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             fr = surface_frames(cat, a, b)
+            z1, z2 = fr.z_chart  # the shape terms first, while no jet of f is held
             fv, fd1, fd2 = f.jet(a, b)
-            zf = fr.z_chart[0] * fd1 + fr.z_chart[1] * fd2
+            zf = z1 * fd1 + z2 * fd2
             return fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
 
         rhs = integrate_cells(rhs_int, f.support, quad)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from h1geom import numerics, stability
+from h1geom import numerics, stability, surfaces
 from h1geom.core import FrameVector, Point
 from h1geom.errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
@@ -16,7 +16,7 @@ from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
-                             HelicoidChart, area, area_element, area_elements,
+                             HelicoidChart, ParaboloidChart, area, area_element, area_elements,
                              catalog_surface, _chart_velocity, dilated, ruled_coordinates,
                              rotated, surface_frame, surface_frames, translated)
 
@@ -114,6 +114,61 @@ def test_graph_partials_on_floats(name):
     quad = QuadratureSpec(4, (2, 2))
     _assert_close(area(chart, rect, quad),
                   integrate_2d(lambda a, b: area_element(chart, (a, b)), rect, quad), "area")
+
+
+def _eager_frames(chart, U1, U2, singular_ok):
+    """The shape terms as ``surface_frames`` computed them before they were
+    deferred: from the frame head, all at once, NaN at singular points."""
+    jet, c1, c2, w, n, nh = surfaces._frame_heads(chart, U1, U2, singular_ok)
+    with np.errstate(all="ignore"):
+        _, _, _, *terms, zc, sc, dnh, dnt = surfaces._shape_terms(
+            jet.p[0], jet.p[1], jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
+    out = [*terms, *zc, *sc, *dnh, *dnt]
+    singular = nh <= surfaces.SINGULAR_TOL
+    if singular.any():
+        out = [np.where(singular, np.nan, a) for a in out]
+    return dict(zip(["BZZ", "BZS", "BSS", "H", "HR", "q", "z1", "z2", "s1", "s2",
+                     "dNh1", "dNh2", "dNT1", "dNT2"], out))
+
+
+def _shape_entries(fb):
+    return dict(zip(["BZZ", "BZS", "BSS", "H", "HR", "q"],
+                    (getattr(fb, f) for f in SCALAR_FIELDS[3:])),
+                z1=fb.z_chart[0], z2=fb.z_chart[1], s1=fb.s_chart[0], s2=fb.s_chart[1],
+                dNh1=fb.dNh[0], dNh2=fb.dNh[1], dNT1=fb.dNT[0], dNT2=fb.dNT[1])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["vertical_plane", "plane", "paraboloid", "helicoid",
+                                  "catenoid", "graph"])
+def test_deferred_shape_terms_are_the_eager_ones(name):
+    charts = _charts()
+    chart, rect = (_graph_cases()["floats_only"] if name == "graph" else charts[name])
+    U1, U2 = _sample(rect, 40, 11)
+    fb = surface_frames(chart, U1, U2)
+    other = surface_frames(charts["helicoid"][0], U1 * 0.1, U2 * 0.1)  # framed in between
+    want = _eager_frames(chart, U1, U2, False)
+    got = _shape_entries(fb)
+    assert not np.isnan(got["q"]).any()
+    assert {k: _bits(v) for k, v in got.items()} == {k: _bits(v) for k, v in want.items()}
+    assert _bits(other.q) == _bits(_eager_frames(charts["helicoid"][0], U1 * 0.1, U2 * 0.1,
+                                                 False)["q"])
+
+
+def test_deferred_shape_terms_are_nan_across_the_singular_line():
+    chart = ParaboloidChart()
+    U1, U2 = (a.ravel() for a in np.meshgrid(np.linspace(-1.0, 1.0, 9), [-0.7, 0.2, 0.9]))
+    fb = surface_frames(chart, U1, U2, singular_ok=True)
+    on_line = U1 == 0.0
+    assert (fb.regular == ~on_line).all() and on_line.sum() == 3
+    got = _shape_entries(fb)
+    assert {k: _bits(v) for k, v in got.items()} == \
+        {k: _bits(v) for k, v in _eager_frames(chart, U1, U2, True).items()}
+    for v in got.values():
+        assert np.isnan(v[on_line]).all() and not np.isnan(v[~on_line]).any()
 
 
 def test_singular_semantics_helicoid():

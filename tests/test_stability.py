@@ -642,6 +642,26 @@ def test_helicoid_functions_refuse_a_pitch_no_helicoid_has(R):
                 call()
 
 
+def test_helicoid_functions_name_a_pitch_where_w_squared_overflows():
+    # pitches HelicoidChart accepts, far from 1: W^2 overflows on the
+    # test function's rulings, and each call raises NonFiniteValue naming R,
+    # where numpy warned, -inf came back or the float W ** 4 overflowed
+    quad = QuadratureSpec(16, (16, 1))
+    v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
+    calls = [(lambda: q_form(1e-200, v, quad), r"R=1e-200"),
+             (lambda: boundary_flux(1e-200, v, 1e-3 / 1e-200, quad), r"R=1e-200"),
+             (lambda: RulingFrame(HelicoidChart(1e-100), 3e99).q,
+              r"s = 3e\+99 on HelicoidChart\(R=1e-100\)"),
+             (lambda: RulingFrame(HelicoidChart(1e-60), np.array([0.0, 3e99, 4e99])).q,
+              r"s = 3e\+99 on HelicoidChart\(R=1e-60\)")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in calls:
+            with pytest.raises(NonFiniteValue, match=name):
+                call()
+        assert math.isfinite(q_form(1e-3, v, quad))  # and below overflow, Q is finite
+
+
 @pytest.mark.parametrize("support", [
     ((2.2, 0.8), (-0.2, 0.8)), ((0.8, 2.2), (0.8, -0.2)), ((math.nan, 2.2), (-0.2, 0.8)),
     ((0.8, 2.2), (-0.2, math.nan)), ((0.8, 2.2),), ((0.8, 2.2), (-0.2, 0.8), (0.0, 1.0)),
