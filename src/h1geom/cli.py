@@ -24,7 +24,7 @@ from .errors import ConfigError, GeometryError, NonFiniteValue
 from .geodesics import GeodesicArc, exp_geodesics
 from .stability import (InstabilityCertificate, certify_instability_h2,
                         certify_instability_nosing, scaled_helicoid_certificate)
-from .surfaces import catalog_surface, surface_frames
+from .surfaces import CATALOG, catalog_surface, surface_frames
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -305,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=cmd_export)
 
     ps = sub_e.add_parser("surface-grid")
-    ps.add_argument("--surface", required=True,
-                    choices=["vertical_plane", "plane", "paraboloid", "helicoid", "catenoid"])
+    ps.add_argument("--surface", required=True, choices=list(CATALOG))
     ps.add_argument("--R", type=float, default=2.0)
     ps.add_argument("--lam", type=float, default=1.0)
     ps.add_argument("--a", type=float, default=0.0)
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_export)
 
     p_cert = sub.add_parser("certify", help="search instability certificates")
-    p_cert.add_argument("target", choices=["h2", "helicoid", "catenoid"])
+    p_cert.add_argument("target", choices=list(_CERTIFY_PARAMS))
     p_cert.add_argument("--R", type=float)
     p_cert.add_argument("--lam", type=float, help="catenoid waist radius (default 1)")
     p_cert.add_argument("--out")

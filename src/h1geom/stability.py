@@ -502,14 +502,12 @@ class RulingFrame:
     @property
     def q(d):
         """q, or ``NonFiniteValue`` naming the chart and the first s where q
-        or W^4 overflows, as it does far out on charts far from scale 1."""
+        is not finite.  C/W^2 is at most 1/W, so q is finite wherever the
+        weight and C/W^2 are, also where W^4 would overflow."""
         with np.errstate(all="ignore"):
-            try:
-                w4 = d.W ** 4
-            except OverflowError:  # a float raises; numpy returns inf
-                w4 = math.inf
-            q = d.weight * d.C * d.C / w4
-        raise_first_failure((~(np.isfinite(w4) & np.isfinite(q)), lambda i: NonFiniteValue(
+            r = d.C / d.W / d.W
+            q = d.weight * r * r
+        raise_first_failure((~np.isfinite(q), lambda i: NonFiniteValue(
             f"q overflows at s = {float(np.ravel(d.s)[i])!r} on {d.chart!r}")))
         return q
 

@@ -6,8 +6,9 @@ nu_h, characteristic field Z = J(nu_h), the tangent field
 S = <N,T> nu_h - |N_h| T, shape-operator entries and mean curvatures) is
 derived pointwise in frame coefficients.  The second fundamental form is
 computed as II_ij = <N, D_{F_i} F_j> from the connection table, so analytic
-charts incur no finite differencing; ruled charts differentiate their
-generating curve numerically and inherit ~1e-6 accuracy.
+charts incur no finite differencing.  The seed chart of an S-curve
+(``RuledChart``) differentiates S and Z along the curve numerically; its
+frames agree with the base chart's to about 1e-11.
 
 Points where the tangent plane is horizontal (|N_h| = 0) are singular: the
 characteristic quantities are undefined there and requesting them raises
@@ -884,13 +885,16 @@ def translated(chart: Chart, p0: Point) -> TransformedChart:
 # Ruled coordinates
 # ---------------------------------------------------------------------------
 
-class RuledChart(Chart):
-    """F(eps, s) = Gamma(eps) + s Z(Gamma(eps)) over a base chart.
+class RuledChart(SeedRuledChart):
+    """The seed chart (s, a) of the S-curve Gamma through ``u0`` of a base
+    chart, ruled by the characteristic lines: e = (Z_X, Z_Y) along Gamma.
 
-    Gamma is the unit-speed integral curve of S through ``u0`` (RK4 in base
-    chart coordinates, cached on a fixed grid); rulings are ambient straight
-    lines.  The s-partials are exact, the eps-partials use Richardson
-    central differences, so jets carry ~1e-6 accuracy.
+    Gamma is the unit-speed integral curve of S (RK4 in base chart
+    coordinates, cached on a fixed grid).  ``_seed`` reads Gamma, Gamma' = S
+    and e off one base frame at Gamma(a), and Gamma'', e' and e'' from
+    Richardson central differences along the curve; ``point`` reads the one
+    frame alone.  ``jets`` stacks scalar jets, so an error of the walk keeps
+    its first-failure place.
 
     The grid is walked as far as asked: each side of ``u0`` grows by one
     RK4 step of +-h0 when a point beyond it is first read, with the bits of
@@ -898,7 +902,6 @@ class RuledChart(Chart):
     (``StoppedAtSingular``) is raised by the first read that reaches it.
     """
 
-    EPS_FD_STEP = 1e-4
     GRID_STEP = 0.005  # largest step of the cached Gamma grid
 
     def __init__(self, base: Chart, u0: tuple[float, float], eps_range: float,
@@ -906,7 +909,7 @@ class RuledChart(Chart):
         self.base = base
         self.u0 = u0
         self.eps_range = eps_range
-        self.domain = ((-eps_range, eps_range), s_range)
+        self.domain = (s_range, (-eps_range, eps_range))
         n = max(4, math.ceil(eps_range / self.GRID_STEP))
         self._h0 = eps_range / n
         self._n = n
@@ -934,47 +937,38 @@ class RuledChart(Chart):
         self._cache[eps] = u
         return u
 
-    def curve_data(self, eps: float) -> tuple[Vec3, Vec3]:
-        """Euclidean Gamma(eps) and the ruling direction Z there."""
-        u = self.curve_chart_point(eps)
-        fr = surface_frame(self.base, u)
-        return fr.Z.base.coords(), frame_to_euclidean(fr.Z)
+    def _curve(self, a: float) -> tuple[float, ...]:
+        """Euclidean Gamma(a), Gamma'(a) = S and e = (Z_X, Z_Y), as one tuple."""
+        fr = surface_frame(self.base, self.curve_chart_point(a))
+        return (*fr.Z.base.coords(), *frame_to_euclidean(fr.S), fr.Z.a, fr.Z.b)
 
-    def point(self, u1: float, u2: float) -> Point:
-        g, z = self.curve_data(u1)
-        return Point(g[0] + u2 * z[0], g[1] + u2 * z[1], g[2] + u2 * z[2])
+    def _seed(self, a, m):
+        c0, d1, d2 = central_diffs(self._curve, a, DiffSpec(1e-4, 1), (0, 1, 2))
+        return c0[:3], c0[3:6], d1[3:6], c0[6:], d1[6:], d2[6:]
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
-        c0, d1, d2 = central_diffs(lambda e: sum(self.curve_data(e), ()),  # (Gamma, Z)
-                                   u1, DiffSpec(self.EPS_FD_STEP, 1), (0, 1, 2))
-        g0, z0, dg, dz, ddg, ddz = c0[:3], c0[3:], d1[:3], d1[3:], d2[:3], d2[3:]
-        s = u2
-        return ChartJet(
-            Point(g0[0] + s * z0[0], g0[1] + s * z0[1], g0[2] + s * z0[2]),
-            tuple(dg[i] + s * dz[i] for i in range(3)),
-            z0,
-            tuple(ddg[i] + s * ddz[i] for i in range(3)),
-            dz,
-            (0.0, 0.0, 0.0),
-        )
+    def point(self, s: float, a: float) -> Point:
+        gx, gy, gt, _, _, _, co, si = self._curve(a)
+        return Point(gx + s * co, gy + s * si, gt + s * (gy * co - gx * si))
+
+    def jets(self, U1, U2) -> ChartJets:
+        # _seed walks the curve point by point
+        return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
 
 
 def ruled_coordinates(chart: Chart, u0: tuple[float, float], eps_range: float,
                       s_range: tuple[float, float]) -> RuledChart:
-    """Ruled chart around the characteristic line through ``u0``."""
+    """The ruled chart (s, a) around the characteristic line through ``u0``."""
     return RuledChart(chart, u0, eps_range, s_range)
+
+
+# the named surfaces of ``catalog_surface``, in the order the CLI lists them
+CATALOG: dict[str, type[Chart]] = {"vertical_plane": VerticalPlaneChart, "plane": PlaneChart,
+                                   "paraboloid": ParaboloidChart, "helicoid": HelicoidChart,
+                                   "catenoid": CatenoidChart}
 
 
 def catalog_surface(kind: str, **params) -> Chart:
     """Factory for the named surfaces used throughout the test suites."""
-    if kind == "vertical_plane":
-        return VerticalPlaneChart(**params)
-    if kind == "plane":
-        return PlaneChart(**params)
-    if kind == "paraboloid":
-        return ParaboloidChart(**params)
-    if kind == "helicoid":
-        return HelicoidChart(**params)
-    if kind == "catenoid":
-        return CatenoidChart(**params)
-    raise ValueError(f"unknown catalog surface {kind!r}")
+    if kind not in CATALOG:
+        raise ValueError(f"unknown catalog surface {kind!r}")
+    return CATALOG[kind](**params)

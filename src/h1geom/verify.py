@@ -38,9 +38,9 @@ from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         tangent_derivative, times_nh,
                         vertical_variation_second_difference, zero_function)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart, HelicoidChart,
-                       ParaboloidChart, VerticalPlaneChart, area, characteristic_ray, curve_samples,
-                       dilated, rotated, ruled_coordinates, singular_locus, surface_frame,
-                       surface_frames)
+                       ParaboloidChart, RuledChart, VerticalPlaneChart, area, characteristic_ray,
+                       curve_samples, dilated, rotated, ruled_coordinates, singular_locus,
+                       surface_frame, surface_frames)
 
 
 @dataclass(frozen=True)
@@ -624,28 +624,33 @@ def check_characteristic_rays() -> tuple[CheckResult, CheckResult]:
                         worst_c, 1e-6))
 
 
-def check_ruled_charts() -> tuple[CheckResult, CheckResult, CheckResult]:
-    # vertical plane: stays in x = 0
-    vp = VerticalPlaneChart(domain=((-4, 4), (-4, 4)))
-    rv = ruled_coordinates(vp, (0.3, -0.2), 0.8, (-1.5, 1.5))
-    worst_v = max(abs(rv.point(e, s).x)
-                  for e in (-0.7, 0.0, 0.5) for s in (-1.2, 0.0, 1.0))
-
+def _ruled_charts() -> tuple[RuledChart, RuledChart, RuledChart]:
+    """The ruled charts of ``check_ruled_charts``, with nothing walked yet:
+    over the vertical plane, the catenoid lam = 1 and the pitch-2 helicoid."""
     cat = CatenoidChart(1.0)
-    rc = ruled_coordinates(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)), 1.0, (-3, 3))
-    worst_c = max(abs(cat.implicit_residual(rc.point(e, s)))
-                  for e in (-0.9, -0.3, 0.2, 0.8) for s in (-2.5, -1.0, 0.5, 2.0))
+    return (ruled_coordinates(VerticalPlaneChart(domain=((-4, 4), (-4, 4))), (0.3, -0.2),
+                              0.8, (-1.5, 1.5)),
+            ruled_coordinates(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)), 1.0, (-3, 3)),
+            ruled_coordinates(HelicoidChart(2.0), (0.1, 0.0), 0.6, (-1.0, 1.0)))
 
-    hel = HelicoidChart(2.0)
-    rh = ruled_coordinates(hel, (0.1, 0.0), 0.6, (-1.0, 1.0))
+
+def check_ruled_charts() -> tuple[CheckResult, CheckResult, CheckResult]:
+    rv, rc, rh = _ruled_charts()
+    # vertical plane: stays in x = 0
+    worst_v = max(abs(rv.point(s, a).x)
+                  for a in (-0.7, 0.0, 0.5) for s in (-1.2, 0.0, 1.0))
+
+    worst_c = max(abs(rc.base.implicit_residual(rc.point(s, a)))
+                  for a in (-0.9, -0.3, 0.2, 0.8) for s in (-2.5, -1.0, 0.5, 2.0))
+
     worst_h = 0.0
-    for e in (-0.5, 0.0, 0.4):
+    for a in (-0.5, 0.0, 0.4):
         for s in (-0.8, 0.2, 0.9):
-            p = rh.point(e, s)
+            p = rh.point(s, a)
             eps = 2.0 * p.t  # t = eps/R on the pitch-2 chart
             th = 2.0 * eps
             srec = p.x * math.sin(th) + p.y * math.cos(th)
-            q = hel.point(srec, eps)
+            q = rh.base.point(srec, eps)
             worst_h = max(worst_h, _nmax(q.x - p.x, q.y - p.y, q.t - p.t))
     return (CheckResult("ruled_vertical_plane", "ruled chart stays in the plane", worst_v, 1e-10),
             CheckResult("ruled_catenoid_implicit", "t^2 = x^2+y^2-1 on ruled points", worst_c, 1e-6),

@@ -36,7 +36,7 @@ def _charts():
         "rotated": (rotated(cat, 1.234), ((0.0, 6.2), (-1.4, 1.4))),
         "translated": (translated(cat, Point(0.3, -0.8, 1.1)), ((0.0, 6.2), (-1.4, 1.4))),
         "ruled": (ruled_coordinates(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)),
-                                    0.5, (-1.0, 1.0)), ((-0.4, 0.4), (-0.9, 0.9))),
+                                    0.5, (-1.0, 1.0)), ((-0.9, 0.9), (-0.4, 0.4))),
     }
 
 

@@ -33,3 +33,16 @@ def test_tracer_checks_name_verify_checks(tracer):
     missing = [name for name in tracer.CHECKS
                if not (name.startswith("check_") and callable(getattr(verify, name, None)))]
     assert not missing
+
+
+def test_tracer_sees_the_ruled_chart(tracer):
+    # the bench counts ruled_coordinates and RuledChart.curve_chart_point by
+    # name: a change to the ruled chart must not silently zero them
+    t = tracer.Tracer()
+    try:
+        t.install()
+        verify.check_ruled_charts()
+    finally:
+        t.uninstall()
+    assert t.metrics()["surfaces.ruled_coordinates.calls"][0] == 3
+    assert t.counts["surfaces.RuledChart.curve_chart_point.calls"] > 0

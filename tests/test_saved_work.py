@@ -11,8 +11,7 @@ from h1geom.core import Point
 from h1geom.numerics import CELL_BLOCK_NODES, QuadratureSpec, gauss_nodes
 from h1geom.stability import (cosine_bump, direct_variations, index_form_I, separable,
                               zero_function)
-from h1geom.surfaces import (CatenoidChart, HelicoidChart, VerticalPlaneChart, curve_samples,
-                             ruled_coordinates)
+from h1geom.surfaces import CatenoidChart, curve_samples
 
 
 def _counted(monkeypatch, module, name):
@@ -70,18 +69,9 @@ def test_index_form_computes_shape_terms_once_per_block(monkeypatch):
     assert frames[0] == shape[0] == blocks
 
 
-def _ruled_charts_of_the_check():
-    """The three ruled charts of ``verify.check_ruled_charts``."""
-    cat = CatenoidChart(1.0)
-    return [ruled_coordinates(VerticalPlaneChart(domain=((-4, 4), (-4, 4))), (0.3, -0.2),
-                              0.8, (-1.5, 1.5)),
-            ruled_coordinates(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)), 1.0, (-3, 3)),
-            ruled_coordinates(HelicoidChart(2.0), (0.1, 0.0), 0.6, (-1.0, 1.0))]
-
-
 @pytest.mark.parametrize("k", range(3))
 def test_ruled_chart_walks_the_eager_grid(k):
-    rc = _ruled_charts_of_the_check()[k]
+    rc = verify._ruled_charts()[k]
     n = rc._n
     eager = curve_samples(rc.base, rc.u0, rc.eps_range, n, "S")
     order = list(range(-n, n + 1))
@@ -92,9 +82,9 @@ def test_ruled_chart_walks_the_eager_grid(k):
 
 
 def test_ruled_chart_walks_only_as_far_as_read():
-    rc = _ruled_charts_of_the_check()[2]
+    rc = verify._ruled_charts()[2]
     assert [len(w) for w in rc._walks.values()] == [1, 1]
     rc.curve_chart_point(3.25 * rc._h0)  # node 3, then a step of 0.25 h0
     assert [len(w) for w in rc._walks.values()] == [4, 1]
-    rc.point(-2.0 * rc._h0, 0.3)
+    rc.point(0.3, -2.0 * rc._h0)
     assert [len(w) for w in rc._walks.values()] == [4, 3]

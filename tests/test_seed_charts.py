@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from h1geom import verify
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, HelicoidChart,
                              ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
-                             surface_frames)
+                             surface_frame, surface_frames)
 
 N_POINTS = 1000
 
@@ -154,6 +155,28 @@ def test_ruling_coefficients_match_the_seed(name):
     from_seed = (co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1)
     for got, want in zip(chart.ruling_coefficients, from_seed):
         assert _close(got, want, 1e-14).all(), name
+
+
+def test_ruling_coefficients_through_an_s_curve():
+    # any regular chart is a seed through its S-curve (RuledChart): W = 1 at
+    # s = 0, so c0 = -|N_h| and b = -<N,T> off the base frame, and
+    # Delta = th' c0 - b^2 is the frame invariant <B(Z),S> - 1 + <N,T>^2
+    deltas = []
+    for chart in verify._ruled_charts():
+        out = []
+        for a in np.linspace(-0.5, 0.5, 11).tolist():
+            (gx, gy, _), (gx1, gy1, gt1), _, (co, si), (co1, si1), _ = chart._seed(a, math)
+            tp, b, c0 = co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1
+            fr = surface_frame(chart.base, chart.curve_chart_point(a))
+            assert abs(c0 + fr.Nh_norm) <= 4e-16 and abs(b + fr.NT) <= 4e-16, (chart.base, a)
+            delta = tp * c0 - b * b
+            assert abs(delta - (fr.BZS - 1.0 + fr.NT * fr.NT)) <= 1e-11, (chart.base, a)
+            out.append(delta)
+        deltas.append(out)
+    plane, catenoid, helicoid = deltas
+    assert set(plane) == {0.0}
+    assert 0.13 < min(catenoid) and max(catenoid) < 0.34
+    assert all(abs(d + 3.698) < 1e-3 for d in helicoid)
 
 
 def test_the_base_seed_chart_declares_no_ruling_coefficients():

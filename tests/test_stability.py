@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -642,24 +643,36 @@ def test_helicoid_functions_refuse_a_pitch_no_helicoid_has(R):
                 call()
 
 
+def _exact_q(chart, s):
+    """weight C^2/(C^2 + L^2)^2 of ``RulingFrame(chart, s)``, evaluated in
+    ``Fraction`` from the float coefficients and s, then rounded once."""
+    tp, b, c0 = map(Fraction, chart.ruling_coefficients)
+    s = Fraction(s)
+    c, el = (tp * s + 2 * b) * s + c0, b + tp * s
+    return float((tp * tp + 4 * (tp * c0 - b * b)) * c * c / (c * c + el * el) ** 2)
+
+
 def test_helicoid_functions_name_a_pitch_where_w_squared_overflows():
     # pitches HelicoidChart accepts, far from 1: W^2 overflows on the
     # test function's rulings, and each call raises NonFiniteValue naming R,
-    # where numpy warned, -inf came back or the float W ** 4 overflowed
+    # where numpy warned or -inf came back.  q itself is finite there: C/W^2
+    # stays in range where W^4 does not
     quad = QuadratureSpec(16, (16, 1))
     v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
     calls = [(lambda: q_form(1e-200, v, quad), r"R=1e-200"),
-             (lambda: boundary_flux(1e-200, v, 1e-3 / 1e-200, quad), r"R=1e-200"),
-             (lambda: RulingFrame(HelicoidChart(1e-100), 3e99).q,
-              r"s = 3e\+99 on HelicoidChart\(R=1e-100\)"),
-             (lambda: RulingFrame(HelicoidChart(1e-60), np.array([0.0, 3e99, 4e99])).q,
-              r"s = 3e\+99 on HelicoidChart\(R=1e-60\)")]
+             (lambda: boundary_flux(1e-200, v, 1e-3 / 1e-200, quad), r"R=1e-200")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call, name in calls:
             with pytest.raises(NonFiniteValue, match=name):
                 call()
         assert math.isfinite(q_form(1e-3, v, quad))  # and below overflow, Q is finite
+        for chart, s in ((HelicoidChart(1e-100), 3e99),
+                         (HelicoidChart(1e-60), np.array([0.0, 3e99, 4e99]))):
+            got = np.atleast_1d(RulingFrame(chart, s).q).tolist()
+            for g, x in zip(got, np.atleast_1d(s).tolist()):
+                want = _exact_q(chart, x)
+                assert math.isfinite(g) and abs(g - want) <= 1e-15 * abs(want), (chart, x, g)
 
 
 @pytest.mark.parametrize("support", [
@@ -785,12 +798,12 @@ def test_ruled_index_l_translation_identity():
     # evaluated at the translated point of the ruling
     rc = ruled_coordinates(CAT, CAT.locate(Point(math.sqrt(2.0), 0.0, 1.0)),
                            1.0, (-4, 4))
-    for eps, s in ((0.0, 1.3), (0.5, -2.0), (-0.7, 3.1)):
+    for s, eps in ((1.3, 0.0), (-2.0, 0.5), (3.1, -0.7)):
         u_g = rc.curve_chart_point(eps)
         a, b, c, disc = jacobi_vertical_quadratic(CAT, u_g)
         vt = a * s * s + b * s + c
         l_from_quad = -disc / (vt * vt)
-        p = rc.point(eps, s)
+        p = rc.point(s, eps)
         l_direct = l_nh_closed(CAT, CAT.locate(p))
         assert abs(l_from_quad - l_direct) <= 1e-4 * max(1.0, abs(l_direct))
 

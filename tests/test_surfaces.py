@@ -231,19 +231,19 @@ def test_singular_locus():
 def test_ruled_coordinates():
     vp = VerticalPlaneChart(domain=((-4, 4), (-4, 4)))
     rv = ruled_coordinates(vp, (0.3, -0.2), 0.8, (-1.5, 1.5))
-    assert max(abs(rv.point(e, s).x) for e in (-0.7, 0.0, 0.5)
+    assert max(abs(rv.point(s, a).x) for a in (-0.7, 0.0, 0.5)
                for s in (-1.2, 0.0, 1.0)) <= 1e-12
 
     cat = CatenoidChart(1.0)
     rc = ruled_coordinates(cat, cat.locate(Point(math.sqrt(2.0), 0.0, 1.0)),
                            1.0, (-3, 3))
-    worst = max(abs(cat.implicit_residual(rc.point(e, s)))
-                for e in (-0.9, -0.3, 0.2, 0.8) for s in (-2.5, -1.0, 0.5, 2.0))
+    worst = max(abs(cat.implicit_residual(rc.point(s, a)))
+                for a in (-0.9, -0.3, 0.2, 0.8) for s in (-2.5, -1.0, 0.5, 2.0))
     assert worst <= 1e-6
 
     # frames computed through the FD jets agree with the base-chart frames
-    p = rc.point(0.4, 1.3)
-    fr_ruled = surface_frame(rc, (0.4, 1.3))
+    p = rc.point(1.3, 0.4)
+    fr_ruled = surface_frame(rc, (1.3, 0.4))
     fr_base = surface_frame(cat, cat.locate(p))
     assert abs(abs(fr_ruled.NT) - abs(fr_base.NT)) <= 1e-6
     assert abs(fr_ruled.Nh_norm - fr_base.Nh_norm) <= 1e-6
