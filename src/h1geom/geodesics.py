@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
                    frame_coeffs, frame_to_euclidean, jop)
 from .errors import NonFiniteValue
-from .numerics import (DiffSpec, _where, central_diff, raise_first_failure, stencil_d1,
+from .numerics import (DiffSpec, central_diff, raise_first_failure, stencil_d1,
                        stencil_nodes)
 
 SERIES_CUTOFF = 1e-4
@@ -35,21 +35,34 @@ SERIES_CUTOFF = 1e-4
 Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _fgh_series(x):
+    x2 = x * x
+    return (1.0 - x2 / 6.0 + x2 * x2 / 120.0, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0),
+            x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0))
+
+
+def _fgh_closed(x, m):
+    s, c = m.sin(x), m.cos(x)
+    return s / x, (1.0 - c) / x, (x - s) / (x * x)
+
+
 def helpers_fgh(x):
     """(sin x / x, (1 - cos x)/x, (x - sin x)/x^2), series-stabilized near 0.
 
     Three Maclaurin terms below |x| = 1e-4; the truncation (~1e-28) is far
-    under round-off, so the switch is seamless.  ``x`` may be an array.
+    under round-off, so the switch is seamless.  ``x`` may be an array; a
+    branch that no element takes is not evaluated.  f is even and g, h are
+    odd, bit for bit: sin is odd and cos even, and the rest is sign-symmetric.
     """
-    m = np if isinstance(x, np.ndarray) else math
-    small = abs(x) < SERIES_CUTOFF
-    xs = _where(m, small, 1.0, x)  # keeps the closed branch off x = 0
-    s, c = m.sin(xs), m.cos(xs)
-    x2 = x * x
-    return (_where(m, small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, s / xs),
-            _where(m, small, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0), (1.0 - c) / xs),
-            _where(m, small, x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0),
-                   (xs - s) / (xs * xs)))
+    if not isinstance(x, np.ndarray):
+        return _fgh_series(x) if abs(x) < SERIES_CUTOFF else _fgh_closed(x, math)
+    small = np.abs(x) < SERIES_CUTOFF
+    if small.all():
+        return _fgh_series(x)
+    if not small.any():
+        return _fgh_closed(x, np)
+    closed = _fgh_closed(np.where(small, 1.0, x), np)  # keeps the closed branch off x = 0
+    return tuple(np.where(small, a, b) for a, b in zip(_fgh_series(x), closed))
 
 
 @dataclass(frozen=True)
@@ -68,19 +81,27 @@ class GeodesicArc:
         return self.v0.c
 
 
-def _flow_point(p, A, B, lam, s):
-    """Point of the closed flow at ``s``, and g(2 lam s).
+def _flow_terms(p, A, B):
+    """The terms of the closed flow from ``p`` with horizontal velocity
+    (A, B) that no parameter changes: A^2 + B^2, A x0 + B y0, A y0 - B x0."""
+    x0, y0, _ = p
+    return A * A + B * B, A * x0 + B * y0, A * y0 - B * x0
+
+
+def _flow_point(p, A, B, lam, s, terms, fgh):
+    """Point of the closed flow at ``s``.
 
     ``p`` is the Euclidean start, (A, B) the horizontal and ``lam`` the
-    conserved T-component of the initial velocity.  Plain arithmetic on
-    floats, or on arrays of one shape.
+    conserved T-component of the initial velocity, ``terms`` their
+    ``_flow_terms`` and ``fgh`` the ``helpers_fgh`` of 2 lam s.  Plain
+    arithmetic on floats, or on arrays of one shape.
     """
     x0, y0, t0 = p
-    f, g, h = helpers_fgh(2.0 * lam * s)
+    f, g, h = fgh
+    r2, ax, ay = terms
     return (x0 + s * (A * f + B * g),
             y0 + s * (-A * g + B * f),
-            t0 + lam * s + (A * A + B * B) * s * s * h
-            + (A * x0 + B * y0) * s * g + (A * y0 - B * x0) * s * f), g
+            t0 + lam * s + r2 * s * s * h + ax * s * g + ay * s * f)
 
 
 def _flow(p, A, B, lam, s, m):
@@ -88,13 +109,15 @@ def _flow(p, A, B, lam, s, m):
     point of ``_flow_point``, with ``m`` the ``math`` module for one
     parameter or ``numpy`` for an array of parameters ``s``.
     """
-    x0, y0, _ = p
-    q, g = _flow_point(p, A, B, lam, s)
+    terms = _flow_terms(p, A, B)
     x2ls = 2.0 * lam * s
+    fgh = helpers_fgh(x2ls)
+    q = _flow_point(p, A, B, lam, s, terms, fgh)
+    r2, ax, ay = terms
     co, si = m.cos(x2ls), m.sin(x2ls)
     vx = A * co + B * si
     vy = -A * si + B * co
-    vt = lam + (A * A + B * B) * s * g + (A * x0 + B * y0) * si + (A * y0 - B * x0) * co
+    vt = lam + r2 * s * fgh[1] + ax * si + ay * co
     return q, frame_coeffs(q[0], q[1], (vx, vy, vt))
 
 
@@ -127,13 +150,28 @@ def exp_geodesics(arc: GeodesicArc, S) -> tuple[Arr3, Arr3]:
 
 
 def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
-                  s: float = 1.0) -> tuple[float, float, float]:
-    """Geodesic endpoint on raw Euclidean coordinates (hot-loop variant).
+                  params: Iterable[float]) -> Iterator[tuple[float, float, float]]:
+    """Geodesic endpoints on raw Euclidean coordinates (hot-loop variant):
+    the endpoint at each parameter of ``params``, yielded in order.
 
     The components of ``p`` and ``v`` may be arrays of one shape, which
-    moves a whole batch of points at once.
+    moves a whole batch of points at once.  lam and the ``_flow_terms`` are
+    computed once, at the first endpoint.  A nonzero parameter that is the
+    negative of the one before it reuses that one's f, g, h with g and h
+    negated, which by their parity are the bits ``helpers_fgh`` returns.
     """
-    return _flow_point(p, v[0], v[1], frame_coeffs(p[0], p[1], v)[2], s)[0]
+    A, B = v[0], v[1]
+    lam = frame_coeffs(p[0], p[1], v)[2]
+    terms = _flow_terms(p, A, B)
+    prev = 0.0  # no nonzero parameter pairs with the first
+    for s in params:
+        if s != 0.0 and s == -prev:
+            f, g, h = fgh
+            fgh = (f, -g, -h)
+        else:
+            fgh = helpers_fgh(2.0 * lam * s)
+        prev = s
+        yield _flow_point(p, A, B, lam, s, terms, fgh)
 
 
 @dataclass(frozen=True)

@@ -527,8 +527,9 @@ def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
     are cut at the support edges and kinks of v and w (``_axis_cuts``).
     Each cell frames a 9-point chart stencil of its nodes (centre, +-h1,
     +-h1/2, +-h2, +-h2/2) once, as one batch, and moves it along geodesics
-    for every s; the deformed density is the horizontal cross-product norm
-    of its finite-difference partials.  Raises ``SupportOutsideDomain``
+    through the seven s in one ``exp_euclidean`` pass; the deformed
+    density is the horizontal cross-product norm of its finite-difference
+    partials.  Raises ``SupportOutsideDomain``
     when the deformation's support leaves the chart domain, and
     ``NonFiniteValue``, naming s, in the first cell with a non-finite
     deformed density.
@@ -556,8 +557,8 @@ def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
         uvec = tuple(c.reshape(rows) for c in (vv * ne[0], vv * ne[1], vv * ne[2] + ww))
         dens = np.empty((len(params), len(u1)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, s in enumerate(params):
-                moved = np.moveaxis(np.stack(exp_euclidean(base, uvec, s)), 1, -1)  # (3, nodes, 9)
+            for k, end in enumerate(exp_euclidean(base, uvec, params)):
+                moved = np.moveaxis(np.stack(end), 1, -1)  # (3, nodes, 9)
                 dens[k] = area_density(moved[0, :, 0], moved[1, :, 0],
                                        stencil_d1(moved[..., :5], h1),
                                        stencil_d1(moved[..., [0, 5, 6, 7, 8]], h2))

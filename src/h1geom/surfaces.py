@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs,
+from .core import (FrameVector, Point, Vec3, _finite3, connection_correct, euclidean_coeffs,
                    frame_coeffs, frame_to_euclidean, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
@@ -94,11 +94,17 @@ class Chart:
         return self.jet(u1, u2).p
 
     def jet(self, u1: float, u2: float) -> ChartJet:
-        try:
-            p, f1, f2, f11, f12, f22 = self._jet_parts(u1, u2, math)
-        except OverflowError:  # as surface_frames reports the inf numpy returns
-            raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
+        p, f1, f2, f11, f12, f22 = self._jet_floats(u1, u2)
         return ChartJet(Point(*p), f1, f2, f11, f12, f22)
+
+    def _jet_floats(self, u1: float, u2: float) -> tuple:
+        """``jet`` at (u1, u2) as plain tuples (p, f1, f2, f11, f12, f22),
+        with its errors in its order; an analytic chart builds no ChartJet
+        and no Point."""
+        if type(self).jet is not Chart.jet:  # a chart that writes jet
+            j = self.jet(u1, u2)
+            return j.p.coords(), j.f1, j.f2, j.f11, j.f12, j.f22
+        return _checked_jet(self._jet_parts, u1, u2)
 
     def jets(self, U1, U2) -> ChartJets:
         """Jets at the points (U1[i], U2[i]) as arrays."""
@@ -116,21 +122,34 @@ class Chart:
     def _jet_parts(self, u1, u2, m):
         raise NotImplementedError
 
-    def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray) -> ChartJets:
+    def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray, jet_floats=None) -> ChartJets:
+        """The scalar jets (``jet_floats``, by default ``_jet_floats``) stacked."""
+        jet_floats = jet_floats or self._jet_floats
         rows, failure = [], None
         for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
             if not (math.isfinite(a) and math.isfinite(b)):
                 break  # the scalar view stops here, before evaluating the chart
             try:
-                j = self.jet(a, b)
+                rows.append(jet_floats(a, b))
             except GeometryError as exc:  # raised by the caller unless an earlier point fails
                 failure = (len(rows), exc)
                 break
-            rows.append((j.p.coords(), j.f1, j.f2, j.f11, j.f12, j.f22))
         rows += [((math.nan,) * 3,) * 6] * (U1.size - len(rows))
         rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
         return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
                            for k in range(6)), failure)
+
+
+def _checked_jet(parts, u1: float, u2: float) -> tuple:
+    """``parts(u1, u2, math)``, a chart's ``_jet_parts`` on floats, with the
+    errors of ``Chart.jet``: ``NonFiniteValue`` for an overflow and for a
+    non-finite point (the check of ``Point``)."""
+    try:
+        jet = parts(u1, u2, math)
+    except OverflowError:  # as surface_frames reports the inf numpy returns
+        raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
+    _finite3(jet[0], "point")
+    return jet
 
 
 @dataclass(frozen=True)
@@ -248,25 +267,43 @@ def _unit_normal(cr, u, m=math):
     return w, n, m.hypot(n[0], n[1])
 
 
-def _directions(c1, c2, w, n, nh):
-    """nu_h, Z and S as frame-coefficient triples, then Z and S in chart
-    coordinates, at regular points."""
+def _unit_directions(n, nh):
+    """nu_h, Z = J(nu_h) and S = <N,T> nu_h - |N_h| T as frame-coefficient
+    triples, at regular points."""
     na, nb, nt = n
     nu = (na / nh, nb / nh, 0.0)
-    z = jop_coeffs(nu)
-    s = (nt * nu[0], nt * nu[1], -nh)
+    return nu, jop_coeffs(nu), (nt * nu[0], nt * nu[1], -nh)
 
+
+def _tangent_in_chart(c1, c2, w):
+    """The chart coordinates of a tangent vector, as a function of its frame
+    coefficients: the inverse Gram matrix of F_1, F_2 (determinant w^2)."""
     g11 = _dot3(c1, c1)
     g12 = _dot3(c1, c2)
     g22 = _dot3(c2, c2)
-    det = w * w  # Gram determinant
+    det = w * w
 
-    def tangent_in_chart(v):
+    def in_chart(v):
         r1 = _dot3(v, c1)
         r2 = _dot3(v, c2)
         return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
 
-    return nu, z, s, tangent_in_chart(z), tangent_in_chart(s)
+    return in_chart
+
+
+def _directions(c1, c2, w, n, nh):
+    """nu_h, Z and S as frame-coefficient triples, then Z and S in chart
+    coordinates, at regular points."""
+    nu, z, s = _unit_directions(n, nh)
+    in_chart = _tangent_in_chart(c1, c2, w)
+    return nu, z, s, in_chart(z), in_chart(s)
+
+
+def _chart_direction(c1, c2, w, n, nh, which: str):
+    """Z or S (``which``) of ``_directions`` in chart coordinates, and not
+    the other."""
+    _, z, s = _unit_directions(n, nh)
+    return _tangent_in_chart(c1, c2, w)(z if which == "Z" else s)
 
 
 def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
@@ -329,10 +366,12 @@ def _finite_chart_point(u: tuple[float, float]) -> tuple[float, float]:
 
 
 def _frame_head(chart: Chart, u: tuple[float, float], singular_ok: bool):
-    """The jet at ``u``, the frame coefficients of F_1 and F_2, and
-    ``_unit_normal``; raises as ``surface_frame`` does, in its order."""
-    jet = chart.jet(*_finite_chart_point(u))
-    c1, c2, cr = _tangent_cross(jet.p.x, jet.p.y, jet.f1, jet.f2)
+    """The jet at ``u`` as plain tuples (``Chart._jet_floats``), the frame
+    coefficients of F_1 and F_2, and ``_unit_normal``; raises as
+    ``surface_frame`` does, in its order."""
+    jet = chart._jet_floats(*_finite_chart_point(u))
+    (x, y, _), f1, f2 = jet[:3]
+    c1, c2, cr = _tangent_cross(x, y, f1, f2)
     w, n, nh = _unit_normal(cr, u)
     if nh <= SINGULAR_TOL and not singular_ok:
         raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
@@ -348,15 +387,15 @@ def surface_frame(chart: Chart, u: tuple[float, float],
     returned as None.
     """
     jet, c1, c2, w, n, nh = _frame_head(chart, u, singular_ok)
-    p = jet.p
+    (x, y, t), f1, f2, f11, f12, f22 = jet
+    p = Point(x, y, t)
     N = FrameVector(n[0], n[1], n[2], p)
 
     if nh <= SINGULAR_TOL:
         return SurfaceFrame(N, nh, n[2], w, None, None, None, None, None, None,
                             None, None, None, None, None, None, None)
 
-    nu, z, s, *rest = _shape_terms(p.x, p.y, jet.f1, jet.f2, jet.f11, jet.f12,
-                                   jet.f22, c1, c2, w, n, nh)
+    nu, z, s, *rest = _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh)
     return SurfaceFrame(N, nh, n[2], w, FrameVector(*nu, p), FrameVector(*z, p),
                         FrameVector(*s, p), *rest)
 
@@ -461,10 +500,9 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
                     ) -> tuple[float, float]:
     """``surface_frame(chart, u).z_chart`` (or ``.s_chart``) from the first
     jet alone: the same operations and the same errors, without the shape
-    terms."""
+    terms, the other direction or any validated object."""
     _, c1, c2, w, n, nh = _frame_head(chart, u, False)
-    _, _, _, zc, sc = _directions(c1, c2, w, n, nh)
-    return zc if which == "Z" else sc
+    return _chart_direction(c1, c2, w, n, nh, which)
 
 
 def _chart_velocities(chart: Chart, U1, U2, which: str, failures: FirstFailures):
@@ -472,8 +510,7 @@ def _chart_velocities(chart: Chart, U1, U2, which: str, failures: FirstFailures)
     point's error is kept in ``failures``."""
     _, c1, c2, w, n, nh = _frame_heads(chart, U1, U2, False, failures)
     with np.errstate(all="ignore"):
-        _, _, _, zc, sc = _directions(c1, c2, w, n, nh)
-    return zc if which == "Z" else sc
+        return _chart_direction(c1, c2, w, n, nh, which)
 
 
 def _check_which(which: str) -> None:
@@ -669,16 +706,21 @@ class SeedRuledChart(Chart):
     ruling_coefficients: Optional[tuple[float, float, float]] = None
 
     def _jet_parts(self, s, a, m):
-        (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = \
-            self._seed(a, m)
-        dt = gy * co - gx * si
-        # product rule, one cross term per pair: pairs that cancel (the
-        # catenoid's D' and D'' T-components) then cancel in floats too
-        dt1 = (gy1 * co - gx1 * si) + (gy * co1 - gx * si1)
-        dt2 = (gy2 * co - gx2 * si) + 2.0 * (gy1 * co1 - gx1 * si1) + (gy * co2 - gx * si2)
-        return ((gx + s * co, gy + s * si, gt + s * dt), (co, si, dt),
-                (gx1 + s * co1, gy1 + s * si1, gt1 + s * dt1), (0.0, 0.0, 0.0), (co1, si1, dt1),
-                (gx2 + s * co2, gy2 + s * si2, gt2 + s * dt2))
+        return _ruled_jet(s, self._seed(a, m))
+
+
+def _ruled_jet(s, seed):
+    """The jet of ``SeedRuledChart`` at ruling parameter ``s`` from the seed
+    at its a."""
+    (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = seed
+    dt = gy * co - gx * si
+    # product rule, one cross term per pair: pairs that cancel (the
+    # catenoid's D' and D'' T-components) then cancel in floats too
+    dt1 = (gy1 * co - gx1 * si) + (gy * co1 - gx * si1)
+    dt2 = (gy2 * co - gx2 * si) + 2.0 * (gy1 * co1 - gx1 * si1) + (gy * co2 - gx * si2)
+    return ((gx + s * co, gy + s * si, gt + s * dt), (co, si, dt),
+            (gx1 + s * co1, gy1 + s * si1, gt1 + s * dt1), (0.0, 0.0, 0.0), (co1, si1, dt1),
+            (gx2 + s * co2, gy2 + s * si2, gt2 + s * dt2))
 
 
 class VerticalPlaneChart(SeedRuledChart):
@@ -852,18 +894,18 @@ class TransformedChart(Chart):
             out = (out[0] + self.shift[0], out[1] + self.shift[1], out[2] + self.shift[2])
         return out
 
-    def _transform(self, p, j):
-        return (p, self._apply(j.f1, False), self._apply(j.f2, False),
-                self._apply(j.f11, False), self._apply(j.f12, False),
-                self._apply(j.f22, False))
+    def _transform(self, p, f1, f2, f11, f12, f22):
+        return (self._apply(p, True), self._apply(f1, False), self._apply(f2, False),
+                self._apply(f11, False), self._apply(f12, False), self._apply(f22, False))
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
-        j = self.base.jet(u1, u2)
-        return ChartJet(*self._transform(Point(*self._apply(j.p.coords(), True)), j))
+    def _jet_floats(self, u1: float, u2: float) -> tuple:
+        jet = self._transform(*self.base._jet_floats(u1, u2))
+        _finite3(jet[0], "point")
+        return jet
 
     def jets(self, U1, U2) -> ChartJets:
         j = self.base.jets(U1, U2)
-        return ChartJets(*self._transform(self._apply(j.p, True), j), j.failure)
+        return ChartJets(*self._transform(j.p, j.f1, j.f2, j.f11, j.f12, j.f22), j.failure)
 
 
 def dilated(chart: Chart, lam: float) -> TransformedChart:
@@ -894,7 +936,7 @@ class RuledChart(SeedRuledChart):
     and e off one base frame at Gamma(a), and Gamma'', e' and e'' from
     Richardson central differences along the curve; ``point`` reads the one
     frame alone.  ``jets`` stacks scalar jets, so an error of the walk keeps
-    its first-failure place.
+    its first-failure place, and seeds each distinct a once.
 
     The grid is walked as far as asked: each side of ``u0`` grows by one
     RK4 step of +-h0 when a point beyond it is first read, with the bits of
@@ -951,8 +993,18 @@ class RuledChart(SeedRuledChart):
         return Point(gx + s * co, gy + s * si, gt + s * (gy * co - gx * si))
 
     def jets(self, U1, U2) -> ChartJets:
-        # _seed walks the curve point by point
-        return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
+        # _seed walks the curve point by point, so the jets are stacked; the
+        # seed depends on a alone (0.0 and -0.0 read the same curve points),
+        # so each distinct a is seeded once
+        seeds = {}
+
+        def parts(s, a, m):
+            if a not in seeds:
+                seeds[a] = self._seed(a, m)
+            return _ruled_jet(s, seeds[a])
+
+        return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float),
+                                  lambda s, a: _checked_jet(parts, s, a))
 
 
 def ruled_coordinates(chart: Chart, u0: tuple[float, float], eps_range: float,

@@ -418,9 +418,9 @@ def test_exp_euclidean_batch_matches_scalar():
     v = tuple(rng.uniform(-1.5, 1.5, 50) for _ in range(3))
     # zero vertical momentum on five points: the small-argument series branch
     v[2][:5] = v[0][:5] * p[1][:5] - v[1][:5] * p[0][:5]
-    moved = exp_euclidean(p, v, 0.7)
+    (moved,) = exp_euclidean(p, v, [0.7])
     for i in range(50):
-        want = exp_euclidean(tuple(c[i] for c in p), tuple(c[i] for c in v), 0.7)
+        (want,) = exp_euclidean(tuple(c[i] for c in p), tuple(c[i] for c in v), [0.7])
         for k in range(3):
             _assert_close(moved[k][i], want[k], "exp_euclidean")
 

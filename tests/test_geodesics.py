@@ -85,7 +85,7 @@ def test_exp_euclidean_matches_typed_api():
     v = FrameVector(0.2, -0.5, 0.8, p)
     q, _ = exp_geodesic(GeodesicArc(p, v), 1.7)
     from h1geom.core import frame_to_euclidean
-    q2 = exp_euclidean(p.coords(), frame_to_euclidean(v), 1.7)
+    (q2,) = exp_euclidean(p.coords(), frame_to_euclidean(v), [1.7])
     assert max(abs(a - b) for a, b in zip(q.coords(), q2)) <= 1e-15
 
 

@@ -9,11 +9,11 @@ import pytest
 
 from h1geom import surfaces, verify
 from h1geom.core import FrameField, Point, flow
-from h1geom.geodesics import exp_euclidean, helpers_fgh
+from h1geom.geodesics import SERIES_CUTOFF, exp_euclidean, helpers_fgh
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
-from h1geom.stability import (cosine_bump, direct_variations, operator_L, separable,
-                              tangent_derivative, vertical_variation_second_difference,
+from h1geom.stability import (cosine_bump, direct_variations, operator_L, plateau_ramp,
+                              separable, tangent_derivative, vertical_variation_second_difference,
                               zero_function)
 from h1geom.surfaces import (CatenoidChart, Chart, HelicoidChart, _chart_velocity,
                              catalog_surface, curve_samples, dilated,
@@ -129,13 +129,52 @@ def test_helpers_fgh_pinned_bitwise():
     assert arr == tuple(zip(*_FGH_PINNED))
 
 
+def _parity_xs():
+    cut = SERIES_CUTOFF
+    edges = [cut * (1 + d) for d in (-1e-12, -2**-52, 0.0, 2**-52, 1e-12)]
+    rng = np.random.default_rng(11)
+    return ([0.0, 1e-300, 1e-9, 3e-5, math.pi, 1e6, 1e6 - 0.5] + edges
+            + rng.uniform(0.0, cut, 20).tolist() + (10.0 ** rng.uniform(-4, 6, 60)).tolist())
+
+
+def test_helpers_fgh_parity_bitwise():
+    # f is even and g, h are odd bit for bit, which the +-s pairs of
+    # exp_euclidean rely on: on floats, and on arrays that are all on the
+    # series branch, all on the closed one or mixed
+    xs = _parity_xs()
+    for x in xs + [-0.0]:
+        f, g, h = helpers_fgh(x)
+        assert _hex(helpers_fgh(-x)) == _hex((f, -g, -h)), x
+    arr = np.array(xs)
+    small = np.abs(arr) < SERIES_CUTOFF
+    for part in (arr[small], arr[~small], arr, np.array([0.0, -0.0])):
+        f, g, h = helpers_fgh(part)
+        assert _hex(helpers_fgh(-part)) == _hex((f, -g, -h))
+
+
+def test_exp_euclidean_ladder_is_its_parameters_one_by_one():
+    # the +-s pairs share f, g, h; every endpoint has the bits of a flow
+    # to its one parameter, on a batch mixing both branches
+    rng = np.random.default_rng(3)
+    p = tuple(rng.uniform(-2, 2, 40) for _ in range(3))
+    v = tuple(rng.uniform(-1.5, 1.5, 40) for _ in range(3))
+    v[2][:10] = v[0][:10] * p[1][:10] - v[1][:10] * p[0][:10]  # lam = 0
+    ladder = [0.0, 1e-3, -1e-3, 5e-4, -5e-4, 2.5e-4, -2.5e-4, 0.7, 0.2, -0.2, -0.0]
+    got = list(exp_euclidean(p, v, ladder))
+    assert len(got) == len(ladder)
+    for s, end in zip(ladder, got):
+        (want,) = exp_euclidean(p, v, [s])
+        assert _hex(end) == _hex(want), s
+
+
 def test_exp_euclidean_pinned_bitwise():
     pinned = ("0x1.559ecd0c39e5ep-1", "-0x1.216161d61b5eep+1", "0x1.05ea50ee9ee87p+1")
-    assert _hex(exp_euclidean((0.3, -0.2, 0.7), (0.6, -1.1, 0.4), 1.7)) == pinned
+    (end,) = exp_euclidean((0.3, -0.2, 0.7), (0.6, -1.1, 0.4), [1.7])
+    assert _hex(end) == pinned
     # a batch, with a zero velocity (lam = 0, the series branch) beside it
-    batch = exp_euclidean((np.array([0.3, 0.0]), np.array([-0.2, 0.0]), np.array([0.7, 0.0])),
-                          (np.array([0.6, 1.0]), np.array([-1.1, 0.0]), np.array([0.4, 0.0])),
-                          1.7)
+    (batch,) = exp_euclidean((np.array([0.3, 0.0]), np.array([-0.2, 0.0]), np.array([0.7, 0.0])),
+                             (np.array([0.6, 1.0]), np.array([-1.1, 0.0]), np.array([0.4, 0.0])),
+                             [1.7])
     assert _hex(batch) == tuple(zip(pinned, ("0x1.b333333333333p+0", "0x0.0p+0",
                                              "0x0.0p+0")))
 
@@ -224,6 +263,18 @@ def test_direct_variations_pinned_bitwise():
     got = direct_variations(cat, v, zero_function(), QuadratureSpec(16, (4, 4)))
     assert _hex(got) == ("0x1.cb124aae02c84p+1", "-0x1.407ab55555555p-31",
                          "0x1.db1d61ad08142p+0")
+
+
+def test_direct_variations_pinned_bitwise_kinked_with_vertical_part():
+    # w != 0 and a plateau with two kinks: 25 cut cells, of which 91 (cell,
+    # s) flows are all on the series branch of f, g, h, 4 all on the closed
+    # branch and 80 mixed
+    cat = CatenoidChart(1.0)
+    v = separable(cosine_bump(1.5, 0.7), plateau_ramp(0.3, 0.35))
+    w = separable(cosine_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
+    got = direct_variations(cat, v, w, QuadratureSpec(8, (4, 4)))
+    assert _hex(got) == ("0x1.1119ab3c26271p+2", "-0x1.ce88555555555p-30",
+                         "0x1.45a2b4bfe361cp+1")
 
 
 def test_vertical_variation_second_difference_pinned_bitwise():

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from h1geom import core, stability, surfaces, verify
+from h1geom import core, geodesics, stability, surfaces, verify
 from h1geom.core import Point
+from h1geom.errors import SingularPoint, StoppedAtSingular
 from h1geom.numerics import CELL_BLOCK_NODES, QuadratureSpec, gauss_nodes
 from h1geom.stability import (cosine_bump, direct_variations, index_form_I, separable,
                               zero_function)
-from h1geom.surfaces import CatenoidChart, curve_samples
+from h1geom.surfaces import CatenoidChart, curve_samples, ruled_coordinates
 
 
 def _counted(monkeypatch, module, name):
@@ -88,3 +89,74 @@ def test_ruled_chart_walks_only_as_far_as_read():
     assert [len(w) for w in rc._walks.values()] == [4, 1]
     rc.point(0.3, -2.0 * rc._h0)
     assert [len(w) for w in rc._walks.values()] == [4, 3]
+
+
+def test_direct_variations_evaluate_fgh_once_per_pm_pair(monkeypatch):
+    # verify's second-variation case: 16 cells, each flowed through the seven
+    # s = 0, +-h, +-h/2, +-h/4 with one f, g, h for s = 0 and one per pair
+    calls = _counted(monkeypatch, geodesics, "helpers_fgh")
+    ladders = _counted(monkeypatch, stability, "exp_euclidean")
+    direct_variations(CatenoidChart(1.0), _bump(), zero_function(), QuadratureSpec(16, (4, 4)))
+    assert ladders[0] == 16
+    assert calls[0] == 4 * 16
+
+
+def test_ruled_chart_check_builds_few_points(monkeypatch):
+    # the curve walks frame their base charts from plain tuples: the points
+    # left are the public ones (point, surface_frame), 3,122 before
+    built = [0]
+    orig = core.Point.__post_init__
+
+    def spy(self):
+        built[0] += 1
+        orig(self)
+
+    monkeypatch.setattr(core.Point, "__post_init__", spy)
+    results = verify.check_ruled_charts()
+    assert all(r.passed for r in results)
+    assert built[0] < 100
+
+
+def test_ruled_chart_jets_seed_each_distinct_a_once(monkeypatch):
+    # 1,024 nodes on 32 distinct a; a seed frames five base points (the
+    # centre and the four nodes of its difference stencil)
+    rc = verify._ruled_charts()[1]
+    frames = _counted(monkeypatch, surfaces, "surface_frame")
+    u = separable(cosine_bump(0, 1), cosine_bump(0, 0.5))
+    got = index_form_I(rc, u, u, QuadratureSpec(8, (4, 4)))
+    assert got.hex() == "0x1.b87dc7f34e4adp-1"
+    assert frames[0] == 5 * 32
+
+
+class _Walled(CatenoidChart):
+    """The catenoid lam = 1, with a wall of singular points at u2 > 1.05."""
+
+    def _jet_parts(self, u1, u2, m):
+        if u2 > 1.05:
+            raise SingularPoint(f"wall at {(u1, u2)!r}")
+        return super()._jet_parts(u1, u2, m)
+
+
+def test_ruled_chart_jets_keep_the_first_failure_of_the_walk():
+    # the S-curve from u0 meets the wall near a = -0.6: point 5 is the first
+    # whose seed walks that far, and the jets stop there, as scalar jets do
+    def chart():
+        base = _Walled(1.0)
+        return ruled_coordinates(base, base.locate(Point(math.sqrt(2.0), 0.0, 1.0)), 1.0,
+                                 (-0.5, 0.5))
+
+    S = [0.1, -0.1, 0.0, 0.2, 0.1, 0.0, 0.3, 0.1, 0.0, 0.2]
+    A = [-0.1, 0.2, -0.1, -0.3, -0.5, -0.7, -0.2, -0.9, -0.5, 0.9]
+    rc, one = chart(), chart()
+    jets = rc.jets(S, A)
+    for i in range(5):
+        want = one.jet(S[i], A[i])
+        for got, w in zip((jets.p, jets.f1, jets.f2, jets.f11, jets.f12, jets.f22),
+                          (want.p.coords(), want.f1, want.f2, want.f11, want.f12, want.f22)):
+            assert [float(c[i]).hex() for c in got] == [float(c).hex() for c in w]
+    with pytest.raises(StoppedAtSingular) as exc:
+        one.jet(S[5], A[5])
+    index, err = jets.failure
+    assert (index, type(err), str(err)) == (5, StoppedAtSingular, str(exc.value))
+    assert all(math.isnan(c) for c in jets.p[0][5:])
+    assert [len(w) for w in rc._walks.values()] == [len(w) for w in one._walks.values()]
