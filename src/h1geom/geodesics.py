@@ -190,16 +190,6 @@ EPS_STEP = 1e-5          # family-parameter stencil, one Richardson level
 JACOBI_S_STEP = 1e-2     # s-stencil for covariant derivatives
 
 
-def _family_arc(alpha: Curve, U: FieldAlong, eps: float) -> GeodesicArc:
-    """Initial data of the family member ``eps``, with U(eps) rebased onto
-    alpha(eps)."""
-    a = alpha(eps)
-    u = U(eps)
-    if u.base.coords() != a.coords():
-        u = FrameVector(u.a, u.b, u.c, a)
-    return GeodesicArc(a, u)
-
-
 def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
                                s: float, h: float = JACOBI_S_STEP) -> FrameVector:
     """Covariant derivative of a field sampled along a curve.
@@ -278,9 +268,9 @@ def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
         raise ValueError("S must be one-dimensional")
     raise_first_failure(_nonfinite_nodes([(S[None], eps, S)], len(S)))
     eps_nodes = stencil_nodes(np.float64(eps), EPS_STEP).tolist()
-    arcs = [_family_arc(alpha, U, e) for e in eps_nodes]
-    p0 = np.array([a.p0.coords() for a in arcs]).T     # (3, 5 members)
-    A, B, lam = np.array([a.v0.coeffs() for a in arcs]).T
+    # each member starts at alpha(e) with the frame coefficients of U(e)
+    members = [(alpha(e).coords(), U(e).coeffs()) for e in eps_nodes]
+    p0, (A, B, lam) = (np.array(c).T for c in zip(*members))  # (3, 5 members) each
     outer = stencil_nodes(S, JACOBI_S_STEP)             # (n, 5)
     inner = stencil_nodes(outer, JACOBI_S_STEP)         # (n, 5, 5)
     with np.errstate(all="ignore"):

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (FrameVector, Point, Vec3, _finite3, connection_correct, euclidean_coeffs,
-                   frame_coeffs, frame_to_euclidean, jop_coeffs)
+                   frame_coeffs, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
                        integrate_cells, raise_first_failure, rk4)
@@ -79,13 +79,11 @@ class ChartJets:
 class Chart:
     """Base class: a C^2 map from a parameter rectangle into the group.
 
-    Analytic charts implement ``_jet_parts(u1, u2, m)`` once, with ``m`` the
-    ``math`` module for one point or ``numpy`` for arrays of points; a
-    scalar entry it returns is a constant of the chart and is broadcast.
-    Charts that only override ``jet`` get ``jets`` by stacking scalar jets,
-    in row-major order up to the first non-finite chart point, where the
-    scalar view stops, or up to the first jet that raises, which
-    ``ChartJets.failure`` keeps; the jets from there on are NaN.
+    A chart writes ``_jet_parts(u1, u2, m)`` once, with ``m`` the ``math``
+    module for one point or ``numpy`` for arrays of points; a scalar entry
+    it returns is a constant of the chart and is broadcast.  A chart whose
+    parts take floats only also writes ``jets``, which stacks its scalar
+    jets (``_stacked_jets``).
     """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
@@ -99,19 +97,12 @@ class Chart:
 
     def _jet_floats(self, u1: float, u2: float) -> tuple:
         """``jet`` at (u1, u2) as plain tuples (p, f1, f2, f11, f12, f22),
-        with its errors in its order; an analytic chart builds no ChartJet
-        and no Point."""
-        if type(self).jet is not Chart.jet:  # a chart that writes jet
-            j = self.jet(u1, u2)
-            return j.p.coords(), j.f1, j.f2, j.f11, j.f12, j.f22
+        with its errors in its order, and no ChartJet or Point."""
         return _checked_jet(self._jet_parts, u1, u2)
 
     def jets(self, U1, U2) -> ChartJets:
         """Jets at the points (U1[i], U2[i]) as arrays."""
-        U1 = np.asarray(U1, dtype=float)
-        U2 = np.asarray(U2, dtype=float)
-        if type(self)._jet_parts is Chart._jet_parts:
-            return self._stacked_jets(U1, U2)
+        U1, U2 = _parameter_arrays(U1, U2)
 
         def full(c):  # a constant of the chart is broadcast; an array is used as it is
             c = np.asarray(c, dtype=float)
@@ -122,31 +113,44 @@ class Chart:
     def _jet_parts(self, u1, u2, m):
         raise NotImplementedError
 
-    def _stacked_jets(self, U1: np.ndarray, U2: np.ndarray, jet_floats=None) -> ChartJets:
-        """The scalar jets (``jet_floats``, by default ``_jet_floats``) stacked."""
-        jet_floats = jet_floats or self._jet_floats
-        rows, failure = [], None
-        for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
-            if not (math.isfinite(a) and math.isfinite(b)):
-                break  # the scalar view stops here, before evaluating the chart
-            try:
-                rows.append(jet_floats(a, b))
-            except GeometryError as exc:  # raised by the caller unless an earlier point fails
-                failure = (len(rows), exc)
-                break
-        rows += [((math.nan,) * 3,) * 6] * (U1.size - len(rows))
-        rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
-        return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
-                           for k in range(6)), failure)
+
+def _parameter_arrays(U1, U2) -> tuple[np.ndarray, np.ndarray]:
+    """The chart points (U1[i], U2[i]) as two float arrays of one shape;
+    raises ``ValueError`` where U1 and U2 differ in shape."""
+    U1 = np.asarray(U1, dtype=float)
+    U2 = np.asarray(U2, dtype=float)
+    if U1.shape != U2.shape:
+        raise ValueError("parameter arrays must have one shape")
+    return U1, U2
+
+
+def _stacked_jets(U1: np.ndarray, U2: np.ndarray, jet_floats) -> ChartJets:
+    """The scalar jets ``jet_floats(u1, u2)`` stacked, in row-major order up
+    to the first non-finite chart point, where the scalar view stops, or up
+    to the first jet that raises, which ``ChartJets.failure`` keeps; the
+    jets from there on are NaN."""
+    rows, failure = [], None
+    for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            break  # the scalar view stops here, before evaluating the chart
+        try:
+            rows.append(jet_floats(a, b))
+        except GeometryError as exc:  # raised by the caller unless an earlier point fails
+            failure = (len(rows), exc)
+            break
+    rows += [((math.nan,) * 3,) * 6] * (U1.size - len(rows))
+    rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
+    return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
+                       for k in range(6)), failure)
 
 
 def _checked_jet(parts, u1: float, u2: float) -> tuple:
     """``parts(u1, u2, math)``, a chart's ``_jet_parts`` on floats, with the
-    errors of ``Chart.jet``: ``NonFiniteValue`` for an overflow and for a
-    non-finite point (the check of ``Point``)."""
+    errors of ``Chart.jet``: ``NonFiniteValue`` for an overflow, a domain
+    error and a non-finite point (the check of ``Point``)."""
     try:
         jet = parts(u1, u2, math)
-    except OverflowError:  # as surface_frames reports the inf numpy returns
+    except (OverflowError, ValueError):  # as surface_frames reports the inf or NaN numpy returns
         raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
     _finite3(jet[0], "point")
     return jet
@@ -291,17 +295,9 @@ def _tangent_in_chart(c1, c2, w):
     return in_chart
 
 
-def _directions(c1, c2, w, n, nh):
-    """nu_h, Z and S as frame-coefficient triples, then Z and S in chart
-    coordinates, at regular points."""
-    nu, z, s = _unit_directions(n, nh)
-    in_chart = _tangent_in_chart(c1, c2, w)
-    return nu, z, s, in_chart(z), in_chart(s)
-
-
 def _chart_direction(c1, c2, w, n, nh, which: str):
-    """Z or S (``which``) of ``_directions`` in chart coordinates, and not
-    the other."""
+    """Z or S (``which``) of ``_unit_directions`` in chart coordinates, and
+    not the other."""
     _, z, s = _unit_directions(n, nh)
     return _tangent_in_chart(c1, c2, w)(z if which == "Z" else s)
 
@@ -331,7 +327,9 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     ii22 = second_form((f22[0], f22[1], dc(f22, f2, f2)), c2, c2)
     ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
 
-    nu, z, s, zc, sc = _directions(c1, c2, w, n, nh)
+    nu, z, s = _unit_directions(n, nh)
+    in_chart = _tangent_in_chart(c1, c2, w)
+    zc, sc = in_chart(z), in_chart(s)
 
     def ii(a, b):
         return (a[0] * b[0] * ii11 + (a[0] * b[1] + a[1] * b[0]) * ii12
@@ -342,7 +340,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     bss = ii(sc, sc)
     h = bzz / (2.0 * nh)
     hr = 0.5 * (bzz + bss)
-    qval = bzz * bzz + (bzs + 1.0) ** 2 - 4.0 * nh * nh
+    qval = bzz * bzz + (bzs + 1.0) * (bzs + 1.0) - 4.0 * nh * nh
 
     # chart-coordinate derivatives of |N_h| and <N,T> from the shape
     # operator: for tangent v, v(|N_h|) = -<N,T>(<B(v),S> + <J(v),nu_h>) and
@@ -416,10 +414,7 @@ def _frame_heads(chart: Chart, U1, U2, singular_ok: bool,
     |N_h| <= SINGULAR_TOL unless ``singular_ok`` is set.  Overflow and
     invalid operations are left to these checks and raise no numpy warning.
     """
-    U1 = np.asarray(U1, dtype=float)
-    U2 = np.asarray(U2, dtype=float)
-    if U1.shape != U2.shape:
-        raise ValueError("parameter arrays must have one shape")
+    U1, U2 = _parameter_arrays(U1, U2)
     u = _chart_point_at(U1, U2)
     with np.errstate(all="ignore"):
         jet = chart.jets(U1, U2)
@@ -471,8 +466,7 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
     in row-major order, where the chart point, the surface point or the
     density is not finite, or a stacked scalar jet's own error there.
     """
-    U1 = np.asarray(U1, dtype=float)
-    U2 = np.asarray(U2, dtype=float)
+    U1, U2 = _parameter_arrays(U1, U2)
     with np.errstate(all="ignore"):
         jet = chart.jets(U1, U2)
         x, y, t = jet.p
@@ -554,11 +548,10 @@ def integrate_tangent_fields(chart: Chart, U1, U2, length, steps: int,
     (``FirstFailures``), whatever the batch.
     """
     _check_which(which)
-    U1 = np.asarray(U1, dtype=float)
+    U1, U2 = _parameter_arrays(U1, U2)
     failures = FirstFailures(U1.shape)
     with np.errstate(all="ignore"):  # a failed point steps on as inf or NaN
-        us = rk4(lambda u: _chart_velocities(chart, *u, which, failures),
-                 (U1, np.asarray(U2, dtype=float)), length, steps)
+        us = rk4(lambda u: _chart_velocities(chart, *u, which, failures), (U1, U2), length, steps)
     failures.raise_first(_stopped)
     return us
 
@@ -760,7 +753,7 @@ class GraphChart(Chart):
     def jets(self, U1, U2) -> ChartJets:
         # the partials are arbitrary float functions (they may branch on
         # their arguments or reduce over them), so no array call is safe
-        return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
+        return _stacked_jets(*_parameter_arrays(U1, U2), self._jet_floats)
 
 
 class PlaneChart(Chart):
@@ -898,12 +891,11 @@ class TransformedChart(Chart):
         return (self._apply(p, True), self._apply(f1, False), self._apply(f2, False),
                 self._apply(f11, False), self._apply(f12, False), self._apply(f22, False))
 
-    def _jet_floats(self, u1: float, u2: float) -> tuple:
-        jet = self._transform(*self.base._jet_floats(u1, u2))
-        _finite3(jet[0], "point")
-        return jet
+    def _jet_parts(self, u1, u2, m):
+        return self._transform(*self.base._jet_parts(u1, u2, m))
 
     def jets(self, U1, U2) -> ChartJets:
+        # the base's own jets, which may be stacked
         j = self.base.jets(U1, U2)
         return ChartJets(*self._transform(j.p, j.f1, j.f2, j.f11, j.f12, j.f22), j.failure)
 
@@ -933,9 +925,9 @@ class RuledChart(SeedRuledChart):
 
     Gamma is the unit-speed integral curve of S (RK4 in base chart
     coordinates, cached on a fixed grid).  ``_seed`` reads Gamma, Gamma' = S
-    and e off one base frame at Gamma(a), and Gamma'', e' and e'' from
+    and e off one base frame head at Gamma(a), and Gamma'', e' and e'' from
     Richardson central differences along the curve; ``point`` reads the one
-    frame alone.  ``jets`` stacks scalar jets, so an error of the walk keeps
+    head alone.  ``jets`` stacks scalar jets, so an error of the walk keeps
     its first-failure place, and seeds each distinct a once.
 
     The grid is walked as far as asked: each side of ``u0`` grows by one
@@ -981,8 +973,10 @@ class RuledChart(SeedRuledChart):
 
     def _curve(self, a: float) -> tuple[float, ...]:
         """Euclidean Gamma(a), Gamma'(a) = S and e = (Z_X, Z_Y), as one tuple."""
-        fr = surface_frame(self.base, self.curve_chart_point(a))
-        return (*fr.Z.base.coords(), *frame_to_euclidean(fr.S), fr.Z.a, fr.Z.b)
+        jet, _, _, _, n, nh = _frame_head(self.base, self.curve_chart_point(a), False)
+        x, y, t = jet[0]
+        _, z, s = _unit_directions(n, nh)
+        return (x, y, t, *euclidean_coeffs(x, y, s), z[0], z[1])
 
     def _seed(self, a, m):
         c0, d1, d2 = central_diffs(self._curve, a, DiffSpec(1e-4, 1), (0, 1, 2))
@@ -1003,8 +997,7 @@ class RuledChart(SeedRuledChart):
                 seeds[a] = self._seed(a, m)
             return _ruled_jet(s, seeds[a])
 
-        return self._stacked_jets(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float),
-                                  lambda s, a: _checked_jet(parts, s, a))
+        return _stacked_jets(*_parameter_arrays(U1, U2), lambda s, a: _checked_jet(parts, s, a))
 
 
 def ruled_coordinates(chart: Chart, u0: tuple[float, float], eps_range: float,

@@ -255,18 +255,75 @@ def test_stacked_jet_errors_wait_for_earlier_points():
     with pytest.raises(SingularPoint):
         surface_frames(dilated(chart, 0.3), [0.0, 0.3], [0.5, 1000.0])
 
-    class Stops(Chart):  # stacked jets that raise an error of their own
-        def jet(self, u1, u2):
-            if u2 > 100.0:
-                raise StoppedAtSingular(f"no jet at {(u1, u2)!r}")
-            return chart.jet(u1, u2)
+    def phi(x, y):  # stacked jets that raise an error of their own
+        if y > 100.0:
+            raise StoppedAtSingular(f"no jet at {(x, y)!r}")
+        return x * y
 
-    for call in (lambda: surface_frames(Stops(), [0.3, 0.0], [1000.0, 0.5]),
-                 lambda: area_elements(Stops(), [0.3, math.nan], [1000.0, 0.5])):
+    stops = GraphChart(phi, lambda x, y: y, lambda x, y: x, lambda x, y: 0.0,
+                       lambda x, y: 1.0, lambda x, y: 0.0)
+    for call in (lambda: surface_frames(stops, [0.3, 0.0], [1000.0, 0.5]),
+                 lambda: area_elements(stops, [0.3, math.nan], [1000.0, 0.5])):
         with pytest.raises(StoppedAtSingular, match=re.escape("no jet at (0.3, 1000.0)")):
             call()
     with pytest.raises(SingularPoint):
-        surface_frames(Stops(), [0.0, 0.3], [0.5, 1000.0])
+        surface_frames(stops, [0.0, 0.3], [0.5, 1000.0])
+
+
+def test_math_domain_errors_are_nonfinite_values():
+    # math.sin(inf) raises ValueError where numpy returns NaN: the scalar jet
+    # reports it as the array views do
+    hel = HelicoidChart(1e300)
+    message = re.escape("non-finite point at (0.0, 10000000000.0)")
+    for call in (lambda: surface_frame(hel, (0.0, 1e10)),
+                 lambda: surface_frames(hel, [0.0], [1e10])):
+        with pytest.raises(NonFiniteValue, match=message):
+            call()
+    with pytest.raises(NonFiniteValue):
+        area_element(hel, (0.0, 1e10))
+
+    # a stacked jet's domain error waits for an earlier failing point
+    def root(x, y):
+        return 0.0 * math.sqrt(y)
+
+    chart = GraphChart(lambda x, y: x * y + root(x, y), lambda x, y: y,
+                       lambda x, y: x + root(x, y), lambda x, y: 0.0,
+                       lambda x, y: 1.0, lambda x, y: 0.0)
+    with pytest.raises(NonFiniteValue, match=re.escape("non-finite point at (0.3, -1.0)")):
+        surface_frame(chart, (0.3, -1.0))
+    with pytest.raises(SingularPoint, match=re.escape("at (0.0, 0.5)")):
+        surface_frames(chart, [0.0, 0.3], [0.5, -1.0])
+    with pytest.raises(NonFiniteValue, match=re.escape("non-finite point at (0.3, -1.0)")):
+        surface_frames(chart, [0.3, 0.0], [-1.0, 0.5])
+    with pytest.raises(NonFiniteValue, match=re.escape("non-finite tangent plane at (nan, 0.5)")):
+        area_elements(chart, [math.nan, 0.3], [0.5, -1.0])
+
+
+def test_frames_agree_where_a_shape_term_overflows():
+    # <B(Z),S> is about -7e199 at (0.3, 0.5), so (<B(Z),S> + 1)^2 overflows:
+    # both views give q = inf, and the ruled chart, which reads no shape
+    # term, still places its points
+    K = 1e200
+    chart = GraphChart(lambda x, y: x * y + K * (x - 0.3) * (y - 0.5),
+                       lambda x, y: y + K * (y - 0.5), lambda x, y: x + K * (x - 0.3),
+                       lambda x, y: 0.0, lambda x, y: 1.0 + K, lambda x, y: 0.0)
+    one = surface_frame(chart, (0.3, 0.5))
+    many = surface_frames(chart, [0.3], [0.5])
+    assert one.q == math.inf and many.q.tolist() == [math.inf]
+    assert one.BZS == many.BZS[0] and one.H == many.H[0]
+    rc = ruled_coordinates(chart, (0.3, 0.5), 0.01, (-0.1, 0.1))
+    assert rc.point(0.05, 0.0) == Point(0.35, 0.5, 0.175)
+
+
+@pytest.mark.parametrize("name", ["helicoid", "graph", "ruled", "dilated"])
+def test_parameter_arrays_of_two_shapes_are_refused(name):
+    cat = CatenoidChart(1.0)
+    chart = {"helicoid": HelicoidChart(2.0), "graph": _overflowing_graph(),
+             "ruled": ruled_coordinates(cat, (0.5, 0.5), 0.1, (-1.0, 1.0)),
+             "dilated": dilated(HelicoidChart(2.0), 0.3)}[name]
+    for call in (surface_frames, area_elements, lambda c, U1, U2: c.jets(U1, U2)):
+        with pytest.raises(ValueError, match="parameter arrays must have one shape"):
+            call(chart, [0.1, 0.2], [0.3])
 
 
 def _planted(good, bads):

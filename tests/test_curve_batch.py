@@ -259,8 +259,9 @@ def test_singular_locus_is_the_scalar_search(name):
 # and stability suites.  The one-point callers (RuledChart's curve grid,
 # characteristic_ray, _frames_along_ray and the few-point checks) keep the
 # scalar walk; everything else runs on arrays.  RuledChart walks its grid
-# only as far as its jets read it.
-SCALAR_BUDGET = {"surface_frame": 401, "_chart_velocity": 4036}
+# only as far as its jets read it, and reads its curve off frame heads, with
+# no surface_frame.
+SCALAR_BUDGET = {"surface_frame": 367, "_chart_velocity": 4036}
 
 
 def test_scalar_frame_budget(monkeypatch):

@@ -1,9 +1,11 @@
 """Work that verify no longer repeats or computes unread, pinned by counts
 and by bitwise equality with the work it replaced."""
 
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from h1geom import core, geodesics, stability, surfaces, verify
@@ -16,7 +18,8 @@ from h1geom.surfaces import CatenoidChart, curve_samples, ruled_coordinates
 
 
 def _counted(monkeypatch, module, name):
-    """Count the calls of ``module.name`` made through the module global."""
+    """Count the calls of ``module.name`` made through the module global (or
+    the class attribute, where ``module`` is a class)."""
     calls = [0]
     orig = getattr(module, name)
 
@@ -45,6 +48,35 @@ def test_covariant_field_shares_one_evaluation_per_point(monkeypatch):
     assert field.at(p).coeffs() == want
     assert field.at(Point(0.5, -0.8, 0.2)).coeffs() == want
     assert calls[0] == 1
+
+
+def _digest(values) -> str:
+    """The first 32 hex digits of the sha256 of ``values`` as float64 bytes."""
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:32]
+
+
+def test_ruled_chart_curve_keeps_its_bits():
+    # Gamma, Gamma' = S and e of the three ruled charts of check_ruled_charts,
+    # as the curve read off a full base surface_frame computed them
+    values = [x for rc in verify._ruled_charts() for a in (-0.4, -0.0, 0.0, 0.3, 0.55)
+              for x in rc._curve(a)]
+    assert _digest(values) == "e9be70ff89c3ce7f8f1eb9fc50dfeb03"
+
+
+def test_jacobi_fields_keep_their_bits():
+    # the family of check_jacobi_random, as jacobi_fields computed it when it
+    # built a GeodesicArc per family member
+    def alpha(e):
+        return Point(math.sin(e), e, 0.3 * e * e)
+
+    def u_of(e):
+        return core.FrameVector(0.8 + 0.1 * e, -0.5 * e, 0.9 + 0.2 * math.cos(e), alpha(e))
+
+    arrays = []
+    for eps in (0.0, 0.3, -0.2):
+        jf = geodesics.jacobi_fields(alpha, u_of, eps, [0.5, -1.0, 1.2])
+        arrays += [jf.points, jf.V, jf.Vprime, jf.Vsecond, jf.DV_velocity]
+    assert _digest(np.concatenate(arrays)) == "f32ec1726f1ad88d9218bf62bdd53a1f"
 
 
 def _bump():
@@ -102,8 +134,8 @@ def test_direct_variations_evaluate_fgh_once_per_pm_pair(monkeypatch):
 
 
 def test_ruled_chart_check_builds_few_points(monkeypatch):
-    # the curve walks frame their base charts from plain tuples: the points
-    # left are the public ones (point, surface_frame), 3,122 before
+    # the curve walks and the curve reads frame their base charts from plain
+    # tuples: the points left are the public ones (point), 3,122 before
     built = [0]
     orig = core.Point.__post_init__
 
@@ -114,18 +146,18 @@ def test_ruled_chart_check_builds_few_points(monkeypatch):
     monkeypatch.setattr(core.Point, "__post_init__", spy)
     results = verify.check_ruled_charts()
     assert all(r.passed for r in results)
-    assert built[0] < 100
+    assert built[0] < 50
 
 
 def test_ruled_chart_jets_seed_each_distinct_a_once(monkeypatch):
-    # 1,024 nodes on 32 distinct a; a seed frames five base points (the
-    # centre and the four nodes of its difference stencil)
+    # 1,024 nodes on 32 distinct a; a seed reads the curve at five points
+    # (the centre and the four nodes of its difference stencil)
     rc = verify._ruled_charts()[1]
-    frames = _counted(monkeypatch, surfaces, "surface_frame")
+    curves = _counted(monkeypatch, surfaces.RuledChart, "_curve")
     u = separable(cosine_bump(0, 1), cosine_bump(0, 0.5))
     got = index_form_I(rc, u, u, QuadratureSpec(8, (4, 4)))
     assert got.hex() == "0x1.b87dc7f34e4adp-1"
-    assert frames[0] == 5 * 32
+    assert curves[0] == 5 * 32
 
 
 class _Walled(CatenoidChart):

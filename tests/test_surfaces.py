@@ -6,7 +6,7 @@ import pytest
 from h1geom.core import Point, dot
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
-from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, ChartJet, Chart, GraphChart,
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
                              HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart,
                              area, area_element, area_elements, catalog_surface,
                              characteristic_ray, dilated, rotated, ruled_coordinates,
@@ -261,10 +261,9 @@ def test_catalog_factory():
 
 def test_degenerate_chart_rejected():
     class Bad(Chart):
-        def jet(self, u1, u2):
+        def _jet_parts(self, u1, u2, m):
             zero = (0.0, 0.0, 0.0)
-            return ChartJet(Point(u1, u2, 0.0), (1.0, 0.0, 0.0),
-                            (1.0, 0.0, 0.0), zero, zero, zero)
+            return (u1, u2, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), zero, zero, zero
 
     with pytest.raises(NonFiniteValue):
         surface_frame(Bad(), (0.0, 0.0))
