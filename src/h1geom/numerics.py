@@ -21,6 +21,7 @@ from .errors import NonFiniteValue
 ALLOWED_POINTS = (4, 8, 16, 32)
 
 Diff = Union[float, np.ndarray, tuple]
+Samples = Union[np.ndarray, tuple[np.ndarray, ...]]
 
 
 @dataclass(frozen=True)
@@ -259,42 +260,65 @@ def integrate_2d(f: Callable[[float, float], float], rect: Rect,
 CELL_BLOCK_NODES = 4096
 
 
-def integrate_cells(f: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rect,
-                    spec: QuadratureSpec, cuts: Cuts = ((), ())) -> float:
+def integrate_cells(f: Callable[[np.ndarray, np.ndarray], Samples], rect: Rect,
+                    spec: QuadratureSpec, cuts: Cuts = ((), ())) -> float | tuple[float, ...]:
     """The tensor-product composite rule of ``gauss_nodes`` over ``rect``, cut
     at ``cuts``, for an elementwise array integrand, evaluated on blocks of
     whole quadrature cells.
 
-    ``f`` maps 1-D node arrays to the sample array.  Each call gets the
-    nodes of consecutive cells in the row-major order of ``gauss_nodes``,
-    as many cells as fit in ``CELL_BLOCK_NODES`` (at least one), so the
-    rule and that constant fix the blocks.  The terms are summed in that
+    ``f`` maps 1-D node arrays to the sample array, or to a tuple of sample
+    arrays, one per integral: the result is then the tuple of their sums,
+    each the sum it would be alone.  Each call gets the nodes of
+    consecutive cells in the row-major order of ``gauss_nodes``, as many
+    cells as fit in ``CELL_BLOCK_NODES`` (at least one), so the rule and
+    that constant fix the blocks; an empty rule is one call on empty node
+    arrays, which gives 0.0 per integral.  The terms are summed in that
     order, so the result does not depend on the block size.  Overflow and
     invalid operations raise no numpy warning.  The first cell holding a
     non-finite sample or an overflowing weighted term raises
-    ``NonFiniteValue``: at its first non-finite sample, else at its first
-    non-finite weighted term, as a cell-by-cell loop would.
+    ``NonFiniteValue``, as a cell-by-cell loop would: at the first
+    integral, in tuple order, that fails there, and at its first non-finite
+    sample, else at its first non-finite weighted term.
     """
     U1, U2, W = gauss_nodes(rect, spec, cuts)
-    if not U1.size:
-        return 0.0
     per_cell = U1.shape[1]
     step = max(1, CELL_BLOCK_NODES // per_cell)
-    terms = []
-    for first in range(0, len(U1), step):
+    sums = None
+    for first in range(0, max(1, len(U1)), step):
         block = slice(first, first + step)
         with np.errstate(over="ignore", invalid="ignore"):
             v = f(U1[block].ravel(), U2[block].ravel())
-            wv = W[block].ravel() * v
-        # a term is checked only in cells with finite samples, so a cell
-        # reports its first non-finite sample before any overflowing term
-        bad_v, sample_error = _nonfinite_samples(np.reshape(v, (-1, per_cell)), "integrate_2d")
-        bad_wv, term_error = _nonfinite_samples(wv.reshape(-1, per_cell),
-                                                "integrate_2d weighted terms")
-        raise_first_failure((bad_v, sample_error),
-                            (bad_wv & ~bad_v.any(axis=1, keepdims=True), term_error))
-        terms.extend(wv.tolist())
-    return kahan_sum(terms)
+        vs = v if isinstance(v, tuple) else (v,)
+        wvs = _checked_terms(vs, W[block].ravel(), per_cell)
+        if sums is None:
+            sums = [[] for _ in vs]
+        for terms, wv in zip(sums, wvs):
+            terms.extend(wv.tolist())
+    total = tuple(kahan_sum(terms) for terms in sums)
+    return total if isinstance(v, tuple) else total[0]
+
+
+def _checked_terms(vs: Sequence[np.ndarray], w: np.ndarray, per_cell: int) -> list[np.ndarray]:
+    """The weighted terms ``w * v`` of each of the samples ``vs`` of one
+    block of ``integrate_cells``, or its ``NonFiniteValue``: at the first
+    cell where a sample or a term is not finite, the first of v_0, w v_0,
+    v_1, w v_1, ... that is not finite there raises at its first
+    non-finite node."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wvs = [w * v for v in vs]
+    checks = [_nonfinite_samples(np.asarray(a).reshape(-1, per_cell), where)
+              for v, wv in zip(vs, wvs)
+              for a, where in ((v, "integrate_2d"), (wv, "integrate_2d weighted terms"))]
+    row = np.concatenate([mask for mask, _ in checks], axis=1)  # (cells, 2 len(vs) per_cell)
+    width = row.shape[1]
+
+    def error(i):
+        cell, j = divmod(i, width)
+        k, node = divmod(j, per_cell)
+        return checks[k][1](cell * per_cell + node)
+
+    raise_first_failure((row, error))
+    return wvs
 
 
 def rk4(vel: Callable[[tuple], tuple], u0: tuple, length: float, steps: int) -> list[tuple]:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                      SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
 from .geodesics import exp_euclidean
-from .numerics import (DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
+from .numerics import (Cuts, DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
                        gauss_legendre_1d, gauss_nodes, integrate_array_1d,
                        integrate_cells, kahan_sum, raise_first_failure, richardson,
                        stencil_d1, stencil_nodes)
@@ -405,30 +405,49 @@ def _require_inside(chart: Chart, rect: Rect) -> None:
             f"support {rect} is not inside the domain {chart.domain} of {type(chart).__name__}")
 
 
+def index_form_samples(chart: Chart, fr, U1: np.ndarray, U2: np.ndarray,
+                       uf: TestFunction, vf: TestFunction) -> np.ndarray:
+    """The integrand of ``index_form_I`` against du1 du2 at the chart points
+    (U1, U2), whose ``SurfaceFrames`` on ``chart`` are ``fr``:
+    |N_h|^{-1} { Z(u) Z(v) - q u v } times the Riemannian area element."""
+    z1, z2 = fr.z_chart  # the shape terms first, while no jet of u or v is held
+    u, ud1, ud2 = uf.jet(U1, U2, (chart, fr))
+    v, vd1, vd2 = (u, ud1, ud2) if vf is uf else vf.jet(U1, U2, (chart, fr))
+    zu = z1 * ud1 + z2 * ud2
+    zv = z1 * vd1 + z2 * vd2
+    return (zu * zv - fr.q * u * v) / fr.Nh_norm * fr.riem_area
+
+
 def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
                  quad: QuadratureSpec) -> float:
     """The second-variation bilinear form
     I(u, v) = int |N_h|^{-1} { Z(u) Z(v) - q u v } dA
-    over the (regular) intersection of the supports, in one pass of
-    ``integrate_cells`` cut at ``_axis_cuts``.  Raises
+    over the cells of ``index_form_cells``, in one pass of
+    ``integrate_cells`` over ``index_form_samples``.  Raises
+    ``SupportOutsideDomain`` when the intersection of the supports leaves
+    the chart domain.
+    """
+    cells = index_form_cells(chart, uf, vf)
+    if cells is None:
+        return 0.0
+    rect, cuts = cells
+    return integrate_cells(
+        lambda U1, U2: index_form_samples(chart, surface_frames(chart, U1, U2), U1, U2, uf, vf),
+        rect, quad, cuts)
+
+
+def index_form_cells(chart: Chart, uf: TestFunction,
+                     vf: TestFunction) -> tuple[Rect, Cuts] | None:
+    """The rectangle and cut points of ``index_form_I``: the (regular)
+    intersection of the supports of u and v, or None where it is empty, cut
+    at their support edges and kinks on each axis.  Raises
     ``SupportOutsideDomain`` when that intersection leaves the chart domain.
     """
     rect = _intersection((uf.support, vf.support))
     if rect is None:
-        return 0.0
+        return None
     _require_inside(chart, rect)
-
-    def integrand(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-        fr = surface_frames(chart, U1, U2)
-        z1, z2 = fr.z_chart  # the shape terms first, while no jet of u or v is held
-        u, ud1, ud2 = uf.jet(U1, U2, (chart, fr))
-        v, vd1, vd2 = (u, ud1, ud2) if vf is uf else vf.jet(U1, U2, (chart, fr))
-        zu = z1 * ud1 + z2 * ud2
-        zv = z1 * vd1 + z2 * vd2
-        return (zu * zv - fr.q * u * v) / fr.Nh_norm * fr.riem_area
-
-    return integrate_cells(integrand, rect, quad,
-                           (_axis_cuts((uf, vf), 0), _axis_cuts((uf, vf), 1)))
+    return rect, (_axis_cuts((uf, vf), 0), _axis_cuts((uf, vf), 1))
 
 
 def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
@@ -526,11 +545,13 @@ def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
     index form I(u, u) with u = v + <N,T> w.  The cells of ``gauss_nodes``
     are cut at the support edges and kinks of v and w (``_axis_cuts``).
     Each cell frames a 9-point chart stencil of its nodes (centre, +-h1,
-    +-h1/2, +-h2, +-h2/2) once, as one batch, and moves it along geodesics
-    through the seven s in one ``exp_euclidean`` pass; the deformed
-    density is the horizontal cross-product norm of its finite-difference
-    partials.  Raises ``SupportOutsideDomain``
-    when the deformation's support leaves the chart domain, and
+    +-h1/2, +-h2, +-h2/2) once, as one batch, drops the frame, and moves
+    the stencil along geodesics through the seven s in one
+    ``exp_euclidean`` pass, into one (7, 3, 9, nodes) endpoint array.  The
+    seven deformed densities, the horizontal cross-product norms of the
+    finite-difference partials, are then one ``stencil_d1`` pass per axis
+    and one ``area_density`` call.  Raises ``SupportOutsideDomain`` when
+    the deformation's support leaves the chart domain, and
     ``NonFiniteValue``, naming s, in the first cell with a non-finite
     deformed density.
     """
@@ -542,6 +563,8 @@ def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
     steps = [VARIATION_DIFF.step / 2**i for i in range(VARIATION_DIFF.richardson_levels + 1)]
     params = [0.0, *(x for h in steps for x in (h, -h))]
     terms = np.empty((len(params),) + W.shape)
+    ends = np.empty((len(params), 3, 9, W.shape[1]))  # a cell's endpoints, refilled per cell
+    moved = np.moveaxis(ends, (1, 2), (0, -1))  # a view: (3, s, nodes, stencil)
     for cell, (u1, u2, weights) in enumerate(zip(U1, U2, W)):
         h1 = 1e-5 * np.maximum(1.0, np.abs(u1))
         h2 = 1e-5 * np.maximum(1.0, np.abs(u2))
@@ -555,13 +578,13 @@ def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
         rows = (9, len(u1))
         base = tuple(c.reshape(rows) for c in fr.points)
         uvec = tuple(c.reshape(rows) for c in (vv * ne[0], vv * ne[1], vv * ne[2] + ww))
-        dens = np.empty((len(params), len(u1)))
+        del fr, vv, ww, ne, s1, s2, axis1, axis2  # the flow holds the stencil alone
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, end in enumerate(exp_euclidean(base, uvec, params)):
-                moved = np.moveaxis(np.stack(end), 1, -1)  # (3, nodes, 9)
-                dens[k] = area_density(moved[0, :, 0], moved[1, :, 0],
-                                       stencil_d1(moved[..., :5], h1),
-                                       stencil_d1(moved[..., [0, 5, 6, 7, 8]], h2))
+            for k, (x, y, t) in enumerate(exp_euclidean(base, uvec, params)):
+                ends[k, 0], ends[k, 1], ends[k, 2] = x, y, t
+            # stencil_d1 reads columns 1-4 alone: 5-8 are the +-h2, +-h2/2 nodes
+            dens = area_density(moved[0, ..., 0], moved[1, ..., 0],
+                                stencil_d1(moved[..., :5], h1), stencil_d1(moved[..., 4:], h2))
         raise_first_failure((~np.isfinite(dens), lambda i: NonFiniteValue(
             f"non-finite deformed area density at s = {params[i // len(u1)]!r}: "
             f"{float(dens.flat[i])!r}")))

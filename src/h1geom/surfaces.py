@@ -101,14 +101,13 @@ class Chart:
         return _checked_jet(self._jet_parts, u1, u2)
 
     def jets(self, U1, U2) -> ChartJets:
-        """Jets at the points (U1[i], U2[i]) as arrays."""
+        """Jets at the points (U1[i], U2[i]) as arrays: the arrays of
+        ``_jet_parts`` themselves, which float64 parameter arrays make
+        float64 arrays of their shape, and each constant of the chart (a
+        float or numpy scalar) as a read-only broadcast."""
         U1, U2 = _parameter_arrays(U1, U2)
-
-        def full(c):  # a constant of the chart is broadcast; an array is used as it is
-            c = np.asarray(c, dtype=float)
-            return c if c.shape == U1.shape else np.broadcast_to(c, U1.shape)
-
-        return ChartJets(*(tuple(full(c) for c in v) for v in self._jet_parts(U1, U2, np)))
+        return ChartJets(*(tuple(c if type(c) is np.ndarray else np.broadcast_to(float(c), U1.shape)
+                                 for c in v) for v in self._jet_parts(U1, U2, np)))
 
     def _jet_parts(self, u1, u2, m):
         raise NotImplementedError
@@ -892,7 +891,10 @@ class TransformedChart(Chart):
                 self._apply(f11, False), self._apply(f12, False), self._apply(f22, False))
 
     def _jet_parts(self, u1, u2, m):
-        return self._transform(*self.base._jet_parts(u1, u2, m))
+        # only the scalar view calls this (``jets`` maps the base's jets), so
+        # it maps the base's checked jet: its errors, a non-finite base point
+        # among them, are named at the base point, as its jets name them
+        return self._transform(*self.base._jet_floats(u1, u2))
 
     def jets(self, U1, U2) -> ChartJets:
         # the base's own jets, which may be stacked

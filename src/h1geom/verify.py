@@ -32,7 +32,8 @@ from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
                         cosine_bump, direct_variations,
-                        index_form_I, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
+                        index_form_I, index_form_cells, index_form_samples,
+                        jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
                         l_nh_closed, l_nh_of_frame,
                         operator_L, q_form, ruling_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
@@ -748,29 +749,35 @@ def check_lnh_sign_helicoid() -> CheckResult:
                        "L(|N_h|) = -4(1 -+ |N_h|)^2/|N_h|^2 <= 0", worst, 1e-8)
 
 
-def check_indexform3() -> CheckResult:
-    cat = CatenoidChart(1.0)
-    quad = QuadratureSpec(16, (4, 4))
-    worst = 0.0
-    profiles = [
+def _weighted_identity_profiles() -> list:
+    """The five test functions f of ``check_indexform3``."""
+    return [
         separable(cosine_bump(1.5, 0.8), cosine_bump(0.3, 0.5)),
         separable(cosine_bump(2.4, 0.6), cosine_bump(-0.4, 0.6)),
         separable(smooth_bump(1.0, 0.9), cosine_bump(0.5, 0.7)),
         separable(cosine_bump(3.5, 1.0), smooth_bump(-0.2, 0.8)),
         separable(smooth_bump(4.0, 0.7), smooth_bump(0.1, 0.4)),
     ]
-    for f in profiles:
-        fnh = times_nh(cat, f)
-        lhs = index_form_I(cat, fnh, fnh, quad)
 
-        def rhs_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            fr = surface_frames(cat, a, b)
-            z1, z2 = fr.z_chart  # the shape terms first, while no jet of f is held
+
+def check_indexform3() -> CheckResult:
+    cat = CatenoidChart(1.0)
+    quad = QuadratureSpec(16, (4, 4))
+    worst = 0.0
+    for f in _weighted_identity_profiles():
+        fnh = times_nh(cat, f)
+
+        def both_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            fr = surface_frames(cat, a, b)  # one frame per node for both sides
+            lhs = index_form_samples(cat, fr, a, b, fnh, fnh)
+            z1, z2 = fr.z_chart
             fv, fd1, fd2 = f.jet(a, b)
             zf = z1 * fd1 + z2 * fd2
-            return fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
+            return lhs, fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
 
-        rhs = integrate_cells(rhs_int, f.support, quad)
+        # the cells of index_form_I(cat, fnh, fnh, quad), so lhs is its value
+        rect, cuts = index_form_cells(cat, fnh, fnh)
+        lhs, rhs = integrate_cells(both_sides, rect, quad, cuts)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return CheckResult("index_form_weighted_identity",
                        "I(f|N_h|, f|N_h|) = int |N_h|(Z(f)^2 - L(|N_h|) f^2)", worst, 1e-3)

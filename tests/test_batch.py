@@ -409,6 +409,25 @@ def test_scalar_and_batched_frames_reject_a_non_finite_chart_point(chart, u):
     assert outcomes == [(NonFiniteValue, f"non-finite chart point {u!r}")] * 3
 
 
+@pytest.mark.parametrize("transform", [lambda c: dilated(c, 0.5), lambda c: rotated(c, 0.7),
+                                       lambda c: translated(c, Point(0.3, -0.8, 1.1))],
+                         ids=["dilated", "rotated", "translated"])
+def test_affine_maps_of_a_stacked_base_name_its_non_finite_point(transform):
+    # t = inf at (0.3, 0.5): every view names the base point, not its image
+    # under the map, where 0 * inf makes x and y nan
+    def phi(x, y):
+        return math.inf if (x, y) == (0.3, 0.5) else x * y
+
+    chart = transform(GraphChart(phi, lambda x, y: y, lambda x, y: x, lambda x, y: 0.0,
+                                 lambda x, y: 1.0, lambda x, y: 0.0))
+    for call in (lambda: surface_frame(chart, (0.3, 0.5)),
+                 lambda: _chart_velocity(chart, (0.3, 0.5), "S"),
+                 lambda: chart.jet(0.3, 0.5),
+                 lambda: surface_frames(chart, [0.1, 0.3], [0.2, 0.5])):
+        with pytest.raises(NonFiniteValue, match=re.escape("non-finite point: (0.3, 0.5, inf)")):
+            call()
+
+
 def _graph_chart():
     return GraphChart(lambda x, y: x * y, lambda x, y: y, lambda x, y: x,
                       lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 0.0)

@@ -286,19 +286,23 @@ def test_integrate_cells_block_contract(points, cells):
 
 def _cell_by_cell(f, rect, spec, cuts=((), ())):
     # integrate_cells as a loop over single cells, checking each cell's
-    # samples before its weighted terms
+    # samples before its weighted terms; for a tuple integrand, checking
+    # at each cell every entry in turn
     U1, U2, W = gauss_nodes(rect, spec, cuts)
-    terms = []
+    terms = {}
     for u1, u2, w in zip(U1, U2, W):
         with np.errstate(over="ignore", invalid="ignore"):
             v = f(u1, u2)
-            wv = w * v
-        for arr, where in ((v, "integrate_2d"), (wv, "integrate_2d weighted terms")):
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise NonFiniteValue(f"non-finite sample in {where}: {float(arr[bad][0])!r}")
-        terms.extend(wv.tolist())
-    return kahan_sum(terms)
+        for k, vk in enumerate(v if isinstance(v, tuple) else (v,)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                wv = w * vk
+            for arr, where in ((vk, "integrate_2d"), (wv, "integrate_2d weighted terms")):
+                bad = ~np.isfinite(arr)
+                if bad.any():
+                    raise NonFiniteValue(f"non-finite sample in {where}: {float(arr[bad][0])!r}")
+            terms.setdefault(k, []).extend(wv.tolist())
+    sums = tuple(kahan_sum(t) for t in terms.values())
+    return sums if isinstance(v, tuple) else sums[0]
 
 
 def _planted(bad):
@@ -344,6 +348,65 @@ def test_integrate_cells_error_order(monkeypatch, block):
             with pytest.raises(NonFiniteValue) as got:
                 integrate_cells(f, _TALL, _SPEC_TALL)
         assert str(got.value) == str(want.value), bad
+
+
+_ENTRIES = (lambda a, b: np.cos(a) * b, lambda a, b: a * a - np.exp(-b),
+            lambda a, b: np.sin(3.0 * a + b))
+
+
+@pytest.mark.parametrize("block", [16, 64, 4096])
+@pytest.mark.parametrize("rect, spec, cuts", [
+    (((-0.5, 1.0), (0.25, 2.0)), QuadratureSpec(4, (5, 7)), ((0.1, 0.7), (1.3,))),  # cut cells
+    (((0.0, 2.0), (-1.0, 1.0)), QuadratureSpec(16, (3, 2)), ((), ())),
+    (((0.0, 0.0), (-1.0, 1.0)), QuadratureSpec(8, (2, 2)), ((), ())),  # an empty rule
+])
+def test_tuple_integrand_is_its_entries_one_by_one(monkeypatch, block, rect, spec, cuts):
+    # each sum of a tuple integrand is, bit for bit, its entry integrated alone
+    monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", block)
+    for entries in (_ENTRIES, _ENTRIES[1:2]):
+        calls = []
+
+        def f(a, b):
+            calls.append(len(a))
+            return tuple(e(a, b) for e in entries)
+
+        got = integrate_cells(f, rect, spec, cuts)
+        want = tuple(integrate_cells(e, rect, spec, cuts) for e in entries)
+        assert isinstance(got, tuple)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        n_cells = len(gauss_nodes(rect, spec, cuts)[0])
+        per_block = max(1, block // spec.points_per_cell ** 2)
+        assert len(calls) == max(1, -(-n_cells // per_block))
+    if rect[0][0] == rect[0][1]:
+        assert got == (0.0,)
+
+
+@pytest.mark.parametrize("block", [16, 64, 4096])
+def test_tuple_integrand_raises_at_its_first_failing_cell_in_entry_order(monkeypatch, block):
+    monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", block)
+    cases = [
+        # one cell: entry 0 fails at a later node than entry 1, and comes first
+        ({(2, 9): math.nan}, {(2, 0): math.inf}, "integrate_2d: nan"),
+        # entry 1 fails in an earlier cell than entry 0
+        ({(3, 0): math.nan}, {(1, 4): -math.inf}, "integrate_2d: -inf"),
+        # entry 0's overflowing term comes before entry 1's sample in one cell
+        ({(4, 7): 1e300}, {(4, 0): math.nan}, "weighted terms: inf"),
+        # within entry 0, a sample comes before a term of its cell
+        ({(4, 7): 1e300, (4, 9): -math.inf}, {(4, 0): math.nan}, "integrate_2d: -inf"),
+        ({}, {(7, 15): -1e300}, "weighted terms: -inf"),
+        ({(0, 0): math.nan}, {(0, 0): math.inf}, "integrate_2d: nan"),
+    ]
+    for bad0, bad1, msg in cases:
+        fs = (_planted(bad0), _planted(bad1))
+        both = lambda a, b: (fs[0](a, b), fs[1](a, b))
+        with pytest.raises(NonFiniteValue) as want:
+            _cell_by_cell(both, _TALL, _SPEC_TALL)
+        assert msg in str(want.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as got:
+                integrate_cells(both, _TALL, _SPEC_TALL)
+        assert str(got.value) == str(want.value), (bad0, bad1)
 
 
 def test_central_diff():

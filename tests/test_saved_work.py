@@ -4,6 +4,7 @@ and by bitwise equality with the work it replaced."""
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,3 +193,79 @@ def test_ruled_chart_jets_keep_the_first_failure_of_the_walk():
     assert (index, type(err), str(err)) == (5, StoppedAtSingular, str(exc.value))
     assert all(math.isnan(c) for c in jets.p[0][5:])
     assert [len(w) for w in rc._walks.values()] == [len(w) for w in one._walks.values()]
+
+
+def test_weighted_identity_frames_each_node_once(monkeypatch):
+    # one block of 4,096 nodes per profile, framed once for both sides
+    shape = _counted(monkeypatch, surfaces, "_shape_terms")
+    heads = _counted(monkeypatch, surfaces, "_frame_heads")
+    assert verify.check_indexform3().passed
+    assert (shape[0], heads[0]) == (5, 5)
+
+
+def test_weighted_identity_left_side_is_the_index_form(monkeypatch):
+    # the left side integrated beside the right one is index_form_I bit for bit
+    sides = []
+    orig = verify.integrate_cells
+
+    def spy(*args, **kwargs):
+        sides.append(orig(*args, **kwargs))
+        return sides[-1]
+
+    monkeypatch.setattr(verify, "integrate_cells", spy)
+    verify.check_indexform3()
+    cat, quad = CatenoidChart(1.0), QuadratureSpec(16, (4, 4))
+    want = []
+    for f in verify._weighted_identity_profiles():
+        fnh = stability.times_nh(cat, f)
+        want.append(index_form_I(cat, fnh, fnh, quad).hex())
+    assert [lhs.hex() for lhs, _ in sides] == want
+
+
+def test_direct_variations_take_one_density_pass_per_cell(monkeypatch):
+    # the seven deformed densities of a cell in one area_density call: 112 before
+    calls = _counted(monkeypatch, stability, "area_density")
+    direct_variations(CatenoidChart(1.0), _bump(), zero_function(), QuadratureSpec(16, (4, 4)))
+    assert calls[0] == 16
+
+
+def test_second_variation_check_traced_peak():
+    # the index form's 4,096-node block sets the peak (1.92 MB); the density
+    # pass holds a (7, 3, 9, 256) endpoint array, but no frame head beside it
+    tracemalloc.start()
+    try:
+        results = verify.check_second_variation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 2.0e6
+
+
+class _Recorded(surfaces.Chart):
+    """A chart that keeps the arrays its ``_jet_parts`` returns."""
+
+    def _jet_parts(self, u1, u2, m):
+        self.parts = ((u1, u2, u1 * u2), (1.0, 0, u2), (0.0, 1.0, u1),
+                      (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+        return self.parts
+
+
+def test_chart_jets_pass_arrays_through_and_broadcast_constants():
+    chart = _Recorded()
+    U1, U2 = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[0.5, 0.6], [0.7, 0.8]])
+    jets = chart.jets(U1, U2)
+    got = (jets.p, jets.f1, jets.f2, jets.f11, jets.f12, jets.f22)
+    for entry, parts in zip(got, chart.parts):
+        for c, part in zip(entry, parts):
+            if isinstance(part, np.ndarray):
+                assert c is part
+            else:
+                assert c.shape == U1.shape and c.dtype == np.float64
+                assert not c.flags.writeable
+                assert (c == part).all()
+    assert jets.p[0] is U1 and jets.p[1] is U2
+    # at one point numpy returns scalars, which are broadcast like constants
+    one = CatenoidChart(1.0).jets(0.3, 0.5)
+    for entry in (one.p, one.f1, one.f2, one.f11, one.f12, one.f22):
+        assert all(type(c) is np.ndarray and c.shape == () for c in entry)
