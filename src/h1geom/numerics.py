@@ -185,16 +185,17 @@ def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
     ``f`` maps the nodes of ``gauss_nodes_1d`` in row-major order, as one
     1-D array, to the samples; the terms ``w * v`` of every cell of every
-    piece are summed at once by ``kahan_sum``, and the first non-finite
-    sample raises ``NonFiniteValue``.  An empty interval (a == b) gives 0.0
-    without calling ``f``; a reversed one raises ``ValueError``.
+    piece are summed at once by ``kahan_sum``, and checked with no numpy
+    warning as ``integrate_cells`` checks them.  An empty interval (a == b)
+    gives 0.0 without calling ``f``; a reversed one raises ``ValueError``.
     """
     if a == b:
         return 0.0
     x, w = gauss_nodes_1d(a, b, n_points, n_cells, cuts)
-    v = np.asarray(f(x.ravel()), dtype=float)
-    raise_first_failure(_nonfinite_samples(v, "gauss_legendre_1d"))
-    return kahan_sum((w.ravel() * v).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(f(x.ravel()), dtype=float)
+    [wv] = _checked_terms((v,), w.ravel(), n_points, "gauss_legendre_1d")
+    return kahan_sum(wv.tolist())
 
 
 def _composite_1d(f: Callable[[float], float], a: float, b: float,
@@ -289,7 +290,7 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], Samples], rect: Rect,
         with np.errstate(over="ignore", invalid="ignore"):
             v = f(U1[block].ravel(), U2[block].ravel())
         vs = v if isinstance(v, tuple) else (v,)
-        wvs = _checked_terms(vs, W[block].ravel(), per_cell)
+        wvs = _checked_terms(vs, W[block].ravel(), per_cell, "integrate_2d")
         if sums is None:
             sums = [[] for _ in vs]
         for terms, wv in zip(sums, wvs):
@@ -298,17 +299,21 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], Samples], rect: Rect,
     return total if isinstance(v, tuple) else total[0]
 
 
-def _checked_terms(vs: Sequence[np.ndarray], w: np.ndarray, per_cell: int) -> list[np.ndarray]:
+def _checked_terms(vs: Sequence[np.ndarray], w: np.ndarray, per_cell: int,
+                   where: str) -> list[np.ndarray]:
     """The weighted terms ``w * v`` of each of the samples ``vs`` of one
-    block of ``integrate_cells``, or its ``NonFiniteValue``: at the first
-    cell where a sample or a term is not finite, the first of v_0, w v_0,
-    v_1, w v_1, ... that is not finite there raises at its first
-    non-finite node."""
+    block of cells of the rule named ``where``, or its ``NonFiniteValue``:
+    at the first cell where a sample or a term is not finite, the first of
+    v_0, w v_0, v_1, w v_1, ... that is not finite there raises at its first
+    non-finite node.  The weights are >= 0, so finite terms have finite
+    samples."""
     with np.errstate(over="ignore", invalid="ignore"):
         wvs = [w * v for v in vs]
-    checks = [_nonfinite_samples(np.asarray(a).reshape(-1, per_cell), where)
+    if all(np.isfinite(wv).all() for wv in wvs):
+        return wvs
+    checks = [_nonfinite_samples(np.asarray(a).reshape(-1, per_cell), name)
               for v, wv in zip(vs, wvs)
-              for a, where in ((v, "integrate_2d"), (wv, "integrate_2d weighted terms"))]
+              for a, name in ((v, where), (wv, f"{where} weighted terms"))]
     row = np.concatenate([mask for mask, _ in checks], axis=1)  # (cells, 2 len(vs) per_cell)
     width = row.shape[1]
 

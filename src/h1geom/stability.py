@@ -902,8 +902,10 @@ def certify_instability_nosing(lam: float) -> InstabilityCertificate:
     complete surface with no singular points and <N,T> != 0 off the waist:
     ``ruled_index_value`` at ``NOSING_QUAD``, negative, and again at its
     doubling, in agreement to ``DOUBLING_RTOL``.  ``k`` is psi's half-width
-    2|lam| and ``eps0`` phi's, 1.  Every lam with 0 < lam^2 < inf has one;
-    ``CatenoidRulingChart`` raises ``ValueError`` for any other lam.
+    2|lam| and ``eps0`` phi's, 1.  About 8.2e-160 <= |lam| <= 6.0e153 has
+    one: above, C = s^2 + lam^2 overflows (``NonFiniteValue``); below, lam^2
+    is subnormal and 1x and 2x disagree (``CertificateNotFound``).
+    ``CatenoidRulingChart`` raises ``ValueError`` unless 0 < lam^2 < inf.
     """
     val = ruled_index_value(lam, NOSING_QUAD)
     if not val < 0.0:

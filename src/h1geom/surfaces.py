@@ -82,8 +82,8 @@ class Chart:
     A chart writes ``_jet_parts(u1, u2, m)`` once, with ``m`` the ``math``
     module for one point or ``numpy`` for arrays of points; a scalar entry
     it returns is a constant of the chart and is broadcast.  A chart whose
-    parts take floats only also writes ``jets``, which stacks its scalar
-    jets (``_stacked_jets``).
+    parts take floats only sets ``jets = _stacked_jets``, which stacks its
+    scalar jets.
     """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
@@ -97,8 +97,15 @@ class Chart:
 
     def _jet_floats(self, u1: float, u2: float) -> tuple:
         """``jet`` at (u1, u2) as plain tuples (p, f1, f2, f11, f12, f22),
-        with its errors in its order, and no ChartJet or Point."""
-        return _checked_jet(self._jet_parts, u1, u2)
+        with its errors in its order, and no ChartJet or Point:
+        ``NonFiniteValue`` for an overflow, a domain error and a non-finite
+        point (the check of ``Point``)."""
+        try:
+            jet = self._jet_parts(u1, u2, math)
+        except (OverflowError, ValueError):  # as surface_frames reports numpy's inf or NaN
+            raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
+        _finite3(jet[0], "point")
+        return jet
 
     def jets(self, U1, U2) -> ChartJets:
         """Jets at the points (U1[i], U2[i]) as arrays: the arrays of
@@ -123,17 +130,18 @@ def _parameter_arrays(U1, U2) -> tuple[np.ndarray, np.ndarray]:
     return U1, U2
 
 
-def _stacked_jets(U1: np.ndarray, U2: np.ndarray, jet_floats) -> ChartJets:
-    """The scalar jets ``jet_floats(u1, u2)`` stacked, in row-major order up
-    to the first non-finite chart point, where the scalar view stops, or up
-    to the first jet that raises, which ``ChartJets.failure`` keeps; the
-    jets from there on are NaN."""
+def _stacked_jets(chart: Chart, U1, U2) -> ChartJets:
+    """The ``jets`` of a float-only chart: its scalar jets ``_jet_floats``
+    stacked, in row-major order up to the first non-finite chart point,
+    where the scalar view stops, or up to the first jet that raises, which
+    ``ChartJets.failure`` keeps; the jets from there on are NaN."""
+    U1, U2 = _parameter_arrays(U1, U2)
     rows, failure = [], None
     for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
         if not (math.isfinite(a) and math.isfinite(b)):
             break  # the scalar view stops here, before evaluating the chart
         try:
-            rows.append(jet_floats(a, b))
+            rows.append(chart._jet_floats(a, b))
         except GeometryError as exc:  # raised by the caller unless an earlier point fails
             failure = (len(rows), exc)
             break
@@ -141,18 +149,6 @@ def _stacked_jets(U1: np.ndarray, U2: np.ndarray, jet_floats) -> ChartJets:
     rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
     return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
                        for k in range(6)), failure)
-
-
-def _checked_jet(parts, u1: float, u2: float) -> tuple:
-    """``parts(u1, u2, math)``, a chart's ``_jet_parts`` on floats, with the
-    errors of ``Chart.jet``: ``NonFiniteValue`` for an overflow, a domain
-    error and a non-finite point (the check of ``Point``)."""
-    try:
-        jet = parts(u1, u2, math)
-    except (OverflowError, ValueError):  # as surface_frames reports the inf or NaN numpy returns
-        raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
-    _finite3(jet[0], "point")
-    return jet
 
 
 @dataclass(frozen=True)
@@ -698,21 +694,16 @@ class SeedRuledChart(Chart):
     ruling_coefficients: Optional[tuple[float, float, float]] = None
 
     def _jet_parts(self, s, a, m):
-        return _ruled_jet(s, self._seed(a, m))
-
-
-def _ruled_jet(s, seed):
-    """The jet of ``SeedRuledChart`` at ruling parameter ``s`` from the seed
-    at its a."""
-    (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = seed
-    dt = gy * co - gx * si
-    # product rule, one cross term per pair: pairs that cancel (the
-    # catenoid's D' and D'' T-components) then cancel in floats too
-    dt1 = (gy1 * co - gx1 * si) + (gy * co1 - gx * si1)
-    dt2 = (gy2 * co - gx2 * si) + 2.0 * (gy1 * co1 - gx1 * si1) + (gy * co2 - gx * si2)
-    return ((gx + s * co, gy + s * si, gt + s * dt), (co, si, dt),
-            (gx1 + s * co1, gy1 + s * si1, gt1 + s * dt1), (0.0, 0.0, 0.0), (co1, si1, dt1),
-            (gx2 + s * co2, gy2 + s * si2, gt2 + s * dt2))
+        (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = \
+            self._seed(a, m)
+        dt = gy * co - gx * si
+        # product rule, one cross term per pair: pairs that cancel (the
+        # catenoid's D' and D'' T-components) then cancel in floats too
+        dt1 = (gy1 * co - gx1 * si) + (gy * co1 - gx * si1)
+        dt2 = (gy2 * co - gx2 * si) + 2.0 * (gy1 * co1 - gx1 * si1) + (gy * co2 - gx * si2)
+        return ((gx + s * co, gy + s * si, gt + s * dt), (co, si, dt),
+                (gx1 + s * co1, gy1 + s * si1, gt1 + s * dt1), (0.0, 0.0, 0.0), (co1, si1, dt1),
+                (gx2 + s * co2, gy2 + s * si2, gt2 + s * dt2))
 
 
 class VerticalPlaneChart(SeedRuledChart):
@@ -730,9 +721,11 @@ class VerticalPlaneChart(SeedRuledChart):
 class GraphChart(Chart):
     """A t-graph t = phi(x, y) with analytic partials of phi.
 
-    The partials are called on floats only, point by point also in
-    ``jets``; a graph that needs fast batches can subclass ``Chart`` and
-    write ``_jet_parts`` for arrays.
+    The partials are arbitrary float functions (they may branch on their
+    arguments or reduce over them), so no array call is safe: they are
+    called on floats only, point by point also in ``jets``, which stacks
+    the scalar jets.  A graph that needs fast batches can subclass ``Chart``
+    and write ``_jet_parts`` for arrays.
     """
 
     def __init__(self, phi, phi1, phi2, phi11, phi12, phi22,
@@ -749,10 +742,7 @@ class GraphChart(Chart):
                 (0.0, 0.0, p12(u1, u2)),
                 (0.0, 0.0, p22(u1, u2)))
 
-    def jets(self, U1, U2) -> ChartJets:
-        # the partials are arbitrary float functions (they may branch on
-        # their arguments or reduce over them), so no array call is safe
-        return _stacked_jets(*_parameter_arrays(U1, U2), self._jet_floats)
+    jets = _stacked_jets
 
 
 class PlaneChart(Chart):
@@ -926,11 +916,12 @@ class RuledChart(SeedRuledChart):
     chart, ruled by the characteristic lines: e = (Z_X, Z_Y) along Gamma.
 
     Gamma is the unit-speed integral curve of S (RK4 in base chart
-    coordinates, cached on a fixed grid).  ``_seed`` reads Gamma, Gamma' = S
-    and e off one base frame head at Gamma(a), and Gamma'', e' and e'' from
-    Richardson central differences along the curve; ``point`` reads the one
-    head alone.  ``jets`` stacks scalar jets, so an error of the walk keeps
-    its first-failure place, and seeds each distinct a once.
+    coordinates on a fixed grid).  ``_curve`` reads Gamma, Gamma' = S and e
+    off one base frame head at Gamma(a), and keeps them per a (0.0 and -0.0
+    are one a; a read that raises keeps nothing).  ``point`` reads it alone;
+    ``_seed`` adds Gamma'', e' and e'' from Richardson central differences
+    of it.  ``jets`` stacks scalar jets, so an error of the walk keeps its
+    first-failure place.
 
     The grid is walked as far as asked: each side of ``u0`` grows by one
     RK4 step of +-h0 when a point beyond it is first read, with the bits of
@@ -938,7 +929,7 @@ class RuledChart(SeedRuledChart):
     (``StoppedAtSingular``) is raised by the first read that reaches it.
     """
 
-    GRID_STEP = 0.005  # largest step of the cached Gamma grid
+    GRID_STEP = 0.005  # largest step of the Gamma grid
 
     def __init__(self, base: Chart, u0: tuple[float, float], eps_range: float,
                  s_range: tuple[float, float]):
@@ -950,7 +941,7 @@ class RuledChart(SeedRuledChart):
         self._h0 = eps_range / n
         self._n = n
         self._walks = {1.0: [u0], -1.0: [u0]}  # Gamma(+-k h0), k = 0, 1, ... walked so far
-        self._cache: dict[float, tuple[float, float]] = {}
+        self._curves: dict[float, tuple[float, ...]] = {}
 
     def _node(self, j: int) -> tuple[float, float]:
         """Gamma(j h0), walking the side of j on to it one step at a time."""
@@ -962,23 +953,22 @@ class RuledChart(SeedRuledChart):
 
     def curve_chart_point(self, eps: float) -> tuple[float, float]:
         """Base-chart coordinates of Gamma(eps)."""
-        if eps in self._cache:
-            return self._cache[eps]
         j = round(eps / self._h0)
         j = max(-self._n, min(self._n, j))
         rem = eps - j * self._h0
         u = self._node(j)
         if rem != 0.0:
             u = integrate_tangent_field(self.base, u, rem, 1, "S")[-1]
-        self._cache[eps] = u
         return u
 
     def _curve(self, a: float) -> tuple[float, ...]:
         """Euclidean Gamma(a), Gamma'(a) = S and e = (Z_X, Z_Y), as one tuple."""
-        jet, _, _, _, n, nh = _frame_head(self.base, self.curve_chart_point(a), False)
-        x, y, t = jet[0]
-        _, z, s = _unit_directions(n, nh)
-        return (x, y, t, *euclidean_coeffs(x, y, s), z[0], z[1])
+        if a not in self._curves:
+            jet, _, _, _, n, nh = _frame_head(self.base, self.curve_chart_point(a), False)
+            x, y, t = jet[0]
+            _, z, s = _unit_directions(n, nh)
+            self._curves[a] = (x, y, t, *euclidean_coeffs(x, y, s), z[0], z[1])
+        return self._curves[a]
 
     def _seed(self, a, m):
         c0, d1, d2 = central_diffs(self._curve, a, DiffSpec(1e-4, 1), (0, 1, 2))
@@ -988,18 +978,7 @@ class RuledChart(SeedRuledChart):
         gx, gy, gt, _, _, _, co, si = self._curve(a)
         return Point(gx + s * co, gy + s * si, gt + s * (gy * co - gx * si))
 
-    def jets(self, U1, U2) -> ChartJets:
-        # _seed walks the curve point by point, so the jets are stacked; the
-        # seed depends on a alone (0.0 and -0.0 read the same curve points),
-        # so each distinct a is seeded once
-        seeds = {}
-
-        def parts(s, a, m):
-            if a not in seeds:
-                seeds[a] = self._seed(a, m)
-            return _ruled_jet(s, seeds[a])
-
-        return _stacked_jets(*_parameter_arrays(U1, U2), lambda s, a: _checked_jet(parts, s, a))
+    jets = _stacked_jets  # _seed walks the curve point by point
 
 
 def ruled_coordinates(chart: Chart, u0: tuple[float, float], eps_range: float,

@@ -525,6 +525,17 @@ def test_certify_catenoid_extreme_lam_certifies(tmp_path, capsys, lam):
         assert abs(q / abs(lam) - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("lam", ["1e154", "-1e154"])
+def test_certify_catenoid_overflowing_lam_is_one_numeric_failure(tmp_path, capsys, lam):
+    # C = s^2 + lam^2 overflows on psi's support: one stderr line, no warning
+    out = tmp_path / "c.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_numeric_failure(["certify", "catenoid", f"--lam={lam}", "--out", str(out)],
+                                capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam", ["1e-9", "-1e-9", "1e-4", "1e5", "1e30"])
 def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, monkeypatch, lam):
     # Q < 0 at 1x and 2x, but the two differ by more than 1e-6 relative

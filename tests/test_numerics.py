@@ -259,6 +259,18 @@ def test_integrate_cells_overflow_raises_without_warning():
                 integrate_cells(f, rect, spec)
 
 
+def test_integrate_array_1d_checks_as_integrate_cells_does():
+    # the 1-D rule evaluates f with no numpy warning and checks the weighted
+    # terms too: a finite sample whose term overflows raises, not inf
+    cases = [(lambda x: np.full_like(x, 1e300), "gauss_legendre_1d weighted terms: inf"),
+             (lambda x: x * 1e300 - x * 1e300, "gauss_legendre_1d: nan")]
+    for f, msg in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=msg):
+                integrate_array_1d(f, 0.0, 1e10, 4, 1)
+
+
 @pytest.mark.parametrize("points, cells", [(16, (5, 7)), (32, (3, 3)), (4, (20, 20)),
                                             (8, (1, 1))])
 def test_integrate_cells_block_contract(points, cells):

@@ -152,13 +152,30 @@ def test_ruled_chart_check_builds_few_points(monkeypatch):
 
 def test_ruled_chart_jets_seed_each_distinct_a_once(monkeypatch):
     # 1,024 nodes on 32 distinct a; a seed reads the curve at five points
-    # (the centre and the four nodes of its difference stencil)
+    # (the centre and the four nodes of its difference stencil), and the
+    # _curve memo walks to each of them once
     rc = verify._ruled_charts()[1]
-    curves = _counted(monkeypatch, surfaces.RuledChart, "_curve")
+    walked = _counted(monkeypatch, surfaces.RuledChart, "curve_chart_point")
     u = separable(cosine_bump(0, 1), cosine_bump(0, 0.5))
     got = index_form_I(rc, u, u, QuadratureSpec(8, (4, 4)))
     assert got.hex() == "0x1.b87dc7f34e4adp-1"
-    assert curves[0] == 5 * 32
+    assert walked[0] == 5 * 32
+
+
+def test_ruled_chart_check_frames_each_curve_point_once(monkeypatch):
+    # 34 point reads at 10 distinct a: one base frame head and one walk to
+    # the curve per a (34 of each before), and none for a repeated read
+    heads = _counted(monkeypatch, surfaces, "_frame_head")
+    velocities = _counted(monkeypatch, surfaces, "_chart_velocity")
+    walked = _counted(monkeypatch, surfaces.RuledChart, "curve_chart_point")
+    reads = _counted(monkeypatch, surfaces.RuledChart, "point")
+    charts = verify._ruled_charts()
+    monkeypatch.setattr(verify, "_ruled_charts", lambda: charts)
+    assert all(r.passed for r in verify.check_ruled_charts())
+    assert (reads[0], heads[0] - velocities[0], walked[0]) == (34, 10, 10)
+    before = (heads[0], velocities[0], walked[0])
+    charts[2].point(0.2, 0.4)  # the check read a = 0.4 on the helicoid
+    assert (heads[0], velocities[0], walked[0]) == before
 
 
 class _Walled(CatenoidChart):
@@ -193,6 +210,9 @@ def test_ruled_chart_jets_keep_the_first_failure_of_the_walk():
     assert (index, type(err), str(err)) == (5, StoppedAtSingular, str(exc.value))
     assert all(math.isnan(c) for c in jets.p[0][5:])
     assert [len(w) for w in rc._walks.values()] == [len(w) for w in one._walks.values()]
+    with pytest.raises(StoppedAtSingular):
+        one._curve(A[7])
+    assert A[7] not in one._curves  # a read that raises keeps nothing
 
 
 def test_weighted_identity_frames_each_node_once(monkeypatch):
