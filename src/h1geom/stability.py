@@ -463,16 +463,17 @@ def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
     two ``integrate_array_1d`` passes, with ``quad.cells[0]`` cells along s
     and ``quad.cells[1]`` along a.  Raises ``SingularPoint`` when psi's
     closed support holds a root of C, ``SupportOutsideDomain`` when psi x
-    phi leaves the chart domain, and ``ValueError`` on a chart that
-    declares no ruling coefficients.
+    phi leaves the chart domain, and ``ValueError`` (from ``RulingFrame``)
+    on a chart that does not declare ``uniform_rulings``.
     """
-    tp, b, c0 = _ruling_coefficients(chart)
+    lo, hi = psi.support
+    at_lo = RulingFrame(chart, lo)
+    tp, b, c0 = at_lo.tp, at_lo.b, at_lo.c0
     _require_inside(chart, (psi.support, phi.support))
     # C is monotone on each side of its vertex, so on [lo, hi] its values run
     # between those at lo, at hi and at the vertex when the vertex is inside
-    lo, hi = psi.support
-    ends = [lo, hi] + ([-b / tp] if tp != 0.0 and lo < -b / tp < hi else [])
-    vals = [RulingFrame(chart, s).C for s in ends]
+    ends = [hi] + ([-b / tp] if tp != 0.0 and lo < -b / tp < hi else [])
+    vals = [at_lo.C] + [RulingFrame(chart, s).C for s in ends]
     if min(vals) <= 0.0 <= max(vals):
         raise SingularPoint(f"C(s) = {tp!r} s^2 + {2.0 * b!r} s + {c0!r} has a root in psi's "
                             f"support [{lo!r}, {hi!r}] on {type(chart).__name__}")
@@ -490,12 +491,6 @@ def ruling_form(chart: SeedRuledChart, psi: Profile, phi: Profile,
     return across * _profile_integral(psi, along, quad)
 
 
-def _ruling_coefficients(chart: SeedRuledChart) -> tuple[float, float, float]:
-    if getattr(chart, "ruling_coefficients", None) is None:
-        raise ValueError(f"{type(chart).__name__} declares no ruling coefficients")
-    return chart.ruling_coefficients
-
-
 class RulingFrame:
     """The frame at ruling parameter s (a float or an array) of a seed chart
     with ruling coefficients (th', b, c0), each entry computed when read: with
@@ -504,7 +499,9 @@ class RulingFrame:
     Delta)/W^2 and q = weight C^2/W^4 with weight = th'^2 + 4 Delta."""
 
     def __init__(self, chart: SeedRuledChart, s):
-        self.tp, self.b, self.c0 = _ruling_coefficients(chart)
+        if not getattr(chart, "uniform_rulings", False):
+            raise ValueError(f"{type(chart).__name__} declares no ruling coefficients for every a")
+        self.tp, self.b, self.c0 = chart.ruling_coefficients(0.0, math)
         self.chart = chart
         self.s = s
 

@@ -681,17 +681,21 @@ class SeedRuledChart(Chart):
     and e = (cos th, sin th), e', e''.  The jet is exact: F_s = D,
     F_a = Gamma' + s D', F_ss = 0, F_sa = D' and F_aa = Gamma'' + s D''.
 
-    ``ruling_coefficients`` are the seed's (th', b, c0) in closed form,
-    where they are the same on every ruling; else None:
+    ``ruling_coefficients(a, m)`` is (th', b, c0) of the ruling at a, whose
+    singular points are the roots of C(s) = th' s^2 + 2 b s + c0:
 
         th' = e x e',  b = Gamma'_y e_x - Gamma'_x e_y,
         c0 = Gamma'_t - Gamma_y Gamma'_x + Gamma_x Gamma'_y.
 
-    The singular points of the ruling at a are the roots of
-    C(s) = th' s^2 + 2 b s + c0.
+    ``uniform_rulings`` says that they are the same on every ruling of the
+    class; ``stability.RulingFrame`` refuses a seed without it.
     """
 
-    ruling_coefficients: Optional[tuple[float, float, float]] = None
+    uniform_rulings = False
+
+    def ruling_coefficients(self, a, m):
+        (gx, gy, _), (gx1, gy1, gt1), _, (co, si), (co1, si1), _ = self._seed(a, m)
+        return co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1
 
     def _jet_parts(self, s, a, m):
         (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = \
@@ -709,7 +713,7 @@ class SeedRuledChart(Chart):
 class VerticalPlaneChart(SeedRuledChart):
     """The plane x = 0 charted by (y, t): Gamma = (0, 0, a), e = (0, 1)."""
 
-    ruling_coefficients = (0.0, 0.0, 1.0)
+    uniform_rulings = True
 
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
@@ -762,7 +766,7 @@ class PlaneChart(Chart):
 class ParaboloidChart(SeedRuledChart):
     """The hyperbolic paraboloid t = x y, charted by (x, y): Gamma = (0, a, 0), e = (1, 0)."""
 
-    ruling_coefficients = (0.0, 1.0, 0.0)
+    uniform_rulings = True
 
     def __init__(self, domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))):
         self.domain = domain
@@ -779,12 +783,13 @@ class HelicoidChart(SeedRuledChart):
     helices sit at s = +-1/R.
     """
 
+    uniform_rulings = True
+
     def __init__(self, R: float):
         if not (0.0 < R < math.inf and math.pi / R < math.inf):
             raise ValueError("R must be positive and finite, and pi/R finite")
         self.R = R
         self.domain = ((-2.0 / R, 2.0 / R), (-math.pi / R, math.pi / R))
-        self.ruling_coefficients = (-R, 0.0, 1.0 / R)
 
     def __repr__(self) -> str:
         return f"HelicoidChart(R={self.R!r})"
@@ -839,12 +844,13 @@ class CatenoidRulingChart(SeedRuledChart):
     of lam: s in R, a in [-pi, pi).  Rotations about the t-axis are shifts in
     a, so every frame quantity depends on s alone."""
 
+    uniform_rulings = True
+
     def __init__(self, lam: float):
         if not 0.0 < lam * lam < math.inf:
             raise ValueError("lam^2 must be positive and finite")
         self.lam = lam
         self.domain = ((-math.inf, math.inf), (-math.pi, math.pi))
-        self.ruling_coefficients = (1.0, 0.0, lam * lam)
 
     def __repr__(self) -> str:
         return f"CatenoidRulingChart(lam={self.lam!r})"

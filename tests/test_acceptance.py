@@ -5,20 +5,16 @@ import math
 import time
 
 from h1geom.numerics import QuadratureSpec, gauss_legendre_1d
-from h1geom.stability import (boundary_flux_extrapolated,
-                              bracket_integral, bracket_integral_quadrature,
-                              certify_instability_h2, certify_instability_nosing,
-                              cosine_bump, first_variation_direct,
-                              h2_certificate_test_function, index_form_I,
-                              l_nh_closed, operator_L, q_form, separable,
-                              second_variation_direct, Profile,
-                              vertical_variation_second_difference,
-                              zero_function)
+from h1geom.stability import (boundary_flux_extrapolated, bracket_integral,
+                              bracket_integral_quadrature, certify_instability_h2,
+                              certify_instability_nosing, cosine_bump, first_variation_direct,
+                              h2_certificate_test_function, index_form_I, l_nh_closed, operator_L,
+                              q_form, separable, second_variation_direct, Profile,
+                              vertical_variation_second_difference, zero_function)
 from h1geom.surfaces import CatenoidChart, HelicoidChart, surface_frame
 from h1geom import verify as V
 
 CAT = CatenoidChart(1.0)
-HEL1 = HelicoidChart(1.0)
 HEL2 = HelicoidChart(2.0)
 
 

@@ -15,11 +15,9 @@ from h1geom import stability, verify
 from h1geom.errors import NonFiniteValue, TubeConditionViolated
 from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, gauss_nodes_1d,
                              integrate_array_1d, kahan_sum, split_cells)
-from h1geom.stability import (H2_QUAD, TUBE_MARGIN, Profile, _check_tube,
-                              cos_arch, cosine_bump, first_variation_direct,
-                              h2_certificate_test_function,
-                              plateau_ramp, q_form,
-                              second_variation_direct, separable, smooth_bump,
+from h1geom.stability import (H2_QUAD, TUBE_MARGIN, Profile, _check_tube, cos_arch, cosine_bump,
+                              first_variation_direct, h2_certificate_test_function, plateau_ramp,
+                              q_form, second_variation_direct, separable, smooth_bump,
                               zero_function)
 from h1geom.surfaces import CatenoidChart
 

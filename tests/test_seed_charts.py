@@ -12,7 +12,7 @@ import pytest
 
 from h1geom import verify
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, HelicoidChart,
-                             ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
+                             ParaboloidChart, RuledChart, SeedRuledChart, VerticalPlaneChart,
                              surface_frame, surface_frames)
 
 N_POINTS = 1000
@@ -49,17 +49,14 @@ def _helicoid(R):
 
 
 def _catenoid_ruling(lam):
-    # written for the order (a, s); swapped into (s, a) below
     def parts(s, a, m):
         co, si = m.cos(a), m.sin(a)
-        p, fa, fs, faa, fas, fss = (
-            (lam * co - s * si, lam * si + s * co, -lam * s),
-            (-lam * si - s * co, lam * co - s * si, 0.0),
-            (-si, co, -lam),
-            (-lam * co + s * si, -lam * si - s * co, 0.0),
-            (-co, -si, 0.0),
-            (0.0, 0.0, 0.0))
-        return p, fs, fa, fss, fas, faa
+        return ((lam * co - s * si, lam * si + s * co, -lam * s),
+                (-si, co, -lam),
+                (-lam * si - s * co, lam * co - s * si, 0.0),
+                (0.0, 0.0, 0.0),
+                (-co, -si, 0.0),
+                (-lam * co + s * si, -lam * si - s * co, 0.0))
     return parts
 
 
@@ -113,6 +110,7 @@ def test_seed_chart_matches_the_hand_written_jets(name):
 def test_ruled_catalog_charts_are_seeds(cls):
     assert issubclass(cls, SeedRuledChart)
     assert cls._jet_parts is SeedRuledChart._jet_parts
+    assert vars(cls)["uniform_rulings"] is True  # a class flag: the same on every ruling
 
 
 def test_seed_charts_keep_their_constructors():
@@ -147,14 +145,26 @@ def test_helicoid_chart_accepts_tiny_and_huge_pitch():
 
 @pytest.mark.parametrize("name", list(_cases()))
 def test_ruling_coefficients_match_the_seed(name):
-    # (th', b, c0) = (e x e', Gamma'_y e_x - Gamma'_x e_y,
-    # Gamma'_t - Gamma_y Gamma'_x + Gamma_x Gamma'_y), the same on every ruling
+    # uniform_rulings: the coefficients at 200 random a, read on arrays, are those at a = 0
     chart = _cases()[name][0]
     a = np.random.default_rng(7).uniform(*chart.domain[1], 200)
-    (gx, gy, _), (gx1, gy1, gt1), _, (co, si), (co1, si1), _ = chart._seed(a, np)
-    from_seed = (co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1)
-    for got, want in zip(chart.ruling_coefficients, from_seed):
+    for got, want in zip(chart.ruling_coefficients(a, np), chart.ruling_coefficients(0.0, math)):
         assert _close(got, want, 1e-14).all(), name
+
+
+def test_ruling_coefficients_at_a_0_keep_the_bits_of_the_tuples_once_written_by_hand():
+    # the (th', b, c0) the catalog classes once declared, as literals; zero signs count
+    rng = np.random.default_rng(20261019)
+    radii = (10.0 ** rng.uniform(-3.0, 3.0, 200)).tolist()
+    radii += [1e300, 1e-300, 1e-150, 5e-300, 2.0, 0.7]
+    lams = (rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-3.0, 3.0, 200)).tolist()
+    lams += [1e-160, -1e-160, 1e154, -1e154, 1.0, -2.5, 1e3]
+    cases = [(VerticalPlaneChart(), (0.0, 0.0, 1.0)), (ParaboloidChart(), (0.0, 1.0, 0.0))]
+    cases += [(HelicoidChart(R), (-R, 0.0, 1.0 / R)) for R in radii]
+    cases += [(CatenoidRulingChart(lam), (1.0, 0.0, lam * lam)) for lam in lams]
+    for chart, written in cases:
+        got = chart.ruling_coefficients(0.0, math)
+        assert list(map(float.hex, got)) == list(map(float.hex, written)), chart
 
 
 def test_ruling_coefficients_through_an_s_curve():
@@ -163,21 +173,19 @@ def test_ruling_coefficients_through_an_s_curve():
     # Delta = th' c0 - b^2 is the frame invariant <B(Z),S> - 1 + <N,T>^2
     deltas = []
     for chart in verify._ruled_charts():
-        out = []
         for a in np.linspace(-0.5, 0.5, 11).tolist():
-            (gx, gy, _), (gx1, gy1, gt1), _, (co, si), (co1, si1), _ = chart._seed(a, math)
-            tp, b, c0 = co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1
+            tp, b, c0 = chart.ruling_coefficients(a, math)
             fr = surface_frame(chart.base, chart.curve_chart_point(a))
             assert abs(c0 + fr.Nh_norm) <= 4e-16 and abs(b + fr.NT) <= 4e-16, (chart.base, a)
             delta = tp * c0 - b * b
             assert abs(delta - (fr.BZS - 1.0 + fr.NT * fr.NT)) <= 1e-11, (chart.base, a)
-            out.append(delta)
-        deltas.append(out)
-    plane, catenoid, helicoid = deltas
+            deltas.append(delta)
+    plane, catenoid, helicoid = np.reshape(deltas, (3, 11))
     assert set(plane) == {0.0}
     assert 0.13 < min(catenoid) and max(catenoid) < 0.34
     assert all(abs(d + 3.698) < 1e-3 for d in helicoid)
 
 
-def test_the_base_seed_chart_declares_no_ruling_coefficients():
-    assert SeedRuledChart.ruling_coefficients is None
+def test_the_base_seed_chart_and_ruled_chart_have_no_uniform_rulings():
+    # RuledChart's coefficients vary with a; each catalog seed sets the flag on its class
+    assert SeedRuledChart.uniform_rulings is False and RuledChart.uniform_rulings is False

@@ -6,30 +6,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from h1geom import cli, stability, surfaces
+from h1geom import cli, stability, surfaces, verify
 from h1geom.core import Point
 from h1geom.errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                            SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
-from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, gauss_nodes_1d, integrate_2d,
-                             integrate_array_1d, kahan_sum, split_cells)
+from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, integrate_2d, integrate_array_1d,
+                             kahan_sum, split_cells)
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUBE_S0,
                               InstabilityCertificate, Profile, RulingFrame, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
-                              bracket_integral_quadrature,
-                              certify_instability_h2,
-                              certify_instability_nosing,
-                              combined_normal_component, cos_arch, cosine_bump,
-                              direct_variations, first_variation_direct,
-                              h2_certificate_test_function,
-                              helicoid_closed_forms, index_form_I,
-                              jacobi_vertical_quadratic, l_nh_closed,
-                              operator_L, plateau_ramp, q_form,
-                              ruled_index_value, ruling_form,
-                              scaled_helicoid_certificate,
+                              bracket_integral_quadrature, certify_instability_h2,
+                              certify_instability_nosing, combined_normal_component, cos_arch,
+                              cosine_bump, direct_variations, first_variation_direct,
+                              h2_certificate_test_function, helicoid_closed_forms, index_form_I,
+                              jacobi_vertical_quadratic, l_nh_closed, operator_L, plateau_ramp,
+                              q_form, ruled_index_value, ruling_form, scaled_helicoid_certificate,
                               second_variation_direct, separable, smooth_bump, times_nh,
-                              vertical_variation_area,
-                              tangent_derivative, vertical_variation_second_difference,
-                              zero_function)
+                              vertical_variation_area, tangent_derivative,
+                              vertical_variation_second_difference, zero_function)
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, HelicoidChart,
                              ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
                              ruled_coordinates, surface_frame, surface_frames)
@@ -437,13 +431,13 @@ def test_h2_certificate():
     assert cert.Q_value_doubled < 0.0
 
 
-
 def test_h2_certificate_is_pinned_bitwise():
     # Q at the rule and at its doubling, to the last bit: a change to the
     # closed frame the q_form integrands read shows here first
     cert = certify_instability_h2()
     assert cert.Q_value.hex() == "-0x1.542ddb89414c8p-2"
     assert cert.Q_value_doubled.hex() == "-0x1.542ddb8941488p-2"
+
 
 def test_certificate_serialization_roundtrip():
     cert = certify_instability_h2()
@@ -567,7 +561,7 @@ def test_ruling_form_refuses_a_root_of_C(chart, psi):
 ])
 def test_ruling_form_is_nonnegative_where_b2_exceeds_thp_c0(chart, psi):
     # b^2 - th' c0 >= 0 on these rulings: both terms of the form are >= 0
-    tp, b, c0 = chart.ruling_coefficients
+    tp, b, c0 = chart.ruling_coefficients(0.0, math)
     assert b * b - tp * c0 >= 0.0
     assert ruling_form(chart, psi, cosine_bump(0.0, 0.5), QUAD44) > 0.0
 
@@ -579,11 +573,15 @@ def test_ruling_form_needs_ruling_coefficients():
         def _seed(self, a, m):
             return VerticalPlaneChart._seed(self, a, m)
 
-    with pytest.raises(ValueError, match="Unlabelled declares no ruling coefficients"):
-        ruling_form(Unlabelled(), cosine_bump(0.0, 0.5), cosine_bump(0.0, 0.5), QUAD44)
+    # RuledChart's coefficients differ from ruling to ruling: refused before its curve is walked
+    for chart in (Unlabelled(), verify._ruled_charts()[1]):
+        refusal = f"{type(chart).__name__} declares no ruling coefficients"
+        with pytest.raises(ValueError, match=refusal):
+            ruling_form(chart, cosine_bump(0.0, 0.5), cosine_bump(0.0, 0.5), QUAD44)
+        with pytest.raises(ValueError, match=refusal):
+            RulingFrame(chart, 0.3)
     with pytest.raises(SupportOutsideDomain):
         ruling_form(VerticalPlaneChart(), cosine_bump(0.0, 1.5), cosine_bump(0.0, 0.5), QUAD44)
-
 
 
 @pytest.mark.parametrize("chart, S", [
@@ -646,7 +644,7 @@ def test_helicoid_functions_refuse_a_pitch_no_helicoid_has(R):
 def _exact_q(chart, s):
     """weight C^2/(C^2 + L^2)^2 of ``RulingFrame(chart, s)``, evaluated in
     ``Fraction`` from the float coefficients and s, then rounded once."""
-    tp, b, c0 = map(Fraction, chart.ruling_coefficients)
+    tp, b, c0 = map(Fraction, chart.ruling_coefficients(0.0, math))
     s = Fraction(s)
     c, el = (tp * s + 2 * b) * s + c0, b + tp * s
     return float((tp * tp + 4 * (tp * c0 - b * b)) * c * c / (c * c + el * el) ** 2)
