@@ -11,7 +11,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -326,26 +326,30 @@ def _checked_terms(vs: Sequence[np.ndarray], w: np.ndarray, per_cell: int,
     return wvs
 
 
-def rk4(vel: Callable[[tuple], tuple], u0: tuple, length: float, steps: int) -> list[tuple]:
-    """Classical Runge-Kutta integral of ``u' = vel(u)`` over ``length`` in
-    ``steps`` equal steps: the states ``u0, u1, ..., u_steps``, as tuples;
-    ``vel`` maps a state tuple to a velocity tuple of the same length.
+def rk4_states(vel: Callable[[tuple], tuple], u0: tuple, h) -> Iterator[tuple]:
+    """Classical Runge-Kutta integral of ``u' = vel(u)`` at the fixed step
+    ``h``: the states ``u0, u1, ...``, each stepped when it is asked for, as
+    tuples; ``vel`` maps a state tuple to a velocity tuple of the same length.
 
     The entries of a state may be arrays, which step elementwise with the
-    float arithmetic of one entry; ``length`` may then be an array that
-    broadcasts against them, one length per element."""
-    h = length / steps
-    us = [u0]
+    float arithmetic of one entry; ``h`` may then be an array that
+    broadcasts against them, one step per element."""
     u = u0
-    for _ in range(steps):
+    while True:
+        yield u
         k1 = vel(u)
         k2 = vel(tuple([a + 0.5 * h * k for a, k in zip(u, k1)]))
         k3 = vel(tuple([a + 0.5 * h * k for a, k in zip(u, k2)]))
         k4 = vel(tuple([a + h * k for a, k in zip(u, k3)]))
         u = tuple([a + h / 6.0 * (b + 2 * c + 2 * d + e)
                    for a, b, c, d, e in zip(u, k1, k2, k3, k4)])
-        us.append(u)
-    return us
+
+
+def rk4(vel: Callable[[tuple], tuple], u0: tuple, length, steps: int) -> list[tuple]:
+    """The integral over ``length`` in ``steps`` equal steps: the list of the
+    states ``u0, ..., u_steps`` of ``rk4_states`` at the step length / steps."""
+    states = rk4_states(vel, u0, length / steps)
+    return [next(states) for _ in range(steps + 1)]
 
 
 def _where(m, cond, then, other=0.0):

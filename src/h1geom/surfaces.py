@@ -20,9 +20,10 @@ singular locus.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .core import (FrameVector, Point, Vec3, _finite3, connection_correct, eucli
                    frame_coeffs, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
-                       integrate_cells, raise_first_failure, rk4)
+                       integrate_cells, raise_first_failure, rk4, rk4_states)
 
 SINGULAR_TOL = 1e-9
 
@@ -111,9 +112,9 @@ class Chart:
         """Jets at the points (U1[i], U2[i]) as arrays: the arrays of
         ``_jet_parts`` themselves, which float64 parameter arrays make
         float64 arrays of their shape, and each constant of the chart (a
-        float or numpy scalar) as a read-only broadcast."""
+        float or numpy scalar) filled into a new array of that shape."""
         U1, U2 = _parameter_arrays(U1, U2)
-        return ChartJets(*(tuple(c if type(c) is np.ndarray else np.broadcast_to(float(c), U1.shape)
+        return ChartJets(*(tuple(c if type(c) is np.ndarray else np.full(U1.shape, float(c))
                                  for c in v) for v in self._jet_parts(U1, U2, np)))
 
     def _jet_parts(self, u1, u2, m):
@@ -130,18 +131,19 @@ def _parameter_arrays(U1, U2) -> tuple[np.ndarray, np.ndarray]:
     return U1, U2
 
 
-def _stacked_jets(chart: Chart, U1, U2) -> ChartJets:
-    """The ``jets`` of a float-only chart: its scalar jets ``_jet_floats``
-    stacked, in row-major order up to the first non-finite chart point,
-    where the scalar view stops, or up to the first jet that raises, which
-    ``ChartJets.failure`` keeps; the jets from there on are NaN."""
+def _stacked_jets(chart: Chart, U1, U2, jet_at=None) -> ChartJets:
+    """The ``jets`` of a float-only chart: its scalar jets (``jet_at(u1, u2)``,
+    else ``_jet_floats``) stacked, in row-major order up to the first
+    non-finite chart point, where the scalar view stops, or up to the first
+    jet that raises, which ``ChartJets.failure`` keeps; the rest are NaN."""
     U1, U2 = _parameter_arrays(U1, U2)
+    jet_at = jet_at or chart._jet_floats
     rows, failure = [], None
     for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
         if not (math.isfinite(a) and math.isfinite(b)):
             break  # the scalar view stops here, before evaluating the chart
         try:
-            rows.append(chart._jet_floats(a, b))
+            rows.append(jet_at(a, b))
         except GeometryError as exc:  # raised by the caller unless an earlier point fails
             failure = (len(rows), exc)
             break
@@ -254,47 +256,46 @@ def _tangent_cross(x, y, f1, f2):
     return c1, c2, cr
 
 
-def _unit_normal(cr, u, m=math):
-    """|F_1 x F_2|, the unit normal's frame coefficients and |N_h|.  At one
-    point (``m`` is ``math``) raises ``NonFiniteValue`` where the chart is
-    not an immersion at ``u``; on arrays the caller checks |F_1 x F_2|."""
-    w = m.sqrt(cr[0] * cr[0] + cr[1] * cr[1] + cr[2] * cr[2])
+def _tangent_frame(x, y, f1, f2, u, m=math):
+    """F_1 and F_2, |F_1 x F_2| and the unit normal in frame coefficients, and
+    |N_h|.  At one point (``m`` is ``math``) raises ``NonFiniteValue`` where
+    the chart is not an immersion at ``u``; arrays are checked by the caller."""
+    c1, c2, (a, b, c) = _tangent_cross(x, y, f1, f2)
+    w = m.sqrt(a * a + b * b + c * c)
     if m is math and (not (w > 0.0) or not math.isfinite(w)):
         raise NonFiniteValue(f"chart is not an immersion at {u!r}")
     k = 1.0 / w
-    n = (k * cr[0], k * cr[1], k * cr[2])
-    return w, n, m.hypot(n[0], n[1])
+    n = (k * a, k * b, k * c)
+    return c1, c2, w, n, m.hypot(n[0], n[1])
 
 
-def _unit_directions(n, nh):
+def _unit_directions(n, nh, which: str = "ZS"):
     """nu_h, Z = J(nu_h) and S = <N,T> nu_h - |N_h| T as frame-coefficient
-    triples, at regular points."""
-    na, nb, nt = n
-    nu = (na / nh, nb / nh, 0.0)
-    return nu, jop_coeffs(nu), (nt * nu[0], nt * nu[1], -nh)
+    triples, at regular points; a direction ``which`` does not name is None."""
+    nu = (n[0] / nh, n[1] / nh, 0.0)
+    z = jop_coeffs(nu) if "Z" in which else None
+    return nu, z, (n[2] * nu[0], n[2] * nu[1], -nh) if "S" in which else None
 
 
-def _tangent_in_chart(c1, c2, w):
-    """The chart coordinates of a tangent vector, as a function of its frame
-    coefficients: the inverse Gram matrix of F_1, F_2 (determinant w^2)."""
-    g11 = _dot3(c1, c1)
-    g12 = _dot3(c1, c2)
-    g22 = _dot3(c2, c2)
+def _tangent_in_chart(c1, c2, w, v):
+    """The chart coordinates of the tangent vector with frame coefficients
+    ``v``: the inverse Gram matrix of F_1, F_2 (determinant w^2) applied to
+    <v, F_1> and <v, F_2> (each dot product written out as ``_dot3``'s)."""
+    (a1, b1, t1), (a2, b2, t2), (a, b, t) = c1, c2, v
+    g11 = a1 * a1 + b1 * b1 + t1 * t1
+    g12 = a1 * a2 + b1 * b2 + t1 * t2
+    g22 = a2 * a2 + b2 * b2 + t2 * t2
+    r1 = a * a1 + b * b1 + t * t1
+    r2 = a * a2 + b * b2 + t * t2
     det = w * w
-
-    def in_chart(v):
-        r1 = _dot3(v, c1)
-        r2 = _dot3(v, c2)
-        return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
-
-    return in_chart
+    return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det)
 
 
 def _chart_direction(c1, c2, w, n, nh, which: str):
     """Z or S (``which``) of ``_unit_directions`` in chart coordinates, and
     not the other."""
-    _, z, s = _unit_directions(n, nh)
-    return _tangent_in_chart(c1, c2, w)(z if which == "Z" else s)
+    _, z, s = _unit_directions(n, nh, which)
+    return _tangent_in_chart(c1, c2, w, z if which == "Z" else s)
 
 
 def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
@@ -323,8 +324,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
 
     nu, z, s = _unit_directions(n, nh)
-    in_chart = _tangent_in_chart(c1, c2, w)
-    zc, sc = in_chart(z), in_chart(s)
+    zc, sc = _tangent_in_chart(c1, c2, w, z), _tangent_in_chart(c1, c2, w, s)
 
     def ii(a, b):
         return (a[0] * b[0] * ii11 + (a[0] * b[1] + a[1] * b[0]) * ii12
@@ -351,21 +351,14 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
             (dnh[0], dnh[1]), (dnt[0], dnt[1]))
 
 
-def _finite_chart_point(u: tuple[float, float]) -> tuple[float, float]:
-    """``u``, or the ``NonFiniteValue`` that ``surface_frames`` raises there."""
-    if not (math.isfinite(u[0]) and math.isfinite(u[1])):
-        raise NonFiniteValue(f"non-finite chart point {(float(u[0]), float(u[1]))!r}")
-    return u
-
-
 def _frame_head(chart: Chart, u: tuple[float, float], singular_ok: bool):
-    """The jet at ``u`` as plain tuples (``Chart._jet_floats``), the frame
-    coefficients of F_1 and F_2, and ``_unit_normal``; raises as
-    ``surface_frame`` does, in its order."""
-    jet = chart._jet_floats(*_finite_chart_point(u))
+    """The jet at ``u`` as plain tuples (``Chart._jet_floats``) and its
+    ``_tangent_frame``; raises as ``surface_frame`` does, in its order."""
+    if not (math.isfinite(u[0]) and math.isfinite(u[1])):  # as surface_frames raises it
+        raise NonFiniteValue(f"non-finite chart point {(float(u[0]), float(u[1]))!r}")
+    jet = chart._jet_floats(*u)
     (x, y, _), f1, f2 = jet[:3]
-    c1, c2, cr = _tangent_cross(x, y, f1, f2)
-    w, n, nh = _unit_normal(cr, u)
+    c1, c2, w, n, nh = _tangent_frame(x, y, f1, f2, u)
     if nh <= SINGULAR_TOL and not singular_ok:
         raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
     return jet, c1, c2, w, n, nh
@@ -414,8 +407,7 @@ def _frame_heads(chart: Chart, U1, U2, singular_ok: bool,
     with np.errstate(all="ignore"):
         jet = chart.jets(U1, U2)
         x, y, t = jet.p
-        c1, c2, cr = _tangent_cross(x, y, jet.f1, jet.f2)
-        w, n, nh = _unit_normal(cr, None, np)
+        c1, c2, w, n, nh = _tangent_frame(x, y, jet.f1, jet.f2, None, np)
         checks = [(~(np.isfinite(U1) & np.isfinite(U2)),
                    lambda i: NonFiniteValue(f"non-finite chart point {u(i)!r}")),
                   jet.failed(),
@@ -517,19 +509,28 @@ def _stopped(exc: Exception) -> Exception:
     return stop
 
 
+def tangent_field_states(chart: Chart, u0: tuple[float, float], h: float,
+                         which: str = "Z") -> Iterator[tuple[float, float]]:
+    """``integrate_tangent_field`` at the fixed step ``h`` (``numerics.rk4_states``):
+    ``u0``, then each state when it is asked for, with the same errors."""
+    _check_which(which)
+    try:
+        yield from rk4_states(lambda u: _chart_velocity(chart, u, which), u0, h)
+    except SingularPoint as exc:
+        raise _stopped(exc)
+
+
 def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
                             length: float, steps: int, which: str = "Z"
                             ) -> list[tuple[float, float]]:
-    """RK4 integral curve of Z or S in chart coordinates (unit ambient speed).
+    """RK4 integral curve of Z or S in chart coordinates (unit ambient speed):
+    the first ``steps`` states after ``u0`` of ``tangent_field_states``.
 
     Raises ``ValueError`` unless ``which`` is "Z" or "S", and
     ``StoppedAtSingular`` if the curve meets the singular locus.
     """
-    _check_which(which)
-    try:
-        return rk4(lambda u: _chart_velocity(chart, u, which), u0, length, steps)
-    except SingularPoint as exc:
-        raise _stopped(exc)
+    states = tangent_field_states(chart, u0, length / steps, which)
+    return [next(states) for _ in range(steps + 1)]
 
 
 def integrate_tangent_fields(chart: Chart, U1, U2, length, steps: int,
@@ -917,6 +918,29 @@ def translated(chart: Chart, p0: Point) -> TransformedChart:
 # Ruled coordinates
 # ---------------------------------------------------------------------------
 
+def _seeded_jets(chart: SeedRuledChart, U1, U2) -> ChartJets:
+    """``_stacked_jets`` seeded once per a: the first node of an a takes the
+    jets of all its nodes from one ``_jet_parts`` call on the array of s."""
+    U1, U2 = _parameter_arrays(U1, U2)
+    at: dict = {}  # a -> the s of its nodes, then an iterator over their jets
+    for s, a in zip(U1.ravel().tolist(), U2.ravel().tolist()):
+        at.setdefault(a, []).append(s)
+
+    def jet_at(s, a):
+        if type(at[a]) is list:
+            try:
+                parts = chart._jet_parts(np.array(at[a]), a, np)
+            except (OverflowError, ValueError):  # as Chart._jet_floats reports them
+                raise NonFiniteValue(f"non-finite point at {(s, a)!r}") from None
+            at[a] = zip(*(zip(*(c.tolist() if type(c) is np.ndarray else [c] * len(at[a])
+                                for c in v)) for v in parts))
+        jet = next(at[a])
+        _finite3(jet[0], "point")
+        return jet
+
+    return _stacked_jets(chart, U1, U2, jet_at)
+
+
 class RuledChart(SeedRuledChart):
     """The seed chart (s, a) of the S-curve Gamma through ``u0`` of a base
     chart, ruled by the characteristic lines: e = (Z_X, Z_Y) along Gamma.
@@ -926,13 +950,13 @@ class RuledChart(SeedRuledChart):
     off one base frame head at Gamma(a), and keeps them per a (0.0 and -0.0
     are one a; a read that raises keeps nothing).  ``point`` reads it alone;
     ``_seed`` adds Gamma'', e' and e'' from Richardson central differences
-    of it.  ``jets`` stacks scalar jets, so an error of the walk keeps its
-    first-failure place.
+    of it.  ``jets`` seeds each distinct a once (``_seeded_jets``), so an
+    error of the walk keeps its first-failure place.
 
-    The grid is walked as far as asked: each side of ``u0`` grows by one
-    RK4 step of +-h0 when a point beyond it is first read, with the bits of
+    The grid is walked as far as asked: a read past a side of ``u0`` walks
+    it on by steps of +-h0 (``tangent_field_states``), with the bits of
     ``curve_samples(base, u0, eps_range, n, "S")``, so an error of the walk
-    (``StoppedAtSingular``) is raised by the first read that reaches it.
+    (``StoppedAtSingular``) is raised by every read that reaches it.
     """
 
     GRID_STEP = 0.005  # largest step of the Gamma grid
@@ -950,11 +974,13 @@ class RuledChart(SeedRuledChart):
         self._curves: dict[float, tuple[float, ...]] = {}
 
     def _node(self, j: int) -> tuple[float, float]:
-        """Gamma(j h0), walking the side of j on to it one step at a time."""
+        """Gamma(j h0), walking the side of j on to it from its last node."""
         side = 1.0 if j >= 0 else -1.0
         walk = self._walks[side]
-        while len(walk) <= abs(j):
-            walk.append(integrate_tangent_field(self.base, walk[-1], side * self._h0, 1, "S")[-1])
+        if len(walk) <= abs(j):
+            steps = tangent_field_states(self.base, walk[-1], side * self._h0, "S")
+            for u in itertools.islice(steps, 1, abs(j) + 2 - len(walk)):
+                walk.append(u)
         return walk[abs(j)]
 
     def curve_chart_point(self, eps: float) -> tuple[float, float]:
@@ -984,7 +1010,7 @@ class RuledChart(SeedRuledChart):
         gx, gy, gt, _, _, _, co, si = self._curve(a)
         return Point(gx + s * co, gy + s * si, gt + s * (gy * co - gx * si))
 
-    jets = _stacked_jets  # _seed walks the curve point by point
+    jets = _seeded_jets  # _seed walks the curve one a at a time
 
 
 def ruled_coordinates(chart: Chart, u0: tuple[float, float], eps_range: float,

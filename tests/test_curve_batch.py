@@ -294,3 +294,37 @@ RESIDUALS = {
 @pytest.mark.parametrize("check", list(RESIDUALS))
 def test_batched_check_residuals_pinned_bitwise(check):
     assert _hex(getattr(verify, check)().residual) == RESIDUALS[check]
+
+
+# float.hex of the two ends Gamma(-+n h0) of the curve grid of each of
+# verify's ruled charts, and of the residuals of the two checks that walk
+# curves one point at a time: test_ruled_chart_walks_the_eager_grid compares
+# the grid with curve_samples, which steps with the same RK4, so only these
+# pins see a change that moves both
+RULED_GRID_ENDS = [
+    [("0x1.3333333333333p-2", "0x1.3333333333338p-1"),
+     ("0x1.3333333333333p-2", "-0x1.0000000000003p+0")],
+    [("0x1.ba74739d8bb7bp-3", "0x1.1f09bff9a97b0p+0"),
+     ("-0x1.8e7dadcd354ebp-3", "0x1.9308dd6b8c869p-2")],
+    [("0x1.999999999999ap-4", "0x1.276276276275ap+0"),
+     ("0x1.999999999999ap-4", "-0x1.276276276275ap+0")],
+]
+WALK_RESIDUALS = {
+    "ruled_vertical_plane": "0x0.0p+0",
+    "ruled_catenoid_implicit": "0x1.0000000000000p-48",
+    "ruled_helicoid_pointset": "0x1.0000000000000p-53",
+    "characteristic_ray_helicoid": "0x1.0000000000000p-28",
+    "characteristic_ray_catenoid": "0x1.bb67ae8584caap-25",
+}
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_ruled_chart_grid_ends_pinned_bitwise(k):
+    rc = verify._ruled_charts()[k]
+    ends = [tuple(_hex(c) for c in rc._node(j)) for j in (-rc._n, rc._n)]
+    assert ends == RULED_GRID_ENDS[k]
+
+
+def test_walk_check_residuals_pinned_bitwise():
+    results = verify.check_ruled_charts() + verify.check_characteristic_rays()
+    assert {r.name: _hex(r.residual) for r in results} == WALK_RESIDUALS

@@ -215,6 +215,41 @@ def test_ruled_chart_jets_keep_the_first_failure_of_the_walk():
     assert A[7] not in one._curves  # a read that raises keeps nothing
 
 
+def test_ruled_chart_walk_raises_its_stop_again_and_walks_on_elsewhere():
+    # a read past the wall raises the stop of the walk, and so does the next
+    # one, from the nodes the first kept; the other side walks on unharmed
+    base = _Walled(1.0)
+    rc = ruled_coordinates(base, base.locate(Point(math.sqrt(2.0), 0.0, 1.0)), 1.0, (-0.5, 0.5))
+    errors, lengths = [], []
+    for _ in range(2):
+        with pytest.raises(StoppedAtSingular) as exc:
+            rc._node(-rc._n)
+        errors.append(str(exc.value))
+        lengths.append([len(w) for w in rc._walks.values()])
+    assert errors[0] == errors[1]
+    assert lengths[0] == lengths[1] and 1 < lengths[0][1] <= rc._n
+    eager = curve_samples(CatenoidChart(1.0), rc.u0, rc.eps_range, rc._n, "S")
+    for j in (rc._n // 2, rc._n):
+        assert [c.hex() for c in rc._node(j)] == [c.hex() for c in eager[j + rc._n]], j
+
+
+def test_ruled_chart_jets_seed_once_per_a_with_the_bits_of_scalar_jets(monkeypatch):
+    # a shuffled batch that holds every a many times, 0.0 and -0.0 among
+    # them: one seed per distinct a, and each node's jet is its scalar jet
+    rc, one = verify._ruled_charts()[1], verify._ruled_charts()[1]
+    seeds = _counted(monkeypatch, surfaces.RuledChart, "_seed")
+    nodes = [(s, a) for a in (-0.4, 0.0, -0.0, 0.25) for s in (-2.0, 0.0, 0.5, 1.5)]
+    random.Random(3).shuffle(nodes)
+    S, A = (np.array(c).reshape(4, 4) for c in zip(*nodes))
+    jets = rc.jets(S, A)
+    assert seeds[0] == 3 and jets.failure is None
+    for (s, a), i in zip(nodes, np.ndindex(4, 4)):
+        want = one.jet(s, a)
+        for got, w in zip((jets.p, jets.f1, jets.f2, jets.f11, jets.f12, jets.f22),
+                          (want.p.coords(), want.f1, want.f2, want.f11, want.f12, want.f22)):
+            assert [float(c[i]).hex() for c in got] == [float(c).hex() for c in w], (s, a)
+
+
 def test_weighted_identity_frames_each_node_once(monkeypatch):
     # one block of 4,096 nodes per profile, framed once for both sides
     shape = _counted(monkeypatch, surfaces, "_shape_terms")
@@ -282,7 +317,7 @@ def test_chart_jets_pass_arrays_through_and_broadcast_constants():
                 assert c is part
             else:
                 assert c.shape == U1.shape and c.dtype == np.float64
-                assert not c.flags.writeable
+                assert c.base is None and c.flags.c_contiguous  # its own array
                 assert (c == part).all()
     assert jets.p[0] is U1 and jets.p[1] is U2
     # at one point numpy returns scalars, which are broadcast like constants
