@@ -70,10 +70,6 @@ class FrameVector:
     def norm(self) -> float:
         return math.sqrt(self.a * self.a + self.b * self.b + self.c * self.c)
 
-    def horizontal(self) -> "FrameVector":
-        """Horizontal projection: zero the T-coefficient."""
-        return FrameVector(self.a, self.b, 0.0, self.base)
-
     def scaled(self, k: float) -> "FrameVector":
         return FrameVector(k * self.a, k * self.b, k * self.c, self.base)
 
@@ -227,8 +223,7 @@ _RT_YT = {0: _zero3(), 1: (0.0, 0.0, 1.0), 2: (0.0, -1.0, 0.0)}
 
 
 def _rt(i: int, j: int, k: int) -> Vec3:
-    if i == j:
-        return _zero3()
+    """R(E_i, E_j) E_k for i != j."""
     sign = 1.0
     if i > j:
         i, j, sign = j, i, -1.0

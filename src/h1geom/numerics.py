@@ -323,7 +323,6 @@ def _checked_terms(vs: Sequence[np.ndarray], w: np.ndarray, per_cell: int,
         return checks[k][1](cell * per_cell + node)
 
     raise_first_failure((row, error))
-    return wvs
 
 
 def rk4_states(vel: Callable[[tuple], tuple], u0: tuple, h) -> Iterator[tuple]:

@@ -23,12 +23,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (FrameVector, Point, Vec3, _finite3, connection_correct, euclidean_coeffs,
-                   frame_coeffs, jop_coeffs)
+from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs, frame_coeffs,
+                   jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
                        integrate_cells, raise_first_failure, rk4, rk4_states)
@@ -54,12 +54,7 @@ Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
 @dataclass(frozen=True)
 class ChartJets:
     """Euclidean partials of the immersion at N parameter points: each entry
-    is a triple of arrays with the shape of the parameter arrays.
-
-    ``failure`` is the flat index and the ``GeometryError`` of the first
-    stacked scalar jet that raised one (the jets from there on are NaN), or
-    None.
-    """
+    is a triple of arrays with the shape of the parameter arrays."""
 
     p: Arr3
     f1: Arr3
@@ -67,14 +62,6 @@ class ChartJets:
     f11: Arr3
     f12: Arr3
     f22: Arr3
-    failure: Optional[tuple[int, GeometryError]] = None
-
-    def failed(self) -> tuple[np.ndarray, Callable[[int], Exception]]:
-        """``failure`` as a ``raise_first_failure`` check."""
-        mask = np.zeros(np.shape(self.p[0]), dtype=bool)
-        if self.failure is not None:
-            mask.flat[self.failure[0]] = True
-        return mask, lambda i: self.failure[1]
 
 
 class Chart:
@@ -83,8 +70,7 @@ class Chart:
     A chart writes ``_jet_parts(u1, u2, m)`` once, with ``m`` the ``math``
     module for one point or ``numpy`` for arrays of points; a scalar entry
     it returns is a constant of the chart and is broadcast.  A chart whose
-    parts take floats only sets ``jets = _stacked_jets``, which stacks its
-    scalar jets.
+    parts take floats only stacks its scalar jets there (``_stacked``).
     """
 
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
@@ -98,14 +84,17 @@ class Chart:
 
     def _jet_floats(self, u1: float, u2: float) -> tuple:
         """``jet`` at (u1, u2) as plain tuples (p, f1, f2, f11, f12, f22),
-        with its errors in its order, and no ChartJet or Point:
-        ``NonFiniteValue`` for an overflow, a domain error and a non-finite
-        point (the check of ``Point``)."""
+        with its errors in its order, and no ChartJet or Point: an overflow,
+        a domain error and a non-finite point raise ``NonFiniteValue``
+        ``non-finite point at (u1, u2)``, as ``surface_frames`` names them."""
         try:
             jet = self._jet_parts(u1, u2, math)
-        except (OverflowError, ValueError):  # as surface_frames reports numpy's inf or NaN
-            raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}") from None
-        _finite3(jet[0], "point")
+            x, y, t = jet[0]
+            finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(t)
+        except (OverflowError, ValueError):  # where numpy gives inf or NaN
+            finite = False
+        if not finite:
+            raise NonFiniteValue(f"non-finite point at {(u1, u2)!r}")
         return jet
 
     def jets(self, U1, U2) -> ChartJets:
@@ -131,26 +120,41 @@ def _parameter_arrays(U1, U2) -> tuple[np.ndarray, np.ndarray]:
     return U1, U2
 
 
-def _stacked_jets(chart: Chart, U1, U2, jet_at=None) -> ChartJets:
-    """The ``jets`` of a float-only chart: its scalar jets (``jet_at(u1, u2)``,
-    else ``_jet_floats``) stacked, in row-major order up to the first
-    non-finite chart point, where the scalar view stops, or up to the first
-    jet that raises, which ``ChartJets.failure`` keeps; the rest are NaN."""
-    U1, U2 = _parameter_arrays(U1, U2)
-    jet_at = jet_at or chart._jet_floats
-    rows, failure = [], None
-    for a, b in zip(U1.ravel().tolist(), U2.ravel().tolist()):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            break  # the scalar view stops here, before evaluating the chart
-        try:
-            rows.append(jet_at(a, b))
-        except GeometryError as exc:  # raised by the caller unless an earlier point fails
-            failure = (len(rows), exc)
+def _stacked(f, keys: list, width: int) -> np.ndarray:
+    """The rows ``f(*key)``, tuples of float tuples with ``width`` floats in
+    all, at ``keys`` in order, up to the first key with a non-finite entry
+    or at which ``f`` raises a ``GeometryError``, where the scalar view
+    stops (``_own_error`` finds its error again), and then one row of NaN."""
+    rows = []
+    for key in keys:
+        if not all(map(math.isfinite, key)):
             break
-    rows += [((math.nan,) * 3,) * 6] * (U1.size - len(rows))
-    rows = np.array(rows, dtype=float).reshape(-1, 6, 3)  # also for no rows
-    return ChartJets(*(tuple(rows[:, k, c].reshape(U1.shape) for c in range(3))
-                       for k in range(6)), failure)
+        try:
+            rows.append(list(itertools.chain.from_iterable(f(*key))))
+        except GeometryError:
+            break
+    return np.array(rows + [[math.nan] * width])
+
+
+def _columns(rows: np.ndarray, shape: tuple, widths: tuple) -> tuple:
+    """The (N, sum(widths)) ``rows`` as tuples of ``widths`` arrays of ``shape``."""
+    cols = iter(rows.T.reshape(rows.shape[1:] + shape))
+    return tuple(tuple(next(cols) for _ in range(w)) for w in widths)
+
+
+def _own_error(chart: Chart, u: tuple[float, float]) -> Optional[GeometryError]:
+    """What the scalar jet at ``u`` raises other than ``NonFiniteValue`` (a
+    walk's ``StoppedAtSingular``, a user partial's error), or None: the
+    error of a point whose batched jet is NaN because ``_stacked`` stopped
+    there.  None at a non-finite ``u``, where no scalar view evaluates."""
+    if math.isfinite(u[0]) and math.isfinite(u[1]):
+        try:
+            chart._jet_floats(*u)
+        except NonFiniteValue:
+            pass
+        except GeometryError as exc:
+            return exc
+    return None
 
 
 @dataclass(frozen=True)
@@ -399,8 +403,10 @@ def _frame_heads(chart: Chart, U1, U2, singular_ok: bool,
     row-major order (``raise_first_failure``), or each point's own, kept in
     ``failures`` when it is given: ``NonFiniteValue`` for a non-finite
     chart point or surface point or a non-immersion, ``SingularPoint`` for
-    |N_h| <= SINGULAR_TOL unless ``singular_ok`` is set.  Overflow and
-    invalid operations are left to these checks and raise no numpy warning.
+    |N_h| <= SINGULAR_TOL unless ``singular_ok`` is set.  At a non-finite
+    surface point the scalar jet's own error, if any, comes first
+    (``_own_error``).  Overflow and invalid operations are left to these
+    checks and raise no numpy warning.
     """
     U1, U2 = _parameter_arrays(U1, U2)
     u = _chart_point_at(U1, U2)
@@ -410,9 +416,8 @@ def _frame_heads(chart: Chart, U1, U2, singular_ok: bool,
         c1, c2, w, n, nh = _tangent_frame(x, y, jet.f1, jet.f2, None, np)
         checks = [(~(np.isfinite(U1) & np.isfinite(U2)),
                    lambda i: NonFiniteValue(f"non-finite chart point {u(i)!r}")),
-                  jet.failed(),
-                  (~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)),
-                   lambda i: NonFiniteValue(f"non-finite point at {u(i)!r}")),
+                  (~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)), lambda i: (
+                      _own_error(chart, u(i)) or NonFiniteValue(f"non-finite point at {u(i)!r}"))),
                   (~((w > 0.0) & np.isfinite(w)),
                    lambda i: NonFiniteValue(f"chart is not an immersion at {u(i)!r}"))]
         if not singular_ok:
@@ -451,7 +456,8 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
     Equals the horizontal norm of F_1 x F_2, hence is continuous (value 0)
     across singular points.  Raises ``NonFiniteValue`` at the first point,
     in row-major order, where the chart point, the surface point or the
-    density is not finite, or a stacked scalar jet's own error there.
+    density is not finite, or the scalar jet's own error there
+    (``_own_error``).
     """
     U1, U2 = _parameter_arrays(U1, U2)
     with np.errstate(all="ignore"):
@@ -461,8 +467,7 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
         finite = (np.isfinite(U1) & np.isfinite(U2) & np.isfinite(x) & np.isfinite(y)
                   & np.isfinite(t) & np.isfinite(dens))
     u = _chart_point_at(U1, U2)
-    # a stacked jet fails only at a finite chart point, where its error comes first
-    raise_first_failure(jet.failed(), (~finite, lambda i: NonFiniteValue(
+    raise_first_failure((~finite, lambda i: _own_error(chart, u(i)) or NonFiniteValue(
         f"non-finite tangent plane at {u(i)!r}")))
     return dens
 
@@ -728,9 +733,9 @@ class GraphChart(Chart):
 
     The partials are arbitrary float functions (they may branch on their
     arguments or reduce over them), so no array call is safe: they are
-    called on floats only, point by point also in ``jets``, which stacks
-    the scalar jets.  A graph that needs fast batches can subclass ``Chart``
-    and write ``_jet_parts`` for arrays.
+    called on floats only, and ``_jet_parts`` on arrays stacks the scalar
+    jets point by point (``_stacked``).  A graph that needs fast batches can
+    subclass ``Chart`` and write ``_jet_parts`` for arrays.
     """
 
     def __init__(self, phi, phi1, phi2, phi11, phi12, phi22,
@@ -739,6 +744,10 @@ class GraphChart(Chart):
         self.domain = domain
 
     def _jet_parts(self, u1, u2, m):
+        if m is np:
+            rows = _stacked(self._jet_floats, list(zip(u1.ravel().tolist(), u2.ravel().tolist())),
+                            18)
+            return _columns(rows[np.minimum(np.arange(u1.size), len(rows) - 1)], u1.shape, (3,) * 6)
         phi, p1, p2, p11, p12, p22 = self._phi
         return ((u1, u2, phi(u1, u2)),
                 (1.0, 0.0, p1(u1, u2)),
@@ -746,8 +755,6 @@ class GraphChart(Chart):
                 (0.0, 0.0, p11(u1, u2)),
                 (0.0, 0.0, p12(u1, u2)),
                 (0.0, 0.0, p22(u1, u2)))
-
-    jets = _stacked_jets
 
 
 class PlaneChart(Chart):
@@ -888,15 +895,10 @@ class TransformedChart(Chart):
                 self._apply(f11, False), self._apply(f12, False), self._apply(f22, False))
 
     def _jet_parts(self, u1, u2, m):
-        # only the scalar view calls this (``jets`` maps the base's jets), so
-        # it maps the base's checked jet: its errors, a non-finite base point
-        # among them, are named at the base point, as its jets name them
-        return self._transform(*self.base._jet_floats(u1, u2))
-
-    def jets(self, U1, U2) -> ChartJets:
-        # the base's own jets, which may be stacked
-        j = self.base.jets(U1, U2)
-        return ChartJets(*self._transform(j.p, j.f1, j.f2, j.f11, j.f12, j.f22), j.failure)
+        # on floats the base's checked jet: its errors, a non-finite base
+        # point among them, are named at the base point, as on arrays
+        return self._transform(*(self.base._jet_floats(u1, u2) if m is math
+                                 else self.base._jet_parts(u1, u2, m)))
 
 
 def dilated(chart: Chart, lam: float) -> TransformedChart:
@@ -918,29 +920,6 @@ def translated(chart: Chart, p0: Point) -> TransformedChart:
 # Ruled coordinates
 # ---------------------------------------------------------------------------
 
-def _seeded_jets(chart: SeedRuledChart, U1, U2) -> ChartJets:
-    """``_stacked_jets`` seeded once per a: the first node of an a takes the
-    jets of all its nodes from one ``_jet_parts`` call on the array of s."""
-    U1, U2 = _parameter_arrays(U1, U2)
-    at: dict = {}  # a -> the s of its nodes, then an iterator over their jets
-    for s, a in zip(U1.ravel().tolist(), U2.ravel().tolist()):
-        at.setdefault(a, []).append(s)
-
-    def jet_at(s, a):
-        if type(at[a]) is list:
-            try:
-                parts = chart._jet_parts(np.array(at[a]), a, np)
-            except (OverflowError, ValueError):  # as Chart._jet_floats reports them
-                raise NonFiniteValue(f"non-finite point at {(s, a)!r}") from None
-            at[a] = zip(*(zip(*(c.tolist() if type(c) is np.ndarray else [c] * len(at[a])
-                                for c in v)) for v in parts))
-        jet = next(at[a])
-        _finite3(jet[0], "point")
-        return jet
-
-    return _stacked_jets(chart, U1, U2, jet_at)
-
-
 class RuledChart(SeedRuledChart):
     """The seed chart (s, a) of the S-curve Gamma through ``u0`` of a base
     chart, ruled by the characteristic lines: e = (Z_X, Z_Y) along Gamma.
@@ -950,8 +929,9 @@ class RuledChart(SeedRuledChart):
     off one base frame head at Gamma(a), and keeps them per a (0.0 and -0.0
     are one a; a read that raises keeps nothing).  ``point`` reads it alone;
     ``_seed`` adds Gamma'', e' and e'' from Richardson central differences
-    of it.  ``jets`` seeds each distinct a once (``_seeded_jets``), so an
-    error of the walk keeps its first-failure place.
+    of it.  On an array of a, ``_seed`` seeds each distinct a once, in
+    row-major order (``_stacked``), so an error of the walk keeps its
+    first-failure place.
 
     The grid is walked as far as asked: a read past a side of ``u0`` walks
     it on by steps of +-h0 (``tangent_field_states``), with the bits of
@@ -1003,14 +983,20 @@ class RuledChart(SeedRuledChart):
         return self._curves[a]
 
     def _seed(self, a, m):
+        if m is np:  # the walk takes one a at a time: one scalar seed per distinct a
+            flat = a.ravel().tolist()
+            distinct = list(dict.fromkeys(flat))  # in row-major order, 0.0 and -0.0 one a
+            rows = _stacked(lambda b: self._seed(b, math), [(b,) for b in distinct], 15)
+            seeded = dict(zip(distinct, range(len(rows) - 1)))
+            # NaN (the last row) from the first node whose a was not seeded
+            idx = list(itertools.takewhile(lambda k: k is not None, map(seeded.get, flat)))
+            return _columns(rows[idx + [-1] * (len(flat) - len(idx))], a.shape, (3, 3, 3, 2, 2, 2))
         c0, d1, d2 = central_diffs(self._curve, a, DiffSpec(1e-4, 1), (0, 1, 2))
         return c0[:3], c0[3:6], d1[3:6], c0[6:], d1[6:], d2[6:]
 
     def point(self, s: float, a: float) -> Point:
         gx, gy, gt, _, _, _, co, si = self._curve(a)
         return Point(gx + s * co, gy + s * si, gt + s * (gy * co - gx * si))
-
-    jets = _seeded_jets  # _seed walks the curve one a at a time
 
 
 def ruled_coordinates(chart: Chart, u0: tuple[float, float], eps_range: float,

@@ -16,9 +16,9 @@ from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
-                             HelicoidChart, ParaboloidChart, area, area_element, area_elements,
-                             catalog_surface, _chart_velocity, dilated, ruled_coordinates,
-                             rotated, surface_frame, surface_frames, translated)
+                             HelicoidChart, ParaboloidChart, PlaneChart, area, area_element,
+                             area_elements, catalog_surface, _chart_velocity, dilated,
+                             ruled_coordinates, rotated, surface_frame, surface_frames, translated)
 
 SCALAR_FIELDS = ("Nh_norm", "NT", "riem_area", "BZZ", "BZS", "BSS", "H", "HR", "q")
 PAIR_FIELDS = ("z_chart", "s_chart", "dNh", "dNT")
@@ -249,7 +249,8 @@ def test_stacked_jet_errors_wait_for_earlier_points():
         area_elements(chart, [math.nan, 0.3], [0.5, 1000.0])
     for call in (lambda: area_element(chart, (0.3, 1000.0)),
                  lambda: area_elements(chart, [0.2, 0.3, math.nan], [0.5, 1000.0, 0.5])):
-        with pytest.raises(NonFiniteValue, match=re.escape("non-finite point at (0.3, 1000.0)")):
+        with pytest.raises(NonFiniteValue,
+                           match=re.escape("non-finite tangent plane at (0.3, 1000.0)")):
             call()
     # through an affine map the stacked error keeps its place
     with pytest.raises(SingularPoint):
@@ -385,15 +386,17 @@ def test_surface_frames_overflow_raises_no_warning():
 
 
 def test_scalar_and_batched_frames_raise_the_same_overflow_error():
-    chart, u = CatenoidChart(1.0), (0.0, 1000.0)  # cosh(1000) overflows
-    outcomes = []
-    for call in (lambda: surface_frame(chart, u),
-                 lambda: _chart_velocity(chart, u, "Z"),
-                 lambda: surface_frames(chart, np.array([u[0]]), np.array([u[1]]))):
-        with pytest.raises(NonFiniteValue) as info:
-            call()
-        outcomes.append((type(info.value), str(info.value)))
-    assert outcomes == [(NonFiniteValue, "non-finite point at (0.0, 1000.0)")] * 3
+    # cosh(1000) raises OverflowError on floats; 1e308 * 10 is inf without raising
+    plane = PlaneChart(1e308, 0.0, 0.0, domain=((-100.0, 100.0), (-1.0, 1.0)))
+    for chart, u in ((CatenoidChart(1.0), (0.0, 1000.0)), (plane, (10.0, 0.0))):
+        outcomes = []
+        for call in (lambda: surface_frame(chart, u),
+                     lambda: _chart_velocity(chart, u, "Z"),
+                     lambda: surface_frames(chart, np.array([u[0]]), np.array([u[1]]))):
+            with pytest.raises(NonFiniteValue) as info:
+                call()
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes == [(NonFiniteValue, f"non-finite point at {u!r}")] * 3, chart
 
 
 @pytest.mark.parametrize("chart, u", [(CatenoidChart(1.0), (math.inf, 0.0)),
@@ -424,7 +427,7 @@ def test_affine_maps_of_a_stacked_base_name_its_non_finite_point(transform):
                  lambda: _chart_velocity(chart, (0.3, 0.5), "S"),
                  lambda: chart.jet(0.3, 0.5),
                  lambda: surface_frames(chart, [0.1, 0.3], [0.2, 0.5])):
-        with pytest.raises(NonFiniteValue, match=re.escape("non-finite point: (0.3, 0.5, inf)")):
+        with pytest.raises(NonFiniteValue, match=re.escape("non-finite point at (0.3, 0.5)")):
             call()
 
 

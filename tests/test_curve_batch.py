@@ -157,6 +157,18 @@ def test_batched_walk_checks_which():
         surfaces.integrate_tangent_fields(HEL, np.zeros(2), np.zeros(2), 0.1, 2, "N")
 
 
+def test_walks_hand_on_an_error_off_the_singular_locus_unchanged():
+    # F_1 x F_2 overflows at cosh(709): not StoppedAtSingular, in either view
+    u0 = (0.3, 709.0)
+    for call in (lambda: surfaces.integrate_tangent_field(CAT, u0, 5.0, 8, "Z"),
+                 lambda: surfaces.integrate_tangent_fields(CAT, np.array([u0[0]]),
+                                                           np.array([u0[1]]), 5.0, 8, "Z")):
+        with pytest.raises(NonFiniteValue) as info:
+            call()
+        assert type(info.value) is NonFiniteValue
+        assert str(info.value) == "chart is not an immersion at (0.3, 709.0)"
+
+
 def test_central_diffs_on_array_samples():
     spec = DiffSpec(1e-3, 1)
     xs = [0.3, -1.2, 2.5]

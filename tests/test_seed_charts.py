@@ -186,6 +186,23 @@ def test_ruling_coefficients_through_an_s_curve():
     assert all(abs(d + 3.698) < 1e-3 for d in helicoid)
 
 
+def test_ruling_coefficients_of_ruled_charts_on_arrays_of_a():
+    # one scalar seed per a: the array values are the per-a values, bit for bit
+    a = np.linspace(-0.5, 0.5, 5)
+    deltas = []
+    for rc, one in zip(verify._ruled_charts(), verify._ruled_charts()):
+        got = rc.ruling_coefficients(a, np)
+        want = [one.ruling_coefficients(ai, math) for ai in a.tolist()]
+        assert [[c.hex() for c in col.tolist()] for col in got] == \
+            [[c.hex() for c in col] for col in zip(*want)], rc.base
+        tp, b, c0 = got
+        deltas.append(tp * c0 - b * b)
+    plane, catenoid, helicoid = deltas
+    assert plane.tolist() == [0.0] * 5
+    assert np.round([catenoid.min(), catenoid.max()], 3).tolist() == [0.135, 0.335]
+    assert np.round(helicoid, 3).tolist() == [-3.698] * 5
+
+
 def test_the_base_seed_chart_and_ruled_chart_have_no_uniform_rulings():
     # RuledChart's coefficients vary with a; each catalog seed sets the flag on its class
     assert SeedRuledChart.uniform_rulings is False and RuledChart.uniform_rulings is False
