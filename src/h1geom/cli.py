@@ -25,7 +25,7 @@ from .geodesics import GeodesicArc, exp_geodesics
 from .stability import (InstabilityCertificate, certify_instability_h2,
                         certify_instability_nosing, scaled_helicoid_certificate)
 from .surfaces import CATALOG, catalog_surface, surface_frames
-from .verify import SUITES, run_suites
+from .verify import SUITES, declared_names, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -100,13 +100,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not 0.0 < tol < math.inf:
             raise ConfigError(f"tolerances must be positive and finite, got {item!r}")
         overrides[name.strip()] = tol
-
-    results = run_suites(suites, overrides)
-    # check names are known only once the suites have run
-    unknown = sorted(set(overrides) - {r.name for r in results})
+    unknown = sorted(set(overrides) - set(declared_names(suites)))
     if unknown:
         raise ConfigError(f"tolerance override matches no check of suites "
                           f"{', '.join(suites)}: {', '.join(unknown)}")
+    results = run_suites(suites, overrides)
     lines = [f"# verification suites: {', '.join(suites)}"]
     for name, tol in sorted(overrides.items()):
         lines.append(f"# tolerance override: {name}={_fmt(tol)}")

@@ -1,9 +1,12 @@
 """Named residual checks for every identity the library claims to satisfy.
 
 Each check evaluates one identity over deterministic sample sets and
-reports the worst residual together with its pass threshold.  The CLI
-``verify`` command renders these as one line per check; the test suite
-asserts them individually.
+reports the worst residual together with its pass threshold.  A check is
+declared once, by ``@check(suite, (name, identity, threshold), ...)`` on
+a body that returns one residual per row; ``CHECK_TABLE`` lists every
+check in definition order, and the suite runners read it.  The CLI
+``verify`` command renders the results as one line per row; the test
+suite asserts them individually.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -59,6 +62,30 @@ class CheckResult:
         flag = "PASS" if self.passed else "FAIL"
         return (f"{self.name:40s} {self.identity:44s} "
                 f"{self.residual:12.3e} {self.threshold:9.1e}  {flag}")
+
+
+# (suite, function name, rows) of every check, in definition order; a row is
+# (name, identity, threshold).  The table holds names, not functions: the
+# runner looks each check up as a module attribute when it runs.
+CHECK_TABLE: list[tuple[str, str, tuple[tuple[str, str, float], ...]]] = []
+
+
+def check(suite: str, *rows: tuple[str, str, float]):
+    """Declare a check of ``suite`` with one (name, identity, threshold)
+    row per residual.  The body returns its residual, or a tuple of one
+    residual per row; the check returns one ``CheckResult`` per row, as a
+    tuple when there are several."""
+    def declare(body):
+        CHECK_TABLE.append((suite, body.__name__, rows))
+
+        @functools.wraps(body)
+        def results():
+            got = body() if len(rows) > 1 else (body(),)
+            out = tuple(CheckResult(name, identity, residual, threshold)
+                        for (name, identity, threshold), residual in zip(rows, got, strict=True))
+            return out if len(rows) > 1 else out[0]
+        return results
+    return declare
 
 
 def _nmax(*vals: float) -> float:
@@ -112,17 +139,19 @@ def _frame_vectors(p: Point) -> tuple[FrameVector, FrameVector, FrameVector]:
     return (FrameVector(1, 0, 0, p), FrameVector(0, 1, 0, p), FrameVector(0, 0, 1, p))
 
 
-def check_connection_table() -> CheckResult:
+@check("core", ("connection_table", "D_X Y=-T, D_X T=Y, ... (9 entries)", 1e-12))
+def check_connection_table():
     fields = (X_FIELD, Y_FIELD, T_FIELD)
     worst = 0.0
     for p in (ORIGIN, Point(1.3, -0.7, 2.1)):
         for (i, j), want in _CONNECTION_TABLE.items():
             got = covariant_derivative(fields[i], fields[j], p).coeffs()
             worst = max(worst, _nmax(*(g - w for g, w in zip(got, want))))
-    return CheckResult("connection_table", "D_X Y=-T, D_X T=Y, ... (9 entries)", worst, 1e-12)
+    return worst
 
 
-def check_curvature_table() -> CheckResult:
+@check("core", ("curvature_table", "R(X,Y)Y=3X, R(X,T)T=-X, ...", 1e-12))
+def check_curvature_table():
     worst = 0.0
     for p in (ORIGIN, Point(0.4, 1.1, -0.9)):
         es = _frame_vectors(p)
@@ -132,10 +161,11 @@ def check_curvature_table() -> CheckResult:
             # antisymmetry in the first slot
             neg = curvature_R(es[j], es[i], es[k]).coeffs()
             worst = max(worst, _nmax(*(g + n for g, n in zip(got, neg))))
-    return CheckResult("curvature_table", "R(X,Y)Y=3X, R(X,T)T=-X, ...", worst, 1e-12)
+    return worst
 
 
-def check_ricci_table() -> CheckResult:
+@check("core", ("ricci_table", "Ric=diag(-2,-2,2) on the frame", 1e-12))
+def check_ricci_table():
     p = Point(0.2, -0.5, 0.7)
     es = _frame_vectors(p)
     want = {(0, 0): -2.0, (1, 1): -2.0, (2, 2): 2.0}
@@ -143,10 +173,11 @@ def check_ricci_table() -> CheckResult:
     for i in range(3):
         for j in range(3):
             worst = max(worst, abs(ricci(es[i], es[j]) - want.get((i, j), 0.0)))
-    return CheckResult("ricci_table", "Ric=diag(-2,-2,2) on the frame", worst, 1e-12)
+    return worst
 
 
-def check_ricci_normal() -> CheckResult:
+@check("core", ("ricci_normal_identity", "Ric(N,N) = 2 - 4|N_h|^2", 1e-12))
+def check_ricci_normal():
     rng = random.Random(7)
     worst = 0.0
     p = Point(0.3, 0.1, -1.0)
@@ -156,10 +187,11 @@ def check_ricci_normal() -> CheckResult:
         u = FrameVector(v[0] / n, v[1] / n, v[2] / n, p)
         nh2 = u.a * u.a + u.b * u.b
         worst = max(worst, abs(ricci(u, u) - (2.0 - 4.0 * nh2)))
-    return CheckResult("ricci_normal_identity", "Ric(N,N) = 2 - 4|N_h|^2", worst, 1e-12)
+    return worst
 
 
-def check_associativity() -> CheckResult:
+@check("core", ("group_associativity", "(p*q)*r = p*(q*r)", 1e-12))
+def check_associativity():
     rng = random.Random(11)
     worst = 0.0
     for _ in range(200):
@@ -168,20 +200,22 @@ def check_associativity() -> CheckResult:
         lhs = group_mul(group_mul(p, q), r)
         rhs = group_mul(p, group_mul(q, r))
         worst = max(worst, _nmax(lhs.x - rhs.x, lhs.y - rhs.y, lhs.t - rhs.t))
-    return CheckResult("group_associativity", "(p*q)*r = p*(q*r)", worst, 1e-12)
+    return worst
 
 
-def check_group_inverse() -> CheckResult:
+@check("core", ("group_inverse", "p * p^{-1} = 0", 1e-12))
+def check_group_inverse():
     rng = random.Random(13)
     worst = 0.0
     for _ in range(50):
         p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
         e = group_mul(p, group_inverse(p))
         worst = max(worst, _nmax(e.x, e.y, e.t))
-    return CheckResult("group_inverse", "p * p^{-1} = 0", worst, 1e-12)
+    return worst
 
 
-def check_left_invariance() -> CheckResult:
+@check("core", ("left_invariance", "dL_p (frame at 0) = frame at p", 1e-12))
+def check_left_invariance():
     rng = random.Random(17)
     worst = 0.0
     frame0 = frame_at(ORIGIN)
@@ -192,10 +226,11 @@ def check_left_invariance() -> CheckResult:
         for k in range(3):
             pushed = tuple(sum(jac[i][m] * frame0[k][m] for m in range(3)) for i in range(3))
             worst = max(worst, _nmax(*(a - b for a, b in zip(pushed, frame_p[k]))))
-    return CheckResult("left_invariance", "dL_p (frame at 0) = frame at p", worst, 1e-12)
+    return worst
 
 
-def check_bracket_flows() -> CheckResult:
+@check("core", ("bracket_flows", "[X,Y]=-2T, [X,T]=[Y,T]=0 (flows)", 1e-6))
+def check_bracket_flows():
     h = 1e-2
     p = Point(0.4, -0.3, 0.8)
     pairs = ((X_FIELD, Y_FIELD, (0.0, 0.0, -2.0)),
@@ -206,7 +241,7 @@ def check_bracket_flows() -> CheckResult:
         q = flow(V, flow(U, flow(V, flow(U, p, h), h), -h), -h)
         got = ((q.x - p.x) / (h * h), (q.y - p.y) / (h * h), (q.t - p.t) / (h * h))
         worst = max(worst, _nmax(*(g - w for g, w in zip(got, want))))
-    return CheckResult("bracket_flows", "[X,Y]=-2T, [X,T]=[Y,T]=0 (flows)", worst, 1e-6)
+    return worst
 
 
 def _poly_fields() -> tuple[FrameField, FrameField, FrameField]:
@@ -219,17 +254,19 @@ def _poly_fields() -> tuple[FrameField, FrameField, FrameField]:
     return u, v, w
 
 
-def check_torsion_free() -> CheckResult:
+@check("core", ("torsion_free", "D_U V - D_V U - [U,V] = 0", 1e-8))
+def check_torsion_free():
     u, v, _ = _poly_fields()
     worst = 0.0
     for p in (Point(0.3, -0.2, 0.5), Point(-1.1, 0.8, -0.4)):
         tor = (covariant_derivative(u, v, p) - covariant_derivative(v, u, p)
                - lie_bracket(u, v, p))
         worst = max(worst, tor.norm())
-    return CheckResult("torsion_free", "D_U V - D_V U - [U,V] = 0", worst, 1e-8)
+    return worst
 
 
-def check_metric_compatibility() -> CheckResult:
+@check("core", ("metric_compatibility", "U<V,W> = <D_U V,W> + <V,D_U W>", 1e-8))
+def check_metric_compatibility():
     u, v, w = _poly_fields()
     worst = 0.0
     for p in (Point(0.2, 0.4, -0.3), Point(-0.6, 0.1, 0.9)):
@@ -245,10 +282,11 @@ def check_metric_compatibility() -> CheckResult:
         lhs = deriv - dot(covariant_derivative(u, v, p), w.at(p)) \
             - dot(v.at(p), covariant_derivative(u, w, p))
         worst = max(worst, abs(lhs))
-    return CheckResult("metric_compatibility", "U<V,W> = <D_U V,W> + <V,D_U W>", worst, 1e-8)
+    return worst
 
 
-def check_curvature_from_connection() -> CheckResult:
+@check("core", ("curvature_from_connection", "R(U,V)W = D_V D_U W - D_U D_V W + D_[U,V] W", 1e-8))
+def check_curvature_from_connection():
     fields = (X_FIELD, Y_FIELD, T_FIELD)
     worst = 0.0
     p = Point(0.5, -0.8, 0.2)
@@ -267,11 +305,11 @@ def check_curvature_from_connection() -> CheckResult:
                 es = _frame_vectors(p)
                 want = curvature_R(es[i], es[j], es[k])
                 worst = max(worst, (got - want).norm())
-    return CheckResult("curvature_from_connection",
-                       "R(U,V)W = D_V D_U W - D_U D_V W + D_[U,V] W", worst, 1e-8)
+    return worst
 
 
-def check_horizontal_curvature_form() -> CheckResult:
+@check("core", ("horizontal_curvature_form", "R(w,v)w = -3<v,Jw>Jw + <v,T>T, |w|=1 horiz", 1e-12))
+def check_horizontal_curvature_form():
     rng = random.Random(23)
     p = Point(0.1, 0.9, -0.4)
     worst = 0.0
@@ -283,11 +321,11 @@ def check_horizontal_curvature_form() -> CheckResult:
         tvec = FrameVector(0, 0, 1, p)
         want = jw.scaled(-3.0 * dot(v, jw)) + tvec.scaled(dot(v, tvec))
         worst = max(worst, (curvature_R(w, v, w) - want).norm())
-    return CheckResult("horizontal_curvature_form",
-                       "R(w,v)w = -3<v,Jw>Jw + <v,T>T, |w|=1 horiz", worst, 1e-12)
+    return worst
 
 
-def check_jop() -> CheckResult:
+@check("core", ("jop_rotation", "J(X)=Y, J(Y)=-X, <Ju,v>+<u,Jv>=0", 1e-12))
+def check_jop():
     rng = random.Random(29)
     p = Point(0.0, 0.0, 0.0)
     worst = 0.0
@@ -298,10 +336,11 @@ def check_jop() -> CheckResult:
         u = FrameVector(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), p)
         v = FrameVector(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), p)
         worst = max(worst, abs(dot(jop(u), v) + dot(u, jop(v))))
-    return CheckResult("jop_rotation", "J(X)=Y, J(Y)=-X, <Ju,v>+<u,Jv>=0", worst, 1e-12)
+    return worst
 
 
-def check_symmetry_groups() -> CheckResult:
+@check("core", ("symmetry_groups", "dilations/rotations compose and invert", 1e-12))
+def check_symmetry_groups():
     rng = random.Random(31)
     worst = 0.0
     for _ in range(25):
@@ -314,14 +353,15 @@ def check_symmetry_groups() -> CheckResult:
     worst = max(worst, _nmax(d.x - 2, d.y - 2, d.t - 4))
     r = rotate_z(math.pi / 2, Point(1, 0, 5))
     worst = max(worst, _nmax(r.x, r.y - 1, r.t - 5))
-    return CheckResult("symmetry_groups", "dilations/rotations compose and invert", worst, 1e-12)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # geodesics suite
 # ---------------------------------------------------------------------------
 
-def check_fgh() -> CheckResult:
+@check("geodesics", ("fgh_helpers", "series/closed agree at the switch", 1e-14))
+def check_fgh():
     worst = 0.0
     f0, g0, h0 = helpers_fgh(0.0)
     worst = max(worst, abs(f0 - 1.0), abs(g0), abs(h0))
@@ -335,10 +375,12 @@ def check_fgh() -> CheckResult:
         worst = max(worst, abs(fs - math.sin(x) / x))
         worst = max(worst, abs(gs - 2.0 * half * half / x))
         worst = max(worst, abs(x * hs - (x - math.sin(x)) / x))
-    return CheckResult("fgh_helpers", "series/closed agree at the switch", worst, 1e-14)
+    return worst
 
 
-def check_horgeo() -> CheckResult:
+@check("geodesics", ("straight_line_geodesics",
+                     "exp_p(sv) = p + sv for horizontal/vertical v", 1e-12))
+def check_horgeo():
     rng = random.Random(37)
     worst = 0.0
     for _ in range(30):
@@ -355,8 +397,7 @@ def check_horgeo() -> CheckResult:
         worst = max(worst, _nmax(qv.x - p.x, qv.y - p.y, qv.t - p.t - s * vv.c))
     q, _ = exp_geodesic(GeodesicArc(ORIGIN, euclidean_to_frame(ORIGIN, (1, 0, 1))), math.pi)
     worst = max(worst, _nmax(q.x, q.y, q.t - 1.5 * math.pi))
-    return CheckResult("straight_line_geodesics",
-                       "exp_p(sv) = p + sv for horizontal/vertical v", worst, 1e-12)
+    return worst
 
 
 def _random_arcs(n: int, seed: int) -> list[GeodesicArc]:
@@ -370,7 +411,9 @@ def _random_arcs(n: int, seed: int) -> list[GeodesicArc]:
     return arcs
 
 
-def check_conserved() -> tuple[CheckResult, CheckResult]:
+@check("geodesics", ("lambda_conserved", "<gamma',T> constant on [-10,10]", 1e-10),
+                    ("speed_conserved", "|gamma'| constant on [-10,10]", 1e-10))
+def check_conserved():
     worst_lam = 0.0
     worst_speed = 0.0
     svals = [-10.0 + 20.0 * i / 40 for i in range(41)]
@@ -380,11 +423,11 @@ def check_conserved() -> tuple[CheckResult, CheckResult]:
             _, vel = exp_geodesic(arc, s)
             worst_lam = max(worst_lam, abs(vel.c - arc.lam))
             worst_speed = max(worst_speed, abs(vel.norm() - speed0))
-    return (CheckResult("lambda_conserved", "<gamma',T> constant on [-10,10]", worst_lam, 1e-10),
-            CheckResult("speed_conserved", "|gamma'| constant on [-10,10]", worst_speed, 1e-10))
+    return worst_lam, worst_speed
 
 
-def check_semigroup() -> CheckResult:
+@check("geodesics", ("geodesic_semigroup", "flow restarted at gamma(s1) matches", 1e-9))
+def check_semigroup():
     worst = 0.0
     for arc in _random_arcs(10, 43):
         for s1, s in ((0.7, 2.4), (-1.2, 0.9), (2.0, -3.0)):
@@ -393,10 +436,11 @@ def check_semigroup() -> CheckResult:
             rest, _ = exp_geodesic(GeodesicArc(q1, v1), s - s1)
             worst = max(worst, _nmax(direct.x - rest.x, direct.y - rest.y,
                                      direct.t - rest.t))
-    return CheckResult("geodesic_semigroup", "flow restarted at gamma(s1) matches", worst, 1e-9)
+    return worst
 
 
-def check_jacobi_trivial() -> CheckResult:
+@check("geodesics", ("jacobi_trivial_family", "line translations: V const, V''=0", 1e-4))
+def check_jacobi_trivial():
     alpha = lambda e: Point(0.0, e, 0.0)
     u_of = lambda e: FrameVector(0.0, 1.0, 0.0, alpha(e))
     worst = 0.0
@@ -406,10 +450,13 @@ def check_jacobi_trivial() -> CheckResult:
         # documented stencil accuracy: 1e-6 on V, 1e-4 on V''
         worst = max(worst, (sample.V - FrameVector(0, 1, 0, sample.V.base)).norm() * 1e2)
         worst = max(worst, sample.Vsecond.norm())
-    return CheckResult("jacobi_trivial_family", "line translations: V const, V''=0", worst, 1e-4)
+    return worst
 
 
-def check_jacobi_helicoid() -> tuple[CheckResult, CheckResult, CheckResult]:
+@check("geodesics", ("jacobi_equation_rulings", "V'' - 3<V,JZ>JZ + <V,T>T = 0", 1e-5),
+                    ("jacobi_commutation", "[gamma', V] = 0", 1e-5),
+                    ("jacobi_vertical_quadratic_fit", "<V,T>(s) quadratic on rulings", 1e-8))
+def check_jacobi_helicoid():
     # the rulings of the pitch-2 helicoid's seed: the point at s = 0 and F_s
     jet = functools.partial(HelicoidChart(2.0).jet, 0.0)
     alpha, u_of = (lambda e: jet(e).p), (lambda e: euclidean_to_frame(jet(e).p, jet(e).f1))
@@ -433,13 +480,11 @@ def check_jacobi_helicoid() -> tuple[CheckResult, CheckResult, CheckResult]:
         coef = _quad_fit(svals, vt)
         worst_fit = max(worst_fit, max(abs(coef[0] * s * s + coef[1] * s + coef[2] - v)
                                        for s, v in zip(svals, vt)))
-    return (CheckResult("jacobi_equation_rulings", "V'' - 3<V,JZ>JZ + <V,T>T = 0", worst_eq, 1e-5),
-            CheckResult("jacobi_commutation", "[gamma', V] = 0", worst_comm, 1e-5),
-            CheckResult("jacobi_vertical_quadratic_fit", "<V,T>(s) quadratic on rulings",
-                        worst_fit, 1e-8))
+    return worst_eq, worst_comm, worst_fit
 
 
-def check_jacobi_random() -> CheckResult:
+@check("geodesics", ("jacobi_equation_general", "V'' + R(gamma',V)gamma' = 0", 1e-4))
+def check_jacobi_random():
     def alpha(e: float) -> Point:
         return Point(math.sin(e), e, 0.3 * e * e)
 
@@ -453,7 +498,7 @@ def check_jacobi_random() -> CheckResult:
         u = u_of(eps)
         _, vel = exp_geodesic(GeodesicArc(a, u), s)
         worst = max(worst, jacobi_residual(sample, vel))
-    return CheckResult("jacobi_equation_general", "V'' + R(gamma',V)gamma' = 0", worst, 1e-4)
+    return worst
 
 
 def _quad_fit(xs: Iterable[float], ys: Iterable[float]) -> tuple[float, float, float]:
@@ -474,7 +519,8 @@ def _catalog() -> dict[str, Chart]:
     }
 
 
-def check_frame_relations() -> CheckResult:
+@check("surfaces", ("frame_relations", "|N_h|^2+<N,T>^2=1; projections of nu_h, T", 1e-10))
+def check_frame_relations():
     worst = 0.0
     for name, chart in _catalog().items():
         for u in _GRID[name]:
@@ -488,8 +534,7 @@ def check_frame_relations() -> CheckResult:
             worst = max(worst, (t_t + fr.S.scaled(fr.Nh_norm)).norm())
             worst = max(worst, abs(fr.N.norm() - 1.0), abs(dot(fr.Z, fr.S)))
             worst = max(worst, abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ))
-    return CheckResult("frame_relations",
-                       "|N_h|^2+<N,T>^2=1; projections of nu_h, T", worst, 1e-10)
+    return worst
 
 
 def _frames_along_ray(chart: Chart, u0, h: float):
@@ -499,7 +544,10 @@ def _frames_along_ray(chart: Chart, u0, h: float):
     return lambda tau: frames[2 + round(2 * tau / h)]
 
 
-def check_characteristic_derivatives() -> tuple[CheckResult, CheckResult]:
+@check("surfaces", ("characteristic_flow_derivatives",
+                    "D_Z Z = 2H nu_h; D_Z nu_h = T - 2H Z", 1e-5),
+                   ("scalar_flow_derivatives", "Z<N,T>, S<N,T>, Z|N_h| closed forms", 1e-5))
+def check_characteristic_derivatives():
     # includes a non-minimal graph so the 2H terms are exercised
     bowl = GraphChart(lambda x, y: x * x + y * y, lambda x, y: 2 * x, lambda x, y: 2 * y,
                       lambda x, y: 2.0, lambda x, y: 0.0, lambda x, y: 2.0,
@@ -527,13 +575,12 @@ def check_characteristic_derivatives() -> tuple[CheckResult, CheckResult]:
         worst_sc = max(worst_sc, abs(snt - fr0.Nh_norm * fr0.BSS))
         znh = tangent_derivative(chart, lambda u: surface_frame(chart, u).Nh_norm, u0, 1, "Z")
         worst_sc = max(worst_sc, abs(znh - fr0.NT * (1.0 - fr0.BZS)))
-    return (CheckResult("characteristic_flow_derivatives",
-                        "D_Z Z = 2H nu_h; D_Z nu_h = T - 2H Z", worst_zz, 1e-5),
-            CheckResult("scalar_flow_derivatives",
-                        "Z<N,T>, S<N,T>, Z|N_h| closed forms", worst_sc, 1e-5))
+    return worst_zz, worst_sc
 
 
-def check_zbzs() -> CheckResult:
+@check("surfaces", ("shape_term_flow_derivative",
+                    "Z<B(Z),S> = 4|N_h|<N,T> - 2<N,T><B(Z),S>(1+<B(Z),S>)/|N_h|", 1e-4))
+def check_zbzs():
     worst = 0.0
     for chart, u0 in ((CatenoidChart(1.0), (0.9, 0.6)), (HelicoidChart(2.0), (0.3, -0.5)),
                       (CatenoidChart(1.0), (2.4, -0.8))):
@@ -542,12 +589,11 @@ def check_zbzs() -> CheckResult:
         want = (4.0 * fr.Nh_norm * fr.NT
                 - 2.0 / fr.Nh_norm * fr.NT * fr.BZS * (1.0 + fr.BZS))
         worst = max(worst, abs(zb - want))
-    return CheckResult("shape_term_flow_derivative",
-                       "Z<B(Z),S> = 4|N_h|<N,T> - 2<N,T><B(Z),S>(1+<B(Z),S>)/|N_h|",
-                       worst, 1e-4)
+    return worst
 
 
-def check_helicoid_closed_forms() -> CheckResult:
+@check("surfaces", ("helicoid_frame_closed_forms", "|N_h|, <N,T>, <B(Z),S> closed forms", 1e-8))
+def check_helicoid_closed_forms():
     worst_frame = 0.0
     for R in (1.0, 2.0):
         chart = HelicoidChart(R)
@@ -556,36 +602,19 @@ def check_helicoid_closed_forms() -> CheckResult:
             d = RulingFrame(chart, s)
             worst_frame = max(worst_frame, abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT),
                               abs(fr.BZS - d.BZS), abs(fr.riem_area - d.W))
-    return CheckResult("helicoid_frame_closed_forms",
-                       "|N_h|, <N,T>, <B(Z),S> closed forms", worst_frame, 1e-8)
+    return worst_frame
 
 
-def check_helicoid_q_closed_forms() -> tuple[CheckResult, CheckResult]:
-    worst_q2 = max(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"])
-    hel1 = HelicoidChart(1.0)
-    worst_q1 = max(abs(surface_frame(hel1, u).q - RulingFrame(hel1, u[0]).q)
-                   for u in _GRID["helicoid"])
-    return (CheckResult("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", worst_q2, 1e-8),
-            CheckResult("q_closed_form_R1", "q = (R^2-4) f^2 / W^4 at R=1", worst_q1, 1e-6))
+@check("surfaces", ("catalog_minimality", "H = 0 on the minimal catalog", 1e-8))
+def check_minimality():
+    # the curved charts of the catalog, and the pitch-1 helicoid on the helicoid grid
+    charts = [*_catalog().items(), ("helicoid", HelicoidChart(1.0))]
+    return max(abs(surface_frame(chart, u).H)
+               for name, chart in charts if name != "plane" for u in _GRID[name])
 
 
-def check_minimality() -> CheckResult:
-    worst = 0.0
-    charts = {
-        "paraboloid": ParaboloidChart(domain=((0.2, 1.5), (-1.0, 1.3))),
-        "catenoid": CatenoidChart(1.0),
-        "helicoid1": HelicoidChart(1.0),
-        "helicoid2": HelicoidChart(2.0),
-    }
-    grids = {"helicoid1": _GRID["helicoid"], "helicoid2": _GRID["helicoid"],
-             "paraboloid": _GRID["paraboloid"], "catenoid": _GRID["catenoid"]}
-    for name, chart in charts.items():
-        for u in grids[name]:
-            worst = max(worst, abs(surface_frame(chart, u).H))
-    return CheckResult("catalog_minimality", "H = 0 on the minimal catalog", worst, 1e-8)
-
-
-def check_vertical_plane() -> CheckResult:
+@check("surfaces", ("vertical_plane_frame", "<N,T>=0, <B(Z),S>=1, L(|N_h|)=0 on x=0", 1e-8))
+def check_vertical_plane():
     chart = VerticalPlaneChart()
     worst = 0.0
     for u in ((0.0, 0.0), (0.5, -0.7), (-0.9, 0.3)):
@@ -594,8 +623,7 @@ def check_vertical_plane() -> CheckResult:
         worst = max(worst, abs(l_nh_closed(chart, u)))
         worst = max(worst, abs(operator_L(chart,
                                           lambda uu: surface_frame(chart, uu).Nh_norm, u)))
-    return CheckResult("vertical_plane_frame",
-                       "<N,T>=0, <B(Z),S>=1, L(|N_h|)=0 on x=0", worst, 1e-8)
+    return worst
 
 
 def _straightness(points: list[Point]) -> float:
@@ -612,17 +640,16 @@ def _straightness(points: list[Point]) -> float:
     return worst
 
 
-def check_characteristic_rays() -> tuple[CheckResult, CheckResult]:
+@check("surfaces", ("characteristic_ray_helicoid", "rulings are straight lines", 1e-8),
+                   ("characteristic_ray_catenoid", "rulings straight over length 2", 1e-6))
+def check_characteristic_rays():
     hel = HelicoidChart(2.0)
     worst_h = _straightness(characteristic_ray(hel, (0.0, 0.4), 0.4, 32))
     ray = characteristic_ray(VerticalPlaneChart(domain=((-3, 3), (-3, 3))), (0.2, 0.5), 1.0, 16)
     worst_h = max(worst_h, max(_nmax(p.x, p.t - ray[0].t) for p in ray))
     cat = CatenoidChart(1.0)
     worst_c = _straightness(characteristic_ray(cat, (0.7, 0.4), 2.0, 64))
-    return (CheckResult("characteristic_ray_helicoid", "rulings are straight lines",
-                        worst_h, 1e-8),
-            CheckResult("characteristic_ray_catenoid", "rulings straight over length 2",
-                        worst_c, 1e-6))
+    return worst_h, worst_c
 
 
 def _ruled_charts() -> tuple[RuledChart, RuledChart, RuledChart]:
@@ -635,7 +662,10 @@ def _ruled_charts() -> tuple[RuledChart, RuledChart, RuledChart]:
             ruled_coordinates(HelicoidChart(2.0), (0.1, 0.0), 0.6, (-1.0, 1.0)))
 
 
-def check_ruled_charts() -> tuple[CheckResult, CheckResult, CheckResult]:
+@check("surfaces", ("ruled_vertical_plane", "ruled chart stays in the plane", 1e-10),
+                   ("ruled_catenoid_implicit", "t^2 = x^2+y^2-1 on ruled points", 1e-6),
+                   ("ruled_helicoid_pointset", "ruled chart lands on the pitch-2 chart", 1e-6))
+def check_ruled_charts():
     rv, rc, rh = _ruled_charts()
     # vertical plane: stays in x = 0
     worst_v = max(abs(rv.point(s, a).x)
@@ -653,30 +683,26 @@ def check_ruled_charts() -> tuple[CheckResult, CheckResult, CheckResult]:
             srec = p.x * math.sin(th) + p.y * math.cos(th)
             q = rh.base.point(srec, eps)
             worst_h = max(worst_h, _nmax(q.x - p.x, q.y - p.y, q.t - p.t))
-    return (CheckResult("ruled_vertical_plane", "ruled chart stays in the plane", worst_v, 1e-10),
-            CheckResult("ruled_catenoid_implicit", "t^2 = x^2+y^2-1 on ruled points", worst_c, 1e-6),
-            CheckResult("ruled_helicoid_pointset", "ruled chart lands on the pitch-2 chart",
-                        worst_h, 1e-6))
+    return worst_v, worst_c, worst_h
 
 
-def check_singular_locus() -> CheckResult:
-    worst = 0.0
-    hel = HelicoidChart(2.0)
-    loc = singular_locus(hel, (10, 6))
-    if not loc.points:
-        return CheckResult("singular_locus", "no crossings found", math.inf, 1e-8)
-    worst = max(worst, max(abs(abs(pt[0]) - 0.5) for pt in loc.points))
+@check("surfaces", ("singular_locus", "helices s=+-1/R; empty catenoid; line x=0 on t=xy", 1e-8))
+def check_singular_locus():
+    loc = singular_locus(HelicoidChart(2.0), (10, 6))
+    if not loc.points:  # no crossings found
+        return math.inf
+    worst = max(abs(abs(pt[0]) - 0.5) for pt in loc.points)
     cat = singular_locus(CatenoidChart(1.0), (8, 8))
     worst = max(worst, float(bool(cat.cells or cat.points)))
     par = singular_locus(ParaboloidChart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9))
-    if not par.points:
-        return CheckResult("singular_locus", "paraboloid crossings missing", math.inf, 1e-8)
-    worst = max(worst, max(abs(pt[0]) for pt in par.points))
-    return CheckResult("singular_locus",
-                       "helices s=+-1/R; empty catenoid; line x=0 on t=xy", worst, 1e-8)
+    if not par.points:  # the paraboloid's crossings are missing
+        return math.inf
+    return max(worst, max(abs(pt[0]) for pt in par.points))
 
 
-def check_area_scaling() -> tuple[CheckResult, CheckResult]:
+@check("surfaces", ("area_dilation_scaling", "A(dilated) = e^{3 lam} A", 1e-6),
+                   ("area_rotation_invariance", "A invariant under rotations", 1e-10))
+def check_area_scaling():
     hel = HelicoidChart(2.0)
     patch = ((0.0, 0.4), (0.0, 1.0))
     quad = QuadratureSpec(16, (8, 8))
@@ -691,8 +717,7 @@ def check_area_scaling() -> tuple[CheckResult, CheckResult]:
     worst_d = max(worst_d, abs(base - closed) / closed)
     vp_area = area(VerticalPlaneChart(), ((0.0, 1.0), (0.0, 1.0)), quad)
     worst_d = max(worst_d, abs(vp_area - 1.0))
-    return (CheckResult("area_dilation_scaling", "A(dilated) = e^{3 lam} A", worst_d, 1e-6),
-            CheckResult("area_rotation_invariance", "A invariant under rotations", worst_r, 1e-10))
+    return worst_d, worst_r
 
 
 # ---------------------------------------------------------------------------
@@ -715,25 +740,36 @@ def _regular_sample_points() -> list[tuple[Chart, tuple[np.ndarray, np.ndarray]]
                                                     ((-1.3, 1.3), (-1.5, 1.5)), min_nh=0.2)))]
 
 
-def check_lnh_closed_vs_direct() -> CheckResult:
+@check("stability", ("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", 1e-8),
+                    ("q_closed_form_R1", "q = (R^2-4) f^2 / W^4 at R=1", 1e-6))
+def check_helicoid_q_closed_forms():
+    worst_q2 = max(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"])
+    hel1 = HelicoidChart(1.0)
+    worst_q1 = max(abs(surface_frame(hel1, u).q - RulingFrame(hel1, u[0]).q)
+                   for u in _GRID["helicoid"])
+    return worst_q2, worst_q1
+
+
+@check("stability", ("lnh_closed_vs_direct", "L(|N_h|) = 4(<B(Z),S>/|N_h|^2 - 1)", 1e-4))
+def check_lnh_closed_vs_direct():
     worst = 0.0
     for chart, u in _regular_sample_points():
         lc = l_nh_of_frame(surface_frames(chart, *u))
         ld = operator_L(chart, lambda uu: surface_frames(chart, *uu).Nh_norm, u)
         worst = max(worst, float(np.max(np.abs(ld - lc) / np.maximum(1.0, np.abs(lc)))))
-    return CheckResult("lnh_closed_vs_direct",
-                       "L(|N_h|) = 4(<B(Z),S>/|N_h|^2 - 1)", worst, 1e-4)
+    return worst
 
 
-def check_lnh_sign_catenoid() -> CheckResult:
+@check("stability", ("lnh_nonnegative_catenoid", "L(|N_h|) >= 0 (empty singular set)", 1e-8))
+def check_lnh_sign_catenoid():
     cat = CatenoidChart(1.0)
     u = _as_arrays(_random_regular_points(cat, 100, 107, ((0.0, 2 * math.pi), (-1.4, 1.4))))
     low = float(np.min(l_nh_of_frame(surface_frames(cat, *u))))
-    return CheckResult("lnh_nonnegative_catenoid",
-                       "L(|N_h|) >= 0 (empty singular set)", max(0.0, -low), 1e-8)
+    return max(0.0, -low)
 
 
-def check_lnh_sign_helicoid() -> CheckResult:
+@check("stability", ("lnh_nonpositive_helicoid2", "L(|N_h|) = -4(1 -+ |N_h|)^2/|N_h|^2 <= 0", 1e-8))
+def check_lnh_sign_helicoid():
     # q = 0 at pitch 2 forces L(|N_h|) = -4 (1 -+ |N_h|)^2 / |N_h|^2 <= 0:
     # the helicoid is outside the scope of the nonnegativity statement.
     hel = HelicoidChart(2.0)
@@ -744,9 +780,7 @@ def check_lnh_sign_helicoid() -> CheckResult:
     nh = fr.Nh_norm
     sign = np.where(np.abs(U1) < 0.5, 1.0, -1.0)
     want = -4.0 * (1.0 + sign * nh) ** 2 / (nh * nh)
-    worst = float(np.max(np.maximum(np.abs(val - want), np.maximum(0.0, val))))
-    return CheckResult("lnh_nonpositive_helicoid2",
-                       "L(|N_h|) = -4(1 -+ |N_h|)^2/|N_h|^2 <= 0", worst, 1e-8)
+    return float(np.max(np.maximum(np.abs(val - want), np.maximum(0.0, val))))
 
 
 def _weighted_identity_profiles() -> list:
@@ -760,7 +794,9 @@ def _weighted_identity_profiles() -> list:
     ]
 
 
-def check_indexform3() -> CheckResult:
+@check("stability", ("index_form_weighted_identity",
+                     "I(f|N_h|, f|N_h|) = int |N_h|(Z(f)^2 - L(|N_h|) f^2)", 1e-3))
+def check_indexform3():
     cat = CatenoidChart(1.0)
     quad = QuadratureSpec(16, (4, 4))
     worst = 0.0
@@ -779,21 +815,22 @@ def check_indexform3() -> CheckResult:
         rect, cuts = index_form_cells(cat, fnh, fnh)
         lhs, rhs = integrate_cells(both_sides, rect, quad, cuts)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return CheckResult("index_form_weighted_identity",
-                       "I(f|N_h|, f|N_h|) = int |N_h|(Z(f)^2 - L(|N_h|) f^2)", worst, 1e-3)
+    return worst
 
 
-def check_discriminant() -> CheckResult:
+@check("stability", ("discriminant_identity", "b^2 - 4ac = -|N_h|^2 L(|N_h|)", 1e-8))
+def check_discriminant():
     worst = 0.0
     for chart, u in _regular_sample_points():
         fr = surface_frames(chart, *u)
         disc = jacobi_quadratic_of_frame(fr)[3]
         worst = max(worst, float(np.max(np.abs(disc + fr.Nh_norm ** 2 * l_nh_of_frame(fr)))))
-    return CheckResult("discriminant_identity",
-                       "b^2 - 4ac = -|N_h|^2 L(|N_h|)", worst, 1e-8)
+    return worst
 
 
-def check_jacobi_coefficients() -> CheckResult:
+@check("stability", ("jacobi_vertical_coefficients",
+                     "fit of <V,T> matches (a, b, c) closed forms", 1e-5))
+def check_jacobi_coefficients():
     """Least-squares fit of <V,T>(s) against the closed quadratic seeds."""
     cat = CatenoidChart(1.0)
     u0 = (0.9, 0.5)
@@ -805,61 +842,58 @@ def check_jacobi_coefficients() -> CheckResult:
     svals = [-1.0 + 0.25 * i for i in range(9)]
     vt = jacobi_fields(lambda e: ruling(e).base, ruling, 0.0, svals).V[2].tolist()
     a_f, b_f, c_f = _quad_fit(svals, vt)
-    worst = _nmax(a_f - a_cl, b_f - b_cl, c_f - c_cl)
-    return CheckResult("jacobi_vertical_coefficients",
-                       "fit of <V,T> matches (a, b, c) closed forms", worst, 1e-5)
+    return _nmax(a_f - a_cl, b_f - b_cl, c_f - c_cl)
 
 
-def check_qform_regular() -> CheckResult:
+@check("stability", ("qform_regular_support", "Q(u) >= 0 away from the singular helices", 1e-10))
+def check_qform_regular():
     quad = QuadratureSpec(16, (32, 1))
     u = separable(cosine_bump(0.0, 1.0), cosine_bump(1.0, 0.35))
     val = q_form(2.0, u, quad)
-    return CheckResult("qform_regular_support",
-                       "Q(u) >= 0 away from the singular helices", max(0.0, -val), 1e-10)
+    return max(0.0, -val)
 
 
-def check_bracket() -> tuple[CheckResult, CheckResult]:
+@check("stability", ("bracket_integral_dual", "closed antiderivative vs quadrature", 1e-10),
+                    ("bracket_integral_bounds", "C(0.6,2.2) < 8 < C(0.5001,2.0002)", 0.5))
+def check_bracket():
     quad = QuadratureSpec(16, (64, 1))
     worst = 0.0
     for k, d in ((0.6, 2.2), (1.0, 3.0)):
         worst = max(worst, abs(bracket_integral(k, d) - bracket_integral_quadrature(k, d, quad)))
     c06 = bracket_integral(0.6, 2.2)
     worst2 = 0.0 if (c06 < 8.0 and bracket_integral(0.5001, 2.0002) > 8.0) else 1.0
-    return (CheckResult("bracket_integral_dual", "closed antiderivative vs quadrature",
-                        worst, 1e-10),
-            CheckResult("bracket_integral_bounds", "C(0.6,2.2) < 8 < C(0.5001,2.0002)",
-                        worst2, 0.5))
+    return worst, worst2
 
 
-def check_second_variation() -> tuple[CheckResult, CheckResult]:
+@check("stability", ("second_variation_consistency", "direct A''(0) matches the index form", 1e-2),
+                    ("area_stationarity", "A'(0) = 0 under compact variations", 1e-6))
+def check_second_variation():
     cat = CatenoidChart(1.0)
     v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
     w = zero_function()
     quad = QuadratureSpec(16, (4, 4))
     iform = index_form_I(cat, v, v, quad)
     a2, a1, a0 = direct_variations(cat, v, w, quad)
-    rel = abs(a2 - iform) / max(1e-30, abs(iform))
-    return (CheckResult("second_variation_consistency",
-                        "direct A''(0) matches the index form", rel, 1e-2),
-            CheckResult("area_stationarity", "A'(0) = 0 under compact variations",
-                        abs(a1) / a0, 1e-6))
+    return abs(a2 - iform) / max(1e-30, abs(iform)), abs(a1) / a0
 
 
-def check_h2_certificate() -> CheckResult:
+@check("stability", ("h2_instability_certificate",
+                     "Q(u) < 0, stable under resolution doubling", 0.5))
+def check_h2_certificate():
     cert = certify_instability_h2()
     ok = cert.Q_value < 0.0 and cert.Q_value_doubled < 0.0 and cert.C < 8.0
-    return CheckResult("h2_instability_certificate",
-                       "Q(u) < 0, stable under resolution doubling", 0.0 if ok else 1.0, 0.5)
+    return 0.0 if ok else 1.0
 
 
-def check_catenoid_certificate() -> CheckResult:
+@check("stability", ("catenoid_instability_certificate", "I(u, u) < 0, stable under doubling", 0.5))
+def check_catenoid_certificate():
     cert = certify_instability_nosing(1.0)
     ok = cert.Q_value < 0.0 and cert.Q_value_doubled < 0.0
-    return CheckResult("catenoid_instability_certificate",
-                       "I(u, u) < 0, stable under doubling", 0.0 if ok else 1.0, 0.5)
+    return 0.0 if ok else 1.0
 
 
-def check_ruling_form() -> CheckResult:
+@check("stability", ("ruling_form_vs_index_form", "closed ruling form = I(|N_h|f, |N_h|f)", 1e-13))
+def check_ruling_form():
     """The closed ruling form against the frame-kernel index form of
     u = |N_h| psi(s) phi(a), on supports inside each chart's domain and
     clear of the roots of C.  On these seed charts every frame quantity
@@ -878,41 +912,37 @@ def check_ruling_form() -> CheckResult:
         u = times_nh(chart, separable(psi, phi))
         ref = index_form_I(chart, u, u, quad)
         worst = max(worst, abs(ruling_form(chart, psi, phi, quad) - ref) / abs(ref))
-    return CheckResult("ruling_form_vs_index_form",
-                       "closed ruling form = I(|N_h|f, |N_h|f)", worst, 1e-13)
+    return worst
 
 
-def check_vertical_variation() -> tuple[CheckResult, CheckResult]:
+@check("stability", ("vertical_variation_second", "d^2A/dr^2 = int wdot^2", 1e-3),
+                    ("vertical_variation_first", "dA/dr = 0 at r = 0", 1e-6))
+def check_vertical_variation():
     quad = QuadratureSpec(16, (16, 1))
     w = cosine_bump(0.0, 1.0)
     d2, d1 = vertical_variation_second_difference(2.0, w, quad)
     exact = gauss_legendre_1d(lambda e: w.deriv(e) ** 2, -1.0, 1.0, quad)
-    return (CheckResult("vertical_variation_second", "d^2A/dr^2 = int wdot^2",
-                        abs(d2 - exact) / exact, 1e-3),
-            CheckResult("vertical_variation_first", "dA/dr = 0 at r = 0", abs(d1), 1e-6))
+    return abs(d2 - exact) / exact, abs(d1)
 
 
-def check_boundary_flux() -> tuple[CheckResult, CheckResult]:
+@check("stability", ("boundary_flux_limit", "flux -> 4 int v^2 dl as the tube shrinks", 1e-2),
+                    ("shape_term_near_singular", "<B(Z),S> -> -1 monotonically", 0.5))
+def check_boundary_flux():
     phi = cosine_bump(0.0, 1.0)
     v = separable(phi, Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
     quad = QuadratureSpec(16, (32, 1))
     extrap = boundary_flux_extrapolated(2.0, v, quad)
     target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
-    rel = abs(extrap - target) / target
-
-    worst_mono = 1.0
     vals_out = [RulingFrame(HelicoidChart(2.0), 0.5 + s).BZS for s in (1e-2, 1e-3, 1e-4)]
     vals_in = [RulingFrame(HelicoidChart(2.0), 0.5 - s).BZS for s in (1e-2, 1e-3, 1e-4)]
-    if (vals_out[0] > vals_out[1] > vals_out[2] > -1.0
-            and vals_in[0] < vals_in[1] < vals_in[2] < -1.0):
-        worst_mono = 0.0
-    return (CheckResult("boundary_flux_limit",
-                        "flux -> 4 int v^2 dl as the tube shrinks", rel, 1e-2),
-            CheckResult("shape_term_near_singular", "<B(Z),S> -> -1 monotonically",
-                        worst_mono, 0.5))
+    mono = (vals_out[0] > vals_out[1] > vals_out[2] > -1.0
+            and vals_in[0] < vals_in[1] < vals_in[2] < -1.0)
+    return abs(extrap - target) / target, 0.0 if mono else 1.0
 
 
-def check_singular_curve_geometry() -> CheckResult:
+@check("stability", ("singular_helix_geometry",
+                     "arclength parameterization; planar curvature -R", 1e-6))
+def check_singular_curve_geometry():
     worst = 0.0
     for R in (1.0, 2.0):
         hel = HelicoidChart(R)
@@ -925,76 +955,39 @@ def check_singular_curve_geometry() -> CheckResult:
                 return p.x, p.y
             (dx, dy), (ddx, ddy) = central_diffs(xy, 0.0, spec, (1, 2))
             worst = max(worst, abs(dx * ddy - dy * ddx + R))
-    return CheckResult("singular_helix_geometry",
-                       "arclength parameterization; planar curvature -R", worst, 1e-6)
+    return worst
 
 
 # ---------------------------------------------------------------------------
-# suite registry
+# suite runners
 # ---------------------------------------------------------------------------
 
-def run_core() -> list[CheckResult]:
-    out = [check_connection_table(), check_curvature_table(), check_ricci_table(),
-           check_ricci_normal(), check_associativity(), check_group_inverse(),
-           check_left_invariance(), check_bracket_flows(), check_torsion_free(),
-           check_metric_compatibility(), check_curvature_from_connection(),
-           check_horizontal_curvature_form(), check_jop(), check_symmetry_groups()]
+def _run_suite(suite: str) -> list[CheckResult]:
+    out: list[CheckResult] = []
+    for in_suite, name, rows in CHECK_TABLE:
+        if in_suite == suite:
+            got = globals()[name]()
+            out.extend(got if len(rows) > 1 else (got,))
     return out
 
 
-def run_geodesics() -> list[CheckResult]:
-    out = [check_fgh(), check_horgeo()]
-    out.extend(check_conserved())
-    out.append(check_semigroup())
-    out.append(check_jacobi_trivial())
-    out.extend(check_jacobi_helicoid())
-    out.append(check_jacobi_random())
-    return out
+# The bench times the suite runners and every check_* function by their
+# module-level names, so checks run through globals() and each runner stays
+# a module attribute and a value of SUITES.
+SUITES = {suite: functools.partial(_run_suite, suite)
+          for suite in dict.fromkeys(suite for suite, _, _ in CHECK_TABLE)}
+run_core, run_geodesics, run_surfaces, run_stability = SUITES.values()
 
 
-def run_surfaces() -> list[CheckResult]:
-    out = [check_frame_relations()]
-    out.extend(check_characteristic_derivatives())
-    out.append(check_zbzs())
-    out.append(check_helicoid_closed_forms())
-    out.append(check_minimality())
-    out.append(check_vertical_plane())
-    out.extend(check_characteristic_rays())
-    out.extend(check_ruled_charts())
-    out.append(check_singular_locus())
-    out.extend(check_area_scaling())
-    return out
-
-
-def run_stability() -> list[CheckResult]:
-    out = list(check_helicoid_q_closed_forms())
-    out += [check_lnh_closed_vs_direct(), check_lnh_sign_catenoid(),
-            check_lnh_sign_helicoid(), check_indexform3(), check_discriminant(),
-            check_jacobi_coefficients(), check_qform_regular()]
-    out.extend(check_bracket())
-    out.extend(check_second_variation())
-    out.append(check_h2_certificate())
-    out.append(check_catenoid_certificate())
-    out.append(check_ruling_form())
-    out.extend(check_vertical_variation())
-    out.extend(check_boundary_flux())
-    out.append(check_singular_curve_geometry())
-    return out
-
-
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "core": run_core,
-    "geodesics": run_geodesics,
-    "surfaces": run_surfaces,
-    "stability": run_stability,
-}
+def declared_names(suites: Iterable[str]) -> list[str]:
+    """The row names of ``suites``, in the order ``run_suites`` reports them."""
+    return [row[0] for suite in suites for in_suite, _, rows in CHECK_TABLE
+            if in_suite == suite for row in rows]
 
 
 def run_suites(names: Iterable[str],
                tol_overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(SUITES[name]())
+    results = [r for name in names for r in SUITES[name]()]
     if tol_overrides:
         results = [replace(r, threshold=tol_overrides.get(r.name, r.threshold))
                    for r in results]

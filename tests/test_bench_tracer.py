@@ -35,6 +35,23 @@ def test_tracer_checks_name_verify_checks(tracer):
     assert not missing
 
 
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_tracer_times_every_declared_check(tracer, suite):
+    # the suite runner calls each check through its module attribute, which
+    # the tracer rebinds: a runner that kept the check functions in a list
+    # would leave every per-check span at 0
+    t = tracer.Tracer()
+    try:
+        t.install()
+        verify.run_suites([suite])
+    finally:
+        t.uninstall()
+    for in_suite, name, _ in verify.CHECK_TABLE:
+        if in_suite == suite:
+            calls, seconds, _ = t.totals(f"verify.{name}")
+            assert calls == 1 and seconds > 0, name
+
+
 def test_tracer_sees_the_ruled_chart(tracer):
     # the bench counts ruled_coordinates and RuledChart.curve_chart_point by
     # name: a change to the ruled chart must not silently zero them

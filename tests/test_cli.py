@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from h1geom import cli, stability
+from h1geom import cli, stability, verify
 from h1geom.cli import main
 from h1geom.errors import ConfigError
 from h1geom.stability import InstabilityCertificate
@@ -40,9 +40,16 @@ def test_verify_bad_tolerance_config_error():
     assert run(["verify", "--suite", "core", "--tol", "x=-1"]) == 2
 
 
-def test_verify_unknown_tolerance_name_rejected(tmp_path, capsys):
+def test_verify_unknown_tolerance_name_rejected(tmp_path, capsys, monkeypatch):
     # a name that matches no check of the suites run is a usage error: exit
-    # 2, one line, and no report, from --tol and from a config file alike
+    # 2, one line, and no report, from --tol and from a config file alike;
+    # the names come from the check table, so no check runs first
+    def must_not_run():
+        raise AssertionError("a check ran before the override names were checked")
+
+    for name in vars(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, must_not_run)
     out = tmp_path / "r.txt"
     _assert_usage_error(["verify", "--suite", "core", "--tol", "no_such_check=1",
                          "--out", str(out)], capsys)

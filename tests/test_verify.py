@@ -1,9 +1,13 @@
 """Every named identity check in the verification registry must pass, and
 tolerance overrides must be applied verbatim."""
 
+import math
+
 import pytest
 
-from h1geom.verify import SUITES, run_suites
+from h1geom import verify
+from h1geom.surfaces import SingularLocus
+from h1geom.verify import CHECK_TABLE, SUITES, declared_names, run_suites
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +29,29 @@ def test_override_applied():
     assert not failed.passed
 
 
-def test_check_names_unique(suite_results):
-    names = [r.name for results in suite_results.values() for r in results]
+def test_check_names_unique():
+    names = [row[0] for _, _, rows in CHECK_TABLE for row in rows]
     assert len(names) == len(set(names))
+    assert declared_names(SUITES) == names
+
+
+def test_suites_report_the_declared_rows_in_order(suite_results):
+    for suite, results in suite_results.items():
+        assert [r.name for r in results] == declared_names([suite])
+
+
+@pytest.mark.parametrize("empty_call", [0, 2])
+def test_singular_locus_without_crossings_reports_inf(monkeypatch, empty_call):
+    # a helicoid or paraboloid locus with no crossings is a failed check under
+    # the check's one name and identity, with an infinite residual
+    real, calls = verify.singular_locus, []
+
+    def locus(chart, grid):
+        calls.append(1)
+        got = real(chart, grid)
+        return SingularLocus([], []) if len(calls) - 1 == empty_call else got
+
+    monkeypatch.setattr(verify, "singular_locus", locus)
+    result = verify.check_singular_locus()
+    assert (result.name, result.residual, result.passed) == ("singular_locus", math.inf, False)
+    assert result.identity == "helices s=+-1/R; empty catenoid; line x=0 on t=xy"
