@@ -4,8 +4,8 @@ certificate search.
 Exit codes: 0 success, 1 verification/certificate failure, 2 usage or
 configuration error, 3 numerical failure.  Reports are deterministic byte
 for byte for identical configuration.  ``main`` builds its parser once per
-process, on its first call, and runs the pitch-2 certificate search at most
-once per process.
+process, on its first call, and runs the pitch-2 certificate search and the
+unit catenoid certificate at most once per process each.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .core import FrameVector, Point
 from .errors import ConfigError, GeometryError, NonFiniteValue
 from .geodesics import GeodesicArc, exp_geodesics
 from .stability import (InstabilityCertificate, certify_instability_h2,
-                        certify_instability_nosing, scaled_helicoid_certificate)
+                        certify_instability_nosing, scaled_catenoid_certificate,
+                        scaled_helicoid_certificate)
 from .surfaces import CATALOG, catalog_surface, surface_frames
 from .verify import SUITES, declared_names, run_suites
 
@@ -255,7 +256,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     lam = 1.0 if args.lam is None else args.lam
     if not 0.0 < lam * lam < math.inf:  # lam = 0, or lam^2 under- or overflows
         raise ConfigError("certify catenoid requires --lam with 0 < lam^2 < inf")
-    _write_lines(args.out, certify_instability_nosing(lam).to_text().splitlines())
+    cert = scaled_catenoid_certificate(_catenoid_unit_certificate(), lam)
+    _write_lines(args.out, cert.to_text().splitlines())
     return EXIT_OK
 
 
@@ -340,6 +342,14 @@ def _h2_certificate() -> InstabilityCertificate:
     helicoid`` scales: searched on the first call, then reused, since the
     search takes no input."""
     return certify_instability_h2()
+
+
+@functools.cache
+def _catenoid_unit_certificate() -> InstabilityCertificate:
+    """The lam = 1 certificate that ``certify catenoid`` scales to every
+    waist radius: confirmed on the first call, then reused, since it takes
+    no input."""
+    return certify_instability_nosing(1.0)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -894,25 +894,43 @@ def ruled_index_value(lam: float, quad: QuadratureSpec) -> float:
                        NOSING_PHI, quad)
 
 
+def scaled_catenoid_certificate(unit: InstabilityCertificate,
+                                lam: float) -> InstabilityCertificate:
+    """Certificate for the catenoid of waist radius |lam| derived from the
+    unit one, ``certify_instability_nosing(1.0)``.
+
+    The dilation by |lam| carries the unit catenoid onto this one, and the
+    ruling form of ``ruled_index_value`` is |lam| times its unit value in
+    exact arithmetic; so ``k`` and Q at both resolutions are |lam| times
+    the unit's, each one rounded product, and ``eps0``, a width in the
+    angle a, is the unit's.  Every lam that ``CatenoidRulingChart`` accepts
+    has one; it raises ``ValueError`` unless 0 < lam^2 < inf.
+    """
+    CatenoidRulingChart(lam)  # the chart's own check of lam
+    scale = abs(lam)
+    return InstabilityCertificate(
+        f"catenoid lam={lam:.17g}", scale * unit.k, unit.eps0, scale * unit.Q_value,
+        unit.quad, Q_value_doubled=scale * unit.Q_value_doubled)
+
+
 def certify_instability_nosing(lam: float) -> InstabilityCertificate:
     """Instability certificate for the catenoid of waist radius |lam|, a
-    complete surface with no singular points and <N,T> != 0 off the waist:
-    ``ruled_index_value`` at ``NOSING_QUAD``, negative, and again at its
-    doubling, in agreement to ``DOUBLING_RTOL``.  ``k`` is psi's half-width
-    2|lam| and ``eps0`` phi's, 1.  About 8.2e-160 <= |lam| <= 6.0e153 has
-    one: above, C = s^2 + lam^2 overflows (``NonFiniteValue``); below, lam^2
-    is subnormal and 1x and 2x disagree (``CertificateNotFound``).
-    ``CatenoidRulingChart`` raises ``ValueError`` unless 0 < lam^2 < inf.
+    complete surface with no singular points and <N,T> != 0 off the waist.
+    It confirms the unit catenoid: ``ruled_index_value(1.0, NOSING_QUAD)``
+    is negative and agrees with its doubling to ``DOUBLING_RTOL``; ``k`` is
+    psi's half-width 2 and ``eps0`` phi's, 1.  It returns that certificate
+    scaled to lam by ``scaled_catenoid_certificate``, which raises
+    ``ValueError`` unless 0 < lam^2 < inf.
     """
-    val = ruled_index_value(lam, NOSING_QUAD)
+    val = ruled_index_value(1.0, NOSING_QUAD)
     if not val < 0.0:
-        raise CertificateNotFound(f"I(u, u) = {val!r} is not negative on the catenoid "
-                                  f"lam={lam!r}")
-    q_doubled = _confirmed(val, ruled_index_value(lam, NOSING_QUAD.doubled()),
-                           f"catenoid lam={lam!r}")
-    return InstabilityCertificate(
-        f"catenoid lam={lam:.17g}", 2.0 * abs(lam), NOSING_PHI.support[1], val, NOSING_QUAD,
-        Q_value_doubled=q_doubled)
+        raise CertificateNotFound(f"I(u, u) = {val!r} is not negative on the unit "
+                                  "catenoid lam=1")
+    q_doubled = _confirmed(val, ruled_index_value(1.0, NOSING_QUAD.doubled()),
+                           "unit catenoid lam=1")
+    unit = InstabilityCertificate("catenoid lam=1", 2.0, NOSING_PHI.support[1], val,
+                                  NOSING_QUAD, Q_value_doubled=q_doubled)
+    return scaled_catenoid_certificate(unit, lam)
 
 
 # ---------------------------------------------------------------------------

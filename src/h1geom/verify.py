@@ -88,8 +88,15 @@ def check(suite: str, *rows: tuple[str, str, float]):
     return declare
 
 
+def _worst(*vals: float) -> float:
+    """The largest of ``vals``, or NaN when one of them is NaN: ``max``
+    keeps a NaN only when it comes first, so a NaN sample would otherwise
+    read as a small residual and pass."""
+    return math.nan if any(map(math.isnan, vals)) else max(vals)
+
+
 def _nmax(*vals: float) -> float:
-    return max(abs(v) for v in vals)
+    return _worst(*map(abs, vals))
 
 
 _GRID = {
@@ -146,7 +153,7 @@ def check_connection_table():
     for p in (ORIGIN, Point(1.3, -0.7, 2.1)):
         for (i, j), want in _CONNECTION_TABLE.items():
             got = covariant_derivative(fields[i], fields[j], p).coeffs()
-            worst = max(worst, _nmax(*(g - w for g, w in zip(got, want))))
+            worst = _worst(worst, _nmax(*(g - w for g, w in zip(got, want))))
     return worst
 
 
@@ -157,10 +164,10 @@ def check_curvature_table():
         es = _frame_vectors(p)
         for (i, j, k), want in _CURVATURE_TABLE.items():
             got = curvature_R(es[i], es[j], es[k]).coeffs()
-            worst = max(worst, _nmax(*(g - w for g, w in zip(got, want))))
+            worst = _worst(worst, _nmax(*(g - w for g, w in zip(got, want))))
             # antisymmetry in the first slot
             neg = curvature_R(es[j], es[i], es[k]).coeffs()
-            worst = max(worst, _nmax(*(g + n for g, n in zip(got, neg))))
+            worst = _worst(worst, _nmax(*(g + n for g, n in zip(got, neg))))
     return worst
 
 
@@ -172,7 +179,7 @@ def check_ricci_table():
     worst = 0.0
     for i in range(3):
         for j in range(3):
-            worst = max(worst, abs(ricci(es[i], es[j]) - want.get((i, j), 0.0)))
+            worst = _worst(worst, abs(ricci(es[i], es[j]) - want.get((i, j), 0.0)))
     return worst
 
 
@@ -186,7 +193,7 @@ def check_ricci_normal():
         n = math.sqrt(sum(x * x for x in v))
         u = FrameVector(v[0] / n, v[1] / n, v[2] / n, p)
         nh2 = u.a * u.a + u.b * u.b
-        worst = max(worst, abs(ricci(u, u) - (2.0 - 4.0 * nh2)))
+        worst = _worst(worst, abs(ricci(u, u) - (2.0 - 4.0 * nh2)))
     return worst
 
 
@@ -199,7 +206,7 @@ def check_associativity():
                    for _ in range(3))
         lhs = group_mul(group_mul(p, q), r)
         rhs = group_mul(p, group_mul(q, r))
-        worst = max(worst, _nmax(lhs.x - rhs.x, lhs.y - rhs.y, lhs.t - rhs.t))
+        worst = _worst(worst, _nmax(lhs.x - rhs.x, lhs.y - rhs.y, lhs.t - rhs.t))
     return worst
 
 
@@ -210,7 +217,7 @@ def check_group_inverse():
     for _ in range(50):
         p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
         e = group_mul(p, group_inverse(p))
-        worst = max(worst, _nmax(e.x, e.y, e.t))
+        worst = _worst(worst, _nmax(e.x, e.y, e.t))
     return worst
 
 
@@ -225,7 +232,7 @@ def check_left_invariance():
         frame_p = frame_at(p)
         for k in range(3):
             pushed = tuple(sum(jac[i][m] * frame0[k][m] for m in range(3)) for i in range(3))
-            worst = max(worst, _nmax(*(a - b for a, b in zip(pushed, frame_p[k]))))
+            worst = _worst(worst, _nmax(*(a - b for a, b in zip(pushed, frame_p[k]))))
     return worst
 
 
@@ -240,7 +247,7 @@ def check_bracket_flows():
     for U, V, want in pairs:
         q = flow(V, flow(U, flow(V, flow(U, p, h), h), -h), -h)
         got = ((q.x - p.x) / (h * h), (q.y - p.y) / (h * h), (q.t - p.t) / (h * h))
-        worst = max(worst, _nmax(*(g - w for g, w in zip(got, want))))
+        worst = _worst(worst, _nmax(*(g - w for g, w in zip(got, want))))
     return worst
 
 
@@ -261,7 +268,7 @@ def check_torsion_free():
     for p in (Point(0.3, -0.2, 0.5), Point(-1.1, 0.8, -0.4)):
         tor = (covariant_derivative(u, v, p) - covariant_derivative(v, u, p)
                - lie_bracket(u, v, p))
-        worst = max(worst, tor.norm())
+        worst = _worst(worst, tor.norm())
     return worst
 
 
@@ -281,7 +288,7 @@ def check_metric_compatibility():
         deriv = central_diff(sample, 0.0, DiffSpec(1e-5, 1))
         lhs = deriv - dot(covariant_derivative(u, v, p), w.at(p)) \
             - dot(v.at(p), covariant_derivative(u, w, p))
-        worst = max(worst, abs(lhs))
+        worst = _worst(worst, abs(lhs))
     return worst
 
 
@@ -304,7 +311,7 @@ def check_curvature_from_connection():
                        + covariant_derivative(br_field, fields[k], p))
                 es = _frame_vectors(p)
                 want = curvature_R(es[i], es[j], es[k])
-                worst = max(worst, (got - want).norm())
+                worst = _worst(worst, (got - want).norm())
     return worst
 
 
@@ -320,7 +327,7 @@ def check_horizontal_curvature_form():
         jw = jop(w)
         tvec = FrameVector(0, 0, 1, p)
         want = jw.scaled(-3.0 * dot(v, jw)) + tvec.scaled(dot(v, tvec))
-        worst = max(worst, (curvature_R(w, v, w) - want).norm())
+        worst = _worst(worst, (curvature_R(w, v, w) - want).norm())
     return worst
 
 
@@ -330,12 +337,12 @@ def check_jop():
     p = Point(0.0, 0.0, 0.0)
     worst = 0.0
     x, y, t = _frame_vectors(p)
-    worst = max(worst, (jop(x) - y).norm(), (jop(y) + x).norm(), jop(t).norm())
-    worst = max(worst, (jop(jop(x)) + x).norm())
+    worst = _worst(worst, (jop(x) - y).norm(), (jop(y) + x).norm(), jop(t).norm())
+    worst = _worst(worst, (jop(jop(x)) + x).norm())
     for _ in range(30):
         u = FrameVector(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), p)
         v = FrameVector(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), p)
-        worst = max(worst, abs(dot(jop(u), v) + dot(u, jop(v))))
+        worst = _worst(worst, abs(dot(jop(u), v) + dot(u, jop(v))))
     return worst
 
 
@@ -346,13 +353,13 @@ def check_symmetry_groups():
     for _ in range(25):
         p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
         q = dilate(-0.7, dilate(0.7, p))
-        worst = max(worst, _nmax(q.x - p.x, q.y - p.y, q.t - p.t))
+        worst = _worst(worst, _nmax(q.x - p.x, q.y - p.y, q.t - p.t))
         r = rotate_z(-1.1, rotate_z(1.1, p))
-        worst = max(worst, _nmax(r.x - p.x, r.y - p.y, r.t - p.t))
+        worst = _worst(worst, _nmax(r.x - p.x, r.y - p.y, r.t - p.t))
     d = dilate(math.log(2.0), Point(1, 1, 1))
-    worst = max(worst, _nmax(d.x - 2, d.y - 2, d.t - 4))
+    worst = _worst(worst, _nmax(d.x - 2, d.y - 2, d.t - 4))
     r = rotate_z(math.pi / 2, Point(1, 0, 5))
-    worst = max(worst, _nmax(r.x, r.y - 1, r.t - 5))
+    worst = _worst(worst, _nmax(r.x, r.y - 1, r.t - 5))
     return worst
 
 
@@ -364,17 +371,17 @@ def check_symmetry_groups():
 def check_fgh():
     worst = 0.0
     f0, g0, h0 = helpers_fgh(0.0)
-    worst = max(worst, abs(f0 - 1.0), abs(g0), abs(h0))
+    worst = _worst(worst, abs(f0 - 1.0), abs(g0), abs(h0))
     fpi, gpi, _ = helpers_fgh(math.pi)
-    worst = max(worst, abs(fpi), abs(gpi - 2.0 / math.pi))
+    worst = _worst(worst, abs(fpi), abs(gpi - 2.0 / math.pi))
     for x in (1e-4, -1e-4):
         # cancellation-free closed forms: (1-cos x)/x = 2 sin^2(x/2)/x, and
         # x h(x) = (x - sin x)/x carries the subtraction at full accuracy
         fs, gs, hs = helpers_fgh(x * (1 - 1e-12))
         half = math.sin(0.5 * x)
-        worst = max(worst, abs(fs - math.sin(x) / x))
-        worst = max(worst, abs(gs - 2.0 * half * half / x))
-        worst = max(worst, abs(x * hs - (x - math.sin(x)) / x))
+        worst = _worst(worst, abs(fs - math.sin(x) / x))
+        worst = _worst(worst, abs(gs - 2.0 * half * half / x))
+        worst = _worst(worst, abs(x * hs - (x - math.sin(x)) / x))
     return worst
 
 
@@ -390,13 +397,13 @@ def check_horgeo():
         s = rng.uniform(-4, 4)
         q, _ = exp_geodesic(GeodesicArc(p, v), s)
         ve = frame_to_euclidean(v)
-        worst = max(worst, _nmax(q.x - p.x - s * ve[0], q.y - p.y - s * ve[1],
+        worst = _worst(worst, _nmax(q.x - p.x - s * ve[0], q.y - p.y - s * ve[1],
                                  q.t - p.t - s * ve[2]))
         vv = FrameVector(0.0, 0.0, rng.uniform(-2, 2), p)
         qv, _ = exp_geodesic(GeodesicArc(p, vv), s)
-        worst = max(worst, _nmax(qv.x - p.x, qv.y - p.y, qv.t - p.t - s * vv.c))
+        worst = _worst(worst, _nmax(qv.x - p.x, qv.y - p.y, qv.t - p.t - s * vv.c))
     q, _ = exp_geodesic(GeodesicArc(ORIGIN, euclidean_to_frame(ORIGIN, (1, 0, 1))), math.pi)
-    worst = max(worst, _nmax(q.x, q.y, q.t - 1.5 * math.pi))
+    worst = _worst(worst, _nmax(q.x, q.y, q.t - 1.5 * math.pi))
     return worst
 
 
@@ -421,8 +428,8 @@ def check_conserved():
         speed0 = arc.v0.norm()
         for s in svals:
             _, vel = exp_geodesic(arc, s)
-            worst_lam = max(worst_lam, abs(vel.c - arc.lam))
-            worst_speed = max(worst_speed, abs(vel.norm() - speed0))
+            worst_lam = _worst(worst_lam, abs(vel.c - arc.lam))
+            worst_speed = _worst(worst_speed, abs(vel.norm() - speed0))
     return worst_lam, worst_speed
 
 
@@ -434,7 +441,7 @@ def check_semigroup():
             q1, v1 = exp_geodesic(arc, s1)
             direct, _ = exp_geodesic(arc, s)
             rest, _ = exp_geodesic(GeodesicArc(q1, v1), s - s1)
-            worst = max(worst, _nmax(direct.x - rest.x, direct.y - rest.y,
+            worst = _worst(worst, _nmax(direct.x - rest.x, direct.y - rest.y,
                                      direct.t - rest.t))
     return worst
 
@@ -448,8 +455,8 @@ def check_jacobi_trivial():
     for i in range(len(fields.s)):
         sample = fields.sample(i)
         # documented stencil accuracy: 1e-6 on V, 1e-4 on V''
-        worst = max(worst, (sample.V - FrameVector(0, 1, 0, sample.V.base)).norm() * 1e2)
-        worst = max(worst, sample.Vsecond.norm())
+        worst = _worst(worst, (sample.V - FrameVector(0, 1, 0, sample.V.base)).norm() * 1e2)
+        worst = _worst(worst, sample.Vsecond.norm())
     return worst
 
 
@@ -468,9 +475,9 @@ def check_jacobi_helicoid():
         a = alpha(eps)
         u = u_of(eps)
         _, vel = exp_geodesic(GeodesicArc(a, u), s)
-        worst_eq = max(worst_eq, straight_line_residual(sample, vel))
-        worst_eq = max(worst_eq, jacobi_residual(sample, vel))
-        worst_comm = max(worst_comm, fields.commutation_residual(0))
+        worst_eq = _worst(worst_eq, straight_line_residual(sample, vel))
+        worst_eq = _worst(worst_eq, jacobi_residual(sample, vel))
+        worst_comm = _worst(worst_comm, fields.commutation_residual(0))
 
     # vertical component of V must be an exact quadratic in s
     svals = [-1.0 + 0.25 * i for i in range(9)]
@@ -478,8 +485,8 @@ def check_jacobi_helicoid():
     for eps in (0.0, 0.7):
         vt = jacobi_fields(alpha, u_of, eps, svals).V[2].tolist()
         coef = _quad_fit(svals, vt)
-        worst_fit = max(worst_fit, max(abs(coef[0] * s * s + coef[1] * s + coef[2] - v)
-                                       for s, v in zip(svals, vt)))
+        worst_fit = _worst(worst_fit, *(abs(coef[0] * s * s + coef[1] * s + coef[2] - v)
+                                        for s, v in zip(svals, vt)))
     return worst_eq, worst_comm, worst_fit
 
 
@@ -497,7 +504,7 @@ def check_jacobi_random():
         a = alpha(eps)
         u = u_of(eps)
         _, vel = exp_geodesic(GeodesicArc(a, u), s)
-        worst = max(worst, jacobi_residual(sample, vel))
+        worst = _worst(worst, jacobi_residual(sample, vel))
     return worst
 
 
@@ -525,15 +532,15 @@ def check_frame_relations():
     for name, chart in _catalog().items():
         for u in _GRID[name]:
             fr = surface_frame(chart, u)
-            worst = max(worst, abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0))
+            worst = _worst(worst, abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0))
             # tangential projections onto {Z, S}
             nu_t = fr.Z.scaled(dot(fr.nu_h, fr.Z)) + fr.S.scaled(dot(fr.nu_h, fr.S))
-            worst = max(worst, (nu_t - fr.S.scaled(fr.NT)).norm())
+            worst = _worst(worst, (nu_t - fr.S.scaled(fr.NT)).norm())
             tvec = FrameVector(0, 0, 1, fr.N.base)
             t_t = fr.Z.scaled(dot(tvec, fr.Z)) + fr.S.scaled(dot(tvec, fr.S))
-            worst = max(worst, (t_t + fr.S.scaled(fr.Nh_norm)).norm())
-            worst = max(worst, abs(fr.N.norm() - 1.0), abs(dot(fr.Z, fr.S)))
-            worst = max(worst, abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ))
+            worst = _worst(worst, (t_t + fr.S.scaled(fr.Nh_norm)).norm())
+            worst = _worst(worst, abs(fr.N.norm() - 1.0), abs(dot(fr.Z, fr.S)))
+            worst = _worst(worst, abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ))
     return worst
 
 
@@ -560,21 +567,21 @@ def check_characteristic_derivatives():
         fr0 = frame(0.0)
         z_field = lambda tau: frame(tau).Z
         dzz = covariant_derivative_along(z_field, z_field, 0.0, 1e-3)
-        worst_zz = max(worst_zz, (dzz - fr0.nu_h.scaled(2.0 * fr0.H)).norm())
+        worst_zz = _worst(worst_zz, (dzz - fr0.nu_h.scaled(2.0 * fr0.H)).norm())
         dznu = covariant_derivative_along(lambda tau: frame(tau).nu_h, z_field, 0.0, 1e-3)
         tvec = FrameVector(0, 0, 1, fr0.N.base)
         want = tvec - fr0.Z.scaled(2.0 * fr0.H)
-        worst_zz = max(worst_zz, (dznu - want).norm())
+        worst_zz = _worst(worst_zz, (dznu - want).norm())
 
     worst_sc = 0.0
     for chart, u0 in cases:
         fr0 = surface_frame(chart, u0)
         znt = tangent_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1, "Z")
-        worst_sc = max(worst_sc, abs(znt - fr0.Nh_norm * (fr0.BZS - 1.0)))
+        worst_sc = _worst(worst_sc, abs(znt - fr0.Nh_norm * (fr0.BZS - 1.0)))
         snt = tangent_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1, "S")
-        worst_sc = max(worst_sc, abs(snt - fr0.Nh_norm * fr0.BSS))
+        worst_sc = _worst(worst_sc, abs(snt - fr0.Nh_norm * fr0.BSS))
         znh = tangent_derivative(chart, lambda u: surface_frame(chart, u).Nh_norm, u0, 1, "Z")
-        worst_sc = max(worst_sc, abs(znh - fr0.NT * (1.0 - fr0.BZS)))
+        worst_sc = _worst(worst_sc, abs(znh - fr0.NT * (1.0 - fr0.BZS)))
     return worst_zz, worst_sc
 
 
@@ -588,7 +595,7 @@ def check_zbzs():
         zb = tangent_derivative(chart, lambda u: surface_frame(chart, u).BZS, u0, 1, "Z")
         want = (4.0 * fr.Nh_norm * fr.NT
                 - 2.0 / fr.Nh_norm * fr.NT * fr.BZS * (1.0 + fr.BZS))
-        worst = max(worst, abs(zb - want))
+        worst = _worst(worst, abs(zb - want))
     return worst
 
 
@@ -600,7 +607,7 @@ def check_helicoid_closed_forms():
         for s, e in _GRID["helicoid"]:
             fr = surface_frame(chart, (s, e))
             d = RulingFrame(chart, s)
-            worst_frame = max(worst_frame, abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT),
+            worst_frame = _worst(worst_frame, abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT),
                               abs(fr.BZS - d.BZS), abs(fr.riem_area - d.W))
     return worst_frame
 
@@ -609,8 +616,8 @@ def check_helicoid_closed_forms():
 def check_minimality():
     # the curved charts of the catalog, and the pitch-1 helicoid on the helicoid grid
     charts = [*_catalog().items(), ("helicoid", HelicoidChart(1.0))]
-    return max(abs(surface_frame(chart, u).H)
-               for name, chart in charts if name != "plane" for u in _GRID[name])
+    return _worst(*(abs(surface_frame(chart, u).H)
+                    for name, chart in charts if name != "plane" for u in _GRID[name]))
 
 
 @check("surfaces", ("vertical_plane_frame", "<N,T>=0, <B(Z),S>=1, L(|N_h|)=0 on x=0", 1e-8))
@@ -619,9 +626,9 @@ def check_vertical_plane():
     worst = 0.0
     for u in ((0.0, 0.0), (0.5, -0.7), (-0.9, 0.3)):
         fr = surface_frame(chart, u)
-        worst = max(worst, abs(fr.NT), abs(fr.BZS - 1.0), abs(fr.Nh_norm - 1.0))
-        worst = max(worst, abs(l_nh_closed(chart, u)))
-        worst = max(worst, abs(operator_L(chart,
+        worst = _worst(worst, abs(fr.NT), abs(fr.BZS - 1.0), abs(fr.Nh_norm - 1.0))
+        worst = _worst(worst, abs(l_nh_closed(chart, u)))
+        worst = _worst(worst, abs(operator_L(chart,
                                           lambda uu: surface_frame(chart, uu).Nh_norm, u)))
     return worst
 
@@ -636,7 +643,7 @@ def _straightness(points: list[Point]) -> float:
         w = (p.x - p0.x, p.y - p0.y, p.t - p0.t)
         proj = sum(wi * di for wi, di in zip(w, d))
         perp2 = sum(wi * wi for wi in w) - proj * proj
-        worst = max(worst, math.sqrt(max(0.0, perp2)))
+        worst = _worst(worst, math.sqrt(_worst(0.0, perp2)))
     return worst
 
 
@@ -646,7 +653,7 @@ def check_characteristic_rays():
     hel = HelicoidChart(2.0)
     worst_h = _straightness(characteristic_ray(hel, (0.0, 0.4), 0.4, 32))
     ray = characteristic_ray(VerticalPlaneChart(domain=((-3, 3), (-3, 3))), (0.2, 0.5), 1.0, 16)
-    worst_h = max(worst_h, max(_nmax(p.x, p.t - ray[0].t) for p in ray))
+    worst_h = _worst(worst_h, *(_nmax(p.x, p.t - ray[0].t) for p in ray))
     cat = CatenoidChart(1.0)
     worst_c = _straightness(characteristic_ray(cat, (0.7, 0.4), 2.0, 64))
     return worst_h, worst_c
@@ -668,11 +675,11 @@ def _ruled_charts() -> tuple[RuledChart, RuledChart, RuledChart]:
 def check_ruled_charts():
     rv, rc, rh = _ruled_charts()
     # vertical plane: stays in x = 0
-    worst_v = max(abs(rv.point(s, a).x)
-                  for a in (-0.7, 0.0, 0.5) for s in (-1.2, 0.0, 1.0))
+    worst_v = _worst(*(abs(rv.point(s, a).x)
+                       for a in (-0.7, 0.0, 0.5) for s in (-1.2, 0.0, 1.0)))
 
-    worst_c = max(abs(rc.base.implicit_residual(rc.point(s, a)))
-                  for a in (-0.9, -0.3, 0.2, 0.8) for s in (-2.5, -1.0, 0.5, 2.0))
+    worst_c = _worst(*(abs(rc.base.implicit_residual(rc.point(s, a)))
+                       for a in (-0.9, -0.3, 0.2, 0.8) for s in (-2.5, -1.0, 0.5, 2.0)))
 
     worst_h = 0.0
     for a in (-0.5, 0.0, 0.4):
@@ -682,7 +689,7 @@ def check_ruled_charts():
             th = 2.0 * eps
             srec = p.x * math.sin(th) + p.y * math.cos(th)
             q = rh.base.point(srec, eps)
-            worst_h = max(worst_h, _nmax(q.x - p.x, q.y - p.y, q.t - p.t))
+            worst_h = _worst(worst_h, _nmax(q.x - p.x, q.y - p.y, q.t - p.t))
     return worst_v, worst_c, worst_h
 
 
@@ -691,13 +698,13 @@ def check_singular_locus():
     loc = singular_locus(HelicoidChart(2.0), (10, 6))
     if not loc.points:  # no crossings found
         return math.inf
-    worst = max(abs(abs(pt[0]) - 0.5) for pt in loc.points)
+    worst = _worst(*(abs(abs(pt[0]) - 0.5) for pt in loc.points))
     cat = singular_locus(CatenoidChart(1.0), (8, 8))
-    worst = max(worst, float(bool(cat.cells or cat.points)))
+    worst = _worst(worst, float(bool(cat.cells or cat.points)))
     par = singular_locus(ParaboloidChart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9))
     if not par.points:  # the paraboloid's crossings are missing
         return math.inf
-    return max(worst, max(abs(pt[0]) for pt in par.points))
+    return _worst(worst, *(abs(pt[0]) for pt in par.points))
 
 
 @check("surfaces", ("area_dilation_scaling", "A(dilated) = e^{3 lam} A", 1e-6),
@@ -714,9 +721,9 @@ def check_area_scaling():
     worst_r = abs(rot - base) / abs(base)
     # closed 1-D oracle: integral of |f| over the strip
     closed = (0.4 / 2.0 - 2.0 * 0.4 ** 3 / 3.0) * 1.0
-    worst_d = max(worst_d, abs(base - closed) / closed)
+    worst_d = _worst(worst_d, abs(base - closed) / closed)
     vp_area = area(VerticalPlaneChart(), ((0.0, 1.0), (0.0, 1.0)), quad)
-    worst_d = max(worst_d, abs(vp_area - 1.0))
+    worst_d = _worst(worst_d, abs(vp_area - 1.0))
     return worst_d, worst_r
 
 
@@ -743,10 +750,10 @@ def _regular_sample_points() -> list[tuple[Chart, tuple[np.ndarray, np.ndarray]]
 @check("stability", ("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", 1e-8),
                     ("q_closed_form_R1", "q = (R^2-4) f^2 / W^4 at R=1", 1e-6))
 def check_helicoid_q_closed_forms():
-    worst_q2 = max(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"])
+    worst_q2 = _worst(*(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"]))
     hel1 = HelicoidChart(1.0)
-    worst_q1 = max(abs(surface_frame(hel1, u).q - RulingFrame(hel1, u[0]).q)
-                   for u in _GRID["helicoid"])
+    worst_q1 = _worst(*(abs(surface_frame(hel1, u).q - RulingFrame(hel1, u[0]).q)
+                        for u in _GRID["helicoid"]))
     return worst_q2, worst_q1
 
 
@@ -756,7 +763,7 @@ def check_lnh_closed_vs_direct():
     for chart, u in _regular_sample_points():
         lc = l_nh_of_frame(surface_frames(chart, *u))
         ld = operator_L(chart, lambda uu: surface_frames(chart, *uu).Nh_norm, u)
-        worst = max(worst, float(np.max(np.abs(ld - lc) / np.maximum(1.0, np.abs(lc)))))
+        worst = _worst(worst, float(np.max(np.abs(ld - lc) / np.maximum(1.0, np.abs(lc)))))
     return worst
 
 
@@ -765,7 +772,7 @@ def check_lnh_sign_catenoid():
     cat = CatenoidChart(1.0)
     u = _as_arrays(_random_regular_points(cat, 100, 107, ((0.0, 2 * math.pi), (-1.4, 1.4))))
     low = float(np.min(l_nh_of_frame(surface_frames(cat, *u))))
-    return max(0.0, -low)
+    return _worst(0.0, -low)
 
 
 @check("stability", ("lnh_nonpositive_helicoid2", "L(|N_h|) = -4(1 -+ |N_h|)^2/|N_h|^2 <= 0", 1e-8))
@@ -814,7 +821,7 @@ def check_indexform3():
         # the cells of index_form_I(cat, fnh, fnh, quad), so lhs is its value
         rect, cuts = index_form_cells(cat, fnh, fnh)
         lhs, rhs = integrate_cells(both_sides, rect, quad, cuts)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
 
 
@@ -824,7 +831,7 @@ def check_discriminant():
     for chart, u in _regular_sample_points():
         fr = surface_frames(chart, *u)
         disc = jacobi_quadratic_of_frame(fr)[3]
-        worst = max(worst, float(np.max(np.abs(disc + fr.Nh_norm ** 2 * l_nh_of_frame(fr)))))
+        worst = _worst(worst, float(np.max(np.abs(disc + fr.Nh_norm ** 2 * l_nh_of_frame(fr)))))
     return worst
 
 
@@ -850,7 +857,7 @@ def check_qform_regular():
     quad = QuadratureSpec(16, (32, 1))
     u = separable(cosine_bump(0.0, 1.0), cosine_bump(1.0, 0.35))
     val = q_form(2.0, u, quad)
-    return max(0.0, -val)
+    return _worst(0.0, -val)
 
 
 @check("stability", ("bracket_integral_dual", "closed antiderivative vs quadrature", 1e-10),
@@ -859,7 +866,7 @@ def check_bracket():
     quad = QuadratureSpec(16, (64, 1))
     worst = 0.0
     for k, d in ((0.6, 2.2), (1.0, 3.0)):
-        worst = max(worst, abs(bracket_integral(k, d) - bracket_integral_quadrature(k, d, quad)))
+        worst = _worst(worst, abs(bracket_integral(k, d) - bracket_integral_quadrature(k, d, quad)))
     c06 = bracket_integral(0.6, 2.2)
     worst2 = 0.0 if (c06 < 8.0 and bracket_integral(0.5001, 2.0002) > 8.0) else 1.0
     return worst, worst2
@@ -911,7 +918,7 @@ def check_ruling_form():
     for chart, psi, phi in cases:
         u = times_nh(chart, separable(psi, phi))
         ref = index_form_I(chart, u, u, quad)
-        worst = max(worst, abs(ruling_form(chart, psi, phi, quad) - ref) / abs(ref))
+        worst = _worst(worst, abs(ruling_form(chart, psi, phi, quad) - ref) / abs(ref))
     return worst
 
 
@@ -946,7 +953,7 @@ def check_singular_curve_geometry():
     worst = 0.0
     for R in (1.0, 2.0):
         hel = HelicoidChart(R)
-        worst = max(worst, abs(RulingFrame(hel, 1.0 / R).W - 1.0))
+        worst = _worst(worst, abs(RulingFrame(hel, 1.0 / R).W - 1.0))
         # planar curvature of the xy-projection of the singular helix
         spec = DiffSpec(1e-4, 0)
         for s0 in (1.0 / R, -1.0 / R):
@@ -954,7 +961,7 @@ def check_singular_curve_geometry():
                 p = hel.point(s0, e)
                 return p.x, p.y
             (dx, dy), (ddx, ddy) = central_diffs(xy, 0.0, spec, (1, 2))
-            worst = max(worst, abs(dx * ddy - dy * ddx + R))
+            worst = _worst(worst, abs(dx * ddy - dy * ddx + R))
     return worst
 
 

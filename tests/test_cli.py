@@ -300,14 +300,23 @@ def test_certify_catenoid_has_no_kmax(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_certify_catenoid_not_found(tmp_path, capsys, monkeypatch):
-    # a nonnegative index value is a failure with one line and no file
+@pytest.fixture
+def fresh_catenoid_unit():
+    """An empty unit catenoid cache before and after the test, so that
+    ``certify catenoid`` reads a patched ``stability``."""
+    cli._catenoid_unit_certificate.cache_clear()
+    yield
+    cli._catenoid_unit_certificate.cache_clear()
+
+
+def test_certify_catenoid_not_found(tmp_path, capsys, monkeypatch, fresh_catenoid_unit):
+    # a nonnegative index value on the unit catenoid is a failure at every
+    # lam, with one line and no file
     monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: 0.5)
     out = tmp_path / "c.txt"
     assert run(["certify", "catenoid", "--lam", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "lam=2.0" in err
+    assert err == "error: I(u, u) = 0.5 is not negative on the unit catenoid lam=1\n"
     assert not out.exists()
 
 
@@ -532,19 +541,50 @@ def test_certify_catenoid_extreme_lam_certifies(tmp_path, capsys, lam):
         assert abs(q / abs(lam) - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("lam", ["1e154", "-1e154"])
-def test_certify_catenoid_overflowing_lam_is_one_numeric_failure(tmp_path, capsys, lam):
-    # C = s^2 + lam^2 overflows on psi's support: one stderr line, no warning
+# |lam| near the largest and the smallest whose square is a positive finite float
+CHART_EDGES = ["1e154", "-1e154", "1.3e154", "-1.3e154", "3e-162", "-3e-162"]
+
+
+@pytest.mark.parametrize("lam", CHART_EDGES)
+def test_certify_catenoid_at_the_chart_edges_certifies(tmp_path, capsys, lam):
+    # Q is |lam| Q(1), one rounded product, so it is finite and negative at
+    # every lam the chart accepts: no stderr line, no warning
     out = tmp_path / "c.txt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_numeric_failure(["certify", "catenoid", f"--lam={lam}", "--out", str(out)],
-                                capsys)
-    assert not out.exists()
+        assert run(["certify", "catenoid", f"--lam={lam}", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cert = InstabilityCertificate.from_text(out.read_text())
+    assert cert.Q_value < 0.0 and cert.Q_value_doubled < 0.0
+    assert cert.k == 2.0 * abs(float(lam))
+
+
+def test_certify_catenoid_is_the_library_certificate(tmp_path):
+    # the CLI scales its per-process unit certificate by the same function
+    # as certify_instability_nosing: the same bytes at every scale
+    out = tmp_path / "c.txt"
+    lams = [sign * 10.0 ** j for j in range(-161, 154) for sign in (1.0, -1.0)]
+    for lam in lams + [float(edge) for edge in CHART_EDGES]:
+        assert run(["certify", "catenoid", f"--lam={lam!r}", "--out", str(out)]) == 0
+        assert out.read_text() == stability.certify_instability_nosing(lam).to_text(), lam
+
+
+def test_unit_catenoid_is_confirmed_once_per_process(tmp_path, monkeypatch,
+                                                      fresh_catenoid_unit):
+    calls = []
+    real = stability.ruled_index_value
+    monkeypatch.setattr(stability, "ruled_index_value",
+                        lambda lam, quad: calls.append((lam, quad)) or real(lam, quad))
+    out = tmp_path / "c.txt"
+    for lam in ("1", "-2.5", "0.25", "4", "1e-100", "-1.3e154", "3e-162", "1"):
+        assert run(["certify", "catenoid", f"--lam={lam}", "--out", str(out)]) == 0
+        assert run(["certify", "helicoid", "--R", "3", "--out", str(out)]) == 0
+    assert calls == [(1.0, stability.NOSING_QUAD), (1.0, stability.NOSING_QUAD.doubled())]
 
 
 @pytest.mark.parametrize("lam", ["1e-9", "-1e-9", "1e-4", "1e5", "1e30"])
-def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, monkeypatch, lam):
+def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, monkeypatch, lam,
+                                                     fresh_catenoid_unit):
     # Q < 0 at 1x and 2x, but the two differ by more than 1e-6 relative
     monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: -1.0
                         if quad == stability.NOSING_QUAD else -1.0 - 2e-6)
@@ -557,7 +597,8 @@ def test_certify_catenoid_disagreeing_doubling_fails(tmp_path, capsys, monkeypat
 
 
 def test_certify_catenoid_support_outside_the_chart_is_a_usage_error(tmp_path, capsys,
-                                                                     monkeypatch):
+                                                                     monkeypatch,
+                                                                     fresh_catenoid_unit):
     # a test function wider than the chart's a-range (-pi, pi) is refused, not clipped
     monkeypatch.setattr(stability, "NOSING_PHI", stability.cosine_bump(0.0, 4.0))
     out = tmp_path / "c.txt"

@@ -20,7 +20,8 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUB
                               cosine_bump, direct_variations, first_variation_direct,
                               h2_certificate_test_function, helicoid_closed_forms, index_form_I,
                               jacobi_vertical_quadratic, l_nh_closed, operator_L, plateau_ramp,
-                              q_form, ruled_index_value, ruling_form, scaled_helicoid_certificate,
+                              q_form, ruled_index_value, ruling_form,
+                              scaled_catenoid_certificate, scaled_helicoid_certificate,
                               second_variation_direct, separable, smooth_bump, times_nh,
                               vertical_variation_area, tangent_derivative,
                               vertical_variation_second_difference, zero_function)
@@ -488,21 +489,43 @@ def test_vertical_plane_has_no_certificate():
 
 @pytest.mark.parametrize("lam", [1.0, -2.5])
 def test_nosing_search_confirms_at_doubled_resolution(lam):
+    # the unit form at its doubling, times |lam|; the direct form at lam
+    # agrees to round-off
     cert = certify_instability_nosing(lam)
-    assert cert.Q_value_doubled == ruled_index_value(lam, NOSING_QUAD.doubled())
-    assert cert.Q_value_doubled < 0.0
+    doubled = NOSING_QUAD.doubled()
+    assert cert.Q_value_doubled == abs(lam) * ruled_index_value(1.0, doubled) < 0.0
+    direct = ruled_index_value(lam, doubled)
+    assert abs(cert.Q_value_doubled - direct) <= 1e-15 * abs(direct)
+
+
+def test_nosing_certificate_keeps_its_unit_bits():
+    # lam = +-1 scale by exactly 1: the values of the form at lam = 1
+    for lam in (1.0, -1.0):
+        cert = certify_instability_nosing(lam)
+        assert (cert.Q_value.hex(), cert.Q_value_doubled.hex()) == (
+            "-0x1.abf29641a4fa8p+0", "-0x1.abf29641a4fa7p+0")
+        assert (cert.k, cert.eps0, cert.quad) == (2.0, 1.0, NOSING_QUAD)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-170, -2e154, math.inf, math.nan])
+def test_scaled_catenoid_certificate_needs_a_lam_the_chart_accepts(lam):
+    unit = certify_instability_nosing(1.0)
+    with pytest.raises(ValueError, match="lam\\^2 must be positive and finite"):
+        scaled_catenoid_certificate(unit, lam)
 
 
 def test_catenoid_certificate_scale_law():
-    # Q scales like |lam|: Q/|lam| agrees at 1x and 2x, and across 300
-    # decades of scale, to round-off
-    ref = ruled_index_value(1.0, NOSING_QUAD)
-    for j in range(-150, 151):
-        lam = (-1.0) ** j * 10.0 ** j
+    # Q is |lam| Q(1) at 1x and 2x, one rounded product each, at every lam
+    # the chart accepts: so Q/|lam| is Q(1) to within that rounding, one ulp
+    unit = certify_instability_nosing(1.0)
+    edges = [1.3e154, -1.3e154, 3e-162, -3e-162]
+    for lam in [(-1.0) ** j * 10.0 ** j for j in range(-161, 154)] + edges:
         cert = certify_instability_nosing(lam)
-        q1, q2 = cert.Q_value / abs(lam), cert.Q_value_doubled / abs(lam)
-        assert abs(q1 - q2) <= 1e-13 * abs(q2), lam
-        assert abs(q1 - ref) <= 1e-13 * abs(ref), lam
+        assert (cert.k, cert.eps0, cert.quad) == (2.0 * abs(lam), 1.0, NOSING_QUAD)
+        for got, one in ((cert.Q_value, unit.Q_value),
+                         (cert.Q_value_doubled, unit.Q_value_doubled)):
+            assert got == abs(lam) * one
+            assert abs(got / abs(lam) - one) <= math.ulp(one), lam
         assert cert.surface == f"catenoid lam={lam:.17g}"
         parsed = InstabilityCertificate.from_text(cert.to_text())
         assert parsed == cert
@@ -712,28 +735,32 @@ def test_nosing_certificate_makes_one_cut_pass_per_resolution(monkeypatch, lam):
 
 
 def test_nosing_certificate_needs_a_negative_value(monkeypatch):
+    # the unit catenoid is confirmed at every lam
     monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: 0.0)
-    with pytest.raises(CertificateNotFound, match="lam=1.5"):
+    with pytest.raises(CertificateNotFound, match=re.escape(
+            "I(u, u) = 0.0 is not negative on the unit catenoid lam=1")):
         certify_instability_nosing(1.5)
 
 
 @pytest.mark.parametrize("lam", [1e-9, -1e-9, 1e-4, 1e5, 1e30])
 def test_nosing_certificate_needs_agreement_under_doubling(monkeypatch, lam):
-    # Q negative at both resolutions, but 1x and 2x differ by more than
-    # DOUBLING_RTOL: no certificate; just inside it, a certificate
-    q = -abs(lam)
-
+    # the unit Q negative at both resolutions, but 1x and 2x differ by more
+    # than DOUBLING_RTOL: no certificate at any lam; just inside it, the
+    # unit certificate scaled by |lam|
     def doubled_by(gap):
-        monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: q
-                            if quad == NOSING_QUAD else q * (1.0 + gap))
+        def fake(at, quad):
+            assert at == 1.0
+            return -1.0 if quad == NOSING_QUAD else -1.0 - gap
+        monkeypatch.setattr(stability, "ruled_index_value", fake)
 
     doubled_by(2.0 * stability.DOUBLING_RTOL)
     with pytest.raises(CertificateNotFound, match=re.escape(
-            f"differ by more than 1e-06 relative on the catenoid lam={lam!r}")):
+            "differ by more than 1e-06 relative on the unit catenoid lam=1")):
         certify_instability_nosing(lam)
     doubled_by(0.5 * stability.DOUBLING_RTOL)
     cert = certify_instability_nosing(lam)
-    assert (cert.Q_value, cert.Q_value_doubled) == (q, q * (1.0 + 0.5 * stability.DOUBLING_RTOL))
+    assert (cert.Q_value, cert.Q_value_doubled) == (
+        abs(lam) * -1.0, abs(lam) * (-1.0 - 0.5 * stability.DOUBLING_RTOL))
 
 
 def test_h2_certificate_needs_agreement_under_doubling(monkeypatch):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from h1geom import verify
+from h1geom import cli, verify
 from h1geom.surfaces import SingularLocus
 from h1geom.verify import CHECK_TABLE, SUITES, declared_names, run_suites
 
@@ -55,3 +55,24 @@ def test_singular_locus_without_crossings_reports_inf(monkeypatch, empty_call):
     result = verify.check_singular_locus()
     assert (result.name, result.residual, result.passed) == ("singular_locus", math.inf, False)
     assert result.identity == "helices s=+-1/R; empty catenoid; line x=0 on t=xy"
+
+
+@pytest.mark.parametrize("nan_at", [0, 4])
+def test_a_nan_sample_fails_its_check(monkeypatch, capsys, nan_at):
+    # max(0.0, nan) is 0.0: a NaN Ricci value, first or later, reads as a
+    # nan residual that fails, and verify exits 3 (numerical failure)
+    real, calls = verify.ricci, []
+
+    def ricci(u, v):
+        calls.append(1)
+        return math.nan if len(calls) - 1 == nan_at else real(u, v)
+
+    monkeypatch.setattr(verify, "ricci", ricci)
+    result = verify.check_ricci_table()
+    assert math.isnan(result.residual) and not result.passed
+    assert result.line().split()[-3:] == ["nan", "1.0e-12", "FAIL"]
+    calls.clear()
+    assert cli.main(["verify", "--suite", "core"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "nan" in line] == [result.line()]
+    assert lines[-1] == f"# {len(lines) - 4}/{len(lines) - 3} checks passed"
