@@ -97,12 +97,13 @@ def dot(u: FrameVector, v: FrameVector) -> float:
 def cross(u: FrameVector, v: FrameVector) -> FrameVector:
     """Right-handed cross product on frame coefficients (X x Y = T)."""
     _require_same_base(u, v)
-    return FrameVector(
-        u.b * v.c - u.c * v.b,
-        u.c * v.a - u.a * v.c,
-        u.a * v.b - u.b * v.a,
-        u.base,
-    )
+    return FrameVector(*cross_coeffs(u.coeffs(), v.coeffs()), u.base)
+
+
+def cross_coeffs(u: Vec3, v: Vec3) -> Vec3:
+    """``cross`` on coefficient triples: plain arithmetic, so it also applies
+    to triples of arrays."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 # ---------------------------------------------------------------------------

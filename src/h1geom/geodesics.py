@@ -151,8 +151,10 @@ def exp_geodesics(arc: GeodesicArc, S) -> tuple[Arr3, Arr3]:
 
 def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
                   params: Iterable[float]) -> Iterator[tuple[float, float, float]]:
-    """Geodesic endpoints on raw Euclidean coordinates (hot-loop variant):
-    the endpoint at each parameter of ``params``, yielded in order.
+    """Geodesic endpoints on raw Euclidean coordinates: the endpoint at each
+    parameter of ``params``, yielded in order.  Public API with no caller
+    in the library; ``stability.direct_variations`` deforms along straight
+    lines instead.
 
     The components of ``p`` and ``v`` may be arrays of one shape, which
     moves a whole batch of points at once.  lam and the ``_flow_terms`` are

@@ -32,13 +32,11 @@ import numpy as np
 
 from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                      SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
-from .geodesics import exp_euclidean
 from .numerics import (Cuts, DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
-                       gauss_legendre_1d, gauss_nodes, integrate_array_1d,
-                       integrate_cells, kahan_sum, raise_first_failure, richardson,
-                       stencil_d1, stencil_nodes)
-from .surfaces import (CatenoidRulingChart, Chart, HelicoidChart, SeedRuledChart, area_density,
-                       curve_samples, is_batch, surface_frame, surface_frames)
+                       gauss_legendre_1d, integrate_array_1d, integrate_cells, kahan_sum,
+                       raise_first_failure, richardson)
+from .surfaces import (CatenoidRulingChart, Chart, HelicoidChart, SeedRuledChart, curve_samples,
+                       is_batch, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
 # 1-D profiles and separable test functions
@@ -528,66 +526,60 @@ class RulingFrame:
         return q
 
 
-VARIATION_DIFF = DiffSpec(step=1e-3, richardson_levels=2)
-
-
 def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
                       quad: QuadratureSpec) -> tuple[float, float, float]:
-    """(A''(0), A'(0), A(0)) of the area A(s) of the surface deformed
-    pointwise along geodesics by vN + wT.
-
-    Central differences with two Richardson levels from the seven areas at
-    s = 0, +-h, +-h/2, +-h/4, one exact sum each; for nonsingular compactly
-    supported variations of a minimal surface A''(0) must reproduce the
-    index form I(u, u) with u = v + <N,T> w.  The cells of ``gauss_nodes``
-    are cut at the support edges and kinks of v and w (``_axis_cuts``).
-    Each cell frames a 9-point chart stencil of its nodes (centre, +-h1,
-    +-h1/2, +-h2, +-h2/2) once, as one batch, drops the frame, and moves
-    the stencil along geodesics through the seven s in one
-    ``exp_euclidean`` pass, into one (7, 3, 9, nodes) endpoint array.  The
-    seven deformed densities, the horizontal cross-product norms of the
-    finite-difference partials, are then one ``stencil_d1`` pass per axis
-    and one ``area_density`` call.  Raises ``SupportOutsideDomain`` when
-    the deformation's support leaves the chart domain, and
-    ``NonFiniteValue``, naming s, in the first cell with a non-finite
-    deformed density.
-    """
+    """(A''(0), A'(0), A(0)) of the area A(e) of F + e(vN + wT), moved along
+    straight lines in coordinates, in closed form: the horizontal part of the
+    deformed F_1 x F_2 is a cubic G0 + e G1 + e^2 G2 + ... in e, so A(0) =
+    int |G0|, A'(0) = int G0.G1/|G0| and A''(0) = int (|G1|^2 + 2 G0.G2)/|G0|
+    - (G0.G1)^2/|G0|^3, in one ``integrate_cells`` pass over the support
+    union of v and w cut at their edges and kinks.  On a minimal surface
+    A''(0) is I(u, u) with u = v + <N,T> w.  Raises ``SupportOutsideDomain``
+    when the support leaves the chart domain, ``SingularPoint`` from the
+    frames and ``NonFiniteValue`` at the first non-finite sample."""
     rect = _support_union((v, w))
     if rect != EMPTY_SUPPORT:
         _require_inside(chart, rect)
-    U1, U2, W = gauss_nodes(rect, quad, (_axis_cuts((v, w), 0), _axis_cuts((v, w), 1)))
-    # the parameters central_diff samples around 0, in its order
-    steps = [VARIATION_DIFF.step / 2**i for i in range(VARIATION_DIFF.richardson_levels + 1)]
-    params = [0.0, *(x for h in steps for x in (h, -h))]
-    terms = np.empty((len(params),) + W.shape)
-    ends = np.empty((len(params), 3, 9, W.shape[1]))  # a cell's endpoints, refilled per cell
-    moved = np.moveaxis(ends, (1, 2), (0, -1))  # a view: (3, s, nodes, stencil)
-    for cell, (u1, u2, weights) in enumerate(zip(U1, U2, W)):
-        h1 = 1e-5 * np.maximum(1.0, np.abs(u1))
-        h2 = 1e-5 * np.maximum(1.0, np.abs(u2))
-        axis1, axis2 = stencil_nodes(u1, h1).T, stencil_nodes(u2, h2).T  # (5, nodes)
-        s1 = np.concatenate((axis1, np.broadcast_to(u1, (4, len(u1))))).ravel()
-        s2 = np.concatenate((np.broadcast_to(u2, (5, len(u2))), axis2[1:])).ravel()
-        fr = surface_frames(chart, s1, s2)
-        vv = v.jet(s1, s2, (chart, fr))[0]
-        ww = w.jet(s1, s2, (chart, fr))[0]
-        ne = fr.N_euclidean()
-        rows = (9, len(u1))
-        base = tuple(c.reshape(rows) for c in fr.points)
-        uvec = tuple(c.reshape(rows) for c in (vv * ne[0], vv * ne[1], vv * ne[2] + ww))
-        del fr, vv, ww, ne, s1, s2, axis1, axis2  # the flow holds the stencil alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, (x, y, t) in enumerate(exp_euclidean(base, uvec, params)):
-                ends[k, 0], ends[k, 1], ends[k, 2] = x, y, t
-            # stencil_d1 reads columns 1-4 alone: 5-8 are the +-h2, +-h2/2 nodes
-            dens = area_density(moved[0, ..., 0], moved[1, ..., 0],
-                                stencil_d1(moved[..., :5], h1), stencil_d1(moved[..., 4:], h2))
-        raise_first_failure((~np.isfinite(dens), lambda i: NonFiniteValue(
-            f"non-finite deformed area density at s = {params[i // len(u1)]!r}: "
-            f"{float(dens.flat[i])!r}")))
-        terms[:, cell] = weights * dens
-    areas = {s: kahan_sum(row.ravel().tolist()) for s, row in zip(params, terms)}
-    return tuple(central_diffs(areas.__getitem__, 0.0, VARIATION_DIFF, (2, 1, 0)))
+    return integrate_cells(lambda U1, U2: variation_samples(chart, U1, U2, v, w), rect, quad,
+                           (_axis_cuts((v, w), 0), _axis_cuts((v, w), 1)))
+
+
+def variation_samples(chart: Chart, U1: np.ndarray, U2: np.ndarray, v: TestFunction,
+                      w: TestFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integrands of ``direct_variations`` at the chart points (U1, U2)."""
+    (a1, b1, c1), (a2, b2, c2) = _deformed_tangents(chart, U1, U2, v, w)
+    (x0, y0), (x1, y1), (x2, y2) = (
+        (_product(b1, c2, k) - _product(c1, b2, k), _product(c1, a2, k) - _product(a1, c2, k))
+        for k in range(3))
+    g0 = np.hypot(x0, y0)
+    d1 = (x0 * x1 + y0 * y1) / g0
+    return (x1 * x1 + y1 * y1 + 2.0 * (x0 * x2 + y0 * y2) - d1 * d1) / g0, d1, g0
+
+
+def _deformed_tangents(chart: Chart, U1, U2, v: TestFunction, w: TestFunction) -> list:
+    """Per chart axis j, the frame coefficients of F_j + e V_j at the moved
+    point as coefficient lists in e: with (p, q, r) those of V and p_j =
+    d/du_j p, and so on, X_j + e p_j, Y_j + e q_j and c(F_j) + e (r_j +
+    2 (p Y_j - q X_j)) + e^2 (p q_j - q p_j).  The frames are released on
+    return, before the caller forms G: that keeps the block's peak down."""
+    fr = surface_frames(chart, U1, U2)
+    n = fr.N
+    v0, *dv = v.jet(U1, U2, (chart, fr))
+    dw = w.jet(U1, U2, (chart, fr))[1:]
+    p, q = v0 * n[0], v0 * n[1]
+    out = []
+    for j, (c, dvj, dwj) in enumerate(zip(fr.tangents, dv, dw)):
+        dn = fr.normal_partial(j)
+        pj, qj = dvj * n[0] + v0 * dn[0], dvj * n[1] + v0 * dn[1]
+        rj = dvj * n[2] + v0 * dn[2] + dwj + 2.0 * (p * c[1] - q * c[0])
+        out.append(([c[0], pj], [c[1], qj], [c[2], rj, p * qj - q * pj]))
+    return out
+
+
+def _product(f: list, g: list, k: int):
+    """The e^k coefficient of the product of two polynomials in e."""
+    terms = [f[i] * g[k - i] for i in range(max(0, k - len(g) + 1), min(k + 1, len(f)))]
+    return sum(terms[1:], terms[0])
 
 
 def second_variation_direct(chart: Chart, v: TestFunction, w: TestFunction,

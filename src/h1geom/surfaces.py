@@ -27,8 +27,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (FrameVector, Point, Vec3, connection_correct, euclidean_coeffs, frame_coeffs,
-                   jop_coeffs)
+from .core import (FrameVector, Point, Vec3, connection_correct, cross_coeffs, euclidean_coeffs,
+                   frame_coeffs, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
                        integrate_cells, raise_first_failure, rk4, rk4_states)
@@ -192,27 +192,29 @@ class SurfaceFrame:
 class SurfaceFrames:
     """The package of ``SurfaceFrame`` at N chart points, as arrays.
 
-    ``points`` are the base points and ``N`` the frame coefficients of the
-    unit normal; with ``Nh_norm``, ``NT``, ``riem_area`` and ``regular`` they
-    are read off the frame head.  The characteristic entries (``BZZ``,
-    ``BZS``, ``BSS``, ``H``, ``HR``, ``q``, ``z_chart``, ``s_chart``, ``dNh``
-    and ``dNT``) are computed together when one of them is first read, and
-    are NaN where ``regular`` is False.
+    ``points`` are the base points, ``tangents`` the frame coefficients of
+    F_1 and F_2 and ``N`` those of the unit normal; with ``Nh_norm``,
+    ``NT``, ``riem_area`` and ``regular`` they are read off the frame head.
+    The characteristic entries (``BZZ``, ``BZS``, ``BSS``, ``H``, ``HR``,
+    ``q``, ``z_chart``, ``s_chart``, ``dNh`` and ``dNT``) are computed
+    together when one of them is first read, and are NaN where ``regular``
+    is False.
     """
 
     def __init__(self, jet: ChartJets, c1: Arr3, c2: Arr3, w: np.ndarray, n: Arr3,
                  nh: np.ndarray):
         self.points = jet.p
+        self.tangents = (c1, c2)
         self.N = n
         self.Nh_norm = nh
         self.NT = n[2]
         self.riem_area = w
         self.regular = ~(nh <= SINGULAR_TOL)
-        self._head = (jet, c1, c2)
+        self._jet = jet
 
     @functools.cached_property
     def _shape(self) -> tuple:
-        jet, c1, c2 = self._head
+        jet, (c1, c2) = self._jet, self.tangents
         x, y, _ = jet.p
         with np.errstate(all="ignore"):
             _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
@@ -236,9 +238,18 @@ class SurfaceFrames:
     dNh = property(lambda fr: fr._shape[8])
     dNT = property(lambda fr: fr._shape[9])
 
-    def N_euclidean(self) -> Arr3:
-        """Euclidean components of N (``frame_to_euclidean``)."""
-        return euclidean_coeffs(self.points[0], self.points[1], self.N)
+    def normal_partial(self, j: int) -> Arr3:
+        """d/du_j of the frame coefficients of N (j = 0, 1), from the 2-jet:
+        the partial of F_1 x F_2 less its part along N, over |F_1 x F_2|."""
+        jet, (c1, c2), n = self._jet, self.tangents, self.N
+        x, y, _ = jet.p
+        fj = (jet.f1, jet.f2)[j]
+        s1, s2 = ((jet.f11, jet.f12), (jet.f12, jet.f22))[j]
+        with np.errstate(all="ignore"):
+            d = [a + b for a, b in zip(cross_coeffs(_coeff_partial(x, y, s1, fj, jet.f1), c2),
+                                       cross_coeffs(c1, _coeff_partial(x, y, s2, fj, jet.f2)))]
+            nd = _dot3(n, d)
+            return tuple((d[k] - n[k] * nd) / self.riem_area for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +262,16 @@ def _dot3(u, v):
 
 
 def _tangent_cross(x, y, f1, f2):
-    """Frame coefficients of F_1, F_2 and of F_1 x F_2 (X x Y = T)."""
+    """Frame coefficients of F_1, F_2 and of F_1 x F_2."""
     c1 = frame_coeffs(x, y, f1)
     c2 = frame_coeffs(x, y, f2)
-    cr = (c1[1] * c2[2] - c1[2] * c2[1],
-          c1[2] * c2[0] - c1[0] * c2[2],
-          c1[0] * c2[1] - c1[1] * c2[0])
-    return c1, c2, cr
+    return c1, c2, cross_coeffs(c1, c2)
+
+
+def _coeff_partial(x, y, second, fi, fj):
+    """d/du_i of the frame coefficients of F_j (second = d^2F/du_i du_j)."""
+    c = second[2] - fi[1] * fj[0] - y * second[0] + fi[0] * fj[1] + x * second[1]
+    return second[0], second[1], c
 
 
 def _tangent_frame(x, y, f1, f2, u, m=math):
@@ -311,20 +325,15 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     """
     nt = n[2]
 
-    def dc(second, fi, fj):
-        # d/du_i of c(F_j) with second = d^2F/du_i du_j: the T-coefficient
-        # picks up products of first partials besides the second partials
-        return second[2] - fi[1] * fj[0] - y * second[0] + fi[0] * fj[1] + x * second[1]
-
     def second_form(d, e, v):
         # II_ij = <N, D_{F_i} F_j>: coefficient derivative d of F_j = v
         # corrected along the direction e = F_i
         return _dot3(n, connection_correct(d, e, v))
 
-    ii11 = second_form((f11[0], f11[1], dc(f11, f1, f1)), c1, c1)
-    ii12 = second_form((f12[0], f12[1], dc(f12, f2, f1)), c2, c1)
-    ii21 = second_form((f12[0], f12[1], dc(f12, f1, f2)), c1, c2)
-    ii22 = second_form((f22[0], f22[1], dc(f22, f2, f2)), c2, c2)
+    ii11 = second_form(_coeff_partial(x, y, f11, f1, f1), c1, c1)
+    ii12 = second_form(_coeff_partial(x, y, f12, f2, f1), c2, c1)
+    ii21 = second_form(_coeff_partial(x, y, f12, f1, f2), c1, c2)
+    ii22 = second_form(_coeff_partial(x, y, f22, f2, f2), c2, c2)
     ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
 
     nu, z, s = _unit_directions(n, nh)
@@ -443,12 +452,6 @@ def area_element(chart: Chart, u: tuple[float, float]) -> float:
     return float(area_elements(chart, np.array([u[0]]), np.array([u[1]]))[0])
 
 
-def area_density(x, y, f1, f2) -> np.ndarray:
-    """|N_h| |F_1 x F_2| from base points and Euclidean partials (arrays)."""
-    _, _, cr = _tangent_cross(x, y, f1, f2)
-    return np.hypot(cr[0], cr[1])
-
-
 def area_elements(chart: Chart, U1, U2) -> np.ndarray:
     """Sub-Riemannian area density against du1 du2, |N_h| |F_1 x F_2|, at
     the points (U1[i], U2[i]), as an array.
@@ -463,7 +466,8 @@ def area_elements(chart: Chart, U1, U2) -> np.ndarray:
     with np.errstate(all="ignore"):
         jet = chart.jets(U1, U2)
         x, y, t = jet.p
-        dens = area_density(x, y, jet.f1, jet.f2)
+        _, _, cr = _tangent_cross(x, y, jet.f1, jet.f2)
+        dens = np.hypot(cr[0], cr[1])
         finite = (np.isfinite(U1) & np.isfinite(U2) & np.isfinite(x) & np.isfinite(y)
                   & np.isfinite(t) & np.isfinite(dens))
     u = _chart_point_at(U1, U2)

@@ -57,7 +57,6 @@ def test_surface_frames_match_scalar_view(name):
     fb = surface_frames(chart, U1, U2)
     assert fb.regular.all()
     dens = area_elements(chart, U1, U2)
-    ne = fb.N_euclidean()
     for i, u in enumerate(zip(U1.tolist(), U2.tolist())):
         fr = surface_frame(chart, u)
         for f in SCALAR_FIELDS:
@@ -68,10 +67,22 @@ def test_surface_frames_match_scalar_view(name):
         for k in range(3):
             _assert_close(fb.N[k][i], fr.N.coeffs()[k], "N")
             _assert_close(fb.points[k][i], fr.N.base.coords()[k], "points")
-            _assert_close(ne[k][i], (fr.N.a, fr.N.b,
-                                     fr.N.a * fr.N.base.y - fr.N.b * fr.N.base.x + fr.N.c)[k],
-                          "N_euclidean")
         _assert_close(dens[i], area_element(chart, u), "area_element")
+
+
+@pytest.mark.parametrize("name", list(_charts()))
+def test_normal_partials_are_the_chart_derivatives_of_n(name):
+    # the 2-jet formula against a central difference of the frames' own N;
+    # the ruled chart's jet is itself differenced along its walked curve
+    chart, rect = _charts()[name]
+    U1, U2 = _sample(rect, 40, 11)
+    fb = surface_frames(chart, U1, U2)
+    h, tol = 1e-5, 1e-6 if name == "ruled" else 1e-8
+    for j, (d1, d2) in enumerate(((h, 0.0), (0.0, h))):
+        plus = surface_frames(chart, U1 + d1, U2 + d2).N
+        minus = surface_frames(chart, U1 - d1, U2 - d2).N
+        for k, got in enumerate(fb.normal_partial(j)):
+            assert np.abs(got - (plus[k] - minus[k]) / (2.0 * h)).max() <= tol, (j, k)
 
 
 def _graph_cases():

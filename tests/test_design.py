@@ -1,0 +1,195 @@
+"""Design guards: one implementation per idea, checked on the library's own
+sources.
+
+A grep guard is one row of ``GREP_GUARDS``: ``grep`` basic regular
+expressions, any one of which flags a line, the files of ``src/h1geom``
+that may match, and the message.  The AST guards are functions.  The
+``step`` of a guard is its name in the test ids and in the docs.
+"""
+
+import ast
+import re
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "h1geom"
+
+
+class Guard(NamedTuple):
+    step: str  # the workflow step
+    patterns: tuple[str, ...]  # grep basic regular expressions
+    message: str
+    allowed: tuple[str, ...] = ()  # paths under src/h1geom that may match
+    searched: str = "**/*.py"  # the files searched, a glob under src/h1geom
+    planted: tuple[str, ...] = ()  # one violating line per pattern
+
+
+GREP_GUARDS = [
+    Guard("One Gauss node generator", ("NODES_WEIGHTS",),
+          "only numerics.py may read NODES_WEIGHTS", ("numerics.py", "_gauss.py"),
+          planted=("from ._gauss import NODES_WEIGHTS",)),
+    Guard("One RK4 stepper", ("k4 =",), "only numerics.py may write an RK4 stage",
+          ("numerics.py",), planted=("    k4 = vel(u + h * k3)",)),
+    Guard("One difference quotient", ("central_quotient",),
+          "only numerics.py may take a central difference quotient", ("numerics.py",),
+          planted=("from .numerics import central_quotient",)),
+    # every curve walk steps through surfaces.tangent_field_states, the
+    # one-point walk; integrate_tangent_field takes its first states
+    Guard("One curve walk", ("integrate_tangent_field(", "tangent_field_states("),
+          "only surfaces.py may call integrate_tangent_field or tangent_field_states",
+          ("surfaces.py",),
+          planted=("pts = integrate_tangent_field(chart, u0, 1.0, 8)",
+                   "states = tangent_field_states(chart, u0, h)")),
+    # every batched kernel raises through numerics.raise_first_failure;
+    # isfinite(...).all() checks a whole array without naming its first bad element
+    Guard("One first-failure rule",
+          ("np.flatnonzero(", "np.argmax(bad", "np.argmin(ok", r"isfinite(.*)\.all()"),
+          "only numerics.py may search a batch for its first failure", ("numerics.py",),
+          planted=("i = np.flatnonzero(bad)[0]", "i = np.argmax(bad)", "i = np.argmin(ok)",
+                   "if not np.isfinite(v).all():")),
+    # every quadrature sum goes through numerics.kahan_sum, the one the tracer counts
+    Guard("One summation", ("fsum",), "only numerics.py may call fsum", ("numerics.py",),
+          planted=("total = math.fsum(terms)",)),
+    # every piecewise quadrature is one composite rule of numerics, cut at its cut points
+    Guard("One cell split", ("split_cells(",), "only numerics.py may split a rule into pieces",
+          ("numerics.py",), planted=("pieces = split_cells(cuts, 4)",)),
+    # every ruling frame quantity of a seed chart comes from its ruling_coefficients
+    # through stability.RulingFrame: no hand-written helicoid frame; and
+    # SeedRuledChart.ruling_coefficients(a, m) reads them off the seed, so
+    # no class assigns them and no second helper returns them
+    Guard("One seed closed form", (r"R \* R - 4\.0", r"1\.0 / R - R"),
+          "read the helicoid frame off RulingFrame(HelicoidChart(R), s)",
+          planted=("w = R * R - 4.0 * s", "b = 1.0 / R - R")),
+    Guard("One seed closed form", ("ruling_coefficients *[=:]", "_ruling_coefficients"),
+          "(th', b, c0) come from SeedRuledChart.ruling_coefficients; set uniform_rulings",
+          planted=("    ruling_coefficients = (1.0, 0.0, 1.0)", "def _ruling_coefficients(a):")),
+    # every batched frame is a surfaces.SurfaceFrames, which computes its
+    # shape terms on first read: no second eager frame path
+    Guard("One frame package", ("_shape_terms(", "SurfaceFrames("),
+          "only surfaces.py may build a SurfaceFrames or call _shape_terms", ("surfaces.py",),
+          planted=("terms = _shape_terms(*head)", "fr = SurfaceFrames(*head)")),
+    # every flow goes through geodesics._flow_point, which takes f, g, h
+    # from its caller there; verify.py calls helpers_fgh in check_fgh
+    Guard("One geodesic flow", ("helpers_fgh(",),
+          "only geodesics.py may evaluate f, g, h for a flow", ("geodesics.py", "verify.py"),
+          planted=("f, g, h = helpers_fgh(2.0 * lam * s)",)),
+    # the area witness deforms along straight lines; exp_euclidean stays
+    # public API with no caller in the library
+    Guard("One geodesic ladder", ("exp_euclidean(",), "only geodesics.py may call exp_euclidean",
+          ("geodesics.py",), planted=("ends = list(exp_euclidean(p, v, params))",)),
+    # every verify accumulator goes through verify._worst, which keeps a
+    # NaN sample: max(worst, nan) drops it, and the check would pass
+    Guard("One worst residual", ("max(worst",), "accumulate verify residuals with _worst, not max",
+          searched="verify.py", planted=("    worst = max(worst, err)",)),
+    # the density |N_h|^-1 {Z(u) Z(v) - q u v} dA is written once, in
+    # stability.index_form_samples
+    Guard("One index-form integrand", (r"zu \* zv", r"q \* u \* v"),
+          "only stability.py may write the index-form density", ("stability.py",),
+          planted=("dens = zu * zv", "pot = q * u * v")),
+]
+
+
+def _bre(pattern: str) -> re.Pattern:
+    """A grep basic regular expression as a Python one: in a BRE the
+    characters ( ) { } + ? | are literal."""
+    return re.compile(re.sub(r"(?<!\\)([(){}+?|])", r"\\\1", pattern))
+
+
+def _violations(guard: Guard) -> list[str]:
+    """``path:line`` of every line of the searched files, outside the allowed
+    ones, that one of the guard's patterns matches."""
+    regexes = [_bre(p) for p in guard.patterns]
+    bad = []
+    for path in sorted(SRC.glob(guard.searched)):
+        name = path.relative_to(SRC).as_posix()
+        if name in guard.allowed:
+            continue
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if any(r.search(line) for r in regexes):
+                bad.append(f"{name}:{n}")
+    return bad
+
+
+@pytest.mark.parametrize("guard", GREP_GUARDS, ids=lambda g: f"{g.step}:{g.patterns[0]}")
+def test_grep_guard(guard):
+    bad = _violations(guard)
+    assert not bad, f"{guard.message}: {', '.join(bad)}"
+
+
+@pytest.mark.parametrize("guard", GREP_GUARDS, ids=lambda g: f"{g.step}:{g.patterns[0]}")
+def test_grep_guard_flags_its_planted_lines(guard):
+    # every pattern is alive: it flags the violation it is there for
+    assert len(guard.planted) == len(guard.patterns)
+    for pattern, line in zip(guard.patterns, guard.planted):
+        assert _bre(pattern).search(line), (pattern, line)
+
+
+def _calls_outside(func_name: str, allowed: set, with_file: bool = False) -> list[str]:
+    """Calls of ``func_name`` (by name or attribute) in src/h1geom outside the
+    dotted scopes ``allowed``: ``(file, scope)`` pairs when ``with_file``."""
+    bad = []
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Call) and func_name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                if ((path.name, where) if with_file else where) not in allowed:
+                    bad.append(f"{path.name}:{child.lineno} in {where or '<module>'}")
+            visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path)
+    return bad
+
+
+def test_one_ruled_jet():
+    # RuledChart is the seed chart of its S-curve, so every ruled jet is
+    # SeedRuledChart._jet_parts, and every chart builds its jet as plain
+    # tuples (Chart._jet_floats): only the public Chart.jet builds a ChartJet
+    lines = (SRC / "surfaces.py").read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("class RuledChart(SeedRuledChart):") for line in lines), \
+        "RuledChart must be a SeedRuledChart"
+    bad = _calls_outside("ChartJet", {"Chart.jet"})
+    assert not bad, "only Chart.jet may build a ChartJet: " + ", ".join(bad)
+
+
+def test_one_chart_protocol():
+    # a chart writes _jet_parts, and Chart alone turns it into jet,
+    # _jet_floats and jets, whether by def or by a class-level assignment;
+    # surfaces.py builds no SurfaceFrame and geodesics.py no GeodesicArc
+    calls = {"surfaces.py": "surface_frame", "geodesics.py": "GeodesicArc"}
+    owners = {"jet": ("Chart",), "_jet_floats": ("Chart",), "jets": ("Chart",)}
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        banned = calls.get(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = []
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        names = [item.name]
+                    elif isinstance(item, (ast.Assign, ast.AnnAssign)) and item.value:
+                        # a bare annotation (a dataclass field) assigns nothing
+                        names = [n.id for n in ast.walk(item)
+                                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+                    bad += [f"{path.name}:{item.lineno} {node.name}.{name}" for name in names
+                            if node.name not in owners.get(name, (node.name,))]
+            if isinstance(node, ast.Call) and banned and banned in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                bad.append(f"{path.name}:{node.lineno} calls {banned}")
+    assert not bad, ("only Chart may define or assign jet, _jet_floats or jets, "
+                     "surfaces.py may not call surface_frame, "
+                     "geodesics.py may not call GeodesicArc: " + ", ".join(bad))
+
+
+def test_one_check_declaration():
+    # a verify check is declared once, by @check(suite, rows...) on a body
+    # that returns its residuals: only the decorator builds a CheckResult
+    bad = _calls_outside("CheckResult", {("verify.py", "check.declare.results")}, with_file=True)
+    assert not bad, "only the verify.check decorator may build a CheckResult: " + ", ".join(bad)

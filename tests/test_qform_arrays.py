@@ -204,8 +204,8 @@ def test_integrate_array_1d_raises_at_the_first_nan():
 
 
 def test_second_variation_check_builds_the_variation_nodes_once(monkeypatch):
-    # direct_variations frames the 9-point stencil of each quadrature cell
-    # once, as one batch, and moves it for all seven variation parameters
+    # the index form and direct_variations each frame their 16 cells as one
+    # block of integrate_cells
     batches = []
     frames = stability.surface_frames
 
@@ -215,8 +215,7 @@ def test_second_variation_check_builds_the_variation_nodes_once(monkeypatch):
 
     monkeypatch.setattr(stability, "surface_frames", counted)
     verify.check_second_variation()
-    # the index form's one block of 16 cells, then one batch per cell at (16, (4, 4))
-    assert batches == [16 * 16 * 16] + [9 * 16 * 16] * 16
+    assert batches == [16 * 16 * 16] * 2
 
     cat = CatenoidChart(1.0)
     v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))

@@ -88,7 +88,7 @@ def test_direct_variations_compute_no_shape_terms(monkeypatch):
     shape = _counted(monkeypatch, surfaces, "_shape_terms")
     frames = _counted(monkeypatch, stability, "surface_frames")
     direct_variations(CatenoidChart(1.0), _bump(), zero_function(), QuadratureSpec(16, (4, 4)))
-    assert frames[0] == 16  # one framed stencil per cell
+    assert frames[0] == 1  # the 16 cells are one block
     assert shape[0] == 0
 
 
@@ -124,14 +124,32 @@ def test_ruled_chart_walks_only_as_far_as_read():
     assert [len(w) for w in rc._walks.values()] == [4, 3]
 
 
-def test_direct_variations_evaluate_fgh_once_per_pm_pair(monkeypatch):
-    # verify's second-variation case: 16 cells, each flowed through the seven
-    # s = 0, +-h, +-h/2, +-h/4 with one f, g, h for s = 0 and one per pair
+def test_direct_variations_flow_no_geodesics(monkeypatch):
+    # verify's second-variation case took 16 ladders and 64 f, g, h when the
+    # witness moved a stencil along geodesics; the closed form takes none
     calls = _counted(monkeypatch, geodesics, "helpers_fgh")
-    ladders = _counted(monkeypatch, stability, "exp_euclidean")
+    ladders = _counted(monkeypatch, geodesics, "exp_euclidean")
     direct_variations(CatenoidChart(1.0), _bump(), zero_function(), QuadratureSpec(16, (4, 4)))
-    assert ladders[0] == 16
-    assert calls[0] == 4 * 16
+    assert not hasattr(stability, "exp_euclidean")
+    assert ladders[0] == calls[0] == 0
+
+
+def test_direct_variations_frame_each_node_once(monkeypatch):
+    # one framing per block of integrate_cells, in the order of gauss_nodes
+    chart, v, quad = CatenoidChart(1.0), _bump(), QuadratureSpec(16, (8, 4))
+    framed = []
+    frames = stability.surface_frames
+
+    def spy(chart, U1, U2):
+        framed.append((U1.copy(), U2.copy()))
+        return frames(chart, U1, U2)
+
+    monkeypatch.setattr(stability, "surface_frames", spy)
+    direct_variations(chart, v, zero_function(), quad)
+    U1, U2, _ = gauss_nodes(v.support, quad)
+    assert len(framed) == math.ceil(len(U1) / (CELL_BLOCK_NODES // 16 ** 2)) > 1
+    assert np.array_equal(np.concatenate([u1 for u1, _ in framed]), U1.ravel())
+    assert np.array_equal(np.concatenate([u2 for _, u2 in framed]), U2.ravel())
 
 
 def test_ruled_chart_check_builds_few_points(monkeypatch):
@@ -284,16 +302,10 @@ def test_weighted_identity_left_side_is_the_index_form(monkeypatch):
     assert [lhs.hex() for lhs, _ in sides] == want
 
 
-def test_direct_variations_take_one_density_pass_per_cell(monkeypatch):
-    # the seven deformed densities of a cell in one area_density call: 112 before
-    calls = _counted(monkeypatch, stability, "area_density")
-    direct_variations(CatenoidChart(1.0), _bump(), zero_function(), QuadratureSpec(16, (4, 4)))
-    assert calls[0] == 16
-
-
 def test_second_variation_check_traced_peak():
-    # the index form's 4,096-node block sets the peak (1.92 MB); the density
-    # pass holds a (7, 3, 9, 256) endpoint array, but no frame head beside it
+    # the index form's 4,096-node block sets the peak (1.88 MB); the closed
+    # form's block drops its frames and per-axis arrays before the cubic's
+    # coefficients and integrands are formed (1.65 MB)
     tracemalloc.start()
     try:
         results = verify.check_second_variation()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from h1geom import cli, stability, surfaces, verify
+from h1geom import cli, numerics, stability, surfaces, verify
 from h1geom.core import Point
 from h1geom.errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                            SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
@@ -178,43 +178,89 @@ def test_index_form_weighted_identity():
     assert abs(lhs - rhs) <= 1e-3 * max(1.0, abs(lhs))
 
 
+# w is the vertical part of the deformation vN + wT
+CAT_V = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+CAT_W = separable(cosine_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
+# its plateau's corners at u2 = +-0.3 are cell edges, as in the index form
+CAT_V_KINKED = separable(cosine_bump(1.5, 0.7), plateau_ramp(0.3, 0.35))
+
+
+def _assert_witness_is_the_index_form(chart, v, w, u, quad):
+    # the closed form and the index form are two quadratures of one
+    # integral, with u = v + <N,T> w
+    a2, a1, a0 = direct_variations(chart, v, w, quad)
+    iform = index_form_I(chart, u, u, quad)
+    assert abs(a2 - iform) <= 1e-12 * abs(iform)
+    assert a0 > 0.0 and abs(a1) <= 1e-10 * a0
+
+
 def test_second_variation_direct_matches_index_form():
-    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
-    w = zero_function()
-    iform = index_form_I(CAT, v, v, QUAD44)
-    a2 = second_variation_direct(CAT, v, w, QUAD44)
-    assert abs(a2 - iform) <= 1e-2 * abs(iform)
+    _assert_witness_is_the_index_form(CAT, CAT_V, zero_function(), CAT_V, QUAD44)
 
 
 def test_second_variation_direct_cut_at_kinks():
-    # the plateau's corners at u2 = +-0.3 are cell edges, as in the index
-    # form; cells straddling them left |A'' - I|/|I| at 1.1e-2 here
-    v = separable(cosine_bump(1.5, 0.7), plateau_ramp(0.3, 0.35))
-    iform = index_form_I(CAT, v, v, QUAD44)
-    a2 = second_variation_direct(CAT, v, zero_function(), QUAD44)
-    assert abs(a2 - iform) <= 1e-5 * abs(iform)
+    v = CAT_V_KINKED
+    _assert_witness_is_the_index_form(CAT, v, zero_function(), v, QUAD44)
+    _assert_witness_is_the_index_form(CAT, v, CAT_W, combined_normal_component(CAT, v, CAT_W),
+                                      QUAD44)
 
 
 def test_direct_variations_raise_at_a_nonfinite_density():
-    # the geodesics of a deformation of size 1e200 leave the float range, at
-    # s = 0 already; that raises, naming s, with no numpy warning
-    base = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    # the e^2 coefficient of a deformation of size 1e200 leaves the float
+    # range, so the A''(0) density is not finite; that raises with no numpy
+    # warning
     huge = stability.TestFunction(
-        lambda U1, U2, frames=None: tuple(1e200 * c for c in base.jet(U1, U2, frames)),
-        base.support)
+        lambda U1, U2, frames=None: tuple(1e200 * c for c in CAT_V.jet(U1, U2, frames)),
+        CAT_V.support)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValue, match=r"deformed area density at s = 0\.0: nan"):
+        with pytest.raises(NonFiniteValue, match=r"^non-finite sample in integrate_2d: nan$"):
             direct_variations(CAT, huge, zero_function(), QuadratureSpec(4, (1, 1)))
 
 
+# supports off the singular sets: the helicoid's helices s = +-1/R, the line
+# x = 0 of t = xy; the catenoid's cases are the tests above
+_WITNESS_CASES = {
+    "helicoid": (HEL2, separable(cosine_bump(0.0, 0.4), cosine_bump(0.0, 1.0)),
+                 separable(cosine_bump(0.1, 0.3), cosine_bump(0.1, 0.4))),
+    "paraboloid": (ParaboloidChart(), separable(cosine_bump(0.5, 0.3), cosine_bump(0.0, 0.6)),
+                   separable(cosine_bump(0.45, 0.25), cosine_bump(0.1, 0.5))),
+    "vertical_plane": (VerticalPlaneChart(),
+                       separable(cosine_bump(0.0, 0.8), cosine_bump(0.1, 0.7)),
+                       separable(cosine_bump(0.1, 0.5), cosine_bump(0.0, 0.6))),
+}
+
+
+@pytest.mark.parametrize("vertical", [False, True])
+@pytest.mark.parametrize("case", list(_WITNESS_CASES))
+def test_direct_variations_are_the_index_form(case, vertical):
+    chart, v, w = _WITNESS_CASES[case]
+    if not vertical:
+        w = zero_function()
+    u = combined_normal_component(chart, v, w) if vertical else v
+    _assert_witness_is_the_index_form(chart, v, w, u, QUAD44)
+
+
+@pytest.mark.parametrize("lam", [s * 10.0 ** j for j in range(-3, 3) for s in (1.0, -1.0)])
+def test_direct_variations_are_the_index_form_on_catenoids_across_scales(lam):
+    # off the waist s = 0; the witness has no absolute step, so it holds at
+    # every scale the cells resolve
+    v = separable(cosine_bump(abs(lam), abs(lam) / 2.0), NOSING_PHI)
+    _assert_witness_is_the_index_form(CatenoidRulingChart(lam), v, zero_function(), v,
+                                      QuadratureSpec(16, (8, 4)))
+
+
+def test_direct_variations_do_not_depend_on_the_block_size(monkeypatch):
+    quad = QuadratureSpec(16, (8, 4))
+    want = direct_variations(CAT, CAT_V_KINKED, CAT_W, quad)
+    monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", 256)
+    got = direct_variations(CAT, CAT_V_KINKED, CAT_W, quad)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_second_variation_with_vertical_component():
-    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
-    w = separable(cosine_bump(1.5, 0.6), cosine_bump(0.35, 0.4))
-    u = combined_normal_component(CAT, v, w)
-    iform = index_form_I(CAT, u, u, QUAD44)
-    a2 = second_variation_direct(CAT, v, w, QUAD44)
-    assert abs(a2 - iform) <= 1e-2 * abs(iform)
+    u = combined_normal_component(CAT, CAT_V, CAT_W)
+    _assert_witness_is_the_index_form(CAT, CAT_V, CAT_W, u, QUAD44)
 
 
 def test_second_variation_zero_deformation():
@@ -222,10 +268,9 @@ def test_second_variation_zero_deformation():
 
 
 def test_first_variation_stationary():
-    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
-    a1, a0 = first_variation_direct(CAT, v, zero_function(), QUAD44)
+    a1, a0 = first_variation_direct(CAT, CAT_V, zero_function(), QUAD44)
     assert a0 > 0.0
-    assert abs(a1) <= 1e-6 * a0
+    assert abs(a1) <= 1e-10 * a0
 
 
 def test_first_variation_stationary_helicoid_patch():
