@@ -25,9 +25,8 @@ from .stability import (InstabilityCertificate, Profile, RulingFrame,
                         l_nh_closed, operator_L, q_form, ruling_form, second_variation_direct,
                         separable, tangent_derivative, vertical_variation_area)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets, HelicoidChart,
-                       ParaboloidChart, PlaneChart, SurfaceFrame, SurfaceFrames,
-                       VerticalPlaneChart, area, area_element, catalog_surface,
-                       characteristic_ray, curve_samples, ruled_coordinates, singular_locus,
-                       surface_frame, surface_frames)
+                       ParaboloidChart, PlaneChart, SurfaceFrames, VerticalPlaneChart, area,
+                       area_element, catalog_surface, characteristic_ray, curve_samples,
+                       ruled_coordinates, singular_locus, surface_frame, surface_frames)
 
 __version__ = "0.1.0"

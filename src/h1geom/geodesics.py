@@ -158,22 +158,13 @@ def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
 
     The components of ``p`` and ``v`` may be arrays of one shape, which
     moves a whole batch of points at once.  lam and the ``_flow_terms`` are
-    computed once, at the first endpoint.  A nonzero parameter that is the
-    negative of the one before it reuses that one's f, g, h with g and h
-    negated, which by their parity are the bits ``helpers_fgh`` returns.
+    computed once, at the first endpoint.
     """
     A, B = v[0], v[1]
     lam = frame_coeffs(p[0], p[1], v)[2]
     terms = _flow_terms(p, A, B)
-    prev = 0.0  # no nonzero parameter pairs with the first
     for s in params:
-        if s != 0.0 and s == -prev:
-            f, g, h = fgh
-            fgh = (f, -g, -h)
-        else:
-            fgh = helpers_fgh(2.0 * lam * s)
-        prev = s
-        yield _flow_point(p, A, B, lam, s, terms, fgh)
+        yield _flow_point(p, A, B, lam, s, terms, helpers_fgh(2.0 * lam * s))
 
 
 @dataclass(frozen=True)

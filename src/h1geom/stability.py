@@ -358,7 +358,7 @@ def l_nh_closed(chart: Chart, u: tuple[float, float]) -> float:
 
 
 def l_nh_of_frame(fr):
-    """``l_nh_closed`` from a ``SurfaceFrame`` or a ``SurfaceFrames`` batch."""
+    """``l_nh_closed`` from a ``SurfaceFrames`` at one point or many."""
     return 4.0 * (fr.BZS / (fr.Nh_norm * fr.Nh_norm) - 1.0)
 
 
@@ -373,8 +373,8 @@ def jacobi_vertical_quadratic(chart: Chart, u0: tuple[float, float]
 
 
 def jacobi_quadratic_of_frame(fr):
-    """``jacobi_vertical_quadratic`` from a ``SurfaceFrame`` or a
-    ``SurfaceFrames`` batch."""
+    """``jacobi_vertical_quadratic`` from a ``SurfaceFrames`` at one point
+    or many."""
     nh, nt = fr.Nh_norm, fr.NT
     a = -(fr.BZS + nt * nt - nh * nh) / nh
     b = -2.0 * nt

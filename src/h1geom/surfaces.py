@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (FrameVector, Point, Vec3, connection_correct, cross_coeffs, euclidean_coeffs,
+from .core import (Point, Vec3, connection_correct, cross_coeffs, euclidean_coeffs,
                    frame_coeffs, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
@@ -36,25 +36,14 @@ from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_di
 SINGULAR_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class ChartJet:
-    """Euclidean partials of the immersion at one parameter point."""
-
-    p: Point
-    f1: Vec3
-    f2: Vec3
-    f11: Vec3
-    f12: Vec3
-    f22: Vec3
-
-
 Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class ChartJets:
     """Euclidean partials of the immersion at N parameter points: each entry
-    is a triple of arrays with the shape of the parameter arrays."""
+    is a triple of arrays with the shape of the parameter arrays, or of
+    floats at one point (``Chart.jet``)."""
 
     p: Arr3
     f1: Arr3
@@ -76,17 +65,17 @@ class Chart:
     domain: Rect = ((-1.0, 1.0), (-1.0, 1.0))
 
     def point(self, u1: float, u2: float) -> Point:
-        return self.jet(u1, u2).p
+        return Point(*self._jet_floats(u1, u2)[0])
 
-    def jet(self, u1: float, u2: float) -> ChartJet:
-        p, f1, f2, f11, f12, f22 = self._jet_floats(u1, u2)
-        return ChartJet(Point(*p), f1, f2, f11, f12, f22)
+    def jet(self, u1: float, u2: float) -> ChartJets:
+        """``jets`` at the one point (u1, u2): each entry a triple of floats."""
+        return ChartJets(*self._jet_floats(u1, u2))
 
     def _jet_floats(self, u1: float, u2: float) -> tuple:
-        """``jet`` at (u1, u2) as plain tuples (p, f1, f2, f11, f12, f22),
-        with its errors in its order, and no ChartJet or Point: an overflow,
-        a domain error and a non-finite point raise ``NonFiniteValue``
-        ``non-finite point at (u1, u2)``, as ``surface_frames`` names them."""
+        """The jet at (u1, u2) as plain tuples (p, f1, f2, f11, f12, f22),
+        with its errors in its order: an overflow, a domain error and a
+        non-finite point raise ``NonFiniteValue`` ``non-finite point at
+        (u1, u2)``, as ``surface_frames`` names them."""
         try:
             jet = self._jet_parts(u1, u2, math)
             x, y, t = jet[0]
@@ -157,48 +146,19 @@ def _own_error(chart: Chart, u: tuple[float, float]) -> Optional[GeometryError]:
     return None
 
 
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Pointwise geometric package of a surface at a chart point.
-
-    ``riem_area`` is |F_1 x F_2| (Riemannian density against du1 du2) and
-    ``q`` is the index-form potential |B(Z)+S|^2 - 4|N_h|^2.  Characteristic
-    entries are None at singular points when they were allowed through.
-    """
-
-    N: FrameVector
-    Nh_norm: float
-    NT: float
-    riem_area: float
-    nu_h: Optional[FrameVector]
-    Z: Optional[FrameVector]
-    S: Optional[FrameVector]
-    BZZ: Optional[float]
-    BZS: Optional[float]
-    BSS: Optional[float]
-    H: Optional[float]
-    HR: Optional[float]
-    q: Optional[float]
-    z_chart: Optional[tuple[float, float]]
-    s_chart: Optional[tuple[float, float]]
-    dNh: Optional[tuple[float, float]]
-    dNT: Optional[tuple[float, float]]
-
-    @property
-    def regular(self) -> bool:
-        return self.Z is not None
-
-
 class SurfaceFrames:
-    """The package of ``SurfaceFrame`` at N chart points, as arrays.
+    """The pointwise geometric package of a surface at chart points: arrays
+    at N points (``surface_frames``), floats at one (``surface_frame``).
 
     ``points`` are the base points, ``tangents`` the frame coefficients of
     F_1 and F_2 and ``N`` those of the unit normal; with ``Nh_norm``,
-    ``NT``, ``riem_area`` and ``regular`` they are read off the frame head.
-    The characteristic entries (``BZZ``, ``BZS``, ``BSS``, ``H``, ``HR``,
-    ``q``, ``z_chart``, ``s_chart``, ``dNh`` and ``dNT``) are computed
-    together when one of them is first read, and are NaN where ``regular``
-    is False.
+    ``NT``, ``riem_area`` (|F_1 x F_2|, the Riemannian density against
+    du1 du2) and ``regular`` they are read off the frame head.  ``nu_h``,
+    ``Z`` and ``S`` are frame-coefficient triples computed on each read.
+    The shape entries (``BZZ``, ``BZS``, ``BSS``, ``H``, ``HR``, ``q`` =
+    |B(Z)+S|^2 - 4|N_h|^2, ``z_chart``, ``s_chart``, ``dNh`` and ``dNT``)
+    are computed together when one of them is first read.  The
+    characteristic entries are NaN where ``regular`` is False.
     """
 
     def __init__(self, jet: ChartJets, c1: Arr3, c2: Arr3, w: np.ndarray, n: Arr3,
@@ -209,7 +169,7 @@ class SurfaceFrames:
         self.Nh_norm = nh
         self.NT = n[2]
         self.riem_area = w
-        self.regular = ~(nh <= SINGULAR_TOL)
+        self.regular = np.logical_not(nh <= SINGULAR_TOL)  # not ~: on a bool it is an int
         self._jet = jet
 
     @functools.cached_property
@@ -217,16 +177,26 @@ class SurfaceFrames:
         jet, (c1, c2) = self._jet, self.tangents
         x, y, _ = jet.p
         with np.errstate(all="ignore"):
-            _, _, _, bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
+            bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
                 x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2,
                 self.riem_area, self.N, self.Nh_norm)
         out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
-        singular = ~self.regular
+        singular = np.logical_not(self.regular)
         if singular.any():
             out = [np.where(singular, np.nan, a) for a in out]
         return (*out[:6], tuple(out[6:8]), tuple(out[8:10]), tuple(out[10:12]),
                 tuple(out[12:14]))
 
+    def _direction(self, k: int) -> Arr3:
+        with np.errstate(all="ignore"):
+            v = _unit_directions(self.N, self.Nh_norm)[k]
+        if type(self.Nh_norm) is float:  # one point, which is regular
+            return v
+        return tuple(np.where(self.regular, c, np.nan) for c in v)
+
+    nu_h = property(lambda fr: fr._direction(0))
+    Z = property(lambda fr: fr._direction(1))
+    S = property(lambda fr: fr._direction(2))
     BZZ = property(lambda fr: fr._shape[0])
     BZS = property(lambda fr: fr._shape[1])
     BSS = property(lambda fr: fr._shape[2])
@@ -317,9 +287,7 @@ def _chart_direction(c1, c2, w, n, nh, which: str):
 
 
 def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
-    """Characteristic entries at regular points, given the unit normal.
-
-    Returns (nu_h, Z, S) as frame-coefficient triples, then <B(Z),Z>,
+    """Shape entries at regular points, given the unit normal: <B(Z),Z>,
     <B(Z),S>, <B(S),S>, H, H_R, q, Z and S in chart coordinates, and the
     chart partials of |N_h| and <N,T>.
     """
@@ -360,11 +328,10 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
         jv = jop_coeffs(ev)
         dnh.append(-nt * bvs - nt * _dot3(jv, nu))
         dnt.append(nh * bvs + _dot3(n, jv))
-    return (nu, z, s, bzz, bzs, bss, h, hr, qval, zc, sc,
-            (dnh[0], dnh[1]), (dnt[0], dnt[1]))
+    return bzz, bzs, bss, h, hr, qval, zc, sc, (dnh[0], dnh[1]), (dnt[0], dnt[1])
 
 
-def _frame_head(chart: Chart, u: tuple[float, float], singular_ok: bool):
+def _frame_head(chart: Chart, u: tuple[float, float]):
     """The jet at ``u`` as plain tuples (``Chart._jet_floats``) and its
     ``_tangent_frame``; raises as ``surface_frame`` does, in its order."""
     if not (math.isfinite(u[0]) and math.isfinite(u[1])):  # as surface_frames raises it
@@ -372,31 +339,20 @@ def _frame_head(chart: Chart, u: tuple[float, float], singular_ok: bool):
     jet = chart._jet_floats(*u)
     (x, y, _), f1, f2 = jet[:3]
     c1, c2, w, n, nh = _tangent_frame(x, y, f1, f2, u)
-    if nh <= SINGULAR_TOL and not singular_ok:
+    if nh <= SINGULAR_TOL:
         raise SingularPoint(f"|N_h| = {nh:.3e} at {u!r}")
     return jet, c1, c2, w, n, nh
 
 
-def surface_frame(chart: Chart, u: tuple[float, float],
-                  singular_ok: bool = False) -> SurfaceFrame:
-    """Full geometric package at chart point ``u``.
+def surface_frame(chart: Chart, u: tuple[float, float]) -> SurfaceFrames:
+    """``surface_frames`` at the one chart point ``u``: the same package,
+    each entry a float or a triple of floats, with the same arithmetic.
 
-    Raises ``SingularPoint`` when |N_h| <= SINGULAR_TOL unless
-    ``singular_ok`` is set, in which case the characteristic entries are
-    returned as None.
+    Raises ``SingularPoint`` when |N_h| <= SINGULAR_TOL;
+    ``surface_frames(..., singular_ok=True)`` frames a singular point.
     """
-    jet, c1, c2, w, n, nh = _frame_head(chart, u, singular_ok)
-    (x, y, t), f1, f2, f11, f12, f22 = jet
-    p = Point(x, y, t)
-    N = FrameVector(n[0], n[1], n[2], p)
-
-    if nh <= SINGULAR_TOL:
-        return SurfaceFrame(N, nh, n[2], w, None, None, None, None, None, None,
-                            None, None, None, None, None, None, None)
-
-    nu, z, s, *rest = _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh)
-    return SurfaceFrame(N, nh, n[2], w, FrameVector(*nu, p), FrameVector(*z, p),
-                        FrameVector(*s, p), *rest)
+    jet, c1, c2, w, n, nh = _frame_head(chart, u)
+    return SurfaceFrames(ChartJets(*jet), c1, c2, w, n, nh)
 
 
 def _chart_point_at(U1: np.ndarray, U2: np.ndarray):
@@ -491,7 +447,7 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
     """``surface_frame(chart, u).z_chart`` (or ``.s_chart``) from the first
     jet alone: the same operations and the same errors, without the shape
     terms, the other direction or any validated object."""
-    _, c1, c2, w, n, nh = _frame_head(chart, u, False)
+    _, c1, c2, w, n, nh = _frame_head(chart, u)
     return _chart_direction(c1, c2, w, n, nh, which)
 
 
@@ -980,7 +936,7 @@ class RuledChart(SeedRuledChart):
     def _curve(self, a: float) -> tuple[float, ...]:
         """Euclidean Gamma(a), Gamma'(a) = S and e = (Z_X, Z_Y), as one tuple."""
         if a not in self._curves:
-            jet, _, _, _, n, nh = _frame_head(self.base, self.curve_chart_point(a), False)
+            jet, _, _, _, n, nh = _frame_head(self.base, self.curve_chart_point(a))
             x, y, t = jet[0]
             _, z, s = _unit_directions(n, nh)
             self._curves[a] = (x, y, t, *euclidean_coeffs(x, y, s), z[0], z[1])

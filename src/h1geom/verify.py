@@ -465,8 +465,9 @@ def check_jacobi_trivial():
                     ("jacobi_vertical_quadratic_fit", "<V,T>(s) quadratic on rulings", 1e-8))
 def check_jacobi_helicoid():
     # the rulings of the pitch-2 helicoid's seed: the point at s = 0 and F_s
-    jet = functools.partial(HelicoidChart(2.0).jet, 0.0)
-    alpha, u_of = (lambda e: jet(e).p), (lambda e: euclidean_to_frame(jet(e).p, jet(e).f1))
+    hel = HelicoidChart(2.0)
+    alpha = functools.partial(hel.point, 0.0)
+    u_of = lambda e: euclidean_to_frame(alpha(e), hel.jet(0.0, e).f1)
     worst_eq = 0.0
     worst_comm = 0.0
     for eps, s in ((0.0, 0.3), (0.5, -0.8), (-0.4, 1.5)):
@@ -526,29 +527,38 @@ def _catalog() -> dict[str, Chart]:
     }
 
 
+def _vectors(fr, *names: str) -> list[FrameVector]:
+    """The triples ``names`` of the one-point frame ``fr`` as tangent
+    vectors at its base point."""
+    p = Point(*fr.points)
+    return [FrameVector(*getattr(fr, name), p) for name in names]
+
+
 @check("surfaces", ("frame_relations", "|N_h|^2+<N,T>^2=1; projections of nu_h, T", 1e-10))
 def check_frame_relations():
     worst = 0.0
     for name, chart in _catalog().items():
         for u in _GRID[name]:
             fr = surface_frame(chart, u)
+            N, nu, Z, S = _vectors(fr, "N", "nu_h", "Z", "S")
             worst = _worst(worst, abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0))
             # tangential projections onto {Z, S}
-            nu_t = fr.Z.scaled(dot(fr.nu_h, fr.Z)) + fr.S.scaled(dot(fr.nu_h, fr.S))
-            worst = _worst(worst, (nu_t - fr.S.scaled(fr.NT)).norm())
-            tvec = FrameVector(0, 0, 1, fr.N.base)
-            t_t = fr.Z.scaled(dot(tvec, fr.Z)) + fr.S.scaled(dot(tvec, fr.S))
-            worst = _worst(worst, (t_t + fr.S.scaled(fr.Nh_norm)).norm())
-            worst = _worst(worst, abs(fr.N.norm() - 1.0), abs(dot(fr.Z, fr.S)))
+            nu_t = Z.scaled(dot(nu, Z)) + S.scaled(dot(nu, S))
+            worst = _worst(worst, (nu_t - S.scaled(fr.NT)).norm())
+            tvec = FrameVector(0, 0, 1, N.base)
+            t_t = Z.scaled(dot(tvec, Z)) + S.scaled(dot(tvec, S))
+            worst = _worst(worst, (t_t + S.scaled(fr.Nh_norm)).norm())
+            worst = _worst(worst, abs(N.norm() - 1.0), abs(dot(Z, S)))
             worst = _worst(worst, abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ))
     return worst
 
 
 def _frames_along_ray(chart: Chart, u0, h: float):
-    """tau -> surface_frame on the Z curve through ``u0``, at the nodes
-    tau = k h / 2 (k = -2 ... 2) of a one-level stencil of step ``h``."""
+    """tau -> (surface_frame, nu_h, Z) on the Z curve through ``u0``, at the
+    nodes tau = k h / 2 (k = -2 ... 2) of a one-level stencil of step ``h``."""
     frames = [surface_frame(chart, u) for u in curve_samples(chart, u0, h, 2, "Z")]
-    return lambda tau: frames[2 + round(2 * tau / h)]
+    rows = [(fr, *_vectors(fr, "nu_h", "Z")) for fr in frames]
+    return lambda tau: rows[2 + round(2 * tau / h)]
 
 
 @check("surfaces", ("characteristic_flow_derivatives",
@@ -564,13 +574,13 @@ def check_characteristic_derivatives():
     worst_zz = 0.0
     for chart, u0 in cases:
         frame = _frames_along_ray(chart, u0, 1e-3)
-        fr0 = frame(0.0)
-        z_field = lambda tau: frame(tau).Z
+        fr0, nu0, z0 = frame(0.0)
+        z_field = lambda tau: frame(tau)[2]
         dzz = covariant_derivative_along(z_field, z_field, 0.0, 1e-3)
-        worst_zz = _worst(worst_zz, (dzz - fr0.nu_h.scaled(2.0 * fr0.H)).norm())
-        dznu = covariant_derivative_along(lambda tau: frame(tau).nu_h, z_field, 0.0, 1e-3)
-        tvec = FrameVector(0, 0, 1, fr0.N.base)
-        want = tvec - fr0.Z.scaled(2.0 * fr0.H)
+        worst_zz = _worst(worst_zz, (dzz - nu0.scaled(2.0 * fr0.H)).norm())
+        dznu = covariant_derivative_along(lambda tau: frame(tau)[1], z_field, 0.0, 1e-3)
+        tvec = FrameVector(0, 0, 1, z0.base)
+        want = tvec - z0.scaled(2.0 * fr0.H)
         worst_zz = _worst(worst_zz, (dznu - want).norm())
 
     worst_sc = 0.0
@@ -844,7 +854,8 @@ def check_jacobi_coefficients():
     a_cl, b_cl, c_cl, _ = jacobi_vertical_quadratic(cat, u0)
     # Z on the S-curve at the family's nodes eps = k EPS_STEP / 2, k = -2 ... 2,
     # gives both the base curve (its base points) and the ruling directions
-    zs = [surface_frame(cat, u).Z for u in curve_samples(cat, u0, EPS_STEP, 2, "S")]
+    zs = [_vectors(surface_frame(cat, u), "Z")[0]
+          for u in curve_samples(cat, u0, EPS_STEP, 2, "S")]
     ruling = lambda e: zs[2 + round(2 * e / EPS_STEP)]
     svals = [-1.0 + 0.25 * i for i in range(9)]
     vt = jacobi_fields(lambda e: ruling(e).base, ruling, 0.0, svals).V[2].tolist()

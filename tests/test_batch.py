@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from h1geom import numerics, stability, surfaces
+from h1geom import numerics, stability, surfaces, verify
 from h1geom.core import FrameVector, Point
 from h1geom.errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.geodesics import GeodesicArc, exp_euclidean, exp_geodesic, exp_geodesics
@@ -16,9 +16,10 @@ from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import (combined_normal_component, cosine_bump,
                               index_form_I, separable, smooth_bump, times_nh)
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
-                             HelicoidChart, ParaboloidChart, PlaneChart, area, area_element,
-                             area_elements, catalog_surface, _chart_velocity, dilated,
-                             ruled_coordinates, rotated, surface_frame, surface_frames, translated)
+                             HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart, area,
+                             area_element, area_elements, catalog_surface, _chart_velocity,
+                             dilated, ruled_coordinates, rotated, surface_frame, surface_frames,
+                             translated)
 
 SCALAR_FIELDS = ("Nh_norm", "NT", "riem_area", "BZZ", "BZS", "BSS", "H", "HR", "q")
 PAIR_FIELDS = ("z_chart", "s_chart", "dNh", "dNT")
@@ -64,10 +65,63 @@ def test_surface_frames_match_scalar_view(name):
         for f in PAIR_FIELDS:
             for k in range(2):
                 _assert_close(getattr(fb, f)[k][i], getattr(fr, f)[k], f)
-        for k in range(3):
-            _assert_close(fb.N[k][i], fr.N.coeffs()[k], "N")
-            _assert_close(fb.points[k][i], fr.N.base.coords()[k], "points")
+        for f in ("N", "points", "nu_h", "Z", "S"):
+            for k in range(3):
+                _assert_close(getattr(fb, f)[k][i], getattr(fr, f)[k], f)
         _assert_close(dens[i], area_element(chart, u), "area_element")
+
+
+def _one_point_cases():
+    """Every catalog chart and two more seed charts, at the verify grid
+    points, all regular."""
+    grids = verify._GRID
+    return {"vertical_plane": (VerticalPlaneChart(), grids["plane"]),
+            "plane": (PlaneChart(0.4, -0.7, 0.3), grids["plane"]),
+            "paraboloid": (ParaboloidChart(), grids["paraboloid"]),
+            "helicoid": (HelicoidChart(2.0), grids["helicoid"]),
+            "helicoid R=1": (HelicoidChart(1.0), grids["helicoid"]),
+            "catenoid": (CatenoidChart(1.0), grids["catenoid"]),
+            "catenoid_ruling": (CatenoidRulingChart(-2.5), grids["helicoid"])}
+
+
+def _entries(fr):
+    """Every entry of a frame package as a flat list of (name, value)."""
+    triples = {"points": fr.points, "N": fr.N, "nu_h": fr.nu_h, "Z": fr.Z, "S": fr.S,
+               "c1": fr.tangents[0], "c2": fr.tangents[1],
+               "dN1": fr.normal_partial(0), "dN2": fr.normal_partial(1)}
+    triples.update((f, getattr(fr, f)) for f in PAIR_FIELDS)
+    return ([(f, getattr(fr, f)) for f in SCALAR_FIELDS]
+            + [(f"{f}[{k}]", v[k]) for f, v in triples.items() for k in range(len(v))])
+
+
+class _FloatJet(Chart):
+    """``base`` whose jet at a batch of one point is its float jet, as
+    arrays: the batch reads the bits of the scalar jet, where numpy's and
+    math's cos or cosh may differ in the last bit."""
+
+    def __init__(self, base):
+        self.base, self.domain = base, base.domain
+
+    def _jet_parts(self, u1, u2, m):
+        if m is math:
+            return self.base._jet_floats(u1, u2)
+        (v1,), (v2,) = u1.tolist(), u2.tolist()
+        return tuple(tuple(np.array([c]) for c in v) for v in self.base._jet_floats(v1, v2))
+
+
+@pytest.mark.parametrize("name", list(_one_point_cases()))
+def test_scalar_frame_is_the_batch_of_its_one_point(name):
+    # from one jet, the scalar view is the package of a batch of its one
+    # point bit for bit, with a float for each entry
+    chart, points = _one_point_cases()[name]
+    for u in points:
+        one, many = surface_frame(chart, u), surface_frames(_FloatJet(chart), [u[0]], [u[1]])
+        assert bool(one.regular) and many.regular.tolist() == [True]
+        got, want = _entries(one), _entries(many)
+        assert [f for f, _ in got] == [f for f, _ in want]
+        for (f, a), (_, b) in zip(got, want):
+            assert type(a) is float, (f, u, type(a))
+            assert a.hex() == float(b[0]).hex(), (f, u, a, b)
 
 
 @pytest.mark.parametrize("name", list(_charts()))
@@ -115,12 +169,14 @@ def test_graph_partials_on_floats(name):
     fb = surface_frames(chart, U1, U2, singular_ok=True)
     dens = area_elements(chart, U1, U2)
     for i, u in enumerate(zip(U1.tolist(), U2.tolist())):
-        fr = surface_frame(chart, u, singular_ok=True)
-        for f in ("Nh_norm", "NT", "riem_area"):
-            _assert_close(getattr(fb, f)[i], getattr(fr, f), f)
-        if fr.regular:
-            for f in SCALAR_FIELDS[3:]:
+        if fb.regular[i]:
+            fr = surface_frame(chart, u)
+            for f in SCALAR_FIELDS:
                 _assert_close(getattr(fb, f)[i], getattr(fr, f), f)
+        else:  # the scalar view raises there; the batch's shape terms are NaN
+            with pytest.raises(SingularPoint):
+                surface_frame(chart, u)
+            assert all(math.isnan(getattr(fb, f)[i]) for f in SCALAR_FIELDS[3:])
         _assert_close(dens[i], area_element(chart, u), "area_element")
     quad = QuadratureSpec(4, (2, 2))
     _assert_close(area(chart, rect, quad),
@@ -132,7 +188,7 @@ def _eager_frames(chart, U1, U2, singular_ok):
     deferred: from the frame head, all at once, NaN at singular points."""
     jet, c1, c2, w, n, nh = surfaces._frame_heads(chart, U1, U2, singular_ok)
     with np.errstate(all="ignore"):
-        _, _, _, *terms, zc, sc, dnh, dnt = surfaces._shape_terms(
+        *terms, zc, sc, dnh, dnt = surfaces._shape_terms(
             jet.p[0], jet.p[1], jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2, w, n, nh)
     out = [*terms, *zc, *sc, *dnh, *dnt]
     singular = nh <= surfaces.SINGULAR_TOL
@@ -189,7 +245,7 @@ def test_singular_semantics_helicoid():
     for s, e in ((0.5, 0.4), (-0.5, -0.7)):
         with pytest.raises(SingularPoint):
             surface_frame(chart, (s, e))
-        assert surface_frame(chart, (s, e), singular_ok=True).q is None
+        assert math.isnan(surface_frames(chart, [s], [e], singular_ok=True).q[0])
     with pytest.raises(SingularPoint, match=r"at \(0\.5, 0\.4\)"):
         surface_frames(chart, U1, U2)
     fb = surface_frames(chart, U1, U2, singular_ok=True)
@@ -197,10 +253,11 @@ def test_singular_semantics_helicoid():
     for f in SCALAR_FIELDS[3:]:
         vals = getattr(fb, f)
         assert math.isnan(vals[1]) and math.isnan(vals[2]) and not math.isnan(vals[0])
-    for f in PAIR_FIELDS:
-        assert all(math.isnan(c[1]) and math.isnan(c[2]) for c in getattr(fb, f))
+    for f in PAIR_FIELDS + ("nu_h", "Z", "S"):
+        assert all(math.isnan(c[1]) and math.isnan(c[2]) and not math.isnan(c[0])
+                   for c in getattr(fb, f))
     assert fb.Nh_norm[1] <= 1e-9 and fb.riem_area[1] > 0.0
-    scalar = surface_frame(chart, (0.3, 0.0), singular_ok=True)
+    scalar = surface_frame(chart, (0.3, 0.0))
     assert fb.q[3] == pytest.approx(scalar.q, abs=1e-13)
 
 
@@ -352,12 +409,14 @@ def _planted(good, bads):
                 yield U1.reshape(shape), U2.reshape(shape)
 
 
-def _scalar_first_error(chart, U1, U2):
-    for u in zip(U1.tolist(), U2.tolist()):
-        try:
-            surface_frame(chart, u, singular_ok=True)
-        except NonFiniteValue as exc:
-            return type(exc), u
+def _scalar_first_error(chart, U1, U2, singular_ok):
+    """(type, message) of the scalar view's error at the first failing point
+    of (U1, U2) in row-major order, or None; with ``singular_ok`` a singular
+    point, which passed every other check, is no failure."""
+    for u in zip(U1.ravel().tolist(), U2.ravel().tolist()):
+        error = _error_of(lambda: surface_frame(chart, u))
+        if error is not None and not (singular_ok and error[0] is SingularPoint):
+            return error
     return None
 
 
@@ -369,20 +428,19 @@ def test_surface_frames_fail_at_first_point_in_row_major_order():
     u2 = -1.5 + (1000.0 + 1.5) * np.arange(4) / 3
     U1, U2 = np.repeat(u1, 4), np.tile(u2, 4)
     for V1, V2 in ((U1, U2), (np.append(U1[:3], 0.5), np.append(U2[:3], math.nan))):
-        kind, u = _scalar_first_error(chart, V1, V2)
-        assert u == (0.0, 332.3333333333333)
+        kind, message = _scalar_first_error(chart, V1, V2, True)
+        assert (kind, message) == (NonFiniteValue,
+                                   "chart is not an immersion at (0.0, 332.3333333333333)")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(kind, match=re.escape(f"not an immersion at {u!r}")):
+            with pytest.raises(kind, match=re.escape(message)):
                 surface_frames(chart, V1, V2, singular_ok=True)
     # one bad point first, in the middle or last, on 1-D and 2-D batches, and
     # a bad point of another kind after it: the scalar loop's first error
     for chart, good, bads in _planted_frame_cases():
         for U1, U2 in _planted(good, bads):
             for singular_ok in (False, True):
-                want = _error_of(lambda: [surface_frame(chart, u, singular_ok)
-                                          for u in zip(U1.ravel().tolist(),
-                                                       U2.ravel().tolist())])
+                want = _scalar_first_error(chart, U1, U2, singular_ok)
                 assert want is not None or singular_ok
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")

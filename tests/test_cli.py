@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import warnings
 
 import pytest
@@ -218,6 +219,33 @@ def test_negative_exponent_values_parse_as_in_the_equals_form(tmp_path, command,
     assert run(command + [option, value, "--out", str(spaced)]) == 0
     assert run(command + [f"{option}={value}", "--out", str(joined)]) == 0
     assert spaced.read_bytes() == joined.read_bytes()
+
+
+# The argv of three former workflow steps, each with the exit code the
+# step required, under warnings as errors (as `python -W error -m
+# h1geom.cli ARGV`).  The certify loop spells each lam as the step did.
+CATENOID_SCALES = ["-1e-3", "1e-2", "-0.1", "1", "-10", "100", "-1000", "1e-9", "1e30", "1e-150",
+                   "-1e-150", "1e150", "1.3e154", "-1.3e154", "3e-162", "-3e-162"]
+CLI_STEPS = [
+    # a --tol NAME that matches no check is a usage error: exit exactly 2
+    ("Unknown tolerance name", ["verify", "--suite", "core", "--tol", "no_such_check=1"], 2),
+    # the certificate is the unit one (lam = 1) scaled by |lam|, so every lam
+    # with 0 < lam^2 < inf exits 0, the chart's edges included
+    *(("Catenoid certificates across scales", ["certify", "catenoid", f"--lam={lam}"], 0)
+      for lam in CATENOID_SCALES),
+    # a negative number in exponent notation is a value, not a flag: exit 0
+    ("Negative values in the space form", ["certify", "catenoid", "--lam", "-1e-3"], 0),
+    ("Negative values in the space form",
+     ["export", "geodesic", "--y0", "-2.9066624484652692e-05", "--out", os.devnull], 0),
+]
+
+
+@pytest.mark.parametrize("step, argv, code", CLI_STEPS,
+                         ids=[" ".join(argv) for _, argv, _ in CLI_STEPS])
+def test_cli_step_exit_code(step, argv, code, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code, step
 
 
 def test_negative_word_is_still_a_flag():

@@ -49,13 +49,19 @@ def _nh_field(chart):
     return lambda uu: surface_frames(chart, *uu).Nh_norm
 
 
+def _frame_at(chart, u):
+    """The frame at the one chart point ``u``, singular or not: a batch of
+    one point, whose entries are read at index 0."""
+    return surface_frames(chart, [u[0]], [u[1]], singular_ok=True)
+
+
 def _scalar_regular_points(chart, n, seed, ranges, min_nh):
     """The one-by-one loop that ``verify._random_regular_points`` replaced."""
     rng = random.Random(seed)
     pts = []
     while len(pts) < n:
         u = (rng.uniform(*ranges[0]), rng.uniform(*ranges[1]))
-        if surface_frame(chart, u, singular_ok=True).Nh_norm > min_nh:
+        if _frame_at(chart, u).Nh_norm[0] > min_nh:
             pts.append(u)
     return pts
 
@@ -198,8 +204,8 @@ def _scalar_singular_locus(chart, grid):
     ys = [a2 + (b2 - a2) * j / n2 for j in range(n2 + 1)]
 
     def nh_vec(u1, u2):
-        fr = surface_frame(chart, (u1, u2), singular_ok=True)
-        return (fr.N.a, fr.N.b, fr.Nh_norm)
+        fr = _frame_at(chart, (u1, u2))
+        return (fr.N[0][0], fr.N[1][0], fr.Nh_norm[0])
 
     vals = [[nh_vec(x, y) for y in ys] for x in xs]
     cells = []
@@ -211,8 +217,8 @@ def _scalar_singular_locus(chart, grid):
 
     def refine(pa, pb, ref):
         def signed(u):
-            fr = surface_frame(chart, u, singular_ok=True)
-            return fr.N.a * ref[0] + fr.N.b * ref[1]
+            fr = _frame_at(chart, u)
+            return fr.N[0][0] * ref[0] + fr.N[1][0] * ref[1]
         lo, hi = pa, pb
         flo = signed(lo)
         for _ in range(80):

@@ -65,8 +65,9 @@ GREP_GUARDS = [
     Guard("One seed closed form", ("ruling_coefficients *[=:]", "_ruling_coefficients"),
           "(th', b, c0) come from SeedRuledChart.ruling_coefficients; set uniform_rulings",
           planted=("    ruling_coefficients = (1.0, 0.0, 1.0)", "def _ruling_coefficients(a):")),
-    # every batched frame is a surfaces.SurfaceFrames, which computes its
-    # shape terms on first read: no second eager frame path
+    # every frame, of one point or many, is a surfaces.SurfaceFrames, which
+    # computes its shape terms on first read: no second eager frame path
+    # (test_one_frame_package pins the callers inside surfaces.py)
     Guard("One frame package", ("_shape_terms(", "SurfaceFrames("),
           "only surfaces.py may build a SurfaceFrames or call _shape_terms", ("surfaces.py",),
           planted=("terms = _shape_terms(*head)", "fr = SurfaceFrames(*head)")),
@@ -150,18 +151,34 @@ def _calls_outside(func_name: str, allowed: set, with_file: bool = False) -> lis
 def test_one_ruled_jet():
     # RuledChart is the seed chart of its S-curve, so every ruled jet is
     # SeedRuledChart._jet_parts, and every chart builds its jet as plain
-    # tuples (Chart._jet_floats): only the public Chart.jet builds a ChartJet
+    # tuples (Chart._jet_floats) or arrays (Chart.jets): only the public
+    # Chart.jet and Chart.jets, and surface_frame from the float head, build
+    # a ChartJets, and nothing builds a ChartJet
     lines = (SRC / "surfaces.py").read_text(encoding="utf-8").splitlines()
     assert any(line.startswith("class RuledChart(SeedRuledChart):") for line in lines), \
         "RuledChart must be a SeedRuledChart"
-    bad = _calls_outside("ChartJet", {"Chart.jet"})
-    assert not bad, "only Chart.jet may build a ChartJet: " + ", ".join(bad)
+    bad = (_calls_outside("ChartJet", set())
+           + _calls_outside("ChartJets", {"Chart.jet", "Chart.jets", "surface_frame"}))
+    assert not bad, ("only Chart.jet, Chart.jets and surface_frame may build a jet: "
+                     + ", ".join(bad))
+
+
+def test_one_frame_package():
+    # the shape terms are computed in one place, SurfaceFrames._shape, on
+    # first read; a SurfaceFrames is built by the two views alone
+    bad = _calls_outside("_shape_terms", {"SurfaceFrames._shape"})
+    assert not bad, "only SurfaceFrames._shape may call _shape_terms: " + ", ".join(bad)
+    bad = _calls_outside("SurfaceFrames", {"surface_frame", "surface_frames"})
+    assert not bad, ("only surface_frame and surface_frames may build a SurfaceFrames: "
+                     + ", ".join(bad))
 
 
 def test_one_chart_protocol():
     # a chart writes _jet_parts, and Chart alone turns it into jet,
     # _jet_floats and jets, whether by def or by a class-level assignment;
-    # surfaces.py builds no SurfaceFrame and geodesics.py no GeodesicArc
+    # surfaces.py calls no surface_frame (the scalar view is built on the
+    # frame head, and nothing in surfaces.py is built on the scalar view)
+    # and geodesics.py builds no GeodesicArc
     calls = {"surfaces.py": "surface_frame", "geodesics.py": "GeodesicArc"}
     owners = {"jet": ("Chart",), "_jet_floats": ("Chart",), "jets": ("Chart",)}
     bad = []

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from h1geom import cli
-from h1geom.surfaces import catalog_surface, surface_frame
+from h1geom.errors import SingularPoint
+from h1geom.surfaces import catalog_surface, surface_frame, surface_frames
 
 GRID_CASES = {
     "helicoid": ["--surface", "helicoid", "--R", "2"],
@@ -29,7 +30,9 @@ def _export(argv, path):
 
 
 def _scalar_grid_rows(name, n):
-    """The rows of a grid, one scalar ``surface_frame`` per point."""
+    """The rows of a grid, one scalar ``surface_frame`` per point; at a
+    singular point, where it raises, a batch of that one point, whose
+    characteristic entries are NaN."""
     opts = dict(zip(GRID_CASES[name][2::2], GRID_CASES[name][3::2]))
     chart = catalog_surface(name, **{k[2:]: float(v) for k, v in opts.items()})
     (a1, b1), (a2, b2) = chart.domain
@@ -38,11 +41,13 @@ def _scalar_grid_rows(name, n):
         u1 = a1 + (b1 - a1) * i / n
         for j in range(n + 1):
             u2 = a2 + (b2 - a2) * j / n
-            fr = surface_frame(chart, (u1, u2), singular_ok=True)
-            p = fr.N.base
-            char = (fr.BZS, fr.H, fr.q) if fr.regular else (math.nan,) * 3
-            rows.append((u1, u2, p.x, p.y, p.t, fr.Nh_norm, fr.NT, *char,
-                         fr.Nh_norm * fr.riem_area))
+            try:
+                fr = surface_frame(chart, (u1, u2))
+            except SingularPoint:
+                fr = surface_frames(chart, [u1], [u2], singular_ok=True)
+            x, y, t, nh, nt, bzs, h, q, w = (float(np.ravel(v)[0]) for v in (
+                *fr.points, fr.Nh_norm, fr.NT, fr.BZS, fr.H, fr.q, fr.riem_area))
+            rows.append((u1, u2, x, y, t, nh, nt, bzs, h, q, nh * w))
     return rows
 
 

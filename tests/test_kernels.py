@@ -138,9 +138,8 @@ def _parity_xs():
 
 
 def test_helpers_fgh_parity_bitwise():
-    # f is even and g, h are odd bit for bit, which the +-s pairs of
-    # exp_euclidean rely on: on floats, and on arrays that are all on the
-    # series branch, all on the closed one or mixed
+    # f is even and g, h are odd bit for bit: on floats, and on arrays that
+    # are all on the series branch, all on the closed one or mixed
     xs = _parity_xs()
     for x in xs + [-0.0]:
         f, g, h = helpers_fgh(x)
@@ -153,8 +152,8 @@ def test_helpers_fgh_parity_bitwise():
 
 
 def test_exp_euclidean_ladder_is_its_parameters_one_by_one():
-    # the +-s pairs share f, g, h; every endpoint has the bits of a flow
-    # to its one parameter, on a batch mixing both branches
+    # every endpoint of a ladder, +-s pairs included, has the bits of a
+    # flow to its one parameter, on a batch mixing both branches
     rng = np.random.default_rng(3)
     p = tuple(rng.uniform(-2, 2, 40) for _ in range(3))
     v = tuple(rng.uniform(-1.5, 1.5, 40) for _ in range(3))

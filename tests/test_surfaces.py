@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from h1geom.core import Point, dot
+from h1geom.core import Point
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
                              HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart,
                              area, area_element, area_elements, catalog_surface,
                              characteristic_ray, dilated, rotated, ruled_coordinates,
-                             singular_locus, surface_frame, translated)
+                             singular_locus, surface_frame, surface_frames, translated)
 
 QUAD = QuadratureSpec(16, (8, 8))
 
@@ -54,7 +54,7 @@ def test_helicoid_normal_orientation_locked():
     fr = surface_frame(chart, (s, e))
     f, w, _, _ = helicoid_reference(R, s)
     want = (f * math.cos(R * e) / w, -f * math.sin(R * e) / w, -R * s / w)
-    assert max(abs(a - b) for a, b in zip(fr.N.coeffs(), want)) <= 1e-14
+    assert max(abs(a - b) for a, b in zip(fr.N, want)) <= 1e-14
 
 
 def test_catenoid_chart():
@@ -100,8 +100,8 @@ def test_paraboloid_frame():
         surface_frame(chart, (0.0, 0.7))
     fr = surface_frame(chart, (0.5, -0.3))
     assert abs(fr.H) <= 1e-12
-    fr0 = surface_frame(chart, (0.0, 0.4), singular_ok=True)
-    assert fr0.Nh_norm <= 1e-15 and not fr0.regular
+    fr0 = surface_frames(chart, [0.0], [0.4], singular_ok=True)
+    assert fr0.Nh_norm[0] <= 1e-15 and not fr0.regular[0] and math.isnan(fr0.H[0])
 
 
 def test_plane_chart_minimal():
@@ -269,19 +269,24 @@ def test_degenerate_chart_rejected():
         surface_frame(Bad(), (0.0, 0.0))
 
 
+def _dot(u, v):
+    # the metric on frame coefficients: the frame X, Y, T is orthonormal
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def test_frame_relations_invariants():
     for chart, u in ((CatenoidChart(1.0), (1.1, 0.6)),
                      (HelicoidChart(1.0), (0.4, -0.7)),
                      (ParaboloidChart(), (0.8, 0.5))):
         fr = surface_frame(chart, u)
         assert abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0) <= 1e-12
-        assert abs(fr.N.norm() - 1.0) <= 1e-12
-        assert abs(dot(fr.Z, fr.S)) <= 1e-12
-        assert abs(fr.Z.norm() - 1.0) <= 1e-12
-        assert abs(fr.S.norm() - 1.0) <= 1e-12
-        assert fr.Z.c == 0.0
+        assert abs(math.sqrt(_dot(fr.N, fr.N)) - 1.0) <= 1e-12
+        assert abs(_dot(fr.Z, fr.S)) <= 1e-12
+        assert abs(math.sqrt(_dot(fr.Z, fr.Z)) - 1.0) <= 1e-12
+        assert abs(math.sqrt(_dot(fr.S, fr.S)) - 1.0) <= 1e-12
+        assert fr.Z[2] == 0.0
         # Z, S tangent: orthogonal to N
-        assert abs(dot(fr.Z, fr.N)) <= 1e-12
-        assert abs(dot(fr.S, fr.N)) <= 1e-12
+        assert abs(_dot(fr.Z, fr.N)) <= 1e-12
+        assert abs(_dot(fr.S, fr.N)) <= 1e-12
         assert abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ) <= 1e-12
         assert abs(fr.HR - 0.5 * (fr.BZZ + fr.BSS)) <= 1e-12
