@@ -563,15 +563,24 @@ LOCUS_TOL = 1e-6
 
 
 def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
-    """Grid cells meeting {|N_h| < LOCUS_TOL} plus refined crossings on grid
-    lines.
+    """Grid cells meeting {|N_h| < LOCUS_TOL} plus the crossings on grid
+    lines, over the bounded domain of the chart.
 
-    The horizontal normal flips direction across a singular curve, so the
-    crossing on an edge is located by bisecting the sign of
-    <N_h(.), N_h(edge start)>; |N_h| itself touches zero without changing
-    sign and cannot be bisected directly.  The grid is framed in one
-    ``_frame_heads`` call, and every crossing edge is bisected at once.
+    The horizontal normal flips direction across a singular curve, so an
+    edge whose end normals N_h point apart is flagged; the grid is framed
+    in one ``_frame_heads`` call.  On a ``SeedRuledChart`` the crossing on
+    a flagged edge along s is the root of C in it (``ruling_roots``), exact;
+    with ``uniform_rulings`` an edge along a holds none, as C does not
+    depend on a.  Every other flagged edge is bisected
+    (``_bisect_crossings``) and its point kept only where |N_h| <
+    LOCUS_TOL: N_h also turns by more than a right angle between nodes off
+    the locus.  Raises ``ValueError`` unless the grid entries are positive
+    ints and the domain is bounded.
     """
+    if not all(isinstance(n, int) and n > 0 for n in grid):
+        raise ValueError(f"grid entries must be positive ints, not {grid!r}")
+    if not all(map(math.isfinite, itertools.chain(*chart.domain))):
+        raise ValueError(f"singular_locus needs a bounded domain, not {chart.domain!r}")
     (a1, b1), (a2, b2) = chart.domain
     n1, n2 = grid
     xs = [a1 + (b1 - a1) * i / n1 for i in range(n1 + 1)]
@@ -584,6 +593,7 @@ def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
 
     # the points in grid order: a node on the locus, else the crossings on
     # the edges to its right and upper neighbours, in that order
+    uniform = isinstance(chart, SeedRuledChart) and chart.uniform_rulings
     points, edges = [], []
     low, na, nb = low.tolist(), na.tolist(), nb.tolist()
     for i in range(n1 + 1):
@@ -591,15 +601,35 @@ def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
             if low[i][j]:
                 points.append((xs[i], ys[j]))
                 continue
-            for i2, j2 in ((i + 1, j), (i, j + 1)):
-                if (i2 <= n1 and j2 <= n2
+            for along_a, (i2, j2) in enumerate(((i + 1, j), (i, j + 1))):
+                if (i2 <= n1 and j2 <= n2 and not (along_a and uniform)
                         and na[i][j] * na[i2][j2] + nb[i][j] * nb[i2][j2] < 0.0):
                     points.append(len(edges))
-                    edges.append((xs[i], ys[j], xs[i2], ys[j2], na[i][j], nb[i][j]))
+                    edges.append((xs[i], ys[j], xs[i2], ys[j2], na[i][j], nb[i][j], along_a))
     if edges:
-        crossings = _bisect_crossings(chart, *np.array(edges).T)
+        crossings = _crossings(chart, *np.array(edges).T)
         points = [crossings[p] if isinstance(p, int) else p for p in points]
-    return SingularLocus(sorted(cells), points)
+    return SingularLocus(sorted(cells), [p for p in points if p is not None])
+
+
+def _crossings(chart: Chart, lo1, lo2, hi1, hi2, ref1, ref2, along_a) -> list:
+    """The singular point on each flagged edge of ``singular_locus``, or
+    None: on a seed chart's edge along s the root of C in it (at a = 0 on
+    a uniform seed, as ``RulingFrame`` reads C), elsewhere the bisected
+    point where |N_h| < LOCUS_TOL, framed once."""
+    exact = (along_a == 0.0) & isinstance(chart, SeedRuledChart)
+    roots = bisected = iter(())
+    if exact.any():
+        lo, hi, a = lo1[exact], hi1[exact], lo2[exact]
+        r1, r2 = chart.ruling_roots(np.zeros_like(a) if chart.uniform_rulings else a)
+        s = np.where((r1 - lo) * (r1 - hi) <= 0.0, r1, r2)  # a NaN or inf root is in no edge
+        roots = iter([u if ok else None for u, ok in zip(zip(s.tolist(), a.tolist()),
+                                                         ((s - lo) * (s - hi) <= 0.0).tolist())])
+    if not exact.all():
+        us = _bisect_crossings(chart, *(c[~exact] for c in (lo1, lo2, hi1, hi2, ref1, ref2)))
+        nh = _frame_heads(chart, *np.array(us).T, True)[5]
+        bisected = iter([u if ok else None for u, ok in zip(us, (nh < LOCUS_TOL).tolist())])
+    return [next(roots if e else bisected) for e in exact.tolist()]
 
 
 def _bisect_crossings(chart: Chart, lo1, lo2, hi1, hi2, ref1, ref2
@@ -662,6 +692,16 @@ class SeedRuledChart(Chart):
     def ruling_coefficients(self, a, m):
         (gx, gy, _), (gx1, gy1, gt1), _, (co, si), (co1, si1), _ = self._seed(a, m)
         return co * si1 - si * co1, gy1 * co - gx1 * si, gt1 - gy * gx1 + gx * gy1
+
+    def ruling_roots(self, a):
+        """The roots of C on the rulings at the array ``a``, as two arrays:
+        q / th' and c0 / q with q = -(b + sign(b) sqrt(b^2 - th' c0)), the
+        quadratic formula without cancellation; NaN where C has no real
+        root and +-inf or NaN where th' = 0 leaves one root or none."""
+        tp, b, c0 = (np.broadcast_to(c, a.shape) for c in self.ruling_coefficients(a, np))
+        with np.errstate(all="ignore"):
+            q = -(b + np.copysign(np.sqrt(b * b - tp * c0), b))
+            return q / tp, c0 / q
 
     def _jet_parts(self, s, a, m):
         (gx, gy, gt), (gx1, gy1, gt1), (gx2, gy2, gt2), (co, si), (co1, si1), (co2, si2) = \

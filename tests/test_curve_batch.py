@@ -16,8 +16,9 @@ from h1geom.numerics import DiffSpec, FirstFailures, central_diffs
 from h1geom.stability import (Z_DIFF, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
                               l_nh_closed, l_nh_of_frame, operator_L, tangent_derivative)
 from h1geom.surfaces import (LOCUS_TOL, CatenoidChart, GraphChart, HelicoidChart,
-                             ParaboloidChart, SingularLocus, curve_samples, singular_locus,
-                             surface_frame, surface_frames)
+                             ParaboloidChart, SingularLocus, VerticalPlaneChart, curve_samples,
+                             rotated, ruled_coordinates, singular_locus, surface_frame,
+                             surface_frames)
 
 CAT = CatenoidChart(1.0)
 HEL = HelicoidChart(2.0)
@@ -197,7 +198,9 @@ def test_central_diffs_nonfinite_array_sample_raises_without_warning():
 
 
 def _scalar_singular_locus(chart, grid):
-    """The point-by-point ``singular_locus`` that the batched one replaced."""
+    """The point-by-point ``singular_locus`` that the batched one replaced,
+    bisecting every flagged edge and keeping a point where |N_h| <
+    LOCUS_TOL."""
     (a1, b1), (a2, b2) = chart.domain
     n1, n2 = grid
     xs = [a1 + (b1 - a1) * i / n1 for i in range(n1 + 1)]
@@ -245,7 +248,9 @@ def _scalar_singular_locus(chart, grid):
                     continue
                 vb = vals[i2][j2]
                 if va[0] * vb[0] + va[1] * vb[1] < 0.0:
-                    points.append(refine((xs[i], ys[j]), (xs[i2], ys[j2]), (va[0], va[1])))
+                    u = refine((xs[i], ys[j]), (xs[i2], ys[j2]), (va[0], va[1]))
+                    if _frame_at(chart, u).Nh_norm[0] < LOCUS_TOL:
+                        points.append(u)
     return SingularLocus(sorted(cells), points)
 
 
@@ -253,13 +258,14 @@ def _locus_cases():
     # t = xy + y^3/5 as a user graph (stacked scalar jets): N_h is along
     # (phi_x - y, phi_y + x) = (0, 2x + 3y^2/5), singular on x = -3y^2/10;
     # its grid edges differ in length by 20/3, so they stop at different
-    # halvings
+    # halvings.  On the coarse catenoid and the rotated helicoid N_h turns by
+    # more than a right angle along theta or eps edges off the locus: those
+    # bisected points are dropped
     graph = GraphChart(lambda x, y: x * y + 0.2 * y ** 3, lambda x, y: y,
                        lambda x, y: x + 0.6 * y * y, lambda x, y: 0.0, lambda x, y: 1.0,
                        lambda x, y: 1.2 * y, domain=((-1.0, 1.0), (-0.9, 1.1)))
-    return {"helicoid": (HEL, (10, 6)), "catenoid": (CAT, (8, 8)),
-            "paraboloid": (ParaboloidChart(domain=((-1.0, 1.0), (-1.0, 1.0))), (9, 9)),
-            "graph": (graph, (3, 20))}
+    return {"catenoid": (CAT, (8, 8)), "coarse_catenoid": (CAT, (3, 8)),
+            "graph": (graph, (3, 20)), "rotated_helicoid": (rotated(HEL, 0.3), (10, 3))}
 
 
 @pytest.mark.parametrize("name", list(_locus_cases()))
@@ -270,7 +276,49 @@ def test_singular_locus_is_the_scalar_search(name):
     assert got.cells == want.cells
     assert [(_hex(a), _hex(b)) for a, b in got.points] == \
         [(_hex(a), _hex(b)) for a, b in want.points]
-    assert bool(got.points) == (name != "catenoid")
+    assert bool(got.points) == (name not in ("catenoid", "coarse_catenoid"))
+
+
+def _grid_nodes(chart, n):
+    (lo, hi) = chart.domain[1]
+    return [lo + (hi - lo) * j / n for j in range(n + 1)]
+
+
+def test_singular_locus_on_the_helicoid_is_the_roots_of_c():
+    # the helices s = -+1/R on every eps node, in grid order, and no point
+    # on an eps edge; the cells are the scalar search's
+    for R in (0.5, 1.0, 2.0, 4.0, 3.0):
+        chart = HelicoidChart(R)
+        for grid in ((10, 6), (10, 3)):
+            got = singular_locus(chart, grid)
+            assert got.cells == _scalar_singular_locus(chart, grid).cells
+            eps = _grid_nodes(chart, grid[1])
+            assert [a for _, a in got.points] == eps + eps
+            assert [s < 0.0 for s, _ in got.points] == [True] * len(eps) + [False] * len(eps)
+            # exact where 1/R is a power of two; 1/3 to 2 ulp
+            ulps = [abs(abs(s) - 1.0 / R) / math.ulp(1.0 / R) for s, _ in got.points]
+            assert max(ulps) <= (2.0 if R == 3.0 else 0.0)
+
+
+def test_singular_locus_on_the_paraboloid_and_the_plane_is_the_roots_of_c():
+    par = ParaboloidChart()
+    got = singular_locus(par, (9, 9))
+    assert got.cells == _scalar_singular_locus(par, (9, 9)).cells
+    assert got.points == [(0.0, y) for y in _grid_nodes(par, 9)]
+    assert singular_locus(VerticalPlaneChart(), (9, 9)) == SingularLocus([], [])
+
+
+def test_singular_locus_on_a_ruled_chart_roots_c_per_ruling():
+    # a RuledChart is a seed whose C depends on a: each s edge takes the
+    # root of its own ruling, and the eps edges are bisected and filtered
+    rc = ruled_coordinates(HEL, (0.2, 0.1), 0.6, (-1.2, 1.2))
+    got = singular_locus(rc, (8, 4))
+    want = _scalar_singular_locus(rc, (8, 4))
+    assert got.cells == want.cells
+    assert [a for _, a in got.points] == [a for _, a in want.points]
+    assert max(abs(s - w) for (s, _), (w, _) in zip(got.points, want.points)) <= 1e-12
+    nh = surface_frames(rc, *np.array(got.points).T, singular_ok=True).Nh_norm
+    assert float(nh.max()) <= 1e-12
 
 
 # Scalar frames and scalar RK4 velocity stages of one run of the surfaces
@@ -305,7 +353,7 @@ RESIDUALS = {
     "check_discriminant": "0x1.0000000000000p-49",
     "check_lnh_sign_catenoid": "0x0.0p+0",
     "check_lnh_sign_helicoid": "0x1.0000000000000p-44",
-    "check_singular_locus": "0x1.c71c71c71c720p-49",
+    "check_singular_locus": "0x0.0p+0",
 }
 
 

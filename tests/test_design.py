@@ -65,6 +65,13 @@ GREP_GUARDS = [
     Guard("One seed closed form", ("ruling_coefficients *[=:]", "_ruling_coefficients"),
           "(th', b, c0) come from SeedRuledChart.ruling_coefficients; set uniform_rulings",
           planted=("    ruling_coefficients = (1.0, 0.0, 1.0)", "def _ruling_coefficients(a):")),
+    # the singular points of a seed chart are the roots of C(s) = th' s^2 +
+    # 2 b s + c0 of its rulings, from SeedRuledChart.ruling_roots, the
+    # quadratic formula without cancellation
+    Guard("One ruling root", ("copysign(.*sqrt(", r"sqrt(b \* b - "),
+          "only surfaces.py may compute the roots of C: call SeedRuledChart.ruling_roots",
+          ("surfaces.py",), planted=("q = -(b + math.copysign(math.sqrt(disc), b))",
+                                     "s = (-b + np.sqrt(b * b - tp * c0)) / tp")),
     # every frame, of one point or many, is a surfaces.SurfaceFrames, which
     # computes its shape terms on first read: no second eager frame path
     # (test_one_frame_package pins the callers inside surfaces.py)

@@ -228,6 +228,29 @@ def test_singular_locus():
     assert max(abs(p[0]) for p in par.points) <= 1e-8
 
 
+def test_singular_locus_reports_no_point_off_the_locus():
+    # N_h turns by more than a right angle between these grid nodes, along
+    # theta on the catenoid and along eps on the helicoids, off the locus
+    cat = singular_locus(CatenoidChart(1.0), (3, 8))
+    assert cat.cells == [] and cat.points == []
+    for chart in (HelicoidChart(2.0), rotated(HelicoidChart(2.0), 0.3)):
+        loc = singular_locus(chart, (10, 3))
+        assert len(loc.points) == 8
+        assert max(abs(abs(p[0]) - 0.5) for p in loc.points) <= 1e-12
+
+
+@pytest.mark.parametrize("chart, grid, message", [
+    (HelicoidChart(2.0), (0, 5), r"grid entries must be positive ints, not \(0, 5\)$"),
+    (HelicoidChart(2.0), (-2, 3), r"grid entries must be positive ints, not \(-2, 3\)$"),
+    (HelicoidChart(2.0), (4.0, 3), r"grid entries must be positive ints, not \(4\.0, 3\)$"),
+    (CatenoidRulingChart(1.0), (4, 4), r"singular_locus needs a bounded domain, not "
+                                       r"\(\(-inf, inf\), \(-3\.14159"),
+], ids=["zero", "negative", "float", "unbounded"])
+def test_singular_locus_refuses_a_bad_grid_or_an_unbounded_domain(chart, grid, message):
+    with pytest.raises(ValueError, match=message):
+        singular_locus(chart, grid)
+
+
 def test_ruled_coordinates():
     vp = VerticalPlaneChart(domain=((-4, 4), (-4, 4)))
     rv = ruled_coordinates(vp, (0.3, -0.2), 0.8, (-1.5, 1.5))
