@@ -66,16 +66,38 @@ def _is_count(n) -> bool:
         return False
 
 
-def kahan_sum(values: Sequence[float]) -> float:
+def kahan_sum(values: Sequence[float] | np.ndarray) -> float:
     """The exactly rounded sum of ``values`` (``math.fsum``): the float
     nearest the exact sum, whatever the order of the terms.
 
     The name predates the exact sum; every quadrature sum of the library
-    goes through this one function.  Where ``math.fsum`` raises (infinite
-    terms of both signs, or a partial sum past the float range), this
-    returns the plain left-to-right sum instead, an inf or nan for the
-    callers' non-finite checks rather than an exception.
+    goes through this one function.  A 1-D float array of n < 2^26 finite
+    terms, each below 2^(1023 - n.bit_length()) in size, is summed in
+    numpy (Neal's superaccumulator by binary exponent): ``np.frexp`` makes
+    each term an integer mantissa below 2^53 times a power of two, the
+    halves of 27 and 26 bits are summed per exponent by ``np.bincount``
+    (exact: each bin stays below 2^53), and one Python-int combination and
+    int/int division round the exact sum once.  The correctly rounded sum
+    is unique, so this is ``math.fsum`` bit for bit.  An exact zero sum,
+    whose sign ``math.fsum`` decides, and any other input take the path
+    below.  Where ``math.fsum`` raises (infinite terms of both signs, or a
+    partial sum past the float range), this returns the plain
+    left-to-right sum instead, an inf or nan for the callers' non-finite
+    checks rather than an exception.
     """
+    if isinstance(values, np.ndarray):
+        n = len(values)
+        if 0 < n < 2**26 and np.max(np.abs(values)) < 2.0 ** (1023 - n.bit_length()):
+            m, e = np.frexp(values)
+            t = m * 2.0**27  # the integer mantissa m 2^53, over 2^26
+            hi, e0 = np.floor(t), int(e.min())
+            his, los = np.bincount(e - e0, hi), np.bincount(e - e0, t - hi) * 2.0**26
+            nz = np.flatnonzero((his != 0) | (los != 0))
+            total = sum(((int(h) << 26) + int(lo)) << k
+                        for k, h, lo in zip(nz.tolist(), his[nz].tolist(), los[nz].tolist()))
+            if total:
+                return float(total << (e0 - 53)) if e0 >= 53 else total / (1 << (53 - e0))
+        values = values.tolist()
     try:
         return math.fsum(values)
     except (OverflowError, ValueError):
@@ -195,7 +217,7 @@ def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.asarray(f(x.ravel()), dtype=float)
     [wv] = _checked_terms((v,), w.ravel(), n_points, "gauss_legendre_1d")
-    return kahan_sum(wv.tolist())
+    return kahan_sum(wv)
 
 
 def _composite_1d(f: Callable[[float], float], a: float, b: float,
@@ -294,8 +316,8 @@ def integrate_cells(f: Callable[[np.ndarray, np.ndarray], Samples], rect: Rect,
         if sums is None:
             sums = [[] for _ in vs]
         for terms, wv in zip(sums, wvs):
-            terms.extend(wv.tolist())
-    total = tuple(kahan_sum(terms) for terms in sums)
+            terms.append(wv)
+    total = tuple(kahan_sum(np.concatenate(terms)) for terms in sums)
     return total if isinstance(v, tuple) else total[0]
 
 

@@ -592,7 +592,8 @@ def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
     cells = [(i, j) for i, j in np.argwhere(corner).tolist()]
 
     # the points in grid order: a node on the locus, else the crossings on
-    # the edges to its right and upper neighbours, in that order
+    # the edges to its right and upper neighbours, in that order; an edge
+    # to a node on the locus has none, as that node is its point
     uniform = isinstance(chart, SeedRuledChart) and chart.uniform_rulings
     points, edges = [], []
     low, na, nb = low.tolist(), na.tolist(), nb.tolist()
@@ -602,7 +603,7 @@ def singular_locus(chart: Chart, grid: tuple[int, int]) -> SingularLocus:
                 points.append((xs[i], ys[j]))
                 continue
             for along_a, (i2, j2) in enumerate(((i + 1, j), (i, j + 1))):
-                if (i2 <= n1 and j2 <= n2 and not (along_a and uniform)
+                if (i2 <= n1 and j2 <= n2 and not (along_a and uniform) and not low[i2][j2]
                         and na[i][j] * na[i2][j2] + nb[i][j] * nb[i2][j2] < 0.0):
                     points.append(len(edges))
                     edges.append((xs[i], ys[j], xs[i2], ys[j2], na[i][j], nb[i][j], along_a))

@@ -27,8 +27,8 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
                    jop, left_translation_jacobian, lie_bracket, ricci,
                    rotate_z)
 from .geodesics import (EPS_STEP, GeodesicArc, covariant_derivative_along, exp_geodesic,
-                        helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual,
-                        straight_line_residual)
+                        exp_geodesics, helpers_fgh, jacobi_field, jacobi_fields,
+                        jacobi_residual, straight_line_residual)
 from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
                        gauss_legendre_1d, integrate_cells)
 from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
@@ -99,6 +99,11 @@ def _nmax(*vals: float) -> float:
     return _worst(*map(abs, vals))
 
 
+def _worst_entry(*arrays: np.ndarray) -> float:
+    """``_worst`` of the largest entry of each array: ``np.max`` keeps a NaN."""
+    return _worst(*(float(np.max(a)) for a in arrays))
+
+
 _GRID = {
     "catenoid": [(th, ph) for th in (0.3, 1.4, 2.6, 3.9, 5.1)
                  for ph in (-1.3, -0.6, -0.1, 0.0, 0.4, 0.9, 1.4)],
@@ -107,6 +112,11 @@ _GRID = {
     "paraboloid": [(x, y) for x in (0.3, 0.75, 1.3) for y in (-0.9, -0.2, 0.6, 1.2)],
     "plane": [(x, y) for x in (-0.8, 0.1, 0.9) for y in (-0.7, 0.4)],
 }
+
+
+def _grid_frames(chart: Chart, name: str):
+    """The frames of ``chart`` at the points of ``_GRID[name]``, in one pass."""
+    return surface_frames(chart, *np.array(_GRID[name]).T)
 
 
 def _random_regular_points(chart: Chart, n: int, seed: int,
@@ -421,16 +431,13 @@ def _random_arcs(n: int, seed: int) -> list[GeodesicArc]:
 @check("geodesics", ("lambda_conserved", "<gamma',T> constant on [-10,10]", 1e-10),
                     ("speed_conserved", "|gamma'| constant on [-10,10]", 1e-10))
 def check_conserved():
-    worst_lam = 0.0
-    worst_speed = 0.0
-    svals = [-10.0 + 20.0 * i / 40 for i in range(41)]
+    lam, speed = [], []
+    svals = np.array([-10.0 + 20.0 * i / 40 for i in range(41)])
     for arc in _random_arcs(12, 41):
-        speed0 = arc.v0.norm()
-        for s in svals:
-            _, vel = exp_geodesic(arc, s)
-            worst_lam = _worst(worst_lam, abs(vel.c - arc.lam))
-            worst_speed = _worst(worst_speed, abs(vel.norm() - speed0))
-    return worst_lam, worst_speed
+        _, (a, b, c) = exp_geodesics(arc, svals)
+        lam.append(abs(c - arc.lam))
+        speed.append(abs(np.sqrt(a * a + b * b + c * c) - arc.v0.norm()))
+    return _worst_entry(*lam), _worst_entry(*speed)
 
 
 @check("geodesics", ("geodesic_semigroup", "flow restarted at gamma(s1) matches", 1e-9))
@@ -536,21 +543,22 @@ def _vectors(fr, *names: str) -> list[FrameVector]:
 
 @check("surfaces", ("frame_relations", "|N_h|^2+<N,T>^2=1; projections of nu_h, T", 1e-10))
 def check_frame_relations():
-    worst = 0.0
+    # frame coefficients as (3, n) arrays, with FrameVector's dot and norm
+    dot3 = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    norm = lambda v: np.sqrt(dot3(v, v))
+    tvec = np.array([[0.0], [0.0], [1.0]])
+    worst = []
     for name, chart in _catalog().items():
-        for u in _GRID[name]:
-            fr = surface_frame(chart, u)
-            N, nu, Z, S = _vectors(fr, "N", "nu_h", "Z", "S")
-            worst = _worst(worst, abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0))
-            # tangential projections onto {Z, S}
-            nu_t = Z.scaled(dot(nu, Z)) + S.scaled(dot(nu, S))
-            worst = _worst(worst, (nu_t - S.scaled(fr.NT)).norm())
-            tvec = FrameVector(0, 0, 1, N.base)
-            t_t = Z.scaled(dot(tvec, Z)) + S.scaled(dot(tvec, S))
-            worst = _worst(worst, (t_t + S.scaled(fr.Nh_norm)).norm())
-            worst = _worst(worst, abs(N.norm() - 1.0), abs(dot(Z, S)))
-            worst = _worst(worst, abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ))
-    return worst
+        fr = _grid_frames(chart, name)
+        N, nu, Z, S = (np.array(np.broadcast_arrays(*getattr(fr, f)))
+                       for f in ("N", "nu_h", "Z", "S"))
+        # tangential projections onto {Z, S}
+        nu_t = Z * dot3(nu, Z) + S * dot3(nu, S)
+        t_t = Z * dot3(tvec, Z) + S * dot3(tvec, S)
+        worst += [abs(fr.Nh_norm ** 2 + fr.NT ** 2 - 1.0), norm(nu_t - S * fr.NT),
+                  norm(t_t + S * fr.Nh_norm), abs(norm(N) - 1.0), abs(dot3(Z, S)),
+                  abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ)]
+    return _worst_entry(*worst)
 
 
 def _frames_along_ray(chart: Chart, u0, h: float):
@@ -611,23 +619,21 @@ def check_zbzs():
 
 @check("surfaces", ("helicoid_frame_closed_forms", "|N_h|, <N,T>, <B(Z),S> closed forms", 1e-8))
 def check_helicoid_closed_forms():
-    worst_frame = 0.0
+    worst, s = [], np.array(_GRID["helicoid"])[:, 0]
     for R in (1.0, 2.0):
         chart = HelicoidChart(R)
-        for s, e in _GRID["helicoid"]:
-            fr = surface_frame(chart, (s, e))
-            d = RulingFrame(chart, s)
-            worst_frame = _worst(worst_frame, abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT),
-                              abs(fr.BZS - d.BZS), abs(fr.riem_area - d.W))
-    return worst_frame
+        fr, d = _grid_frames(chart, "helicoid"), RulingFrame(chart, s)
+        worst += [abs(fr.Nh_norm - d.Nh), abs(fr.NT - d.NT), abs(fr.BZS - d.BZS),
+                  abs(fr.riem_area - d.W)]
+    return _worst_entry(*worst)
 
 
 @check("surfaces", ("catalog_minimality", "H = 0 on the minimal catalog", 1e-8))
 def check_minimality():
     # the curved charts of the catalog, and the pitch-1 helicoid on the helicoid grid
     charts = [*_catalog().items(), ("helicoid", HelicoidChart(1.0))]
-    return _worst(*(abs(surface_frame(chart, u).H)
-                    for name, chart in charts if name != "plane" for u in _GRID[name]))
+    return _worst_entry(*(abs(_grid_frames(chart, name).H)
+                          for name, chart in charts if name != "plane"))
 
 
 @check("surfaces", ("vertical_plane_frame", "<N,T>=0, <B(Z),S>=1, L(|N_h|)=0 on x=0", 1e-8))
@@ -760,11 +766,10 @@ def _regular_sample_points() -> list[tuple[Chart, tuple[np.ndarray, np.ndarray]]
 @check("stability", ("q_identically_zero_R2", "|B(Z)+S|^2 = 4|N_h|^2 at R=2", 1e-8),
                     ("q_closed_form_R1", "q = (R^2-4) f^2 / W^4 at R=1", 1e-6))
 def check_helicoid_q_closed_forms():
-    worst_q2 = _worst(*(abs(surface_frame(HelicoidChart(2.0), u).q) for u in _GRID["helicoid"]))
-    hel1 = HelicoidChart(1.0)
-    worst_q1 = _worst(*(abs(surface_frame(hel1, u).q - RulingFrame(hel1, u[0]).q)
-                        for u in _GRID["helicoid"]))
-    return worst_q2, worst_q1
+    hel1, s = HelicoidChart(1.0), np.array(_GRID["helicoid"])[:, 0]
+    q1 = _grid_frames(hel1, "helicoid").q - RulingFrame(hel1, s).q
+    return (_worst_entry(abs(_grid_frames(HelicoidChart(2.0), "helicoid").q)),
+            _worst_entry(abs(q1)))
 
 
 @check("stability", ("lnh_closed_vs_direct", "L(|N_h|) = 4(<B(Z),S>/|N_h|^2 - 1)", 1e-4))

@@ -732,14 +732,15 @@ def _block_size_cases():
 
 
 def test_integrate_cells_block_size_is_invisible(monkeypatch):
-    # one cell per call at any points_per_cell (a cell-by-cell loop), the
-    # default block, and one block per rectangle give the same bits
+    # one cell per call at any points_per_cell (a cell-by-cell loop), a
+    # quarter block, the default block, and one block per rectangle give
+    # the same bits
     def hexes(result):
         return tuple(float(v).hex() for v in np.atleast_1d(result))
 
     runs = []
-    for block in (1, numerics.CELL_BLOCK_NODES, 1 << 30):
+    for block in (1, 256, numerics.CELL_BLOCK_NODES, 1 << 30):
         monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", block)
         runs.append({name: hexes(fn()) for name, fn in _block_size_cases().items()})
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
     assert len(runs[0]) == 8

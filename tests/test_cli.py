@@ -2,7 +2,10 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -246,6 +249,49 @@ def test_cli_step_exit_code(step, argv, code, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == code, step
+
+
+# Three former workflow steps that run the CLI end to end: each argv runs as
+# ``python -W error -m h1geom.cli ARGV`` in a subprocess with PYTHONPATH=src,
+# so a warning anywhere on the way fails it, as it failed the step.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CATALOG = ["vertical_plane", "plane", "paraboloid", "helicoid", "catenoid"]
+
+
+def _cli_process(*argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "h1geom.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=False)
+
+
+def test_verify_suites_step():
+    # "Verify suites": a numpy warning on the way fails it
+    proc = _cli_process("verify", "--suite", "all")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("surface", CATALOG)
+def test_export_every_catalog_surface_step(surface):
+    # "Export every catalog surface": every --surface choice, vertical_plane
+    # included, exits 0
+    proc = _cli_process("export", "surface-grid", "--surface", surface)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_export_fields_are_their_own_17g_form_step(tmp_path):
+    # "Export fields are their own %.17g form": every field f of every catalog
+    # surface and of a geodesic satisfies format(float(f), ".17g") == f, so a
+    # repr or a shorter round-trip form fails
+    argvs = [("export", "surface-grid", "--surface", s, "--out", str(tmp_path / f"{s}.csv"))
+             for s in CATALOG]
+    argvs.append(("export", "geodesic", "--num", "2000", "--out", str(tmp_path / "geodesic.csv")))
+    for argv in argvs:
+        proc = _cli_process(*argv)
+        assert proc.returncode == 0, proc.stderr
+        rows = Path(argv[-1]).read_text(encoding="utf-8").splitlines()[1:]
+        bad = [f for row in rows for f in row.split(",") if format(float(f), ".17g") != f]
+        assert rows and not bad, f"{argv[-1]}: {len(rows)} rows, not in %.17g form: {bad[:5]}"
 
 
 def test_negative_word_is_still_a_flag():

@@ -200,7 +200,8 @@ def test_central_diffs_nonfinite_array_sample_raises_without_warning():
 def _scalar_singular_locus(chart, grid):
     """The point-by-point ``singular_locus`` that the batched one replaced,
     bisecting every flagged edge and keeping a point where |N_h| <
-    LOCUS_TOL."""
+    LOCUS_TOL; an edge to a node on the locus gets no point, as that node
+    is its point."""
     (a1, b1), (a2, b2) = chart.domain
     n1, n2 = grid
     xs = [a1 + (b1 - a1) * i / n1 for i in range(n1 + 1)]
@@ -247,7 +248,7 @@ def _scalar_singular_locus(chart, grid):
                 if i2 > n1 or j2 > n2:
                     continue
                 vb = vals[i2][j2]
-                if va[0] * vb[0] + va[1] * vb[1] < 0.0:
+                if vb[2] >= LOCUS_TOL and va[0] * vb[0] + va[1] * vb[1] < 0.0:
                     u = refine((xs[i], ys[j]), (xs[i2], ys[j2]), (va[0], va[1]))
                     if _frame_at(chart, u).Nh_norm[0] < LOCUS_TOL:
                         points.append(u)
@@ -321,13 +322,23 @@ def test_singular_locus_on_a_ruled_chart_roots_c_per_ruling():
     assert float(nh.max()) <= 1e-12
 
 
+def test_singular_locus_reports_each_crossing_once():
+    # the nodes at s = 0.3 lie on the locus: each is the point of the s edge
+    # that ends on it, which gets no second point of its own
+    got = singular_locus(ruled_coordinates(HEL, (0.2, 0.1), 0.6, (-1.2, 1.2)), (8, 4))
+    pts = np.array(got.points)
+    gaps = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    assert len(pts) == 10
+    assert gaps[np.triu_indices(len(pts), 1)].min() > 1e-9
+
+
 # Scalar frames and scalar RK4 velocity stages of one run of the surfaces
 # and stability suites.  The one-point callers (RuledChart's curve grid,
 # characteristic_ray, _frames_along_ray and the few-point checks) keep the
 # scalar walk; everything else runs on arrays.  RuledChart walks its grid
 # only as far as its jets read it, and reads its curve off frame heads, with
 # no surface_frame.
-SCALAR_BUDGET = {"surface_frame": 367, "_chart_velocity": 4036}
+SCALAR_BUDGET = {"surface_frame": 99, "_chart_velocity": 4036}
 
 
 def test_scalar_frame_budget(monkeypatch):
@@ -360,6 +371,25 @@ RESIDUALS = {
 @pytest.mark.parametrize("check", list(RESIDUALS))
 def test_batched_check_residuals_pinned_bitwise(check):
     assert _hex(getattr(verify, check)().residual) == RESIDUALS[check]
+
+
+# float.hex of the residual rows of the checks that frame a fixed sample grid
+# (or flow a fixed parameter list) in one array pass, as the point-by-point
+# implementation computed them
+GRID_RESIDUALS = {
+    "check_frame_relations": ("0x1.0000000000000p-51",),
+    "check_minimality": ("0x1.37332eec59760p-50",),
+    "check_helicoid_closed_forms": ("0x1.0000000000000p-49",),
+    "check_helicoid_q_closed_forms": ("0x1.1000000000000p-47", "0x1.0000000000000p-49"),
+    "check_conserved": ("0x1.3000000000000p-48", "0x1.0000000000000p-50"),
+}
+
+
+@pytest.mark.parametrize("check", list(GRID_RESIDUALS))
+def test_grid_check_residuals_pinned_bitwise(check):
+    rows = getattr(verify, check)()
+    rows = rows if isinstance(rows, tuple) else (rows,)
+    assert tuple(_hex(r.residual) for r in rows) == GRID_RESIDUALS[check]
 
 
 # float.hex of the two ends Gamma(-+n h0) of the curve grid of each of

@@ -52,6 +52,14 @@ GREP_GUARDS = [
     # every quadrature sum goes through numerics.kahan_sum, the one the tracer counts
     Guard("One summation", ("fsum",), "only numerics.py may call fsum", ("numerics.py",),
           planted=("total = math.fsum(terms)",)),
+    # numerics.kahan_sum sums a float array exactly in numpy, by binary
+    # exponent: no caller turns its terms into a list first, and no second
+    # exact sum splits floats into mantissas
+    Guard("One exact sum", ("kahan_sum(.*tolist()",),
+          "pass kahan_sum the array: it sums arrays exactly without a list",
+          planted=("    return kahan_sum(wv.tolist())",)),
+    Guard("One exact sum", ("frexp(",), "only numerics.py may split floats with frexp",
+          ("numerics.py",), planted=("m, e = np.frexp(values)",)),
     # every piecewise quadrature is one composite rule of numerics, cut at its cut points
     Guard("One cell split", ("split_cells(",), "only numerics.py may split a rule into pieces",
           ("numerics.py",), planted=("pieces = split_cells(cuts, 4)",)),

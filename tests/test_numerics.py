@@ -588,6 +588,37 @@ def test_kahan_sum_without_a_float_sum_does_not_raise():
     assert kahan_sum([1e308, 1e308, 1.0]) == math.inf
     assert kahan_sum([math.inf, 1.0]) == math.inf
     assert math.isnan(kahan_sum([math.nan, 1.0]))
+    # an array outside the exact regime of the array sum answers as a list does
+    assert kahan_sum(np.array([1e308, 1e308, -1e308])) == math.inf
+    assert math.isnan(kahan_sum(np.array([math.inf, -math.inf])))
+    assert kahan_sum(np.array([math.inf, 1.0])) == math.inf
+
+
+def _exact_sum_cases():
+    """Seeded 1-D arrays for the exact sum on arrays: every size, over the
+    whole exponent range with subnormals, with heavy cancellation, and zeros."""
+    rng = np.random.default_rng(39)
+    for n in (1, 16, 4096, 16384):
+        yield rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-1074, 1001, n))
+        yield rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-1074, -1000, n))
+        x = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-40, 41, n))
+        tiny = rng.standard_normal(3) * np.ldexp(1.0, rng.integers(-1074, -900, 3))
+        yield rng.permutation(np.concatenate([x, -x, tiny]))
+        yield rng.permutation(np.concatenate([x, -x]))
+        yield rng.standard_normal(n)
+        yield np.full(n, -0.0)
+    yield np.array([])
+
+
+def _value_and_sign(v):
+    return float(v).hex(), math.copysign(1.0, v)
+
+
+@pytest.mark.parametrize("arr", list(_exact_sum_cases()), ids=lambda arr: f"n={len(arr)}")
+def test_kahan_sum_of_an_array_is_fsum_bitwise(arr):
+    got = kahan_sum(arr)
+    assert type(got) is float
+    assert _value_and_sign(got) == _value_and_sign(math.fsum(arr.tolist()))
 
 
 def test_spec_validation():
