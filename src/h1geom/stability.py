@@ -189,14 +189,16 @@ class TestFunction:
     that chart reads them off it, and on any other chart computes its own.
     ``kinks`` lists per axis the interior lines where a partial may jump;
     quadrature cells never straddle them or the support edges.  ``sep``
-    holds the two profiles of a separable function.  ``value``, ``d1`` and
-    ``d2`` are scalar views of ``jet``.
+    holds the two profiles of a separable function, and ``nh_factor`` the
+    (chart, f) of f |N_h| (``times_nh``).  ``value``, ``d1`` and ``d2`` are
+    scalar views of ``jet``.
     """
 
     jet: Callable[..., Jet]
     support: Rect
     kinks: tuple[tuple[float, ...], tuple[float, ...]] = ((), ())
     sep: Optional[tuple[Profile, Profile]] = None
+    nh_factor: Optional[tuple[Chart, "TestFunction"]] = None
 
     def __post_init__(self):  # reversed or nan, a support would read as the zero function's
         if len(self.support) != 2 or not all(len(i) == 2 and i[0] <= i[1] for i in self.support):
@@ -245,60 +247,29 @@ def zero_function() -> TestFunction:
     return TestFunction(jet, EMPTY_SUPPORT)
 
 
-def _frame_jet(chart: Chart, U1: np.ndarray, U2: np.ndarray, frames, factor: Jet,
-               formula: Callable, rest: Sequence) -> Jet:
-    """``formula(fr, at)``: a jet built from the frames ``fr`` of ``chart`` and
-    factor jets indexed by ``at``.
-
-    On the given frames of ``chart``, ``at`` selects every point.  Otherwise
-    the frames are computed on ``chart`` only where the frame ``factor`` or a
-    partial of it is nonzero, and the jet is ``rest`` elsewhere: no frame is
-    read there, so a singular point raises nothing.
-    """
-    if frames is not None and frames[0] is chart:
-        return formula(frames[1], ...)
-    live = (factor[0] != 0.0) | (factor[1] != 0.0) | (factor[2] != 0.0)
-    out = [np.broadcast_to(r, live.shape).copy() for r in rest]
-    if live.any():
-        for o, v in zip(out, formula(surface_frames(chart, U1[live], U2[live]), live)):
-            o[live] = v
-    return tuple(out)
-
-
 def times_nh(chart: Chart, f: TestFunction) -> TestFunction:
-    """The test function f * |N_h| with exact chart partials."""
+    """The test function f * |N_h| with exact chart partials, and (chart, f)
+    as its ``nh_factor``.  Its jet reads the given frames of ``chart``, or
+    else frames ``chart`` only where f or a partial of f is nonzero and is 0
+    elsewhere: no frame is read there, so a singular point raises nothing."""
+
+    def formula(fr, v, v1, v2) -> Jet:
+        nh, dnh = fr.Nh_norm, fr.dNh
+        return v * nh, v1 * nh + v * dnh[0], v2 * nh + v * dnh[1]
 
     def jet(U1, U2, frames=None) -> Jet:
         fj = f.jet(U1, U2, frames)
+        if frames is not None and frames[0] is chart:
+            return formula(frames[1], *fj)
+        live = (fj[0] != 0.0) | (fj[1] != 0.0) | (fj[2] != 0.0)
+        out = tuple(np.zeros(live.shape) for _ in fj)
+        if live.any():
+            for o, v in zip(out, formula(surface_frames(chart, U1[live], U2[live]),
+                                         *(c[live] for c in fj))):
+                o[live] = v
+        return out
 
-        def formula(fr, at):
-            v, v1, v2 = (c[at] for c in fj)
-            nh = fr.Nh_norm
-            return v * nh, v1 * nh + v * fr.dNh[0], v2 * nh + v * fr.dNh[1]
-
-        return _frame_jet(chart, U1, U2, frames, fj, formula, (0.0, 0.0, 0.0))
-
-    return TestFunction(jet, f.support, f.kinks)
-
-
-def combined_normal_component(chart: Chart, v: TestFunction, w: TestFunction) -> TestFunction:
-    """u = v + <N,T> w: the normal component of the deformation v N + w T."""
-
-    def jet(U1, U2, frames=None) -> Jet:
-        vj = v.jet(U1, U2, frames)
-        wj = w.jet(U1, U2, frames)
-
-        def formula(fr, at):
-            (v0, v1, v2), (w0, w1, w2) = ([c[at] for c in j] for j in (vj, wj))
-            nt = fr.NT
-            return (v0 + nt * w0, v1 + fr.dNT[0] * w0 + nt * w1,
-                    v2 + fr.dNT[1] * w0 + nt * w2)
-
-        return _frame_jet(chart, U1, U2, frames, wj, formula, vj)
-
-    # the sum may kink on the support edges of v and w as well as on theirs
-    kinks = tuple(tuple(sorted(set(_axis_cuts((v, w), i)))) for i in (0, 1))
-    return TestFunction(jet, _support_union((v, w)), kinks)
+    return TestFunction(jet, f.support, f.kinks, nh_factor=(chart, f))
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +374,66 @@ def _require_inside(chart: Chart, rect: Rect) -> None:
             f"support {rect} is not inside the domain {chart.domain} of {type(chart).__name__}")
 
 
-def index_form_samples(chart: Chart, fr, U1: np.ndarray, U2: np.ndarray,
-                       uf: TestFunction, vf: TestFunction) -> np.ndarray:
-    """The integrand of ``index_form_I`` against du1 du2 at the chart points
-    (U1, U2), whose ``SurfaceFrames`` on ``chart`` are ``fr``:
-    |N_h|^{-1} { Z(u) Z(v) - q u v } times the Riemannian area element."""
-    z1, z2 = fr.z_chart  # the shape terms first, while no jet of u or v is held
-    u, ud1, ud2 = uf.jet(U1, U2, (chart, fr))
-    v, vd1, vd2 = (u, ud1, ud2) if vf is uf else vf.jet(U1, U2, (chart, fr))
-    zu = z1 * ud1 + z2 * ud2
-    zv = z1 * vd1 + z2 * vd2
-    return (zu * zv - fr.q * u * v) / fr.Nh_norm * fr.riem_area
+def index_form_samples(fr, f: Jet, g: Optional[Jet] = None) -> np.ndarray:
+    """The integrand of ``index_form_I`` against du1 du2 at points whose
+    ``SurfaceFrames`` are ``fr``, for u = f |N_h| given by the jet of f: the
+    A''(0) density of the horizontal deformation F + e f nu_h, whose normal
+    component is u.  With the jet of g, for v = g |N_h|, it is the symmetric
+    bilinear density 1/4 [A''(f + g) - A''(f - g)].  It reads no shape term."""
+    return _polarized(*_horizontal_fields(fr, [fr.nu_h_partial(j) for j in (0, 1)], f, g))
+
+
+def _horizontal_fields(fr, partials: list, f: Jet, g: Optional[Jet]) -> tuple:
+    """F_j's frame coefficients, and in turn each (p, q, dp, dq) of V = h nu_h
+    for h = f, or for h = f + g and f - g: p = h nu_X and q = h nu_Y (r = 0),
+    with their chart partials from ``partials``, ``SurfaceFrames.nu_h_partial``."""
+    nu = fr.nu_h[:2]
+    dnu = [d[1:] for d in partials]
+    hs = [f] if g is None else [[a + b for a, b in zip(f, g)], [a - b for a, b in zip(f, g)]]
+    return fr.tangents, ((h0 * nu[0], h0 * nu[1], *(
+        [dhj * nu[k] + h0 * d[k] for dhj, d in zip(dh, dnu)] for k in (0, 1))) for h0, *dh in hs)
+
+
+def _polarized(tangents, fields) -> np.ndarray:
+    a2 = [variation_samples(tangents, *v, (0.0, 0.0))[0] for v in fields]
+    return a2[0] if len(a2) == 1 else 0.25 * (a2[0] - a2[1])
+
+
+def _index_form_fields(chart: Chart, U1, U2, uf: TestFunction, vf: TestFunction) -> tuple:
+    """``_horizontal_fields`` on the frames of ``chart`` at (U1, U2), with f
+    the recorded f of u = ``times_nh(chart, f)`` and otherwise u/|N_h| with
+    partials (u_j - f d|N_h|_j)/|N_h|, and g likewise.  The frames are
+    released on return, before G is formed: that keeps the block's peak down."""
+    fr = surface_frames(chart, U1, U2)
+    partials = [fr.nu_h_partial(j) for j in (0, 1)]
+
+    def over_nh(uf: TestFunction) -> Jet:
+        if uf.nh_factor is not None and uf.nh_factor[0] is chart:
+            return uf.nh_factor[1].jet(U1, U2, (chart, fr))
+        u, *du = uf.jet(U1, U2, (chart, fr))
+        f = u / fr.Nh_norm
+        return f, *((uj - f * d[0]) / fr.Nh_norm for uj, d in zip(du, partials))
+
+    return _horizontal_fields(fr, partials, over_nh(uf), None if vf is uf else over_nh(vf))
 
 
 def index_form_I(chart: Chart, uf: TestFunction, vf: TestFunction,
                  quad: QuadratureSpec) -> float:
-    """The second-variation bilinear form
-    I(u, v) = int |N_h|^{-1} { Z(u) Z(v) - q u v } dA
-    over the cells of ``index_form_cells``, in one pass of
-    ``integrate_cells`` over ``index_form_samples``.  Raises
-    ``SupportOutsideDomain`` when the intersection of the supports leaves
-    the chart domain.
+    """The second-variation bilinear form I(u, v), in one pass of
+    ``integrate_cells`` of the density ``index_form_samples`` on the cells of
+    ``index_form_cells``: the A''(0) of the horizontal deformation
+    F + e f nu_h with u = f |N_h|, polarized where v is not u.  f is the f
+    of u = ``times_nh(chart, f)``, and u/|N_h| otherwise.  On a minimal
+    surface this is int |N_h|^{-1} { Z(u) Z(v) - q u v } dA, and it keeps
+    the dilation law at every scale.  Raises ``SupportOutsideDomain`` when
+    the intersection of the supports leaves the chart domain.
     """
     cells = index_form_cells(chart, uf, vf)
     if cells is None:
         return 0.0
     rect, cuts = cells
-    return integrate_cells(
-        lambda U1, U2: index_form_samples(chart, surface_frames(chart, U1, U2), U1, U2, uf, vf),
-        rect, quad, cuts)
+    return integrate_cells(lambda U1, U2: _polarized(*_index_form_fields(chart, U1, U2, uf, vf)),
+                           rect, quad, cuts)
 
 
 def index_form_cells(chart: Chart, uf: TestFunction,
@@ -528,52 +530,55 @@ class RulingFrame:
 
 def direct_variations(chart: Chart, v: TestFunction, w: TestFunction,
                       quad: QuadratureSpec) -> tuple[float, float, float]:
-    """(A''(0), A'(0), A(0)) of the area A(e) of F + e(vN + wT), moved along
-    straight lines in coordinates, in closed form: the horizontal part of the
-    deformed F_1 x F_2 is a cubic G0 + e G1 + e^2 G2 + ... in e, so A(0) =
-    int |G0|, A'(0) = int G0.G1/|G0| and A''(0) = int (|G1|^2 + 2 G0.G2)/|G0|
-    - (G0.G1)^2/|G0|^3, in one ``integrate_cells`` pass over the support
-    union of v and w cut at their edges and kinks.  On a minimal surface
-    A''(0) is I(u, u) with u = v + <N,T> w.  Raises ``SupportOutsideDomain``
-    when the support leaves the chart domain, ``SingularPoint`` from the
-    frames and ``NonFiniteValue`` at the first non-finite sample."""
+    """(A''(0), A'(0), A(0)) of the area A(e) of F + e(vN + wT), in one
+    ``integrate_cells`` pass of ``variation_samples`` over the support union
+    of v and w cut at their edges and kinks.  On a minimal surface A''(0)
+    is I(u, u) with u = v + <N,T> w.  Raises ``SupportOutsideDomain`` when
+    the support leaves the chart domain, ``SingularPoint`` from the frames
+    and ``NonFiniteValue`` at the first non-finite sample."""
     rect = _support_union((v, w))
     if rect != EMPTY_SUPPORT:
         _require_inside(chart, rect)
-    return integrate_cells(lambda U1, U2: variation_samples(chart, U1, U2, v, w), rect, quad,
-                           (_axis_cuts((v, w), 0), _axis_cuts((v, w), 1)))
+    return integrate_cells(lambda U1, U2: variation_samples(*_normal_field(chart, U1, U2, v, w)),
+                           rect, quad, (_axis_cuts((v, w), 0), _axis_cuts((v, w), 1)))
 
 
-def variation_samples(chart: Chart, U1: np.ndarray, U2: np.ndarray, v: TestFunction,
-                      w: TestFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integrands of ``direct_variations`` at the chart points (U1, U2)."""
-    (a1, b1, c1), (a2, b2, c2) = _deformed_tangents(chart, U1, U2, v, w)
+def _normal_field(chart: Chart, U1, U2, v: TestFunction, w: TestFunction) -> tuple:
+    """The ``variation_samples`` arguments of V = vN + wT at the chart points
+    (U1, U2): p = v N_X, q = v N_Y and r = v N_T + w, with their chart
+    partials from ``normal_partial``.  The frames are released on return,
+    before ``variation_samples`` forms G: that keeps the block's peak down."""
+    fr = surface_frames(chart, U1, U2)
+    n = fr.N
+    v0, *dv = v.jet(U1, U2, (chart, fr))
+    dw = w.jet(U1, U2, (chart, fr))[1:]
+    dp, dq, dr = [], [], []
+    for j, (dvj, dwj) in enumerate(zip(dv, dw)):
+        dn = fr.normal_partial(j)
+        dp.append(dvj * n[0] + v0 * dn[0])
+        dq.append(dvj * n[1] + v0 * dn[1])
+        dr.append(dvj * n[2] + v0 * dn[2] + dwj)
+    return fr.tangents, v0 * n[0], v0 * n[1], dp, dq, dr
+
+
+def variation_samples(tangents, p, q, dp, dq, dr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (A''(0), A'(0), A(0)) densities against du1 du2 of the area of
+    F + e V, moved along straight lines in coordinates, where F_1 and F_2
+    have the frame coefficients ``tangents`` and V has (p, q, r), with the
+    chart partials p_j, q_j and r_j in ``dp``, ``dq`` and ``dr``.  The moved
+    F_j + e V_j has X_j + e p_j, Y_j + e q_j and c(F_j) + e (r_j + 2 (p Y_j
+    - q X_j)) + e^2 (p q_j - q p_j), so the horizontal part of F_1 x F_2 is
+    a cubic G0 + e G1 + e^2 G2 + ... in e: A = |G0|, A' = G0.G1/|G0| and
+    A'' = (|G1|^2 + 2 G0.G2)/|G0| - (G0.G1)^2/|G0|^3."""
+    (a1, b1, c1), (a2, b2, c2) = (
+        ([c[0], pj], [c[1], qj], [c[2], rj + 2.0 * (p * c[1] - q * c[0]), p * qj - q * pj])
+        for c, pj, qj, rj in zip(tangents, dp, dq, dr))
     (x0, y0), (x1, y1), (x2, y2) = (
         (_product(b1, c2, k) - _product(c1, b2, k), _product(c1, a2, k) - _product(a1, c2, k))
         for k in range(3))
     g0 = np.hypot(x0, y0)
     d1 = (x0 * x1 + y0 * y1) / g0
     return (x1 * x1 + y1 * y1 + 2.0 * (x0 * x2 + y0 * y2) - d1 * d1) / g0, d1, g0
-
-
-def _deformed_tangents(chart: Chart, U1, U2, v: TestFunction, w: TestFunction) -> list:
-    """Per chart axis j, the frame coefficients of F_j + e V_j at the moved
-    point as coefficient lists in e: with (p, q, r) those of V and p_j =
-    d/du_j p, and so on, X_j + e p_j, Y_j + e q_j and c(F_j) + e (r_j +
-    2 (p Y_j - q X_j)) + e^2 (p q_j - q p_j).  The frames are released on
-    return, before the caller forms G: that keeps the block's peak down."""
-    fr = surface_frames(chart, U1, U2)
-    n = fr.N
-    v0, *dv = v.jet(U1, U2, (chart, fr))
-    dw = w.jet(U1, U2, (chart, fr))[1:]
-    p, q = v0 * n[0], v0 * n[1]
-    out = []
-    for j, (c, dvj, dwj) in enumerate(zip(fr.tangents, dv, dw)):
-        dn = fr.normal_partial(j)
-        pj, qj = dvj * n[0] + v0 * dn[0], dvj * n[1] + v0 * dn[1]
-        rj = dvj * n[2] + v0 * dn[2] + dwj + 2.0 * (p * c[1] - q * c[0])
-        out.append(([c[0], pj], [c[1], qj], [c[2], rj, p * qj - q * pj]))
-    return out
 
 
 def _product(f: list, g: list, k: int):

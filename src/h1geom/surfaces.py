@@ -156,9 +156,9 @@ class SurfaceFrames:
     du1 du2) and ``regular`` they are read off the frame head.  ``nu_h``,
     ``Z`` and ``S`` are frame-coefficient triples computed on each read.
     The shape entries (``BZZ``, ``BZS``, ``BSS``, ``H``, ``HR``, ``q`` =
-    |B(Z)+S|^2 - 4|N_h|^2, ``z_chart``, ``s_chart``, ``dNh`` and ``dNT``)
-    are computed together when one of them is first read.  The
-    characteristic entries are NaN where ``regular`` is False.
+    |B(Z)+S|^2 - 4|N_h|^2, ``z_chart`` and ``s_chart``) are computed together
+    when one of them is first read, and ``dNh`` and ``dNT`` on each read.
+    The characteristic entries are NaN where ``regular`` is False.
     """
 
     def __init__(self, jet: ChartJets, c1: Arr3, c2: Arr3, w: np.ndarray, n: Arr3,
@@ -177,22 +177,24 @@ class SurfaceFrames:
         jet, (c1, c2) = self._jet, self.tangents
         x, y, _ = jet.p
         with np.errstate(all="ignore"):
-            bzz, bzs, bss, h, hr, qval, zc, sc, dnh, dnt = _shape_terms(
+            bzz, bzs, bss, h, hr, qval, zc, sc = _shape_terms(
                 x, y, jet.f1, jet.f2, jet.f11, jet.f12, jet.f22, c1, c2,
                 self.riem_area, self.N, self.Nh_norm)
-        out = [bzz, bzs, bss, h, hr, qval, *zc, *sc, *dnh, *dnt]
+        out = [bzz, bzs, bss, h, hr, qval, *zc, *sc]
         singular = np.logical_not(self.regular)
         if singular.any():
             out = [np.where(singular, np.nan, a) for a in out]
-        return (*out[:6], tuple(out[6:8]), tuple(out[8:10]), tuple(out[10:12]),
-                tuple(out[12:14]))
+        return (*out[:6], tuple(out[6:8]), tuple(out[8:10]))
 
-    def _direction(self, k: int) -> Arr3:
-        with np.errstate(all="ignore"):
-            v = _unit_directions(self.N, self.Nh_norm)[k]
+    def _regular_only(self, v: tuple) -> tuple:
+        """The arrays ``v`` with NaN where ``regular`` is False."""
         if type(self.Nh_norm) is float:  # one point, which is regular
             return v
         return tuple(np.where(self.regular, c, np.nan) for c in v)
+
+    def _direction(self, k: int) -> Arr3:
+        with np.errstate(all="ignore"):
+            return self._regular_only(_unit_directions(self.N, self.Nh_norm, ("", "Z", "S")[k])[k])
 
     nu_h = property(lambda fr: fr._direction(0))
     Z = property(lambda fr: fr._direction(1))
@@ -205,8 +207,8 @@ class SurfaceFrames:
     q = property(lambda fr: fr._shape[5])
     z_chart = property(lambda fr: fr._shape[6])
     s_chart = property(lambda fr: fr._shape[7])
-    dNh = property(lambda fr: fr._shape[8])
-    dNT = property(lambda fr: fr._shape[9])
+    dNh = property(lambda fr: tuple(fr.nu_h_partial(j)[0] for j in (0, 1)))
+    dNT = property(lambda fr: fr._regular_only(tuple(fr.normal_partial(j)[2] for j in (0, 1))))
 
     def normal_partial(self, j: int) -> Arr3:
         """d/du_j of the frame coefficients of N (j = 0, 1), from the 2-jet:
@@ -220,6 +222,15 @@ class SurfaceFrames:
                                        cross_coeffs(c1, _coeff_partial(x, y, s2, fj, jet.f2)))]
             nd = _dot3(n, d)
             return tuple((d[k] - n[k] * nd) / self.riem_area for k in range(3))
+
+    def nu_h_partial(self, j: int) -> tuple:
+        """d/du_j of |N_h| and of nu_X, nu_Y for nu_h = (N_X, N_Y, 0)/|N_h|,
+        from ``normal_partial``: d|N_h| = nu_X dN_X + nu_Y dN_Y and d nu =
+        (dN - nu d|N_h|)/|N_h|, NaN where ``regular`` is False."""
+        nu, dn, nh = self.nu_h, self.normal_partial(j), self.Nh_norm
+        with np.errstate(all="ignore"):
+            dnh = nu[0] * dn[0] + nu[1] * dn[1]
+            return dnh, (dn[0] - nu[0] * dnh) / nh, (dn[1] - nu[1] * dnh) / nh
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +299,8 @@ def _chart_direction(c1, c2, w, n, nh, which: str):
 
 def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     """Shape entries at regular points, given the unit normal: <B(Z),Z>,
-    <B(Z),S>, <B(S),S>, H, H_R, q, Z and S in chart coordinates, and the
-    chart partials of |N_h| and <N,T>.
+    <B(Z),S>, <B(S),S>, H, H_R, q, and Z and S in chart coordinates.
     """
-    nt = n[2]
-
     def second_form(d, e, v):
         # II_ij = <N, D_{F_i} F_j>: coefficient derivative d of F_j = v
         # corrected along the direction e = F_i
@@ -304,7 +312,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     ii22 = second_form(_coeff_partial(x, y, f22, f2, f2), c2, c2)
     ii12 = 0.5 * (ii12 + ii21)  # symmetric (torsion-free); average round-off
 
-    nu, z, s = _unit_directions(n, nh)
+    _, z, s = _unit_directions(n, nh)
     zc, sc = _tangent_in_chart(c1, c2, w, z), _tangent_in_chart(c1, c2, w, s)
 
     def ii(a, b):
@@ -317,18 +325,7 @@ def _shape_terms(x, y, f1, f2, f11, f12, f22, c1, c2, w, n, nh):
     h = bzz / (2.0 * nh)
     hr = 0.5 * (bzz + bss)
     qval = bzz * bzz + (bzs + 1.0) * (bzs + 1.0) - 4.0 * nh * nh
-
-    # chart-coordinate derivatives of |N_h| and <N,T> from the shape
-    # operator: for tangent v, v(|N_h|) = -<N,T>(<B(v),S> + <J(v),nu_h>) and
-    # v(<N,T>) = |N_h| <B(v),S> + <N,J(v)>.
-    dnh = []
-    dnt = []
-    for ev, coeff in ((c1, (1.0, 0.0)), (c2, (0.0, 1.0))):
-        bvs = ii(coeff, sc)
-        jv = jop_coeffs(ev)
-        dnh.append(-nt * bvs - nt * _dot3(jv, nu))
-        dnt.append(nh * bvs + _dot3(n, jv))
-    return bzz, bzs, bss, h, hr, qval, zc, sc, (dnh[0], dnh[1]), (dnt[0], dnt[1])
+    return bzz, bzs, bss, h, hr, qval, zc, sc
 
 
 def _frame_head(chart: Chart, u: tuple[float, float]):

@@ -823,17 +823,15 @@ def check_indexform3():
     quad = QuadratureSpec(16, (4, 4))
     worst = 0.0
     for f in _weighted_identity_profiles():
-        fnh = times_nh(cat, f)
-
         def both_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            fr = surface_frames(cat, a, b)  # one frame per node for both sides
-            lhs = index_form_samples(cat, fr, a, b, fnh, fnh)
+            fr = surface_frames(cat, a, b)  # one frame and one jet of f per node for both sides
+            fj = fv, fd1, fd2 = f.jet(a, b, (cat, fr))
+            lhs = index_form_samples(fr, fj)
             z1, z2 = fr.z_chart
-            fv, fd1, fd2 = f.jet(a, b)
             zf = z1 * fd1 + z2 * fd2
             return lhs, fr.Nh_norm * (zf * zf - l_nh_of_frame(fr) * fv ** 2) * fr.riem_area
 
-        # the cells of index_form_I(cat, fnh, fnh, quad), so lhs is its value
+        fnh = times_nh(cat, f)  # index_form_I(cat, fnh, fnh, quad) reads f: lhs is its value
         rect, cuts = index_form_cells(cat, fnh, fnh)
         lhs, rhs = integrate_cells(both_sides, rect, quad, cuts)
         worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))

@@ -99,11 +99,22 @@ GREP_GUARDS = [
     # NaN sample: max(worst, nan) drops it, and the check would pass
     Guard("One worst residual", ("max(worst",), "accumulate verify residuals with _worst, not max",
           searched="verify.py", planted=("    worst = max(worst, err)",)),
-    # the density |N_h|^-1 {Z(u) Z(v) - q u v} dA is written once, in
-    # stability.index_form_samples
+    # the index form is A'' of the horizontal deformation F + e f nu_h
+    # (stability.variation_samples): the Riemannian density
+    # |N_h|^-1 {Z(u) Z(v) - q u v} dA is written nowhere, and stability.py
+    # reads no Riemannian area element (q: test_index_form_reads_no_q)
     Guard("One index-form integrand", (r"zu \* zv", r"q \* u \* v"),
-          "only stability.py may write the index-form density", ("stability.py",),
+          "no file may write the Riemannian index-form density",
           planted=("dens = zu * zv", "pot = q * u * v")),
+    Guard("One index-form integrand", ("riem_area",),
+          "stability.py may not read the Riemannian area element", searched="stability.py",
+          planted=("    return dens / fr.Nh_norm * fr.riem_area",)),
+    # the A'', A' and A densities of a straight-line deformation F + e V are
+    # the e-polynomials of one function, stability.variation_samples
+    # (test_one_second_variation_density pins its callers)
+    Guard("One second-variation density", ("_product(",),
+          "only stability.py may multiply the e-polynomials of a deformation",
+          ("stability.py",), planted=("    x2 = _product(b1, c2, 2) - _product(c1, b2, 2)",)),
 ]
 
 
@@ -142,9 +153,11 @@ def test_grep_guard_flags_its_planted_lines(guard):
         assert _bre(pattern).search(line), (pattern, line)
 
 
-def _calls_outside(func_name: str, allowed: set, with_file: bool = False) -> list[str]:
-    """Calls of ``func_name`` (by name or attribute) in src/h1geom outside the
-    dotted scopes ``allowed``: ``(file, scope)`` pairs when ``with_file``."""
+def _found_outside(found, allowed: set, with_file: bool = False,
+                   searched: str = "*.py") -> list[str]:
+    """The AST nodes for which ``found`` holds in the files ``searched`` of
+    src/h1geom outside the dotted scopes ``allowed``: ``(file, scope)`` pairs
+    when ``with_file``."""
     bad = []
 
     def visit(node, where, path):
@@ -152,15 +165,20 @@ def _calls_outside(func_name: str, allowed: set, with_file: bool = False) -> lis
             inner = where
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = f"{where}.{child.name}" if where else child.name
-            if isinstance(child, ast.Call) and func_name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                if ((path.name, where) if with_file else where) not in allowed:
-                    bad.append(f"{path.name}:{child.lineno} in {where or '<module>'}")
+            if found(child) and ((path.name, where) if with_file else where) not in allowed:
+                bad.append(f"{path.name}:{child.lineno} in {where or '<module>'}")
             visit(child, inner, path)
 
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob(searched)):
         visit(ast.parse(path.read_text(encoding="utf-8")), "", path)
     return bad
+
+
+def _calls_outside(func_name: str, allowed: set, with_file: bool = False) -> list[str]:
+    """Calls of ``func_name`` (by name or attribute) in src/h1geom outside the
+    dotted scopes ``allowed``: ``(file, scope)`` pairs when ``with_file``."""
+    return _found_outside(lambda node: isinstance(node, ast.Call) and func_name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)), allowed, with_file)
 
 
 def test_one_ruled_jet():
@@ -218,6 +236,24 @@ def test_one_chart_protocol():
     assert not bad, ("only Chart may define or assign jet, _jet_floats or jets, "
                      "surfaces.py may not call surface_frame, "
                      "geodesics.py may not call GeodesicArc: " + ", ".join(bad))
+
+
+def test_one_second_variation_density():
+    # index_form_I (through _polarized) and direct_variations integrate the
+    # one density of a straight-line deformation; only it multiplies the
+    # e-polynomials
+    bad = (_calls_outside("variation_samples", {"_polarized", "direct_variations"})
+           + _calls_outside("_product", {"variation_samples"}))
+    assert not bad, ("only _polarized and direct_variations may call variation_samples, and "
+                     "only variation_samples _product: " + ", ".join(bad))
+
+
+def test_index_form_reads_no_q():
+    # the index form reads no shape term: in stability.py only operator_L,
+    # whose potential q is, reads a q
+    bad = _found_outside(lambda node: isinstance(node, ast.Attribute) and node.attr == "q",
+                         {"operator_L"}, searched="stability.py")
+    assert not bad, "only stability.operator_L may read q: " + ", ".join(bad)
 
 
 def test_one_check_declaration():

@@ -92,7 +92,8 @@ def test_direct_variations_compute_no_shape_terms(monkeypatch):
     assert shape[0] == 0
 
 
-def test_index_form_computes_shape_terms_once_per_block(monkeypatch):
+def test_index_form_computes_no_shape_terms(monkeypatch):
+    # the index form is A'' of F + e f nu_h: one frame per block, and no q
     chart, u, quad = CatenoidChart(1.0), _bump(), QuadratureSpec(16, (8, 4))
     shape = _counted(monkeypatch, surfaces, "_shape_terms")
     frames = _counted(monkeypatch, stability, "surface_frames")
@@ -100,7 +101,7 @@ def test_index_form_computes_shape_terms_once_per_block(monkeypatch):
     cells = len(gauss_nodes(u.support, quad)[0])  # the bumps have no kinks
     blocks = math.ceil(cells / (CELL_BLOCK_NODES // 16 ** 2))
     assert blocks > 1
-    assert frames[0] == shape[0] == blocks
+    assert (frames[0], shape[0]) == (blocks, 0)
 
 
 @pytest.mark.parametrize("k", range(3))
@@ -176,7 +177,7 @@ def test_ruled_chart_jets_seed_each_distinct_a_once(monkeypatch):
     walked = _counted(monkeypatch, surfaces.RuledChart, "curve_chart_point")
     u = separable(cosine_bump(0, 1), cosine_bump(0, 0.5))
     got = index_form_I(rc, u, u, QuadratureSpec(8, (4, 4)))
-    assert got.hex() == "0x1.b87dc7f34e4adp-1"
+    assert got.hex() == "0x1.b87dc7f34e667p-1"
     assert walked[0] == 5 * 32
 
 
@@ -283,6 +284,14 @@ def test_weighted_identity_frames_each_node_once(monkeypatch):
     assert (shape[0], heads[0]) == (5, 5)
 
 
+def test_weighted_identity_evaluates_each_profile_once_per_node(monkeypatch):
+    # one jet of f per block for both sides: two profiles for each of the
+    # five functions (20 when the left side took its own jet of f |N_h|)
+    values = _counted(monkeypatch, stability.Profile, "values")
+    assert verify.check_indexform3().passed
+    assert values[0] == 10
+
+
 def test_weighted_identity_left_side_is_the_index_form(monkeypatch):
     # the left side integrated beside the right one is index_form_I bit for bit
     sides = []
@@ -303,9 +312,9 @@ def test_weighted_identity_left_side_is_the_index_form(monkeypatch):
 
 
 def test_second_variation_check_traced_peak():
-    # the index form's 4,096-node block sets the peak (1.88 MB); the closed
-    # form's block drops its frames and per-axis arrays before the cubic's
-    # coefficients and integrands are formed (1.65 MB)
+    # the index form and the direct form each drop their 4,096-node frames
+    # before variation_samples forms the cubic's coefficients and integrands
+    # (1.56 MB; 1.88 MB when the index form kept its frames and shape terms)
     tracemalloc.start()
     try:
         results = verify.check_second_variation()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -16,8 +17,8 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUB
                               InstabilityCertificate, Profile, RulingFrame, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
                               bracket_integral_quadrature, certify_instability_h2,
-                              certify_instability_nosing, combined_normal_component, cos_arch,
-                              cosine_bump, direct_variations, first_variation_direct,
+                              certify_instability_nosing, cos_arch, cosine_bump,
+                              direct_variations, first_variation_direct,
                               h2_certificate_test_function, helicoid_closed_forms, index_form_I,
                               jacobi_vertical_quadratic, l_nh_closed, operator_L, plateau_ramp,
                               q_form, ruled_index_value, ruling_form,
@@ -28,6 +29,7 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUB
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, HelicoidChart,
                              ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
                              ruled_coordinates, surface_frame, surface_frames)
+from referees import combined_normal_component
 
 CAT = CatenoidChart(1.0)
 HEL2 = HelicoidChart(2.0)
@@ -300,6 +302,53 @@ def test_combined_normal_component_with_zero_w_is_v():
     assert u.support == v.support
     want = index_form_I(CAT, v, v, QUAD44)
     assert abs(index_form_I(CAT, u, u, QUAD44) - want) <= 1e-14 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# the index form at every scale
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [s * 10.0 ** j for j in range(-8, 9) for s in (1.0, -1.0)])
+def test_index_form_is_the_ruling_form_at_every_scale(lam):
+    # the input of ruled_index_value: as A'' of F + e f nu_h the index form
+    # keeps the dilation law; the Riemannian integrand was off by a relative
+    # 978 at lam = 1e-8 and 4.0 at 1e8
+    chart, psi = CatenoidRulingChart(lam), cosine_bump(0.0, 2.0 * abs(lam))
+    quad = QuadratureSpec(16, (8, 4))
+    u = times_nh(chart, separable(psi, NOSING_PHI))
+    want = ruling_form(chart, psi, NOSING_PHI, quad)
+    assert abs(index_form_I(chart, u, u, quad) - want) <= 1e-14 * abs(want)
+
+
+def test_index_form_over_lam_is_constant_on_catalog_catenoids():
+    # check_second_variation's v on CatenoidChart(10^j), j = -8 ... 8: 3.3117
+    # at every lam, where the Riemannian integrand read 249 at 1e-8 and
+    # -1.4e16 at 1e8
+    v = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    vals = []
+    for lam in (10.0 ** j for j in range(-8, 9)):
+        chart = CatenoidChart(lam)
+        u = times_nh(chart, v)
+        vals.append(index_form_I(chart, u, u, QUAD44) / lam)
+    assert max(vals) - min(vals) <= 1e-14 * abs(vals[8])
+
+
+def test_index_form_reads_f_only_on_the_chart_of_times_nh():
+    # times_nh(other, f) on CAT is a general u, read as f = u/|N_h| on CAT
+    f = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    u = times_nh(CatenoidChart(1.3), f)
+    general = dataclasses.replace(u, nh_factor=None)
+    got = index_form_I(CAT, u, u, QUAD44)
+    assert got.hex() == index_form_I(CAT, general, general, QUAD44).hex()
+    fnh = times_nh(CAT, f)
+    assert abs(got - index_form_I(CAT, fnh, fnh, QUAD44)) > 1e-6
+
+
+def test_index_form_polarizes_to_the_quadratic_form():
+    # 1/4 [A''(2f) - A''(0)] is A''(f) bit for bit: doubling f is exact
+    f = separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
+    u, same = times_nh(CAT, f), times_nh(CAT, f)
+    assert index_form_I(CAT, u, same, QUAD44).hex() == index_form_I(CAT, u, u, QUAD44).hex()
 
 
 def _frames_read(monkeypatch):
