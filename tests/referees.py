@@ -5,6 +5,13 @@ import numpy as np
 
 from h1geom import stability
 from h1geom.stability import Jet, TestFunction, _axis_cuts, _support_union
+from h1geom.surfaces import area_elements
+
+
+def area_element(chart, u) -> float:
+    """The area density at the one chart point ``u``: ``area_elements`` on
+    one-point arrays, with its errors."""
+    return float(area_elements(chart, [u[0]], [u[1]])[0])
 
 
 def combined_normal_component(chart, v: TestFunction, w: TestFunction) -> TestFunction:

@@ -16,10 +16,9 @@ from h1geom.numerics import QuadratureSpec, gauss_nodes, integrate_2d
 from h1geom.stability import cosine_bump, index_form_I, separable, smooth_bump, times_nh
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
                              HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart, area,
-                             area_element, area_elements, catalog_surface, _chart_velocity,
-                             dilated, ruled_coordinates, rotated, surface_frame, surface_frames,
-                             translated)
-from referees import combined_normal_component
+                             area_elements, catalog_surface, _chart_velocity, dilated,
+                             ruled_coordinates, rotated, surface_frame, surface_frames, translated)
+from referees import area_element, combined_normal_component
 
 SCALAR_FIELDS = ("Nh_norm", "NT", "riem_area", "BZZ", "BZS", "BSS", "H", "HR", "q")
 PAIR_FIELDS = ("z_chart", "s_chart", "dNh", "dNT")

@@ -456,6 +456,23 @@ def test_export_grid_overflow_fails_at_first_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_export_late_block_failure_writes_nothing(tmp_path, capsys):
+    # W^2 = (1/R - R s^2)^2 + R^2 s^2 first overflows in u1 row 33 of 41, at
+    # CSV row 33 * 41 = 1353, in the second block: the blocks before it were
+    # evaluated, yet no file is written and the message names the first point
+    assert 33 * 41 > cli.EXPORT_BATCH
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["export", "surface-grid", "--surface", "helicoid", "--R", "2",
+                    "--u1min", "0", "--u1max", "1e77", "--n1", "40", "--n2", "40",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: chart is not an immersion at "
+                   f"({1e77 * 33 / 40!r}, -1.5707963267948966)\n")
+    assert not out.exists()
+
+
 def test_export_grid_range_overflow(tmp_path):
     # (u2max - u2min) overflows: the grid values are not finite
     out = tmp_path / "g.csv"

@@ -115,6 +115,10 @@ GREP_GUARDS = [
     Guard("One second-variation density", ("_product(",),
           "only stability.py may multiply the e-polynomials of a deformation",
           ("stability.py",), planted=("    x2 = _product(b1, c2, 2) - _product(c1, b2, 2)",)),
+    # every CSV cell is formatted by cli._column_cells, once per distinct
+    # value of a column of the whole export
+    Guard("One CSV cell formatter", (r"%\.17g",), "only cli.py may format with the %.17g template",
+          ("cli.py",), planted=('    text = ("%.17g," * len(keys) % tuple(vals)).split(",")',)),
 ]
 
 

@@ -101,12 +101,14 @@ def _edge_columns(n):
 
 @pytest.mark.parametrize("batch", [1, 7, 10**6])
 def test_csv_blocks_print_every_value_as_format_17g(monkeypatch, batch):
+    # values recur across blocks, which format them once per export
     cols = _edge_columns(200)
-    want = "\n".join(",".join(format(v, ".17g") for v in row)
-                     for row in zip(*(c.tolist() for c in cols)))
-    fields = set(want.replace("\n", ",").split(","))
+    rows = [",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in cols))]
     assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "10000000000000000",
-            "99999999999999984", "1e+17", "0.0001", "1.0000000000000001e-05"} <= fields
+            "99999999999999984", "1e+17", "0.0001",
+            "1.0000000000000001e-05"} <= set(",".join(rows).split(","))
     monkeypatch.setattr(cli, "EXPORT_BATCH", batch)
-    got = "\n".join(cli._csv_blocks(200, lambda k: [c[k] for c in cols]))
-    assert got == want
+    for total in (0, 1, 200):
+        got = cli._csv_blocks(total, lambda k: [c[k] for c in cols])
+        assert got == ["\n".join(rows[lo:min(lo + batch, total)])
+                       for lo in range(0, total, batch)], total

@@ -8,9 +8,10 @@ from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
 from h1geom.numerics import QuadratureSpec
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
                              HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart,
-                             area, area_element, area_elements, catalog_surface,
-                             characteristic_ray, dilated, rotated, ruled_coordinates,
-                             singular_locus, surface_frame, surface_frames, translated)
+                             area, area_elements, catalog_surface, characteristic_ray,
+                             dilated, rotated, ruled_coordinates, singular_locus,
+                             surface_frame, surface_frames, translated)
+from referees import area_element
 
 QUAD = QuadratureSpec(16, (8, 8))
 
