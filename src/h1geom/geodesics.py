@@ -10,25 +10,25 @@ conserved vertical momentum l = C - A y0 + B x0, the flow is
          + (A x0 + B y0) s g(2ls) + (A y0 - B x0) s f(2ls)
 
 where f = sin(x)/x, g = (1-cos x)/x, h = (x - sin x)/x^2.  Horizontal or
-vertical initial velocities give straight lines.  Jacobi fields are
-obtained by differentiating this closed flow across the family parameter,
-not by integrating the Jacobi equation; the equation residual serves as a
-test oracle only.
+vertical initial velocities give straight lines.  A Jacobi field is fixed
+by its initial data, and is obtained by differentiating this closed flow
+across a geodesic family with that data (one complex step, with no
+truncation), not by integrating the Jacobi equation; the equation
+residual serves as a test oracle only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
-                   frame_coeffs, frame_to_euclidean, jop)
+                   euclidean_coeffs, frame_coeffs, frame_to_euclidean, jop)
 from .errors import NonFiniteValue
-from .numerics import (DiffSpec, central_diff, raise_first_failure, stencil_d1,
-                       stencil_nodes)
+from .numerics import raise_first_failure
 
 SERIES_CUTOFF = 1e-4
 
@@ -105,9 +105,10 @@ def _flow_point(p, A, B, lam, s, terms, fgh):
 
 
 def _flow(p, A, B, lam, s, m):
-    """Point and frame-coefficient velocity of the closed flow at ``s``: the
-    point of ``_flow_point``, with ``m`` the ``math`` module for one
-    parameter or ``numpy`` for an array of parameters ``s``.
+    """Point and Euclidean velocity of the closed flow at ``s``: the point
+    of ``_flow_point``, with ``m`` the ``math`` module for one parameter or
+    ``numpy`` for an array of parameters ``s``.  Plain arithmetic, analytic
+    in every input, so complex inputs differentiate it.
     """
     terms = _flow_terms(p, A, B)
     x2ls = 2.0 * lam * s
@@ -118,7 +119,7 @@ def _flow(p, A, B, lam, s, m):
     vx = A * co + B * si
     vy = -A * si + B * co
     vt = lam + r2 * s * fgh[1] + ax * si + ay * co
-    return q, frame_coeffs(q[0], q[1], (vx, vy, vt))
+    return q, (vx, vy, vt)
 
 
 def exp_geodesic(arc: GeodesicArc, s: float) -> tuple[Point, FrameVector]:
@@ -127,9 +128,9 @@ def exp_geodesic(arc: GeodesicArc, s: float) -> tuple[Point, FrameVector]:
     x2ls = 2.0 * arc.lam * s
     if not math.isfinite(x2ls):  # math.sin would raise on it
         raise NonFiniteValue(f"2 lambda s = {x2ls!r} at s = {s!r}")
-    q, v = _flow(arc.p0.coords(), A, B, arc.lam, s, math)
-    q = Point(*q)
-    return q, FrameVector(*v, q)
+    (x, y, t), v = _flow(arc.p0.coords(), A, B, arc.lam, s, math)
+    q = Point(x, y, t)
+    return q, FrameVector(*frame_coeffs(x, y, v), q)
 
 
 def exp_geodesics(arc: GeodesicArc, S) -> tuple[Arr3, Arr3]:
@@ -143,6 +144,7 @@ def exp_geodesics(arc: GeodesicArc, S) -> tuple[Arr3, Arr3]:
     A, B, _ = frame_to_euclidean(arc.v0)
     with np.errstate(all="ignore"):
         q, v = _flow(arc.p0.coords(), A, B, arc.lam, S, np)
+        v = frame_coeffs(q[0], q[1], v)
     ok = np.logical_and.reduce([np.isfinite(c) for c in (*q, *v)])
     raise_first_failure((~ok, lambda i: NonFiniteValue(
         f"geodesic is not finite at s = {float(S.ravel()[i])!r}")))
@@ -169,56 +171,23 @@ def exp_euclidean(p: tuple[float, float, float], v: tuple[float, float, float],
 
 @dataclass(frozen=True)
 class JacobiSample:
-    """Variation field of a geodesic family and its covariant s-derivatives."""
+    """A Jacobi field and its covariant s-derivatives at one point of its
+    geodesic, with the geodesic's velocity there."""
 
     V: FrameVector
     Vprime: FrameVector
     Vsecond: FrameVector
-
-
-Curve = Callable[[float], Point]
-FieldAlong = Callable[[float], FrameVector]
-
-EPS_STEP = 1e-5          # family-parameter stencil, one Richardson level
-JACOBI_S_STEP = 1e-2     # s-stencil for covariant derivatives
-
-
-def covariant_derivative_along(field: FieldAlong, velocity: FieldAlong,
-                               s: float, h: float = JACOBI_S_STEP) -> FrameVector:
-    """Covariant derivative of a field sampled along a curve.
-
-    Differentiates the frame coefficients in the curve parameter and adds
-    the connection correction contracted with the curve velocity.
-    """
-    dcoeff = central_diff(lambda u: field(u).coeffs(), s, DiffSpec(h, 1))
-    w = field(s)
-    return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
-
-
-def _nonfinite_nodes(stages, n: int):
-    """The check of ``jacobi_fields``: row i holds the nodes of every stage
-    ``(values, eps, s)`` of the parameter s[i], in order.  A node fails where
-    a component of ``values`` (stacked on axis 0) is not finite; ``eps`` and
-    ``s`` are its parameters, broadcast to the node grid (n parameters first)."""
-    parts = []
-    for values, eps, s in stages:
-        bad = ~np.isfinite(values).all(axis=0)
-        parts.append([np.broadcast_to(a, bad.shape).reshape(n, math.prod(bad.shape[1:]))
-                      for a in (bad, eps, s)])
-    bad, eps_at, s_at = (np.concatenate(a, axis=1) for a in zip(*parts))
-    return bad, lambda i: NonFiniteValue(
-        f"Jacobi field is not finite at eps = {float(eps_at.flat[i])!r}, "
-        f"s = {float(s_at.flat[i])!r}")
+    velocity: FrameVector
 
 
 @dataclass(frozen=True)
 class JacobiFields:
-    """Jacobi fields of a geodesic family at the parameters ``s``: arrays of
-    shape (3, len(s)), column i at ``s[i]``.
+    """A Jacobi field at the parameters ``s``: arrays of shape (3, len(s)),
+    column i at ``s[i]``.
 
-    ``points`` are the Euclidean coordinates of gamma(s) on the member
-    ``eps``; ``V``, ``Vprime``, ``Vsecond`` and ``DV_velocity`` (D_V gamma')
-    are frame coefficients there.
+    ``points`` are the Euclidean coordinates of gamma(s); ``V``, ``Vprime``,
+    ``Vsecond``, ``DV_velocity`` (D_V gamma') and ``velocity`` (gamma') are
+    frame coefficients there.
     """
 
     s: np.ndarray
@@ -227,13 +196,14 @@ class JacobiFields:
     Vprime: np.ndarray
     Vsecond: np.ndarray
     DV_velocity: np.ndarray
+    velocity: np.ndarray
 
     def _vectors(self, i: int, *fields: np.ndarray) -> list[FrameVector]:
         q = Point(*self.points[:, i].tolist())
         return [FrameVector(*f[:, i].tolist(), q) for f in fields]
 
     def sample(self, i: int) -> JacobiSample:
-        return JacobiSample(*self._vectors(i, self.V, self.Vprime, self.Vsecond))
+        return JacobiSample(*self._vectors(i, self.V, self.Vprime, self.Vsecond, self.velocity))
 
     def commutation_residual(self, i: int) -> float:
         """Norm of [gamma', V] = D_{gamma'} V - D_V gamma' at ``s[i]``."""
@@ -241,51 +211,72 @@ class JacobiFields:
         return (d_gamma_v - d_v_gamma).norm()
 
 
-def jacobi_fields(alpha: Curve, U: FieldAlong, eps: float, S) -> JacobiFields:
-    """Variation field V = dF/d(eps) of F(eps, s) = exp_{alpha(eps)}(s U)
-    at every s in ``S``, with its covariant s-derivatives, in one array pass.
+def jacobi_fields(arc: GeodesicArc, V0: FrameVector, DV0: FrameVector, S) -> JacobiFields:
+    """The Jacobi field along ``arc`` with V(0) = ``V0`` and V'(0) = ``DV0``
+    (tangent vectors at ``arc.p0``), and its covariant s-derivatives, at
+    every s in ``S``, in one array pass.
 
-    V comes from a Richardson-extrapolated central difference across the
-    family (step ``EPS_STEP``); V' and V'' from covariant s-differentiation
-    of the sampled field (step ``JACOBI_S_STEP``), nested as in
-    ``covariant_derivative_along``.  The flow runs once, on the five family
-    members at the ``central_diff`` nodes around ``eps`` and the 5 x 5 nested
-    s-nodes around each s, with the arithmetic of ``central_diff``, so no
-    result depends on the length or order of ``S``.  A non-finite ``S``, and
-    then the first non-finite stencil node of the first parameter that has
-    one, raise ``NonFiniteValue``, so the error of a batch is that of its
-    first failing parameter alone; overflow raises no numpy warning.
+    V is the variation field of the geodesic family whose start moves along
+    V0 and whose initial velocity u moves, in frame coefficients, along
+    DV0 - Gamma(V0, u).  Its derivatives across the family come from one
+    complex-step evaluation of the closed flow (Squire and Trapp, SIAM
+    Review 40, 1998): the imaginary parts of the point, of the Euclidean
+    velocity and of the acceleration 2 lam (v_y, -v_x, 0), over the step,
+    are the Euclidean V and its first two s-derivatives, with nothing
+    subtracted.  V' and V'' follow by the product rule through
+    ``frame_coeffs`` and the connection; D_V gamma' differentiates the
+    velocity across the family instead, so [gamma', V] = 0 is a check.  The
+    data are divided by their largest component first, so the step never
+    underflows, and the result is linear in (V0, DV0) across every binary
+    scale.  Every column depends on its own s alone: the first s whose
+    field is not finite raises ``NonFiniteValue``, and overflow raises no
+    numpy warning.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 1:
         raise ValueError("S must be one-dimensional")
-    raise_first_failure(_nonfinite_nodes([(S[None], eps, S)], len(S)))
-    eps_nodes = stencil_nodes(np.float64(eps), EPS_STEP).tolist()
-    # each member starts at alpha(e) with the frame coefficients of U(e)
-    members = [(alpha(e).coords(), U(e).coeffs()) for e in eps_nodes]
-    p0, (A, B, lam) = (np.array(c).T for c in zip(*members))  # (3, 5 members) each
-    outer = stencil_nodes(S, JACOBI_S_STEP)             # (n, 5)
-    inner = stencil_nodes(outer, JACOBI_S_STEP)         # (n, 5, 5)
+    if not V0.base.coords() == DV0.base.coords() == arc.p0.coords():
+        raise ValueError("initial data must be based at p0")
+    u = arc.v0.coeffs()
+    k = max(map(abs, V0.coeffs() + DV0.coeffs())) or 1.0
+    w0, dw0 = ([c / k for c in v.coeffs()] for v in (V0, DV0))
+    du = [d - g for d, g in zip(dw0, connection_correct((0.0, 0.0, 0.0), w0, u))]
+    x0, y0, _ = arc.p0.coords()
+    eta = 1e-30  # nothing is subtracted, so the step trades nothing off
+    p = tuple(c + 1j * eta * d for c, d in zip(arc.p0.coords(), euclidean_coeffs(x0, y0, w0)))
+    A, B, lam = (c + 1j * eta * d for c, d in zip(u, du))
     with np.errstate(all="ignore"):
-        q, v = _flow(p0, A, B, lam, inner[..., None], np)
-        q, v = np.stack(q), np.stack(v)                 # (3, n, 5, 5, 5 members)
-        V = np.stack(frame_coeffs(q[0, ..., 0], q[1, ..., 0], stencil_d1(q, EPS_STEP)))
-        vel = v[:, :, :, 0, 0]                          # member eps at the outer nodes
-        Vp = np.stack(connection_correct(stencil_d1(V, JACOBI_S_STEP), vel, V[..., 0]))
-        Vs, vel_s = V[:, :, 0, 0], vel[..., 0]
-        Vpp = np.stack(connection_correct(stencil_d1(Vp, JACOBI_S_STEP), vel_s, Vp[..., 0]))
-        # D_V gamma': differentiate the velocity across the family and
-        # contract the connection with V.
-        dv_vel = np.stack(connection_correct(stencil_d1(v[:, :, 0, 0], EPS_STEP), Vs, vel_s))
-    raise_first_failure(_nonfinite_nodes(
-        [(np.concatenate([q, v]), np.array(eps_nodes), inner[..., None]), (V, eps, inner),
-         (Vp, eps, outer), (np.concatenate([Vpp, dv_vel]), eps, S)], len(S)))
-    return JacobiFields(S, q[:, :, 0, 0, 0], Vs, Vp[..., 0], Vpp, dv_vel)
+        q, ve = _flow(p, A, B, lam, S, np)
+        turn = (2.0 * lam * ve[1], -2.0 * lam * ve[0], 0.0)  # d/ds of the frame velocity
+        ae = euclidean_coeffs(q[0], q[1], turn)
+        vf = frame_coeffs(q[0], q[1], ve)
+        # across the family: V in Euclidean components with its first two
+        # s-derivatives, and the velocity's frame coefficients
+        W, W1, W2, dvf = ([k * (c.imag / eta) for c in z] for z in (q, ve, ae, vf))
+        (x, y, _), (vx, vy, _), (ax, ay, _), vel, acc = (
+            [c.real for c in z] for z in (q, ve, ae, vf, turn))
+        # V and its s-derivatives by the product rule through frame_coeffs
+        V = frame_coeffs(x, y, W)
+        dV = (W1[0], W1[1], W1[2] - vy * W[0] - y * W1[0] + vx * W[1] + x * W1[1])
+        ddV = (W2[0], W2[1], W2[2] - ay * W[0] - 2.0 * vy * W1[0] - y * W2[0]
+               + ax * W[1] + 2.0 * vx * W1[1] + x * W2[1])
+        Vp = connection_correct(dV, vel, V)
+        # Vp's coefficients are dV + Gamma(gamma', V): their s-derivative is
+        # ddV + Gamma(gamma'', V) + Gamma(gamma', dV)
+        Vpp = connection_correct(connection_correct(connection_correct(ddV, acc, V), vel, dV),
+                                 vel, Vp)
+        # D_V gamma' differentiates the velocity across the family instead
+        dv_vel = connection_correct(dvf, V, vel)
+        out = [np.stack(f) for f in ((x, y, q[2].real), V, Vp, Vpp, dv_vel, vel)]
+    ok = np.logical_and.reduce([np.isfinite(c) for f in out for c in f])
+    raise_first_failure((~ok, lambda i: NonFiniteValue(
+        f"Jacobi field is not finite at s = {float(S[i])!r}")))
+    return JacobiFields(S, *out)
 
 
-def jacobi_field(alpha: Curve, U: FieldAlong, eps: float, s: float) -> JacobiSample:
+def jacobi_field(arc: GeodesicArc, V0: FrameVector, DV0: FrameVector, s: float) -> JacobiSample:
     """``jacobi_fields`` at the one parameter ``s``."""
-    return jacobi_fields(alpha, U, eps, [s]).sample(0)
+    return jacobi_fields(arc, V0, DV0, [s]).sample(0)
 
 
 def jacobi_residual(sample: JacobiSample, gammavel: FrameVector) -> float:

@@ -459,18 +459,3 @@ def central_diffs(f: Callable[[float], Diff], x: float, spec: DiffSpec,
     f = functools.cache(f)
     return [_sample(f, x) if order == 0 else central_diff(f, x, spec, order)
             for order in orders]
-
-
-def stencil_nodes(x, h):
-    """``central_diff``'s one-level stencil around ``x``: x, x + h, x - h,
-    x + h/2, x - h/2, on a new last axis, with its float arithmetic; ``x``
-    and ``h`` are floats or arrays of one shape."""
-    h2 = h / 2
-    return np.stack([x, x + h, x - h, x + h2, x - h2], axis=-1)
-
-
-def stencil_d1(f, h):
-    """``central_diff``'s one-level first derivative from samples ``f`` on
-    ``stencil_nodes(x, h)`` along the last axis (the centre is not used)."""
-    return richardson([central_quotient(f[..., 1], f[..., 2], h),
-                       central_quotient(f[..., 3], f[..., 4], h / 2)])

@@ -225,11 +225,14 @@ class SurfaceFrames:
 
     def nu_h_partial(self, j: int) -> tuple:
         """d/du_j of |N_h| and of nu_X, nu_Y for nu_h = (N_X, N_Y, 0)/|N_h|,
-        from ``normal_partial``: d|N_h| = nu_X dN_X + nu_Y dN_Y and d nu =
-        (dN - nu d|N_h|)/|N_h|, NaN where ``regular`` is False."""
-        nu, dn, nh = self.nu_h, self.normal_partial(j), self.Nh_norm
+        from ``normal_partial``: d nu = (dN - nu d|N_h|)/|N_h|, NaN where
+        ``regular`` is False.  d|N_h| = nu_X dN_X + nu_Y dN_Y = -<N,T> dN_T /
+        |N_h|, as dN is normal to N, so d|N_h| = <N,T> <dN, S>: that sum
+        cancels where |N_h| -> 1 and this quotient where |N_h| -> 0, and
+        the product with <N,T> cancels in neither."""
+        nu, dn, nh, nt = self.nu_h, self.normal_partial(j), self.Nh_norm, self.NT
         with np.errstate(all="ignore"):
-            dnh = nu[0] * dn[0] + nu[1] * dn[1]
+            dnh = nt * (nt * (nu[0] * dn[0] + nu[1] * dn[1]) - nh * dn[2])
             return dnh, (dn[0] - nu[0] * dnh) / nh, (dn[1] - nu[1] * dnh) / nh
 
 

@@ -21,16 +21,15 @@ import numpy as np
 
 from . import surfaces
 from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
-                   Y_FIELD, covariant_derivative, covariant_field,
+                   Y_FIELD, connection_correct, covariant_derivative, covariant_field,
                    curvature_R, dilate, dot, euclidean_to_frame, flow,
-                   frame_at, frame_to_euclidean, group_inverse, group_mul,
-                   jop, left_translation_jacobian, lie_bracket, ricci,
+                   frame_at, frame_coeffs, frame_to_euclidean, group_inverse, group_mul,
+                   jop, jop_coeffs, left_translation_jacobian, lie_bracket, ricci,
                    rotate_z)
-from .geodesics import (EPS_STEP, GeodesicArc, covariant_derivative_along, exp_geodesic,
-                        exp_geodesics, helpers_fgh, jacobi_field, jacobi_fields,
-                        jacobi_residual, straight_line_residual)
-from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
-                       gauss_legendre_1d, integrate_cells)
+from .geodesics import (GeodesicArc, exp_geodesic, exp_geodesics, helpers_fgh,
+                        jacobi_field, jacobi_fields, jacobi_residual, straight_line_residual)
+from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
+                       integrate_cells)
 from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
@@ -43,8 +42,8 @@ from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         vertical_variation_second_difference, zero_function)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart, HelicoidChart,
                        ParaboloidChart, RuledChart, VerticalPlaneChart, area, characteristic_ray,
-                       curve_samples, dilated, rotated, ruled_coordinates, singular_locus,
-                       surface_frame, surface_frames)
+                       dilated, rotated, ruled_coordinates, singular_locus,
+                       surface_frame, surface_frames, _coeff_partial)
 
 
 @dataclass(frozen=True)
@@ -453,17 +452,29 @@ def check_semigroup():
     return worst
 
 
+def _ruling_family(chart: Chart, s: float, a: float):
+    """The arc along F_1 from the point (s, a) of ``chart``, and the initial
+    data of its Jacobi field F_2 on the family a -> F(s + ., a) of rulings:
+    V(0) = F_2 and V'(0) = D_{F_2} F_1, from the chart's 2-jet."""
+    jet = chart.jet(s, a)
+    x, y, _ = jet.p
+    p = Point(*jet.p)
+    c1, c2 = frame_coeffs(x, y, jet.f1), frame_coeffs(x, y, jet.f2)
+    dv0 = connection_correct(_coeff_partial(x, y, jet.f12, jet.f2, jet.f1), c2, c1)
+    return GeodesicArc(p, FrameVector(*c1, p)), FrameVector(*c2, p), FrameVector(*dv0, p)
+
+
 @check("geodesics", ("jacobi_trivial_family", "line translations: V const, V''=0", 1e-4))
 def check_jacobi_trivial():
-    alpha = lambda e: Point(0.0, e, 0.0)
-    u_of = lambda e: FrameVector(0.0, 1.0, 0.0, alpha(e))
+    # the lines e -> (0, e, 0) + s Y translated along Y, at e = 0.1
+    p = Point(0.0, 0.1, 0.0)
+    y_vec = FrameVector(0.0, 1.0, 0.0, p)
+    fields = jacobi_fields(GeodesicArc(p, y_vec), y_vec, y_vec.scaled(0.0), [-1.0, 0.4, 2.0])
     worst = 0.0
-    fields = jacobi_fields(alpha, u_of, 0.1, [-1.0, 0.4, 2.0])
     for i in range(len(fields.s)):
         sample = fields.sample(i)
-        # documented stencil accuracy: 1e-6 on V, 1e-4 on V''
-        worst = _worst(worst, (sample.V - FrameVector(0, 1, 0, sample.V.base)).norm() * 1e2)
-        worst = _worst(worst, sample.Vsecond.norm())
+        worst = _worst(worst, (sample.V - FrameVector(0, 1, 0, sample.V.base)).norm(),
+                       sample.Vsecond.norm())
     return worst
 
 
@@ -473,25 +484,20 @@ def check_jacobi_trivial():
 def check_jacobi_helicoid():
     # the rulings of the pitch-2 helicoid's seed: the point at s = 0 and F_s
     hel = HelicoidChart(2.0)
-    alpha = functools.partial(hel.point, 0.0)
-    u_of = lambda e: euclidean_to_frame(alpha(e), hel.jet(0.0, e).f1)
     worst_eq = 0.0
     worst_comm = 0.0
     for eps, s in ((0.0, 0.3), (0.5, -0.8), (-0.4, 1.5)):
-        fields = jacobi_fields(alpha, u_of, eps, [s])
+        fields = jacobi_fields(*_ruling_family(hel, 0.0, eps), [s])
         sample = fields.sample(0)
-        a = alpha(eps)
-        u = u_of(eps)
-        _, vel = exp_geodesic(GeodesicArc(a, u), s)
-        worst_eq = _worst(worst_eq, straight_line_residual(sample, vel))
-        worst_eq = _worst(worst_eq, jacobi_residual(sample, vel))
+        worst_eq = _worst(worst_eq, straight_line_residual(sample, sample.velocity),
+                          jacobi_residual(sample, sample.velocity))
         worst_comm = _worst(worst_comm, fields.commutation_residual(0))
 
     # vertical component of V must be an exact quadratic in s
     svals = [-1.0 + 0.25 * i for i in range(9)]
     worst_fit = 0.0
     for eps in (0.0, 0.7):
-        vt = jacobi_fields(alpha, u_of, eps, svals).V[2].tolist()
+        vt = jacobi_fields(*_ruling_family(hel, 0.0, eps), svals).V[2].tolist()
         coef = _quad_fit(svals, vt)
         worst_fit = _worst(worst_fit, *(abs(coef[0] * s * s + coef[1] * s + coef[2] - v)
                                         for s, v in zip(svals, vt)))
@@ -500,19 +506,16 @@ def check_jacobi_helicoid():
 
 @check("geodesics", ("jacobi_equation_general", "V'' + R(gamma',V)gamma' = 0", 1e-4))
 def check_jacobi_random():
-    def alpha(e: float) -> Point:
-        return Point(math.sin(e), e, 0.3 * e * e)
-
-    def u_of(e: float) -> FrameVector:
-        return FrameVector(0.8 + 0.1 * e, -0.5 * e, 0.9 + 0.2 * math.cos(e), alpha(e))
-
+    # the family e -> exp_{alpha(e)}(s U(e)) with alpha(e) = (sin e, e, 0.3 e^2)
+    # and U(e) = (0.8 + 0.1 e, -0.5 e, 0.9 + 0.2 cos e) in frame coefficients
     worst = 0.0
     for eps, s in ((0.0, 0.5), (0.3, -1.0), (-0.2, 1.2)):
-        sample = jacobi_field(alpha, u_of, eps, s)
-        a = alpha(eps)
-        u = u_of(eps)
-        _, vel = exp_geodesic(GeodesicArc(a, u), s)
-        worst = _worst(worst, jacobi_residual(sample, vel))
+        p = Point(math.sin(eps), eps, 0.3 * eps * eps)
+        u = (0.8 + 0.1 * eps, -0.5 * eps, 0.9 + 0.2 * math.cos(eps))
+        v0 = euclidean_to_frame(p, (math.cos(eps), 1.0, 0.6 * eps))
+        dv0 = connection_correct((0.1, -0.5, -0.2 * math.sin(eps)), v0.coeffs(), u)
+        sample = jacobi_field(GeodesicArc(p, FrameVector(*u, p)), v0, FrameVector(*dv0, p), s)
+        worst = _worst(worst, jacobi_residual(sample, sample.velocity))
     return worst
 
 
@@ -561,12 +564,12 @@ def check_frame_relations():
     return _worst_entry(*worst)
 
 
-def _frames_along_ray(chart: Chart, u0, h: float):
-    """tau -> (surface_frame, nu_h, Z) on the Z curve through ``u0``, at the
-    nodes tau = k h / 2 (k = -2 ... 2) of a one-level stencil of step ``h``."""
-    frames = [surface_frame(chart, u) for u in curve_samples(chart, u0, h, 2, "Z")]
-    rows = [(fr, *_vectors(fr, "nu_h", "Z")) for fr in frames]
-    return lambda tau: rows[2 + round(2 * tau / h)]
+def _nu_h_along(fr, direction) -> tuple:
+    """The derivative of the frame coefficients of nu_h of the one-point
+    frame ``fr`` along the chart direction ``direction``, from
+    ``nu_h_partial``; J of it is Z's, since Z = J(nu_h)."""
+    (d1, d2), parts = direction, [fr.nu_h_partial(j) for j in (0, 1)]
+    return (*(d1 * parts[0][k] + d2 * parts[1][k] for k in (1, 2)), 0.0)
 
 
 @check("surfaces", ("characteristic_flow_derivatives",
@@ -580,26 +583,22 @@ def check_characteristic_derivatives():
     cases = [(CatenoidChart(1.0), (1.2, 0.5)), (HelicoidChart(2.0), (0.25, 0.4)),
              (bowl, (0.8, 0.3))]
     worst_zz = 0.0
+    worst_sc = 0.0
+    along = lambda direction, d: direction[0] * d[0] + direction[1] * d[1]
     for chart, u0 in cases:
-        frame = _frames_along_ray(chart, u0, 1e-3)
-        fr0, nu0, z0 = frame(0.0)
-        z_field = lambda tau: frame(tau)[2]
-        dzz = covariant_derivative_along(z_field, z_field, 0.0, 1e-3)
-        worst_zz = _worst(worst_zz, (dzz - nu0.scaled(2.0 * fr0.H)).norm())
-        dznu = covariant_derivative_along(lambda tau: frame(tau)[1], z_field, 0.0, 1e-3)
-        tvec = FrameVector(0, 0, 1, z0.base)
-        want = tvec - z0.scaled(2.0 * fr0.H)
+        fr = surface_frame(chart, u0)
+        nu, z = _vectors(fr, "nu_h", "Z")
+        dnu = _nu_h_along(fr, fr.z_chart)
+        dzz = FrameVector(*connection_correct(jop_coeffs(dnu), z.coeffs(), z.coeffs()), z.base)
+        worst_zz = _worst(worst_zz, (dzz - nu.scaled(2.0 * fr.H)).norm())
+        dznu = FrameVector(*connection_correct(dnu, z.coeffs(), nu.coeffs()), z.base)
+        want = FrameVector(0, 0, 1, z.base) - z.scaled(2.0 * fr.H)
         worst_zz = _worst(worst_zz, (dznu - want).norm())
 
-    worst_sc = 0.0
-    for chart, u0 in cases:
-        fr0 = surface_frame(chart, u0)
-        znt = tangent_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1, "Z")
-        worst_sc = _worst(worst_sc, abs(znt - fr0.Nh_norm * (fr0.BZS - 1.0)))
-        snt = tangent_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1, "S")
-        worst_sc = _worst(worst_sc, abs(snt - fr0.Nh_norm * fr0.BSS))
-        znh = tangent_derivative(chart, lambda u: surface_frame(chart, u).Nh_norm, u0, 1, "Z")
-        worst_sc = _worst(worst_sc, abs(znh - fr0.NT * (1.0 - fr0.BZS)))
+        znt, snt = along(fr.z_chart, fr.dNT), along(fr.s_chart, fr.dNT)
+        znh = along(fr.z_chart, fr.dNh)
+        worst_sc = _worst(worst_sc, abs(znt - fr.Nh_norm * (fr.BZS - 1.0)),
+                          abs(snt - fr.Nh_norm * fr.BSS), abs(znh - fr.NT * (1.0 - fr.BZS)))
     return worst_zz, worst_sc
 
 
@@ -855,13 +854,13 @@ def check_jacobi_coefficients():
     cat = CatenoidChart(1.0)
     u0 = (0.9, 0.5)
     a_cl, b_cl, c_cl, _ = jacobi_vertical_quadratic(cat, u0)
-    # Z on the S-curve at the family's nodes eps = k EPS_STEP / 2, k = -2 ... 2,
-    # gives both the base curve (its base points) and the ruling directions
-    zs = [_vectors(surface_frame(cat, u), "Z")[0]
-          for u in curve_samples(cat, u0, EPS_STEP, 2, "S")]
-    ruling = lambda e: zs[2 + round(2 * e / EPS_STEP)]
+    # the rulings along Z through the S-curve of u0: V(0) = S, V'(0) = D_S Z
+    fr = surface_frame(cat, u0)
+    z, s_vec = _vectors(fr, "Z", "S")
+    dz = jop_coeffs(_nu_h_along(fr, fr.s_chart))
+    ds_z = FrameVector(*connection_correct(dz, s_vec.coeffs(), z.coeffs()), z.base)
     svals = [-1.0 + 0.25 * i for i in range(9)]
-    vt = jacobi_fields(lambda e: ruling(e).base, ruling, 0.0, svals).V[2].tolist()
+    vt = jacobi_fields(GeodesicArc(z.base, z), s_vec, ds_z, svals).V[2].tolist()
     a_f, b_f, c_f = _quad_fit(svals, vt)
     return _nmax(a_f - a_cl, b_f - b_cl, c_f - c_cl)
 
@@ -968,13 +967,10 @@ def check_singular_curve_geometry():
     for R in (1.0, 2.0):
         hel = HelicoidChart(R)
         worst = _worst(worst, abs(RulingFrame(hel, 1.0 / R).W - 1.0))
-        # planar curvature of the xy-projection of the singular helix
-        spec = DiffSpec(1e-4, 0)
+        # planar curvature of the xy-projection of the singular helix, from the 2-jet
         for s0 in (1.0 / R, -1.0 / R):
-            def xy(e: float) -> tuple[float, float]:
-                p = hel.point(s0, e)
-                return p.x, p.y
-            (dx, dy), (ddx, ddy) = central_diffs(xy, 0.0, spec, (1, 2))
+            jet = hel.jet(s0, 0.0)
+            (dx, dy, _), (ddx, ddy, _) = jet.f2, jet.f22
             worst = _worst(worst, abs(dx * ddy - dy * ddx + R))
     return worst
 

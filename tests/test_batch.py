@@ -138,6 +138,20 @@ def test_normal_partials_are_the_chart_derivatives_of_n(name):
             assert np.abs(got - (plus[k] - minus[k]) / (2.0 * h)).max() <= tol, (j, k)
 
 
+@pytest.mark.parametrize("j", range(-8, 9))
+def test_dnh_matches_the_catenoid_closed_form(j):
+    # d|N_h|/dphi = lam ch sh (sh^2 - 1) / (lam^2 ch^4 + sh^2)^(3/2) at every
+    # scale: nu . dN cancels where |N_h| -> 1, and -<N,T> d<N,T>/|N_h| where
+    # |N_h| -> 0; <N,T> <dN, S>, which dNh reads, cancels in neither
+    chart, pts = CatenoidChart(10.0 ** j), ((1.2, 0.3), (1.9, -0.4), (0.4, 1.1), (2.5, -1.3))
+    fb = surface_frames(chart, *zip(*pts))
+    for i, (th, ph) in enumerate(pts):
+        lam, ch, sh = chart.lam, math.cosh(ph), math.sinh(ph)
+        want = lam * ch * sh * (sh * sh - 1.0) / (lam * lam * ch ** 4 + sh * sh) ** 1.5
+        for got in (fb.dNh[1][i], surface_frame(chart, (th, ph)).dNh[1]):
+            assert abs(got - want) <= 1e-13 * abs(want), (th, ph, got, want)
+
+
 def _graph_cases():
     # t = x|x| + y^2: partials that branch on the sign of x
     branching = GraphChart(lambda x, y: x * abs(x) + y * y,

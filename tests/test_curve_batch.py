@@ -334,11 +334,11 @@ def test_singular_locus_reports_each_crossing_once():
 
 # Scalar frames and scalar RK4 velocity stages of one run of the surfaces
 # and stability suites.  The one-point callers (RuledChart's curve grid,
-# characteristic_ray, _frames_along_ray and the few-point checks) keep the
-# scalar walk; everything else runs on arrays.  RuledChart walks its grid
-# only as far as its jets read it, and reads its curve off frame heads, with
-# no surface_frame.
-SCALAR_BUDGET = {"surface_frame": 99, "_chart_velocity": 4036}
+# characteristic_ray and the few-point checks) keep the scalar walk;
+# everything else runs on arrays.  RuledChart walks its grid only as far as
+# its jets read it, and reads its curve off frame heads, with no
+# surface_frame.
+SCALAR_BUDGET = {"surface_frame": 44, "_chart_velocity": 3684}
 
 
 def test_scalar_frame_budget(monkeypatch):

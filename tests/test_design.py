@@ -115,6 +115,15 @@ GREP_GUARDS = [
     Guard("One second-variation density", ("_product(",),
           "only stability.py may multiply the e-polynomials of a deformation",
           ("stability.py",), planted=("    x2 = _product(b1, c2, 2) - _product(c1, b2, 2)",)),
+    # a Jacobi field is differentiated exactly from its initial data
+    # (geodesics.jacobi_fields, one complex-step flow): no step across a
+    # geodesic family or along it
+    Guard("No step across a geodesic family",
+          ("EPS_STEP", "JACOBI_S_STEP", "stencil_nodes(", "stencil_d1(",
+           "covariant_derivative_along("),
+          "Jacobi fields take no step: call jacobi_fields with V(0) and V'(0)",
+          planted=("EPS_STEP = 1e-5", "JACOBI_S_STEP = 1e-2", "outer = stencil_nodes(S, h)",
+                   "V = stencil_d1(q, h)", "dzz = covariant_derivative_along(z, z, 0.0, h)")),
     # every CSV cell is formatted by cli._column_cells, once per distinct
     # value of a column of the whole export
     Guard("One CSV cell formatter", (r"%\.17g",), "only cli.py may format with the %.17g template",

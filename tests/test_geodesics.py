@@ -1,17 +1,18 @@
 import math
+import random
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from h1geom.core import FrameVector, ORIGIN, Point, dot, euclidean_to_frame
+from h1geom.core import (FrameVector, ORIGIN, Point, connection_correct, dot,
+                         euclidean_to_frame, frame_coeffs)
 from h1geom.errors import NonFiniteValue
-from h1geom.geodesics import (EPS_STEP, GeodesicArc,
-                              covariant_derivative_along, exp_euclidean,
-                              exp_geodesic, helpers_fgh,
+from h1geom.geodesics import (GeodesicArc, exp_euclidean, exp_geodesic, helpers_fgh,
                               jacobi_field, jacobi_fields, jacobi_residual,
                               straight_line_residual)
-from h1geom.numerics import DiffSpec, central_diff
+from referees import nested_jacobi_reference
 
 
 def test_fgh_special_values():
@@ -94,45 +95,55 @@ def test_arc_requires_matching_base():
         GeodesicArc(ORIGIN, FrameVector(1, 0, 0, Point(1, 0, 0)))
 
 
-def _helicoid_family(R=2.0):
-    def alpha(e):
-        return Point(0.0, 0.0, e / R)
+# A geodesic family is (alpha, u_of, dalpha, du): the start point alpha(e),
+# the frame coefficients u_of(e) of the initial velocity, and the exact
+# e-derivatives of the Euclidean start and of those coefficients.
 
-    def u_of(e):
-        return euclidean_to_frame(alpha(e), (math.sin(R * e), math.cos(R * e), 0.0))
-
-    return alpha, u_of
-
-
-def test_jacobi_helicoid_rulings():
-    alpha, u_of = _helicoid_family()
-    for eps, s in ((0.0, 0.5), (0.4, -1.2)):
-        sample = jacobi_field(alpha, u_of, eps, s)
-        _, vel = exp_geodesic(GeodesicArc(alpha(eps), u_of(eps)), s)
-        assert straight_line_residual(sample, vel) <= 1e-5
-        assert jacobi_residual(sample, vel) <= 1e-5
-        assert jacobi_fields(alpha, u_of, eps, [s]).commutation_residual(0) <= 1e-5
-        # vertical component is 1/R - R s^2 for this family
-        tvec = FrameVector(0, 0, 1, sample.V.base)
-        assert abs(dot(sample.V, tvec) - (0.5 - 2.0 * s * s)) <= 1e-9
+def _helicoid_family(R=2.0, scale=1.0):
+    # the rulings of the pitch-R helicoid's seed
+    return (lambda e: Point(0.0, 0.0, e / R),
+            lambda e: (scale * math.sin(R * e), scale * math.cos(R * e), 0.0),
+            lambda e: (0.0, 0.0, 1.0 / R),
+            lambda e: (scale * R * math.cos(R * e), -scale * R * math.sin(R * e), 0.0))
 
 
 def _general_family(scale=1.0):
-    def alpha(e):
-        return Point(math.sin(e), e, 0.3 * e * e)
+    return (lambda e: Point(math.sin(e), e, 0.3 * e * e),
+            lambda e: (scale * (0.8 + 0.1 * e), scale * (-0.5 * e),
+                       scale * (0.9 + 0.2 * math.cos(e))),
+            lambda e: (math.cos(e), 1.0, 0.6 * e),
+            lambda e: (0.1 * scale, -0.5 * scale, -0.2 * scale * math.sin(e)))
 
-    def u_of(e):
-        return FrameVector(scale * (0.8 + 0.1 * e), scale * (-0.5 * e),
-                           scale * (0.9 + 0.2 * math.cos(e)), alpha(e))
 
-    return alpha, u_of
+def _initial_data(family, eps):
+    """The arc of the member ``eps`` of ``family``, and V(0) and V'(0) =
+    D_e U of the family's Jacobi field on it."""
+    alpha, u_of, dalpha, du = family
+    p, u = alpha(eps), u_of(eps)
+    v0 = euclidean_to_frame(p, dalpha(eps))
+    return (GeodesicArc(p, FrameVector(*u, p)), v0,
+            FrameVector(*connection_correct(du(eps), v0.coeffs(), u), p))
+
+
+def _coeffs(sample):
+    return [v.coeffs() for v in (sample.V, sample.Vprime, sample.Vsecond)]
+
+
+def test_jacobi_helicoid_rulings():
+    for eps, s in ((0.0, 0.5), (0.4, -1.2)):
+        data = _initial_data(_helicoid_family(), eps)
+        sample = jacobi_field(*data, s)
+        assert straight_line_residual(sample, sample.velocity) <= 1e-14
+        assert jacobi_residual(sample, sample.velocity) <= 1e-14
+        assert jacobi_fields(*data, [s]).commutation_residual(0) <= 1e-14
+        # vertical component is 1/R - R s^2 for this family
+        tvec = FrameVector(0, 0, 1, sample.V.base)
+        assert abs(dot(sample.V, tvec) - (0.5 - 2.0 * s * s)) <= 1e-15
 
 
 def test_jacobi_general_family():
-    alpha, u_of = _general_family()
-    sample = jacobi_field(alpha, u_of, 0.3, -1.0)
-    _, vel = exp_geodesic(GeodesicArc(alpha(0.3), u_of(0.3)), -1.0)
-    assert jacobi_residual(sample, vel) <= 1e-4
+    sample = jacobi_field(*_initial_data(_general_family(), 0.3), -1.0)
+    assert jacobi_residual(sample, sample.velocity) <= 1e-14
 
 
 def test_exp_point_shortcut():
@@ -143,11 +154,12 @@ def test_exp_point_shortcut():
 
 def _hex_columns(fields, i):
     return [[float(x).hex() for x in a[:, i]]
-            for a in (fields.V, fields.Vprime, fields.Vsecond)]
+            for a in (fields.points, fields.V, fields.Vprime, fields.Vsecond, fields.velocity)]
 
 
 def _hex_sample(sample):
-    return [[x.hex() for x in v.coeffs()] for v in (sample.V, sample.Vprime, sample.Vsecond)]
+    return [[x.hex() for x in c] for c in (sample.V.base.coords(), *_coeffs(sample),
+                                           sample.velocity.coeffs())]
 
 
 NINE_S = [-1.0 + 0.25 * i for i in range(9)]
@@ -157,110 +169,191 @@ NINE_S = [-1.0 + 0.25 * i for i in range(9)]
 @pytest.mark.parametrize("S", [[0.3], [-0.8, 0.4, 1.5], NINE_S, NINE_S[::-1]])
 def test_jacobi_fields_columns_are_single_points(family, S):
     # the batch size and order cannot change a bit of any column
-    alpha, u_of = family()
     for eps in (0.0, 0.5):
-        fields = jacobi_fields(alpha, u_of, eps, S)
+        data = _initial_data(family(), eps)
+        fields = jacobi_fields(*data, S)
         for i, s in enumerate(S):
-            assert _hex_columns(fields, i) == _hex_sample(jacobi_field(alpha, u_of, eps, s))
+            assert _hex_columns(fields, i) == _hex_sample(jacobi_field(*data, s))
             assert (fields.commutation_residual(i).hex()
-                    == jacobi_fields(alpha, u_of, eps, [s]).commutation_residual(0).hex())
+                    == jacobi_fields(*data, [s]).commutation_residual(0).hex())
 
 
-def _nested_reference(alpha, u_of, eps, s):
-    """V, V', V'' by nested scalar ``central_diff`` calls on ``exp_geodesic``:
-    the loop form that ``jacobi_fields`` writes out as one array pass."""
-    def arc(e):
-        return GeodesicArc(alpha(e), u_of(e))
+def _random_initial_data(rng, lam):
+    p = Point(*(rng.uniform(-2.0, 2.0) for _ in range(3)))
+    v = FrameVector(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), lam, p)
+    V0, DV0 = (FrameVector(*(rng.uniform(-1.0, 1.0) for _ in range(3)), p) for _ in range(2))
+    return GeodesicArc(p, v), V0, DV0
 
-    def v_at(x):
-        de = central_diff(lambda e: exp_geodesic(arc(e), x)[0].coords(), eps,
-                          DiffSpec(EPS_STEP, 1))
-        return euclidean_to_frame(exp_geodesic(arc(eps), x)[0], de)
 
-    def vel_at(x):
-        return exp_geodesic(arc(eps), x)[1]
+# lam = 0 (straight lines), lam = 1e-6 (the series branch of helpers_fgh
+# on all of [-10, 10]) and |lam| in [0.5, 1.5] (|2 lam s| up to 30)
+RANDOM_LAMS = [0.0, 1e-6, -1e-6, None]
 
-    def vprime_at(x):
-        return covariant_derivative_along(v_at, vel_at, x)
 
-    return v_at(s), vprime_at(s), covariant_derivative_along(vprime_at, vel_at, s)
+@pytest.mark.parametrize("lam", RANDOM_LAMS)
+def test_jacobi_fields_solve_the_jacobi_equation(lam):
+    rng = random.Random(17)
+    S = np.linspace(-10.0, 10.0, 21)
+    for _ in range(15):
+        draw = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5) if lam is None else lam
+        fields = jacobi_fields(*_random_initial_data(rng, draw), S)
+        for i in range(len(S)):
+            sample = fields.sample(i)
+            vel, V = sample.velocity, sample.V
+            # each side against the size of its terms
+            scale = sample.Vsecond.norm() + vel.norm() ** 2 * V.norm()
+            assert jacobi_residual(sample, vel) <= 1e-14 * scale
+            scale = sample.Vprime.norm() + vel.norm() * V.norm()
+            assert fields.commutation_residual(i) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("lam", RANDOM_LAMS)
+def test_jacobi_fields_start_at_their_initial_data(lam):
+    rng = random.Random(19)
+    for _ in range(15):
+        draw = rng.uniform(-1.5, 1.5) if lam is None else lam
+        arc, V0, DV0 = _random_initial_data(rng, draw)
+        sample = jacobi_field(arc, V0, DV0, 0.0)
+        assert sample.V.base.coords() == arc.p0.coords()
+        assert (sample.velocity - arc.v0).norm() <= 4e-15
+        assert (sample.V - V0).norm() <= 2e-15
+        assert (sample.Vprime - DV0).norm() <= 4e-15
+
+
+def test_jacobi_fields_are_linear_in_their_initial_data():
+    rng = random.Random(23)
+    S = [-3.0, -0.5, 0.0, 1.25, 4.0]
+    for lam in (0.0, 1e-6, 0.9):
+        arc, V0, DV0 = _random_initial_data(rng, lam)
+        W0, DW0 = (FrameVector(*(rng.uniform(-1.0, 1.0) for _ in range(3)), arc.p0)
+                   for _ in range(2))
+        base = jacobi_fields(arc, V0, DV0, S)
+        # a binary scale changes no bit of the fields it scales
+        for j in range(-1000, 1001, 125):
+            k = math.ldexp(1.0, j)
+            scaled = jacobi_fields(arc, V0.scaled(k), DV0.scaled(k), S)
+            for name in ("V", "Vprime", "Vsecond", "DV_velocity"):
+                assert np.array_equal(np.ldexp(getattr(scaled, name), -j), getattr(base, name))
+        # and a sum of data is the sum of their fields
+        other = jacobi_fields(arc, W0, DW0, S)
+        both = jacobi_fields(arc, V0 + W0.scaled(-0.75), DV0 + DW0.scaled(-0.75), S)
+        for name in ("V", "Vprime", "Vsecond", "DV_velocity"):
+            want = getattr(base, name) - 0.75 * getattr(other, name)
+            size = np.abs(getattr(base, name)).max() + np.abs(getattr(other, name)).max()
+            assert np.abs(getattr(both, name) - want).max() <= 1e-14 * size
+
+
+def test_jacobi_fields_of_zero_data_vanish():
+    arc, V0, _ = _initial_data(_general_family(), 0.3)
+    fields = jacobi_fields(arc, V0.scaled(0.0), V0.scaled(0.0), [-1.0, 2.0])
+    for name in ("V", "Vprime", "Vsecond", "DV_velocity"):
+        assert not getattr(fields, name).any()
+
+
+def test_jacobi_fields_want_data_at_the_start():
+    arc, V0, DV0 = _initial_data(_general_family(), 0.3)
+    elsewhere = FrameVector(*V0.coeffs(), Point(0.0, 0.0, 0.0))
+    for data in ((elsewhere, DV0), (V0, elsewhere)):
+        with pytest.raises(ValueError):
+            jacobi_fields(arc, *data, [0.5])
 
 
 def test_jacobi_fields_match_nested_reference():
-    # bit for bit on the helicoid family, whose flow never reaches sin or cos
-    alpha, u_of = _helicoid_family()
-    S = [-1.3, -0.2, 0.0, 0.7, 2.5]
-    for eps in (-0.3, 0.0, 0.9):
-        fields = jacobi_fields(alpha, u_of, eps, S)
-        for i, s in enumerate(S):
-            want = [[x.hex() for x in v.coeffs()]
-                    for v in _nested_reference(alpha, u_of, eps, s)]
-            assert _hex_columns(fields, i) == want
+    # the referee differences the flow across the family and along the
+    # geodesic; it is good to 1e-6 on V and 1e-4 on V' and V''
+    for family in (_helicoid_family(), _general_family()):
+        alpha, u_coeffs = family[:2]
+        u_of = lambda e: FrameVector(*u_coeffs(e), alpha(e))
+        for eps in (-0.3, 0.0, 0.9):
+            for s in (-1.3, -0.2, 0.0, 0.7, 2.5):
+                got = _coeffs(jacobi_field(*_initial_data(family, eps), s))
+                want = [v.coeffs() for v in nested_jacobi_reference(alpha, u_of, eps, s)]
+                for g, w, tol in zip(got, want, (1e-6, 1e-4, 1e-4)):
+                    assert max(abs(a - b) for a, b in zip(g, w)) <= tol * max(1.0, *map(abs, w))
 
 
-# V, V', V'' and the commutation residual of the R = 2 helicoid family at
-# the (eps, s) pairs of verify's jacobi_equation_rulings check, as computed
-# by the scalar nested-central_diff implementation.  The family has lam = 0,
-# so the flow never reaches sin or cos, and the values are exact pins.
-HELICOID_PINS = [
-    (0.0, 0.3,
-     [["0x1.3333333333333p-1", "0x0.0p+0", "0x1.47ae147ae147bp-2"],
-      ["0x1.ae147ae147aa6p+0", "0x0.0p+0", "-0x1.33333333332fbp-1"],
-      ["0x1.ccccccccccbaap+0", "0x0.0p+0", "-0x1.47ae147ae60c8p-2"]],
-     "0x1.019eb020ee283p-46"),
-    (0.5, -0.8,
-     [["-0x1.ba9d9b2b9b4dfp-1", "0x1.58aaa0c07e703p+0", "-0x1.8f5c28f5c4179p-1"],
-      ["0x1.8085b86e822cap+0", "-0x1.2b6dd541257e0p+1", "0x1.9999999d0c46ap+0"],
-      ["-0x1.4bf638275a782p+1", "0x1.027ff8820dd31p+2", "0x1.8f5c22de148eap-1"]],
-     "0x1.f2040e9643495p-30"),
-    (-0.4, 1.5,
-     [["0x1.0b890e6d4a1ebp+1", "0x1.1376f920f9b38p+1", "-0x1.fffffffff19ccp+1"],
-      ["0x1.0b890e6b8c335p+2", "0x1.1376f926e9d85p+2", "-0x1.8000000914364p+1"],
-      ["0x1.914d931df2c00p+2", "0x1.9d3275b7ff5d4p+2", "0x1.000002aea8c54p+2"]],
-     "0x1.ecc1caa1218ecp-28"),
-]
+@pytest.mark.parametrize("eps, s", [(0.0, 0.3), (0.5, -0.8), (-0.4, 1.5)])
+def test_jacobi_helicoid_closed_form(eps, s):
+    # the R = 2 helicoid's rulings (s sin Re, s cos Re, e/R) are horizontal
+    # lines, and V = d/de of them is a polynomial in s:
+    # V = (Rs co, -Rs si, 1/R - Rs^2), V' = (c co, -c si, -Rs) with
+    # c = R - 1/R + Rs^2, and V'' = (3Rs co, -3Rs si, Rs^2 - 1/R)
+    R, co, si = 2.0, math.cos(2.0 * eps), math.sin(2.0 * eps)
+    c = R - 1.0 / R + R * s * s
+    want = [(R * s * co, -R * s * si, 1.0 / R - R * s * s), (c * co, -c * si, -R * s),
+            (3.0 * R * s * co, -3.0 * R * s * si, R * s * s - 1.0 / R)]
+    data = _initial_data(_helicoid_family(), eps)
+    sample = jacobi_field(*data, s)
+    for g, w in zip(_coeffs(sample), want):
+        assert max(abs(a - b) for a, b in zip(g, w)) <= 4e-15 * max(map(abs, w))
+    assert sample.velocity.coeffs() == pytest.approx((si, co, 0.0), abs=1e-16)
+    assert jacobi_fields(*data, [s]).commutation_residual(0) <= 4e-15 * c
 
 
-@pytest.mark.parametrize("eps, s, fields, comm", HELICOID_PINS)
-def test_jacobi_helicoid_pins(eps, s, fields, comm):
-    alpha, u_of = _helicoid_family()
-    assert _hex_sample(jacobi_field(alpha, u_of, eps, s)) == fields
-    assert jacobi_fields(alpha, u_of, eps, [s]).commutation_residual(0).hex() == comm
+def _mp_flow(p, u, s):
+    """The closed flow of ``geodesics`` in mpmath arithmetic."""
+    (x0, y0, t0), (A, B, lam) = p, u
+    x = 2 * lam * s
+    f, g, h = ((mp.sin(x) / x, (1 - mp.cos(x)) / x, (x - mp.sin(x)) / x ** 2) if x
+               else (1, 0, 0))
+    r2, ax, ay = A * A + B * B, A * x0 + B * y0, A * y0 - B * x0
+    return (x0 + s * (A * f + B * g), y0 + s * (-A * g + B * f),
+            t0 + lam * s + r2 * s * s * h + ax * s * g + ay * s * f)
+
+
+def _mp_general_reference(eps, s):
+    """V, V', V'' of ``_general_family`` at 40 digits: mpmath derivatives of
+    its closed flow across the family and of frame coefficients along the
+    geodesic, with the connection terms of ``connection_correct``."""
+    mp.mp.dps = 40
+    eps, s = mp.mpf(eps), mp.mpf(s)
+
+    def flow(e, t):
+        return _mp_flow((mp.sin(e), e, 0.3 * e * e),
+                        (0.8 + 0.1 * e, -0.5 * e, 0.9 + 0.2 * mp.cos(e)), t)
+
+    def V(t):
+        q = flow(eps, t)
+        return frame_coeffs(q[0], q[1], [mp.diff(lambda e: flow(e, t)[k], eps) for k in range(3)])
+
+    def vel(t):
+        q = flow(eps, t)
+        return frame_coeffs(q[0], q[1], [mp.diff(lambda x: flow(eps, x)[k], t) for k in range(3)])
+
+    def D(field, t):
+        return connection_correct([mp.diff(lambda x: field(x)[k], t) for k in range(3)],
+                                  vel(t), field(t))
+
+    Vp = lambda t: D(V, t)
+    return V(s), Vp(s), D(Vp, s)
 
 
 # V, V', V'' of the general family at the (eps, s) pairs of verify's
-# jacobi_equation_general check, as computed by the scalar implementation.
-# The flow reaches sin and cos here, and numpy's need not match math's to
-# the bit.  Every difference quotient amplifies round-off: moving numpy's sin
-# and cos by one ulp in the flow moves V, V' and V'' by up to 2.7e-11,
-# 9.7e-9 and 1.9e-6 relative, so each is held about ten times wider.
+# jacobi_equation_general check: _mp_general_reference's values, rounded
 GENERAL_REFERENCE = [
     (0.0, 0.5,
-     [[0.9163267257768687, 0.7726163327818427, 0.9621229916414642],
-      [-0.5641611620031308, 1.0411728087147296, 0.933674316659085],
-      [1.2723235749370785, -0.6729961532890487, -0.8559275106581694]]),
+     [[0.9163267257813328, 0.7726163327781091, 0.9621229916381927],
+      [-0.5641611607982526, 1.0411728075137, 0.9336743153084192],
+      [1.2723239003527125, -0.672996207685329, -0.8559275345306565]]),
     (0.3, -1.0,
-     [[0.5152760135250049, 1.127604075192486, 0.06804255263278916],
-      [-0.8398329713327772, 0.948807220788837, -0.852357965768495],
-      [1.182692665313946, -0.44409793329943037, 0.6949381903401097]]),
+     [[0.5152760135213182, 1.1276040752123795, 0.06804255267438626],
+      [-0.8398329679063369, 0.9488072188640911, -0.8523579728216457],
+      [1.1826927874299151, -0.4440980287423344, 0.6949391089959931]]),
     (-0.2, 1.2,
-     [[0.5384665428889712, 0.8059558947541103, 1.3993217537019138],
-      [-0.6038728441287219, 0.15404250694085853, -0.2167045010511861],
-      [-1.975804579854248, -1.2013863983858868, -1.652057301475638]]),
+     [[0.5384665429160379, 0.8059558947544815, 1.3993217536461289],
+      [-0.6038728457073511, 0.15404250713330764, -0.21670450086970525],
+      [-1.975805203103135, -1.2013862915780529, -1.6520560306475425]]),
 ]
 
 
 @pytest.mark.parametrize("eps, s, want", GENERAL_REFERENCE)
 def test_jacobi_general_reference(eps, s, want):
-    sample = jacobi_field(*_general_family(), eps, s)
-    got = [v.coeffs() for v in (sample.V, sample.Vprime, sample.Vsecond)]
-    for g, w, rel in zip(got, want, (3e-10, 1e-7, 2e-5)):
+    ref = _mp_general_reference(eps, s)
+    got = _coeffs(jacobi_field(*_initial_data(_general_family(), eps), s))
+    for g, r, w in zip(got, ref, want):
+        assert [float(c) for c in r] == w
         for a, b in zip(g, w):
-            assert abs(a - b) <= rel * abs(b)
-
-
-def _never_called(e):
-    raise AssertionError("the family was evaluated")
+            assert abs(a - b) <= 2e-15 * max(1.0, abs(b))
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
@@ -268,8 +361,8 @@ def test_jacobi_fields_rejects_nonfinite_s_at_entry(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue) as err:
-            jacobi_fields(_never_called, _never_called, 0.3, [0.5, s])
-    assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
+            jacobi_fields(*_initial_data(_general_family(), 0.3), [0.5, s])
+    assert str(err.value) == f"Jacobi field is not finite at s = {s!r}"
 
 
 @pytest.mark.parametrize("family", [_helicoid_family, _general_family])
@@ -279,32 +372,27 @@ def test_jacobi_fields_rejects_nonfinite_s_at_entry(s):
 def test_jacobi_fields_nonfinite_families(family, scale, s, first):
     # one line naming the first failing parameter of [0.25, s], as a call at
     # that parameter alone names it, and no numpy warning
-    if family is _helicoid_family:
-        alpha, u0 = family()
-        u_of = lambda e: u0(e).scaled(scale)
-    else:
-        alpha, u_of = family(scale)
+    data = _initial_data(family(scale=scale), 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue) as err:
-            jacobi_field(alpha, u_of, 0.3, s)
-        assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
+            jacobi_field(*data, s)
+        assert str(err.value) == f"Jacobi field is not finite at s = {s!r}"
         with pytest.raises(NonFiniteValue) as err:
-            jacobi_fields(alpha, u_of, 0.3, [0.25, s])
-        assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {first!r}"
+            jacobi_fields(*data, [0.25, s])
+        assert str(err.value) == f"Jacobi field is not finite at s = {first!r}"
         with pytest.raises(NonFiniteValue) as err:
-            jacobi_fields(alpha, u_of, 0.3, [s, 0.25])
-        assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
+            jacobi_fields(*data, [s, 0.25])
+        assert str(err.value) == f"Jacobi field is not finite at s = {s!r}"
         if scale == 1.0:
             # s the one bad parameter, first, in the middle or last (a
             # larger scale makes every parameter bad)
             for S in ([s, 0.25, 0.5], [0.25, s, 0.5], [0.25, 0.5, s]):
                 with pytest.raises(NonFiniteValue) as err:
-                    jacobi_fields(alpha, u_of, 0.3, S)
-                assert str(err.value) == f"Jacobi field is not finite at eps = 0.3, s = {s!r}"
+                    jacobi_fields(*data, S)
+                assert str(err.value) == f"Jacobi field is not finite at s = {s!r}"
 
 
 def test_jacobi_fields_wants_one_axis():
-    alpha, u_of = _helicoid_family()
     with pytest.raises(ValueError):
-        jacobi_fields(alpha, u_of, 0.0, [[0.1, 0.2]])
+        jacobi_fields(*_initial_data(_helicoid_family(), 0.0), [[0.1, 0.2]])

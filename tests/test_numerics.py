@@ -460,18 +460,6 @@ def test_central_diffs_sample_each_node_once():
         assert sorted(calls) == sorted(set(calls)) and len(calls) == 2 * (levels + 1) + 1
 
 
-def test_stencil_arrays_match_central_diff_bitwise():
-    # one Richardson level, elementwise on arrays of points and of steps
-    f = lambda x: 0.7 * x ** 3 - 2.0 * x + 0.25 * x * x
-    x = np.array([-1.3, 0.0, 0.4, 2.9])
-    h = np.array([1e-5, 1e-3, 2e-2, 0.1])
-    nodes = numerics.stencil_nodes(x, h)
-    assert nodes.shape == (4, 5)
-    got = numerics.stencil_d1(f(nodes), h)
-    want = [central_diff(f, xi, DiffSpec(hi, 1)) for xi, hi in zip(x.tolist(), h.tolist())]
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-
-
 def test_central_diff_rejects_nonfinite_samples():
     with pytest.raises(NonFiniteValue):
         central_diff(lambda x: (1.0, math.nan), 0.0, DiffSpec(1e-3, 1))

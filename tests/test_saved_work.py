@@ -64,22 +64,6 @@ def test_ruled_chart_curve_keeps_its_bits():
     assert _digest(values) == "e9be70ff89c3ce7f8f1eb9fc50dfeb03"
 
 
-def test_jacobi_fields_keep_their_bits():
-    # the family of check_jacobi_random, as jacobi_fields computed it when it
-    # built a GeodesicArc per family member
-    def alpha(e):
-        return Point(math.sin(e), e, 0.3 * e * e)
-
-    def u_of(e):
-        return core.FrameVector(0.8 + 0.1 * e, -0.5 * e, 0.9 + 0.2 * math.cos(e), alpha(e))
-
-    arrays = []
-    for eps in (0.0, 0.3, -0.2):
-        jf = geodesics.jacobi_fields(alpha, u_of, eps, [0.5, -1.0, 1.2])
-        arrays += [jf.points, jf.V, jf.Vprime, jf.Vsecond, jf.DV_velocity]
-    assert _digest(np.concatenate(arrays)) == "f32ec1726f1ad88d9218bf62bdd53a1f"
-
-
 def _bump():
     return separable(cosine_bump(1.5, 0.7), cosine_bump(0.3, 0.5))
 

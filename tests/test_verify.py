@@ -40,6 +40,20 @@ def test_suites_report_the_declared_rows_in_order(suite_results):
         assert [r.name for r in results] == declared_names([suite])
 
 
+# rows that read exact derivatives (of the closed geodesic flow or of a
+# chart's 2-jet) and so hold round-off, though their thresholds stay wider
+EXACT_DERIVATIVE_ROWS = (
+    "jacobi_trivial_family", "jacobi_equation_rulings", "jacobi_commutation",
+    "jacobi_vertical_quadratic_fit", "jacobi_equation_general",
+    "characteristic_flow_derivatives", "scalar_flow_derivatives",
+    "jacobi_vertical_coefficients", "singular_helix_geometry")
+
+
+def test_exact_derivative_rows_hold_round_off(suite_results):
+    got = {r.name: r.residual for results in suite_results.values() for r in results}
+    assert {name: got[name] for name in EXACT_DERIVATIVE_ROWS if not got[name] <= 1e-13} == {}
+
+
 @pytest.mark.parametrize("empty_call", [0, 2])
 def test_singular_locus_without_crossings_reports_inf(monkeypatch, empty_call):
     # a helicoid or paraboloid locus with no crossings is a failed check under
