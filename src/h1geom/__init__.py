@@ -16,8 +16,7 @@ from .errors import (CertificateNotFound, ConfigError, GeometryError,
                      SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
 from .geodesics import (GeodesicArc, JacobiFields, JacobiSample, exp_geodesic, exp_geodesics,
                         helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual)
-from .numerics import (DiffSpec, QuadratureSpec, central_diff, central_diffs,
-                       gauss_legendre_1d, gauss_nodes, integrate_2d)
+from .numerics import QuadratureSpec, gauss_legendre_1d, gauss_nodes, integrate_2d
 from .stability import (InstabilityCertificate, Profile, RulingFrame,
                         TestFunction, boundary_flux, bracket_integral,
                         certify_instability_h2, certify_instability_nosing,
@@ -26,7 +25,7 @@ from .stability import (InstabilityCertificate, Profile, RulingFrame,
                         separable, tangent_derivative, vertical_variation_area)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, ChartJets, HelicoidChart,
                        ParaboloidChart, PlaneChart, SurfaceFrames, VerticalPlaneChart, area,
-                       catalog_surface, characteristic_ray, curve_samples, ruled_coordinates,
+                       catalog_surface, characteristic_ray, ruled_coordinates,
                        singular_locus, surface_frame, surface_frames)
 
 __version__ = "0.1.0"

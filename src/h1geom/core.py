@@ -24,19 +24,23 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import NonFiniteValue
-from .numerics import DiffSpec, central_diff, rk4
+from .numerics import Taylor, rk4, taylor_derivatives
 
 Vec3 = tuple[float, float, float]
 
 
 def _finite3(v: Sequence[float], what: str) -> None:
-    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
+    try:
+        finite = math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])
+    except TypeError:  # Taylor numbers (numerics.Taylor): their value terms
+        finite = all(math.isfinite(taylor_derivatives(c)[0]) for c in v)
+    if not finite:
         raise NonFiniteValue(f"non-finite {what}: {tuple(v)!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Point:
-    """A point of the group in Euclidean coordinates."""
+    """A point of the group in Euclidean coordinates: floats, or Taylor numbers."""
 
     x: float
     y: float
@@ -269,12 +273,10 @@ GradFn = Callable[[Point], Vec3]
 
 
 class FrameField:
-    """A tangent field given by frame-coefficient functions a, b, c.
-
-    Gradients (d/dx, d/dy, d/dt of each coefficient) may be supplied
-    analytically; otherwise they fall back to central differences with
-    step 1e-5 * max(1, |p|) and one Richardson level.
-    """
+    """A tangent field given by frame-coefficient functions a, b, c of a
+    ``Point``.  Gradients (d/dx, d/dy, d/dt of each coefficient) may be
+    supplied; the others are read off one evaluation of the three at a
+    Taylor point per axis (``_axis_lines``), exact up to round-off."""
 
     def __init__(self, a, b, c, grad_a: GradFn | None = None,
                  grad_b: GradFn | None = None, grad_c: GradFn | None = None):
@@ -290,12 +292,10 @@ class FrameField:
         return FrameVector(self._fns[0](p), self._fns[1](p), self._fns[2](p), p)
 
     def coefficient_gradients(self, p: Point) -> tuple[Vec3, Vec3, Vec3]:
+        along = None if all(self._grads) else [[f(q) for f in self._fns] for q in _axis_lines(p)]
         out = []
-        for fn, grad in zip(self._fns, self._grads):
-            if grad is not None:
-                g = grad(p)
-            else:
-                g = _fd_gradient(fn, p)
+        for k, grad in enumerate(self._grads):
+            g = grad(p) if grad else tuple(taylor_derivatives(c[k])[1] for c in along)
             _finite3(g, "coefficient gradient")
             out.append(tuple(g))
         return tuple(out)
@@ -306,14 +306,12 @@ Y_FIELD = FrameField.constant(0.0, 1.0, 0.0)
 T_FIELD = FrameField.constant(0.0, 0.0, 1.0)
 
 
-def _fd_gradient(fn: Callable[[Point], float], p: Point) -> Vec3:
-    spec = DiffSpec(1e-5 * max(1.0, abs(p.x), abs(p.y), abs(p.t)), 1)
+def _axis_lines(p: Point) -> list[Point]:
+    """p + t e_i, i = 0, 1, 2, for a Taylor t; a nested derivative raises ``TypeError``."""
     base = p.coords()
-
-    def along(i: int) -> Callable[[float], float]:
-        return lambda xi: fn(Point(*base[:i], xi, *base[i + 1:]))
-
-    return tuple(central_diff(along(i), base[i], spec) for i in range(3))
+    if any(type(c) is Taylor for c in base):
+        raise TypeError(f"nested derivative at {p!r}: supply the inner field's gradients")
+    return [Point(*base[:i], Taylor(base[i], 1.0), *base[i + 1:]) for i in range(3)]
 
 
 FieldOrVector = Union[FrameField, FrameVector]
@@ -337,11 +335,12 @@ def covariant_derivative(U: FieldOrVector, V: FrameField, p: Point) -> FrameVect
 
 
 def covariant_field(U: FrameField, V: FrameField) -> FrameField:
-    """The field p -> D_U V(p), with finite-difference coefficient gradients.
+    """The field p -> D_U V(p), whose coefficient gradients are read off
+    Taylor points (``FrameField``); V needs supplied gradients there.
 
     Its three coefficients share one evaluation of D_U V per point, which the
-    field keeps for its lifetime: differencing the field at a point costs one
-    ``covariant_derivative`` per stencil node, however often it is asked.
+    field keeps for its lifetime: its gradients at a point cost one
+    ``covariant_derivative`` per axis, however often they are asked.
     Points key it by value, so 0.0 and -0.0 share an entry.
     """
     at = functools.cache(lambda p: covariant_derivative(U, V, p).coeffs())

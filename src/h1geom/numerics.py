@@ -1,4 +1,5 @@
-"""Deterministic quadrature and finite-difference kernels.
+"""Deterministic quadrature kernels and the one derivative: order-2
+Taylor numbers.
 
 Every routine here is a pure function with a fixed evaluation order, and
 every sum is exactly rounded, so results are bit-identical across runs
@@ -7,7 +8,6 @@ regardless of how callers parallelize or block the surrounding work.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -20,7 +20,6 @@ from .errors import NonFiniteValue
 
 ALLOWED_POINTS = (4, 8, 16, 32)
 
-Diff = Union[float, np.ndarray, tuple]
 Samples = Union[np.ndarray, tuple[np.ndarray, ...]]
 
 
@@ -42,20 +41,6 @@ class QuadratureSpec:
 
     def doubled(self) -> "QuadratureSpec":
         return replace(self, cells=(2 * self.cells[0], 2 * self.cells[1]))
-
-
-@dataclass(frozen=True)
-class DiffSpec:
-    """Central-difference step and number of Richardson halving levels (0-2)."""
-
-    step: float = 1e-5
-    richardson_levels: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.step < math.inf:
-            raise ValueError(f"step must be positive and finite, not {self.step!r}")
-        if self.richardson_levels not in (0, 1, 2):
-            raise ValueError("richardson_levels must be 0, 1 or 2")
 
 
 def _is_count(n) -> bool:
@@ -206,18 +191,20 @@ def integrate_array_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     array integrand.
 
     ``f`` maps the nodes of ``gauss_nodes_1d`` in row-major order, as one
-    1-D array, to the samples; the terms ``w * v`` of every cell of every
-    piece are summed at once by ``kahan_sum``, and checked with no numpy
-    warning as ``integrate_cells`` checks them.  An empty interval (a == b)
-    gives 0.0 without calling ``f``; a reversed one raises ``ValueError``.
+    1-D array, to the samples, or to a tuple of them (``integrate_cells``);
+    the terms ``w * v`` of every cell of every piece are summed at once by
+    ``kahan_sum``, and checked with no numpy warning as ``integrate_cells``
+    checks them.  An empty interval (a == b) gives 0.0 without calling
+    ``f``; a reversed one raises ``ValueError``.
     """
     if a == b:
         return 0.0
     x, w = gauss_nodes_1d(a, b, n_points, n_cells, cuts)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(f(x.ravel()), dtype=float)
-    [wv] = _checked_terms((v,), w.ravel(), n_points, "gauss_legendre_1d")
-    return kahan_sum(wv)
+        v = f(x.ravel())
+    vs = tuple(np.asarray(c, dtype=float) for c in (v if isinstance(v, tuple) else (v,)))
+    total = tuple(map(kahan_sum, _checked_terms(vs, w.ravel(), n_points, "gauss_legendre_1d")))
+    return total if isinstance(v, tuple) else total[0]
 
 
 def _composite_1d(f: Callable[[float], float], a: float, b: float,
@@ -387,75 +374,131 @@ def _where(m, cond, then, other=0.0):
     return np.where(cond, then, other)
 
 
-def _sample(f: Callable[[float], Diff], x: float) -> Diff:
-    """``f(x)``; a non-finite sample raises ``NonFiniteValue``, on an array
-    at its first non-finite element."""
-    v = f(x)
-    if isinstance(v, np.ndarray):
-        raise_first_failure(_nonfinite_samples(v, "central_diff"))
-    elif not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
-        raise NonFiniteValue(f"non-finite sample in central_diff: {v!r}")
-    return v
-
-
-def central_quotient(plus: Diff, minus: Diff, h, centre: Diff | None = None) -> Diff:
-    """Central difference quotient from the samples at x + h and x - h: the
-    first derivative, or the second when the sample at x is given as ``centre``.
-
-    Samples are floats, arrays (``h`` may then be an array of steps) or
-    tuples of them, differenced component by component.
-    """
-    if isinstance(plus, tuple):
-        cs = centre if centre is not None else (None,) * len(plus)
-        return tuple(central_quotient(p, m, h, c) for p, m, c in zip(plus, minus, cs))
-    if centre is None:
-        return (plus - minus) / (2.0 * h)
-    return (plus - 2.0 * centre + minus) / (h * h)
-
-
-def richardson(diffs: Sequence[Diff], factor: float = 4.0) -> Diff:
-    """Richardson extrapolation of estimates on a shrinking step ladder.
-
-    Level j combines neighbours with weight ``factor**j``; the default 4
-    suits central differences on halved steps, whose error runs in even
-    powers of the step.  Estimates are floats, arrays or tuples of them
-    (combined component by component).
-    """
-    if isinstance(diffs[0], tuple):
-        return tuple(richardson(col, factor) for col in zip(*diffs))
-    table = list(diffs)
-    for j in range(1, len(diffs)):
+def richardson(values: Sequence, factor: float = 4.0):
+    """Richardson extrapolation of estimates (floats or arrays) on a
+    shrinking ladder: level j combines neighbours with weight factor**j."""
+    table = list(values)
+    for j in range(1, len(values)):
         fac = factor**j
-        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0)
-                 for i in range(len(table) - 1)]
+        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
     return table[0]
 
 
-def central_diff(f: Callable[[float], Diff], x: float, spec: DiffSpec,
-                 order: int = 1) -> Diff:
-    """Central difference of ``f`` at ``x`` (order 1 or 2).
+class Taylor:
+    """c0 + c1 t + c2 t^2, float or array terms: forward-mode derivatives
+    (Griewank and Walther, "Evaluating Derivatives", 2nd ed., SIAM 2008,
+    ch. 13) of code written for ``m = math`` and ``numpy``, run with ``m =
+    taylor``, value terms bit for bit.  +, -, *, / with constants and
+    Taylor numbers of one t (not nested), integer powers and ``abs`` off
+    zero, comparisons and ``bool`` on the value term; no ``float``, so
+    ``math.exp`` raises ``TypeError``, and numpy defers to it."""
 
-    ``f`` returns a float, a tuple of floats or an array (differenced
-    elementwise, one derivative per element).  Richardson extrapolation
-    halves the step per level; the truncation error is O(step^(2 + 2*levels))
-    for smooth integrands.  ``f`` is called 2 (levels + 1) times, once more
-    at ``x`` itself for order 2.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    centre = _sample(f, x) if order == 2 else None
-    diffs = []
-    for i in range(spec.richardson_levels + 1):
-        h = spec.step / 2**i
-        diffs.append(central_quotient(_sample(f, x + h), _sample(f, x - h), h, centre))
-    return richardson(diffs)
+    __slots__ = ("c0", "c1", "c2")
+    __array_ufunc__ = None
+
+    def __init__(self, c0, c1=0.0, c2=0.0):
+        self.c0, self.c1, self.c2 = c0, c1, c2
+
+    def __repr__(self) -> str:
+        return f"Taylor({self.c0!r}, {self.c1!r}, {self.c2!r})"
+
+    def __add__(self, o):
+        if type(o) is Taylor:
+            return Taylor(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
+        return Taylor(self.c0 + o, self.c1, self.c2)
+
+    def __neg__(self):
+        return Taylor(-self.c0, -self.c1, -self.c2)
+
+    def __sub__(self, o):  # a - b is a + (-b), bit for bit
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        a0, a1, a2 = self.c0, self.c1, self.c2
+        if type(o) is not Taylor:
+            return Taylor(a0 * o, a1 * o, a2 * o)
+        b0, b1, b2 = o.c0, o.c1, o.c2
+        return Taylor(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0)
+
+    __radd__, __rmul__ = __add__, __mul__  # o + a is a + o, and o a is a o, bit for bit
+
+    def __truediv__(self, o):
+        if type(o) is not Taylor:
+            return Taylor(self.c0 / o, self.c1 / o, self.c2 / o)
+        return o.__rtruediv__(self)
+
+    def __rtruediv__(self, o):  # o / self
+        (a0, a1, a2), (b0, b1, b2) = _terms(o), _terms(self)
+        q0 = a0 / b0
+        q1 = (a1 - q0 * b1) / b0
+        return Taylor(q0, q1, (a2 - q0 * b2 - q1 * b1) / b0)
+
+    def __pow__(self, n):  # an integer n, off zero for n < 2
+        x = self.c0
+        return _chain(self, x ** n, n * x ** (n - 1), n * (n - 1) * x ** (n - 2)) \
+            if type(n) is int else NotImplemented
+
+    def __abs__(self):  # off zero: times the sign of the value, |x| bit for bit
+        x = self.c0
+        return self * (math.copysign(1.0, x) if isinstance(x, float) else np.sign(x))
+
+    def __bool__(self):
+        return bool(self.c0)
 
 
-def central_diffs(f: Callable[[float], Diff], x: float, spec: DiffSpec,
-                  orders: Sequence[int]) -> list[Diff]:
-    """``central_diff`` of ``f`` at ``x`` for each of ``orders`` in turn
-    (order 0 is the sample ``f(x)``), from one memoized sample set: ``f`` is
-    called once per stencil node, whatever the orders."""
-    f = functools.cache(f)
-    return [_sample(f, x) if order == 0 else central_diff(f, x, spec, order)
-            for order in orders]
+def _terms(x) -> tuple:
+    return (x.c0, x.c1, x.c2) if type(x) is Taylor else (x, 0.0, 0.0)
+
+
+for _op in (operator.lt, operator.le, operator.gt, operator.ge):  # on the value terms
+    setattr(Taylor, f"__{_op.__name__}__", lambda a, b, op=_op: op(a.c0, _terms(b)[0]))
+
+
+def taylor_derivatives(v) -> tuple:
+    """(f, f', f'') at t = 0 of ``v`` = f(t), a Taylor number or a constant."""
+    v0, v1, v2 = _terms(v)
+    return v0, v1, 2.0 * v2
+
+
+def _chain(x: Taylor, f0, f1, f2) -> Taylor:  # f(x) from f, f', f'' at x.c0
+    return Taylor(f0, f1 * x.c1, f1 * x.c2 + 0.5 * f2 * x.c1 * x.c1)
+
+
+def _lib(*xs):  # math for float value terms, else numpy
+    return math if all(isinstance(x, float) for x in xs) else np
+
+
+def _elementary(name: str, d1, d2):
+    """``m.<name>`` on Taylor numbers, floats and arrays; f', f'' of (m, x, f(x))."""
+    def f(x):
+        if type(x) is not Taylor:
+            return getattr(_lib(x), name)(x)
+        m = _lib(x.c0)
+        v = getattr(m, name)(x.c0)
+        return _chain(x, v, d1(m, x.c0, v), d2(m, x.c0, v))
+    return f
+
+
+def _hypot(a, b):
+    """hypot on Taylor numbers, floats and arrays: h'' = (a a'' + b b'' + (a b' - b a')^2/h^2)/h."""
+    if type(a) is not Taylor and type(b) is not Taylor:
+        return _lib(a, b).hypot(a, b)
+    (a0, a1, a2), (b0, b1, b2) = _terms(a), _terms(b)
+    h = _lib(a0, b0).hypot(a0, b0)
+    cross = (a0 * b1 - b0 * a1) / h
+    return Taylor(h, (a0 * a1 + b0 * b1) / h, (a0 * a2 + b0 * b2 + 0.5 * cross * cross) / h)
+
+
+class taylor:
+    """The ``m`` of ``Chart._jet_parts`` and ``_tangent_frame`` on Taylor numbers."""
+
+    sin = staticmethod(_elementary("sin", lambda m, x, v: m.cos(x), lambda m, x, v: -v))
+    cos = staticmethod(_elementary("cos", lambda m, x, v: -m.sin(x), lambda m, x, v: -v))
+    sinh = staticmethod(_elementary("sinh", lambda m, x, v: m.cosh(x), lambda m, x, v: v))
+    cosh = staticmethod(_elementary("cosh", lambda m, x, v: m.sinh(x), lambda m, x, v: v))
+    sqrt = staticmethod(_elementary("sqrt", lambda m, x, v: 0.5 / v,
+                                    lambda m, x, v: -0.25 / (v * x)))
+    hypot = staticmethod(_hypot)

@@ -15,10 +15,10 @@ operator
 On a helicoid, variations crossing the singular helices contribute the
 extra terms -4 int u^2 dl + int S(u)^2 dl along the singular curves; the
 resulting quadratic form Q is the object the instability certificates make
-negative.  Directional derivatives along Z are finite differences sampled
-along the characteristic curve (a straight line on minimal surfaces), kept
-deliberately independent of the closed-form route so the two can
-cross-check each other.
+negative.  Directional derivatives along Z are read off the frame package
+evaluated on Taylor numbers along the characteristic curve
+(``surfaces.curve_frames``), kept deliberately independent of the
+closed-form route so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import numpy as np
 
 from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                      SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
-from .numerics import (Cuts, DiffSpec, QuadratureSpec, Rect, _where, central_diffs,
-                       gauss_legendre_1d, integrate_array_1d, integrate_cells, kahan_sum,
-                       raise_first_failure, richardson)
-from .surfaces import (CatenoidRulingChart, Chart, HelicoidChart, SeedRuledChart, curve_samples,
+from .numerics import (Cuts, QuadratureSpec, Rect, Taylor, _where, gauss_legendre_1d,
+                       integrate_array_1d, integrate_cells, kahan_sum, raise_first_failure,
+                       richardson, taylor, taylor_derivatives)
+from .surfaces import (CatenoidRulingChart, Chart, HelicoidChart, SeedRuledChart, curve_frames,
                        is_batch, surface_frame, surface_frames)
 
 # ---------------------------------------------------------------------------
@@ -276,47 +276,27 @@ def times_nh(chart: Chart, f: TestFunction) -> TestFunction:
 # Directional derivatives along the characteristic field
 # ---------------------------------------------------------------------------
 
-Z_DIFF = DiffSpec(step=1e-4, richardson_levels=1)
+def _tangent_derivatives(chart: Chart, fieldfn: Callable, u, which: str) -> tuple:
+    """The frame at ``u`` and (f, f', f'') of ``fieldfn`` along the curve."""
+    fr = surface_frames(chart, *u) if is_batch(u) else surface_frame(chart, u)
+    zero = 0.0 * fr.Nh_norm  # a constant field has the shape of the points
+    return fr, tuple(d + zero for d in taylor_derivatives(fieldfn(curve_frames(chart, u, which))))
 
 
-def _tangent_derivatives(chart: Chart, fieldfn: Callable, u, orders: Sequence[int],
-                         which: str) -> list:
-    """``tangent_derivative`` for each of ``orders`` from one set of curve
-    samples, evaluating the field once per sample; order 0 is the field
-    value at ``u``.  At a pair of arrays ``u`` (``surfaces.is_batch``),
-    ``fieldfn`` maps a pair of arrays to an array, and the derivatives are
-    arrays: every point's curve is one ``curve_samples`` state."""
-    n = 2 ** (Z_DIFF.richardson_levels + 1)  # offsets k step / n hold every node
-    pts = curve_samples(chart, u, Z_DIFF.step, n, which)
-    if is_batch(u):  # the field at every sample of every curve in one call
-        vals = fieldfn(tuple(np.stack(c, axis=-1) for c in zip(*pts)))
-        sample = lambda k: vals[..., k]
-    else:
-        sample = lambda k: fieldfn(pts[k])
-    return central_diffs(lambda o: sample(n + round(o * n / Z_DIFF.step)), 0.0, Z_DIFF, orders)
-
-
-def tangent_derivative(chart: Chart, fieldfn: Callable[[tuple[float, float]], float],
-                       u: tuple[float, float], order: int = 1,
-                       which: str = "Z") -> float:
-    """Arclength derivative of a chart-coordinate scalar along Z or S.
-
-    Central differences with the steps of ``Z_DIFF``, sampled on the RK4
-    integral curve of the unit field (on minimal surfaces the Z-curve is an
-    exact straight line, so the samples sit on the ruling itself).
-    """
-    return _tangent_derivatives(chart, fieldfn, u, (order,), which)[0]
+def tangent_derivative(chart: Chart, fieldfn: Callable, u, order: int = 1,
+                       which: str = "Z"):
+    """Arclength derivative (order 1 or 2) along Z or S of a scalar field
+    given as a function of the frame package (``lambda fr: fr.Nh_norm``) or
+    a constant, at one point ``u`` or a pair of arrays: exact up to
+    round-off, from one evaluation of the field on ``curve_frames``, with
+    its errors."""
+    return _tangent_derivatives(chart, fieldfn, u, which)[1][order]
 
 
 def operator_L(chart: Chart, fieldfn: Callable, u):
-    """Direct application of the stability operator to a scalar field.
-
-    Uses finite-difference Z-derivatives; independent of ``l_nh_closed``.
-    At a pair of arrays ``u`` every point is one array pass, and
-    ``fieldfn`` maps a pair of arrays to an array (``_tangent_derivatives``).
-    """
-    fr = surface_frames(chart, *u) if is_batch(u) else surface_frame(chart, u)
-    zv, zzv, v = _tangent_derivatives(chart, fieldfn, u, (1, 2, 0), "Z")
+    """The stability operator applied to a field as ``tangent_derivative``
+    takes it, from one evaluation of it; independent of ``l_nh_closed``."""
+    fr, (v, zv, zzv) = _tangent_derivatives(chart, fieldfn, u, "Z")
     nh = fr.Nh_norm
     return (zzv + 2.0 / nh * fr.NT * fr.BZS * zv + fr.q * v) / nh
 
@@ -934,10 +914,8 @@ def certify_instability_nosing(lam: float) -> InstabilityCertificate:
 # Vertical variations near the singular helices
 # ---------------------------------------------------------------------------
 
-# half-width of the s-window of the deformed tube, and the r-step of its
-# area differences
+# half-width of the s-window of the deformed tube
 TUBE_S0 = 0.3
-R_STENCIL = 1e-3
 
 
 def vertical_variation_area(R: float, w: Profile, r: float,
@@ -952,7 +930,8 @@ def vertical_variation_area(R: float, w: Profile, r: float,
     of the quadratic, so each s-piece integrates exactly.  TubeTooSmall is
     raised at the first eps node where the deformation has no real kink, a
     second kink enters the window, or the kink leaves it, in that order.
-    ``ValueError`` on an R that ``HelicoidChart`` refuses.
+    ``ValueError`` on an R that ``HelicoidChart`` refuses.  At a Taylor r
+    it is the Taylor number of A, the integrals of the integrand's terms.
     """
     h, s0 = -HelicoidChart(R).R, TUBE_S0  # the chart refuses an R that no helicoid has
 
@@ -962,7 +941,8 @@ def vertical_variation_area(R: float, w: Profile, r: float,
     def inner(es: np.ndarray) -> np.ndarray:
         rw = r * w.derivs(es)
         disc = 1.0 - h * rw
-        root = np.sqrt(np.maximum(disc, 0.0))  # where disc <= 0 the first check raises
+        with np.errstate(invalid="ignore", divide="ignore"):  # disc <= 0 raises below
+            root = taylor.sqrt(disc)
         s_star = (1.0 - root) / h
         far = (1.0 + root) / h
         raise_first_failure(
@@ -971,15 +951,11 @@ def vertical_variation_area(R: float, w: Profile, r: float,
             (abs(s_star) >= s0, lambda i: TubeTooSmall("kink left the window")))
         return abs(prim(s_star, rw) - prim(-s0, rw)) + abs(prim(s0, rw) - prim(s_star, rw))
 
+    if type(r) is Taylor:
+        d = _profile_integral(w, lambda es: taylor_derivatives(inner(es)), quad)
+        return Taylor(d[0], d[1], 0.5 * d[2]) if isinstance(d, tuple) else Taylor(d)  # empty w
     return _profile_integral(w, inner, quad)
 
-
-def vertical_variation_second_difference(R: float, w: Profile, quad: QuadratureSpec
-                                         ) -> tuple[float, float]:
-    """(second, first) central r-differences of A at r = 0, step
-    ``R_STENCIL``, from one set of three samples."""
-    return tuple(central_diffs(lambda r: vertical_variation_area(R, w, r, quad), 0.0,
-                               DiffSpec(R_STENCIL, 0), (2, 1)))
 
 
 # ---------------------------------------------------------------------------

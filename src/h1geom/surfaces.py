@@ -6,9 +6,9 @@ nu_h, characteristic field Z = J(nu_h), the tangent field
 S = <N,T> nu_h - |N_h| T, shape-operator entries and mean curvatures) is
 derived pointwise in frame coefficients.  The second fundamental form is
 computed as II_ij = <N, D_{F_i} F_j> from the connection table, so analytic
-charts incur no finite differencing.  The seed chart of an S-curve
-(``RuledChart``) differentiates S and Z along the curve numerically; its
-frames agree with the base chart's to about 1e-11.
+charts incur no finite differencing, and neither do derivatives along the
+Z and S curves (``curve_frames``), which the seed chart of an S-curve
+(``RuledChart``) reads its seed from.
 
 Points where the tangent plane is horizontal (|N_h| = 0) are singular: the
 characteristic quantities are undefined there and requesting them raises
@@ -30,8 +30,8 @@ import numpy as np
 from .core import (Point, Vec3, connection_correct, cross_coeffs, euclidean_coeffs,
                    frame_coeffs, jop_coeffs)
 from .errors import GeometryError, NonFiniteValue, SingularPoint, StoppedAtSingular
-from .numerics import (DiffSpec, FirstFailures, QuadratureSpec, Rect, central_diffs,
-                       integrate_cells, raise_first_failure, rk4, rk4_states)
+from .numerics import (FirstFailures, QuadratureSpec, Rect, Taylor, integrate_cells,
+                       raise_first_failure, rk4_states, taylor, taylor_derivatives)
 
 SINGULAR_TOL = 1e-9
 
@@ -57,8 +57,8 @@ class Chart:
     """Base class: a C^2 map from a parameter rectangle into the group.
 
     A chart writes ``_jet_parts(u1, u2, m)`` once, with ``m`` the ``math``
-    module for one point or ``numpy`` for arrays of points; a scalar entry
-    it returns is a constant of the chart and is broadcast.  A chart whose
+    module for one point, ``numpy`` for arrays or ``numerics.taylor``; a
+    scalar entry it returns is a constant of the chart and is broadcast.  A chart whose
     parts take floats only stacks its scalar jets there (``_stacked``).
     """
 
@@ -188,7 +188,7 @@ class SurfaceFrames:
 
     def _regular_only(self, v: tuple) -> tuple:
         """The arrays ``v`` with NaN where ``regular`` is False."""
-        if type(self.Nh_norm) is float:  # one point, which is regular
+        if type(self.Nh_norm) is not np.ndarray:  # one regular point, or Taylor numbers
             return v
         return tuple(np.where(self.regular, c, np.nan) for c in v)
 
@@ -446,14 +446,6 @@ def _chart_velocity(chart: Chart, u: tuple[float, float], which: str
     return _chart_direction(c1, c2, w, n, nh, which)
 
 
-def _chart_velocities(chart: Chart, U1, U2, which: str, failures: FirstFailures):
-    """``_chart_velocity`` at the points (U1[i], U2[i]), as arrays; each
-    point's error is kept in ``failures``."""
-    _, c1, c2, w, n, nh = _frame_heads(chart, U1, U2, False, failures)
-    with np.errstate(all="ignore"):
-        return _chart_direction(c1, c2, w, n, nh, which)
-
-
 def _check_which(which: str) -> None:
     if which not in ("Z", "S"):
         raise ValueError(f"which must be 'Z' or 'S', not {which!r}")
@@ -493,49 +485,39 @@ def integrate_tangent_field(chart: Chart, u0: tuple[float, float],
     return [next(states) for _ in range(steps + 1)]
 
 
-def integrate_tangent_fields(chart: Chart, U1, U2, length, steps: int,
-                             which: str = "Z") -> list[tuple[np.ndarray, np.ndarray]]:
-    """``integrate_tangent_field`` from every point (U1[i], U2[i]) as one RK4
-    state: the states as (U1, U2) array pairs.  ``length`` is a float or an
-    array of the points' own lengths that broadcasts to U1's shape.
-
-    Each point's walk runs on past its own failure, so the first failing
-    point in row-major order raises what its one-point walk raises
-    (``FirstFailures``), whatever the batch.
-    """
-    _check_which(which)
-    U1, U2 = _parameter_arrays(U1, U2)
-    failures = FirstFailures(U1.shape)
-    with np.errstate(all="ignore"):  # a failed point steps on as inf or NaN
-        us = rk4(lambda u: _chart_velocities(chart, *u, which, failures), (U1, U2), length, steps)
-    failures.raise_first(_stopped)
-    return us
-
-
 def is_batch(u) -> bool:
     """Whether ``u`` is a pair of arrays of chart points, not one point."""
     return isinstance(u[0], np.ndarray)
 
 
-def curve_samples(chart: Chart, u, length: float, steps: int, which: str) -> list:
-    """The Z or S curve through ``u`` at the offsets k * length / steps, k =
-    -steps ... steps, as a list of points.
+def _taylor_head(chart: Chart, u1: Taylor, u2: Taylor) -> tuple:
+    """``_frame_heads`` at Taylor chart points, unchecked; ``TypeError``
+    where the chart's ``_jet_parts`` takes floats only."""
+    try:
+        jet = ChartJets(*chart._jet_parts(u1, u2, taylor))
+    except TypeError as exc:
+        raise TypeError(f"{type(chart).__name__} has no derivatives along its curves: "
+                        f"its _jet_parts takes no Taylor numbers ({exc})") from None
+    return (jet, *_tangent_frame(*jet.p[:2], jet.f1, jet.f2, None, taylor))
 
-    At one point, one ``integrate_tangent_field`` pass per side, the
-    forward side first (its error wins if both sides meet the locus).  At
-    a pair of arrays (``is_batch``), every point's curve in one
-    ``integrate_tangent_fields`` state that walks both sides (+-length on a
-    last axis, forward first), with the same arithmetic and errors; the
-    list then holds pairs of arrays.  One-point callers keep the scalar
-    walk, which costs a small fraction of a one-point array stage.
-    """
-    if not is_batch(u):
-        fwd = integrate_tangent_field(chart, u, length, steps, which)
-        return integrate_tangent_field(chart, u, -length, steps, which)[:0:-1] + fwd
-    U1, U2 = (np.stack((a, a), axis=-1) for a in (np.asarray(c, dtype=float) for c in u))
-    us = integrate_tangent_fields(chart, U1, U2, np.array([length, -length]), steps, which)
-    return ([(a[..., 1], b[..., 1]) for a, b in us[:0:-1]]
-            + [(a[..., 0], b[..., 0]) for a, b in us])
+
+def curve_frames(chart: Chart, u, which: str) -> SurfaceFrames:
+    """The frames along the Z or S curve through ``u`` (one point, or a
+    pair of arrays), as Taylor numbers in arclength t: entry e is e + t e'
+    + t^2 e''/2, with value terms the frame at ``u``'s.  The curve to order
+    2 is two Picard passes u + int_0^t V(gamma) of the chart velocity V:
+    V(u), then its derivative along the curve from one Taylor evaluation.
+    Raises what ``surface_frame`` raises at ``u``, ``ValueError`` unless
+    ``which`` is "Z" or "S", and ``TypeError`` from ``_taylor_head``."""
+    _check_which(which)
+    u1, u2 = _parameter_arrays(*u) if is_batch(u) else map(float, u)
+    head = _frame_heads(chart, u1, u2, False) if is_batch(u) else _frame_head(chart, (u1, u2))
+    with np.errstate(all="ignore"):
+        v1, v2 = _chart_direction(*head[1:], which)
+        d1, d2 = _chart_direction(*_taylor_head(chart, Taylor(u1, v1), Taylor(u2, v2))[1:],
+                                  which)
+        return SurfaceFrames(*_taylor_head(chart, Taylor(u1, v1, 0.5 * d1.c1),
+                                           Taylor(u2, v2, 0.5 * d2.c1)))
 
 
 def characteristic_ray(chart: Chart, u0: tuple[float, float], length: float,
@@ -923,16 +905,17 @@ class RuledChart(SeedRuledChart):
     Gamma is the unit-speed integral curve of S (RK4 in base chart
     coordinates on a fixed grid).  ``_curve`` reads Gamma, Gamma' = S and e
     off one base frame head at Gamma(a), and keeps them per a (0.0 and -0.0
-    are one a; a read that raises keeps nothing).  ``point`` reads it alone;
-    ``_seed`` adds Gamma'', e' and e'' from Richardson central differences
-    of it.  On an array of a, ``_seed`` seeds each distinct a once, in
-    row-major order (``_stacked``), so an error of the walk keeps its
-    first-failure place.
+    are one a; a read that raises keeps nothing), and ``point`` reads it.
+    ``_seed`` reads them with Gamma'' = S', e' and e'' at the walked point
+    Gamma(a) off ``curve_frames``.  On an array of a, ``_seed`` seeds each
+    distinct a once, in row-major order (``_stacked``), so an error of the
+    walk keeps its first-failure place.
 
     The grid is walked as far as asked: a read past a side of ``u0`` walks
-    it on by steps of +-h0 (``tangent_field_states``), with the bits of
-    ``curve_samples(base, u0, eps_range, n, "S")``, so an error of the walk
-    (``StoppedAtSingular``) is raised by every read that reaches it.
+    it on by steps of +-h0 (``tangent_field_states``), with the bits of the
+    ``integrate_tangent_field`` passes from ``u0`` over +-eps_range in n
+    steps, so an error of the walk (``StoppedAtSingular``) is raised by
+    every read that reaches it.
     """
 
     GRID_STEP = 0.005  # largest step of the Gamma grid
@@ -987,8 +970,12 @@ class RuledChart(SeedRuledChart):
             # NaN (the last row) from the first node whose a was not seeded
             idx = list(itertools.takewhile(lambda k: k is not None, map(seeded.get, flat)))
             return _columns(rows[idx + [-1] * (len(flat) - len(idx))], a.shape, (3, 3, 3, 2, 2, 2))
-        c0, d1, d2 = central_diffs(self._curve, a, DiffSpec(1e-4, 1), (0, 1, 2))
-        return c0[:3], c0[3:6], d1[3:6], c0[6:], d1[6:], d2[6:]
+        fr = curve_frames(self.base, self.curve_chart_point(a), "S")
+        (x, y, t), z = fr.points, fr.Z
+        s = [taylor_derivatives(c) for c in euclidean_coeffs(x, y, fr.S)]
+        e = [taylor_derivatives(c) for c in z[:2]]
+        return ((x.c0, y.c0, t.c0), *(tuple(c[k] for c in s) for k in (0, 1)),
+                *(tuple(c[k] for c in e) for k in (0, 1, 2)))
 
     def point(self, s: float, a: float) -> Point:
         gx, gy, gt, _, _, _, co, si = self._curve(a)

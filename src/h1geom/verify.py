@@ -28,8 +28,8 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
                    rotate_z)
 from .geodesics import (GeodesicArc, exp_geodesic, exp_geodesics, helpers_fgh,
                         jacobi_field, jacobi_fields, jacobi_residual, straight_line_residual)
-from .numerics import (DiffSpec, QuadratureSpec, central_diff, gauss_legendre_1d,
-                       integrate_cells)
+from .numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, integrate_cells,
+                       taylor_derivatives)
 from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
@@ -39,7 +39,7 @@ from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
                         l_nh_closed, l_nh_of_frame,
                         operator_L, q_form, ruling_form, separable, smooth_bump,
                         tangent_derivative, times_nh,
-                        vertical_variation_second_difference, zero_function)
+                        vertical_variation_area, zero_function)
 from .surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart, HelicoidChart,
                        ParaboloidChart, RuledChart, VerticalPlaneChart, area, characteristic_ray,
                        dilated, rotated, ruled_coordinates, singular_locus,
@@ -287,14 +287,9 @@ def check_metric_compatibility():
     worst = 0.0
     for p in (Point(0.2, 0.4, -0.3), Point(-0.6, 0.1, 0.9)):
         ue = frame_to_euclidean(u.at(p))
-
-        def inner(q: Point) -> float:
-            return dot(v.at(q), w.at(q))
-
-        def sample(t: float) -> float:
-            return inner(Point(p.x + t * ue[0], p.y + t * ue[1], p.t + t * ue[2]))
-
-        deriv = central_diff(sample, 0.0, DiffSpec(1e-5, 1))
+        t = Taylor(0.0, 1.0)  # U<V,W> along the line p + t U(p)
+        q = Point(p.x + t * ue[0], p.y + t * ue[1], p.t + t * ue[2])
+        deriv = taylor_derivatives(dot(v.at(q), w.at(q)))[1]
         lhs = deriv - dot(covariant_derivative(u, v, p), w.at(p)) \
             - dot(v.at(p), covariant_derivative(u, w, p))
         worst = _worst(worst, abs(lhs))
@@ -609,7 +604,7 @@ def check_zbzs():
     for chart, u0 in ((CatenoidChart(1.0), (0.9, 0.6)), (HelicoidChart(2.0), (0.3, -0.5)),
                       (CatenoidChart(1.0), (2.4, -0.8))):
         fr = surface_frame(chart, u0)
-        zb = tangent_derivative(chart, lambda u: surface_frame(chart, u).BZS, u0, 1, "Z")
+        zb = tangent_derivative(chart, lambda f: f.BZS, u0, 1, "Z")
         want = (4.0 * fr.Nh_norm * fr.NT
                 - 2.0 / fr.Nh_norm * fr.NT * fr.BZS * (1.0 + fr.BZS))
         worst = _worst(worst, abs(zb - want))
@@ -643,8 +638,7 @@ def check_vertical_plane():
         fr = surface_frame(chart, u)
         worst = _worst(worst, abs(fr.NT), abs(fr.BZS - 1.0), abs(fr.Nh_norm - 1.0))
         worst = _worst(worst, abs(l_nh_closed(chart, u)))
-        worst = _worst(worst, abs(operator_L(chart,
-                                          lambda uu: surface_frame(chart, uu).Nh_norm, u)))
+        worst = _worst(worst, abs(operator_L(chart, lambda f: f.Nh_norm, u)))
     return worst
 
 
@@ -776,7 +770,7 @@ def check_lnh_closed_vs_direct():
     worst = 0.0
     for chart, u in _regular_sample_points():
         lc = l_nh_of_frame(surface_frames(chart, *u))
-        ld = operator_L(chart, lambda uu: surface_frames(chart, *uu).Nh_norm, u)
+        ld = operator_L(chart, lambda f: f.Nh_norm, u)
         worst = _worst(worst, float(np.max(np.abs(ld - lc) / np.maximum(1.0, np.abs(lc)))))
     return worst
 
@@ -940,7 +934,7 @@ def check_ruling_form():
 def check_vertical_variation():
     quad = QuadratureSpec(16, (16, 1))
     w = cosine_bump(0.0, 1.0)
-    d2, d1 = vertical_variation_second_difference(2.0, w, quad)
+    _, d1, d2 = taylor_derivatives(vertical_variation_area(2.0, w, Taylor(0.0, 1.0), quad))
     exact = gauss_legendre_1d(lambda e: w.deriv(e) ** 2, -1.0, 1.0, quad)
     return abs(d2 - exact) / exact, abs(d1)
 

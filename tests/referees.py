@@ -6,15 +6,21 @@ import numpy as np
 from h1geom import stability
 from h1geom.core import FrameVector, connection_correct, euclidean_to_frame
 from h1geom.geodesics import GeodesicArc, exp_geodesic
-from h1geom.numerics import DiffSpec, central_diff
 from h1geom.stability import Jet, TestFunction, _axis_cuts, _support_union
-from h1geom.surfaces import area_elements
+from h1geom.surfaces import area_elements, integrate_tangent_field
 
 
 def area_element(chart, u) -> float:
     """The area density at the one chart point ``u``: ``area_elements`` on
     one-point arrays, with its errors."""
     return float(area_elements(chart, [u[0]], [u[1]])[0])
+
+
+def curve_walk(chart, u, length: float, steps: int, which: str) -> list:
+    """The Z or S curve through ``u`` at the offsets k * length / steps, k =
+    -steps ... steps: one ``integrate_tangent_field`` pass per side."""
+    fwd = integrate_tangent_field(chart, u, length, steps, which)
+    return integrate_tangent_field(chart, u, -length, steps, which)[:0:-1] + fwd
 
 
 def combined_normal_component(chart, v: TestFunction, w: TestFunction) -> TestFunction:
@@ -50,12 +56,23 @@ def combined_normal_component(chart, v: TestFunction, w: TestFunction) -> TestFu
     return TestFunction(jet, _support_union((v, w)), kinks)
 
 
+def central_diff(f, x: float, h: float) -> tuple:
+    """d/dx at ``x`` of the float tuple ``f(x)``, componentwise: central
+    differences at the steps h and h/2 combined by one Richardson level,
+    error O(h^4).  The library takes no difference; only referees do."""
+    def quotient(k):
+        return [(p - m) / (2.0 * k) for p, m in zip(f(x + k), f(x - k))]
+
+    coarse, fine = quotient(h), quotient(0.5 * h)
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
+
+
 def covariant_derivative_along(field, velocity, s: float, h: float = 1e-2) -> FrameVector:
     """Covariant derivative of a field sampled along a curve: the central
     difference of its frame coefficients in the curve parameter (step ``h``,
     one Richardson level), plus the connection contracted with the curve
     velocity."""
-    dcoeff = central_diff(lambda u: field(u).coeffs(), s, DiffSpec(h, 1))
+    dcoeff = central_diff(lambda u: field(u).coeffs(), s, h)
     w = field(s)
     return FrameVector(*connection_correct(dcoeff, velocity(s).coeffs(), w.coeffs()), w.base)
 
@@ -70,8 +87,7 @@ def nested_jacobi_reference(alpha, u_of, eps: float, s: float) -> tuple:
         return GeodesicArc(alpha(e), u_of(e))
 
     def v_at(x):
-        de = central_diff(lambda e: exp_geodesic(arc(e), x)[0].coords(), eps,
-                          DiffSpec(1e-5, 1))
+        de = central_diff(lambda e: exp_geodesic(arc(e), x)[0].coords(), eps, 1e-5)
         return euclidean_to_frame(exp_geodesic(arc(eps), x)[0], de)
 
     def vel_at(x):

@@ -4,14 +4,14 @@ PASS/FAIL line with the measured quantity next to its tolerance."""
 import math
 import time
 
-from h1geom.numerics import QuadratureSpec, gauss_legendre_1d
+from h1geom.numerics import QuadratureSpec, Taylor, gauss_legendre_1d, taylor_derivatives
 from h1geom.stability import (boundary_flux_extrapolated, bracket_integral,
                               bracket_integral_quadrature, certify_instability_h2,
                               certify_instability_nosing, cosine_bump, first_variation_direct,
                               h2_certificate_test_function, index_form_I, l_nh_closed, operator_L,
                               q_form, separable, second_variation_direct, Profile,
-                              vertical_variation_second_difference, zero_function)
-from h1geom.surfaces import CatenoidChart, HelicoidChart, surface_frame
+                              vertical_variation_area, zero_function)
+from h1geom.surfaces import CatenoidChart, HelicoidChart
 from h1geom import verify as V
 
 CAT = CatenoidChart(1.0)
@@ -69,7 +69,7 @@ def test_criterion_05_stability_operator_closed_form():
     for chart, pts in ((CAT, pts_cat), (HEL2, pts_hel)):
         for u in pts:
             lc = l_nh_closed(chart, u)
-            ld = operator_L(chart, lambda uu: surface_frame(chart, uu).Nh_norm, u)
+            ld = operator_L(chart, lambda fr: fr.Nh_norm, u)
             worst_gap = max(worst_gap, abs(ld - lc) / max(1.0, abs(lc)))
     low_cat = min(l_nh_closed(CAT, u) for u in pts_cat)
     ok = worst_gap <= 1e-4 and low_cat >= -1e-8
@@ -148,7 +148,7 @@ def test_criterion_10_catenoid_certificate():
 def test_criterion_11_vertical_variation():
     quad = QuadratureSpec(16, (16, 1))
     w = cosine_bump(0.0, 1.0)
-    d2, d1 = vertical_variation_second_difference(2.0, w, quad)
+    _, d1, d2 = taylor_derivatives(vertical_variation_area(2.0, w, Taylor(0.0, 1.0), quad))
     exact = gauss_legendre_1d(lambda e: w.deriv(e) ** 2, -1.0, 1.0, quad)
     rel = abs(d2 - exact) / exact
     ok = rel <= 1e-3 and abs(d1) <= 1e-6

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from h1geom.core import (FrameField, FrameVector, ORIGIN, Point, T_FIELD,
                          X_FIELD, Y_FIELD, connection_correct,
-                         covariant_derivative, cross,
+                         covariant_derivative, covariant_field, cross,
                          curvature_R, dilate, dot, euclidean_coeffs,
                          euclidean_to_frame, frame_at, frame_coeffs,
                          frame_to_euclidean, group_inverse,
@@ -129,6 +129,20 @@ def test_covariant_rejects_nonfinite():
     bad = FrameField(lambda p: p.x / 0.0 if p.x else 0.0, lambda p: 0.0, lambda p: 0.0)
     with pytest.raises((NonFiniteValue, ZeroDivisionError)):
         covariant_derivative(X_FIELD, bad, Point(1.0, 0.0, 0.0))
+
+
+def test_coefficient_gradients_are_exact():
+    # one Taylor evaluation of the three coefficients per axis; a field
+    # given by math-only functions, or a gradient nested inside a gradient,
+    # raises TypeError instead of losing the derivative terms
+    field = FrameField(lambda p: p.x * p.y - p.t, lambda p: 2.0 + p.t * p.t, lambda p: 0.5)
+    p = Point(0.3, -1.2, 0.7)
+    assert field.coefficient_gradients(p) == ((-1.2, 0.3, -1.0), (0.0, 0.0, 1.4), (0.0, 0.0, 0.0))
+    floats_only = FrameField(lambda p: math.exp(p.x), lambda p: 0.0, lambda p: 0.0)
+    nested = covariant_field(X_FIELD, field)
+    for f in (floats_only, nested):
+        with pytest.raises(TypeError):
+            f.coefficient_gradients(p)
 
 
 def test_curvature_table_and_antisymmetry():

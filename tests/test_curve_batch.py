@@ -1,24 +1,22 @@
-"""The batched characteristic walk and the pointwise stability checks built
-on it, against their one-point views."""
+"""The batched derivatives along characteristic curves and the pointwise
+stability checks built on them, against their one-point views."""
 
 import math
 import random
 import re
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
 from h1geom import surfaces, verify
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from h1geom.numerics import DiffSpec, FirstFailures, central_diffs
-from h1geom.stability import (Z_DIFF, jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
+from h1geom.numerics import FirstFailures
+from h1geom.stability import (jacobi_quadratic_of_frame, jacobi_vertical_quadratic,
                               l_nh_closed, l_nh_of_frame, operator_L, tangent_derivative)
 from h1geom.surfaces import (LOCUS_TOL, CatenoidChart, GraphChart, HelicoidChart,
-                             ParaboloidChart, SingularLocus, VerticalPlaneChart, curve_samples,
-                             rotated, ruled_coordinates, singular_locus, surface_frame,
-                             surface_frames)
+                             ParaboloidChart, SingularLocus, VerticalPlaneChart, rotated,
+                             ruled_coordinates, singular_locus, surface_frame, surface_frames)
 
 CAT = CatenoidChart(1.0)
 HEL = HelicoidChart(2.0)
@@ -46,8 +44,8 @@ def _points(U1, U2):
     return list(zip(U1.tolist(), U2.tolist()))
 
 
-def _nh_field(chart):
-    return lambda uu: surface_frames(chart, *uu).Nh_norm
+def _nh_field(fr):
+    return fr.Nh_norm
 
 
 def _frame_at(chart, u):
@@ -72,17 +70,6 @@ def test_random_regular_points_are_the_scalar_loop(draw):
     assert verify._random_regular_points(*draw) == _scalar_regular_points(*draw)
 
 
-@pytest.mark.parametrize("which", "ZS")
-def test_batched_curve_samples_are_the_one_point_walks(which):
-    for chart, (U1, U2) in _point_sets():
-        batch = curve_samples(chart, (U1, U2), Z_DIFF.step, 4, which)
-        assert len(batch) == 9 and batch[0][0].shape == U1.shape
-        for i, u in enumerate(_points(U1, U2)):
-            one = curve_samples(chart, u, Z_DIFF.step, 4, which)
-            assert [(_hex(a), _hex(b)) for a, b in one] == \
-                [(_hex(a[i]), _hex(b[i])) for a, b in batch]
-
-
 def _one_point(U1, U2, i):
     return U1[i:i + 1], U2[i:i + 1]
 
@@ -91,9 +78,9 @@ def _one_point(U1, U2, i):
 def test_batched_operators_are_the_one_point_calls(which):
     """Bit for bit against one-point batches; against the scalar views to
     round-off, since numpy's cosh and hypot may differ from math's in the
-    last bit and the second difference quotient scales that by 1e8."""
+    last bit."""
     for chart, (U1, U2) in _point_sets(DRAWS[:2]):
-        field = _nh_field(chart)
+        field = _nh_field
         deriv = tangent_derivative(chart, field, (U1, U2), 2, which)
         lop = operator_L(chart, field, (U1, U2))
         fr = surface_frames(chart, U1, U2)
@@ -108,39 +95,24 @@ def test_batched_operators_are_the_one_point_calls(which):
             assert [_hex(c[0]) for c in jacobi_quadratic_of_frame(fr1)] == \
                 [_hex(c[i]) for c in jq]
 
-            scalar_l = operator_L(chart, lambda p: surface_frame(chart, p).Nh_norm, u)
-            assert abs(lop[i] - scalar_l) <= 1e-6 * max(1.0, abs(scalar_l))
+            scalar_l = operator_L(chart, field, u)
+            assert abs(lop[i] - scalar_l) <= 1e-13 * max(1.0, abs(scalar_l))
             want = l_nh_closed(chart, u)
             assert abs(lnh[i] - want) <= 1e-13 * max(1.0, abs(want))
             for got, want in zip(jq, jacobi_vertical_quadratic(chart, u)):
                 assert abs(got[i] - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def _stop_message(chart, u, length, steps):
-    with pytest.raises(StoppedAtSingular) as info:
-        curve_samples(chart, u, length, steps, "Z")
-    return str(info.value)
-
-
 @pytest.mark.parametrize("pos", [0, 1, 2])
-def test_batch_raises_the_stop_of_its_failing_point(pos):
-    # rulings from s = 3 and s = -2.5 stay clear of the helices s = +-1/2
-    # over length 1.5; the one from s = 0 meets both
+def test_batched_derivative_raises_the_error_of_its_failing_point(pos):
+    # (0.5, 0.1) lies on the helix s = 1/2; the other points are regular
     pts = [(3.0, 0.2), (-2.5, 0.4)]
-    pts.insert(pos, (0.0, 0.1))
-    want = _stop_message(HEL, (0.0, 0.1), 1.5, 30)
-    with pytest.raises(StoppedAtSingular, match=f"^{re.escape(want)}$") as info:
-        curve_samples(HEL, verify._as_arrays(pts), 1.5, 30, "Z")
-    assert isinstance(info.value.__cause__, SingularPoint)
-
-
-def test_batch_stop_is_the_first_failing_point_not_the_first_failure():
-    # (0.45, 0.1) stops after about 0.05, (0, 0.1) after about 0.5; the
-    # error is the first point's in row-major order, whichever stops first
-    for pts in ([(0.0, 0.1), (0.45, 0.1)], [(0.45, 0.1), (0.0, 0.1)]):
-        want = _stop_message(HEL, pts[0], 1.5, 30)
-        with pytest.raises(StoppedAtSingular, match=f"^{re.escape(want)}$"):
-            curve_samples(HEL, verify._as_arrays(pts), 1.5, 30, "Z")
+    pts.insert(pos, (0.5, 0.1))
+    with pytest.raises(SingularPoint) as one:
+        tangent_derivative(HEL, _nh_field, (0.5, 0.1))
+    for call in (tangent_derivative, operator_L):
+        with pytest.raises(SingularPoint, match=f"^{re.escape(str(one.value))}$"):
+            call(HEL, _nh_field, verify._as_arrays(pts))
 
 
 def test_first_failures_keep_each_elements_first_error():
@@ -159,42 +131,12 @@ def test_first_failures_keep_each_elements_first_error():
         log.raise_first(lambda exc: RuntimeError(str(exc)))
 
 
-def test_batched_walk_checks_which():
-    with pytest.raises(ValueError, match="which must be"):
-        surfaces.integrate_tangent_fields(HEL, np.zeros(2), np.zeros(2), 0.1, 2, "N")
-
-
 def test_walks_hand_on_an_error_off_the_singular_locus_unchanged():
-    # F_1 x F_2 overflows at cosh(709): not StoppedAtSingular, in either view
-    u0 = (0.3, 709.0)
-    for call in (lambda: surfaces.integrate_tangent_field(CAT, u0, 5.0, 8, "Z"),
-                 lambda: surfaces.integrate_tangent_fields(CAT, np.array([u0[0]]),
-                                                           np.array([u0[1]]), 5.0, 8, "Z")):
-        with pytest.raises(NonFiniteValue) as info:
-            call()
-        assert type(info.value) is NonFiniteValue
-        assert str(info.value) == "chart is not an immersion at (0.3, 709.0)"
-
-
-def test_central_diffs_on_array_samples():
-    spec = DiffSpec(1e-3, 1)
-    xs = [0.3, -1.2, 2.5]
-    got = central_diffs(lambda o: np.sin(np.array(xs) + o), 0.0, spec, (1, 2, 0))
-    for i, x in enumerate(xs):
-        want = central_diffs(lambda o: math.sin(x + o), 0.0, spec, (1, 2, 0))
-        assert [_hex(g[i]) for g in got] == [_hex(w) for w in want]
-
-
-def test_central_diffs_nonfinite_array_sample_raises_without_warning():
-    def f(o):
-        return np.array([1.0, math.inf if o > 0 else 1.0, math.nan])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValue, match=r"^non-finite sample in central_diff: inf$"):
-            central_diffs(f, 0.0, DiffSpec(1e-3, 1), (1, 2, 0))
-        with pytest.raises(NonFiniteValue, match=r"^non-finite sample in central_diff: nan$"):
-            central_diffs(lambda o: np.array([o, math.nan]), 0.0, DiffSpec(1e-3, 0), (0,))
+    # F_1 x F_2 overflows at cosh(709): not StoppedAtSingular
+    with pytest.raises(NonFiniteValue) as info:
+        surfaces.integrate_tangent_field(CAT, (0.3, 709.0), 5.0, 8, "Z")
+    assert type(info.value) is NonFiniteValue
+    assert str(info.value) == "chart is not an immersion at (0.3, 709.0)"
 
 
 def _scalar_singular_locus(chart, grid):
@@ -333,12 +275,11 @@ def test_singular_locus_reports_each_crossing_once():
 
 
 # Scalar frames and scalar RK4 velocity stages of one run of the surfaces
-# and stability suites.  The one-point callers (RuledChart's curve grid,
-# characteristic_ray and the few-point checks) keep the scalar walk;
-# everything else runs on arrays.  RuledChart walks its grid only as far as
-# its jets read it, and reads its curve off frame heads, with no
-# surface_frame.
-SCALAR_BUDGET = {"surface_frame": 44, "_chart_velocity": 3684}
+# and stability suites.  The one-point walks (RuledChart's curve grid and
+# characteristic_ray) are scalar, derivatives along curves walk nothing,
+# and everything else runs on arrays.  RuledChart walks its grid only as
+# far as it is read, and reads its curve off frame heads.
+SCALAR_BUDGET = {"surface_frame": 20, "_chart_velocity": 3492}
 
 
 def test_scalar_frame_budget(monkeypatch):
@@ -357,10 +298,10 @@ def test_scalar_frame_budget(monkeypatch):
     assert counts == SCALAR_BUDGET
 
 
-# float.hex of the residuals of the five batched checks, as the point-by-point
-# implementation computed them
+# float.hex of the residuals of four batched checks, as the point-by-point
+# implementation computed them (lnh_closed_vs_direct reads round-off:
+# tests/test_verify.py::test_exact_derivative_rows_hold_round_off)
 RESIDUALS = {
-    "check_lnh_closed_vs_direct": "0x1.1437992588deep-22",
     "check_discriminant": "0x1.0000000000000p-49",
     "check_lnh_sign_catenoid": "0x0.0p+0",
     "check_lnh_sign_helicoid": "0x1.0000000000000p-44",
@@ -395,8 +336,8 @@ def test_grid_check_residuals_pinned_bitwise(check):
 # float.hex of the two ends Gamma(-+n h0) of the curve grid of each of
 # verify's ruled charts, and of the residuals of the two checks that walk
 # curves one point at a time: test_ruled_chart_walks_the_eager_grid compares
-# the grid with curve_samples, which steps with the same RK4, so only these
-# pins see a change that moves both
+# the grid with two integrate_tangent_field passes, which step with the same
+# RK4, so only these pins see a change that moves both
 RULED_GRID_ENDS = [
     [("0x1.3333333333333p-2", "0x1.3333333333338p-1"),
      ("0x1.3333333333333p-2", "-0x1.0000000000003p+0")],

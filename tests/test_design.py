@@ -32,9 +32,20 @@ GREP_GUARDS = [
           planted=("from ._gauss import NODES_WEIGHTS",)),
     Guard("One RK4 stepper", ("k4 =",), "only numerics.py may write an RK4 stage",
           ("numerics.py",), planted=("    k4 = vel(u + h * k3)",)),
-    Guard("One difference quotient", ("central_quotient",),
-          "only numerics.py may take a central difference quotient", ("numerics.py",),
-          planted=("from .numerics import central_quotient",)),
+    # every derivative is read off one evaluation on Taylor numbers
+    # (numerics.Taylor): no stencil, step or difference quotient is left, and
+    # richardson extrapolates only the sigma-limit of the boundary flux
+    # (test_one_derivative pins its caller)
+    Guard("One derivative",
+          ("central_quotient", "central_diff", "DiffSpec", "Z_DIFF", "R_STENCIL", "_fd_gradient",
+           "curve_samples"),
+          "take derivatives on Taylor numbers (numerics.Taylor), not by differences",
+          planted=("from .numerics import central_quotient", "d1 = central_diff(f, x, spec)",
+                   "spec = DiffSpec(1e-4, 1)", "Z_DIFF = 1e-4", "R_STENCIL = 1e-3",
+                   "g = _fd_gradient(fn, p)", "pts = curve_samples(chart, u, h, 4, which)")),
+    Guard("One derivative", ("richardson(",),
+          "only the flux limit may extrapolate by richardson", ("numerics.py", "stability.py"),
+          planted=("    d = richardson([quotient(h), quotient(h / 2)])",)),
     # every curve walk steps through surfaces.tangent_field_states, the
     # one-point walk; integrate_tangent_field takes its first states
     Guard("One curve walk", ("integrate_tangent_field(", "tangent_field_states("),
@@ -197,26 +208,29 @@ def _calls_outside(func_name: str, allowed: set, with_file: bool = False) -> lis
 def test_one_ruled_jet():
     # RuledChart is the seed chart of its S-curve, so every ruled jet is
     # SeedRuledChart._jet_parts, and every chart builds its jet as plain
-    # tuples (Chart._jet_floats) or arrays (Chart.jets): only the public
-    # Chart.jet and Chart.jets, and surface_frame from the float head, build
-    # a ChartJets, and nothing builds a ChartJet
+    # tuples (Chart._jet_floats), arrays (Chart.jets) or Taylor numbers
+    # (surfaces._taylor_head): only the public Chart.jet and Chart.jets,
+    # _taylor_head, and surface_frame from the float head, build a
+    # ChartJets, and nothing builds a ChartJet
     lines = (SRC / "surfaces.py").read_text(encoding="utf-8").splitlines()
     assert any(line.startswith("class RuledChart(SeedRuledChart):") for line in lines), \
         "RuledChart must be a SeedRuledChart"
     bad = (_calls_outside("ChartJet", set())
-           + _calls_outside("ChartJets", {"Chart.jet", "Chart.jets", "surface_frame"}))
-    assert not bad, ("only Chart.jet, Chart.jets and surface_frame may build a jet: "
-                     + ", ".join(bad))
+           + _calls_outside("ChartJets", {"Chart.jet", "Chart.jets", "_taylor_head",
+                                          "surface_frame"}))
+    assert not bad, ("only Chart.jet, Chart.jets, _taylor_head and surface_frame may "
+                     "build a jet: " + ", ".join(bad))
 
 
 def test_one_frame_package():
     # the shape terms are computed in one place, SurfaceFrames._shape, on
-    # first read; a SurfaceFrames is built by the two views alone
+    # first read; a SurfaceFrames is built by the two views and by
+    # curve_frames, the frames along a curve on Taylor numbers, alone
     bad = _calls_outside("_shape_terms", {"SurfaceFrames._shape"})
     assert not bad, "only SurfaceFrames._shape may call _shape_terms: " + ", ".join(bad)
-    bad = _calls_outside("SurfaceFrames", {"surface_frame", "surface_frames"})
-    assert not bad, ("only surface_frame and surface_frames may build a SurfaceFrames: "
-                     + ", ".join(bad))
+    bad = _calls_outside("SurfaceFrames", {"surface_frame", "surface_frames", "curve_frames"})
+    assert not bad, ("only surface_frame, surface_frames and curve_frames may build a "
+                     "SurfaceFrames: " + ", ".join(bad))
 
 
 def test_one_chart_protocol():
@@ -249,6 +263,13 @@ def test_one_chart_protocol():
     assert not bad, ("only Chart may define or assign jet, _jet_floats or jets, "
                      "surfaces.py may not call surface_frame, "
                      "geodesics.py may not call GeodesicArc: " + ", ".join(bad))
+
+
+def test_one_derivative():
+    # richardson extrapolates the sigma-limit of boundary_flux_extrapolated,
+    # a limit and not a derivative: no other scope calls it
+    bad = _calls_outside("richardson", {"boundary_flux_extrapolated"})
+    assert not bad, "only boundary_flux_extrapolated may call richardson: " + ", ".join(bad)
 
 
 def test_one_second_variation_density():

@@ -1,6 +1,6 @@
-"""The velocity-only RK4 stage and the one-sample operator L against the
-forms they replace, compared with ``==``, and the shared kernels pinned to
-``float.hex`` values."""
+"""The velocity-only RK4 stage and the one-evaluation operator L against the
+forms they replace, compared with ``==``, the shared kernels pinned to
+``float.hex`` values, and the exact derivatives against their referees."""
 
 import math
 
@@ -10,15 +10,17 @@ import pytest
 from h1geom import surfaces, verify
 from h1geom.core import FrameField, Point, flow
 from h1geom.geodesics import SERIES_CUTOFF, exp_euclidean, helpers_fgh
-from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from h1geom.numerics import QuadratureSpec
-from h1geom.stability import (cosine_bump, direct_variations, operator_L, plateau_ramp,
-                              separable, tangent_derivative, vertical_variation_second_difference,
-                              zero_function)
-from h1geom.surfaces import (CatenoidChart, Chart, HelicoidChart, _chart_velocity,
-                             catalog_surface, curve_samples, dilated,
-                             integrate_tangent_field, rotated,
+from h1geom.errors import NonFiniteValue, SingularPoint
+from h1geom.numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, taylor,
+                             taylor_derivatives)
+from h1geom.stability import (cosine_bump, direct_variations, l_nh_closed, operator_L,
+                              plateau_ramp, separable, tangent_derivative,
+                              vertical_variation_area, zero_function)
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, HelicoidChart,
+                             _chart_velocity,
+                             catalog_surface, dilated, integrate_tangent_field, rotated,
                              surface_frame, translated)
+from referees import central_diff
 
 
 def _charts():
@@ -54,6 +56,26 @@ def test_chart_velocity_equals_frame(name):
             assert _outcome(lambda: _chart_velocity(chart, u, which)) == want, (u, which)
 
 
+@pytest.mark.parametrize("name", [*_charts(), "catenoid_rulings"])
+def test_taylor_jets_carry_the_jets_bit_for_bit(name):
+    # the value terms of _jet_parts on Taylor numbers are its numpy arrays
+    # and, at one point, its math floats, bit for bit
+    chart = CatenoidRulingChart(-0.7) if name == "catenoid_rulings" else _charts()[name]
+    (a1, b1), (a2, b2) = ((-3.0, 3.0), chart.domain[1]) if name == "catenoid_rulings" \
+        else chart.domain
+    rng = np.random.default_rng(19)
+    U1, U2 = rng.uniform(a1, b1, 64), rng.uniform(a2, b2, 64)
+    parts = chart._jet_parts(Taylor(U1, 0.6, -0.2), Taylor(U2, -0.8, 0.3), taylor)
+    for got, want in zip(parts, chart._jet_parts(U1, U2, np)):
+        for g, w in zip(got, want):
+            assert np.array_equal(taylor_derivatives(g)[0], w)
+    for u1, u2 in zip(U1.tolist()[:8], U2.tolist()[:8]):
+        parts = chart._jet_parts(Taylor(u1, 0.6, -0.2), Taylor(u2, -0.8, 0.3), taylor)
+        got = [taylor_derivatives(g)[0] for v in parts for g in v]
+        assert [float(g).hex() for g in got] == \
+            [float(w).hex() for v in chart._jet_parts(u1, u2, math) for w in v]
+
+
 def test_chart_velocity_errors_match_frame():
     class Fold(Chart):
         def _jet_parts(self, u1, u2, m):
@@ -73,27 +95,26 @@ def test_chart_velocity_errors_match_frame():
 def test_operator_l_one_sample_set(monkeypatch):
     chart = CatenoidChart(1.0)
     field_calls = []
-    nh = lambda u: field_calls.append(u) or surface_frame(chart, u).Nh_norm
+    nh = lambda fr: field_calls.append(fr) or fr.Nh_norm
     calls = []
-    rk4 = surfaces.integrate_tangent_field
+    rk4 = surfaces.tangent_field_states
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return rk4(*args, **kwargs)
 
-    monkeypatch.setattr(surfaces, "integrate_tangent_field", counted)
+    monkeypatch.setattr(surfaces, "tangent_field_states", counted)
     for u in ((0.8, 0.9), (2.0, -0.4), (4.5, 1.2)):
         fr = surface_frame(chart, u)
         zv = tangent_derivative(chart, nh, u, 1, "Z")
         zzv = tangent_derivative(chart, nh, u, 2, "Z")
-        want = (zzv + 2.0 / fr.Nh_norm * fr.NT * fr.BZS * zv + fr.q * nh(u)) / fr.Nh_norm
+        want = (zzv + 2.0 / fr.Nh_norm * fr.NT * fr.BZS * zv + fr.q * fr.Nh_norm) / fr.Nh_norm
         calls.clear()
         field_calls.clear()
         assert operator_L(chart, nh, u) == want
-        # one 4-step RK4 pass per side of u
-        assert len(calls) == 2
-        # four curve samples and the centre, each evaluated once
-        assert len(field_calls) == 5
+        # no curve is walked, and the field is evaluated once, on Taylor numbers
+        assert calls == []
+        assert len(field_calls) == 1 and type(field_calls[0].Nh_norm) is Taylor
 
 
 # ---------------------------------------------------------------------------
@@ -195,64 +216,60 @@ def test_integrate_tangent_field_pinned_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# The one curve walk (curve_samples) and the differences taken on it, pinned
-# to the values of the per-offset RK4 legs and paired central_diff calls they
-# replaced
+# The curve walk and the exact derivatives along curves, against their
+# closed forms and referees
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("which", ["z", "X", ""])
 def test_unknown_tangent_field_is_rejected(which):
     cat = CatenoidChart(1.0)
-    nh = lambda u: surface_frame(cat, u).Nh_norm
+    nh = lambda fr: fr.Nh_norm
     for call in (lambda: integrate_tangent_field(cat, (0.4, 0.3), 0.5, 5, which),
-                 lambda: curve_samples(cat, (0.4, 0.3), 0.5, 5, which),
                  lambda: tangent_derivative(cat, nh, (0.4, 0.3), 1, which)):
         with pytest.raises(ValueError, match=repr(which)):
             call()
 
 
-@pytest.mark.parametrize("chart, u, length, steps, which", [
-    (CatenoidChart(1.0), (0.4, 0.3), 0.5, 5, "S"),
-    (CatenoidChart(1.0), (1.2, 0.5), 1e-4, 4, "Z"),
-    (HelicoidChart(2.0), (0.1, 0.1), 0.2, 4, "Z"),
-])
-def test_curve_samples_are_the_two_passes(chart, u, length, steps, which):
-    us = curve_samples(chart, u, length, steps, which)
-    fwd = integrate_tangent_field(chart, u, length, steps, which)
-    bwd = integrate_tangent_field(chart, u, -length, steps, which)
-    assert len(us) == 2 * steps + 1
-    for k in range(steps + 1):
-        assert _hex(us[steps + k]) == _hex(fwd[k])
-        assert _hex(us[steps - k]) == _hex(bwd[k])
+def _rel(got, want):
+    return abs(got - want) / max(1.0, abs(want))
 
 
-def test_curve_samples_raise_the_forward_stop():
-    # the Z-line from s = 0 meets the helices s = +-1/2 on both sides
-    hel = HelicoidChart(2.0)
-    for length in (1.5, -1.5):
-        with pytest.raises(StoppedAtSingular):
-            integrate_tangent_field(hel, (0.0, 0.1), length, 30, "Z")
-    with pytest.raises(StoppedAtSingular, match=r"at \(0\.5, 0\.1\)"):
-        curve_samples(hel, (0.0, 0.1), 1.5, 30, "Z")
-
-
-_TANGENT_PINNED = {  # Z order 1, Z order 2, S order 1, S order 2; then L(|N_h|)
-    (0.8, 0.9): (("-0x1.2aae0ea633c00p-8", "0x1.51d80592c0400p-3",
-                  "-0x1.042cddcf19800p-9", "0x1.f29d516e14aabp-6"), "0x1.e58ea3d3bc512p-1"),
-    (2.0, -0.4): (("-0x1.6fd6e078d1ef5p-3", "0x1.c5bfa80473400p-3",
-                   "-0x1.28eec6bf1cd2bp-3", "0x1.fdcab7aa74d55p-3"), "0x1.76d822e7cf68cp+1"),
-    (4.5, 1.2): (("-0x1.503c5d5c168abp-5", "0x1.0ae70a1b60000p-6",
-                  "-0x1.74a2a4dd48400p-7", "-0x1.8b7204d040000p-10"), "0x1.7d148de34c68bp-2"),
-}
-
-
-@pytest.mark.parametrize("u", list(_TANGENT_PINNED))
-def test_tangent_derivatives_pinned_bitwise(u):
+@pytest.mark.parametrize("u", [(0.8, 0.9), (2.0, -0.4), (4.5, 1.2)])
+def test_tangent_derivatives_match_their_referees(u):
+    # |N_h| on the catenoid: Z|N_h| = <N,T>(1 - <B(Z),S>), Z Z|N_h| its closed
+    # combination, S|N_h| = d|N_h| . S in the chart, S S|N_h| a central
+    # difference of that along the RK4 S-curve, and L(|N_h|) = l_nh_closed
     cat = CatenoidChart(1.0)
-    nh = lambda p: surface_frame(cat, p).Nh_norm
-    got = tuple(_hex(tangent_derivative(cat, nh, u, order, which))
-                for which in ("Z", "S") for order in (1, 2))
-    assert (got, _hex(operator_L(cat, nh, u))) == _TANGENT_PINNED[u]
+    nh = lambda fr: fr.Nh_norm
+
+    def s_nh(v):
+        fr = surface_frame(cat, v)
+        return fr.dNh[0] * fr.s_chart[0] + fr.dNh[1] * fr.s_chart[1]
+
+    fr = surface_frame(cat, u)
+    n, b = fr.Nh_norm, fr.BZS
+    zz = -5.0 * n + 4.0 * n ** 3 + 2.0 * b / n + 2.0 * b * b / n - 3.0 * n * b * b
+    [ss] = central_diff(lambda t: (s_nh(integrate_tangent_field(cat, u, t, 4, "S")[-1]),),
+                        0.0, 1e-3)
+    got = [tangent_derivative(cat, nh, u, order, which) for which in "ZS" for order in (1, 2)]
+    want = [fr.NT * (1.0 - b), zz, s_nh(u), ss]
+    assert max(map(_rel, got[:3], want[:3])) <= 1e-13
+    assert _rel(got[3], want[3]) <= 1e-10
+    assert _rel(operator_L(cat, nh, u), l_nh_closed(cat, u)) <= 1e-13
+
+
+@pytest.mark.parametrize("r0", [0.0, 0.1, -0.25])
+def test_vertical_variation_derivatives_match_their_closed_forms(r0):
+    # A(r) = int int |p(s) + r wdot| ds deps with p(s) = -s(2 + R s), whose
+    # kink s* = (sqrt(1 + R r wdot) - 1)/R stays in the window: dA/dr =
+    # int 2 s* wdot and d^2A/dr^2 = int wdot^2 / sqrt(1 + R r wdot)
+    R, w, quad = 2.0, cosine_bump(0.0, 1.0), QuadratureSpec(16, (16, 1))
+    root = lambda e: math.sqrt(1.0 + R * r0 * w.deriv(e))
+    d1 = gauss_legendre_1d(lambda e: 2.0 * (root(e) - 1.0) / R * w.deriv(e), -1.0, 1.0, quad)
+    d2 = gauss_legendre_1d(lambda e: w.deriv(e) ** 2 / root(e), -1.0, 1.0, quad)
+    a, a1, a2 = taylor_derivatives(vertical_variation_area(R, w, Taylor(r0, 1.0), quad))
+    assert a == vertical_variation_area(R, w, r0, quad)
+    assert abs(a1 - d1) <= 1e-14 and abs(a2 - d2) <= 1e-13 * d2
 
 
 def test_direct_variations_pinned_bitwise():
@@ -274,15 +291,11 @@ def test_direct_variations_pinned_bitwise_kinked_with_vertical_part():
                          "0x1.45a2b4bfe0dafp+1")
 
 
-def test_vertical_variation_second_difference_pinned_bitwise():
-    got = vertical_variation_second_difference(2.0, cosine_bump(0, 1), QuadratureSpec(16, (16, 1)))
-    assert _hex(got) == ("0x1.3bd3d62f30190p+1", "0x0.0p+0")
-
-
 def test_ruled_chart_jets_frame_the_base_chart():
-    # the seed jets of the S-curve (differences of S and Z along it) frame
-    # the base surface: measured 4.7e-12 on the catenoid, 1.3e-12 on the
-    # pitch-2 helicoid, at the sample points of check_ruled_charts
+    # the seed jets of the S-curve (S and Z and their exact derivatives
+    # along it) frame the base surface: measured 8.9e-15 on the catenoid,
+    # 3.1e-15 on the pitch-2 helicoid, at the sample points of
+    # check_ruled_charts (4.7e-12 and 1.3e-12 by central differences)
     _, rc, rh = verify._ruled_charts()
 
     def on_helicoid(p, R=2.0):
@@ -298,4 +311,4 @@ def test_ruled_chart_jets_frame_the_base_chart():
                 want = surface_frame(chart.base, locate(chart.point(s, a)))
                 for g, w in ((got.Nh_norm, want.Nh_norm), (abs(got.NT), abs(want.NT)),
                              (got.BZS, want.BZS), (got.q, want.q), (abs(got.H), abs(want.H))):
-                    assert abs(g - w) <= 1e-9, (chart.base, s, a, g, w)
+                    assert abs(g - w) <= 1e-13, (chart.base, s, a, g, w)

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from h1geom import numerics
 from h1geom.errors import NonFiniteValue
 from h1geom._gauss import NODES_WEIGHTS
-from h1geom.numerics import (DiffSpec, QuadratureSpec, _composite_1d, central_diff,
-                             central_quotient, gauss_legendre_1d, gauss_nodes,
+from h1geom.numerics import (QuadratureSpec, Taylor, _composite_1d, gauss_legendre_1d, gauss_nodes,
                              gauss_nodes_1d, integrate_2d, integrate_array_1d,
-                             integrate_cells, kahan_sum, richardson, split_cells)
+                             integrate_cells, kahan_sum, richardson, split_cells, taylor,
+                             taylor_derivatives)
+from referees import central_diff
 
 
 def test_polynomial_exactness_basic():
@@ -422,102 +423,11 @@ def test_tuple_integrand_raises_at_its_first_failing_cell_in_entry_order(monkeyp
 
 
 def test_central_diff():
-    spec = DiffSpec(step=1e-3, richardson_levels=1)
-    assert abs(central_diff(math.exp, 0.0, spec, order=1) - 1.0) <= 1e-9
-    assert abs(central_diff(math.exp, 0.0, spec, order=2) - 1.0) <= 1e-7
-    assert abs(central_diff(lambda x: 3.0 * x + 1.0, 0.2, spec, order=2)) <= 1e-9
-
-
-def test_central_diff_tuple_matches_components():
-    f = lambda x: (math.sin(x), math.exp(-x), x ** 3)
-    for levels in (0, 1, 2):
-        spec = DiffSpec(1e-3, levels)
-        for order in (1, 2):
-            got = central_diff(f, 0.3, spec, order)
-            want = tuple(central_diff(lambda x, i=i: f(x)[i], 0.3, spec, order)
-                         for i in range(3))
-            assert got == want
-
-
-def test_central_diff_evaluation_count():
-    for levels in (0, 1, 2):
-        for order in (1, 2):
-            calls = []
-            central_diff(lambda x: calls.append(x) or math.cos(x), 0.1,
-                         DiffSpec(1e-3, levels), order)
-            assert len(calls) == 2 * (levels + 1) + (order - 1)
-            assert len(set(calls)) == len(calls)
-
-
-def test_central_diffs_sample_each_node_once():
-    f = lambda x: (math.sin(x), math.exp(-x), x ** 3)
-    for levels in (0, 1, 2):
-        spec = DiffSpec(1e-3, levels)
-        calls = []
-        got = numerics.central_diffs(lambda x: calls.append(x) or f(x), 0.3, spec, (2, 1, 0))
-        assert got == [central_diff(f, 0.3, spec, 2), central_diff(f, 0.3, spec, 1), f(0.3)]
-        # the order-2 stencil holds every node of order 1 and the centre
-        assert sorted(calls) == sorted(set(calls)) and len(calls) == 2 * (levels + 1) + 1
-
-
-def test_central_diff_rejects_nonfinite_samples():
-    with pytest.raises(NonFiniteValue):
-        central_diff(lambda x: (1.0, math.nan), 0.0, DiffSpec(1e-3, 1))
-
-
-# The hand-written stencils central_diff and richardson replaced, verbatim;
-# the shared routines must reproduce them bit for bit.
-
-def _old_two_level(a_of, s_step, order):
-    if order == 2:
-        a0 = a_of(0.0)
-    diffs = []
-    for h in (s_step, s_step / 2, s_step / 4):
-        if order == 2:
-            diffs.append((a_of(h) - 2.0 * a0 + a_of(-h)) / (h * h))
-        else:
-            diffs.append((a_of(h) - a_of(-h)) / (2.0 * h))
-    for level in (1, 2):
-        fac = 4.0 ** level
-        diffs = [(fac * diffs[i + 1] - diffs[i]) / (fac - 1.0) for i in range(len(diffs) - 1)]
-    return diffs[0]
-
-
-def _old_one_level(fn, x, h, order):
-    if order == 1:
-        d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
-        d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
-    s1 = (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
-    s2 = (fn(x + 0.5 * h) - 2.0 * fn(x) + fn(x - 0.5 * h)) / (0.25 * h * h)
-    return (4.0 * s2 - s1) / 3.0
-
-
-def _old_no_level(fn, h):
-    a_p, a_0, a_m = fn(h), fn(0.0), fn(-h)
-    return (a_p - 2.0 * a_0 + a_m) / (h * h), (a_p - a_m) / (2.0 * h)
-
-
-def _random_function(rng):
-    a, b, c = rng.uniform(-3, 3), rng.uniform(0.1, 4), rng.uniform(-2, 2)
-    return lambda x: a * math.sin(b * x + c) + math.exp(c * x) - x ** 3
-
-
-def test_central_diff_bitwise_matches_inline_stencils():
-    rng = random.Random(11)
-    for _ in range(300):
-        f = _random_function(rng)
-        x = rng.uniform(-2, 2)
-        h = 10.0 ** rng.uniform(-6, -2)
-        g = lambda s: f(x + s)
-        for order in (1, 2):
-            assert (central_diff(g, 0.0, DiffSpec(h, 2), order).hex()
-                    == _old_two_level(g, h, order).hex())
-            assert (central_diff(f, x, DiffSpec(h, 1), order).hex()
-                    == _old_one_level(f, x, h, order).hex())
-        d2, d1 = _old_no_level(g, h)
-        assert central_diff(g, 0.0, DiffSpec(h, 0), 2).hex() == d2.hex()
-        assert central_diff(g, 0.0, DiffSpec(h, 0), 1).hex() == d1.hex()
+    # the referees' central difference (tests/referees.py): one Richardson
+    # level, componentwise on tuples; the library takes no difference
+    got = central_diff(lambda x: (math.exp(x), math.sin(x), 3.0 * x + 1.0), 0.2, 1e-3)
+    want = (math.exp(0.2), math.cos(0.2), 3.0)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
 
 def test_richardson_bitwise_matches_inline_array_stencil():
@@ -527,12 +437,120 @@ def test_richardson_bitwise_matches_inline_array_stencil():
         h = 1e-5 * np.maximum(1.0, np.abs(rng.uniform(-3, 3, 64)))
         plus, minus, plus2, minus2 = (rng.normal(size=64) for _ in range(4))
         old = (4.0 * (plus2 - minus2) / h - (plus - minus) / (2.0 * h)) / 3.0
-        new = richardson([central_quotient(plus, minus, h),
-                          central_quotient(plus2, minus2, 0.5 * h)])
+        new = richardson([(plus - minus) / (2.0 * h), (plus2 - minus2) / (2.0 * (0.5 * h))])
         assert [v.hex() for v in new.tolist()] == [v.hex() for v in old.tolist()]
         vals = rng.normal(size=3).tolist()
         assert (richardson(vals[-2:], factor=10.0).hex()
                 == ((10.0 * vals[-1] - vals[-2]) / 9.0).hex())
+
+
+# ---------------------------------------------------------------------------
+# Taylor numbers: every operation and elementary function against its
+# closed-form first and second derivatives, on floats and on arrays
+# ---------------------------------------------------------------------------
+
+# (name, f on a Taylor number, then f, f' and f'' in closed form, each a
+# function of (x, m) with m the math or numpy module of x)
+_TAYLOR_CASES = [
+    ("neg", lambda x: -x, lambda x, m: -x, lambda x, m: -1.0, lambda x, m: 0.0),
+    ("add", lambda x: x + 2.5, lambda x, m: x + 2.5, lambda x, m: 1.0, lambda x, m: 0.0),
+    ("radd", lambda x: 2.5 + x, lambda x, m: 2.5 + x, lambda x, m: 1.0, lambda x, m: 0.0),
+    ("sub", lambda x: x - 2.5, lambda x, m: x - 2.5, lambda x, m: 1.0, lambda x, m: 0.0),
+    ("rsub", lambda x: 2.5 - x, lambda x, m: 2.5 - x, lambda x, m: -1.0, lambda x, m: 0.0),
+    ("mul", lambda x: x * 1.5, lambda x, m: x * 1.5, lambda x, m: 1.5, lambda x, m: 0.0),
+    ("rmul", lambda x: 1.5 * x, lambda x, m: 1.5 * x, lambda x, m: 1.5, lambda x, m: 0.0),
+    ("square", lambda x: x * x, lambda x, m: x * x, lambda x, m: 2.0 * x, lambda x, m: 2.0),
+    ("self add", lambda x: x + x * x, lambda x, m: x + x * x,
+     lambda x, m: 1.0 + 2.0 * x, lambda x, m: 2.0),
+    ("self sub", lambda x: x - x * x, lambda x, m: x - x * x,
+     lambda x, m: 1.0 - 2.0 * x, lambda x, m: -2.0),
+    ("div", lambda x: x / 1.5, lambda x, m: x / 1.5, lambda x, m: 1 / 1.5, lambda x, m: 0.0),
+    ("rdiv", lambda x: 1.5 / x, lambda x, m: 1.5 / x, lambda x, m: -1.5 / (x * x),
+     lambda x, m: 3.0 / (x * x * x)),
+    ("self div", lambda x: (x * x + 1.0) / x, lambda x, m: (x * x + 1.0) / x,
+     lambda x, m: 1.0 - 1.0 / (x * x), lambda x, m: 2.0 / (x * x * x)),
+    ("pow 3", lambda x: x ** 3, lambda x, m: x ** 3, lambda x, m: 3.0 * x * x,
+     lambda x, m: 6.0 * x),
+    ("pow -2", lambda x: x ** -2, lambda x, m: x ** -2, lambda x, m: -2.0 / (x * x * x),
+     lambda x, m: 6.0 / (x * x * x * x)),
+    ("pow 1", lambda x: x ** 1, lambda x, m: x ** 1, lambda x, m: 1.0, lambda x, m: 0.0),
+    ("pow 0", lambda x: x ** 0, lambda x, m: x ** 0, lambda x, m: 0.0, lambda x, m: 0.0),
+    ("abs", lambda x: abs(x), lambda x, m: abs(x), lambda x, m: x / abs(x), lambda x, m: 0.0),
+    ("sin", taylor.sin, lambda x, m: m.sin(x), lambda x, m: m.cos(x), lambda x, m: -m.sin(x)),
+    ("cos", taylor.cos, lambda x, m: m.cos(x), lambda x, m: -m.sin(x), lambda x, m: -m.cos(x)),
+    ("sinh", taylor.sinh, lambda x, m: m.sinh(x), lambda x, m: m.cosh(x),
+     lambda x, m: m.sinh(x)),
+    ("cosh", taylor.cosh, lambda x, m: m.cosh(x), lambda x, m: m.sinh(x),
+     lambda x, m: m.cosh(x)),
+    ("sqrt", lambda x: taylor.sqrt(abs(x)), lambda x, m: m.sqrt(abs(x)),
+     lambda x, m: 0.5 * x / abs(x) / m.sqrt(abs(x)), lambda x, m: -0.25 / abs(x) ** 1.5),
+    ("hypot", lambda x: taylor.hypot(x, 0.4), lambda x, m: m.hypot(x, 0.4),
+     lambda x, m: x / m.hypot(x, 0.4), lambda x, m: 0.16 / m.hypot(x, 0.4) ** 3),
+    ("rhypot", lambda x: taylor.hypot(0.4, x), lambda x, m: m.hypot(0.4, x),
+     lambda x, m: x / m.hypot(x, 0.4), lambda x, m: 0.16 / m.hypot(x, 0.4) ** 3),
+    ("chain", lambda x: taylor.sin(x * x), lambda x, m: m.sin(x * x),
+     lambda x, m: 2.0 * x * m.cos(x * x),
+     lambda x, m: 2.0 * m.cos(x * x) - 4.0 * x * x * m.sin(x * x)),
+    ("hypot chain", lambda x: taylor.hypot(x * x, taylor.cos(x)),
+     lambda x, m: m.hypot(x * x, m.cos(x)),
+     lambda x, m: (2.0 * x ** 3 - m.cos(x) * m.sin(x)) / m.hypot(x * x, m.cos(x)),
+     lambda x, m: ((6.0 * x * x + m.sin(x) ** 2 - m.cos(x) ** 2) / m.hypot(x * x, m.cos(x))
+                   - (2.0 * x ** 3 - m.cos(x) * m.sin(x)) ** 2
+                   / m.hypot(x * x, m.cos(x)) ** 3)),
+]
+
+
+@pytest.mark.parametrize("x", [0.7, -1.3, np.array([0.7, -1.3, 2.2, -0.05])],
+                         ids=["float", "negative float", "array"])
+@pytest.mark.parametrize("case", _TAYLOR_CASES, ids=[c[0] for c in _TAYLOR_CASES])
+def test_taylor_operations_match_their_closed_forms(case, x):
+    _, op, *closed = case
+    m = np if isinstance(x, np.ndarray) else math
+    f, d1, d2 = taylor_derivatives(op(Taylor(x, 1.0)))
+    want_f, want_d1, want_d2 = (np.broadcast_to(g(x, m), np.shape(x)) for g in closed)
+    assert np.array_equal(f, want_f)  # the value term is the plain code's, bit for bit
+    assert type(f) is type(op(x) if m is math else f)
+    for got, want in ((d1, want_d1), (d2, want_d2)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def test_taylor_of_taylor_operands_is_the_product_rule():
+    # both operands vary: (u v)'' = u'' v + 2 u' v' + u v'', (u / v)' = (u' v - u v') / v^2
+    u, v = Taylor(0.8, -0.3, 0.25), Taylor(-1.7, 0.6, 0.1)  # c2 is half the second derivative
+    _, d1, d2 = taylor_derivatives(u * v)
+    assert (d1, d2) == (0.8 * 0.6 - 0.3 * -1.7, 0.5 * -1.7 + 2.0 * -0.3 * 0.6 + 0.8 * 0.2)
+    _, d1, d2 = taylor_derivatives(u / v)
+    q1 = (-0.3 * -1.7 - 0.8 * 0.6) / 1.7 ** 2
+    q2 = (0.5 - 2.0 * q1 * 0.6 - 0.8 / -1.7 * 0.2) / -1.7
+    assert abs(d1 - q1) <= 1e-15 and abs(d2 - q2) <= 1e-15
+
+
+def test_taylor_numbers_meet_numpy_as_taylor_numbers():
+    # __array_ufunc__ = None: numpy defers to the Taylor operators, so an
+    # array operand gives a Taylor number of arrays, never an object array
+    t, a = Taylor(0.5, 1.0), np.array([1.0, 2.0, -3.0])
+    for got in (a * t, t * a, a + t, a - t, a / t, t / a, np.float64(2.0) * t, t ** 2 * a):
+        assert type(got) is Taylor
+    assert np.array_equal((a * t).c0, a * 0.5) and np.array_equal((a * t).c1, a)
+    with pytest.raises(TypeError):
+        np.exp(t)
+
+
+def test_taylor_numbers_have_no_float():
+    # a float-only function raises rather than drop the derivative terms
+    t = Taylor(0.5, 1.0)
+    for call in (lambda: math.exp(t), lambda: float(t), lambda: math.isfinite(t),
+                 lambda: 2.0 ** t, lambda: t ** 0.5):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_taylor_comparisons_read_the_value_term():
+    t = Taylor(0.5, -7.0, 3.0)
+    assert t < 1.0 and t <= 0.5 and t > 0.0 and t >= 0.5 and 1.0 > t and not t > 0.5
+    assert t < Taylor(0.6) and bool(t) and not bool(Taylor(0.0, 1.0))
+    assert (Taylor(np.array([0.1, 2.0]), 1.0) < 1.0).tolist() == [True, False]
+    assert taylor_derivatives(4.0) == (4.0, 0.0, 0.0)
 
 
 def test_kahan_beats_naive_summation():
@@ -614,8 +632,6 @@ def test_spec_validation():
         QuadratureSpec(5, (4, 4))
     with pytest.raises(ValueError):
         QuadratureSpec(8, (0, 4))
-    with pytest.raises(ValueError):
-        DiffSpec(step=-1.0)
 
 
 @pytest.mark.parametrize("cells", [(2.5, 1), (2.0, 1), (True, 1), (4, False), ("4", 4),
@@ -629,14 +645,6 @@ def test_quadrature_spec_requires_integer_cell_counts(cells):
 def test_quadrature_spec_accepts_integer_types():
     spec = QuadratureSpec(16, (np.int64(3), 2))
     assert spec.cells == (3, 2) and spec.doubled().cells == (6, 4)
-
-
-@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1e-3, -math.inf])
-def test_diff_spec_requires_a_positive_finite_step(step):
-    # inf ended in a math domain error of the sampled function, nan in a
-    # late NonFiniteValue
-    with pytest.raises(ValueError, match="step must be positive and finite"):
-        DiffSpec(step=step)
 
 
 def test_reversed_interval_raises_and_an_empty_one_is_zero():

@@ -15,7 +15,8 @@ from h1geom.errors import SingularPoint, StoppedAtSingular
 from h1geom.numerics import CELL_BLOCK_NODES, QuadratureSpec, gauss_nodes
 from h1geom.stability import (cosine_bump, direct_variations, index_form_I, separable,
                               zero_function)
-from h1geom.surfaces import CatenoidChart, curve_samples, ruled_coordinates
+from h1geom.surfaces import CatenoidChart, ruled_coordinates
+from referees import curve_walk
 
 
 def _counted(monkeypatch, module, name):
@@ -33,10 +34,11 @@ def _counted(monkeypatch, module, name):
 
 
 def test_curvature_check_evaluates_each_covariant_field_once_per_point(monkeypatch):
-    # nine fields D_{E_i} E_k, each differenced at p: 12 stencil nodes and p itself
+    # nine fields D_{E_i} E_k, each evaluated at p once and, for each of the
+    # four times the check reads its gradients, at one Taylor point per axis
     nested = _counted(monkeypatch, core, "covariant_derivative")
     result = verify.check_curvature_from_connection()
-    assert nested[0] == 9 * 13
+    assert nested[0] == 9 * (1 + 4 * 3)
     assert result.passed
 
 
@@ -92,7 +94,7 @@ def test_index_form_computes_no_shape_terms(monkeypatch):
 def test_ruled_chart_walks_the_eager_grid(k):
     rc = verify._ruled_charts()[k]
     n = rc._n
-    eager = curve_samples(rc.base, rc.u0, rc.eps_range, n, "S")
+    eager = curve_walk(rc.base, rc.u0, rc.eps_range, n, "S")
     order = list(range(-n, n + 1))
     random.Random(k).shuffle(order)  # any read order walks the same steps
     got = {j: rc._node(j) for j in order}
@@ -154,15 +156,15 @@ def test_ruled_chart_check_builds_few_points(monkeypatch):
 
 
 def test_ruled_chart_jets_seed_each_distinct_a_once(monkeypatch):
-    # 1,024 nodes on 32 distinct a; a seed reads the curve at five points
-    # (the centre and the four nodes of its difference stencil), and the
-    # _curve memo walks to each of them once
+    # 1,024 nodes on 32 distinct a; a seed walks to its point of the curve
+    # once and reads its derivatives there (0x1.b87dc7f34e667p-1 with the
+    # stencil's, 2.9e-13 away)
     rc = verify._ruled_charts()[1]
     walked = _counted(monkeypatch, surfaces.RuledChart, "curve_chart_point")
     u = separable(cosine_bump(0, 1), cosine_bump(0, 0.5))
     got = index_form_I(rc, u, u, QuadratureSpec(8, (4, 4)))
-    assert got.hex() == "0x1.b87dc7f34e667p-1"
-    assert walked[0] == 5 * 32
+    assert got.hex() == "0x1.b87dc7f34dda3p-1"
+    assert walked[0] == 32
 
 
 def test_ruled_chart_check_frames_each_curve_point_once(monkeypatch):
@@ -232,7 +234,7 @@ def test_ruled_chart_walk_raises_its_stop_again_and_walks_on_elsewhere():
         lengths.append([len(w) for w in rc._walks.values()])
     assert errors[0] == errors[1]
     assert lengths[0] == lengths[1] and 1 < lengths[0][1] <= rc._n
-    eager = curve_samples(CatenoidChart(1.0), rc.u0, rc.eps_range, rc._n, "S")
+    eager = curve_walk(CatenoidChart(1.0), rc.u0, rc.eps_range, rc._n, "S")
     for j in (rc._n // 2, rc._n):
         assert [c.hex() for c in rc._node(j)] == [c.hex() for c in eager[j + rc._n]], j
 

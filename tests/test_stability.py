@@ -11,8 +11,8 @@ from h1geom import cli, numerics, stability, surfaces, verify
 from h1geom.core import Point
 from h1geom.errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularPoint,
                            SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
-from h1geom.numerics import (QuadratureSpec, gauss_legendre_1d, integrate_2d, integrate_array_1d,
-                             kahan_sum, split_cells)
+from h1geom.numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, integrate_2d,
+                             integrate_array_1d, kahan_sum, split_cells, taylor_derivatives)
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUBE_S0,
                               InstabilityCertificate, Profile, RulingFrame, boundary_flux,
                               boundary_flux_extrapolated, bracket_integral,
@@ -25,8 +25,8 @@ from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUB
                               scaled_catenoid_certificate, scaled_helicoid_certificate,
                               second_variation_direct, separable, smooth_bump, times_nh,
                               vertical_variation_area, tangent_derivative,
-                              vertical_variation_second_difference, zero_function)
-from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, HelicoidChart,
+                              zero_function)
+from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, GraphChart, HelicoidChart,
                              ParaboloidChart, SeedRuledChart, VerticalPlaneChart,
                              ruled_coordinates, surface_frame, surface_frames)
 from referees import combined_normal_component
@@ -36,8 +36,8 @@ HEL2 = HelicoidChart(2.0)
 QUAD44 = QuadratureSpec(16, (4, 4))
 
 
-def nh_field(chart):
-    return lambda u: surface_frame(chart, u).Nh_norm
+def nh_field(fr):
+    return fr.Nh_norm
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +45,63 @@ def nh_field(chart):
 # ---------------------------------------------------------------------------
 
 def test_z_derivative_constant():
-    assert abs(tangent_derivative(CAT, lambda u: 3.7, (1.0, 0.5), 1, "Z")) <= 1e-12
-    assert abs(tangent_derivative(CAT, lambda u: 3.7, (1.0, 0.5), 2, "Z")) <= 1e-8
+    for order in (1, 2):
+        assert tangent_derivative(CAT, lambda fr: 3.7, (1.0, 0.5), order, "Z") == 0.0
 
 
 def test_z_derivative_stops_at_singular():
     from h1geom.errors import SingularPoint, StoppedAtSingular
     with pytest.raises((SingularPoint, StoppedAtSingular)):
-        tangent_derivative(HEL2, nh_field(HEL2), (0.5, 0.0), 1, "Z")
+        tangent_derivative(HEL2, nh_field, (0.5, 0.0), 1, "Z")
 
 
 def test_z_derivative_nt_identity():
     for chart, u0 in ((HEL2, (0.2, 0.4)), (CAT, (1.3, -0.6))):
         fr = surface_frame(chart, u0)
-        znt = tangent_derivative(chart, lambda u: surface_frame(chart, u).NT, u0, 1, "Z")
-        assert abs(znt - fr.Nh_norm * (fr.BZS - 1.0)) <= 1e-5
+        znt = tangent_derivative(chart, lambda f: f.NT, u0, 1, "Z")
+        assert abs(znt - fr.Nh_norm * (fr.BZS - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("s, rtol", [(0.4999, 1e-12), (0.499999, 1e-9)])
+def test_z_derivative_of_nt_next_to_the_helix(s, rtol):
+    # Z<N,T> = |N_h|(<B(Z),S> - 1) at regular points 1e-4 and 1e-6 from the
+    # helix s = 1/2 of the pitch-2 helicoid, where the walk of a difference
+    # stencil stopped at the helix, or read -3.53e-5 at the second point.
+    # On the rulings <N,T> = L/W with L = -2s, C = 2(1/2 - s)(1/2 + s) and
+    # W = hypot(C, L), so Z<N,T> = d/ds (L/W) = -C (1 + 4 s^2) / W^3.  The
+    # Taylor terms of <N,T> = c/|F_1 x F_2| cancel O(1) terms to this
+    # -4e-6 at the second point, so 4 eps / 4e-6 bounds its error there
+    c, L = 2.0 * (0.5 - s) * (0.5 + s), -2.0 * s
+    want = -c * (1.0 + 4.0 * s * s) / math.hypot(c, L) ** 3
+    got = tangent_derivative(HEL2, lambda f: f.NT, (s, 0.1), 1, "Z")
+    assert abs(got - want) <= rtol * abs(want)
+    fr = surface_frame(HEL2, (s, 0.1))
+    assert abs(got - fr.Nh_norm * (fr.BZS - 1.0)) <= 10.0 * rtol * abs(want)
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_z_derivative_of_nh_on_small_catenoids(j):
+    # Z|N_h| = dNh . z_chart at every scale: the stencil's absolute step read
+    # 0.0669 against -10.111 at lam = 1e-5
+    lam = 10.0 ** -j
+    chart, u = CatenoidRulingChart(lam), (0.3 * lam, 0.2)
+    fr = surface_frame(chart, u)
+    want = fr.dNh[0] * fr.z_chart[0] + fr.dNh[1] * fr.z_chart[1]
+    assert abs(tangent_derivative(chart, nh_field, u, 1, "Z") - want) <= 1e-12 * abs(want)
+
+
+def test_z_derivative_of_a_float_only_chart_raises():
+    # a GraphChart whose partials take floats only has no Taylor jet: one
+    # TypeError, not a number without its derivative terms
+    exp = math.exp
+    graph = GraphChart(lambda x, y: exp(x) * y, lambda x, y: exp(x) * y, lambda x, y: exp(x),
+                       lambda x, y: exp(x) * y, lambda x, y: exp(x), lambda x, y: 0.0)
+    msg = ("^GraphChart has no derivatives along its curves: its _jet_parts takes no "
+           r"Taylor numbers \(must be real number, not Taylor\)$")
+    for call in (lambda: tangent_derivative(graph, nh_field, (0.1, 0.2)),
+                 lambda: operator_L(graph, nh_field, (0.1, 0.2))):
+        with pytest.raises(TypeError, match=msg):
+            call()
 
 
 def test_zz_nh_closed_combination():
@@ -69,18 +111,18 @@ def test_zz_nh_closed_combination():
         nh, bzs = fr.Nh_norm, fr.BZS
         want = (-5.0 * nh + 4.0 * nh ** 3 + 2.0 * bzs / nh
                 + 2.0 * bzs * bzs / nh - 3.0 * nh * bzs * bzs)
-        got = tangent_derivative(CAT, nh_field(CAT), u0, 2, "Z")
-        assert abs(got - want) <= 1e-4
+        got = tangent_derivative(CAT, nh_field, u0, 2, "Z")
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_operator_l_examples():
     vp = VerticalPlaneChart()
-    assert abs(operator_L(vp, nh_field(vp), (0.2, -0.4))) <= 1e-8
-    assert abs(operator_L(CAT, lambda u: 0.0, (1.0, 0.3))) == 0.0
+    assert abs(operator_L(vp, nh_field, (0.2, -0.4))) <= 1e-15
+    assert abs(operator_L(CAT, lambda fr: 0.0, (1.0, 0.3))) == 0.0
     for chart, u0 in ((CAT, (0.8, 0.9)), (HEL2, (0.25, -0.3))):
         lc = l_nh_closed(chart, u0)
-        ld = operator_L(chart, nh_field(chart), u0)
-        assert abs(ld - lc) <= 1e-4 * max(1.0, abs(lc))
+        ld = operator_L(chart, nh_field, u0)
+        assert abs(ld - lc) <= 1e-13 * max(1.0, abs(lc))
 
 
 def test_lnh_closed_examples():
@@ -750,7 +792,7 @@ def test_helicoid_functions_refuse_a_pitch_no_helicoid_has(R):
              lambda: boundary_flux(R, v, 1e-3, quad),
              lambda: boundary_flux_extrapolated(R, v, quad),
              lambda: vertical_variation_area(R, w, 0.0, quad),
-             lambda: vertical_variation_second_difference(R, w, quad)]
+             lambda: vertical_variation_area(R, w, Taylor(0.0, 1.0), quad)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -942,10 +984,10 @@ def test_vertical_variation_independent_of_r_when_constant():
 def test_vertical_variation_second_difference():
     w = cosine_bump(0.0, 1.0)
     quad = QuadratureSpec(16, (16, 1))
-    d2, d1 = vertical_variation_second_difference(2.0, w, quad)
+    _, d1, d2 = taylor_derivatives(vertical_variation_area(2.0, w, Taylor(0.0, 1.0), quad))
     exact = gauss_legendre_1d(lambda e: w.deriv(e) ** 2, -1.0, 1.0, quad)
-    assert abs(d2 - exact) <= 1e-3 * exact
-    assert abs(d1) <= 1e-6
+    assert abs(d2 - exact) <= 1e-13 * exact
+    assert abs(d1) <= 1e-15
 
 
 def test_vertical_variation_tube_too_small():
