@@ -368,7 +368,7 @@ def _catenoid_unit_certificate() -> InstabilityCertificate:
     """The lam = 1 certificate that ``certify catenoid`` scales to every
     waist radius: confirmed on the first call, then reused, since it takes
     no input."""
-    return certify_instability_nosing(1.0)
+    return certify_instability_nosing()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -338,13 +338,16 @@ def covariant_field(U: FrameField, V: FrameField) -> FrameField:
     """The field p -> D_U V(p), whose coefficient gradients are read off
     Taylor points (``FrameField``); V needs supplied gradients there.
 
-    Its three coefficients share one evaluation of D_U V per point, which the
-    field keeps for its lifetime: its gradients at a point cost one
-    ``covariant_derivative`` per axis, however often they are asked.
-    Points key it by value, so 0.0 and -0.0 share an entry.
+    Its three coefficients share one evaluation of D_U V per point, and its
+    gradients one read per point; the field keeps both for its lifetime, so
+    its gradients at a point cost one ``covariant_derivative`` per axis,
+    however often they are asked.  Points key both by value, so 0.0 and
+    -0.0 share an entry.
     """
     at = functools.cache(lambda p: covariant_derivative(U, V, p).coeffs())
-    return FrameField(*(lambda p, k=k: at(p)[k] for k in range(3)))
+    field = FrameField(*(lambda p, k=k: at(p)[k] for k in range(3)))
+    field.coefficient_gradients = functools.cache(field.coefficient_gradients)
+    return field
 
 
 def lie_bracket(U: FrameField, V: FrameField, p: Point) -> FrameVector:

@@ -174,9 +174,9 @@ class FirstFailures:
             self._errors[i] = _error_at(i, masks, checks)
         self.failed |= new.reshape(self.failed.shape)
 
-    def raise_first(self, convert: Callable[[Exception], Exception] = lambda exc: exc) -> None:
-        """Raise ``convert`` of the kept error of the first failed element."""
-        raise_first_failure((self.failed, lambda i: convert(self._errors[i])))
+    def raise_first(self) -> None:
+        """Raise the kept error of the first failed element."""
+        raise_first_failure((self.failed, lambda i: self._errors[i]))
 
 
 def _nonfinite_samples(v: np.ndarray, where: str) -> tuple:
@@ -372,16 +372,6 @@ def _where(m, cond, then, other=0.0):
     if m is math:
         return then if cond else other
     return np.where(cond, then, other)
-
-
-def richardson(values: Sequence, factor: float = 4.0):
-    """Richardson extrapolation of estimates (floats or arrays) on a
-    shrinking ladder: level j combines neighbours with weight factor**j."""
-    table = list(values)
-    for j in range(1, len(values)):
-        fac = factor**j
-        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
-    return table[0]
 
 
 class Taylor:

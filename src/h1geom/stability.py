@@ -34,7 +34,7 @@ from .errors import (CertificateNotFound, ConfigError, NonFiniteValue, SingularP
                      SupportOutsideDomain, TubeConditionViolated, TubeTooSmall)
 from .numerics import (Cuts, QuadratureSpec, Rect, Taylor, _where, gauss_legendre_1d,
                        integrate_array_1d, integrate_cells, kahan_sum, raise_first_failure,
-                       richardson, taylor, taylor_derivatives)
+                       taylor, taylor_derivatives)
 from .surfaces import (CatenoidRulingChart, Chart, HelicoidChart, SeedRuledChart, curve_frames,
                        is_batch, surface_frame, surface_frames)
 
@@ -636,6 +636,19 @@ def _check_tube(s_prof: Profile, R: float) -> None:
             raise TubeConditionViolated(f"test function varies along rulings near s = {s0}")
 
 
+def _singular_helices(chart: HelicoidChart) -> RulingFrame:
+    """The ``RulingFrame`` of the pitch-R helicoid on its singular helices
+    s = 1/R and -1/R, an array of two, where eps is arclength: W = 1 there.
+    Raises ``NonFiniteValue`` naming R where rounding of 1/R leaves the
+    helices, so that W is off 1 by more than 1e-12."""
+    R = chart.R
+    helices = RulingFrame(chart, np.array([1.0 / R, -1.0 / R]))
+    if not np.all(abs(helices.W - 1.0) <= 1e-12):
+        raise NonFiniteValue(f"the singular helices at R={R!r} are not arclength-parameterized: "
+                             f"W = {helices.W.tolist()!r}")
+    return helices
+
+
 def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
     """The helicoid stability form
 
@@ -653,9 +666,8 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
         raise TubeConditionViolated("q_form requires a separable test function")
     phi, psi = u.sep
     _check_tube(psi, R)
-    helix = RulingFrame(chart, 1.0 / R)
-    if abs(helix.W - 1.0) > 1e-12:
-        raise NonFiniteValue("singular helix is not arclength-parameterized")
+    helices = _singular_helices(chart)
+    cuts, weight = helices.s.tolist(), helices.weight
 
     int_phi2 = _profile_integral(phi, lambda e: phi.values(e) ** 2, quad)
     int_dphi2 = _profile_integral(phi, lambda e: phi.derivs(e) ** 2, quad)
@@ -672,15 +684,14 @@ def q_form(R: float, u: TestFunction, quad: QuadratureSpec) -> float:
     # cells never straddle a singular helix; the ramp term is 0 where psi is
     # flat, and the potential term where q's weight R^2 - 4 is (at R = 2).
     # At pitches far from 1, W^2 overflows and a sample is not finite.
-    helices = (1.0 / R, -1.0 / R)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            t1 = int_phi2 * _profile_integral(psi, ramp, quad, helices)
-            t2 = (-helix.weight * int_phi2 * _profile_integral(psi, pot, quad, helices)
-                  if helix.weight != 0.0 else 0.0)
+            t1 = int_phi2 * _profile_integral(psi, ramp, quad, cuts)
+            t2 = (-weight * int_phi2 * _profile_integral(psi, pot, quad, cuts)
+                  if weight != 0.0 else 0.0)
     except NonFiniteValue as exc:
         raise NonFiniteValue(f"helicoid form at R={R!r} is not finite: {exc}") from None
-    trace2 = psi.value(1.0 / R) ** 2 + psi.value(-1.0 / R) ** 2
+    trace2 = psi.value(cuts[0]) ** 2 + psi.value(cuts[1]) ** 2
     t3 = -4.0 * trace2 * int_phi2
     t4 = trace2 * int_dphi2
     return t1 + t2 + t3 + t4
@@ -874,7 +885,7 @@ def ruled_index_value(lam: float, quad: QuadratureSpec) -> float:
 def scaled_catenoid_certificate(unit: InstabilityCertificate,
                                 lam: float) -> InstabilityCertificate:
     """Certificate for the catenoid of waist radius |lam| derived from the
-    unit one, ``certify_instability_nosing(1.0)``.
+    unit one, ``certify_instability_nosing()``.
 
     The dilation by |lam| carries the unit catenoid onto this one, and the
     ruling form of ``ruled_index_value`` is |lam| times its unit value in
@@ -890,14 +901,13 @@ def scaled_catenoid_certificate(unit: InstabilityCertificate,
         unit.quad, Q_value_doubled=scale * unit.Q_value_doubled)
 
 
-def certify_instability_nosing(lam: float) -> InstabilityCertificate:
-    """Instability certificate for the catenoid of waist radius |lam|, a
-    complete surface with no singular points and <N,T> != 0 off the waist.
-    It confirms the unit catenoid: ``ruled_index_value(1.0, NOSING_QUAD)``
-    is negative and agrees with its doubling to ``DOUBLING_RTOL``; ``k`` is
-    psi's half-width 2 and ``eps0`` phi's, 1.  It returns that certificate
-    scaled to lam by ``scaled_catenoid_certificate``, which raises
-    ``ValueError`` unless 0 < lam^2 < inf.
+def certify_instability_nosing() -> InstabilityCertificate:
+    """Instability certificate for the unit catenoid, lam = 1, a complete
+    surface with no singular points and <N,T> != 0 off the waist:
+    ``ruled_index_value(1.0, NOSING_QUAD)`` is negative and agrees with its
+    doubling to ``DOUBLING_RTOL``; ``k`` is psi's half-width 2 and ``eps0``
+    phi's, 1.  ``scaled_catenoid_certificate`` carries it to every waist
+    radius |lam|.
     """
     val = ruled_index_value(1.0, NOSING_QUAD)
     if not val < 0.0:
@@ -905,9 +915,8 @@ def certify_instability_nosing(lam: float) -> InstabilityCertificate:
                                   "catenoid lam=1")
     q_doubled = _confirmed(val, ruled_index_value(1.0, NOSING_QUAD.doubled()),
                            "unit catenoid lam=1")
-    unit = InstabilityCertificate("catenoid lam=1", 2.0, NOSING_PHI.support[1], val,
+    return InstabilityCertificate("catenoid lam=1", 2.0, NOSING_PHI.support[1], val,
                                   NOSING_QUAD, Q_value_doubled=q_doubled)
-    return scaled_catenoid_certificate(unit, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -962,42 +971,30 @@ def vertical_variation_area(R: float, w: Profile, r: float,
 # Boundary flux of the divergence terms
 # ---------------------------------------------------------------------------
 
-def boundary_flux(R: float, v: TestFunction, sigma: float,
-                  quad: QuadratureSpec) -> float:
-    """Flux of the second-variation divergence terms through the boundary of
-    the tube of radius sigma around the singular helices.
+def boundary_flux(R: float, v: TestFunction, quad: QuadratureSpec) -> float:
+    """The flux of the second-variation divergence terms through the
+    boundary of the tube of radius sigma around the singular helices, in
+    the limit sigma -> 0.
 
-    The integrand is (xi + mu) <Z, eta> with xi = <N,T>(1 - <B(Z),S>) v^2
-    and mu the vertical-deformation counterpart with w = v/<N,T>; eta is
-    the outward conormal.  As sigma -> 0 the total tends to
+    The flux density is (xi + mu) <Z, eta> with xi = <N,T>(1 - <B(Z),S>) v^2
+    and mu = |N_h|^2 (1 - 3 <B(Z),S>) v^2 / <N,T>, the vertical-deformation
+    counterpart with w = v/<N,T>; eta is the outward conormal, and
+    <Z, eta> deps = W deps.  Every factor is a ``RulingFrame`` entry, finite
+    and continuous across C = 0, so the limit is the density on the helices
+    s = +-1/R themselves, where the two sides of each helix coincide: there
+    |N_h| = 0, <N,T> = -+1, <B(Z),S> = -1 and W = 1, and the total is
     4 int_{singular} v^2 dl.  The eps-integral is cut at v's kinks.
-    ``ValueError`` on an R that ``HelicoidChart`` refuses.
+    ``ValueError`` on an R that ``HelicoidChart`` refuses, and
+    ``NonFiniteValue`` from ``_singular_helices``.
     """
-    chart = HelicoidChart(R)
-    if not (0.0 < sigma < 1.0 / (2.0 * R)):
-        raise ValueError("sigma must lie in (0, 1/(2R))")
+    d = _singular_helices(HelicoidChart(R))
+    dens = (d.NT * (1.0 - d.BZS) + d.Nh * d.Nh * (1.0 - 3.0 * d.BZS) / d.NT) * d.W
     (lo, hi) = v.support[0]
 
     def eps_integral(level: float) -> float:
         return integrate_array_1d(lambda e: v.jet(e, np.full_like(e, level))[0] ** 2,
                                   lo, hi, quad.points_per_cell, quad.cells[0], v.kinks[0])
 
-    total = []
-    for s_curve, sgn in ((1.0 / R, -1.0), (-1.0 / R, 1.0)):
-        for level in (s_curve - sigma, s_curve + sigma):
-            d = RulingFrame(chart, level)
-            xi = d.NT * (1.0 - d.BZS)
-            mu = d.Nh * d.Nh * (1.0 - 3.0 * d.BZS) / d.NT
-            total.append(sgn * (xi + mu) * d.W * eps_integral(level))
-    if not all(map(math.isfinite, total)):  # at pitches far from 1, W^2 overflows
-        raise NonFiniteValue(f"boundary flux at R={R!r} is not finite: {total!r}")
-    return kahan_sum(total)
-
-
-FLUX_SIGMAS = (1e-3, 1e-4)
-
-
-def boundary_flux_extrapolated(R: float, v: TestFunction, quad: QuadratureSpec) -> float:
-    """Richardson extrapolation of the flux from the tube radii
-    ``FLUX_SIGMAS`` (first-order rule, ratio 10)."""
-    return richardson([boundary_flux(R, v, s, quad) for s in FLUX_SIGMAS], factor=10.0)
+    # each helix once per side of its tube, s = 1/R with sign -1 and -1/R with +1
+    return kahan_sum([2.0 * sgn * f * eps_integral(s) for s, sgn, f in
+                      zip(d.s.tolist(), (-1.0, 1.0), dens.tolist())])

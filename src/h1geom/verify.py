@@ -30,7 +30,7 @@ from .geodesics import (GeodesicArc, exp_geodesic, exp_geodesics, helpers_fgh,
                         jacobi_field, jacobi_fields, jacobi_residual, straight_line_residual)
 from .numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, integrate_cells,
                        taylor_derivatives)
-from .stability import (Profile, RulingFrame, boundary_flux_extrapolated,
+from .stability import (Profile, RulingFrame, boundary_flux,
                         bracket_integral, bracket_integral_quadrature,
                         certify_instability_h2, certify_instability_nosing,
                         cosine_bump, direct_variations,
@@ -901,7 +901,7 @@ def check_h2_certificate():
 
 @check("stability", ("catenoid_instability_certificate", "I(u, u) < 0, stable under doubling", 0.5))
 def check_catenoid_certificate():
-    cert = certify_instability_nosing(1.0)
+    cert = certify_instability_nosing()
     ok = cert.Q_value < 0.0 and cert.Q_value_doubled < 0.0
     return 0.0 if ok else 1.0
 
@@ -945,13 +945,13 @@ def check_boundary_flux():
     phi = cosine_bump(0.0, 1.0)
     v = separable(phi, Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
     quad = QuadratureSpec(16, (32, 1))
-    extrap = boundary_flux_extrapolated(2.0, v, quad)
+    flux = boundary_flux(2.0, v, quad)
     target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
     vals_out = [RulingFrame(HelicoidChart(2.0), 0.5 + s).BZS for s in (1e-2, 1e-3, 1e-4)]
     vals_in = [RulingFrame(HelicoidChart(2.0), 0.5 - s).BZS for s in (1e-2, 1e-3, 1e-4)]
     mono = (vals_out[0] > vals_out[1] > vals_out[2] > -1.0
             and vals_in[0] < vals_in[1] < vals_in[2] < -1.0)
-    return abs(extrap - target) / target, 0.0 if mono else 1.0
+    return abs(flux - target) / target, 0.0 if mono else 1.0
 
 
 @check("stability", ("singular_helix_geometry",

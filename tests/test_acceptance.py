@@ -5,7 +5,7 @@ import math
 import time
 
 from h1geom.numerics import QuadratureSpec, Taylor, gauss_legendre_1d, taylor_derivatives
-from h1geom.stability import (boundary_flux_extrapolated, bracket_integral,
+from h1geom.stability import (boundary_flux, bracket_integral,
                               bracket_integral_quadrature, certify_instability_h2,
                               certify_instability_nosing, cosine_bump, first_variation_direct,
                               h2_certificate_test_function, index_form_I, l_nh_closed, operator_L,
@@ -135,7 +135,7 @@ def test_criterion_09_h2_certificate():
 
 def test_criterion_10_catenoid_certificate():
     t0 = time.time()
-    cert = certify_instability_nosing(1.0)
+    cert = certify_instability_nosing()
     confirm = cert.Q_value_doubled
     elapsed = time.time() - t0
     ok = cert.Q_value < 0.0 and confirm < 0.0 and elapsed < 120.0
@@ -162,6 +162,6 @@ def test_criterion_12_boundary_flux():
     v = separable(phi, ones)
     quad = QuadratureSpec(16, (32, 1))
     target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
-    extrap = boundary_flux_extrapolated(2.0, v, quad)
-    rel = abs(extrap - target) / target
+    flux = boundary_flux(2.0, v, quad)
+    rel = abs(flux - target) / target
     report(12, "divergence-term flux -> 4 int v^2 dl", rel, 1e-2, rel <= 1e-2)

@@ -738,7 +738,8 @@ def _block_size_cases():
     cases["area graph"] = lambda: area(bowl, bowl_rect, QuadratureSpec(32, (5, 3)))
     for lam in (1.0, -1.0):
         def nosing(lam=lam):
-            cert = stability.certify_instability_nosing(lam)
+            cert = stability.scaled_catenoid_certificate(stability.certify_instability_nosing(),
+                                                         lam)
             return cert.Q_value, cert.Q_value_doubled
         cases[f"nosing lam={lam}"] = nosing
     return cases

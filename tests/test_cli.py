@@ -652,12 +652,14 @@ def test_certify_catenoid_at_the_chart_edges_certifies(tmp_path, capsys, lam):
 
 def test_certify_catenoid_is_the_library_certificate(tmp_path):
     # the CLI scales its per-process unit certificate by the same function
-    # as certify_instability_nosing: the same bytes at every scale
+    # as scaled_catenoid_certificate of certify_instability_nosing: the same
+    # bytes at every scale
     out = tmp_path / "c.txt"
     lams = [sign * 10.0 ** j for j in range(-161, 154) for sign in (1.0, -1.0)]
     for lam in lams + [float(edge) for edge in CHART_EDGES]:
         assert run(["certify", "catenoid", f"--lam={lam!r}", "--out", str(out)]) == 0
-        assert out.read_text() == stability.certify_instability_nosing(lam).to_text(), lam
+        assert out.read_text() == stability.scaled_catenoid_certificate(
+            stability.certify_instability_nosing(), lam).to_text(), lam
 
 
 def test_unit_catenoid_is_confirmed_once_per_process(tmp_path, monkeypatch,

@@ -34,8 +34,7 @@ GREP_GUARDS = [
           ("numerics.py",), planted=("    k4 = vel(u + h * k3)",)),
     # every derivative is read off one evaluation on Taylor numbers
     # (numerics.Taylor): no stencil, step or difference quotient is left, and
-    # richardson extrapolates only the sigma-limit of the boundary flux
-    # (test_one_derivative pins its caller)
+    # no limit is extrapolated (the boundary flux is its value on the helices)
     Guard("One derivative",
           ("central_quotient", "central_diff", "DiffSpec", "Z_DIFF", "R_STENCIL", "_fd_gradient",
            "curve_samples"),
@@ -44,7 +43,7 @@ GREP_GUARDS = [
                    "spec = DiffSpec(1e-4, 1)", "Z_DIFF = 1e-4", "R_STENCIL = 1e-3",
                    "g = _fd_gradient(fn, p)", "pts = curve_samples(chart, u, h, 4, which)")),
     Guard("One derivative", ("richardson(",),
-          "only the flux limit may extrapolate by richardson", ("numerics.py", "stability.py"),
+          "take derivatives on Taylor numbers and limits at their point, not by extrapolation",
           planted=("    d = richardson([quotient(h), quotient(h / 2)])",)),
     # every curve walk steps through surfaces.tangent_field_states, the
     # one-point walk; integrate_tangent_field takes its first states
@@ -263,13 +262,6 @@ def test_one_chart_protocol():
     assert not bad, ("only Chart may define or assign jet, _jet_floats or jets, "
                      "surfaces.py may not call surface_frame, "
                      "geodesics.py may not call GeodesicArc: " + ", ".join(bad))
-
-
-def test_one_derivative():
-    # richardson extrapolates the sigma-limit of boundary_flux_extrapolated,
-    # a limit and not a derivative: no other scope calls it
-    bad = _calls_outside("richardson", {"boundary_flux_extrapolated"})
-    assert not bad, "only boundary_flux_extrapolated may call richardson: " + ", ".join(bad)
 
 
 def test_one_second_variation_density():

@@ -11,7 +11,7 @@ from h1geom.errors import NonFiniteValue
 from h1geom._gauss import NODES_WEIGHTS
 from h1geom.numerics import (QuadratureSpec, Taylor, _composite_1d, gauss_legendre_1d, gauss_nodes,
                              gauss_nodes_1d, integrate_2d, integrate_array_1d,
-                             integrate_cells, kahan_sum, richardson, split_cells, taylor,
+                             integrate_cells, kahan_sum, split_cells, taylor,
                              taylor_derivatives)
 from referees import central_diff
 
@@ -428,20 +428,6 @@ def test_central_diff():
     got = central_diff(lambda x: (math.exp(x), math.sin(x), 3.0 * x + 1.0), 0.2, 1e-3)
     want = (math.exp(0.2), math.cos(0.2), 3.0)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
-
-
-def test_richardson_bitwise_matches_inline_array_stencil():
-    # the per-node stencil of the deformed area: steps are arrays
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        h = 1e-5 * np.maximum(1.0, np.abs(rng.uniform(-3, 3, 64)))
-        plus, minus, plus2, minus2 = (rng.normal(size=64) for _ in range(4))
-        old = (4.0 * (plus2 - minus2) / h - (plus - minus) / (2.0 * h)) / 3.0
-        new = richardson([(plus - minus) / (2.0 * h), (plus2 - minus2) / (2.0 * (0.5 * h))])
-        assert [v.hex() for v in new.tolist()] == [v.hex() for v in old.tolist()]
-        vals = rng.normal(size=3).tolist()
-        assert (richardson(vals[-2:], factor=10.0).hex()
-                == ((10.0 * vals[-1] - vals[-2]) / 9.0).hex())
 
 
 # ---------------------------------------------------------------------------

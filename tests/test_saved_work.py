@@ -34,11 +34,12 @@ def _counted(monkeypatch, module, name):
 
 
 def test_curvature_check_evaluates_each_covariant_field_once_per_point(monkeypatch):
-    # nine fields D_{E_i} E_k, each evaluated at p once and, for each of the
-    # four times the check reads its gradients, at one Taylor point per axis
+    # nine fields D_{E_i} E_k, each evaluated at p once and, for the one
+    # read of its gradients there, at one Taylor point per axis; the other
+    # three reads are the field's kept gradients
     nested = _counted(monkeypatch, core, "covariant_derivative")
     result = verify.check_curvature_from_connection()
-    assert nested[0] == 9 * (1 + 4 * 3)
+    assert nested[0] == 9 * (1 + 3)
     assert result.passed
 
 

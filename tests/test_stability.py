@@ -15,7 +15,7 @@ from h1geom.numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, integrat
                              integrate_array_1d, kahan_sum, split_cells, taylor_derivatives)
 from h1geom.stability import (H2_QUAD, NOSING_PHI, NOSING_QUAD, TUBE_MARGIN, TUBE_S0,
                               InstabilityCertificate, Profile, RulingFrame, boundary_flux,
-                              boundary_flux_extrapolated, bracket_integral,
+                              bracket_integral,
                               bracket_integral_quadrature, certify_instability_h2,
                               certify_instability_nosing, cos_arch, cosine_bump,
                               direct_variations, first_variation_direct,
@@ -604,7 +604,7 @@ def test_scaled_certificates():
 
 
 def test_catenoid_certificate():
-    cert = certify_instability_nosing(1.0)
+    cert = certify_instability_nosing()
     assert cert.surface == "catenoid lam=1"
     assert (cert.k, cert.eps0, cert.quad) == (2.0, 1.0, NOSING_QUAD)
     assert cert.Q_value == ruled_index_value(1.0, NOSING_QUAD) < 0.0
@@ -627,7 +627,7 @@ def test_vertical_plane_has_no_certificate():
 def test_nosing_search_confirms_at_doubled_resolution(lam):
     # the unit form at its doubling, times |lam|; the direct form at lam
     # agrees to round-off
-    cert = certify_instability_nosing(lam)
+    cert = scaled_catenoid_certificate(certify_instability_nosing(), lam)
     doubled = NOSING_QUAD.doubled()
     assert cert.Q_value_doubled == abs(lam) * ruled_index_value(1.0, doubled) < 0.0
     direct = ruled_index_value(lam, doubled)
@@ -636,8 +636,10 @@ def test_nosing_search_confirms_at_doubled_resolution(lam):
 
 def test_nosing_certificate_keeps_its_unit_bits():
     # lam = +-1 scale by exactly 1: the values of the form at lam = 1
+    unit = certify_instability_nosing()
     for lam in (1.0, -1.0):
-        cert = certify_instability_nosing(lam)
+        cert = scaled_catenoid_certificate(unit, lam)
+        assert cert.to_text() == unit.to_text().replace("lam=1", f"lam={lam:.17g}")
         assert (cert.Q_value.hex(), cert.Q_value_doubled.hex()) == (
             "-0x1.abf29641a4fa8p+0", "-0x1.abf29641a4fa7p+0")
         assert (cert.k, cert.eps0, cert.quad) == (2.0, 1.0, NOSING_QUAD)
@@ -645,7 +647,7 @@ def test_nosing_certificate_keeps_its_unit_bits():
 
 @pytest.mark.parametrize("lam", [0.0, 1e-170, -2e154, math.inf, math.nan])
 def test_scaled_catenoid_certificate_needs_a_lam_the_chart_accepts(lam):
-    unit = certify_instability_nosing(1.0)
+    unit = certify_instability_nosing()
     with pytest.raises(ValueError, match="lam\\^2 must be positive and finite"):
         scaled_catenoid_certificate(unit, lam)
 
@@ -653,10 +655,10 @@ def test_scaled_catenoid_certificate_needs_a_lam_the_chart_accepts(lam):
 def test_catenoid_certificate_scale_law():
     # Q is |lam| Q(1) at 1x and 2x, one rounded product each, at every lam
     # the chart accepts: so Q/|lam| is Q(1) to within that rounding, one ulp
-    unit = certify_instability_nosing(1.0)
+    unit = certify_instability_nosing()
     edges = [1.3e154, -1.3e154, 3e-162, -3e-162]
     for lam in [(-1.0) ** j * 10.0 ** j for j in range(-161, 154)] + edges:
-        cert = certify_instability_nosing(lam)
+        cert = scaled_catenoid_certificate(unit, lam)
         assert (cert.k, cert.eps0, cert.quad) == (2.0 * abs(lam), 1.0, NOSING_QUAD)
         for got, one in ((cert.Q_value, unit.Q_value),
                          (cert.Q_value_doubled, unit.Q_value_doubled)):
@@ -789,8 +791,7 @@ def test_helicoid_functions_refuse_a_pitch_no_helicoid_has(R):
     v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
     w = cosine_bump(0.0, 1.0)
     calls = [lambda: q_form(R, u, quad), lambda: helicoid_closed_forms(R, 0.3),
-             lambda: boundary_flux(R, v, 1e-3, quad),
-             lambda: boundary_flux_extrapolated(R, v, quad),
+             lambda: boundary_flux(R, v, quad),
              lambda: vertical_variation_area(R, w, 0.0, quad),
              lambda: vertical_variation_area(R, w, Taylor(0.0, 1.0), quad)]
     with warnings.catch_warnings():
@@ -810,19 +811,16 @@ def _exact_q(chart, s):
 
 
 def test_helicoid_functions_name_a_pitch_where_w_squared_overflows():
-    # pitches HelicoidChart accepts, far from 1: W^2 overflows on the
-    # test function's rulings, and each call raises NonFiniteValue naming R,
+    # a pitch HelicoidChart accepts, far from 1: W^2 overflows on the
+    # test function's rulings, and q_form raises NonFiniteValue naming R,
     # where numpy warned or -inf came back.  q itself is finite there: C/W^2
     # stays in range where W^4 does not
     quad = QuadratureSpec(16, (16, 1))
     v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
-    calls = [(lambda: q_form(1e-200, v, quad), r"R=1e-200"),
-             (lambda: boundary_flux(1e-200, v, 1e-3 / 1e-200, quad), r"R=1e-200")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call, name in calls:
-            with pytest.raises(NonFiniteValue, match=name):
-                call()
+        with pytest.raises(NonFiniteValue, match=r"R=1e-200"):
+            q_form(1e-200, v, quad)
         assert math.isfinite(q_form(1e-3, v, quad))  # and below overflow, Q is finite
         for chart, s in ((HelicoidChart(1e-100), 3e99),
                          (HelicoidChart(1e-60), np.array([0.0, 3e99, 4e99]))):
@@ -866,23 +864,23 @@ def test_nosing_certificate_makes_one_cut_pass_per_resolution(monkeypatch, lam):
         spy(module, "surface_frames")
     spy(stability, "integrate_cells")
     spy(stability, "integrate_array_1d")
-    certify_instability_nosing(lam)
+    scaled_catenoid_certificate(certify_instability_nosing(), lam)
     assert calls == ["integrate_array_1d"] * 4
 
 
 def test_nosing_certificate_needs_a_negative_value(monkeypatch):
-    # the unit catenoid is confirmed at every lam
+    # the unit catenoid is confirmed; every lam scales its certificate
     monkeypatch.setattr(stability, "ruled_index_value", lambda lam, quad: 0.0)
     with pytest.raises(CertificateNotFound, match=re.escape(
             "I(u, u) = 0.0 is not negative on the unit catenoid lam=1")):
-        certify_instability_nosing(1.5)
+        certify_instability_nosing()
 
 
 @pytest.mark.parametrize("lam", [1e-9, -1e-9, 1e-4, 1e5, 1e30])
 def test_nosing_certificate_needs_agreement_under_doubling(monkeypatch, lam):
     # the unit Q negative at both resolutions, but 1x and 2x differ by more
-    # than DOUBLING_RTOL: no certificate at any lam; just inside it, the
-    # unit certificate scaled by |lam|
+    # than DOUBLING_RTOL: no unit certificate, so none to scale to any lam;
+    # just inside it, the unit certificate, which scales by |lam|
     def doubled_by(gap):
         def fake(at, quad):
             assert at == 1.0
@@ -892,9 +890,9 @@ def test_nosing_certificate_needs_agreement_under_doubling(monkeypatch, lam):
     doubled_by(2.0 * stability.DOUBLING_RTOL)
     with pytest.raises(CertificateNotFound, match=re.escape(
             "differ by more than 1e-06 relative on the unit catenoid lam=1")):
-        certify_instability_nosing(lam)
+        certify_instability_nosing()
     doubled_by(0.5 * stability.DOUBLING_RTOL)
-    cert = certify_instability_nosing(lam)
+    cert = scaled_catenoid_certificate(certify_instability_nosing(), lam)
     assert (cert.Q_value, cert.Q_value_doubled) == (
         abs(lam) * -1.0, abs(lam) * (-1.0 - 0.5 * stability.DOUBLING_RTOL))
 
@@ -1053,23 +1051,65 @@ def test_vertical_variation_area_matches_the_node_loop():
         assert abs(vertical_variation_area(R, w, r, quad) - want) <= 1e-15 * want
 
 
+def _flux_density(d):
+    """(xi + mu) W per v^2 of ``boundary_flux``, from ``RulingFrame`` d."""
+    return (d.NT * (1.0 - d.BZS) + d.Nh * d.Nh * (1.0 - 3.0 * d.BZS) / d.NT) * d.W
+
+
 def test_boundary_flux():
+    # the sigma -> 0 limit is 4 int v^2 dl on each helix: 8 int phi^2 for a v
+    # constant along the rulings, and each helix's own trace otherwise
     phi = cosine_bump(0.0, 1.0)
     ones = Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0))
-    v = separable(phi, ones)
     quad = QuadratureSpec(16, (32, 1))
-    target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
-    extrap = boundary_flux_extrapolated(2.0, v, quad)
-    assert abs(extrap - target) <= 1e-2 * target
-    # plain evaluations converge monotonically from above here
-    f1 = boundary_flux(2.0, v, 1e-2, quad)
-    f2 = boundary_flux(2.0, v, 1e-3, quad)
-    assert f1 > f2 > target - 1.0
+    int_phi2 = gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
+    flux = boundary_flux(2.0, separable(phi, ones), quad)
+    assert abs(flux - 8.0 * int_phi2) <= 1e-13 * 8.0 * int_phi2
+    psi = cosine_bump(0.2, 1.0)
+    want = 4.0 * (psi.value(0.5) ** 2 + psi.value(-0.5) ** 2) * int_phi2
+    assert abs(boundary_flux(2.0, separable(phi, psi), quad) - want) <= 1e-13 * want
 
     zero_v = separable(Profile(lambda e: 0.0, lambda e: 0.0, (-1.0, 1.0)), ones)
-    assert boundary_flux(2.0, zero_v, 1e-3, quad) == 0.0
-    with pytest.raises(ValueError):
-        boundary_flux(2.0, v, 0.3, quad)
+    assert boundary_flux(2.0, zero_v, quad) == 0.0
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 4.0])
+def test_flux_density_tends_to_its_value_on_the_helices(R):
+    # the limit the tube of radius sigma reaches as it shrinks: at s* +- k/R,
+    # on both sides of both helices, the density's gap to its value at s*
+    # falls at least 10x per decade of k (about 100x: the gap is O(k^2))
+    chart = HelicoidChart(R)
+    for s_star in (1.0 / R, -1.0 / R):
+        on = _flux_density(RulingFrame(chart, s_star))
+        assert abs(abs(on) - 2.0) <= 1e-15
+        for side in (-1.0, 1.0):
+            gaps = [abs(_flux_density(RulingFrame(chart, s_star + side * k / R)) - on)
+                    for k in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+            assert all(10.0 * b <= a for a, b in zip(gaps, gaps[1:])), (s_star, side, gaps)
+
+
+def test_boundary_flux_at_every_pitch():
+    # at R = m 10^j the flux is 8 int phi^2 to round-off, or NonFiniteValue
+    # naming R where rounding of 1/R leaves the helices: never a silent value.
+    # q_form makes the same helix check and refuses the same pitches
+    phi = cosine_bump(0.0, 1.0)
+    v = separable(phi, Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
+    quad = QuadratureSpec(16, (2, 1))
+    target = 8.0 * gauss_legendre_1d(lambda e: phi.value(e) ** 2, -1.0, 1.0, quad)
+    refused = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for R in (float(f"{m}e{j}") for j in range(-300, 301) for m in (1, 1.3, 2, 3.7, 4.9, 7.1)):
+            try:
+                flux = boundary_flux(R, v, quad)
+            except NonFiniteValue as exc:
+                assert f"R={R!r}" in str(exc)
+                with pytest.raises(NonFiniteValue, match=re.escape(str(exc))):
+                    q_form(R, v, quad)
+                refused.append(R)
+                continue
+            assert abs(flux - target) <= 1e-13 * target, R
+    assert 0 < len(refused) < 300 and max(refused) <= 2e-11
 
 
 def test_boundary_flux_cut_at_kinks():
@@ -1079,7 +1119,7 @@ def test_boundary_flux_cut_at_kinks():
     flat = separable(Profile(lambda e: 1.0, lambda e: 0.0, (-0.7, 0.7)), ones)
     ramp = separable(plateau_ramp(0.3, 0.4), ones)
     quad = QuadratureSpec(16, (32, 1))
-    ratio = boundary_flux(2.0, ramp, 1e-2, quad) / boundary_flux(2.0, flat, 1e-2, quad)
+    ratio = boundary_flux(2.0, ramp, quad) / boundary_flux(2.0, flat, quad)
     assert abs(1.4 * ratio - 2.0 * (0.3 + 0.4 / 3.0)) <= 1e-14
 
 
@@ -1089,7 +1129,7 @@ def test_boundary_flux_refuses_a_reversed_support():
     v = separable(cosine_bump(0.0, 1.0), Profile(lambda s: 1.0, lambda s: 0.0, (-10.0, 10.0)))
     with pytest.raises(ValueError, match="is not two intervals"):
         reversed_v = stability.TestFunction(v.jet, ((1.0, -1.0), v.support[1]))
-        boundary_flux(2.0, reversed_v, 1e-3, QuadratureSpec(16, (32, 1)))
+        boundary_flux(2.0, reversed_v, QuadratureSpec(16, (32, 1)))
 
 
 def test_bzs_monotone_to_minus_one():

@@ -50,7 +50,9 @@ EXACT_DERIVATIVE_ROWS = (
     # read off Taylor numbers: the operator L along Z, Z<B(Z),S>, d^2A/dr^2
     # and U<V,W> (2.6e-7, 2.1e-11, 4.6e-7 and 9.2e-12 by central differences)
     "lnh_closed_vs_direct", "shape_term_flow_derivative", "vertical_variation_second",
-    "metric_compatibility")
+    "metric_compatibility",
+    # the sigma -> 0 flux, read on the helices (6.0e-7 by Richardson extrapolation)
+    "boundary_flux_limit")
 
 
 def test_exact_derivative_rows_hold_round_off(suite_results):
