@@ -6,6 +6,10 @@ configuration error, 3 numerical failure.  Reports are deterministic byte
 for byte for identical configuration.  ``main`` builds its parser once per
 process, on its first call, and runs the pitch-2 certificate search and the
 unit catenoid certificate at most once per process each.
+
+At module level this file imports ``errors``, numpy and the standard library
+alone: each command imports its own engine when it runs, so building the
+parser and rejecting a usage error load no geometry.
 """
 
 from __future__ import annotations
@@ -15,18 +19,19 @@ import functools
 import math
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import FrameVector, Point
 from .errors import ConfigError, GeometryError, NonFiniteValue
-from .geodesics import GeodesicArc, exp_geodesics
-from .stability import (InstabilityCertificate, certify_instability_h2,
-                        certify_instability_nosing, scaled_catenoid_certificate,
-                        scaled_helicoid_certificate)
-from .surfaces import CATALOG, catalog_surface, surface_frames
-from .verify import SUITES, declared_names, run_suites
+
+if TYPE_CHECKING:
+    from .stability import InstabilityCertificate
+
+# The parser's choices, stated here so that building it imports no engine;
+# tests hold them equal to list(verify.SUITES) and list(surfaces.CATALOG).
+SUITE_NAMES = ("core", "geodesics", "surfaces", "stability")
+SURFACE_NAMES = ("vertical_plane", "plane", "paraboloid", "helicoid", "catenoid")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -83,7 +88,9 @@ def _write_lines(path: str | None, lines: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import declared_names, run_suites
+
+    suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     overrides: dict[str, float] = {}
     items = list(args.tol or [])
     if args.config:
@@ -181,6 +188,9 @@ def _grid(lo: float, hi: float, n: int, i: np.ndarray) -> np.ndarray:
 
 
 def cmd_export_geodesic(args: argparse.Namespace) -> int:
+    from .core import FrameVector, Point
+    from .geodesics import GeodesicArc, exp_geodesics
+
     p0 = Point(args.x0, args.y0, args.t0)
     arc = GeodesicArc(p0, FrameVector(args.va, args.vb, args.vc, p0))
     n = args.num
@@ -197,6 +207,8 @@ def cmd_export_geodesic(args: argparse.Namespace) -> int:
 
 
 def cmd_export_surface(args: argparse.Namespace) -> int:
+    from .surfaces import catalog_surface, surface_frames
+
     params = {k: getattr(args, k) for k in _SURFACE_PARAMS.get(args.surface, ())}
     try:
         chart = catalog_surface(args.surface, **params)
@@ -264,7 +276,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         if args.R is None or not 0.0 < args.R < math.inf:
             raise ConfigError("certify helicoid requires a finite --R > 0")
         base = _h2_certificate()
-        cert = scaled_helicoid_certificate(base, args.R)
+        cert = _stability().scaled_helicoid_certificate(base, args.R)
         lines = cert.to_text().splitlines()
         lines.append(f"base_Q_value={_fmt(base.Q_value)}")
         lines.append(f"base_Q_value_doubled={_fmt(base.Q_value_doubled)}")
@@ -275,7 +287,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     lam = 1.0 if args.lam is None else args.lam
     if not 0.0 < lam * lam < math.inf:  # lam = 0, or lam^2 under- or overflows
         raise ConfigError("certify catenoid requires --lam with 0 < lam^2 < inf")
-    cert = scaled_catenoid_certificate(_catenoid_unit_certificate(), lam)
+    cert = _stability().scaled_catenoid_certificate(_catenoid_unit_certificate(), lam)
     _write_lines(args.out, cert.to_text().splitlines())
     return EXIT_OK
 
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity suites")
     p_verify.add_argument("--suite", default="all",
-                          choices=[*SUITES.keys(), "all"])
+                          choices=[*SUITE_NAMES, "all"])
     p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
                           help="override a check threshold (repeatable)")
     p_verify.add_argument("--config", help="flat key=value config file")
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=cmd_export)
 
     ps = sub_e.add_parser("surface-grid")
-    ps.add_argument("--surface", required=True, choices=list(CATALOG))
+    ps.add_argument("--surface", required=True, choices=list(SURFACE_NAMES))
     ps.add_argument("--R", type=float, default=2.0)
     ps.add_argument("--lam", type=float, default=1.0)
     ps.add_argument("--a", type=float, default=0.0)
@@ -356,11 +368,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
+def _stability():
+    """``h1geom.stability``, imported on the first certify job of a process.
+    Later jobs read it here: an import statement per job would cost about
+    5 us, 3 % of a certify job."""
+    from . import stability
+
+    return stability
+
+
+@functools.cache
 def _h2_certificate() -> InstabilityCertificate:
     """The pitch-2 certificate that ``certify h2`` prints and ``certify
     helicoid`` scales: searched on the first call, then reused, since the
     search takes no input."""
-    return certify_instability_h2()
+    return _stability().certify_instability_h2()
 
 
 @functools.cache
@@ -368,7 +390,7 @@ def _catenoid_unit_certificate() -> InstabilityCertificate:
     """The lam = 1 certificate that ``certify catenoid`` scales to every
     waist radius: confirmed on the first call, then reused, since it takes
     no input."""
-    return certify_instability_nosing()
+    return _stability().certify_instability_nosing()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

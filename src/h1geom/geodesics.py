@@ -30,39 +30,57 @@ from .core import (FrameVector, Point, connection_correct, curvature_R, dot,
 from .errors import NonFiniteValue
 from .numerics import raise_first_failure
 
-SERIES_CUTOFF = 1e-4
+SERIES_CUTOFF = 1e-4  # f and g: three Maclaurin terms below, closed forms above
+H_SERIES_CUTOFF = 1.0  # h: the H_TERMS below, where x - sin x cancels; closed above
+# h(x) = sum_k (-1)^k x^(2k+1) / (2k+3)!, k = 0..7: below |x| = 1 the first
+# term left out is under 5e-17 of h
+H_TERMS = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
 
 Arr3 = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _fgh_series(x):
     x2 = x * x
-    return (1.0 - x2 / 6.0 + x2 * x2 / 120.0, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0),
-            x * (1.0 / 6.0 - x2 / 120.0 + x2 * x2 / 5040.0))
+    h = H_TERMS[-1]
+    for c in H_TERMS[-2::-1]:
+        h = c + x2 * h
+    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0, x * (0.5 - x2 / 24.0 + x2 * x2 / 720.0), x * h
 
 
 def _fgh_closed(x, m):
-    s, c = m.sin(x), m.cos(x)
-    return s / x, (1.0 - c) / x, (x - s) / (x * x)
+    s, half = m.sin(x), m.sin(0.5 * x)
+    return s / x, 2.0 * half * half / x, (x - s) / (x * x)
 
 
 def helpers_fgh(x):
-    """(sin x / x, (1 - cos x)/x, (x - sin x)/x^2), series-stabilized near 0.
+    """(sin x / x, (1 - cos x)/x, (x - sin x)/x^2), to round-off at every x.
 
-    Three Maclaurin terms below |x| = 1e-4; the truncation (~1e-28) is far
-    under round-off, so the switch is seamless.  ``x`` may be an array; a
+    f and g take three Maclaurin terms below |x| = 1e-4, where the
+    truncation (~1e-28) is far under round-off, and closed forms above:
+    sin x / x and 2 sin^2(x/2)/x, neither of which cancels.  h takes the
+    eight ``H_TERMS`` below |x| = 1, where x - sin x would cancel, and
+    (x - sin x)/x^2 above.  ``x`` may be an array, complex ones included; a
     branch that no element takes is not evaluated.  f is even and g, h are
-    odd, bit for bit: sin is odd and cos even, and the rest is sign-symmetric.
+    odd, bit for bit: sin is odd, and the rest is sign-symmetric.
     """
     if not isinstance(x, np.ndarray):
-        return _fgh_series(x) if abs(x) < SERIES_CUTOFF else _fgh_closed(x, math)
-    small = np.abs(x) < SERIES_CUTOFF
-    if small.all():
-        return _fgh_series(x)
-    if not small.any():
+        if abs(x) >= H_SERIES_CUTOFF:
+            return _fgh_closed(x, math)
+        series = _fgh_series(x)
+        if abs(x) < SERIES_CUTOFF:
+            return series
+        return (*_fgh_closed(x, math)[:2], series[2])
+    ax = np.abs(x)
+    near = ax < H_SERIES_CUTOFF
+    if not near.any():
         return _fgh_closed(x, np)
-    closed = _fgh_closed(np.where(small, 1.0, x), np)  # keeps the closed branch off x = 0
-    return tuple(np.where(small, a, b) for a, b in zip(_fgh_series(x), closed))
+    series = _fgh_series(np.where(near, x, 0.0))  # zero off the branch: no overflow
+    small = ax < SERIES_CUTOFF
+    if small.all():
+        return series
+    f, g, h = _fgh_closed(np.where(small, 1.0, x), np)  # keeps the closed branch off x = 0
+    return (np.where(small, series[0], f), np.where(small, series[1], g),
+            np.where(near, series[2], h))
 
 
 @dataclass(frozen=True)

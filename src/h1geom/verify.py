@@ -26,8 +26,9 @@ from .core import (FrameField, FrameVector, Point, ORIGIN, T_FIELD, X_FIELD,
                    frame_at, frame_coeffs, frame_to_euclidean, group_inverse, group_mul,
                    jop, jop_coeffs, left_translation_jacobian, lie_bracket, ricci,
                    rotate_z)
-from .geodesics import (GeodesicArc, exp_geodesic, exp_geodesics, helpers_fgh,
-                        jacobi_field, jacobi_fields, jacobi_residual, straight_line_residual)
+from .geodesics import (H_SERIES_CUTOFF, GeodesicArc, exp_geodesic, exp_geodesics,
+                        helpers_fgh, jacobi_field, jacobi_fields, jacobi_residual,
+                        straight_line_residual)
 from .numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, integrate_cells,
                        taylor_derivatives)
 from .stability import (Profile, RulingFrame, boundary_flux,
@@ -386,6 +387,11 @@ def check_fgh():
         worst = _worst(worst, abs(fs - math.sin(x) / x))
         worst = _worst(worst, abs(gs - 2.0 * half * half / x))
         worst = _worst(worst, abs(x * hs - (x - math.sin(x)) / x))
+    for x in (H_SERIES_CUTOFF, -H_SERIES_CUTOFF):
+        # h's own switch: its series just inside |x| = 1 against the closed
+        # form at the same x, where x - sin x no longer cancels
+        x = math.nextafter(x, 0.0)
+        worst = _worst(worst, abs(helpers_fgh(x)[2] - (x - math.sin(x)) / (x * x)))
     return worst
 
 
@@ -643,7 +649,12 @@ def check_vertical_plane():
 
 
 def _straightness(points: list[Point]) -> float:
-    p0, p1 = points[0], points[1]
+    """The largest distance |w - (w.d) d| of a point from the chord of the
+    curve, w its offset from the first point and d the unit chord from the
+    first point to the last.  The perpendicular part is formed as a vector,
+    not as sqrt(|w|^2 - (w.d)^2), whose difference cancels to round-off and
+    would leave its square root, about 1e-8, on a straight ray."""
+    p0, p1 = points[0], points[-1]
     d = (p1.x - p0.x, p1.y - p0.y, p1.t - p0.t)
     n = math.sqrt(sum(c * c for c in d))
     d = (d[0] / n, d[1] / n, d[2] / n)
@@ -651,8 +662,7 @@ def _straightness(points: list[Point]) -> float:
     for p in points:
         w = (p.x - p0.x, p.y - p0.y, p.t - p0.t)
         proj = sum(wi * di for wi, di in zip(w, d))
-        perp2 = sum(wi * wi for wi in w) - proj * proj
-        worst = _worst(worst, math.sqrt(_worst(0.0, perp2)))
+        worst = _worst(worst, math.sqrt(sum((wi - proj * di) ** 2 for wi, di in zip(w, d))))
     return worst
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from h1geom import cli, stability, verify
+from h1geom import cli, stability, surfaces, verify
 from h1geom.cli import main
 from h1geom.errors import ConfigError
 from h1geom.stability import InstabilityCertificate
@@ -334,10 +334,25 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert real() is not real()  # build_parser still returns a fresh parser
 
 
+def test_parser_choices_are_the_engine_lists():
+    # the parser states its choices so that building it imports no engine
+    assert list(cli.SUITE_NAMES) == list(verify.SUITES)
+    assert list(cli.SURFACE_NAMES) == list(surfaces.CATALOG)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    kinds = next(a for a in sub["export"]._actions if a.dest == "kind").choices
+    suite, = (a for a in sub["verify"]._actions if a.dest == "suite")
+    surface, = (a for a in kinds["surface-grid"]._actions if a.dest == "surface")
+    assert suite.choices == [*verify.SUITES, "all"]
+    assert surface.choices == list(surfaces.CATALOG)
+
+
 def test_pitch2_search_runs_once_per_process(tmp_path, monkeypatch):
     searches = []
     real = stability.certify_instability_h2
-    monkeypatch.setattr(cli, "certify_instability_h2", lambda: searches.append(1) or real())
+    # the CLI imports the search when it first runs one, so it reads the
+    # stability module's binding
+    monkeypatch.setattr(stability, "certify_instability_h2",
+                        lambda: searches.append(1) or real())
     cli._h2_certificate.cache_clear()
     outs = [tmp_path / name for name in ("h2.txt", "helicoid.txt")]
     assert run(["certify", "h2", "--out", str(outs[0])]) == 0

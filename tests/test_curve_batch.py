@@ -322,7 +322,7 @@ GRID_RESIDUALS = {
     "check_minimality": ("0x1.37332eec59760p-50",),
     "check_helicoid_closed_forms": ("0x1.0000000000000p-49",),
     "check_helicoid_q_closed_forms": ("0x1.1000000000000p-47", "0x1.0000000000000p-49"),
-    "check_conserved": ("0x1.3000000000000p-48", "0x1.0000000000000p-50"),
+    "check_conserved": ("0x1.c000000000000p-49", "0x1.0000000000000p-50"),
 }
 
 
@@ -350,8 +350,8 @@ WALK_RESIDUALS = {
     "ruled_vertical_plane": "0x0.0p+0",
     "ruled_catenoid_implicit": "0x1.0000000000000p-48",
     "ruled_helicoid_pointset": "0x1.0000000000000p-53",
-    "characteristic_ray_helicoid": "0x1.0000000000000p-28",
-    "characteristic_ray_catenoid": "0x1.bb67ae8584caap-25",
+    "characteristic_ray_helicoid": "0x1.0000000000000p-54",
+    "characteristic_ray_catenoid": "0x1.a94d25f786a28p-32",
 }
 
 

@@ -8,11 +8,17 @@ that may match, and the message.  The AST guards are functions.  The
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+import h1geom
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "h1geom"
 
@@ -287,3 +293,41 @@ def test_one_check_declaration():
     # that returns its residuals: only the decorator builds a CheckResult
     bad = _calls_outside("CheckResult", {("verify.py", "check.declare.results")}, with_file=True)
     assert not bad, "only the verify.check decorator may build a CheckResult: " + ", ".join(bad)
+
+
+ENGINES = ("core", "numerics", "geodesics", "surfaces", "stability", "verify")
+
+
+def test_cli_start_up_loads_no_engine():
+    # CLI start-up loads no engine: building the parser, as every command
+    # does first, imports h1geom, h1geom.cli and h1geom.errors alone; each
+    # command imports its own engine when it runs.  A fresh interpreter
+    # compiles from source, as a process without cached bytecode does.
+    code = ("import sys, h1geom.cli; h1geom.cli.build_parser(); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('h1geom'))))")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent),
+                                                         os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = proc.stdout.split()
+    engines = [m for m in loaded if m.removeprefix("h1geom.") in ENGINES]
+    assert not engines, "building the CLI parser imported " + ", ".join(engines)
+    assert loaded == ["h1geom", "h1geom.cli", "h1geom.errors"]
+
+
+@pytest.mark.parametrize("name", sorted(h1geom._SUBMODULE))
+def test_package_name_resolves_to_its_submodule(name):
+    ns = {}
+    exec(f"from h1geom import {name}", ns)
+    module = importlib.import_module(f"h1geom.{h1geom._SUBMODULE[name]}")
+    assert ns[name] is getattr(module, name)
+    assert getattr(h1geom, name) is ns[name]
+    assert name in dir(h1geom) and name in h1geom.__all__
+
+
+def test_package_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        h1geom.no_such_name
+    with pytest.raises(ImportError):
+        exec("from h1geom import no_such_name", {})

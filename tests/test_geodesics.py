@@ -25,9 +25,10 @@ def test_fgh_special_values():
 
 @pytest.mark.parametrize("x", [1e-4, -1e-4, 5e-5, 9.9e-5, 1.0001e-4, 2e-4, 0.5])
 def test_fgh_reference_values(x):
-    # gold reference at 50 digits; the flow only consumes s g(2ls) and
-    # s^2 h(2ls), so g and h are held to x-scaled absolute accuracy (the
-    # closed branch above the cutoff carries the usual 1-cos cancellation)
+    # gold reference at 50 digits, on both sides of the f, g switch; the flow
+    # consumes s g(2ls) and s^2 h(2ls), so g and h are held to x-scaled
+    # absolute accuracy here (test_fgh_match_mpmath_at_every_scale holds
+    # them to relative accuracy)
     mp.mp.dps = 50
     xm = mp.mpf(x)
     f_ref, g_ref, h_ref = (mp.sin(xm) / xm, (1 - mp.cos(xm)) / xm,
@@ -36,6 +37,22 @@ def test_fgh_reference_values(x):
     assert abs(f - float(f_ref)) <= 4e-16
     assert abs(x * (g - float(g_ref))) <= 4e-16
     assert abs(x * x * (h - float(h_ref))) <= 4e-16
+
+
+def test_fgh_match_mpmath_at_every_scale():
+    # relative accuracy at every x, on floats and arrays alike: f and g take
+    # the closed forms sin x / x and 2 sin^2(x/2)/x above 1e-4, h its series
+    # below 1, so neither 1 - cos x nor x - sin x cancels
+    mp.mp.dps = 50
+    xs = np.concatenate([np.logspace(-12, 4, 481), [1e-4, 1.0001e-4, 1.0 - 2**-53, 1.0]])
+    xs = np.concatenate([xs, -xs])
+    batched = helpers_fgh(xs)
+    for i, x in enumerate(xs.tolist()):
+        xm = mp.mpf(x)
+        refs = (mp.sin(xm) / xm, (1 - mp.cos(xm)) / xm, (xm - mp.sin(xm)) / xm ** 2)
+        for value, batch, ref in zip(helpers_fgh(x), batched, refs):
+            assert abs(value - ref) <= 1e-15 * abs(ref), x
+            assert abs(float(batch[i]) - ref) <= 1e-15 * abs(ref), x
 
 
 def test_straight_line_cases():
@@ -186,8 +203,10 @@ def _random_initial_data(rng, lam):
 
 
 # lam = 0 (straight lines), lam = 1e-6 (the series branch of helpers_fgh
-# on all of [-10, 10]) and |lam| in [0.5, 1.5] (|2 lam s| up to 30)
-RANDOM_LAMS = [0.0, 1e-6, -1e-6, None]
+# on all of [-10, 10]), lam from 3e-5 to 3e-2 (|2 lam s| across the f, g
+# switch at 1e-4 and up to the h switch at 1, where 1 - cos x and x - sin x
+# would cancel) and |lam| in [0.5, 1.5] (|2 lam s| up to 30)
+RANDOM_LAMS = [0.0, 1e-6, -1e-6, None, 3e-5, -3e-5, 1e-4, 2e-3, 3e-2]
 
 
 @pytest.mark.parametrize("lam", RANDOM_LAMS)

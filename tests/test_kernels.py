@@ -9,7 +9,7 @@ import pytest
 
 from h1geom import surfaces, verify
 from h1geom.core import FrameField, Point, flow
-from h1geom.geodesics import SERIES_CUTOFF, exp_euclidean, helpers_fgh
+from h1geom.geodesics import H_SERIES_CUTOFF, SERIES_CUTOFF, exp_euclidean, helpers_fgh
 from h1geom.errors import NonFiniteValue, SingularPoint
 from h1geom.numerics import (QuadratureSpec, Taylor, gauss_legendre_1d, taylor,
                              taylor_derivatives)
@@ -134,9 +134,9 @@ _FGH_XS = [0.0, 1e-4 * (1 + 1e-12), 1e-4 * (1 - 1e-12), -1e-4 * (1 + 1e-12),
            -1e-4 * (1 - 1e-12), math.pi]
 _FGH_PINNED = [
     ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
-    ("0x1.fffffff1aef62p-1", "0x1.a36e2e86fe32dp-15", "0x1.179ec939eed91p-16"),
+    ("0x1.fffffff1aef62p-1", "0x1.a36e2eabe8ccep-15", "0x1.179ec9c980da7p-16"),
     ("0x1.fffffff1aef61p-1", "0x1.a36e2eabe5328p-15", "0x1.179ec9c97e738p-16"),
-    ("0x1.fffffff1aef62p-1", "-0x1.a36e2e86fe32dp-15", "-0x1.179ec939eed91p-16"),
+    ("0x1.fffffff1aef62p-1", "-0x1.a36e2eabe8ccep-15", "-0x1.179ec9c980da7p-16"),
     ("0x1.fffffff1aef61p-1", "-0x1.a36e2eabe5328p-15", "-0x1.179ec9c97e738p-16"),
     ("0x1.678afae35cdd1p-55", "0x1.45f306dc9c883p-1", "0x1.45f306dc9c883p-2"),
 ]
@@ -151,23 +151,24 @@ def test_helpers_fgh_pinned_bitwise():
 
 
 def _parity_xs():
-    cut = SERIES_CUTOFF
-    edges = [cut * (1 + d) for d in (-1e-12, -2**-52, 0.0, 2**-52, 1e-12)]
+    edges = [cut * (1 + d) for cut in (SERIES_CUTOFF, H_SERIES_CUTOFF)
+             for d in (-1e-12, -2**-52, 0.0, 2**-52, 1e-12)]
     rng = np.random.default_rng(11)
     return ([0.0, 1e-300, 1e-9, 3e-5, math.pi, 1e6, 1e6 - 0.5] + edges
-            + rng.uniform(0.0, cut, 20).tolist() + (10.0 ** rng.uniform(-4, 6, 60)).tolist())
+            + rng.uniform(0.0, SERIES_CUTOFF, 20).tolist()
+            + (10.0 ** rng.uniform(-4, 6, 60)).tolist())
 
 
 def test_helpers_fgh_parity_bitwise():
     # f is even and g, h are odd bit for bit: on floats, and on arrays that
-    # are all on the series branch, all on the closed one or mixed
+    # are all on one side of either switch or mixed
     xs = _parity_xs()
     for x in xs + [-0.0]:
         f, g, h = helpers_fgh(x)
         assert _hex(helpers_fgh(-x)) == _hex((f, -g, -h)), x
     arr = np.array(xs)
-    small = np.abs(arr) < SERIES_CUTOFF
-    for part in (arr[small], arr[~small], arr, np.array([0.0, -0.0])):
+    small, near = np.abs(arr) < SERIES_CUTOFF, np.abs(arr) < H_SERIES_CUTOFF
+    for part in (arr[small], arr[~small], arr[near], arr[~near], arr, np.array([0.0, -0.0])):
         f, g, h = helpers_fgh(part)
         assert _hex(helpers_fgh(-part)) == _hex((f, -g, -h))
 
@@ -188,7 +189,7 @@ def test_exp_euclidean_ladder_is_its_parameters_one_by_one():
 
 
 def test_exp_euclidean_pinned_bitwise():
-    pinned = ("0x1.559ecd0c39e5ep-1", "-0x1.216161d61b5eep+1", "0x1.05ea50ee9ee87p+1")
+    pinned = ("0x1.559ecd0c39e5fp-1", "-0x1.216161d61b5eep+1", "0x1.05ea50ee9ee86p+1")
     (end,) = exp_euclidean((0.3, -0.2, 0.7), (0.6, -1.1, 0.4), [1.7])
     assert _hex(end) == pinned
     # a batch, with a zero velocity (lam = 0, the series branch) beside it
