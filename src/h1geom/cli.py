@@ -135,19 +135,189 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _SURFACE_PARAMS = {"plane": ("a", "b", "c"), "helicoid": ("R",), "catenoid": ("lam",)}
 
 EXPORT_BATCH = 1024  # CSV rows evaluated per block, and rows per output string
+CELL_CHUNK = 4096  # distinct values per pass of the cell kernel, whose work arrays stay small
+
+
+# The cell kernel: format(v, ".17g") in numpy, bit for bit, for every value
+# whose decimal exponent E = floor(log10|v|) lies in CELL_EXPONENTS.  There
+# 10^(16-E) <= 10^22 is a double, so N = round-half-even(|v| 10^(16-E)), the
+# 17 significant digits of v, is exact: Dekker's two-product ("A
+# floating-point technique for extending the available precision", Numer.
+# Math. 18, 1971) splits |v| 10^(16-E) = P + err without error, P is an
+# even integer at that size, and N = P + rint(err).  Every other value goes
+# through Python's %.17g (Gay, "Correctly rounded binary-decimal and
+# decimal-binary conversions", 1990), as do zeros, infinities and NaNs.
+CELL_EXPONENTS = range(-6, 17)
+_DEKKER_SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+
+
+def _cell_text(digits: str, negative: bool, e: int) -> str:
+    """The %.17g text of a value of sign ``negative``, decimal exponent
+    ``e`` in CELL_EXPONENTS and significant ``digits`` (trailing zeros
+    stripped): exponent form below 1e-4, as %g prints."""
+    if e < -4:
+        body = digits[0] + ("." + digits[1:] if len(digits) > 1 else "") + f"e-{-e:02d}"
+    elif e < 0:
+        body = "0." + "0" * (-e - 1) + digits
+    else:
+        fraction = digits[e + 1:]
+        body = digits[:e + 1].ljust(e + 1, "0") + ("." + fraction if fraction else "")
+    return "-" * negative + body
+
+
+def _words(v: int) -> list[int]:
+    """The three little-endian 64-bit words of a text of up to 24 bytes."""
+    return [(v >> shift) & 0xFFFFFFFFFFFFFFFF for shift in (0, 64, 128)]
+
+
+@functools.cache
+def _cell_tables(sep: str) -> dict:
+    """The constants of the cell kernel for cells ending in ``sep``, built
+    on the first export.  Run r = 23 s + E + 6 holds the values of exponent
+    E of CELL_EXPONENTS and sign s (1 if negative).
+
+    - ``bounds``: the bits of the least double >= 10^E for E = -6..17, then
+      of its negation.  The double nearest 10^E may lie below it, as that
+      of 1e-6 does, and would then start the wrong run;
+    - ``scale``, ``scale_hi``, ``scale_lo``: 10^(16-E) and its Dekker halves;
+    - ``shift``: 8 (s + z) bits, past the sign and the z = -E zeros of
+      "0.000ddd" (E = -1..-4; z = 0 otherwise);
+    - ``point``: the three words of the byte mask of the text before the
+      point;
+    - ``row``: 17 r - 127, which ``_cell_kernel`` adds to 126 + k;
+    - ``template``: the three words of the text of run r with k = 1..17
+      significant digits, all "0", and ``sep`` (row 17 r + k - 1): the
+      sign, "0.", the point, the exponent and ``sep`` at their places."""
+    bounds = []
+    for e in range(CELL_EXPONENTS.start, CELL_EXPONENTS.stop + 1):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        f = num / den  # correctly rounded
+        p, q = f.as_integer_ratio()
+        bounds.append(math.nextafter(f, math.inf) if p * den < num * q else f)
+    bits = np.array(bounds).view(np.uint64)
+    runs, template = [], []
+    for negative in (False, True):
+        for e in CELL_EXPONENTS:
+            scale = float(10 ** (16 - e))
+            hi = scale * _DEKKER_SPLIT - (scale * _DEKKER_SPLIT - scale)
+            zeros = -e if -4 <= e < 0 else 0
+            point = max(e, 0) + 1 + negative  # bytes before the point
+            runs.append((scale, hi, scale - hi, 8 * (negative + zeros),
+                         *_words((1 << 8 * point) - 1)))
+            for k in range(1, 18):
+                text = (_cell_text("0" * k, negative, e) + sep).encode()
+                template.append(_words(int.from_bytes(text, "little")))
+    floats = [np.array(c) for c in list(zip(*runs))[:3]]
+    ints = np.array([r[3:] for r in runs], dtype=np.uint64).T
+    words = np.array(template, dtype=np.uint64).T
+    return {"bounds": np.concatenate((bits, bits | np.uint64(1 << 63))),
+            "scale": floats[0], "scale_hi": floats[1], "scale_lo": floats[2],
+            "shift": ints[0].copy(), "point": [w.copy() for w in ints[1:]],
+            "row": np.arange(len(runs)) * 17 - 127,
+            "template": [w.copy() for w in words]}
+
+
+def _digit_bytes(x: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each ``uint64`` x < 10^8, one per byte (0-9,
+    not ASCII), most significant in the lowest byte: x = 10^4 h + l with h
+    in the low and l in the high 32 bits, each split the same way into
+    16-bit halves of 2 digits, and those into bytes (multiply-shift
+    divisions, exact at these sizes)."""
+    h = (x * 109951163) >> 40  # x // 10^4
+    t = (x << 32) - h * (10000 * 2**32 - 1)
+    h = ((t * 5243) >> 19) & 0x0000007F0000007F  # // 100 per 32-bit lane
+    t = (t << 16) - h * (100 * 2**16 - 1)
+    h = ((t * 103) >> 10) & 0x000F000F000F000F  # // 10 per 16-bit lane
+    return (t << 8) - h * (10 * 2**8 - 1)
+
+
+def _cell_kernel(absbits: np.ndarray, counts: np.ndarray, tables: dict,
+                 out: np.ndarray) -> None:
+    """Write into ``out`` (n x 3 ``uint64``) the texts, NUL-padded to 24
+    bytes, of the values with bits ``absbits`` (sign cleared): ``counts[r]``
+    values of each run r in turn (see ``_cell_tables``)."""
+    t = tables
+    a = absbits.view(np.float64)
+    # N = P + rint(err), where P + err = a 10^(16-E) exactly
+    p = a * np.repeat(t["scale"], counts)
+    c = a * _DEKKER_SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    sh, sl = np.repeat(t["scale_hi"], counts), np.repeat(t["scale_lo"], counts)
+    err = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    n = p.astype(np.int64)
+    n += np.rint(err).astype(np.int64)
+    # digit 0, then digits 1-8 and 9-16 as the two halves of one array
+    m = len(n)
+    q = n // 10**8
+    digits = np.empty(2 * m, np.int64)
+    np.subtract(n, q * 10**8, out=digits[m:])
+    lead = q // 10**8
+    np.subtract(q, lead * 10**8, out=digits[:m])
+    digits = _digit_bytes(digits.view(np.uint64))
+    # k, the significant digits, from the top nonzero byte of each half: the
+    # exponent of a float is its top bit.  A half codes 128 + its byte, or
+    # 127 for the first and 0 for the second half when all its digits are 0
+    top = (digits + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
+    top[:m] |= 1
+    code = top.astype(np.float64).view(np.int64) >> 55
+    row = np.maximum(code[m:] + 8, code[:m])  # 126 + k
+    row += np.repeat(t["row"], counts)
+    # the 17 digit bytes in three words, moved past the sign and leading
+    # zeros, then split at the point, whose byte the template holds
+    d1, d2 = digits[:m], digits[m:]
+    w = [(d1 << 8) | lead.view(np.uint64), (d2 << 8) | (d1 >> 56), d2 >> 56]
+    shift = np.repeat(t["shift"], counts)
+    carry = 63 - shift  # x >> (64 - shift) is (x >> 1) >> carry, and 0 at shift 0
+    w[2] = (w[2] << shift) | ((w[1] >> 1) >> carry)
+    w[1] = (w[1] << shift) | ((w[0] >> 1) >> carry)
+    w[0] <<= shift
+    before = [wj & np.repeat(mask, counts) for wj, mask in zip(w, t["point"])]
+    after = [wj ^ bj for wj, bj in zip(w, before)]
+    for j, template in enumerate(t["template"]):
+        word = before[j] | (after[j] << 8) | template.take(row)
+        if j:
+            word |= after[j - 1] >> 56
+        out[:, j] = word
+
+
+def _cell_texts(keys: np.ndarray, sep: str) -> list[bytes]:
+    """``format(v, ".17g") + sep`` in ASCII of each value whose bits are in
+    ``keys``, the sorted distinct ``uint64`` that ``np.unique`` returns.
+    In that order each run of ``_cell_tables`` is one slice, found by one
+    ``searchsorted``, so its constants are repeated per value, not looked
+    up.  ``_cell_kernel`` prints the runs, CELL_CHUNK values at a time, and
+    one Python %.17g call prints the other values: magnitudes below 10^-6
+    or from 10^17 up, zeros, infinities and NaNs."""
+    t = _cell_tables(sep)
+    runs = len(CELL_EXPONENTS)  # per sign
+    ends = np.searchsorted(keys, t["bounds"])
+    lo1, hi1, lo2, hi2 = (int(ends[i]) for i in (0, runs, runs + 1, 2 * runs + 1))
+    absbits = np.concatenate((keys[lo1:hi1], keys[lo2:hi2])) & np.uint64(2**63 - 1)
+    edges = np.concatenate((ends[:runs + 1] - lo1, ends[runs + 2:] - lo2 + hi1 - lo1))
+    text = np.empty((len(absbits), 3), np.uint64)
+    for lo in range(0, len(absbits), CELL_CHUNK):
+        hi = lo + CELL_CHUNK
+        _cell_kernel(absbits[lo:hi], np.diff(np.clip(edges, lo, hi)), t, text[lo:hi])
+    cells = text.view("S24").ravel().tolist()  # S24 items drop the NUL padding
+    if len(absbits) == len(keys):
+        return cells
+    rest = np.concatenate((keys[:lo1], keys[hi1:lo2], keys[hi2:])).view(np.float64)
+    # "\0" ends each cell for the split; no %.17g output holds it
+    other = (f"%.17g{sep}\0" * len(rest) % tuple(rest.tolist())).encode().split(b"\0")
+    i, j = lo1, lo1 + lo2 - hi1
+    return other[:i] + cells[:hi1 - lo1] + other[i:j] + cells[hi1 - lo1:] + other[j:-1]
 
 
 def _column_cells(values: np.ndarray, sep: str) -> np.ndarray:
-    """``format(v, ".17g") + sep`` of every value of the float64 array
-    ``values``, as an object array, each distinct value formatted once: one
-    ``np.unique`` with ``return_inverse``, one ``%.17g`` call over the
-    distinct values and one gather by the inverse.  Values are keyed on their
-    bits, not compared as floats, so -0.0 stays apart from 0.0; every NaN
-    prints "nan" whatever its bits."""
+    """``format(v, ".17g") + sep`` in ASCII of every value of the float64
+    array ``values``, as an object array of ``bytes``, each distinct value
+    formatted once: one ``np.unique`` with ``return_inverse``, one
+    ``_cell_texts`` over the distinct values and one gather by the inverse.
+    Values are keyed on their bits, not compared as floats, so -0.0 stays
+    apart from 0.0; every NaN prints "nan" whatever its bits."""
     keys, inv = np.unique(values.view(np.uint64), return_inverse=True)
-    # "\0" ends each cell for the split; no %.17g output holds it
-    text = (f"%.17g{sep}\0" * len(keys) % tuple(keys.view(np.float64).tolist())).split("\0")
-    return np.array(text[:-1], dtype=object)[inv]
+    return np.array(_cell_texts(keys, sep), dtype=object)[inv]
 
 
 def _csv_blocks(total: int, columns) -> list[str]:
@@ -160,9 +330,10 @@ def _csv_blocks(total: int, columns) -> list[str]:
     into one array per column, and each column formats each of its distinct
     values once per export (``_column_cells``), with its separator, "," or
     "\\n" for the last column, inside each cell.  An output block is then one
-    join of its cells in row order.  The cost is memory, since every cell of
-    the export lives at once: on a 400 x 400 plane grid the peak rose from
-    +31 MB (formatting block by block) to +75 MB, while the time halved."""
+    join of its cells in row order, decoded from ASCII.  The cost is memory,
+    since every cell of the export lives at once: on a 400 x 400 plane grid
+    the peak rose from +31 MB (formatting block by block) to +75 MB, while
+    the time halved."""
     if total == 0:
         return []
     values = None
@@ -175,7 +346,7 @@ def _csv_blocks(total: int, columns) -> list[str]:
     for j, col in enumerate(values):
         cells[:, j] = _column_cells(col, "," if j < len(values) - 1 else "\n")
     # each block's last cell ends in "\n", which _write_lines adds itself
-    return ["".join(cells[lo:lo + EXPORT_BATCH].ravel().tolist())[:-1]
+    return [b"".join(cells[lo:lo + EXPORT_BATCH].ravel().tolist())[:-1].decode("ascii")
             for lo in range(0, total, EXPORT_BATCH)]
 
 

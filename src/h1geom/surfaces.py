@@ -266,9 +266,36 @@ def _tangent_frame(x, y, f1, f2, u, m=math):
     w = m.sqrt(a * a + b * b + c * c)
     if m is math and (not (w > 0.0) or not math.isfinite(w)):
         raise NonFiniteValue(f"chart is not an immersion at {u!r}")
-    k = 1.0 / w
-    n = (k * a, k * b, k * c)
+    n = _unit_normal((a, b, c), w, m)
     return c1, c2, w, n, m.hypot(n[0], n[1])
+
+
+def _unit_normal(v, w, m):
+    """n = v / w with w = |v|, as k v with k = 1 / w.  On Taylor numbers
+    (``m`` is ``taylor``) the value terms are the same, and the derivative
+    terms come from n w = v with the part along n taken out by hand: n' =
+    P v' / w, where (P d)_i w^2 = d_i R_i - v_i sum_{j != i} v_j d_j and R_i
+    = sum_{j != i} v_j^2; for n_c that is c'(a^2 + b^2) - c(a a' + b b')
+    over w^3.  The order-2 term is (P v'' - n' w' - n w |n'|^2 / 2) / w.
+    As k v, n_c' cancels O(1) terms near a singular curve, where n -> (0,
+    0, +-1)."""
+    if m is not taylor:
+        k = 1.0 / w
+        return (k * v[0], k * v[1], k * v[2])
+    v0, v1, v2 = zip(*((x0, x1, 0.5 * d2) for x0, x1, d2 in map(taylor_derivatives, v)))
+    w0, w1 = w.c0, w.c1
+    k0 = 1.0 / w0
+
+    def across(i, d):  # (P d)_i w^2
+        j, l = (i + 1) % 3, (i + 2) % 3
+        return d[i] * (v0[j] * v0[j] + v0[l] * v0[l]) - v0[i] * (v0[j] * d[j] + v0[l] * d[l])
+
+    n0 = [k0 * x for x in v0]
+    n1 = [across(i, v1) / (w0 * w0 * w0) for i in range(3)]
+    half_w_n1n1 = 0.5 * w0 * (n1[0] * n1[0] + n1[1] * n1[1] + n1[2] * n1[2])
+    return tuple(Taylor(n0[i], n1[i],
+                        (across(i, v2) / (w0 * w0) - n1[i] * w1 - half_w_n1n1 * n0[i]) / w0)
+                 for i in range(3))
 
 
 def _unit_directions(n, nh, which: str = "ZS"):

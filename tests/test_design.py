@@ -141,8 +141,11 @@ GREP_GUARDS = [
           planted=("EPS_STEP = 1e-5", "JACOBI_S_STEP = 1e-2", "outer = stencil_nodes(S, h)",
                    "V = stencil_d1(q, h)", "dzz = covariant_derivative_along(z, z, 0.0, h)")),
     # every CSV cell is formatted by cli._column_cells, once per distinct
-    # value of a column of the whole export
-    Guard("One CSV cell formatter", (r"%\.17g",), "only cli.py may format with the %.17g template",
+    # value of a column of the whole export, in numpy by the cell kernel
+    # cli._cell_kernel; Python's %.17g prints only what the kernel leaves
+    # (exponents outside cli.CELL_EXPONENTS, zeros, infinities, NaNs)
+    Guard("One CSV cell formatter", (r"%\.17g",),
+          "CSV cells go through cli._cell_kernel: only cli.py may format with the %.17g template",
           ("cli.py",), planted=('    text = ("%.17g," * len(keys) % tuple(vals)).split(",")',)),
 ]
 

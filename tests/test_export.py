@@ -1,10 +1,18 @@
 """`export` runs in fixed blocks of rows: its bytes do not depend on the
-block size, and every field agrees with the scalar frame."""
+block size, every field agrees with the scalar frame, and the cell kernel
+prints every value as format(v, ".17g") does."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from h1geom import cli
 from h1geom.errors import SingularPoint
@@ -112,3 +120,107 @@ def test_csv_blocks_print_every_value_as_format_17g(monkeypatch, batch):
         got = cli._csv_blocks(total, lambda k: [c[k] for c in cols])
         assert got == ["\n".join(rows[lo:min(lo + batch, total)])
                        for lo in range(0, total, batch)], total
+
+
+# ---------------------------------------------------------------------------
+# The cell kernel (cli._cell_kernel) prints format(v, ".17g"), bit for bit
+# ---------------------------------------------------------------------------
+
+def _mismatches(values, sep=","):
+    """(v, cell, format(v, ".17g") + sep) of each value whose cell differs."""
+    vals = np.asarray(values, dtype=np.float64)
+    got = cli._column_cells(vals, sep).tolist()
+    want = [(format(v, ".17g") + sep).encode() for v in vals.tolist()]
+    return [(v, g, w) for v, g, w in zip(vals.tolist(), got, want) if g != w]
+
+
+def _kernel_count(values):
+    """How many ``values`` the kernel prints, not %.17g: 10^-6 <= |v| < 10^17,
+    that is |v| > 1e-6, since the double nearest 1e-6 lies below 10^-6."""
+    a = np.abs(np.asarray(values, dtype=np.float64))
+    return int(np.count_nonzero((a > 1e-6) & (a < 1e17)))
+
+
+@functools.cache
+def _families():
+    """The exactness cases by family: 2.0 million values, 1.74 million of
+    them in the kernel's range."""
+    rng = np.random.default_rng(2024)
+    n = 200_000
+    # random 64-bit patterns, both signs: every exponent, NaNs and infinities
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    # random mantissas at the binary exponents of the kernel's range and beyond
+    mantissas = ((rng.integers(0, 2, 2 * n).astype(np.uint64) << np.uint64(63))
+                 | (rng.integers(1023 - 23, 1023 + 60, 2 * n).astype(np.uint64) << np.uint64(52))
+                 | rng.integers(0, 2**52, 2 * n, dtype=np.uint64)).view(np.float64)
+    # the +-2-ulp neighbours of every power of ten from 1e-30 to 1e30
+    tens = np.array([float(10**e) if e >= 0 else 1 / 10**-e for e in range(-30, 31)])
+    up, down = np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)
+    near = np.concatenate((tens, up, np.nextafter(up, np.inf), down, np.nextafter(down, 0.0)))
+    # (k + 1/2) / 10^j, and exact ties of the 17th digit, which round half
+    # to even: k + 1/2 for 16-digit k below 2^52, k + 1/4 and k + 3/4 below 2^51
+    halves = (rng.integers(10**15, 10**16, n) + 0.5) / 10.0 ** rng.integers(0, 17, n)
+    ties = np.concatenate((rng.integers(10**15, 2**52, n // 4) + 0.5,
+                           rng.integers(10**15, 2**51, n // 4) + rng.choice([0.25, 0.75], n // 4)))
+    # values rounded to 0..16 decimals
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 17, n)
+    rounded = [round(v, d) for v, d in zip(x.tolist(), rng.integers(0, 17, n).tolist())]
+    # subnormals, zeros, infinities and NaNs of several payloads
+    specials = np.concatenate((rng.integers(1, 2**52, 1000, dtype=np.uint64),
+                               np.array([0, 0x7FF0000000000000, 0x7FF8000000000000,
+                                         0x7FF0000000000001, 0x7FF8000000000123,
+                                         0x7FFFFFFFFFFFFFFF], dtype=np.uint64))).view(np.float64)
+    families = {"random_bits": bits, "random_mantissas": mantissas, "powers_of_ten": near,
+                "halfway": np.concatenate((halves, ties)),
+                "integers": rng.integers(-10**17, 10**17, n).astype(np.float64),
+                "rounded": np.array(rounded), "specials": specials}
+    # the random families have both signs already; the others get them here
+    return {name: v if name.startswith("random") else np.concatenate((v, -v))
+            for name, v in families.items()}
+
+
+def test_exactness_cases_number_a_million():
+    families = _families()
+    assert sum(map(len, families.values())) >= 10**6
+    assert sum(map(_kernel_count, families.values())) >= 10**6
+
+
+@pytest.mark.parametrize("family", ["random_bits", "random_mantissas", "powers_of_ten",
+                                    "halfway", "integers", "rounded", "specials"])
+def test_cell_kernel_prints_format_17g(family):
+    values = _families()[family]
+    bad = _mismatches(values, ",")
+    assert not bad, (family, len(bad), bad[:5])
+    bad = _mismatches(values[::16], "\n")  # the other template
+    assert not bad, (family, len(bad), bad[:5])
+
+
+def test_double_nearest_1e_minus_6_prints_below_10_to_the_minus_6():
+    # it lies below 10^-6, so its exponent is -7 and it prints in exponent
+    # form; the least double above 10^-6 is the first the kernel prints
+    assert (1e-6).as_integer_ratio()[0] * 10**6 < (1e-6).as_integer_ratio()[1]
+    up = float(np.nextafter(1e-6, 1.0))
+    cells = cli._column_cells(np.array([1e-6, -1e-6, up, -up]), ",").tolist()
+    assert cells == [b"9.9999999999999995e-07,", b"-9.9999999999999995e-07,",
+                     b"1.0000000000000002e-06,", b"-1.0000000000000002e-06,"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from([",", "\n"]))
+@example([1e-6, 1e16, 9.999999999999999e16, 1e17, 0.1, 1e-5, 1e-4, -0.0], ",")
+def test_cell_kernel_matches_format_17g_on_any_floats(values, sep):
+    assert not _mismatches(values, sep)
+
+
+def test_cell_tables_are_built_on_the_first_export(tmp_path):
+    # importing the CLI and building its parser build no kernel table; the
+    # first export builds one per separator
+    code = ("import h1geom.cli as c; c.build_parser(); n = c._cell_tables.cache_info().currsize; "
+            f"c.main(['export', 'geodesic', '--num', '3', '--out', {str(tmp_path / 'g.csv')!r}]); "
+            "print(n, c._cell_tables.cache_info().currsize)")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.split() == ["0", "2"]

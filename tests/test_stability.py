@@ -62,15 +62,18 @@ def test_z_derivative_nt_identity():
         assert abs(znt - fr.Nh_norm * (fr.BZS - 1.0)) <= 1e-15
 
 
-@pytest.mark.parametrize("s, rtol", [(0.4999, 1e-12), (0.499999, 1e-9)])
+@pytest.mark.parametrize("s, rtol", [(0.4999, 1e-12), (0.499999, 1e-10)])
 def test_z_derivative_of_nt_next_to_the_helix(s, rtol):
     # Z<N,T> = |N_h|(<B(Z),S> - 1) at regular points 1e-4 and 1e-6 from the
     # helix s = 1/2 of the pitch-2 helicoid, where the walk of a difference
     # stencil stopped at the helix, or read -3.53e-5 at the second point.
     # On the rulings <N,T> = L/W with L = -2s, C = 2(1/2 - s)(1/2 + s) and
     # W = hypot(C, L), so Z<N,T> = d/ds (L/W) = -C (1 + 4 s^2) / W^3.  The
-    # Taylor terms of <N,T> = c/|F_1 x F_2| cancel O(1) terms to this
-    # -4e-6 at the second point, so 4 eps / 4e-6 bounds its error there
+    # unit normal's Taylor terms are exact to round-off
+    # (test_taylor_unit_normal_matches_mpmath); what is left is the
+    # horizontal part of F_1 x F_2, about 2e-6 at the second point and
+    # formed by cancellation in the chart's own arithmetic: 1.7e-11 relative
+    # there, 1.6e-13 at the first
     c, L = 2.0 * (0.5 - s) * (0.5 + s), -2.0 * s
     want = -c * (1.0 + 4.0 * s * s) / math.hypot(c, L) ** 3
     got = tangent_derivative(HEL2, lambda f: f.NT, (s, 0.1), 1, "Z")

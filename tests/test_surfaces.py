@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from h1geom import surfaces
 from h1geom.core import Point
 from h1geom.errors import NonFiniteValue, SingularPoint, StoppedAtSingular
-from h1geom.numerics import QuadratureSpec
+from h1geom.numerics import QuadratureSpec, Taylor, taylor
 from h1geom.surfaces import (CatenoidChart, CatenoidRulingChart, Chart, GraphChart,
                              HelicoidChart, ParaboloidChart, PlaneChart, VerticalPlaneChart,
                              area, area_elements, catalog_surface, characteristic_ray,
@@ -314,3 +316,26 @@ def test_frame_relations_invariants():
         assert abs(_dot(fr.S, fr.N)) <= 1e-12
         assert abs(2.0 * fr.H * fr.Nh_norm - fr.BZZ) <= 1e-12
         assert abs(fr.HR - 0.5 * (fr.BZZ + fr.BSS)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-6, 1e-10, 1e-14])
+def test_taylor_unit_normal_matches_mpmath(h):
+    # n = v/|v| on Taylor numbers v + t v' + t^2 v''/2 with |v_h| = h, as next
+    # to a singular curve, where n -> (0, 0, -1): every term of every entry
+    # is within 1e-15 relative of mpmath's at 50 digits on the same terms.
+    # The product (1/w) v on Taylor numbers is off in the derivative term of
+    # n_c by 1.3e-10 at h = 1e-6 and by 3.8e-3 at 1e-14.
+    terms = [(0.6 * h, -1.9, 0.3), (-0.8 * h, 0.4, -0.7), (-1.0, -2.0, 0.5)]
+    v = [Taylor(*t) for t in terms]
+    n = surfaces._unit_normal(v, taylor.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]), taylor)
+
+    def entry(i):
+        def f(t):
+            vt = [mp.mpf(a) + mp.mpf(b) * t + mp.mpf(c) * t * t for a, b, c in terms]
+            return vt[i] / mp.sqrt(vt[0] ** 2 + vt[1] ** 2 + vt[2] ** 2)
+        return f
+
+    with mp.workdps(50):
+        for i in range(3):
+            for got, want in zip((n[i].c0, n[i].c1, n[i].c2), mp.taylor(entry(i), 0, 2)):
+                assert abs(got - want) <= 1e-15 * abs(want), (i, got, want)
