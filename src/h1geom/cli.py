@@ -139,16 +139,24 @@ CELL_CHUNK = 4096  # distinct values per pass of the cell kernel, whose work arr
 
 
 # The cell kernel: format(v, ".17g") in numpy, bit for bit, for every value
-# whose decimal exponent E = floor(log10|v|) lies in CELL_EXPONENTS.  There
-# 10^(16-E) <= 10^22 is a double, so N = round-half-even(|v| 10^(16-E)), the
-# 17 significant digits of v, is exact: Dekker's two-product ("A
-# floating-point technique for extending the available precision", Numer.
-# Math. 18, 1971) splits |v| 10^(16-E) = P + err without error, P is an
-# even integer at that size, and N = P + rint(err).  Every other value goes
-# through Python's %.17g (Gay, "Correctly rounded binary-decimal and
-# decimal-binary conversions", 1990), as do zeros, infinities and NaNs.
-CELL_EXPONENTS = range(-6, 17)
+# whose decimal exponent E, the one %.17g prints, lies in CELL_EXPONENTS.
+# It computes N = round-half-even(|v| 10^K), K = 16 - E, the 17 significant
+# digits of v, exactly.  10^K = 2^K 5^K is hi + lo in two doubles, since 5^K
+# has at most 105 bits for K <= 45 (lo = 0 for K <= 22), and Dekker's
+# two-product ("A floating-point technique for extending the available
+# precision", Numer. Math. 18, 1971) splits |v| hi = P + e1 and |v| lo =
+# q + e2 without error; ``_cell_kernel`` rounds P + e1 + q + e2.  Every
+# other value goes through Python's %.17g (Gay, "Correctly rounded
+# binary-decimal and decimal-binary conversions", 1990), as do zeros,
+# infinities and NaNs.
+CELL_EXPONENTS = range(-29, 17)
 _DEKKER_SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+
+
+def _dekker_halves(x: float) -> tuple[float, float]:
+    """x = hi + lo, each half of at most 26 significant bits."""
+    hi = x * _DEKKER_SPLIT - (x * _DEKKER_SPLIT - x)
+    return hi, x - hi
 
 
 def _cell_text(digits: str, negative: bool, e: int) -> str:
@@ -173,47 +181,48 @@ def _words(v: int) -> list[int]:
 @functools.cache
 def _cell_tables(sep: str) -> dict:
     """The constants of the cell kernel for cells ending in ``sep``, built
-    on the first export.  Run r = 23 s + E + 6 holds the values of exponent
+    on the first export.  Run r = 46 s + E + 29 holds the values of exponent
     E of CELL_EXPONENTS and sign s (1 if negative).
 
-    - ``bounds``: the bits of the least double >= 10^E for E = -6..17, then
-      of its negation.  The double nearest 10^E may lie below it, as that
-      of 1e-6 does, and would then start the wrong run;
-    - ``scale``, ``scale_hi``, ``scale_lo``: 10^(16-E) and its Dekker halves;
-    - ``shift``: 8 (s + z) bits, past the sign and the z = -E zeros of
-      "0.000ddd" (E = -1..-4; z = 0 otherwise);
-    - ``point``: the three words of the byte mask of the text before the
-      point;
-    - ``row``: 17 r - 127, which ``_cell_kernel`` adds to 126 + k;
+    - ``bounds``: for E = -29..17, the bits of the least double whose 17
+      significant digits round to 10^E or more (the least double >= (1 -
+      5 10^-17) 10^E; at that point half to even rounds up), then of its
+      negation.  The double nearest 10^E may lie below 10^E, as those of
+      1e-6, 1e-14 and 1e-29 do: 1e-6 prints 9.9999999999999995e-07, in
+      the run below, and 1e-14 prints 1e-14, since its digits round up;
+    - ``scale``, one row per run: hi and its Dekker halves, then lo and its
+      Dekker halves, where 10^(16-E) = hi + lo exactly (lo = 0 for E >= -6);
+    - ``place``, one row per run: the shift 8 (s + z) bits, past the sign
+      and the z = -E zeros of "0.000ddd" (E = -1..-4; z = 0 otherwise); the
+      three words of the byte mask of the text before the point; and
+      17 r - 127, which ``_cell_kernel`` adds to 126 + k;
     - ``template``: the three words of the text of run r with k = 1..17
       significant digits, all "0", and ``sep`` (row 17 r + k - 1): the
       sign, "0.", the point, the exponent and ``sep`` at their places."""
     bounds = []
     for e in range(CELL_EXPONENTS.start, CELL_EXPONENTS.stop + 1):
-        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        # (10^17 - 1/2) 10^(e-17) = num / den: half an ulp of the 17th digit below 10^e
+        num, den = (2 * 10**17 - 1) * 10 ** max(e, 0), 2 * 10 ** (17 - min(e, 0))
         f = num / den  # correctly rounded
         p, q = f.as_integer_ratio()
         bounds.append(math.nextafter(f, math.inf) if p * den < num * q else f)
     bits = np.array(bounds).view(np.uint64)
-    runs, template = [], []
+    scale, place, template = [], [], []
     for negative in (False, True):
         for e in CELL_EXPONENTS:
-            scale = float(10 ** (16 - e))
-            hi = scale * _DEKKER_SPLIT - (scale * _DEKKER_SPLIT - scale)
+            hi = float(10 ** (16 - e))  # 2^K fl(5^K), K = 16 - e
+            lo = float(10 ** (16 - e) - int(hi))  # 2^K (5^K - fl(5^K)), exact
+            scale.append((hi, *_dekker_halves(hi), lo, *_dekker_halves(lo)))
             zeros = -e if -4 <= e < 0 else 0
             point = max(e, 0) + 1 + negative  # bytes before the point
-            runs.append((scale, hi, scale - hi, 8 * (negative + zeros),
-                         *_words((1 << 8 * point) - 1)))
+            row = (17 * len(place) - 127) % 2**64  # as uint64; the kernel reads int64
+            place.append((8 * (negative + zeros), *_words((1 << 8 * point) - 1), row))
             for k in range(1, 18):
                 text = (_cell_text("0" * k, negative, e) + sep).encode()
                 template.append(_words(int.from_bytes(text, "little")))
-    floats = [np.array(c) for c in list(zip(*runs))[:3]]
-    ints = np.array([r[3:] for r in runs], dtype=np.uint64).T
     words = np.array(template, dtype=np.uint64).T
     return {"bounds": np.concatenate((bits, bits | np.uint64(1 << 63))),
-            "scale": floats[0], "scale_hi": floats[1], "scale_lo": floats[2],
-            "shift": ints[0].copy(), "point": [w.copy() for w in ints[1:]],
-            "row": np.arange(len(runs)) * 17 - 127,
+            "scale": np.array(scale).T.copy(), "place": np.array(place, dtype=np.uint64).T.copy(),
             "template": [w.copy() for w in words]}
 
 
@@ -235,18 +244,35 @@ def _cell_kernel(absbits: np.ndarray, counts: np.ndarray, tables: dict,
                  out: np.ndarray) -> None:
     """Write into ``out`` (n x 3 ``uint64``) the texts, NUL-padded to 24
     bytes, of the values with bits ``absbits`` (sign cleared): ``counts[r]``
-    values of each run r in turn (see ``_cell_tables``)."""
-    t = tables
+    values of each run r in turn (see ``_cell_tables``).
+
+    N = round-half-even(a hi + a lo) for a = |v| is P + rint(s) + c: P =
+    fl(a hi) >= 10^16 > 2^53 is an even integer, e1 = a hi - P and
+    a lo = q + e2 are exact, s + t = e1 + q exactly (Knuth's two-sum), and
+    c is 0 unless s lies halfway between integers.  Where lo = 0, q = e2 =
+    0.  Otherwise |a lo| <= 2^52 ulp(a) ulp(hi), so ulp(q) divides
+    ulp(a) ulp(hi), of which e1 is a multiple: e1, q, s, t and the halves
+    are multiples of ulp(q), while |e2| <= ulp(q) / 2.  So where s is not
+    halfway, neither t nor e2 reaches the next half and c = 0; where it
+    is, the sign of t + e2 (exact: where t != 0, |t| >= ulp(q)) moves N
+    off rint's even choice, c = +-1, or keeps a true tie there."""
     a = absbits.view(np.float64)
-    # N = P + rint(err), where P + err = a 10^(16-E) exactly
-    p = a * np.repeat(t["scale"], counts)
+    hi, hi1, hi2, lo, lo1, lo2 = np.repeat(tables["scale"], counts, axis=1)
+    p = a * hi
     c = a * _DEKKER_SPLIT
     ah = c - (c - a)
     al = a - ah
-    sh, sl = np.repeat(t["scale_hi"], counts), np.repeat(t["scale_lo"], counts)
-    err = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    e1 = ((ah * hi1 - p) + ah * hi2 + al * hi1) + al * hi2
+    q = a * lo
+    e2 = ((ah * lo1 - q) + ah * lo2 + al * lo1) + al * lo2
+    s = e1 + q
+    b = s - e1
+    t = (e1 - (s - b)) + (q - b)
+    i = np.rint(s)
+    d = s - i
+    i += np.trunc(d + d) * (d * (t + e2) > 0)  # +-1 only where d = +-1/2
     n = p.astype(np.int64)
-    n += np.rint(err).astype(np.int64)
+    n += i.astype(np.int64)
     # digit 0, then digits 1-8 and 9-16 as the two halves of one array
     m = len(n)
     q = n // 10**8
@@ -261,34 +287,46 @@ def _cell_kernel(absbits: np.ndarray, counts: np.ndarray, tables: dict,
     top = (digits + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
     top[:m] |= 1
     code = top.astype(np.float64).view(np.int64) >> 55
+    shift, *point, row0 = np.repeat(tables["place"], counts, axis=1)
     row = np.maximum(code[m:] + 8, code[:m])  # 126 + k
-    row += np.repeat(t["row"], counts)
+    row += row0.view(np.int64)
     # the 17 digit bytes in three words, moved past the sign and leading
     # zeros, then split at the point, whose byte the template holds
     d1, d2 = digits[:m], digits[m:]
     w = [(d1 << 8) | lead.view(np.uint64), (d2 << 8) | (d1 >> 56), d2 >> 56]
-    shift = np.repeat(t["shift"], counts)
     carry = 63 - shift  # x >> (64 - shift) is (x >> 1) >> carry, and 0 at shift 0
     w[2] = (w[2] << shift) | ((w[1] >> 1) >> carry)
     w[1] = (w[1] << shift) | ((w[0] >> 1) >> carry)
     w[0] <<= shift
-    before = [wj & np.repeat(mask, counts) for wj, mask in zip(w, t["point"])]
+    before = [wj & mask for wj, mask in zip(w, point)]
     after = [wj ^ bj for wj, bj in zip(w, before)]
-    for j, template in enumerate(t["template"]):
+    for j, template in enumerate(tables["template"]):
         word = before[j] | (after[j] << 8) | template.take(row)
         if j:
             word |= after[j - 1] >> 56
         out[:, j] = word
 
 
-def _cell_texts(keys: np.ndarray, sep: str) -> list[bytes]:
+def _fallback_texts(values: np.ndarray, sep: str) -> np.ndarray:
+    """``format(v, ".17g") + sep`` in ASCII of each float64 of ``values``,
+    as an ``S`` array: one Python %-format call for the values that the
+    cell kernel leaves."""
+    # "\0" ends each cell for the split; no %.17g output holds it
+    text = (f"%.17g{sep}\0" * len(values) % tuple(values.tolist())).encode()
+    return np.array(text.split(b"\0")[:-1], dtype=bytes)
+
+
+def _cell_texts(keys: np.ndarray, sep: str) -> np.ndarray:
     """``format(v, ".17g") + sep`` in ASCII of each value whose bits are in
-    ``keys``, the sorted distinct ``uint64`` that ``np.unique`` returns.
-    In that order each run of ``_cell_tables`` is one slice, found by one
+    ``keys``, the sorted distinct ``uint64`` that ``np.unique`` returns, as
+    one NUL-padded ``S`` array: ``S24``, the kernel's width, or wider where
+    a %.17g text is longer ("-1.0000000000000001e-300," is 25 bytes).
+
+    In key order each run of ``_cell_tables`` is one slice, found by one
     ``searchsorted``, so its constants are repeated per value, not looked
     up.  ``_cell_kernel`` prints the runs, CELL_CHUNK values at a time, and
-    one Python %.17g call prints the other values: magnitudes below 10^-6
-    or from 10^17 up, zeros, infinities and NaNs."""
+    ``_fallback_texts`` the other values: magnitudes below 10^-29 or from
+    10^17 up, zeros, infinities and NaNs."""
     t = _cell_tables(sep)
     runs = len(CELL_EXPONENTS)  # per sign
     ends = np.searchsorted(keys, t["bounds"])
@@ -299,25 +337,24 @@ def _cell_texts(keys: np.ndarray, sep: str) -> list[bytes]:
     for lo in range(0, len(absbits), CELL_CHUNK):
         hi = lo + CELL_CHUNK
         _cell_kernel(absbits[lo:hi], np.diff(np.clip(edges, lo, hi)), t, text[lo:hi])
-    cells = text.view("S24").ravel().tolist()  # S24 items drop the NUL padding
+    cells = text.view("S24").ravel()
     if len(absbits) == len(keys):
         return cells
     rest = np.concatenate((keys[:lo1], keys[hi1:lo2], keys[hi2:])).view(np.float64)
-    # "\0" ends each cell for the split; no %.17g output holds it
-    other = (f"%.17g{sep}\0" * len(rest) % tuple(rest.tolist())).encode().split(b"\0")
+    other = _fallback_texts(rest, sep)
     i, j = lo1, lo1 + lo2 - hi1
-    return other[:i] + cells[:hi1 - lo1] + other[i:j] + cells[hi1 - lo1:] + other[j:-1]
+    return np.concatenate((other[:i], cells[:hi1 - lo1], other[i:j], cells[hi1 - lo1:], other[j:]))
 
 
-def _column_cells(values: np.ndarray, sep: str) -> np.ndarray:
+def _column_cells(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
     """``format(v, ".17g") + sep`` in ASCII of every value of the float64
-    array ``values``, as an object array of ``bytes``, each distinct value
-    formatted once: one ``np.unique`` with ``return_inverse``, one
-    ``_cell_texts`` over the distinct values and one gather by the inverse.
-    Values are keyed on their bits, not compared as floats, so -0.0 stays
-    apart from 0.0; every NaN prints "nan" whatever its bits."""
+    array ``values``, each distinct value formatted once: the texts of the
+    distinct values (``_cell_texts``) and the ``np.unique`` inverse, the
+    index of each value's text.  Values are keyed on their bits, not
+    compared as floats, so -0.0 stays apart from 0.0; every NaN prints
+    "nan" whatever its bits."""
     keys, inv = np.unique(values.view(np.uint64), return_inverse=True)
-    return np.array(_cell_texts(keys, sep), dtype=object)[inv]
+    return _cell_texts(keys, sep), inv
 
 
 def _csv_blocks(total: int, columns) -> list[str]:
@@ -326,14 +363,15 @@ def _csv_blocks(total: int, columns) -> list[str]:
     rows with indices ``k``.  Every value is printed with 17 significant
     digits, as ``format(v, ".17g")`` would.
 
-    The blocks bound evaluation only: the values of every block are copied
-    into one array per column, and each column formats each of its distinct
+    The blocks bound evaluation: the values of every block are copied into
+    one array per column, and each column formats each of its distinct
     values once per export (``_column_cells``), with its separator, "," or
-    "\\n" for the last column, inside each cell.  An output block is then one
-    join of its cells in row order, decoded from ASCII.  The cost is memory,
-    since every cell of the export lives at once: on a 400 x 400 plane grid
-    the peak rose from +31 MB (formatting block by block) to +75 MB, while
-    the time halved."""
+    "\\n" for the last column, inside each cell.  Cells stay fixed-width
+    texts to the end, with no Python object per value or per cell: each
+    output block ``np.take``s its texts by the inverses into one reused
+    (rows, columns) ``S`` buffer, whose bytes, the NUL padding deleted and
+    decoded from ASCII, are the block.  The values, and then the inverses,
+    of the whole export live at once, but its cells never do."""
     if total == 0:
         return []
     values = None
@@ -342,12 +380,30 @@ def _csv_blocks(total: int, columns) -> list[str]:
         if values is None:
             values = np.empty((len(cols), total))
         values[:, lo:lo + EXPORT_BATCH] = cols
-    cells = np.empty((total, len(values)), dtype=object)
-    for j, col in enumerate(values):
-        cells[:, j] = _column_cells(col, "," if j < len(values) - 1 else "\n")
-    # each block's last cell ends in "\n", which _write_lines adds itself
-    return [b"".join(cells[lo:lo + EXPORT_BATCH].ravel().tolist())[:-1].decode("ascii")
-            for lo in range(0, total, EXPORT_BATCH)]
+    cells = [_column_cells(col, "," if j < len(values) - 1 else "\n")
+             for j, col in enumerate(values)]
+    del values
+    width = max(texts.itemsize for texts, _ in cells)
+    buf = np.empty((min(total, EXPORT_BATCH), len(cells)), f"S{width}")
+    blocks = []
+    for lo in range(0, total, EXPORT_BATCH):
+        rows = buf[:min(EXPORT_BATCH, total - lo)]
+        for j, (texts, inv) in enumerate(cells):
+            rows[:, j] = texts.take(inv[lo:lo + len(rows)])
+        # the block's last cell ends in "\n", which _write_lines adds itself
+        blocks.append(rows.tobytes().translate(None, b"\0")[:-1].decode("ascii"))
+    return blocks
+
+
+def _write_csv(path: str | None, header: str, total: int, columns) -> None:
+    """Write ``header`` and the CSV body of ``_csv_blocks(total, columns)``.
+    An export too large to allocate raises ``ConfigError`` naming its row
+    count, and nothing is written."""
+    try:
+        blocks = _csv_blocks(total, columns)
+    except MemoryError as exc:
+        raise ConfigError(f"an export of {total} rows does not fit in memory") from exc
+    _write_lines(path, [header, *blocks])
 
 
 def _grid(lo: float, hi: float, n: int, i: np.ndarray) -> np.ndarray:
@@ -373,7 +429,7 @@ def cmd_export_geodesic(args: argparse.Namespace) -> int:
             speed = np.sqrt(a * a + b * b + c * c)
         return s, x, y, t, c, speed
 
-    _write_lines(args.out, ["s,x,y,t,lambda,speed", *_csv_blocks(n + 1, columns)])
+    _write_csv(args.out, "s,x,y,t,lambda,speed", n + 1, columns)
     return EXIT_OK
 
 
@@ -404,7 +460,7 @@ def cmd_export_surface(args: argparse.Namespace) -> int:
         return (U1, U2, x, y, t, fr.Nh_norm, fr.NT, fr.BZS, fr.H, fr.q,
                 fr.Nh_norm * fr.riem_area)
 
-    _write_lines(args.out, [header, *_csv_blocks((n1 + 1) * (n2 + 1), columns)])
+    _write_csv(args.out, header, (n1 + 1) * (n2 + 1), columns)
     return EXIT_OK
 
 

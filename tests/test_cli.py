@@ -488,6 +488,26 @@ def test_export_late_block_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["export", "surface-grid", "--surface", "plane", "--n1", "100000", "--n2", "100000"],
+     10000200001),
+    (["export", "geodesic", "--num", "1000000000000"], 1000000000001)])
+def test_export_too_large_to_allocate_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
+                                                          rows):
+    # numpy raises MemoryError (_ArrayMemoryError) for a value array that
+    # cannot be allocated; the stand-in raises it without allocating
+    def too_large(total, columns):
+        assert total == rows
+        raise MemoryError(f"Unable to allocate an array of {total} rows")
+
+    monkeypatch.setattr(cli, "_csv_blocks", too_large)
+    out = tmp_path / "big.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: an export of {rows} rows does not fit "
+                                       "in memory\n")
+    assert not out.exists()
+
+
 def test_export_grid_range_overflow(tmp_path):
     # (u2max - u2min) overflows: the grid values are not finite
     out = tmp_path / "g.csv"

@@ -147,6 +147,14 @@ GREP_GUARDS = [
     Guard("One CSV cell formatter", (r"%\.17g",),
           "CSV cells go through cli._cell_kernel: only cli.py may format with the %.17g template",
           ("cli.py",), planted=('    text = ("%.17g," * len(keys) % tuple(vals)).split(",")',)),
+    # CSV cells stay fixed-width numpy texts from the cell kernel to each
+    # output block (cli._csv_blocks): no object array of cells and no join
+    # of per-cell bytes objects
+    Guard("No Python object per CSV cell", ("dtype=object", 'b"".join('),
+          "keep CSV cells in S arrays: gather them per block and delete the NUL padding",
+          searched="cli.py",
+          planted=("    return np.array(_cell_texts(keys, sep), dtype=object)[inv]",
+                   '    return [b"".join(cells[lo:lo + EXPORT_BATCH].ravel().tolist())')),
 ]
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -126,32 +127,97 @@ def test_csv_blocks_print_every_value_as_format_17g(monkeypatch, batch):
 # The cell kernel (cli._cell_kernel) prints format(v, ".17g"), bit for bit
 # ---------------------------------------------------------------------------
 
+def _cells(values, sep=","):
+    """The cell of each of the float64 ``values``, as ``bytes``."""
+    texts, inv = cli._column_cells(np.asarray(values, dtype=np.float64), sep)
+    return texts[inv].tolist()  # S items drop the NUL padding
+
+
 def _mismatches(values, sep=","):
     """(v, cell, format(v, ".17g") + sep) of each value whose cell differs."""
     vals = np.asarray(values, dtype=np.float64)
-    got = cli._column_cells(vals, sep).tolist()
+    got = _cells(vals, sep)
     want = [(format(v, ".17g") + sep).encode() for v in vals.tolist()]
     return [(v, g, w) for v, g, w in zip(vals.tolist(), got, want) if g != w]
 
 
+def _least_printed_at(e):
+    """The least positive double whose %.17g text has decimal exponent e or
+    more: its 17 significant digits may round up to 10^e."""
+    x = 10.0**e
+    while int(format(float(np.nextafter(x, 0.0)), ".16e").split("e")[1]) >= e:
+        x = float(np.nextafter(x, 0.0))
+    while int(format(x, ".16e").split("e")[1]) < e:
+        x = float(np.nextafter(x, np.inf))
+    return x
+
+
 def _kernel_count(values):
-    """How many ``values`` the kernel prints, not %.17g: 10^-6 <= |v| < 10^17,
-    that is |v| > 1e-6, since the double nearest 1e-6 lies below 10^-6."""
+    """How many ``values`` the kernel prints, not %.17g: those whose %.17g
+    exponent lies in -29..16."""
     a = np.abs(np.asarray(values, dtype=np.float64))
-    return int(np.count_nonzero((a > 1e-6) & (a < 1e17)))
+    return int(np.count_nonzero((a >= _least_printed_at(-29)) & (a < _least_printed_at(17))))
+
+
+def _near_half(k, s, center):
+    """The m near ``center`` whose m 5^k mod 2^s lies nearest 2^(s-1): the
+    point of the lattice {(m, m 5^k mod 2^s)} nearest (center, 2^(s-1)) in
+    the norm that weighs m against 2^52 and the residue against 2^(s-48),
+    by Lagrange-Gauss reduction and Babai rounding."""
+    w1, w2 = 2 ** max(s - 48, 0), 2**52
+    u, v = (w1, 5**k % 2**s * w2), (0, 2**s * w2)
+    while True:  # Lagrange-Gauss: u, v become a shortest basis
+        if u[0] ** 2 + u[1] ** 2 > v[0] ** 2 + v[1] ** 2:
+            u, v = v, u
+        c = round(Fraction(u[0] * v[0] + u[1] * v[1], u[0] ** 2 + u[1] ** 2))
+        if c == 0:
+            break
+        v = (v[0] - c * u[0], v[1] - c * u[1])
+    t = (center * w1, 2 ** (s - 1) * w2)
+    det = u[0] * v[1] - u[1] * v[0]
+    c1 = round(Fraction(t[0] * v[1] - t[1] * v[0], det))
+    c2 = round(Fraction(u[0] * t[1] - u[1] * t[0], det))
+    return (c1 * u[0] + c2 * v[0]) // w1
+
+
+def _near_ties():
+    """Values v whose |v| 10^(16-E) lies within 2^-49 of a half-integer, for
+    each exponent E = -7..-29 of the kernel where 10^(16-E) is no double: v
+    = m 2^(-s-K), K = 16 - E, with m 5^K / 2^s near a half-integer.  They
+    reach the two-sum's tie test with t + e2 of either sign."""
+    out = []
+    for k in range(23, 46):
+        lo = (2**52 * 5**k // 10**17).bit_length()
+        for s in range(lo, lo + 6):
+            for c in range(1, 8):
+                m = _near_half(k, s, 2**52 + c * 2**49)
+                x = Fraction(m * 5**k, 2**s)
+                if 2**52 <= m < 2**53 and 10**16 - Fraction(1, 2) <= x < 10**17 - Fraction(1, 2):
+                    out.append(math.ldexp(m, -s - k))
+    return out
+
+
+def _exact_ties():
+    """Every double whose 17 significant digits are an exact tie at an
+    exponent E = -7..-29 of the kernel: |v| 10^K = m 5^K / 2 with m odd and
+    K = 16 - E, so v = m 2^-(K+1); only K = 23 and 24 (E = -7 and -8) have
+    any, since m 5^K / 2 < 10^17."""
+    return [math.ldexp(m, -k - 1) for k in range(23, 46) for m in range(1, 64, 2)
+            if 10**16 <= m * 5**k / 2 < 10**17]
 
 
 @functools.cache
 def _families():
-    """The exactness cases by family: 2.0 million values, 1.74 million of
+    """The exactness cases by family: 2.0 million values, 1.77 million of
     them in the kernel's range."""
     rng = np.random.default_rng(2024)
     n = 200_000
     # random 64-bit patterns, both signs: every exponent, NaNs and infinities
     bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
-    # random mantissas at the binary exponents of the kernel's range and beyond
+    # random mantissas at the binary exponents of the kernel's range and
+    # beyond, 2^-100 (7.9e-31) to 2^59
     mantissas = ((rng.integers(0, 2, 2 * n).astype(np.uint64) << np.uint64(63))
-                 | (rng.integers(1023 - 23, 1023 + 60, 2 * n).astype(np.uint64) << np.uint64(52))
+                 | (rng.integers(1023 - 100, 1023 + 60, 2 * n).astype(np.uint64) << np.uint64(52))
                  | rng.integers(0, 2**52, 2 * n, dtype=np.uint64)).view(np.float64)
     # the +-2-ulp neighbours of every power of ten from 1e-30 to 1e30
     tens = np.array([float(10**e) if e >= 0 else 1 / 10**-e for e in range(-30, 31)])
@@ -159,7 +225,7 @@ def _families():
     near = np.concatenate((tens, up, np.nextafter(up, np.inf), down, np.nextafter(down, 0.0)))
     # (k + 1/2) / 10^j, and exact ties of the 17th digit, which round half
     # to even: k + 1/2 for 16-digit k below 2^52, k + 1/4 and k + 3/4 below 2^51
-    halves = (rng.integers(10**15, 10**16, n) + 0.5) / 10.0 ** rng.integers(0, 17, n)
+    halves = (rng.integers(10**15, 10**16, n) + 0.5) / 10.0 ** rng.integers(0, 46, n)
     ties = np.concatenate((rng.integers(10**15, 2**52, n // 4) + 0.5,
                            rng.integers(10**15, 2**51, n // 4) + rng.choice([0.25, 0.75], n // 4)))
     # values rounded to 0..16 decimals
@@ -172,6 +238,7 @@ def _families():
                                          0x7FFFFFFFFFFFFFFF], dtype=np.uint64))).view(np.float64)
     families = {"random_bits": bits, "random_mantissas": mantissas, "powers_of_ten": near,
                 "halfway": np.concatenate((halves, ties)),
+                "near_ties": np.array(_near_ties() + _exact_ties()),
                 "integers": rng.integers(-10**17, 10**17, n).astype(np.float64),
                 "rounded": np.array(rounded), "specials": specials}
     # the random families have both signs already; the others get them here
@@ -186,7 +253,7 @@ def test_exactness_cases_number_a_million():
 
 
 @pytest.mark.parametrize("family", ["random_bits", "random_mantissas", "powers_of_ten",
-                                    "halfway", "integers", "rounded", "specials"])
+                                    "halfway", "near_ties", "integers", "rounded", "specials"])
 def test_cell_kernel_prints_format_17g(family):
     values = _families()[family]
     bad = _mismatches(values, ",")
@@ -200,9 +267,40 @@ def test_double_nearest_1e_minus_6_prints_below_10_to_the_minus_6():
     # form; the least double above 10^-6 is the first the kernel prints
     assert (1e-6).as_integer_ratio()[0] * 10**6 < (1e-6).as_integer_ratio()[1]
     up = float(np.nextafter(1e-6, 1.0))
-    cells = cli._column_cells(np.array([1e-6, -1e-6, up, -up]), ",").tolist()
-    assert cells == [b"9.9999999999999995e-07,", b"-9.9999999999999995e-07,",
+    assert _cells([1e-6, -1e-6, up, -up]) == [b"9.9999999999999995e-07,", b"-9.9999999999999995e-07,",
                      b"1.0000000000000002e-06,", b"-1.0000000000000002e-06,"]
+
+
+def test_exact_ties_below_1e_minus_6_round_half_even():
+    # 1.5 2^-24 10^24 = 3 5^24 / 2 = 89406967163085937.5 rounds to the even
+    # ...38; 3 2^-24 10^23 = 17881393432617187.5 to the even ...88
+    assert _cells([1.5 * 2**-24, -1.5 * 2**-24, 3 * 2**-24]) == [
+        b"8.9406967163085938e-08,", b"-8.9406967163085938e-08,", b"1.7881393432617188e-07,"]
+    ties = _exact_ties()
+    assert len(ties) == 9 and not _mismatches(ties + [-v for v in ties])
+
+
+def test_format_17g_prints_only_what_the_kernel_leaves(monkeypatch):
+    # %.17g sees zeros, infinities, NaNs and exponents below -29 or from 17
+    # up, and nothing else
+    seen = []
+
+    def spy(values, sep):
+        seen.extend(values.view(np.uint64).tolist())
+        return fallback(values, sep)
+
+    fallback = cli._fallback_texts
+    monkeypatch.setattr(cli, "_fallback_texts", spy)
+    families = _families()
+    values = np.concatenate([families[name] for name in ("random_bits", "random_mantissas",
+                                                         "powers_of_ten", "specials")])
+    assert not _mismatches(values)
+    keys = np.unique(values.view(np.uint64))
+    outside = {k for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())
+               if not math.isfinite(v) or v == 0
+               or not -29 <= int(format(v, ".16e").split("e")[1]) <= 16}
+    assert set(seen) == outside
+    assert len(seen) == len(outside) > 0
 
 
 @settings(max_examples=300, deadline=None)
