@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -68,19 +69,37 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _write_lines(path: str | None, lines: Sequence[str]) -> None:
-    """Write each entry of ``lines`` and a newline; an entry may hold several
-    newline-separated rows.  A file that cannot be written raises
-    ``ConfigError`` naming ``path``."""
-    text = (f"{line}\n" for line in lines)
-    if path is None:
-        sys.stdout.writelines(text)
+def _write_bytes(path: str | None, chunks: Sequence[bytes]) -> None:
+    """Write ``chunks`` to the file ``path``, or to standard output's binary
+    buffer when ``path`` is None.  An output that cannot be written raises
+    ``ConfigError`` naming it."""
+    if path is not None:
+        try:
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # closed at start-up, or a text stream such as io.StringIO
+        raise ConfigError("cannot write standard output: it is closed or takes no bytes")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        sys.stdout.flush()
+        out.writelines(chunks)
+        out.flush()
+    except OSError as exc:  # a closed pipe, as under `| head`, or a full disk
+        # the interpreter flushes standard output again at exit: what is
+        # left in its buffer goes to os.devnull instead of failing twice
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, out.fileno())
+        os.close(null)
+        raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from exc
+
+
+def _write_lines(path: str | None, lines: Sequence[str]) -> None:
+    """Write each entry of ``lines`` and a newline, in UTF-8, through
+    ``_write_bytes``; an entry may hold several newline-separated rows."""
+    _write_bytes(path, ["".join(f"{line}\n" for line in lines).encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # catalog_surface parameters taken from the command line, per surface
 _SURFACE_PARAMS = {"plane": ("a", "b", "c"), "helicoid": ("R",), "catenoid": ("lam",)}
 
-EXPORT_BATCH = 1024  # CSV rows evaluated per block, and rows per output string
+EXPORT_BATCH = 1024  # CSV rows per output string
 CELL_CHUNK = 4096  # distinct values per pass of the cell kernel, whose work arrays stay small
 
 
@@ -192,6 +211,8 @@ def _cell_tables(sep: str) -> dict:
       the run below, and 1e-14 prints 1e-14, since its digits round up;
     - ``scale``, one row per run: hi and its Dekker halves, then lo and its
       Dekker halves, where 10^(16-E) = hi + lo exactly (lo = 0 for E >= -6);
+    - ``ties``: how many runs of each sign have lo != 0, those of E = -29..-7,
+      the first of the sign's runs;
     - ``place``, one row per run: the shift 8 (s + z) bits, past the sign
       and the z = -E zeros of "0.000ddd" (E = -1..-4; z = 0 otherwise); the
       three words of the byte mask of the text before the point; and
@@ -222,7 +243,8 @@ def _cell_tables(sep: str) -> dict:
                 template.append(_words(int.from_bytes(text, "little")))
     words = np.array(template, dtype=np.uint64).T
     return {"bounds": np.concatenate((bits, bits | np.uint64(1 << 63))),
-            "scale": np.array(scale).T.copy(), "place": np.array(place, dtype=np.uint64).T.copy(),
+            "scale": np.array(scale).T.copy(), "ties": sum(row[3] != 0 for row in scale) // 2,
+            "place": np.array(place, dtype=np.uint64).T.copy(),
             "template": [w.copy() for w in words]}
 
 
@@ -240,6 +262,22 @@ def _digit_bytes(x: np.ndarray) -> np.ndarray:
     return (t << 8) - h * (10 * 2**8 - 1)
 
 
+def _tie_rint(a: np.ndarray, ah: np.ndarray, al: np.ndarray, e1: np.ndarray,
+              lo: np.ndarray, lo1: np.ndarray, lo2: np.ndarray) -> np.ndarray:
+    """rint(s) + c of ``_cell_kernel`` for the values ``a`` of runs with lo
+    != 0, with their Dekker halves ``ah``, ``al`` and errors ``e1``, and lo
+    and its halves per value."""
+    q = a * lo
+    e2 = ((ah * lo1 - q) + ah * lo2 + al * lo1) + al * lo2
+    s = e1 + q
+    b = s - e1
+    t = (e1 - (s - b)) + (q - b)
+    i = np.rint(s)
+    d = s - i
+    i += np.trunc(d + d) * (d * (t + e2) > 0)  # +-1 only where d = +-1/2
+    return i
+
+
 def _cell_kernel(absbits: np.ndarray, counts: np.ndarray, tables: dict,
                  out: np.ndarray) -> None:
     """Write into ``out`` (n x 3 ``uint64``) the texts, NUL-padded to 24
@@ -250,27 +288,30 @@ def _cell_kernel(absbits: np.ndarray, counts: np.ndarray, tables: dict,
     fl(a hi) >= 10^16 > 2^53 is an even integer, e1 = a hi - P and
     a lo = q + e2 are exact, s + t = e1 + q exactly (Knuth's two-sum), and
     c is 0 unless s lies halfway between integers.  Where lo = 0, q = e2 =
-    0.  Otherwise |a lo| <= 2^52 ulp(a) ulp(hi), so ulp(q) divides
-    ulp(a) ulp(hi), of which e1 is a multiple: e1, q, s, t and the halves
-    are multiples of ulp(q), while |e2| <= ulp(q) / 2.  So where s is not
-    halfway, neither t nor e2 reaches the next half and c = 0; where it
-    is, the sign of t + e2 (exact: where t != 0, |t| >= ulp(q)) moves N
-    off rint's even choice, c = +-1, or keeps a true tie there."""
+    t = 0 and s = e1: N = P + rint(e1).  Otherwise |a lo| <= 2^52 ulp(a)
+    ulp(hi), so ulp(q) divides ulp(a) ulp(hi), of which e1 is a multiple:
+    e1, q, s, t and the halves are multiples of ulp(q), while |e2| <=
+    ulp(q) / 2.  So where s is not halfway, neither t nor e2 reaches the
+    next half and c = 0; where it is, the sign of t + e2 (exact: where t !=
+    0, |t| >= ulp(q)) moves N off rint's even choice, c = +-1, or keeps a
+    true tie there.  The runs with lo != 0 are the first ``ties`` runs of
+    each sign, so ``_tie_rint`` sees one slice per sign."""
     a = absbits.view(np.float64)
-    hi, hi1, hi2, lo, lo1, lo2 = np.repeat(tables["scale"], counts, axis=1)
+    scale = tables["scale"]
+    hi, hi1, hi2 = np.repeat(scale[:3], counts, axis=1)
     p = a * hi
     c = a * _DEKKER_SPLIT
     ah = c - (c - a)
     al = a - ah
     e1 = ((ah * hi1 - p) + ah * hi2 + al * hi1) + al * hi2
-    q = a * lo
-    e2 = ((ah * lo1 - q) + ah * lo2 + al * lo1) + al * lo2
-    s = e1 + q
-    b = s - e1
-    t = (e1 - (s - b)) + (q - b)
-    i = np.rint(s)
-    d = s - i
-    i += np.trunc(d + d) * (d * (t + e2) > 0)  # +-1 only where d = +-1/2
+    i = np.rint(e1)
+    runs, ties = len(counts) // 2, tables["ties"]
+    for first in (0, runs):
+        start = int(counts[:first].sum())
+        k = slice(start, start + int(counts[first:first + ties].sum()))
+        if k.start < k.stop:
+            lo = np.repeat(scale[3:, first:first + ties], counts[first:first + ties], axis=1)
+            i[k] = _tie_rint(a[k], ah[k], al[k], e1[k], *lo)
     n = p.astype(np.int64)
     n += i.astype(np.int64)
     # digit 0, then digits 1-8 and 9-16 as the two halves of one array
@@ -350,36 +391,41 @@ def _column_cells(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]
     """``format(v, ".17g") + sep`` in ASCII of every value of the float64
     array ``values``, each distinct value formatted once: the texts of the
     distinct values (``_cell_texts``) and the ``np.unique`` inverse, the
-    index of each value's text.  Values are keyed on their bits, not
-    compared as floats, so -0.0 stays apart from 0.0; every NaN prints
-    "nan" whatever its bits."""
+    index of each value's text, in the narrowest unsigned type that holds
+    it, since every column's inverse lives to the end of the export.
+    Values are keyed on their bits, not compared as floats, so -0.0 stays
+    apart from 0.0; every NaN prints "nan" whatever its bits."""
     keys, inv = np.unique(values.view(np.uint64), return_inverse=True)
-    return _cell_texts(keys, sep), inv
+    return _cell_texts(keys, sep), inv.astype(np.min_scalar_type(len(keys) - 1))
 
 
-def _csv_blocks(total: int, columns) -> list[str]:
-    """The CSV body of rows 0..total-1, one string per block of
-    EXPORT_BATCH rows; ``columns(k)`` returns the 1-D value arrays of the
-    rows with indices ``k``.  Every value is printed with 17 significant
-    digits, as ``format(v, ".17g")`` would.
+def _csv_blocks(total: int, columns) -> list[bytes]:
+    """The CSV body of rows 0..total-1 in ASCII, one ``bytes`` per block of
+    EXPORT_BATCH rows, each row ending in "\\n"; ``columns(k)`` returns the
+    1-D value arrays of the rows with indices ``k``.  Every value is printed
+    with 17 significant digits, as ``format(v, ".17g")`` would.
 
-    The blocks bound evaluation: the values of every block are copied into
-    one array per column, and each column formats each of its distinct
-    values once per export (``_column_cells``), with its separator, "," or
-    "\\n" for the last column, inside each cell.  Cells stay fixed-width
-    texts to the end, with no Python object per value or per cell: each
-    output block ``np.take``s its texts by the inverses into one reused
-    (rows, columns) ``S`` buffer, whose bytes, the NUL padding deleted and
-    decoded from ASCII, are the block.  The values, and then the inverses,
-    of the whole export live at once, but its cells never do."""
+    ``columns`` is evaluated on blocks of ``numerics.CELL_BLOCK_NODES`` rows,
+    the block of every frame kernel caller, and the values are copied into
+    one array per column; each column formats each of its distinct values
+    once per export (``_column_cells``), with its separator, "," or "\\n"
+    for the last column, inside each cell.  Cells stay fixed-width texts to
+    the end, with no Python object per value or per cell: each output block
+    ``np.take``s its texts by the inverses into one reused (rows, columns)
+    ``S`` buffer, whose bytes, the NUL padding deleted, are the block.  The
+    values, and then the inverses, of the whole export live at once, but
+    its cells never do."""
+    from . import numerics
+
     if total == 0:
         return []
+    step = numerics.CELL_BLOCK_NODES
     values = None
-    for lo in range(0, total, EXPORT_BATCH):
-        cols = columns(np.arange(lo, min(lo + EXPORT_BATCH, total)))
+    for lo in range(0, total, step):
+        cols = columns(np.arange(lo, min(lo + step, total)))
         if values is None:
             values = np.empty((len(cols), total))
-        values[:, lo:lo + EXPORT_BATCH] = cols
+        values[:, lo:lo + step] = cols
     cells = [_column_cells(col, "," if j < len(values) - 1 else "\n")
              for j, col in enumerate(values)]
     del values
@@ -390,8 +436,7 @@ def _csv_blocks(total: int, columns) -> list[str]:
         rows = buf[:min(EXPORT_BATCH, total - lo)]
         for j, (texts, inv) in enumerate(cells):
             rows[:, j] = texts.take(inv[lo:lo + len(rows)])
-        # the block's last cell ends in "\n", which _write_lines adds itself
-        blocks.append(rows.tobytes().translate(None, b"\0")[:-1].decode("ascii"))
+        blocks.append(rows.tobytes().translate(None, b"\0"))
     return blocks
 
 
@@ -403,7 +448,7 @@ def _write_csv(path: str | None, header: str, total: int, columns) -> None:
         blocks = _csv_blocks(total, columns)
     except MemoryError as exc:
         raise ConfigError(f"an export of {total} rows does not fit in memory") from exc
-    _write_lines(path, [header, *blocks])
+    _write_bytes(path, [f"{header}\n".encode(), *blocks])
 
 
 def _grid(lo: float, hi: float, n: int, i: np.ndarray) -> np.ndarray:

@@ -586,9 +586,11 @@ def test_certify_catenoid_reads_lam_1_by_default(tmp_path):
 
 def _exits_cleanly(argv):
     """Run ``argv``; assert a documented exit code, no traceback, no Python
-    warning, and at most one stderr line (exactly one for exits 2 and 3)."""
+    warning, and at most one stderr line (exactly one for exits 2 and 3).
+    Standard output is a text stream over bytes, as a process's is."""
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(argv)
@@ -742,7 +744,37 @@ def test_certify_catenoid_support_outside_the_chart_is_a_usage_error(tmp_path, c
 @example(math.nan)
 @example(math.inf)
 def test_verify_tolerance_fuzz(tol):
-    _exits_cleanly(["verify", "--suite", "core", "--tol", f"group_associativity={tol!r}"])
+    code = _exits_cleanly(["verify", "--suite", "core", "--tol", f"group_associativity={tol!r}"])
+    assert (code == 2) == (not 0.0 < tol < math.inf), (tol, code)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("num, read", [("200000", 1), ("3", 0)], ids=["head", "closed"])
+def test_closed_standard_output_is_a_config_error(unbuffered, num, read):
+    # `h1geom export geodesic --num 200000 | head -c 1`: the reader leaves
+    # after one byte, or before the first write of a short export, whose
+    # bytes then wait in the buffer; the export exits 2 with one line, and
+    # the interpreter reports nothing more at exit ("Exception ignored ...")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "h1geom.cli", "export",
+                             "geodesic", "--num", num],
+                            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(read) == b"s"[:read]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2, err
+    assert err == b"config error: cannot write standard output: Broken pipe\n"
+
+
+def test_text_only_standard_output_is_a_config_error(capsys):
+    # a caller's io.StringIO takes no bytes: one line and exit 2, not a traceback
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["export", "geodesic", "--num", "3"]) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == ("config error: cannot write standard output: "
+                                       "it is closed or takes no bytes\n")
 
 
 @settings(max_examples=40, deadline=None)

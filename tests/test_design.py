@@ -155,6 +155,13 @@ GREP_GUARDS = [
           searched="cli.py",
           planted=("    return np.array(_cell_texts(keys, sep), dtype=object)[inv]",
                    '    return [b"".join(cells[lo:lo + EXPORT_BATCH].ravel().tolist())')),
+    # the CSV is ASCII bytes from the cell kernel to the file or to standard
+    # output's binary buffer (cli._write_bytes): no block is decoded to text
+    # and encoded again
+    Guard("CSV stays bytes", (r"\.decode(",),
+          "write bytes through cli._write_bytes; standard output takes them on sys.stdout.buffer",
+          searched="cli.py",
+          planted=('        blocks.append(rows.tobytes().translate(None, b"\\0").decode("ascii"))',)),
 ]
 
 

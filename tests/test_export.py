@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from h1geom import cli
+from h1geom import cli, numerics
 from h1geom.errors import SingularPoint
 from h1geom.surfaces import catalog_surface, surface_frame, surface_frames
 
@@ -60,13 +60,17 @@ def _scalar_grid_rows(name, n):
     return rows
 
 
-@pytest.mark.parametrize("batch", [1, 7, 10**6])
-def test_export_bytes_independent_of_block_size(tmp_path, monkeypatch, batch):
+# the evaluation block (numerics.CELL_BLOCK_NODES rows) and the output block
+# (cli.EXPORT_BATCH rows) vary independently; each case is named by its batch
+@pytest.mark.parametrize("block, batch", [(10**6, 1), (1, 7), (7, 10**6)],
+                         ids=["1", "7", "1000000"])
+def test_export_bytes_independent_of_block_size(tmp_path, monkeypatch, block, batch):
     argvs = [_grid_argv(name, 23) for name in GRID_CASES] + [GEODESIC]
     want = [_export(argv, tmp_path / f"want{k}.csv") for k, argv in enumerate(argvs)]
+    monkeypatch.setattr(numerics, "CELL_BLOCK_NODES", block)
     monkeypatch.setattr(cli, "EXPORT_BATCH", batch)
     for k, argv in enumerate(argvs):
-        assert _export(argv, tmp_path / f"got{k}.csv") == want[k], (batch, argv)
+        assert _export(argv, tmp_path / f"got{k}.csv") == want[k], (block, batch, argv)
 
 
 @pytest.mark.parametrize("name", list(GRID_CASES))
@@ -110,7 +114,8 @@ def _edge_columns(n):
 
 @pytest.mark.parametrize("batch", [1, 7, 10**6])
 def test_csv_blocks_print_every_value_as_format_17g(monkeypatch, batch):
-    # values recur across blocks, which format them once per export
+    # values recur across blocks, which format them once per export; each
+    # block is ASCII bytes, every row ending in b"\n"
     cols = _edge_columns(200)
     rows = [",".join(format(v, ".17g") for v in row) for row in zip(*(c.tolist() for c in cols))]
     assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "10000000000000000",
@@ -119,7 +124,7 @@ def test_csv_blocks_print_every_value_as_format_17g(monkeypatch, batch):
     monkeypatch.setattr(cli, "EXPORT_BATCH", batch)
     for total in (0, 1, 200):
         got = cli._csv_blocks(total, lambda k: [c[k] for c in cols])
-        assert got == ["\n".join(rows[lo:min(lo + batch, total)])
+        assert got == ["".join(f"{row}\n" for row in rows[lo:min(lo + batch, total)]).encode()
                        for lo in range(0, total, batch)], total
 
 
@@ -141,13 +146,18 @@ def _mismatches(values, sep=","):
     return [(v, g, w) for v, g, w in zip(vals.tolist(), got, want) if g != w]
 
 
+def _printed_exponent(v):
+    """The decimal exponent of the %.17g text of the finite nonzero ``v``."""
+    return int(format(v, ".16e").split("e")[1])
+
+
 def _least_printed_at(e):
     """The least positive double whose %.17g text has decimal exponent e or
     more: its 17 significant digits may round up to 10^e."""
     x = 10.0**e
-    while int(format(float(np.nextafter(x, 0.0)), ".16e").split("e")[1]) >= e:
+    while _printed_exponent(float(np.nextafter(x, 0.0))) >= e:
         x = float(np.nextafter(x, 0.0))
-    while int(format(x, ".16e").split("e")[1]) < e:
+    while _printed_exponent(x) < e:
         x = float(np.nextafter(x, np.inf))
     return x
 
@@ -298,9 +308,56 @@ def test_format_17g_prints_only_what_the_kernel_leaves(monkeypatch):
     keys = np.unique(values.view(np.uint64))
     outside = {k for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())
                if not math.isfinite(v) or v == 0
-               or not -29 <= int(format(v, ".16e").split("e")[1]) <= 16}
+               or not -29 <= _printed_exponent(v) <= 16}
     assert set(seen) == outside
     assert len(seen) == len(outside) > 0
+
+
+def test_one_chunk_across_the_tie_boundary_prints_format_17g(monkeypatch):
+    # exponents -8 and -7, where 10^K takes two doubles and the tie test
+    # runs, next to -6 and -5, where it does not, of both signs and with the
+    # near ties, in one pass of the kernel: the tie slice of the negative
+    # values starts inside the chunk
+    rng = np.random.default_rng(49)
+    values = [rng.uniform(1.0, 10.0, 200) * 10.0**e for e in range(-8, -4)]
+    edges = [_least_printed_at(e) for e in range(-8, -3)]
+    values += [edges, np.nextafter(edges, 0.0), _families()["near_ties"]]
+    values = np.concatenate(values)
+    values = np.concatenate((values, -values))
+    assert set(range(-9, -4)) <= {_printed_exponent(v) for v in values.tolist()}
+    calls = []
+
+    def spy(absbits, counts, tables, out):
+        calls.append(len(absbits))
+        kernel(absbits, counts, tables, out)
+
+    kernel = cli._cell_kernel
+    monkeypatch.setattr(cli, "_cell_kernel", spy)
+    assert not _mismatches(values, ",")
+    assert not _mismatches(values, "\n")
+    assert len(calls) == 2 and calls[0] == _kernel_count(np.unique(values)) <= cli.CELL_CHUNK
+
+
+def test_tie_test_sees_exactly_the_exponents_where_10_to_the_k_takes_two_doubles(monkeypatch):
+    # the two-sum and the +-1 correction run on the values of exponent
+    # -29..-7 and no other: for -6..16, 10^(16-E) is one double
+    seen = []
+
+    def spy(a, *rest):
+        seen.extend(a.view(np.uint64).tolist())
+        return tie_rint(a, *rest)
+
+    tie_rint = cli._tie_rint
+    monkeypatch.setattr(cli, "_tie_rint", spy)
+    families = _families()
+    values = np.concatenate([families[name] for name in ("random_bits", "random_mantissas",
+                                                         "powers_of_ten", "near_ties", "specials")])
+    assert not _mismatches(values)
+    keys = np.unique(values.view(np.uint64))
+    want = [k & (2**63 - 1) for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())
+            if math.isfinite(v) and v != 0 and -29 <= _printed_exponent(v) <= -7]
+    assert sorted(seen) == sorted(want)
+    assert 0 < len(want) < _kernel_count(keys.view(np.float64))
 
 
 @settings(max_examples=300, deadline=None)
